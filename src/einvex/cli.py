@@ -63,7 +63,6 @@ def build_parser() -> argparse.ArgumentParser:
                             help="mixture weights per pair, anchors 0, 1/2, 1 included")
             sp.add_argument("--delta", type=float, default=1e-7,
                             help="required margin for strict comparisons (default 1e-7)")
-            sp.add_argument("--threads", type=int, default=1)
 
     sp = sub.add_parser("parse", help="parse and echo a problem file")
     common(sp, sampling=False)
@@ -134,7 +133,7 @@ def _sample_config(ns) -> SampleConfig:
     if seed is None:
         seed = int(os.environ.get("EINVEX_SEED", DEFAULT_SEED))
     return SampleConfig(seed=seed, n_pairs=ns.pairs, n_tau=ns.tau,
-                        tol=ns.eps, strict_margin=ns.delta, threads=ns.threads)
+                        tol=ns.eps, strict_margin=ns.delta)
 
 
 def _digest(path):
@@ -146,7 +145,7 @@ def _digest(path):
 
 def _base_report(ns, extra_config):
     cfgd = {"eps": ns.eps, "format": ns.format}
-    for key in ("seed", "pairs", "tau", "delta", "threads"):
+    for key in ("seed", "pairs", "tau", "delta"):
         if hasattr(ns, key):
             v = getattr(ns, key)
             if key == "seed" and v is None:
@@ -321,7 +320,7 @@ def _cmd_oracle(ns):
     report = grid_oracle(problem, grid, tol=ns.eps)
     payload = report.to_dict()
     if ns.csv:
-        rows = dump_csv(problem, grid, ns.csv, tol=ns.eps)
+        rows = dump_csv(problem, report, ns.csv)
         payload["csv"] = {"path": ns.csv, "rows": rows}
     rep.update({"conclusion": "pass", **payload})
     return rep
@@ -472,7 +471,15 @@ def run(argv=None):
 
 def main(argv=None):
     code, text = run(argv)
-    print(text, file=sys.stderr if code == 3 else sys.stdout)
+    stream = sys.stderr if code == 3 else sys.stdout
+    try:
+        print(text, file=stream)
+        stream.flush()
+    except BrokenPipeError:
+        # the reader left early; the exit code still carries the verdict, and
+        # the redirect keeps the flush at interpreter exit from failing again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, stream.fileno())
     sys.exit(code)
 
 

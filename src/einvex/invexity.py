@@ -21,7 +21,6 @@ exponential-domain mode is kept for cross-checking on small values.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
@@ -58,41 +57,9 @@ class InvexKind(str, Enum):
 # ---------------------------------------------------------------------------
 
 
-def _run_blocks(fun, X, threads, min_rows=8192):
-    """Apply fun to row blocks of X and concatenate the tuple results.
-
-    fun must map a row array to a tuple of arrays whose leading dimension
-    equals the number of input rows, so the merge is order-preserving and
-    thread count cannot change any result.
-    """
-    n = X.shape[0]
-    if threads <= 1 or n < min_rows:
-        return fun(X)
-    blocks = np.array_split(np.arange(n), threads)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        parts = list(pool.map(lambda b: fun(X[b]), blocks))
-    return tuple(np.concatenate([p[k] for p in parts], axis=0) for k in range(len(parts[0])))
-
-
-def _composed_vals(problem, fn, X, threads):
-    def one(rows):
-        r = problem.composed_values(fn, rows)
-        return r.values, r.invalid
-    return _run_blocks(one, X, threads)
-
-
-def _composed_grads(problem, fn, X, threads):
-    def one(rows):
-        r = problem.composed_grads(fn, rows)
-        return r.values, r.grads, r.invalid, r.nondiff
-    return _run_blocks(one, X, threads)
-
-
-def _raw_vals(problem, fn, Z, threads):
-    def one(rows):
-        r = problem.raw_values(fn, rows)
-        return r.values, r.invalid
-    return _run_blocks(one, Z, threads)
+def _exp_or_inf(v):
+    """exp(v) for reporting, with inf once v is too large to exponentiate."""
+    return math.exp(v) if v < 700 else math.inf
 
 
 def _first_true(mask):
@@ -161,14 +128,15 @@ def preinvex_pairs(fn: ProblemFunction, problem: EProblem, cfg: SampleConfig,
     U, bad_u = problem.e_map(X)
     V, bad_v = problem.e_map(X0)
     H, bad_h = problem.eta_map(U, V)
-    A, bad_a = _composed_vals(problem, fn, X, cfg.threads)
-    B, bad_b = _composed_vals(problem, fn, X0, cfg.threads)
-    invalid_pair = bad_u | bad_v | bad_h | bad_a | bad_b | ~np.isfinite(A) | ~np.isfinite(B)
+    ra = problem.composed_values(fn, X)
+    rb = problem.composed_values(fn, X0)
+    A, B = ra.values, rb.values
+    invalid_pair = bad_u | bad_v | bad_h | ra.invalid | rb.invalid | ~np.isfinite(A) | ~np.isfinite(B)
 
     Z = V[:, None, :] + T[:, :, None] * H[:, None, :]
-    C_flat, bad_c = _raw_vals(problem, fn, Z.reshape(-1, problem.n), cfg.threads)
-    C = C_flat.reshape(T.shape)
-    invalid_comb = (bad_c | ~np.isfinite(C_flat)).reshape(T.shape) | invalid_pair[:, None]
+    rc = problem.raw_values(fn, Z.reshape(-1, problem.n))
+    C = rc.values.reshape(T.shape)
+    invalid_comb = (rc.invalid | ~np.isfinite(rc.values)).reshape(T.shape) | invalid_pair[:, None]
     return PreinvexSamples(X, X0, U, V, H, T, A, B, C, invalid_pair, invalid_comb)
 
 
@@ -235,9 +203,8 @@ def preinvex_sides(fn: ProblemFunction, problem: EProblem, x, x0, tau: float) ->
     mix = float(np.logaddexp(lt + a, l1 + b))
     return {"a": a, "b": b, "c": c, "combined": z[0].tolist(),
             "mix_log": mix, "max_log": max(a, b),
-            "left": math.exp(c) if c < 700 else math.inf,
-            "right_mix": math.exp(mix) if mix < 700 else math.inf,
-            "right_max": math.exp(max(a, b)) if max(a, b) < 700 else math.inf}
+            "left": _exp_or_inf(c), "right_mix": _exp_or_inf(mix),
+            "right_max": _exp_or_inf(max(a, b))}
 
 
 def _verdict_from(sat, nonvac, cfg, vacuous_policy, witness_fn, invalid=None, invalid_point_fn=None):
@@ -295,13 +262,14 @@ def _probe_points(centers, problem, region, tol):
     Directions: the normalized all-ones diagonal first, then +/- axes and
     the negative diagonal; radii decrease through PROBE_RADII scaled by the
     box diameter.  Used by strict kinds, whose margin must survive x -> x0.
+    Returns the points and, for each, the row of its center in ``centers``.
     """
     n = problem.n
     diag = np.ones(n) / math.sqrt(n)
     dirs = [diag] + [e for e in np.eye(n)] + [-diag] + [-e for e in np.eye(n)]
     scale = max(1.0, float(np.linalg.norm(problem.hi - problem.lo)))
-    xs, x0s = [], []
-    for c in np.atleast_2d(centers):
+    xs, owner = [], []
+    for k, c in enumerate(np.atleast_2d(centers)):
         for r in PROBE_RADII:
             for d in dirs:
                 p = np.clip(c + r * scale * d, problem.lo, problem.hi)
@@ -309,10 +277,8 @@ def _probe_points(centers, problem, region, tol):
                     continue
                 if bool(region.contains(p[None, :])[0]):
                     xs.append(p)
-                    x0s.append(c)
-    if not xs:
-        return np.empty((0, n)), np.empty((0, n))
-    return np.asarray(xs), np.asarray(x0s)
+                    owner.append(k)
+    return np.asarray(xs).reshape(-1, n), np.asarray(owner, dtype=np.intp)
 
 
 @dataclass
@@ -321,7 +287,7 @@ class InvexSamples:
     X0: np.ndarray     # (N, n) base points
     A: np.ndarray      # f(E(x))
     B: np.ndarray      # f(E(x0))
-    GX: np.ndarray     # gradient of (f o E) at x   (used by the monotone check)
+    GX: Optional[np.ndarray]  # gradient of (f o E) at x, only when asked for (monotone check)
     G0: np.ndarray     # gradient of (f o E) at x0
     H: np.ndarray      # eta(E(x), E(x0))
     D: np.ndarray      # G0 . H
@@ -343,37 +309,55 @@ def invex_pairs(fn: ProblemFunction, problem: EProblem, cfg: SampleConfig,
     With ``at`` fixed, x0 is constant and x is drawn from the region.  In
     pair mode each drawn pair is used in both orientations, so any verdict
     is automatically symmetric in the roles of x and x0.
+
+    Each distinct point is evaluated once: the rows P = [X; X0; probes]
+    (X0 is the single row ``at`` in pinned mode) carry values and E, and
+    sample k pairs moving row ix[k] with base row i0[k].  Gradients are
+    taken only on the rows that serve as a base, or on all rows when
+    ``want_gx`` asks for them at x too.
     """
     region = region or box_region(problem, cfg.tol)
     X = sample_region(problem, SampleStream(cfg.seed, "pairs-x"), cfg.n_pairs, region)
+    N = X.shape[0]
     if at is None:
         X0 = sample_region(problem, SampleStream(cfg.seed, "pairs-x0"), cfg.n_pairs, region)
-        Xs, X0s = np.vstack([X, X0]), np.vstack([X0, X])
-        centers = X0[:PROBE_CENTERS]
+        ix = np.arange(2 * N)
+        i0 = np.concatenate([np.arange(N, 2 * N), np.arange(N)])
     else:
-        x0 = np.asarray(at, dtype=float).reshape(problem.n)
-        Xs, X0s = X, np.tile(x0, (X.shape[0], 1))
-        centers = x0[None, :]
-    n_regular = Xs.shape[0]
+        X0 = np.asarray(at, dtype=float).reshape(1, problem.n)
+        ix = np.arange(N)
+        i0 = np.full(N, N)
+    n_regular = ix.size
+    m = N + X0.shape[0]
+    parts = [X, X0]
     if probes:
-        P, P0 = _probe_points(centers, problem, region, cfg.tol)
-        if P.size:
-            Xs, X0s = np.vstack([Xs, P]), np.vstack([X0s, P0])
+        Q, owner = _probe_points(X0[:PROBE_CENTERS], problem, region, cfg.tol)
+        parts.append(Q)
+        ix = np.concatenate([ix, np.arange(m, m + Q.shape[0])])
+        i0 = np.concatenate([i0, N + owner])
+    P = np.vstack(parts)
 
-    A, bad_a = _composed_vals(problem, fn, Xs, cfg.threads)
-    if want_gx:
-        _, GX, bad_gx, nd_gx = _composed_grads(problem, fn, Xs, cfg.threads)
-    else:
-        GX = np.zeros_like(Xs)
-        bad_gx = np.zeros(Xs.shape[0], dtype=bool)
-        nd_gx = bad_gx
-    B, G0, bad_g, nd = _composed_grads(problem, fn, X0s, cfg.threads)
-    U, bad_u = problem.e_map(Xs)
-    V, bad_v = problem.e_map(X0s)
-    H, bad_h = problem.eta_map(U, V)
+    vals = problem.composed_values(fn, P)
+    E, bad_e = problem.e_map(P)
+    row_bad = vals.invalid | bad_e | ~np.isfinite(vals.values)
+    lo = 0 if at is None or want_gx else N      # pinned: the base is row N alone
+    hi = P.shape[0] if want_gx else m          # probes never serve as a base
+    grads = problem.composed_grads(fn, P[lo:hi])
+    j0 = i0 - lo
+
+    A, B = np.take(vals.values, ix), np.take(vals.values, i0)
+    H, bad_h = problem.eta_map(np.take(E, ix, axis=0), np.take(E, i0, axis=0))
+    G0 = np.take(grads.grads, j0, axis=0)
     D = np.einsum("ij,ij->i", G0, H)
-    invalid = bad_a | bad_g | bad_gx | bad_u | bad_v | bad_h | ~np.isfinite(A) | ~np.isfinite(B)
-    return InvexSamples(Xs, X0s, A, B, GX, G0, H, D, invalid, (nd | nd_gx) & ~invalid, n_regular)
+    invalid = np.take(row_bad, ix) | np.take(row_bad, i0) | np.take(grads.invalid, j0) | bad_h
+    nondiff = np.take(grads.nondiff, j0)
+    GX = None
+    if want_gx:
+        GX = np.take(grads.grads, ix, axis=0)
+        invalid |= np.take(grads.invalid, ix)
+        nondiff |= np.take(grads.nondiff, ix)
+    return InvexSamples(np.take(P, ix, axis=0), np.take(P, i0, axis=0), A, B, GX, G0, H, D,
+                        invalid, nondiff & ~invalid, n_regular)
 
 
 def invex_masks(s: InvexSamples, kind: InvexKind, cfg: SampleConfig):
@@ -416,9 +400,9 @@ def invex_sides(fn: ProblemFunction, problem: EProblem, x, x0) -> dict:
     V, _ = problem.e_map(x0)
     H, _ = problem.eta_map(U, V)
     d = float(np.dot(g0, H[0]))
-    eb = math.exp(b) if b < 700 else math.inf
+    eb = _exp_or_inf(b)
     return {"a": a, "b": b, "grad0": [float(v) for v in g0], "eta": H[0].tolist(), "d": d,
-            "left": (math.exp(a) if a < 700 else math.inf) - eb,
+            "left": _exp_or_inf(a) - eb,
             "right": d * eb,
             "norm_left": float(np.expm1(a - b)), "norm_right": d}
 
@@ -559,11 +543,9 @@ def epigraph_invex_check(fn: ProblemFunction, problem: EProblem,
             lvl = float(np.logaddexp((np.log(tau) if tau > 0 else -np.inf) + level_a,
                                      (np.log1p(-tau) if tau < 1 else -np.inf) + level_b))
         w = Witness(x=_point_list(s.X[i]), x0=_point_list(s.X0[i]), tau=tau,
-                    left=math.exp(float(s.C[i, t])) if s.C[i, t] < 700 else math.inf,
-                    right=math.exp(lvl) if lvl < 700 else math.inf,
+                    left=_exp_or_inf(float(s.C[i, t])), right=_exp_or_inf(lvl),
                     comparison="combined point above the combined level", index=flat,
-                    extra={"level_x": math.exp(level_a) if level_a < 700 else math.inf,
-                           "level_x0": math.exp(level_b) if level_b < 700 else math.inf,
+                    extra={"level_x": _exp_or_inf(level_a), "level_x0": _exp_or_inf(level_b),
                            "tight": variant == 0})
         return Verdict.fails(w, checked=int(sat.size))
     return Verdict.holds(checked=int(sat.size), nonvacuous=int(sat.size))
@@ -594,10 +576,9 @@ def level_set_invex_check(fn: ProblemFunction, problem: EProblem,
     def fail_at(flat, level_log):
         i, t = divmod(flat, s.T.shape[1])
         w = Witness(x=_point_list(s.X[i]), x0=_point_list(s.X0[i]), tau=float(s.T[i, t]),
-                    left=math.exp(float(s.C[i, t])) if s.C[i, t] < 700 else math.inf,
-                    right=math.exp(level_log) if level_log < 700 else math.inf,
+                    left=_exp_or_inf(float(s.C[i, t])), right=_exp_or_inf(level_log),
                     comparison="combined point left the sublevel set", index=flat,
-                    extra={"level": math.exp(level_log) if level_log < 700 else math.inf})
+                    extra={"level": _exp_or_inf(level_log)})
         return Verdict.fails(w, checked=int(s.C.size))
 
     if levels is None:

@@ -109,21 +109,40 @@ def _dominance_masks(F: np.ndarray, tol: float):
 
 @dataclass
 class GridReport:
-    grid_points: int
-    feasible_points: int
-    points: np.ndarray        # feasible points
-    objectives: np.ndarray    # objective rows for feasible points
-    weak_mask: np.ndarray
+    grid: np.ndarray          # every grid point
+    feasible: np.ndarray      # constraint mask over the grid
+    values: np.ndarray        # objective rows over the grid
+    failed: np.ndarray        # some objective failed to evaluate
+    weak_mask: np.ndarray     # over the grid, false outside the compared points
     pareto_mask: np.ndarray
     tol: float
 
     @property
+    def compared(self):
+        # a feasible point where an objective fails to evaluate is kept out
+        # of the comparison rather than poisoning it
+        return self.feasible & ~self.failed
+
+    @property
+    def grid_points(self):
+        return self.grid.shape[0]
+
+    @property
+    def feasible_points(self):
+        return int(np.count_nonzero(self.compared))
+
+    @property
+    def objectives(self):
+        """Objective rows of the compared points."""
+        return self.values[self.compared]
+
+    @property
     def weak_points(self):
-        return self.points[self.weak_mask]
+        return self.grid[self.weak_mask]
 
     @property
     def pareto_points(self):
-        return self.points[self.pareto_mask]
+        return self.grid[self.pareto_mask]
 
     def to_dict(self, list_cap: int = 1000):
         def capped(P):
@@ -146,14 +165,11 @@ def grid_oracle(problem: EProblem, grid: Optional[GridSpec] = None, tol: float =
     keep = _feasible_mask(problem, pts, tol)
     if not keep.any():
         raise InfeasiblePointError("no feasible grid point at this resolution; refine the grid")
-    fpts = pts[keep]
-    F, bad = _objective_matrix(problem, fpts)
-    if bad.any():
-        # a feasible point where an objective fails to evaluate is kept out
-        # of the comparison rather than poisoning it
-        fpts, F = fpts[~bad], F[~bad]
-    weak, pareto = _dominance_masks(F, tol)
-    return GridReport(pts.shape[0], fpts.shape[0], fpts, F, weak, pareto, tol)
+    F, bad = _objective_matrix(problem, pts)
+    report = GridReport(pts, keep, F, bad, np.zeros_like(keep), np.zeros_like(keep), tol)
+    cmp = report.compared
+    report.weak_mask[cmp], report.pareto_mask[cmp] = _dominance_masks(F[cmp], tol)
+    return report
 
 
 def is_weak_pareto(problem: EProblem, y, grid: Optional[GridSpec] = None, tol: float = 1e-9):
@@ -218,24 +234,15 @@ def e_minimizer_check(fn: ProblemFunction, problem: EProblem, xbar,
                            value, is_min, witness)
 
 
-def dump_csv(problem: EProblem, grid: GridSpec, path, tol: float = 1e-9) -> int:
-    """Write every grid point with objectives and classification flags."""
-    pts = build_grid(problem, grid)
-    keep = _feasible_mask(problem, pts, tol)
-    F, bad = _objective_matrix(problem, pts)
-    weak = np.zeros(pts.shape[0], dtype=bool)
-    pareto = np.zeros(pts.shape[0], dtype=bool)
-    comp_rows = np.where(keep & ~bad)[0]
-    if comp_rows.size:
-        w, p = _dominance_masks(F[comp_rows], tol)
-        weak[comp_rows] = w
-        pareto[comp_rows] = p
+def dump_csv(problem: EProblem, report: GridReport, path) -> int:
+    """Write every grid point of a grid_oracle report with objectives and flags."""
+    r = report
     with open(path, "w", newline="") as fh:
         wr = csv.writer(fh)
         wr.writerow(list(problem.vars) + [f.name for f in problem.objectives]
                     + ["feasible", "weak_pareto", "pareto"])
-        for i in range(pts.shape[0]):
-            vals = ["" if bad[i] else f"{v:.12g}" for v in F[i]]
-            wr.writerow([f"{v:.12g}" for v in pts[i]] + vals
-                        + [int(keep[i]), int(weak[i]), int(pareto[i])])
-    return pts.shape[0]
+        for i in range(r.grid_points):
+            vals = ["" if r.failed[i] else f"{v:.12g}" for v in r.values[i]]
+            wr.writerow([f"{v:.12g}" for v in r.grid[i]] + vals
+                        + [int(r.feasible[i]), int(r.weak_mask[i]), int(r.pareto_mask[i])])
+    return r.grid_points

@@ -33,7 +33,6 @@ class SampleConfig:
     n_tau: int = 8
     tol: float = 1e-9          # slack for non-strict comparisons and ties
     strict_margin: float = 1e-7  # required gap for strict comparisons
-    threads: int = 1
 
     def __post_init__(self):
         if self.n_pairs < 1:
@@ -42,8 +41,6 @@ class SampleConfig:
             raise ValueError("n_tau must be at least 3")
         if not (self.tol > 0.0 and self.strict_margin > 0.0):
             raise ValueError("tolerances must be positive")
-        if self.threads < 1:
-            raise ValueError("threads must be positive")
 
 
 # ---------------------------------------------------------------------------

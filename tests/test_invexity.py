@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from corpus import CFG, by_name, problem
+from einvex import expr
 from einvex.invexity import (
     PreinvexKind,
     check_invex,
@@ -18,7 +19,7 @@ from einvex.invexity import (
     preinvex_pairs,
     preinvex_sides,
 )
-from einvex.problem import Region, SampleConfig, load_problem
+from einvex.problem import EProblem, Region, SampleConfig, load_problem
 
 
 @pytest.fixture(scope="module")
@@ -266,13 +267,29 @@ def test_verdicts_are_deterministic():
     assert a.to_dict() == b.to_dict()
 
 
-def test_thread_count_does_not_change_results():
-    p = problem(by_name("double-well"))
-    f = p.function("f1")
-    c1 = SampleConfig(seed=42, n_pairs=2000, n_tau=8, threads=1)
-    c2 = SampleConfig(seed=42, n_pairs=2000, n_tau=8, threads=2)
-    assert check_preinvex(f, p, "preinvex", c1).to_dict() == \
-        check_preinvex(f, p, "preinvex", c2).to_dict()
+def test_each_distinct_point_is_evaluated_once(example1, monkeypatch):
+    """Pair mode maps each of the 2N sampled points through E once, and a
+    pinned base point gets one gradient evaluation, not one per sample."""
+    rows = {"e_map": 0, "grad_many": 0}
+    e_map, grad_many = EProblem.e_map, expr.grad_many
+
+    def counted_e_map(self, X):
+        rows["e_map"] += np.atleast_2d(X).shape[0]
+        return e_map(self, X)
+
+    def counted_grad_many(node, env, wrt):
+        rows["grad_many"] += next(np.size(v) for v in env.values())
+        return grad_many(node, env, wrt)
+
+    monkeypatch.setattr(EProblem, "e_map", counted_e_map)
+    monkeypatch.setattr(expr, "grad_many", counted_grad_many)
+    f1 = example1.function("f1")
+    cfg = SampleConfig(seed=42, n_pairs=500, n_tau=8)
+    assert check_invex(f1, example1, "quasi-invex", cfg).status == "holds"
+    assert rows["e_map"] == 2 * 500
+    rows["grad_many"] = 0
+    assert check_invex(f1, example1, "quasi-invex", cfg, at=[-3.0]).status == "holds"
+    assert rows["grad_many"] == 1
 
 
 def test_starved_sampling_is_inconclusive():

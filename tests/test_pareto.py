@@ -209,7 +209,7 @@ def test_stationary_saddle_is_not_a_minimizer():
 
 def test_csv_dump_structure(vp1, tmp_path):
     out = tmp_path / "grid.csv"
-    rows = dump_csv(vp1, GridSpec.uniform(5, 2), out)
+    rows = dump_csv(vp1, grid_oracle(vp1, GridSpec.uniform(5, 2)), out)
     assert rows == 25
     with open(out, newline="") as fh:
         rd = list(csv.reader(fh))

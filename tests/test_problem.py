@@ -261,7 +261,6 @@ def test_sample_config_validation():
         {"n_tau": 2},
         {"tol": 0.0},
         {"strict_margin": -1.0},
-        {"threads": 0},
     ):
         with pytest.raises(ValueError):
             SampleConfig(**bad)
