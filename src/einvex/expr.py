@@ -7,8 +7,9 @@ total real cube root, so odd roots of negative values are first-class and
 never go through ``pow``.
 
 Evaluation is vectorized: environment values may be floats or equally shaped
-numpy arrays.  Differentiation is forward-mode on (value, derivative) pairs,
-one sweep per requested variable.
+numpy arrays.  Differentiation is forward mode in a single sweep: each node
+carries its value and a derivative array with one trailing column per
+requested variable.
 """
 
 from __future__ import annotations
@@ -280,11 +281,12 @@ class _Flags:
             self.nondiff = self.nondiff | mask
 
 
-def _walk(node, env, flags, dvar):
-    """Return (value, derivative) arrays; derivative is None when dvar is None."""
-    want_d = dvar is not None
+def _walk(node, env, flags, wrt):
+    """Return (value, derivative); the derivative has one trailing column per
+    variable in wrt (one-hot at a Var) and is None when wrt is None."""
+    want_d = wrt is not None
     if isinstance(node, Const):
-        return np.float64(node.value), (np.float64(0.0) if want_d else None)
+        return np.float64(node.value), (np.zeros(len(wrt)) if want_d else None)
     if isinstance(node, Var):
         try:
             v = env[node.name]
@@ -293,10 +295,10 @@ def _walk(node, env, flags, dvar):
         v = np.asarray(v, dtype=float) if not np.isscalar(v) else np.float64(v)
         if not want_d:
             return v, None
-        return v, (np.float64(1.0) if node.name == dvar else np.float64(0.0))
+        return v, np.array([float(name == node.name) for name in wrt])
 
     if isinstance(node, Unary):
-        a, ad = _walk(node.arg, env, flags, dvar)
+        a, ad = _walk(node.arg, env, flags, wrt)
         with np.errstate(all="ignore"):
             if node.op == "neg":
                 return -a, (-ad if want_d else None)
@@ -304,42 +306,42 @@ def _walk(node, env, flags, dvar):
                 v = np.exp(a)
                 if not want_d:
                     return v, None
-                d = np.where(ad == 0.0, 0.0, v * ad)
-                return v, d
+                return v, np.where(ad == 0.0, 0.0, v[..., None] * ad)
             if node.op == "log":
                 flags.flag_invalid(a <= 0.0, node)
                 v = np.log(np.where(a > 0.0, a, np.nan))
-                return v, (ad / a if want_d else None)
+                return v, (ad / a[..., None] if want_d else None)
             if node.op == "sqrt":
                 flags.flag_invalid(a < 0.0, node)
                 v = np.sqrt(np.where(a >= 0.0, a, np.nan))
                 if not want_d:
                     return v, None
-                d = np.where(ad == 0.0, 0.0, ad / (2.0 * v))
-                flags.flag_nondiff((a == 0.0) & (ad != 0.0), node)
+                d = np.where(ad == 0.0, 0.0, ad / (2.0 * v)[..., None])
+                flags.flag_nondiff((a == 0.0) & (ad != 0.0).any(axis=-1), node)
                 return v, d
             if node.op == "cbrt":
                 v = np.cbrt(a)
                 if not want_d:
                     return v, None
-                d = np.where(ad == 0.0, 0.0, ad / (3.0 * v * v))
-                flags.flag_nondiff((a == 0.0) & (ad != 0.0), node)
+                d = np.where(ad == 0.0, 0.0, ad / (3.0 * v * v)[..., None])
+                flags.flag_nondiff((a == 0.0) & (ad != 0.0).any(axis=-1), node)
                 return v, d
         raise AssertionError(f"unknown unary op {node.op}")
 
-    a, ad = _walk(node.lhs, env, flags, dvar)
-    b, bd = _walk(node.rhs, env, flags, dvar)
+    a, ad = _walk(node.lhs, env, flags, wrt)
+    b, bd = _walk(node.rhs, env, flags, wrt)
     with np.errstate(all="ignore"):
         if node.op == "+":
             return a + b, (ad + bd if want_d else None)
         if node.op == "-":
             return a - b, (ad - bd if want_d else None)
         if node.op == "*":
-            return a * b, (ad * b + a * bd if want_d else None)
+            return a * b, (ad * b[..., None] + a[..., None] * bd if want_d else None)
         if node.op == "/":
             flags.flag_invalid(b == 0.0, node)
             v = a / np.where(b == 0.0, np.nan, b)
-            return v, ((ad * b - a * bd) / (b * b) if want_d else None)
+            return v, ((ad * b[..., None] - a[..., None] * bd) / (b * b)[..., None]
+                       if want_d else None)
         if node.op == "^":
             nonint = (b != np.floor(b)) | ~np.isfinite(b)
             flags.flag_invalid(((a < 0.0) & nonint) | ((a == 0.0) & (b < 0.0)), node)
@@ -347,16 +349,20 @@ def _walk(node, env, flags, dvar):
             v = np.where((a < 0.0) & nonint, np.nan, v)
             if not want_d:
                 return v, None
-            if np.all(bd == 0.0):
-                # Exponent carries no dependence: plain power rule, valid for
-                # negative bases at integral exponents.
-                d = b * np.power(a, b - 1.0) * ad
-                d = np.where((ad == 0.0) | (b == 0.0), 0.0, d)
-                flags.flag_nondiff(~np.isfinite(d) & np.isfinite(a) & np.isfinite(v), node)
-            else:
-                flags.flag_invalid(a <= 0.0, node)
+            # The rule is chosen per row and variable, so no row depends on
+            # the others in the batch.  Where the exponent does not move, the
+            # plain power rule holds, also for negative bases at integral
+            # exponents; elsewhere the log form needs a positive base.
+            moving = bd != 0.0
+            d = (b * np.power(a, b - 1.0))[..., None] * ad
+            d = np.where((ad == 0.0) | (b == 0.0)[..., None], 0.0, d)
+            flags.flag_nondiff((~np.isfinite(d) & ~moving).any(axis=-1)
+                               & np.isfinite(a) & np.isfinite(v), node)
+            if moving.any():
+                flags.flag_invalid((a <= 0.0) & moving.any(axis=-1), node)
                 la = np.log(np.where(a > 0.0, a, np.nan))
-                d = v * (bd * la + b * ad / a)
+                d_log = v[..., None] * (bd * la[..., None] + b[..., None] * ad / a[..., None])
+                d = np.where(moving, d_log, d)
             return v, d
     raise AssertionError(f"unknown binary op {node.op}")
 
@@ -397,16 +403,11 @@ def eval_many(node: Expr, env: Mapping[str, np.ndarray]) -> EvalResult:
 
 
 def grad_many(node: Expr, env: Mapping[str, np.ndarray], wrt: Sequence[str]) -> GradResult:
-    """Vectorized forward-mode gradient, one sweep per variable in wrt."""
+    """Vectorized forward-mode gradient: one sweep carries every variable in wrt."""
     flags = _Flags()
-    shape = _batch_shape(env)
-    vals = None
-    cols = []
-    for name in wrt:
-        v, d = _walk(node, env, flags, name)
-        vals = np.asarray(np.broadcast_to(np.asarray(v, dtype=float), shape))
-        cols.append(np.broadcast_to(np.asarray(d, dtype=float), vals.shape))
-    grads = np.stack(cols, axis=-1)
+    v, d = _walk(node, env, flags, tuple(wrt))
+    vals = np.asarray(np.broadcast_to(np.asarray(v, dtype=float), _batch_shape(env)))
+    grads = np.broadcast_to(np.asarray(d, dtype=float), vals.shape + (len(wrt),))
     invalid = np.broadcast_to(np.asarray(flags.invalid, dtype=bool), vals.shape)
     nondiff = np.broadcast_to(np.asarray(flags.nondiff, dtype=bool), vals.shape)
     nondiff = (nondiff | ~np.isfinite(grads).all(axis=-1)) & ~invalid

@@ -279,7 +279,7 @@ class Certificate:
     tag: str
     claim: str
     point: KktPoint
-    conclusion: str                   # certified | not-established
+    conclusion: str                   # certified | not-established | inconclusive
     residual: Optional[KktResidualReport]
     hypotheses: list
     failing: Optional[str]
@@ -303,6 +303,10 @@ def certify(problem: EProblem, point: KktPoint, theorem: str,
     feasible region.  Implication-form hypotheses whose antecedent never
     fires on the feasible samples count as satisfied: a vacuous antecedent
     on the whole sampled region implies the theorem's conclusion directly.
+
+    A failed hypothesis makes the conclusion "not-established"; otherwise an
+    inconclusive one (e.g. starved sampling) makes it "inconclusive".
+    `failing` names the first hypothesis of the deciding status.
     """
     key = theorem.lower()
     if key not in THEOREMS:
@@ -326,13 +330,15 @@ def certify(problem: EProblem, point: KktPoint, theorem: str,
     plan += [(problem.eq[j].negated(), spec["constraints"]) for j in acts.eq_minus]
 
     region = feasible_region(problem, cfg.tol)
-    hyps = []
-    failing = None
-    for fn, kind in plan:
-        v = check_invex(fn, problem, kind, cfg, at=point.y, region=region, vacuous_policy="holds")
-        hyps.append(HypothesisResult(fn.name, kind.value, v))
-        if failing is None and v.status != "holds":
-            failing = f"{fn.name}:{kind.value}"
-    conclusion = "certified" if failing is None else "not-established"
-    reason = None if failing is None else f"hypothesis failed: {failing}"
-    return Certificate(key, spec["tag"], spec["claim"], point, conclusion, rep, hyps, failing, reason)
+    hyps = [HypothesisResult(fn.name, kind.value,
+                             check_invex(fn, problem, kind, cfg, at=point.y, region=region,
+                                         vacuous_policy="holds"))
+            for fn, kind in plan]
+    for status, conclusion, word in (("fails", "not-established", "failed"),
+                                     ("inconclusive", "inconclusive", "inconclusive")):
+        first = next((h for h in hyps if h.verdict.status == status), None)
+        if first is not None:
+            failing = f"{first.target}:{first.kind}"
+            return Certificate(key, spec["tag"], spec["claim"], point, conclusion, rep, hyps,
+                               failing, f"hypothesis {word}: {failing}")
+    return Certificate(key, spec["tag"], spec["claim"], point, "certified", rep, hyps, None, None)

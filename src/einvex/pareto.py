@@ -22,7 +22,8 @@ import numpy as np
 
 from . import expr as ex
 from .errors import GridGuardError, InfeasiblePointError
-from .problem import EProblem, ProblemFunction, _jsonable, feasible
+from .problem import (EProblem, ProblemFunction, _jsonable, constraint_slacks, eval_columns,
+                      feasible)
 
 MAX_GRID_POINTS = 10_000_000
 MAX_PAIRWISE = 20_000
@@ -68,23 +69,7 @@ def build_grid(problem: EProblem, grid: GridSpec, extra_points=None) -> np.ndarr
 
 
 def _objective_matrix(problem: EProblem, pts: np.ndarray):
-    cols, bad = [], np.zeros(pts.shape[0], dtype=bool)
-    for fn in problem.objectives:
-        r = problem.composed_values(fn, pts)
-        cols.append(r.values)
-        bad |= r.invalid | ~np.isfinite(r.values)
-    return np.stack(cols, axis=-1), bad
-
-
-def _feasible_mask(problem: EProblem, pts: np.ndarray, tol: float):
-    ok = np.ones(pts.shape[0], dtype=bool)
-    for fn in problem.ineq:
-        r = problem.composed_values(fn, pts)
-        ok &= ~r.invalid & (r.values <= tol)
-    for fn in problem.eq:
-        r = problem.composed_values(fn, pts)
-        ok &= ~r.invalid & (np.abs(r.values) <= tol)
-    return ok
+    return eval_columns([fn.composed for fn in problem.objectives], problem.env_x(pts))
 
 
 def _dominance_masks(F: np.ndarray, tol: float):
@@ -162,7 +147,7 @@ def grid_oracle(problem: EProblem, grid: Optional[GridSpec] = None, tol: float =
     """Enumerate the grid and classify every feasible point."""
     grid = grid or GridSpec.uniform(33, problem.n)
     pts = build_grid(problem, grid)
-    keep = _feasible_mask(problem, pts, tol)
+    keep = constraint_slacks(problem, pts)[2] <= tol
     if not keep.any():
         raise InfeasiblePointError("no feasible grid point at this resolution; refine the grid")
     F, bad = _objective_matrix(problem, pts)
@@ -183,7 +168,7 @@ def is_weak_pareto(problem: EProblem, y, grid: Optional[GridSpec] = None, tol: f
             f"query point {y.tolist()} infeasible (worst violation {rep.worst:.3g})")
     grid = grid or GridSpec.uniform(33, problem.n)
     pts = build_grid(problem, grid, extra_points=y[None, :])
-    keep = _feasible_mask(problem, pts, tol)
+    keep = constraint_slacks(problem, pts)[2] <= tol
     fpts = pts[keep]
     F, bad = _objective_matrix(problem, fpts)
     fpts, F = fpts[~bad], F[~bad]

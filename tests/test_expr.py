@@ -205,6 +205,19 @@ def test_negative_base_integer_power_is_differentiable():
     assert g.tolist() == [12.0]
 
 
+def test_power_gradient_does_not_depend_on_the_batch():
+    # At x2 = 0 the exponent x2^2 does not move, so the power rule applies
+    # even to the negative base; a row where the exponent moves must not
+    # switch this row to the log form.
+    node = parse("x1^(x2^2)", X12)
+    alone = grad_many(node, {"x1": np.array([-2.0]), "x2": np.array([0.0])}, X12)
+    batch = grad_many(node, {"x1": np.array([-2.0, 2.0]), "x2": np.array([0.0, 1.0])}, X12)
+    assert alone.grads[0].tolist() == [0.0, 0.0] and not alone.invalid[0]
+    assert batch.grads[0].tolist() == alone.grads[0].tolist()
+    assert not batch.invalid[0] and not batch.nondiff[0]
+    assert batch.grads[1].tolist() == pytest.approx([1.0, 4.0 * np.log(2.0)], rel=1e-15)
+
+
 @pytest.mark.parametrize("source, variables, lo, hi", SMOOTH)
 def test_gradient_matches_central_differences(source, variables, lo, hi):
     node = parse(source, variables)

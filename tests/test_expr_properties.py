@@ -1,0 +1,96 @@
+"""Property tests of the evaluation core on random expression trees.
+
+Trees over x1, x2 use every operator and every function of the language.
+Settings are derandomized, so every run draws the same examples.
+"""
+
+import numpy as np
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+
+from einvex.expr import UNARY_FUNCTIONS, Binary, Const, Unary, Var, eval_many, grad_many, parse
+
+X12 = ["x1", "x2"]
+SETTINGS = settings(max_examples=150, derandomize=True, deadline=None, database=None,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+LEAVES = st.one_of(st.sampled_from([Var("x1"), Var("x2")]),
+                   st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0]).map(Const))
+
+
+def _extend(children):
+    unary = st.builds(Unary, st.sampled_from(("neg",) + UNARY_FUNCTIONS), children)
+    binary = st.builds(Binary, st.sampled_from("+-*/^"), children, children)
+    return unary | binary
+
+
+TREES = st.recursive(LEAVES, _extend, max_leaves=8)
+
+# Domain edges, kinks and integral points, so the batch mixes valid,
+# invalid and non-differentiable rows.
+EDGES = [-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0, 3.0]
+BATCH = st.lists(st.tuples(st.sampled_from(EDGES) | st.floats(-3.0, 3.0),
+                           st.sampled_from(EDGES) | st.floats(-3.0, 3.0)),
+                 min_size=2, max_size=6)
+
+
+def _env(X):
+    return {"x1": X[:, 0], "x2": X[:, 1]}
+
+
+@SETTINGS
+@given(tree=TREES, rows=BATCH)
+@example(tree=parse("x1^(x2^2)", X12), rows=[(-2.0, 0.0), (2.0, 1.0)])
+def test_a_batch_equals_its_rows_one_by_one(tree, rows):
+    X = np.array(rows)
+    ev = eval_many(tree, _env(X))
+    gr = grad_many(tree, _env(X), X12)
+    for i in range(X.shape[0]):
+        one = _env(X[i:i + 1])
+        ev1 = eval_many(tree, one)
+        gr1 = grad_many(tree, one, X12)
+        np.testing.assert_array_equal(ev.values[i], ev1.values[0])
+        np.testing.assert_array_equal(gr.values[i], gr1.values[0])
+        np.testing.assert_array_equal(gr.grads[i], gr1.grads[0])
+        assert ev.invalid[i] == ev1.invalid[0]
+        assert gr.invalid[i] == gr1.invalid[0]
+        assert gr.nondiff[i] == gr1.nondiff[0]
+
+
+# x1 and x2 come from disjoint sets of values that no constant of the trees
+# hits, so no subtree other than an identically constant one vanishes with
+# a vanishing derivative (where forward mode cannot see a cbrt/sqrt kink).
+POINTS = st.lists(st.tuples(st.sampled_from([-1.7320508075688772, -0.41421356237309515,
+                                             0.7071067811865476, 1.4142135623730951]),
+                            st.sampled_from([-1.2599210498948732, 0.3183098861837907,
+                                             1.2247448713915889, 2.718281828459045])),
+                  min_size=1, max_size=4)
+
+
+def _central(tree, X, j, h):
+    up, dn = X.copy(), X.copy()
+    up[:, j] += h
+    dn[:, j] -= h
+    a, b = eval_many(tree, _env(up)), eval_many(tree, _env(dn))
+    ok = ~a.invalid & ~b.invalid & np.isfinite(a.values) & np.isfinite(b.values)
+    with np.errstate(all="ignore"):
+        return (a.values - b.values) / (2.0 * h), ok
+
+
+@SETTINGS
+@given(tree=TREES, rows=POINTS)
+def test_gradients_match_central_differences(tree, rows):
+    X = np.array(rows)
+    gr = grad_many(tree, _env(X), X12)
+    for j in range(2):
+        h = 1e-6 * (1.0 + np.abs(X[:, j]))
+        fd, ok = _central(tree, X, j, h)
+        fd_half, ok_half = _central(tree, X, j, h / 2.0)
+        tol = 1e-6 * (1.0 + np.abs(fd))
+        # the difference quotient is trusted where halving the step moves it
+        # by less than the tolerance; elsewhere it, not the gradient, is off
+        with np.errstate(all="ignore"):
+            trusted = (ok & ok_half & ~gr.invalid & ~gr.nondiff
+                       & (np.abs(fd - fd_half) <= tol) & np.isfinite(gr.grads[:, j]))
+        err = np.abs(gr.grads[:, j] - fd)
+        assert np.all(err[trusted] <= tol[trusted]), (str(tree), X[trusted], j)

@@ -234,7 +234,7 @@ def test_certify_on_equality_constrained_problem(fast_cfg):
                       "box": {"lo": [0.0, 0.0], "hi": [1.0, 1.0]}})
     pt = solve_multipliers(p, [0.0, 0.0])
     cert = certify(p, pt, "t4", fast_cfg)
-    assert cert.conclusion == "not-established"
+    assert cert.conclusion == "inconclusive"
     assert [h.target for h in cert.hypotheses] == ["f1", "-h1"]
     assert all(h.verdict.status == "inconclusive" for h in cert.hypotheses)
     assert cert.failing == "f1:invex"

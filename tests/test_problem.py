@@ -10,6 +10,7 @@ from einvex.errors import (
     ProblemFormatError,
     SamplingStarvedError,
 )
+from einvex.pareto import GridSpec, grid_oracle
 from einvex.problem import (
     Region,
     SampleConfig,
@@ -226,6 +227,46 @@ def test_active_sets_rejects_infeasible_point(vp1_path):
     with pytest.raises(InfeasiblePointError) as exc:
         active_sets(p, [-1.0, 0.0])
     assert "infeasible" in str(exc.value)
+
+
+def test_nan_constraint_value_is_infeasible_everywhere():
+    # exp(800) overflows, so at x = 1 the constraint is inf - inf = nan
+    p = load_problem(_prob(ineq=["exp(800*y1) - exp(800*y1)"], box={"lo": [0.0], "hi": [1.0]}))
+    rep = feasible(p, [1.0])
+    assert not rep.feasible and rep.worst == np.inf
+    assert feasible_region(p).contains(np.array([[1.0], [0.5]])).tolist() == [False, True]
+    report = grid_oracle(p, GridSpec((5,)))
+    assert report.grid[:, 0].tolist() == [0.0, 0.25, 0.5, 0.75, 1.0]
+    assert report.feasible.tolist() == [True, True, True, True, False]
+
+
+def test_feasibility_consumers_agree_row_by_row():
+    # log-domain failures (y1 <= 0.3), nan values (y2 > ~0.887), an equality
+    # met on the diagonal and a plain inequality, at grid points and at
+    # seeded random points (with their diagonal images) snapped into the grid
+    pts = SampleStream(7, "slacks").box(np.zeros(2), np.ones(2), 60)
+    cands = [{"name": f"c{i}", "x": x.tolist()}
+             for i, x in enumerate(np.vstack([pts, pts[:, [0, 0]]]))]
+    p = load_problem(_prob(n=2, E=["x1", "x2"], eta=["u1 - v1", "u2 - v2"],
+                           objectives=["y1 + y2"],
+                           ineq=["log(y1 - 0.3) - 1", "exp(800*y2) - exp(800*y2)", "y1 - 0.95"],
+                           eq=["y1 - y2"], box={"lo": [0.0, 0.0], "hi": [1.0, 1.0]},
+                           candidates=cands))
+    report = grid_oracle(p, GridSpec((9, 9)))
+    assert report.grid.shape[0] == 81 + 120
+
+    outcomes = []
+    for x in report.grid:
+        try:
+            rep = feasible(p, x)
+        except DomainEvalError:
+            outcomes.append("domain")
+        else:
+            outcomes.append("nan" if rep.worst == np.inf else rep.feasible)
+    assert {"domain", "nan", True, False} <= set(outcomes)
+    singles = [o is True for o in outcomes]
+    assert report.feasible.tolist() == singles
+    assert feasible_region(p).contains(report.grid).tolist() == singles
 
 
 # ---------------------------------------------------------------------------
