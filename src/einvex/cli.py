@@ -129,10 +129,7 @@ def _parse_grid(text, n):
 
 
 def _sample_config(ns) -> SampleConfig:
-    seed = ns.seed
-    if seed is None:
-        seed = int(os.environ.get("EINVEX_SEED", DEFAULT_SEED))
-    return SampleConfig(seed=seed, n_pairs=ns.pairs, n_tau=ns.tau,
+    return SampleConfig(seed=ns.seed, n_pairs=ns.pairs, n_tau=ns.tau,
                         tol=ns.eps, strict_margin=ns.delta)
 
 
@@ -147,10 +144,7 @@ def _base_report(ns, extra_config):
     cfgd = {"eps": ns.eps, "format": ns.format}
     for key in ("seed", "pairs", "tau", "delta"):
         if hasattr(ns, key):
-            v = getattr(ns, key)
-            if key == "seed" and v is None:
-                v = int(os.environ.get("EINVEX_SEED", DEFAULT_SEED))
-            cfgd[key] = v
+            cfgd[key] = getattr(ns, key)
     cfgd.update(extra_config)
     return {
         "tool": {"name": "einvex", "version": __version__},
@@ -458,6 +452,8 @@ def run(argv=None):
         return 3, f"error: {e}"
     started = time.perf_counter()
     try:
+        if getattr(ns, "seed", 0) is None:  # only sampling commands take --seed
+            ns.seed = int(os.environ.get("EINVEX_SEED", DEFAULT_SEED))
         rep = HANDLERS[ns.command](ns)
     except CliUsageError as e:
         return 3, f"error: {e}"

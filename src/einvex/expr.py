@@ -314,19 +314,19 @@ def _walk(node, env, flags, wrt):
             if node.op == "sqrt":
                 flags.flag_invalid(a < 0.0, node)
                 v = np.sqrt(np.where(a >= 0.0, a, np.nan))
-                if not want_d:
-                    return v, None
-                d = np.where(ad == 0.0, 0.0, ad / (2.0 * v)[..., None])
-                flags.flag_nondiff((a == 0.0) & (ad != 0.0).any(axis=-1), node)
-                return v, d
-            if node.op == "cbrt":
+            elif node.op == "cbrt":
                 v = np.cbrt(a)
-                if not want_d:
-                    return v, None
-                d = np.where(ad == 0.0, 0.0, ad / (3.0 * v * v)[..., None])
-                flags.flag_nondiff((a == 0.0) & (ad != 0.0).any(axis=-1), node)
-                return v, d
-        raise AssertionError(f"unknown unary op {node.op}")
+            else:
+                raise AssertionError(f"unknown unary op {node.op}")
+            if not want_d:
+                return v, None
+            # A zero argument is a kink, or hides the derivative whatever the
+            # argument's own (cbrt(x1^3) is x1, sqrt(x1^2) is |x1|): flag it
+            # wherever the argument depends on wrt.
+            if not node.arg.variables().isdisjoint(wrt):
+                flags.flag_nondiff(a == 0.0, node)
+            slope = 2.0 * v if node.op == "sqrt" else 3.0 * v * v
+            return v, np.where(ad == 0.0, 0.0, ad / slope[..., None])
 
     a, ad = _walk(node.lhs, env, flags, wrt)
     b, bd = _walk(node.rhs, env, flags, wrt)

@@ -27,10 +27,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import SamplingStarvedError
-from .problem import (EProblem, ProblemFunction, Region, SampleConfig, Verdict, Witness,
-                      box_region, sample_region)
-from .rng import SampleStream, tau_grid
+from .problem import (EProblem, Judgement, MixtureSamples, ProblemFunction, Region, SampleConfig,
+                      Verdict, Witness, _point_list, box_region, mixture_samples,
+                      sample_pairs, sampled_verdict)
+from .rng import SampleStream
 
 PROBE_RADII = (1e-2, 1e-3, 1e-4, 1e-5)
 PROBE_CENTERS = 4        # basepoints probed in pair mode
@@ -62,12 +62,10 @@ def _exp_or_inf(v):
     return math.exp(v) if v < 700 else math.inf
 
 
-def _first_true(mask):
-    return int(np.argmax(mask))
-
-
-def _point_list(row):
-    return [float(v) for v in np.atleast_1d(row)]
+def _mix_log(tau, a, b):
+    """log(tau*exp(a) + (1 - tau)*exp(b)) without leaving the log domain."""
+    with np.errstate(divide="ignore"):
+        return np.logaddexp(np.log(tau) + a, np.log1p(-tau) + b)
 
 
 # ---------------------------------------------------------------------------
@@ -75,69 +73,36 @@ def _point_list(row):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class PreinvexSamples:
+@dataclass(kw_only=True)
+class PreinvexSamples(MixtureSamples):
     """Deterministic triples (x, x0, tau) with all values the checks need."""
 
-    X: np.ndarray       # (N, n)
-    X0: np.ndarray
-    U: np.ndarray       # E(X)
-    V: np.ndarray       # E(X0)
-    H: np.ndarray       # eta(U, V)
-    T: np.ndarray       # (N, k) mixture weights
     A: np.ndarray       # f(E(x))   per pair
     B: np.ndarray       # f(E(x0))  per pair
     C: np.ndarray       # (N, k) f at the combined point
-    invalid_pair: np.ndarray
-    invalid_comb: np.ndarray
 
     @property
     def mix_log(self):
-        """log(tau*exp(A) + (1 - tau)*exp(B)) without leaving the log domain."""
-        with np.errstate(divide="ignore"):
-            lt = np.log(self.T)
-            l1 = np.log1p(-self.T)
-        return np.logaddexp(lt + self.A[:, None], l1 + self.B[:, None])
+        return _mix_log(self.T, self.A[:, None], self.B[:, None])
 
     @property
     def max_log(self):
         return np.maximum(self.A, self.B)[:, None]
 
-    def first_invalid_point(self):
-        if self.invalid_pair.any():
-            i = _first_true(self.invalid_pair)
-            return self.X[i], self.X0[i], None
-        flat = _first_true(self.invalid_comb)
-        i, t = divmod(flat, self.T.shape[1])
-        return self.X[i], self.X0[i], float(self.T[i, t])
-
 
 def preinvex_pairs(fn: ProblemFunction, problem: EProblem, cfg: SampleConfig,
                    region: Optional[Region] = None) -> PreinvexSamples:
-    """Draw the shared (x, x0, tau) sample set and evaluate f on it.
-
-    The same seed always yields the same pairs for every checker in this
-    module, which is what makes the definitional cross-checks (epigraph vs
-    mixture inequality, level sets vs the max form) sample-exact.
-    """
-    region = region or box_region(problem, cfg.tol)
-    X = sample_region(problem, SampleStream(cfg.seed, "pairs-x"), cfg.n_pairs, region)
-    X0 = sample_region(problem, SampleStream(cfg.seed, "pairs-x0"), cfg.n_pairs, region)
-    T = tau_grid(SampleStream(cfg.seed, "tau"), cfg.n_pairs, cfg.n_tau)
-
-    U, bad_u = problem.e_map(X)
-    V, bad_v = problem.e_map(X0)
-    H, bad_h = problem.eta_map(U, V)
-    ra = problem.composed_values(fn, X)
-    rb = problem.composed_values(fn, X0)
+    """Draw the shared (x, x0, tau) sample set and evaluate f on it."""
+    m = mixture_samples(problem, cfg, region or box_region(problem, cfg.tol))
+    ra = problem.composed_values(fn, m.X)
+    rb = problem.composed_values(fn, m.X0)
     A, B = ra.values, rb.values
-    invalid_pair = bad_u | bad_v | bad_h | ra.invalid | rb.invalid | ~np.isfinite(A) | ~np.isfinite(B)
+    bad = m.bad | ra.invalid | rb.invalid | ~np.isfinite(A) | ~np.isfinite(B)
 
-    Z = V[:, None, :] + T[:, :, None] * H[:, None, :]
-    rc = problem.raw_values(fn, Z.reshape(-1, problem.n))
-    C = rc.values.reshape(T.shape)
-    invalid_comb = (rc.invalid | ~np.isfinite(rc.values)).reshape(T.shape) | invalid_pair[:, None]
-    return PreinvexSamples(X, X0, U, V, H, T, A, B, C, invalid_pair, invalid_comb)
+    rc = problem.raw_values(fn, m.combined().reshape(-1, problem.n))
+    C = rc.values.reshape(m.T.shape)
+    invalid_comb = (rc.invalid | ~np.isfinite(rc.values)).reshape(m.T.shape) | bad[:, None]
+    return PreinvexSamples(m.X, m.X0, m.T, m.U, m.V, m.H, bad, invalid_comb, A=A, B=B, C=C)
 
 
 def preinvex_masks(s: PreinvexSamples, kind: PreinvexKind, cfg: SampleConfig, mode: str = "log"):
@@ -151,13 +116,11 @@ def preinvex_masks(s: PreinvexSamples, kind: PreinvexKind, cfg: SampleConfig, mo
     interior = (s.T > tol) & (s.T < 1.0 - tol)
     if mode == "log":
         mix, mx, c = s.mix_log, s.max_log, s.C
-        slack, gap = tol, margin
     elif mode == "naive":
         with np.errstate(over="ignore"):
             ea, eb, c = np.exp(s.A), np.exp(s.B), np.exp(s.C)
             mix = s.T * ea[:, None] + (1.0 - s.T) * eb[:, None]
             mx = np.maximum(ea, eb)[:, None]
-        slack, gap = None, None  # multiplicative, applied below
     else:
         raise ValueError(f"unknown mode {mode!r}")
 
@@ -207,48 +170,30 @@ def preinvex_sides(fn: ProblemFunction, problem: EProblem, x, x0, tau: float) ->
             "right_max": _exp_or_inf(max(a, b))}
 
 
-def _verdict_from(sat, nonvac, cfg, vacuous_policy, witness_fn, invalid=None, invalid_point_fn=None):
-    if invalid is not None and invalid.any():
-        x, x0, tau = invalid_point_fn()
-        at = f"x={_point_list(x)}" + (f", x0={_point_list(x0)}" if x0 is not None else "")
-        if tau is not None:
-            at += f", tau={tau}"
-        return Verdict.inconclusive(f"evaluation failed at {at}", checked=int(sat.size))
-    viol = ~sat
-    if viol.any():
-        return Verdict.fails(witness_fn(_first_true(viol)), checked=int(sat.size))
-    nv = int(np.count_nonzero(nonvac))
-    if nv == 0 and vacuous_policy == "inconclusive":
-        return Verdict.inconclusive("all samples were vacuous for this definition", checked=int(sat.size))
-    return Verdict.holds(checked=int(sat.size), nonvacuous=nv)
-
-
 def check_preinvex(fn: ProblemFunction, problem: EProblem, kind: PreinvexKind,
                    cfg: SampleConfig = SampleConfig(), region: Optional[Region] = None,
                    mode: str = "log", vacuous_policy: str = "inconclusive") -> Verdict:
     """Check one mixture-family definition of exp(f) along eta-paths."""
     kind = PreinvexKind(kind)
-    try:
-        s = preinvex_pairs(fn, problem, cfg, region)
-    except SamplingStarvedError as e:
-        return Verdict.inconclusive(str(e))
-    sat, nonvac = preinvex_masks(s, kind, cfg, mode)
 
-    def witness(flat):
-        i, t = divmod(flat, s.T.shape[1])
-        tau = float(s.T[i, t])
-        sides = preinvex_sides(fn, problem, s.X[i], s.X0[i], tau)
-        strictish = kind in (PreinvexKind.STRICT, PreinvexKind.STRICT_QUASI)
-        right_key = "right_mix" if kind in (PreinvexKind.EXP, PreinvexKind.STRICT) else "right_max"
-        cmp = ("strict gap below margin" if strictish else "left > right beyond tol")
-        return Witness(x=_point_list(s.X[i]), x0=_point_list(s.X0[i]), tau=tau,
-                       left=sides["left"], right=sides[right_key], comparison=cmp, index=flat,
-                       extra={"log_left": sides["c"],
-                              "log_right": sides["mix_log"] if right_key == "right_mix" else sides["max_log"],
-                              "combined": sides["combined"]})
+    def judge(s):
+        def witness(flat):
+            i, t = divmod(flat, s.T.shape[1])
+            tau = float(s.T[i, t])
+            sides = preinvex_sides(fn, problem, s.X[i], s.X0[i], tau)
+            strictish = kind in (PreinvexKind.STRICT, PreinvexKind.STRICT_QUASI)
+            right_key = "right_mix" if kind in (PreinvexKind.EXP, PreinvexKind.STRICT) else "right_max"
+            cmp = ("strict gap below margin" if strictish else "left > right beyond tol")
+            return Witness(x=_point_list(s.X[i]), x0=_point_list(s.X0[i]), tau=tau,
+                           left=sides["left"], right=sides[right_key], comparison=cmp, index=flat,
+                           extra={"log_left": sides["c"],
+                                  "log_right": sides["mix_log"] if right_key == "right_mix" else sides["max_log"],
+                                  "combined": sides["combined"]})
 
-    return _verdict_from(sat, nonvac, cfg, vacuous_policy, witness,
-                         invalid=s.invalid_comb, invalid_point_fn=s.first_invalid_point)
+        sat, nonvac = preinvex_masks(s, kind, cfg, mode)
+        return Judgement(sat, witness, nonvac)
+
+    return sampled_verdict(lambda: preinvex_pairs(fn, problem, cfg, region), judge, vacuous_policy)
 
 
 # ---------------------------------------------------------------------------
@@ -294,11 +239,11 @@ class InvexSamples:
     invalid: np.ndarray
     nondiff: np.ndarray
     n_regular: int     # samples before appended probes
+    T = invalid_comb = None  # no mixture weights: each sample is one pair
 
-    def first_bad_point(self):
-        bad = self.invalid | self.nondiff
-        i = _first_true(bad)
-        return self.X[i], self.X0[i], None
+    @property
+    def bad(self):
+        return self.invalid | self.nondiff
 
 
 def invex_pairs(fn: ProblemFunction, problem: EProblem, cfg: SampleConfig,
@@ -317,14 +262,12 @@ def invex_pairs(fn: ProblemFunction, problem: EProblem, cfg: SampleConfig,
     ``want_gx`` asks for them at x too.
     """
     region = region or box_region(problem, cfg.tol)
-    X = sample_region(problem, SampleStream(cfg.seed, "pairs-x"), cfg.n_pairs, region)
+    X, X0 = sample_pairs(problem, cfg, region, at)
     N = X.shape[0]
     if at is None:
-        X0 = sample_region(problem, SampleStream(cfg.seed, "pairs-x0"), cfg.n_pairs, region)
         ix = np.arange(2 * N)
         i0 = np.concatenate([np.arange(N, 2 * N), np.arange(N)])
     else:
-        X0 = np.asarray(at, dtype=float).reshape(1, problem.n)
         ix = np.arange(N)
         i0 = np.full(N, N)
     n_regular = ix.size
@@ -423,33 +366,29 @@ def check_invex(fn: ProblemFunction, problem: EProblem, kind: InvexKind,
     """
     kind = InvexKind(kind)
     strict = kind in (InvexKind.STRICT, InvexKind.STRICT_PSEUDO)
-    try:
-        s = invex_pairs(fn, problem, cfg, at=at, region=region, probes=strict)
-    except SamplingStarvedError as e:
-        return Verdict.inconclusive(str(e))
-    if (s.invalid | s.nondiff).any():
-        x, x0, _ = s.first_bad_point()
-        what = "gradient" if s.nondiff.any() and not s.invalid.any() else "evaluation"
-        return Verdict.inconclusive(
-            f"{what} failed at x={_point_list(x)}, x0={_point_list(x0)}",
-            checked=int(s.A.size))
-    sat, nonvac = invex_masks(s, kind, cfg)
 
-    def witness(i):
-        sides = invex_sides(fn, problem, s.X[i], s.X0[i])
-        if kind in (InvexKind.EXP, InvexKind.STRICT):
-            cmp = ("strict gap below margin" if kind == InvexKind.STRICT
-                   else "left < right beyond tol")
+    def judge(s):
+        def witness(i):
+            sides = invex_sides(fn, problem, s.X[i], s.X0[i])
+            if kind in (InvexKind.EXP, InvexKind.STRICT):
+                cmp = ("strict gap below margin" if kind == InvexKind.STRICT
+                       else "left < right beyond tol")
+                return Witness(x=_point_list(s.X[i]), x0=_point_list(s.X0[i]),
+                               left=sides["left"], right=sides["right"], comparison=cmp, index=int(i),
+                               extra={"norm_left": sides["norm_left"], "norm_right": sides["norm_right"],
+                                      "probe": bool(i >= s.n_regular)})
+            cmp = "antecedent held but gradient term not below threshold"
             return Witness(x=_point_list(s.X[i]), x0=_point_list(s.X0[i]),
-                           left=sides["left"], right=sides["right"], comparison=cmp, index=int(i),
-                           extra={"norm_left": sides["norm_left"], "norm_right": sides["norm_right"],
-                                  "probe": bool(i >= s.n_regular)})
-        cmp = "antecedent held but gradient term not below threshold"
-        return Witness(x=_point_list(s.X[i]), x0=_point_list(s.X0[i]),
-                       left=sides["d"], right=0.0, comparison=cmp, index=int(i),
-                       extra={"a": sides["a"], "b": sides["b"], "probe": bool(i >= s.n_regular)})
+                           left=sides["d"], right=0.0, comparison=cmp, index=int(i),
+                           extra={"a": sides["a"], "b": sides["b"], "probe": bool(i >= s.n_regular)})
 
-    return _verdict_from(sat, nonvac, cfg, vacuous_policy, witness)
+        sat, nonvac = invex_masks(s, kind, cfg)
+        return Judgement(sat, witness, nonvac)
+
+    return sampled_verdict(
+        lambda: invex_pairs(fn, problem, cfg, at=at, region=region, probes=strict), judge,
+        vacuous_policy,
+        failed=lambda s: "gradient" if s.nondiff.any() and not s.invalid.any() else "evaluation")
 
 
 def gradient_monotonicity(fn: ProblemFunction, problem: EProblem,
@@ -462,37 +401,34 @@ def gradient_monotonicity(fn: ProblemFunction, problem: EProblem,
     sides divided by e^{max(F(x), F(x0))}, which keeps every quantity
     representable regardless of the magnitude of F.
     """
-    try:
-        s = invex_pairs(fn, problem, cfg, at=at, region=region, probes=strict, want_gx=True)
-    except SamplingStarvedError as e:
-        return Verdict.inconclusive(str(e))
-    if (s.invalid | s.nondiff).any():
-        x, x0, _ = s.first_bad_point()
-        return Verdict.inconclusive(
-            f"evaluation failed at x={_point_list(x)}, x0={_point_list(x0)}", checked=int(s.A.size))
-    m = np.maximum(s.A, s.B)
-    gx_eta = np.einsum("ij,ij->i", s.GX, s.H)
-    term = gx_eta * np.exp(s.A - m) - s.D * np.exp(s.B - m)
-    if strict:
-        sep = np.max(np.abs(s.X - s.X0), axis=1) > cfg.tol
-        sat = ~sep | (term >= cfg.strict_margin)
-        nonvac = sep
-    else:
-        sat = term >= -cfg.tol
-        nonvac = np.ones_like(sat)
+    def judge(s):
+        m = np.maximum(s.A, s.B)
+        gx_eta = np.einsum("ij,ij->i", s.GX, s.H)
+        term = gx_eta * np.exp(s.A - m) - s.D * np.exp(s.B - m)
+        if strict:
+            sep = np.max(np.abs(s.X - s.X0), axis=1) > cfg.tol
+            sat = ~sep | (term >= cfg.strict_margin)
+            nonvac = sep
+        else:
+            sat = term >= -cfg.tol
+            nonvac = np.ones_like(sat)
 
-    def witness(i):
-        a, b = float(s.A[i]), float(s.B[i])
-        mm = max(a, b)
-        tval = float(gx_eta[i] * math.exp(a - mm) - s.D[i] * math.exp(b - mm))
-        unnorm = (gx_eta[i] * math.exp(a) - s.D[i] * math.exp(b)) if mm < 700 else math.inf
-        return Witness(x=_point_list(s.X[i]), x0=_point_list(s.X0[i]),
-                       left=float(unnorm) if math.isfinite(unnorm) else tval, right=0.0,
-                       comparison=("strict gap below margin" if strict else "left < right beyond tol"),
-                       index=int(i), extra={"normalized": tval, "scale_log": mm,
-                                            "probe": bool(i >= s.n_regular)})
+        def witness(i):
+            a, b = float(s.A[i]), float(s.B[i])
+            mm = max(a, b)
+            tval = float(gx_eta[i] * math.exp(a - mm) - s.D[i] * math.exp(b - mm))
+            unnorm = (gx_eta[i] * math.exp(a) - s.D[i] * math.exp(b)) if mm < 700 else math.inf
+            return Witness(x=_point_list(s.X[i]), x0=_point_list(s.X0[i]),
+                           left=float(unnorm) if math.isfinite(unnorm) else tval, right=0.0,
+                           comparison=("strict gap below margin" if strict else "left < right beyond tol"),
+                           index=int(i), extra={"normalized": tval, "scale_log": mm,
+                                                "probe": bool(i >= s.n_regular)})
 
-    return _verdict_from(sat, nonvac, cfg, vacuous_policy, witness)
+        return Judgement(sat, witness, nonvac)
+
+    return sampled_verdict(
+        lambda: invex_pairs(fn, problem, cfg, at=at, region=region, probes=strict, want_gx=True),
+        judge, vacuous_policy)
 
 
 # ---------------------------------------------------------------------------
@@ -511,44 +447,32 @@ def epigraph_invex_check(fn: ProblemFunction, problem: EProblem,
     the mixture inequality fails on the same sample; the slack instance
     exercises genuinely interior epigraph points.
     """
-    try:
-        s = preinvex_pairs(fn, problem, cfg, region)
-    except SamplingStarvedError as e:
-        return Verdict.inconclusive(str(e))
-    if s.invalid_comb.any():
-        x, x0, tau = s.first_invalid_point()
-        return Verdict.inconclusive(
-            f"evaluation failed at x={_point_list(x)}, x0={_point_list(x0)}, tau={tau}",
-            checked=int(s.C.size) * 2)
-    N = s.A.shape[0]
-    r1 = SampleStream(cfg.seed, "level-x").uniform(N)
-    r2 = SampleStream(cfg.seed, "level-x0").uniform(N)
-    with np.errstate(divide="ignore"):
-        lift_a = np.logaddexp(s.A, np.log(level_span * r1))
-        lift_b = np.logaddexp(s.B, np.log(level_span * r2))
-        lt = np.log(s.T)
-        l1 = np.log1p(-s.T)
-    mix_tight = s.mix_log
-    mix_rand = np.logaddexp(lt + lift_a[:, None], l1 + lift_b[:, None])
-    sat = np.stack([s.C <= mix_tight + cfg.tol, s.C <= mix_rand + cfg.tol], axis=-1)
-
-    if not sat.all():
-        flat = _first_true(~sat)
-        i, rest = divmod(flat, sat.shape[1] * 2)
-        t, variant = divmod(rest, 2)
-        tau = float(s.T[i, t])
-        level_a = float(s.A[i] if variant == 0 else lift_a[i])
-        level_b = float(s.B[i] if variant == 0 else lift_b[i])
+    def judge(s):
+        N = s.A.shape[0]
+        r1 = SampleStream(cfg.seed, "level-x").uniform(N)
+        r2 = SampleStream(cfg.seed, "level-x0").uniform(N)
         with np.errstate(divide="ignore"):
-            lvl = float(np.logaddexp((np.log(tau) if tau > 0 else -np.inf) + level_a,
-                                     (np.log1p(-tau) if tau < 1 else -np.inf) + level_b))
-        w = Witness(x=_point_list(s.X[i]), x0=_point_list(s.X0[i]), tau=tau,
-                    left=_exp_or_inf(float(s.C[i, t])), right=_exp_or_inf(lvl),
-                    comparison="combined point above the combined level", index=flat,
-                    extra={"level_x": _exp_or_inf(level_a), "level_x0": _exp_or_inf(level_b),
-                           "tight": variant == 0})
-        return Verdict.fails(w, checked=int(sat.size))
-    return Verdict.holds(checked=int(sat.size), nonvacuous=int(sat.size))
+            lift_a = np.logaddexp(s.A, np.log(level_span * r1))
+            lift_b = np.logaddexp(s.B, np.log(level_span * r2))
+        mix_rand = _mix_log(s.T, lift_a[:, None], lift_b[:, None])
+        sat = np.stack([s.C <= s.mix_log + cfg.tol, s.C <= mix_rand + cfg.tol], axis=-1)
+
+        def witness(flat):
+            i, rest = divmod(flat, sat.shape[1] * 2)
+            t, variant = divmod(rest, 2)
+            tau = float(s.T[i, t])
+            level_a = float(s.A[i] if variant == 0 else lift_a[i])
+            level_b = float(s.B[i] if variant == 0 else lift_b[i])
+            lvl = float(_mix_log(tau, level_a, level_b))
+            return Witness(x=_point_list(s.X[i]), x0=_point_list(s.X0[i]), tau=tau,
+                           left=_exp_or_inf(float(s.C[i, t])), right=_exp_or_inf(lvl),
+                           comparison="combined point above the combined level", index=flat,
+                           extra={"level_x": _exp_or_inf(level_a), "level_x0": _exp_or_inf(level_b),
+                                  "tight": variant == 0})
+
+        return Judgement(sat, witness, np.ones_like(sat))
+
+    return sampled_verdict(lambda: preinvex_pairs(fn, problem, cfg, region), judge, weight=2)
 
 
 def level_set_invex_check(fn: ProblemFunction, problem: EProblem,
@@ -560,49 +484,34 @@ def level_set_invex_check(fn: ProblemFunction, problem: EProblem,
     With explicit ``levels`` (thresholds on exp(f), so positive), pairs are
     restricted to each sublevel set; levels catching no sampled pair are
     reported and make the overall verdict inconclusive rather than holds.
-    Without levels every pair is tested against its own binding level
-    max(exp(f(E(x))), exp(f(E(x0)))), the tightest set containing it.
+    A violation is reported at the first level, in the given order, that
+    has one.  Without levels every pair is tested against its own binding
+    level max(exp(f(E(x))), exp(f(E(x0)))), the tightest set containing it.
     """
-    try:
-        s = preinvex_pairs(fn, problem, cfg, region)
-    except SamplingStarvedError as e:
-        return Verdict.inconclusive(str(e))
-    if s.invalid_comb.any():
-        x, x0, tau = s.first_invalid_point()
-        return Verdict.inconclusive(
-            f"evaluation failed at x={_point_list(x)}, x0={_point_list(x0)}, tau={tau}",
-            checked=int(s.C.size))
+    if levels is not None and not all(lvl > 0.0 for lvl in levels):
+        raise ValueError("levels must be positive (they bound exp(f))")
 
-    def fail_at(flat, level_log):
-        i, t = divmod(flat, s.T.shape[1])
-        w = Witness(x=_point_list(s.X[i]), x0=_point_list(s.X0[i]), tau=float(s.T[i, t]),
-                    left=_exp_or_inf(float(s.C[i, t])), right=_exp_or_inf(level_log),
-                    comparison="combined point left the sublevel set", index=flat,
-                    extra={"level": _exp_or_inf(level_log)})
-        return Verdict.fails(w, checked=int(s.C.size))
+    def judge(s):
+        def fail_at(flat, level_log):
+            i, t = divmod(flat, s.T.shape[1])
+            return Witness(x=_point_list(s.X[i]), x0=_point_list(s.X0[i]), tau=float(s.T[i, t]),
+                           left=_exp_or_inf(float(s.C[i, t])), right=_exp_or_inf(level_log),
+                           comparison="combined point left the sublevel set", index=flat,
+                           extra={"level": _exp_or_inf(level_log)})
 
-    if levels is None:
-        mx = s.max_log
-        sat = s.C <= mx + cfg.tol
-        if not sat.all():
-            flat = _first_true(~sat)
-            return fail_at(flat, float(mx[flat // s.T.shape[1], 0]))
-        return Verdict.holds(checked=int(sat.size), nonvacuous=int(sat.size))
+        if levels is None:
+            mx = s.max_log
+            sat = s.C <= mx + cfg.tol
+            return Judgement(sat, lambda flat: fail_at(flat, float(mx[flat // s.T.shape[1], 0])),
+                             np.ones_like(sat))
+        logs = np.array([math.log(lvl) for lvl in levels])[:, None]
+        qualify = (s.A <= logs) & (s.B <= logs)                            # (levels, N)
+        sat = ~qualify[:, :, None] | (s.C <= logs[:, :, None] + cfg.tol)   # (levels, N, k)
+        empty = [lvl for lvl, q in zip(levels, qualify) if not q.any()]
+        return Judgement(
+            sat, lambda flat: fail_at(flat % s.C.size, float(logs[flat // s.C.size, 0])),
+            np.broadcast_to(qualify[:, :, None], sat.shape),
+            vacuous=f"no sampled pair lies in the sublevel set for levels {empty}" if empty else None,
+            checked=int(np.count_nonzero(qualify)) * s.T.shape[1])
 
-    empty, checked = [], 0
-    for lvl in levels:
-        if not (lvl > 0.0):
-            raise ValueError("levels must be positive (they bound exp(f))")
-        log_lvl = math.log(lvl)
-        qualify = (s.A <= log_lvl) & (s.B <= log_lvl)
-        if not qualify.any():
-            empty.append(lvl)
-            continue
-        sat = ~qualify[:, None] | (s.C <= log_lvl + cfg.tol)
-        checked += int(np.count_nonzero(qualify)) * s.T.shape[1]
-        if not sat.all():
-            return fail_at(_first_true(~sat), log_lvl)
-    if empty:
-        return Verdict.inconclusive(
-            f"no sampled pair lies in the sublevel set for levels {empty}", checked=checked)
-    return Verdict.holds(checked=checked, nonvacuous=checked)
+    return sampled_verdict(lambda: preinvex_pairs(fn, problem, cfg, region), judge)

@@ -14,14 +14,14 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from . import expr as ex
 from .errors import (ComposeMismatchError, DomainEvalError, InfeasiblePointError, ParseError,
                      ProblemFormatError, SamplingStarvedError)
-from .rng import SampleStream
+from .rng import SampleStream, tau_grid
 
 
 @dataclass(frozen=True)
@@ -150,7 +150,9 @@ def eval_columns(exprs: Sequence[ex.Expr], env: dict):
     for e in exprs:
         r = ex.eval_many(e, env)
         cols.append(r.values)
-        failed |= r.invalid | ~np.isfinite(r.values)
+        failed |= ~np.isfinite(r.values)
+        if r.invalid_node is not None:  # set exactly when some row left the domain
+            failed |= r.invalid
     return np.stack(cols, axis=-1), failed
 
 
@@ -422,7 +424,7 @@ def active_sets(problem: EProblem, y, tol: float = 1e-9, xi=None) -> ActiveSets:
 
 
 # ---------------------------------------------------------------------------
-# Regions and rejection sampling
+# Regions, sampling and sampled verdicts
 # ---------------------------------------------------------------------------
 
 
@@ -478,9 +480,111 @@ def sample_region(problem: EProblem, stream: SampleStream, count: int, region: R
         f"({have} accepted after {max_rounds * chunk} proposals)")
 
 
-# ---------------------------------------------------------------------------
-# Invex set membership
-# ---------------------------------------------------------------------------
+def sample_pairs(problem: EProblem, cfg: SampleConfig, region: Region, at=None):
+    """The seeded pairs (X, X0), each (N, n), that every sampled checker draws.
+
+    X and X0 come from the region through one named stream each, so the same
+    seed yields the same pairs in every checker; that makes the definitional
+    cross-checks (epigraph vs mixture inequality, level sets vs the max
+    form) sample-exact.  ``at`` pins the base point: X0 is then that single
+    row and no x0 stream is drawn.
+    """
+    X = sample_region(problem, SampleStream(cfg.seed, "pairs-x"), cfg.n_pairs, region)
+    if at is not None:
+        return X, np.asarray(at, dtype=float).reshape(1, problem.n)
+    return X, sample_region(problem, SampleStream(cfg.seed, "pairs-x0"), cfg.n_pairs, region)
+
+
+@dataclass
+class MixtureSamples:
+    """Seeded triples (x, x0, tau) through E and eta: the mixture-family
+    checks evaluate f at their combined points E(x0) + tau*eta(E(x), E(x0)),
+    the invex-set check tests those for membership."""
+
+    X: np.ndarray       # (N, n)
+    X0: np.ndarray
+    T: np.ndarray       # (N, k) mixture weights
+    U: np.ndarray       # E(X)
+    V: np.ndarray       # E(X0)
+    H: np.ndarray       # eta(U, V)
+    bad: np.ndarray     # (N,) pairs whose evaluation failed
+    invalid_comb: Optional[np.ndarray] = None  # (N, k) failed triples, bad pairs included
+
+    def combined(self) -> np.ndarray:
+        """The (N, k, n) combined points."""
+        return self.V[:, None, :] + self.T[:, :, None] * self.H[:, None, :]
+
+
+def mixture_samples(problem: EProblem, cfg: SampleConfig, region: Region) -> MixtureSamples:
+    """The shared pairs with their "tau" weights, through E and eta."""
+    X, X0 = sample_pairs(problem, cfg, region)
+    T = tau_grid(SampleStream(cfg.seed, "tau"), cfg.n_pairs, cfg.n_tau)
+    U, bad_u = problem.e_map(X)
+    V, bad_v = problem.e_map(X0)
+    H, bad_h = problem.eta_map(U, V)
+    return MixtureSamples(X, X0, T, U, V, H, bad_u | bad_v | bad_h)
+
+
+def _point_list(row):
+    return [float(v) for v in np.atleast_1d(row)]
+
+
+class Judgement(NamedTuple):
+    """What a checker's definition says about samples free of bad rows."""
+
+    sat: np.ndarray                      # False at a violation
+    witness: Callable[[int], Witness]    # the witness of a flat index into sat
+    nonvac: Optional[np.ndarray] = None  # samples that exercised the inequality; None: not counted
+    vacuous: Optional[str] = None        # why the samples show nothing, by the checker's own rule
+    checked: Optional[int] = None        # what holds and vacuous verdicts count, if not every sample
+
+
+def sampled_verdict(draw, judge, vacuous_policy: str = "holds", failed="evaluation",
+                    weight: int = 1, bad_checked: Optional[int] = None) -> Verdict:
+    """The one path from sampled pairs to a Verdict, in this order:
+
+    1. inconclusive when ``draw()`` raises SamplingStarvedError;
+    2. inconclusive at the first row of the samples' ``bad`` (N,), else of
+       ``invalid_comb`` (N, k) (None without mixture weights T), naming
+       ``failed`` (a word, or a function of the samples);
+    3. fails at the first violation of ``judge(samples)``, a Judgement;
+    4. inconclusive when the samples are vacuous: by the judge's own rule,
+       or, under vacuous_policy "inconclusive", when none is nonvacuous;
+    5. holds.
+
+    ``checked`` counts ``weight`` judged instances per pair, or per (pair,
+    tau) with T; ``bad_checked`` replaces it for a bad row, and
+    Judgement.checked for holds and vacuous verdicts.
+    """
+    try:
+        s = draw()
+    except SamplingStarvedError as e:
+        return Verdict.inconclusive(str(e))
+    checked = weight * (s.X.shape[0] if s.T is None else s.T.size)
+    tail = None
+    if s.bad.any():
+        i, tail = int(np.argmax(s.bad)), ""
+    elif s.invalid_comb is not None and s.invalid_comb.any():
+        i, t = divmod(int(np.argmax(s.invalid_comb)), s.T.shape[1])
+        tail = f", tau={float(s.T[i, t])}"
+    if tail is not None:
+        what = failed(s) if callable(failed) else failed
+        return Verdict.inconclusive(
+            f"{what} failed at x={_point_list(s.X[i])}, x0={_point_list(s.X0[i])}{tail}",
+            checked=checked if bad_checked is None else bad_checked)
+
+    j = judge(s)
+    viol = ~j.sat
+    if viol.any():
+        return Verdict.fails(j.witness(int(np.argmax(viol))), checked=checked)
+    nv = None if j.nonvac is None else int(np.count_nonzero(j.nonvac))
+    checked = checked if j.checked is None else j.checked
+    vacuous = j.vacuous
+    if vacuous is None and vacuous_policy == "inconclusive" and nv == 0:
+        vacuous = "all samples were vacuous for this definition"
+    if vacuous is not None:
+        return Verdict.inconclusive(vacuous, checked=checked)
+    return Verdict.holds(checked=checked, nonvacuous=nv)
 
 
 def einvex_set_check(problem: EProblem, cfg: SampleConfig = SampleConfig(),
@@ -490,32 +594,19 @@ def einvex_set_check(problem: EProblem, cfg: SampleConfig = SampleConfig(),
     The default region is the domain box with +/- tol slack on each face.
     Points x, x0 are drawn from the region itself.
     """
-    from .rng import tau_grid  # local import to keep module load cheap
-
     region = region or box_region(problem, cfg.tol)
-    try:
-        X = sample_region(problem, SampleStream(cfg.seed, "pairs-x"), cfg.n_pairs, region)
-        X0 = sample_region(problem, SampleStream(cfg.seed, "pairs-x0"), cfg.n_pairs, region)
-    except SamplingStarvedError as e:
-        return Verdict.inconclusive(str(e))
-    T = tau_grid(SampleStream(cfg.seed, "tau"), cfg.n_pairs, cfg.n_tau)
 
-    U, bad_u = problem.e_map(X)
-    V, bad_v = problem.e_map(X0)
-    H, bad_h = problem.eta_map(U, V)
-    bad = bad_u | bad_v | bad_h
-    if bad.any():
-        i = int(np.argmax(bad))
-        return Verdict.inconclusive(
-            f"map evaluation failed at x={X[i].tolist()}, x0={X0[i].tolist()}")
+    def judge(s):
+        Z = s.combined()
+        member = region.contains(Z.reshape(-1, problem.n)).reshape(s.T.shape)
 
-    Z = V[:, None, :] + T[:, :, None] * H[:, None, :]   # (N, T, n)
-    member = region.contains(Z.reshape(-1, problem.n)).reshape(T.shape)
-    if not member.all():
-        flat = int(np.argmax(~member))
-        i, t = divmod(flat, cfg.n_tau)
-        w = Witness(x=X[i].tolist(), x0=X0[i].tolist(), tau=float(T[i, t]),
-                    comparison="combined point left the region", index=flat,
-                    extra={"combined": Z[i, t].tolist()})
-        return Verdict.fails(w, checked=member.size)
-    return Verdict.holds(checked=member.size)
+        def witness(flat):
+            i, t = divmod(flat, cfg.n_tau)
+            return Witness(x=_point_list(s.X[i]), x0=_point_list(s.X0[i]), tau=float(s.T[i, t]),
+                           comparison="combined point left the region", index=flat,
+                           extra={"combined": Z[i, t].tolist()})
+
+        return Judgement(member, witness)
+
+    return sampled_verdict(lambda: mixture_samples(problem, cfg, region), judge,
+                           failed="map evaluation", bad_checked=0)

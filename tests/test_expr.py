@@ -188,6 +188,11 @@ def test_gradient_kinks_raise():
         gradient(parse("cbrt(x1)", X1), {"x1": 0.0}, X1)
     with pytest.raises(NonDifferentiableError):
         gradient(parse("sqrt(x1)", X1), {"x1": 0.0}, X1)
+    # a zero argument whose own derivative is 0 hides the derivative:
+    # cbrt(x1^3) is x1, sqrt(x1^2) is |x1|
+    for src in ("cbrt(x1^3)", "sqrt(x1^2)"):
+        with pytest.raises(NonDifferentiableError):
+            gradient(parse(src, X1), {"x1": 0.0}, X1)
     # the domain violation wins over the kink when both would fire
     with pytest.raises(DomainEvalError):
         gradient(parse("sqrt(x1)", X1), {"x1": -1.0}, X1)
@@ -198,6 +203,10 @@ def test_grad_many_flags_kinks_per_sample():
     assert res.nondiff.tolist() == [False, True, False]
     assert not res.invalid.any()
     assert res.grads[2, 0] == pytest.approx(1.0 / 12.0, rel=1e-15)
+    # a root of a variable outside wrt, or of a constant, is no kink
+    res = grad_many(parse("x1 + sqrt(x2^2) + cbrt(0)", X12),
+                    {"x1": np.zeros(2), "x2": np.array([0.0, 1.0])}, X1)
+    assert res.grads.tolist() == [[1.0], [1.0]] and not res.nondiff.any()
 
 
 def test_negative_base_integer_power_is_differentiable():

@@ -218,6 +218,10 @@ def test_level_set_rejects_nonpositive_levels():
     p = problem(by_name("square"))
     with pytest.raises(ValueError):
         level_set_invex_check(p.function("f1"), p, levels=[0.0], cfg=CFG)
+    # before any sampling, so an earlier failing level does not hide it
+    p = problem(by_name("double-well"))
+    with pytest.raises(ValueError):
+        level_set_invex_check(p.function("f1"), p, levels=[math.exp(0.5), -1.0], cfg=CFG)
 
 
 # ---------------------------------------------------------------------------
@@ -297,6 +301,23 @@ def test_starved_sampling_is_inconclusive():
     never = Region("empty", lambda P: np.zeros(np.atleast_2d(P).shape[0], dtype=bool))
     v = check_preinvex(p.function("f1"), p, "preinvex", CFG, region=never)
     assert v.status == "inconclusive"
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("check", [
+    lambda fn, p: check_preinvex(fn, p, "preinvex", CFG),
+    lambda fn, p: epigraph_invex_check(fn, p, CFG),
+    lambda fn, p: level_set_invex_check(fn, p, cfg=CFG),
+], ids=["preinvex", "epigraph", "level-set"])
+def test_failed_pair_is_inconclusive_before_any_mask(check):
+    # log(y1) leaves its domain on half the box: the reason names the first
+    # failed pair, which has no tau, and no nan reaches the masks (numpy
+    # would warn from logaddexp)
+    p = load_problem({"n": 1, "E": ["x1"], "eta": ["u1 - v1"], "objectives": ["log(y1)"],
+                      "box": {"lo": [-1.0], "hi": [1.0]}})
+    v = check(p.function("f1"), p)
+    assert v.status == "inconclusive"
+    assert v.reason.startswith("evaluation failed at x=[") and "tau" not in v.reason
 
 
 def test_invex_holds_implies_monotone_holds_on_corpus():
