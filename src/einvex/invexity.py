@@ -306,7 +306,8 @@ def invex_pairs(fn: ProblemFunction, problem: EProblem, cfg: SampleConfig,
 def invex_masks(s: InvexSamples, kind: InvexKind, cfg: SampleConfig):
     """Per-sample (satisfied, nonvacuous) masks, normalized by exp(B)."""
     tol, margin = cfg.tol, cfg.strict_margin
-    lhs = np.expm1(s.A - s.B)
+    with np.errstate(over="ignore"):  # inf: f grew by more than exp can represent
+        lhs = np.expm1(s.A - s.B)
     sep = np.max(np.abs(s.X - s.X0), axis=1) > tol
     if kind == InvexKind.EXP:
         sat = lhs >= s.D - tol
@@ -344,10 +345,12 @@ def invex_sides(fn: ProblemFunction, problem: EProblem, x, x0) -> dict:
     H, _ = problem.eta_map(U, V)
     d = float(np.dot(g0, H[0]))
     eb = _exp_or_inf(b)
+    with np.errstate(over="ignore"):
+        norm_left = float(np.expm1(a - b))
     return {"a": a, "b": b, "grad0": [float(v) for v in g0], "eta": H[0].tolist(), "d": d,
             "left": _exp_or_inf(a) - eb,
             "right": d * eb,
-            "norm_left": float(np.expm1(a - b)), "norm_right": d}
+            "norm_left": norm_left, "norm_right": d}
 
 
 _GRADIENT_KINDS = {InvexKind.QUASI, InvexKind.PSEUDO, InvexKind.STRICT_PSEUDO}
@@ -387,8 +390,7 @@ def check_invex(fn: ProblemFunction, problem: EProblem, kind: InvexKind,
 
     return sampled_verdict(
         lambda: invex_pairs(fn, problem, cfg, at=at, region=region, probes=strict), judge,
-        vacuous_policy,
-        failed=lambda s: "gradient" if s.nondiff.any() and not s.invalid.any() else "evaluation")
+        vacuous_policy)
 
 
 def gradient_monotonicity(fn: ProblemFunction, problem: EProblem,
@@ -511,7 +513,6 @@ def level_set_invex_check(fn: ProblemFunction, problem: EProblem,
         return Judgement(
             sat, lambda flat: fail_at(flat % s.C.size, float(logs[flat // s.C.size, 0])),
             np.broadcast_to(qualify[:, :, None], sat.shape),
-            vacuous=f"no sampled pair lies in the sublevel set for levels {empty}" if empty else None,
-            checked=int(np.count_nonzero(qualify)) * s.T.shape[1])
+            vacuous=f"no sampled pair lies in the sublevel set for levels {empty}" if empty else None)
 
     return sampled_verdict(lambda: preinvex_pairs(fn, problem, cfg, region), judge)

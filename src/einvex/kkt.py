@@ -7,18 +7,18 @@ composed functions (f_i o E), (g_k o E), (h_j o E):
         + sum_j xi_j grad(h_j o E)(y) = 0,
     rho_k g_k(E(y)) = 0,   tau >= 0 (not all zero),   rho >= 0.
 
-Multipliers are solved exactly by enumerating active-set patterns of the
-bound constraints (the problem sizes here are a handful of functions, so
-2^(p+ma) equality-constrained least-squares solves are cheap and give the
-global optimum of the convex subproblems without an external solver).
-Among residual-feasible multiplier vectors the solver maximizes the
-smallest objective weight (so no objective is silently dropped), then
-minimizes the Euclidean norm of (rho, xi).
+Multipliers come from three linear programs (scipy's HiGHS) over
+lam = (tau, rho on the active constraints, xi+, xi-) >= 0 with sum(tau) = 1:
+the smallest stationarity residual r* = min ||A lam||_inf (no multipliers
+when r* exceeds the tolerance), then the largest smallest objective weight
+at residual r* (so no objective is silently dropped), then the smallest
+sum(rho) + sum(|xi|) at that weight.  The last step is an L1 tie-break: it
+picks a vertex of the optimal set, which coincides with the minimum
+Euclidean norm only where the multipliers are unique.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -29,8 +29,6 @@ from .errors import EinvexError, InfeasibleMultipliersError, InfeasiblePointErro
 from .invexity import InvexKind, check_invex
 from .problem import (EProblem, SampleConfig, Verdict, _jsonable, active_sets, feasible,
                       feasible_region)
-
-MAX_ENUM_BITS = 16  # guard: 2^bits active-set patterns enumerated exactly
 
 
 @dataclass
@@ -134,116 +132,70 @@ def verify_kkt_point(problem: EProblem, point: KktPoint, tol: float = 1e-9) -> K
 # ---------------------------------------------------------------------------
 
 
-def _eq_constrained_lstsq(A, B, c):
-    """argmin ||A x||_2 subject to B x = c, via the KKT linear system."""
-    d = A.shape[1]
-    r = B.shape[0]
-    K = np.zeros((d + r, d + r))
-    K[:d, :d] = 2.0 * (A.T @ A)
-    K[:d, d:] = B.T
-    K[d:, :d] = B
-    rhs = np.concatenate([np.zeros(d), c])
-    sol = np.linalg.lstsq(K, rhs, rcond=None)[0]
-    return sol[:d]
+LP_FEASIBILITY_TOL = 1e-10  # HiGHS primal feasibility; its default 1e-7 exceeds eps = 1e-9
 
 
-def _enumerate_level(A, p, ma, tau_lower, force_uniform=False):
-    """All primal-feasible active-set solutions at objective-weight level tau_lower.
+def _lp(c, A_ub, b_ub, sum_row):
+    """argmin c.x over x >= 0 with A_ub x <= b_ub and sum_row . x = 1, by HiGHS."""
+    from scipy.optimize import linprog  # imported on the first solve only: it takes ~0.7 s
+    res = linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=[sum_row], b_eq=[1.0], bounds=(0, None),
+                  method="highs", options={"primal_feasibility_tolerance": LP_FEASIBILITY_TOL})
+    if res.status != 0:
+        raise EinvexError(f"multiplier LP failed: {res.message}")
+    return res.x
 
-    Variables are laid out (tau, rho_active, xi).  A bit set in the pattern
-    pins tau_i to tau_lower (i < p) or rho_k to 0.  Returns tuples
-    (residual_inf, aux_norm, pattern, lambda) for patterns whose solution
-    respects all bounds.
+
+def _lp_multipliers(A, p, tol):
+    """lam >= 0 with sum(lam[:p]) = 1 and A lam ~ 0, by three linear programs.
+
+    1. r* = min ||A lam||_inf; InfeasibleMultipliersError(r*) when r* > tol;
+    2. t* = max min(lam[:p]) subject to ||A lam||_inf <= r*;
+    3. min sum(lam[p:]) subject to both, with lam[:p] >= t*.
     """
-    d = A.shape[1]
-    bounded = p + ma
-    out = []
-    patterns = range(2 ** bounded)
-    if force_uniform:
-        base = (1 << p) - 1
-        patterns = [base | (extra << p) for extra in range(2 ** ma)]
-    for mask in patterns:
-        pins = [i for i in range(bounded) if (mask >> i) & 1]
-        rows = []
-        vals = []
-        for i in pins:
-            e = np.zeros(d)
-            e[i] = 1.0
-            rows.append(e)
-            vals.append(tau_lower if i < p else 0.0)
-        srow = np.zeros(d)
-        srow[:p] = 1.0
-        rows.append(srow)
-        vals.append(1.0)
-        B = np.asarray(rows)
-        c = np.asarray(vals)
-        lam = _eq_constrained_lstsq(A, B, c)
-        if np.max(np.abs(B @ lam - c)) > 1e-9:
-            continue  # pins inconsistent with the simplex constraint
-        if np.any(lam[:p] < tau_lower - 1e-10) or np.any(lam[p:bounded] < -1e-10):
-            continue
-        resid = float(np.max(np.abs(A @ lam))) if A.shape[0] else 0.0
-        aux = float(np.linalg.norm(lam[p:]))
-        out.append((resid, aux, mask, lam))
-    return out
+    n, d = A.shape
+    band = np.vstack([A, -A])                              # |A lam| <= r: band @ lam <= r
+    floor = np.hstack([-np.eye(p), np.zeros((p, d - p))])  # tau >= t: floor @ lam <= -t
+    tau_row = np.r_[np.ones(p), np.zeros(d - p)]
 
-
-def _pick(cands, tol):
-    feas = [c for c in cands if c[0] <= tol]
-    if not feas:
-        return None
-    return min(feas, key=lambda c: (round(c[1], 12), c[2]))
+    x = _lp(np.r_[np.zeros(d), 1.0], np.hstack([band, np.full((2 * n, 1), -1.0)]),
+            np.zeros(2 * n), np.r_[tau_row, 0.0])          # variables (lam, r)
+    r_star = float(x[-1])
+    if r_star > tol:
+        raise InfeasibleMultipliersError(r_star)
+    at_r = np.full(2 * n, r_star)
+    x = _lp(np.r_[np.zeros(d), -1.0],
+            np.block([[band, np.zeros((2 * n, 1))], [floor, np.ones((p, 1))]]),
+            np.r_[at_r, np.zeros(p)], np.r_[tau_row, 0.0])  # variables (lam, t)
+    return _lp(np.r_[np.zeros(p), np.ones(d - p)], np.vstack([band, floor]),
+               np.r_[at_r, np.full(p, -x[-1])], tau_row)
 
 
 def solve_multipliers(problem: EProblem, y, tol: float = 1e-9) -> KktPoint:
     """Find multipliers putting y in the first-order system, or raise.
 
+    The multipliers are the three-LP choice the module docstring describes.
     Inactive inequality multipliers are zero by construction, so
-    complementarity holds exactly.  Raises InfeasibleMultipliersError with
-    the best achievable stationarity residual when no multipliers exist
-    within tolerance, and InfeasiblePointError when y itself is infeasible.
+    complementarity holds exactly.  Raises InfeasibleMultipliersError
+    carrying r* when r* > tol, and InfeasiblePointError when y itself is
+    infeasible.
     """
     y = np.asarray(y, dtype=float).reshape(problem.n)
     rep = feasible(problem, y, tol)
     if not rep.feasible:
         raise InfeasiblePointError(
             f"candidate {y.tolist()} infeasible (worst violation {rep.worst:.3g})")
-    acts = active_sets(problem, y, tol)
     p, m, q = len(problem.objectives), len(problem.ineq), len(problem.eq)
-    active = acts.active_ineq
+    active = active_sets(problem, y, tol).active_ineq
     ma = len(active)
-    if p + ma > MAX_ENUM_BITS:
-        raise EinvexError(
-            f"exact multiplier search enumerates 2^(p + active constraints) patterns; "
-            f"{p} + {ma} exceeds the guard of {MAX_ENUM_BITS}")
+    H = _gradient_columns(problem, y, problem.eq)
     A = np.hstack([_gradient_columns(problem, y, problem.objectives),
-                   _gradient_columns(problem, y, [problem.ineq[k] for k in active]),
-                   _gradient_columns(problem, y, problem.eq)])
-
-    # Uniform weights reach the max-min level outright when they fit.
-    best = _pick(_enumerate_level(A, p, ma, 1.0 / p, force_uniform=True), tol)
-    if best is None:
-        base = _enumerate_level(A, p, ma, 0.0)
-        best = _pick(base, tol)
-        if best is None:
-            best_resid = min((c[0] for c in base), default=math.inf)
-            raise InfeasibleMultipliersError(best_resid)
-        lo, hi = 0.0, 1.0 / p
-        for _ in range(64):
-            mid = 0.5 * (lo + hi)
-            cand = _pick(_enumerate_level(A, p, ma, mid), tol)
-            if cand is None:
-                hi = mid
-            else:
-                lo, best = mid, cand
-    lam = best[3]
-    tau = lam[:p].copy()
-    tau[tau < 0.0] = 0.0
+                   _gradient_columns(problem, y, [problem.ineq[k] for k in active]), H, -H])
+    lam = _lp_multipliers(A, p, tol)
+    tau = np.maximum(lam[:p], 0.0)
     tau /= np.sum(tau)
     rho = np.zeros(m)
-    for pos, k in enumerate(active):
-        rho[k] = max(0.0, float(lam[p + pos]))
-    xi = lam[p + ma:].copy()
+    rho[active] = np.maximum(lam[p:p + ma], 0.0)
+    xi = lam[p + ma:p + ma + q] - lam[p + ma + q:]
     return KktPoint(y, tau, rho, xi)
 
 

@@ -509,6 +509,7 @@ class MixtureSamples:
     H: np.ndarray       # eta(U, V)
     bad: np.ndarray     # (N,) pairs whose evaluation failed
     invalid_comb: Optional[np.ndarray] = None  # (N, k) failed triples, bad pairs included
+    nondiff = None  # no gradients taken: every bad pair is a failed evaluation
 
     def combined(self) -> np.ndarray:
         """The (N, k, n) combined points."""
@@ -536,25 +537,24 @@ class Judgement(NamedTuple):
     witness: Callable[[int], Witness]    # the witness of a flat index into sat
     nonvac: Optional[np.ndarray] = None  # samples that exercised the inequality; None: not counted
     vacuous: Optional[str] = None        # why the samples show nothing, by the checker's own rule
-    checked: Optional[int] = None        # what holds and vacuous verdicts count, if not every sample
 
 
-def sampled_verdict(draw, judge, vacuous_policy: str = "holds", failed="evaluation",
-                    weight: int = 1, bad_checked: Optional[int] = None) -> Verdict:
+def sampled_verdict(draw, judge, vacuous_policy: str = "holds", failed: str = "evaluation",
+                    weight: int = 1) -> Verdict:
     """The one path from sampled pairs to a Verdict, in this order:
 
     1. inconclusive when ``draw()`` raises SamplingStarvedError;
     2. inconclusive at the first row of the samples' ``bad`` (N,), else of
        ``invalid_comb`` (N, k) (None without mixture weights T), naming
-       ``failed`` (a word, or a function of the samples);
+       the failed quantity: "gradient" at a kink (the samples' ``nondiff``),
+       else ``failed``;
     3. fails at the first violation of ``judge(samples)``, a Judgement;
     4. inconclusive when the samples are vacuous: by the judge's own rule,
        or, under vacuous_policy "inconclusive", when none is nonvacuous;
     5. holds.
 
-    ``checked`` counts ``weight`` judged instances per pair, or per (pair,
-    tau) with T; ``bad_checked`` replaces it for a bad row, and
-    Judgement.checked for holds and vacuous verdicts.
+    ``checked`` counts the judged instances drawn, whatever the status:
+    ``weight`` per pair, or per (pair, tau) with T.
     """
     try:
         s = draw()
@@ -564,21 +564,21 @@ def sampled_verdict(draw, judge, vacuous_policy: str = "holds", failed="evaluati
     tail = None
     if s.bad.any():
         i, tail = int(np.argmax(s.bad)), ""
+        if s.nondiff is not None and s.nondiff[i]:
+            failed = "gradient"
     elif s.invalid_comb is not None and s.invalid_comb.any():
         i, t = divmod(int(np.argmax(s.invalid_comb)), s.T.shape[1])
         tail = f", tau={float(s.T[i, t])}"
     if tail is not None:
-        what = failed(s) if callable(failed) else failed
         return Verdict.inconclusive(
-            f"{what} failed at x={_point_list(s.X[i])}, x0={_point_list(s.X0[i])}{tail}",
-            checked=checked if bad_checked is None else bad_checked)
+            f"{failed} failed at x={_point_list(s.X[i])}, x0={_point_list(s.X0[i])}{tail}",
+            checked=checked)
 
     j = judge(s)
     viol = ~j.sat
     if viol.any():
         return Verdict.fails(j.witness(int(np.argmax(viol))), checked=checked)
     nv = None if j.nonvac is None else int(np.count_nonzero(j.nonvac))
-    checked = checked if j.checked is None else j.checked
     vacuous = j.vacuous
     if vacuous is None and vacuous_policy == "inconclusive" and nv == 0:
         vacuous = "all samples were vacuous for this definition"
@@ -609,4 +609,4 @@ def einvex_set_check(problem: EProblem, cfg: SampleConfig = SampleConfig(),
         return Judgement(member, witness)
 
     return sampled_verdict(lambda: mixture_samples(problem, cfg, region), judge,
-                           failed="map evaluation", bad_checked=0)
+                           failed="map evaluation")

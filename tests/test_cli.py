@@ -272,6 +272,16 @@ def _project_table(repo_root):
         return tomllib.load(fh)["project"]
 
 
+def test_scipy_is_declared_and_cli_import_leaves_it_unloaded(repo_root):
+    # scipy.optimize takes most of a second to import; only a multiplier solve needs it
+    assert any(dep.startswith("scipy") for dep in _project_table(repo_root)["dependencies"])
+    out = subprocess.run([sys.executable, "-c",
+                          "import sys, einvex.cli; print('scipy.optimize' in sys.modules)"],
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
+
+
 def test_console_script_is_installed(repo_root):
     """The declared ``einvex`` script resolves, runs and reports the package version.
 

@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from corpus import CFG, by_name, problem
+from corpus import CFG, ENTRIES, by_name, problem
 from einvex import expr
 from einvex.invexity import (
+    InvexKind,
     PreinvexKind,
     check_invex,
     check_preinvex,
@@ -19,7 +20,7 @@ from einvex.invexity import (
     preinvex_pairs,
     preinvex_sides,
 )
-from einvex.problem import EProblem, Region, SampleConfig, load_problem
+from einvex.problem import EProblem, Region, SampleConfig, einvex_set_check, load_problem
 
 
 @pytest.fixture(scope="module")
@@ -192,14 +193,17 @@ def test_level_set_auto_matches_quasi_verdict():
 
 def test_level_set_explicit_levels():
     p = problem(by_name("square"))
+    # checked counts every (pair, tau) drawn; nonvacuous the ones inside the level
     v = level_set_invex_check(p.function("f1"), p, levels=[math.exp(0.25)], cfg=CFG)
-    assert v.status == "holds" and v.checked == 1182
+    assert v.status == "holds" and v.checked == CFG.n_pairs * CFG.n_tau
+    assert v.nonvacuous == 1182
 
     # monotone composition: every sublevel set is a ray, so even a level
     # cutting through the range holds
     p = problem(by_name("shifted-cube"))
     v = level_set_invex_check(p.function("f1"), p, levels=[math.exp(-0.5)], cfg=CFG)
-    assert v.status == "holds" and v.checked == 198
+    assert v.status == "holds" and v.checked == CFG.n_pairs * CFG.n_tau
+    assert v.nonvacuous == 198
 
     # two wells below the threshold, a hill above it in between
     p = problem(by_name("double-well"))
@@ -318,6 +322,29 @@ def test_failed_pair_is_inconclusive_before_any_mask(check):
     v = check(p.function("f1"), p)
     assert v.status == "inconclusive"
     assert v.reason.startswith("evaluation failed at x=[") and "tau" not in v.reason
+
+
+_EVERY_KIND = {
+    **{k.value: lambda fn, p, k=k: check_preinvex(fn, p, k, CFG) for k in PreinvexKind},
+    **{k.value: lambda fn, p, k=k: check_invex(fn, p, k, CFG) for k in InvexKind},
+    **{f"{k.value}@center": lambda fn, p, k=k: check_invex(fn, p, k, CFG, at=(p.lo + p.hi) / 2)
+       for k in InvexKind},
+    "monotone-gradient": lambda fn, p: gradient_monotonicity(fn, p, CFG),
+    "strict-monotone-gradient": lambda fn, p: gradient_monotonicity(fn, p, CFG, strict=True),
+    "epigraph": lambda fn, p: epigraph_invex_check(fn, p, CFG),
+    "level-set": lambda fn, p: level_set_invex_check(fn, p, cfg=CFG),
+    "invex-set": lambda fn, p: einvex_set_check(p, CFG),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("kind", sorted(_EVERY_KIND))
+def test_every_kind_is_quiet_on_the_corpus(kind):
+    # steep-affine (500*y1) changes f by more than exp can represent across
+    # a pair; expm1 returns inf there, which is the intended value
+    for ent in ENTRIES:
+        p = problem(ent)
+        _EVERY_KIND[kind](p.function("f1"), p)
 
 
 def test_invex_holds_implies_monotone_holds_on_corpus():

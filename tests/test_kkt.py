@@ -1,5 +1,8 @@
 """First-order system: residual verification, multiplier search, certificates."""
 
+import importlib
+import random
+
 import numpy as np
 import pytest
 
@@ -8,6 +11,7 @@ from einvex.errors import (
     InfeasibleMultipliersError,
     InfeasiblePointError,
 )
+from einvex.expr import gradient
 from einvex.kkt import (
     THEOREMS,
     KktPoint,
@@ -161,11 +165,62 @@ def test_equality_constraint_gets_signed_multiplier():
     assert verify_kkt_point(p, pt).passes
 
 
-def test_enumeration_guard():
+def test_many_objectives_are_one_linear_program():
+    # 17 copies of a descent direction: any simplex weights leave gradient 1
     p = _tiny(["y1"] * 17)
-    with pytest.raises(EinvexError) as exc:
+    with pytest.raises(InfeasibleMultipliersError) as exc:
         solve_multipliers(p, [0.0])
-    assert "2^(p + active constraints)" in str(exc.value)
+    assert exc.value.best_residual == pytest.approx(1.0, abs=1e-12)
+
+
+def test_tie_break_minimizes_the_l1_norm_of_constraint_multipliers():
+    # 1 - rho1 - 2*rho2 = 0 has a segment of solutions; the smallest
+    # rho1 + rho2 is (0, 1/2), where the smallest Euclidean norm is (0.2, 0.4)
+    p = _tiny(["y1"], ineq=["-y1", "-2*y1"])
+    pt = solve_multipliers(p, [0.0])
+    assert pt.tau.tolist() == [1.0]
+    assert pt.rho.tolist() == pytest.approx([0.0, 0.5], abs=1e-12)
+    assert verify_kkt_point(p, pt).passes
+
+
+@pytest.fixture()
+def wedge(repo_root, monkeypatch):
+    """bench/workloads.synthetic_problem: p linear objectives and m linear
+    constraints, all active at the origin; solvable wedges need non-uniform
+    objective weights, unsolvable ones have no multipliers."""
+    monkeypatch.syspath_prepend(str(repo_root / "bench"))
+    workloads = importlib.import_module("workloads")
+    return lambda seed, p, m, solvable: load_problem(
+        workloads.synthetic_problem(random.Random(seed), p, m, solvable))
+
+
+@pytest.mark.parametrize("p, m", [(3, 4), (4, 4), (4, 8)])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_solved_wedge_multipliers_pass_their_own_verification(wedge, seed, p, m):
+    prob = wedge(seed, p, m, True)
+    pt = solve_multipliers(prob, [0.0, 0.0])
+    rep = verify_kkt_point(prob, pt)
+    assert rep.passes, rep.notes
+    assert rep.r_complementarity == 0.0
+    assert 0.0 < min(pt.tau) < 1.0 / p   # uniform weights do not fit these wedges
+
+
+def test_unsolvable_wedge_reports_the_least_residual(wedge):
+    prob = wedge(1, 3, 4, False)
+    with pytest.raises(InfeasibleMultipliersError) as exc:
+        solve_multipliers(prob, [0.0, 0.0])
+    best = exc.value.best_residual
+    assert best == pytest.approx(0.549729747533, abs=1e-9)
+    # no sampled multiplier vector on the simplex does better
+    A = np.hstack([_grads(prob, prob.objectives), _grads(prob, prob.ineq)])
+    rng = np.random.default_rng(0)
+    lam = np.hstack([rng.dirichlet(np.ones(3), 20000), rng.uniform(0.0, 3.0, (20000, 4))])
+    assert np.min(np.max(np.abs(lam @ A.T), axis=1)) >= best - 1e-12
+
+
+def _grads(prob, fns):
+    env = {"x1": 0.0, "x2": 0.0}
+    return np.stack([gradient(fn.composed, env, prob.vars) for fn in fns], axis=1)
 
 
 # ---------------------------------------------------------------------------
