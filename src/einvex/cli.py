@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -45,6 +46,17 @@ class _Parser(argparse.ArgumentParser):
         raise CliUsageError(message)
 
 
+def _eps(text):
+    """--eps: a finite slack >= 0; a negative one would let a point beat itself."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expects a number, got {text!r}") from None
+    if not (math.isfinite(value) and value >= 0.0):
+        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = _Parser(prog="einvex", description=__doc__.splitlines()[0] if __doc__ else "")
     p.add_argument("--version", action="version", version=f"einvex {__version__}")
@@ -53,7 +65,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(sp, sampling=True):
         sp.add_argument("problem", help="problem JSON file")
         sp.add_argument("--format", choices=("text", "json"), default="text")
-        sp.add_argument("--eps", type=float, default=1e-9,
+        sp.add_argument("--eps", type=_eps, default=1e-9,
                         help="slack for non-strict comparisons (default 1e-9)")
         if sampling:
             sp.add_argument("--seed", type=int, default=None,

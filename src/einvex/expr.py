@@ -1,7 +1,8 @@
 """A small closed expression language for problem functions.
 
 Grammar (tightest first): unary minus, ``^`` (right associative), ``*`` ``/``,
-``+`` ``-``.  Note the non-standard first rule: ``-x^2`` parses as ``(-x)^2``.
+``+`` ``-``.  Unary minus directly on a ``^`` base, as in ``-x^2``, is a parse
+error: write ``-(x^2)`` or ``(-x)^2``.
 Function calls are ``exp``, ``log``, ``sqrt`` and ``cbrt``; ``cbrt`` is the
 total real cube root, so odd roots of negative values are first-class and
 never go through ``pow``.
@@ -158,9 +159,13 @@ def parse(source: str, variables: Sequence[str]) -> Expr:
                 return node
 
     def parse_power():
+        first, _, pos = lex.peek()
         base = parse_signed()
         kind, _, _ = lex.peek()
         if kind == "^":
+            if first == "-":
+                raise ParseError("unary minus on a '^' base is ambiguous; "
+                                 "write -(a^b) or (-a)^b", pos + 1)
             lex.take()
             return Binary("^", base, parse_power())
         return base
@@ -245,8 +250,8 @@ def to_source(node: Expr) -> str:
                 s = f"{fmt(n.lhs, _LVL_ADD)} {n.op} {fmt(n.rhs, _LVL_MUL)}"
             elif n.op in ("*", "/"):
                 s = f"{fmt(n.lhs, _LVL_MUL)}{n.op}{fmt(n.rhs, _LVL_POW)}"
-            else:  # ^ is right associative; unary minus binds tighter
-                s = f"{fmt(n.lhs, _LVL_NEG)}^{fmt(n.rhs, _LVL_POW)}"
+            else:  # ^ is right associative; a signed base needs parentheses
+                s = f"{fmt(n.lhs, _LVL_ATOM)}^{fmt(n.rhs, _LVL_POW)}"
         return f"({s})" if _level(n) < min_level else s
 
     return fmt(node, 0)

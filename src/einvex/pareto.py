@@ -1,14 +1,21 @@
 """Brute-force grid oracle for (weak) Pareto sets of the composed program.
 
 Completely independent of the invexity machinery: it enumerates a finite
-grid of the domain box, filters by the constraints, and compares objective
-vectors pairwise.  Its job is to confirm or refute what the certificates
+grid of the domain box, filters by the constraints, and classifies the
+objective vectors.  Its job is to confirm or refute what the certificates
 claim, so it shares nothing with them except the problem file.
 
 Dominance uses the package-wide tie tolerance: z strictly dominates y when
 every objective of z is below that of y by more than tol; z dominates y
 (for the strict Pareto order) when every objective is within tol of being
 no worse and at least one is better by more than tol.
+
+Classification is a skyline reduction (Kung, Luccio and Preparata 1975;
+Borzsonyi, Kossmann and Stocker 2001).  First the minimal set M of the N
+objective rows under the plain product order, found by a lexicographic
+presort and a block filter; then every row is tested against M alone with
+the tolerance rules, N |M| comparisons instead of N^2.  The guard caps
+N |M| at MAX_COMPARISONS, checked while M grows.
 """
 
 from __future__ import annotations
@@ -26,7 +33,10 @@ from .problem import (EProblem, ProblemFunction, _jsonable, constraint_slacks, e
                       feasible)
 
 MAX_GRID_POINTS = 10_000_000
-MAX_PAIRWISE = 20_000
+MAX_COMPARISONS = 20_000 ** 2  # feasible points times minimal objective rows
+_BLOCK = 256                   # sorted rows per block of the minimal-set filter
+_CHUNK = 1 << 22               # comparison cells per block of the final test
+_CSV_ROWS = 1 << 16            # grid rows formatted per write of dump_csv
 
 
 @dataclass(frozen=True)
@@ -72,23 +82,68 @@ def _objective_matrix(problem: EProblem, pts: np.ndarray):
     return eval_columns([fn.composed for fn in problem.objectives], problem.env_x(pts))
 
 
-def _dominance_masks(F: np.ndarray, tol: float):
-    """(weak_pareto, pareto) membership masks for rows of F, O(N^2 p) blockwise."""
-    Nf = F.shape[0]
-    if Nf > MAX_PAIRWISE:
-        raise GridGuardError(
-            f"{Nf} feasible points exceed the pairwise guard of {MAX_PAIRWISE}; "
-            f"coarsen the grid or use a point query")
-    weak = np.ones(Nf, dtype=bool)
-    pareto = np.ones(Nf, dtype=bool)
-    for start in range(0, Nf, 256):
-        blk = F[start:start + 256]
-        lt = F[:, None, :] < blk[None, :, :] - tol
-        le = F[:, None, :] <= blk[None, :, :] + tol
-        strictly = lt.all(axis=2)
-        dominates = le.all(axis=2) & lt.any(axis=2)
-        weak[start:start + blk.shape[0]] = ~strictly.any(axis=0)
-        pareto[start:start + blk.shape[0]] = ~dominates.any(axis=0)
+def _below(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """[i, j]: row j of A is <= row i of B in every column."""
+    out = A[None, :, 0] <= B[:, None, 0]
+    for k in range(1, A.shape[1]):  # one 2-D pass per column beats a 3-D reduction
+        out &= A[None, :, k] <= B[:, None, k]
+    return out
+
+
+def _minimal_rows(F: np.ndarray) -> np.ndarray:
+    """One row per distinct minimal row of F under the plain product order.
+
+    The rows are presorted lexicographically, so a row can only be dominated
+    by rows before it.  Each block of sorted rows is tested against the
+    minimal rows found so far, then its survivors against each other.  The
+    comparison guard is checked as the minimal set grows, so the filter never
+    does more than MAX_COMPARISONS comparisons plus one block per row.
+    """
+    N = F.shape[0]
+    S = F[np.lexsort(F.T[::-1])]
+    distinct = np.ones(N, dtype=bool)
+    distinct[1:] = (S[1:] != S[:-1]).any(axis=1)
+    S = S[distinct]
+    M = S[:0]
+    for start in range(0, S.shape[0], _BLOCK):
+        blk = S[start:start + _BLOCK]
+        if M.shape[0]:
+            blk = blk[~_below(M, blk).any(axis=1)]
+        below = _below(blk, blk)
+        np.fill_diagonal(below, False)  # rows are distinct: <= elsewhere is domination
+        M = np.concatenate([M, blk[~below.any(axis=1)]])
+        if N * M.shape[0] > MAX_COMPARISONS:
+            raise GridGuardError(
+                f"{N} feasible points times at least {M.shape[0]} minimal objective rows "
+                f"exceed the comparison guard of {MAX_COMPARISONS}; coarsen the grid or "
+                f"use a point query")
+    return M
+
+
+def skyline_masks(F: np.ndarray, tol: float):
+    """(weak_pareto, pareto) membership masks for the rows of F.
+
+    Every row is tested against the minimal set M only, O(N |M| p).  This is
+    exact: when some row z beats y under the tolerance rules, some m in M has
+    m <= z, and m beats y as well.
+    """
+    M = _minimal_rows(F)
+    N = F.shape[0]
+    weak = np.ones(N, dtype=bool)
+    pareto = np.ones(N, dtype=bool)
+    step = max(1, _CHUNK // max(M.shape[0], 1))
+    for start in range(0, N, step):
+        blk = F[start:start + step]
+        lo, hi = blk - tol, blk + tol
+        strictly = np.ones((blk.shape[0], M.shape[0]), dtype=bool)  # [i, j]: M[j] vs row i
+        better = np.zeros_like(strictly)
+        for k in range(F.shape[1]):
+            lt = M[None, :, k] < lo[:, None, k]
+            strictly &= lt
+            better |= lt
+        dominates = _below(M, hi) & better
+        weak[start:start + step] = ~strictly.any(axis=1)
+        pareto[start:start + step] = ~dominates.any(axis=1)
     return weak, pareto
 
 
@@ -153,7 +208,7 @@ def grid_oracle(problem: EProblem, grid: Optional[GridSpec] = None, tol: float =
     F, bad = _objective_matrix(problem, pts)
     report = GridReport(pts, keep, F, bad, np.zeros_like(keep), np.zeros_like(keep), tol)
     cmp = report.compared
-    report.weak_mask[cmp], report.pareto_mask[cmp] = _dominance_masks(F[cmp], tol)
+    report.weak_mask[cmp], report.pareto_mask[cmp] = skyline_masks(F[cmp], tol)
     return report
 
 
@@ -220,14 +275,27 @@ def e_minimizer_check(fn: ProblemFunction, problem: EProblem, xbar,
 
 
 def dump_csv(problem: EProblem, report: GridReport, path) -> int:
-    """Write every grid point of a grid_oracle report with objectives and flags."""
+    """Write every grid point of a grid_oracle report with objectives and flags.
+
+    The bytes are those of csv.writer: %.12g floats, blank objective cells
+    where an objective failed, 0/1 flags, \\r\\n line ends.  Cells are
+    formatted a column at a time, _CSV_ROWS rows at a time.
+    """
     r = report
+    num = "%.12g".__mod__
     with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(list(problem.vars) + [f.name for f in problem.objectives]
-                    + ["feasible", "weak_pareto", "pareto"])
-        for i in range(r.grid_points):
-            vals = ["" if r.failed[i] else f"{v:.12g}" for v in r.values[i]]
-            wr.writerow([f"{v:.12g}" for v in r.grid[i]] + vals
-                        + [int(r.feasible[i]), int(r.weak_mask[i]), int(r.pareto_mask[i])])
+        csv.writer(fh).writerow(list(problem.vars) + [f.name for f in problem.objectives]
+                                + ["feasible", "weak_pareto", "pareto"])
+        for start in range(0, r.grid_points, _CSV_ROWS):
+            rows = slice(start, start + _CSV_ROWS)
+            cols = [list(map(num, c)) for c in r.grid[rows].T.tolist()]
+            failed = np.flatnonzero(r.failed[rows]).tolist()
+            for c in r.values[rows].T.tolist():
+                cells = list(map(num, c))
+                for i in failed:
+                    cells[i] = ""
+                cols.append(cells)
+            cols += [np.where(m[rows], "1", "0").tolist()
+                     for m in (r.feasible, r.weak_mask, r.pareto_mask)]
+            fh.write("\r\n".join(map(",".join, zip(*cols))) + "\r\n")
     return r.grid_points

@@ -93,6 +93,24 @@ def test_error_text_goes_with_code_3(e1):
     assert text.startswith("error:")
 
 
+@pytest.mark.parametrize("eps", ["-1e-3", "nan", "inf", "abc"])
+def test_eps_must_be_a_finite_nonnegative_number(vp1, eps):
+    # a negative slack let a point beat itself (oracle "pareto 1, weak pareto
+    # 0"), and nan made every constraint comparison false ("no feasible grid
+    # point"); both are usage errors now, for every subcommand
+    for argv in (["oracle", vp1, "--grid", "5x5"], ["kkt", vp1, "--candidate", "ybar"]):
+        code, text = run(argv + [f"--eps={eps}"])
+        assert code == 3, (argv, eps)
+        assert text.startswith("error: argument --eps:")
+
+
+def test_eps_zero_is_accepted(vp1):
+    code, rep = _json(["oracle", vp1, "--grid", "5x5", "--eps", "0", "--format", "json"])
+    assert code == 0
+    assert rep["config"]["eps"] == 0.0
+    assert rep["pareto_count"] == rep["weak_pareto_count"] == 1
+
+
 # ---------------------------------------------------------------------------
 # report schema
 # ---------------------------------------------------------------------------

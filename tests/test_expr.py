@@ -38,7 +38,7 @@ SMOOTH = [
     ("sqrt(x1^2 + 1)", X1, [-3.0], [3.0]),
     ("cbrt(x1)", X1, [1.0], [8.0]),
     ("exp(exp(x1))", X1, [-1.0], [1.0]),
-    ("-x1^2 + x1^3/4", X1, [-2.0], [2.0]),
+    ("(-x1)^2 + x1^3/4", X1, [-2.0], [2.0]),
     ("1 - exp(x2 - x1)", X12, [0.0, 0.0], [2.0, 2.0]),
     ("log(x1 + x2 + 1)", X12, [0.0, 0.0], [2.0, 2.0]),
     ("x1*x2 - x2/x1", X12, [1.0, 0.5], [2.0, 1.5]),
@@ -76,11 +76,20 @@ def test_parse_power_right_associative():
     assert evaluate(node, {"x1": 2.0}) == 256.0
 
 
-def test_unary_minus_binds_tighter_than_power():
-    # "-x1^2" is (-x1)^2, not -(x1^2); parenthesize to get the other reading.
-    assert evaluate(parse("-x1^2", X1), {"x1": 3.0}) == 9.0
+@pytest.mark.parametrize("source", ["-x1^2", "-(x1)^2", "--x1^2", "2*-x1^2", "x1^-2^2",
+                                    "exp(-(x1-0.5)^2)"])
+def test_unary_minus_on_a_power_base_is_an_error(source):
+    # "-x1^2" has two readings, (-x1)^2 and -(x1^2); the grammar takes neither
+    with pytest.raises(ParseError) as exc:
+        parse(source, X1)
+    assert "write -(a^b) or (-a)^b" in str(exc.value)
+
+
+def test_parenthesized_power_readings():
+    assert evaluate(parse("(-x1)^2", X1), {"x1": 3.0}) == 9.0
     assert evaluate(parse("-(x1^2)", X1), {"x1": 3.0}) == -9.0
-    assert parse("-x1^2", X1) == Binary("^", Unary("neg", Var("x1")), Const(2.0))
+    assert parse("(-x1)^2", X1) == Binary("^", Unary("neg", Var("x1")), Const(2.0))
+    assert parse("-(x1^2)", X1) == Unary("neg", Binary("^", Var("x1"), Const(2.0)))
 
 
 def test_parse_negative_exponent():
@@ -265,7 +274,7 @@ def test_roundtrip_reproduces_tree_and_values(source, variables, lo, hi):
 @pytest.mark.parametrize(
     "source",
     [
-        "-x1^2",
+        "(-x1)^2",
         "-(x1^2)",
         "x1^-3",
         "x1 - (x2 - 1)",
@@ -284,6 +293,12 @@ def test_roundtrip_preserves_grouping(source):
 
 def test_to_source_formats_integral_constants_bare():
     assert to_source(parse("3.0*x1 + 0.5", X1)) == "3*x1 + 0.5"
+
+
+def test_to_source_parenthesizes_a_signed_power_base():
+    assert to_source(Binary("^", Unary("neg", Var("x1")), Const(2.0))) == "(-x1)^2"
+    assert to_source(Binary("^", Const(-2.0), Var("x1"))) == "(-2)^x1"
+    assert to_source(Unary("neg", Binary("^", Var("x1"), Const(2.0)))) == "-(x1^2)"
 
 
 # ---------------------------------------------------------------------------

@@ -8,14 +8,42 @@ import pytest
 
 from einvex.errors import GridGuardError, InfeasiblePointError
 from einvex.pareto import (
+    MAX_COMPARISONS,
     GridSpec,
+    _minimal_rows,
     build_grid,
     dump_csv,
     e_minimizer_check,
     grid_oracle,
     is_weak_pareto,
+    skyline_masks,
 )
 from einvex.problem import load_problem
+
+MAX_PAIRWISE = 20_000
+
+
+def _dominance_masks(F, tol):
+    """Reference: (weak_pareto, pareto) masks by comparing all N^2 pairs.
+
+    This is the oracle's former dominance scan, guard included, kept to
+    check skyline_masks against."""
+    Nf = F.shape[0]
+    if Nf > MAX_PAIRWISE:
+        raise GridGuardError(
+            f"{Nf} feasible points exceed the pairwise guard of {MAX_PAIRWISE}; "
+            f"coarsen the grid or use a point query")
+    weak = np.ones(Nf, dtype=bool)
+    pareto = np.ones(Nf, dtype=bool)
+    for start in range(0, Nf, 256):
+        blk = F[start:start + 256]
+        lt = F[:, None, :] < blk[None, :, :] - tol
+        le = F[:, None, :] <= blk[None, :, :] + tol
+        strictly = lt.all(axis=2)
+        dominates = le.all(axis=2) & lt.any(axis=2)
+        weak[start:start + blk.shape[0]] = ~strictly.any(axis=0)
+        pareto[start:start + blk.shape[0]] = ~dominates.any(axis=0)
+    return weak, pareto
 
 
 @pytest.fixture(scope="module")
@@ -28,6 +56,19 @@ def _line(objectives, lo=-1.0, hi=1.0, **extra):
          "box": {"lo": [lo], "hi": [hi]}}
     d.update(extra)
     return load_problem(d)
+
+
+def _plane(objectives, lo=0.0, hi=1.0, **extra):
+    d = {"n": 2, "E": ["x1", "x2"], "eta": ["u1 - v1", "u2 - v2"],
+         "objectives": objectives, "box": {"lo": [lo, lo], "hi": [hi, hi]}}
+    d.update(extra)
+    return load_problem(d)
+
+
+@pytest.fixture(scope="module")
+def long_front():
+    # min (y1, y2) s.t. y1 + y2 >= 1: the whole grid diagonal is Pareto
+    return _plane(["y1", "y2"], ineq=["1 - y1 - y2"])
 
 
 # ---------------------------------------------------------------------------
@@ -115,6 +156,74 @@ def test_single_point_grid():
 
 
 # ---------------------------------------------------------------------------
+# skyline dominance against the pairwise reference
+# ---------------------------------------------------------------------------
+
+
+def _random_rows(rng, case, N, p):
+    if case == "ties":  # few distinct values: exact duplicates and exact ties
+        return rng.integers(0, 6, size=(N, p)).astype(float)
+    if case == "near-ties":  # ties broken at the scale of the tolerance
+        return (rng.integers(0, 6, size=(N, p))
+                + rng.integers(-2, 3, size=(N, p)) * 5e-10)
+    t = np.round(rng.random(N), 2)  # a front: y1 + y2 = 1, extra objectives random
+    cols = [t, 1.0 - t] + [rng.integers(0, 3, N).astype(float) for _ in range(p - 2)]
+    return np.stack(cols, axis=1)[:, :p]
+
+
+@pytest.mark.parametrize("tol", [0.0, 1e-9, 1e-3])
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+@pytest.mark.parametrize("case", ["ties", "near-ties", "front"])
+def test_skyline_masks_match_the_pairwise_reference(case, p, tol):
+    rng = np.random.default_rng([p, ["ties", "near-ties", "front"].index(case)])
+    for N in (1, 2, 7, 255, 256, 257, 600):
+        F = _random_rows(rng, case, N, p)
+        weak, pareto = skyline_masks(F, tol)
+        ref_weak, ref_pareto = _dominance_masks(F, tol)
+        assert np.array_equal(weak, ref_weak), (case, p, tol, N)
+        assert np.array_equal(pareto, ref_pareto), (case, p, tol, N)
+        # the skyline itself: one row per distinct minimal row, nothing else
+        ref_minimal = {tuple(row) for row in F[_dominance_masks(F, 0.0)[1]]}
+        assert sorted(map(tuple, _minimal_rows(F))) == sorted(ref_minimal)
+
+
+def test_skyline_masks_of_no_rows():
+    weak, pareto = skyline_masks(np.empty((0, 2)), 1e-9)
+    assert weak.shape == pareto.shape == (0,)
+
+
+def test_long_front_matches_the_reference(long_front):
+    rep = grid_oracle(long_front, GridSpec.uniform(61, 2))
+    weak, pareto = _dominance_masks(rep.objectives, rep.tol)
+    assert rep.pareto_mask[rep.compared].tolist() == pareto.tolist()
+    assert rep.weak_mask[rep.compared].tolist() == weak.tolist()
+    assert rep.feasible_points == 1891
+    assert int(np.count_nonzero(pareto)) == 61
+    assert np.allclose(rep.pareto_points.sum(axis=1), 1.0)
+
+
+def test_three_objectives_match_the_reference():
+    p = _plane(["y1", "y2", "(y1 - 0.5)^2 + (y2 - 0.5)^2"], lo=-1.0, hi=1.0,
+               ineq=["y1^2 + y2^2 - 1"])
+    rep = grid_oracle(p, GridSpec.uniform(41, 2))
+    weak, pareto = _dominance_masks(rep.objectives, rep.tol)
+    assert rep.pareto_mask[rep.compared].tolist() == pareto.tolist()
+    assert rep.weak_mask[rep.compared].tolist() == weak.tolist()
+    assert 1 < int(np.count_nonzero(pareto)) < int(np.count_nonzero(weak))
+
+
+def test_grids_beyond_the_old_pairwise_cap_classify(vp1, long_front):
+    rep = grid_oracle(vp1, GridSpec.uniform(201, 2))
+    assert rep.feasible_points == 40_401
+    assert rep.pareto_points.tolist() == [[0.0, 0.0]]
+    assert rep.weak_points.tolist() == [[0.0, 0.0]]
+    rep = grid_oracle(long_front, GridSpec.uniform(201, 2))
+    assert rep.feasible_points == 20_301
+    assert int(np.count_nonzero(rep.pareto_mask)) == 201
+    assert np.allclose(rep.pareto_points.sum(axis=1), 1.0)
+
+
+# ---------------------------------------------------------------------------
 # guards
 # ---------------------------------------------------------------------------
 
@@ -125,11 +234,19 @@ def test_grid_guards(vp1):
     with pytest.raises(GridGuardError):
         GridSpec((3163, 3163))  # just over the total-points guard
     with pytest.raises(GridGuardError) as exc:
-        grid_oracle(vp1, GridSpec((150, 150)))
-    assert "pairwise guard" in str(exc.value)
-    with pytest.raises(GridGuardError) as exc:
         grid_oracle(vp1, GridSpec((5,)))
     assert "axes" in str(exc.value)
+
+
+def test_comparison_guard_trips_when_every_row_is_minimal(vp1):
+    # vp1 at 150x150 (22,500 points) was refused by the old cap on N; its
+    # minimal set is one point, so it now classifies
+    assert grid_oracle(vp1, GridSpec((150, 150))).pareto_points.tolist() == [[0.0, 0.0]]
+    # (y1, -y1): every one of the 20,001 rows is minimal, N*|M| > 20,000^2
+    with pytest.raises(GridGuardError) as exc:
+        grid_oracle(_line(["y1", "-y1"], lo=0.0, hi=1.0), GridSpec((20_001,)))
+    assert "comparison guard" in str(exc.value)
+    assert str(MAX_COMPARISONS) in str(exc.value)
 
 
 def test_no_feasible_grid_point_is_an_error():
@@ -221,3 +338,28 @@ def test_csv_dump_structure(vp1, tmp_path):
     origin = [r for r in body if r[0] == "0" and r[1] == "0"]
     assert origin and origin[0][5] == "1" and origin[0][6] == "1"
     assert float(origin[0][2]) == 0.0
+
+
+def _csv_writer_dump(problem, report, path):
+    """Reference: the per-row csv.writer dump that dump_csv must match byte for byte."""
+    r = report
+    with open(path, "w", newline="") as fh:
+        wr = csv.writer(fh)
+        wr.writerow(list(problem.vars) + [f.name for f in problem.objectives]
+                    + ["feasible", "weak_pareto", "pareto"])
+        for i in range(r.grid_points):
+            vals = ["" if r.failed[i] else f"{v:.12g}" for v in r.values[i]]
+            wr.writerow([f"{v:.12g}" for v in r.grid[i]] + vals
+                        + [int(r.feasible[i]), int(r.weak_mask[i]), int(r.pareto_mask[i])])
+
+
+def test_csv_dump_bytes_match_the_csv_writer(tmp_path):
+    # log and sqrt leave their domains on part of the box, so some rows have
+    # blank objective cells; the third objective spans 1e-7 to 1e300
+    p = _plane(["log(y1) + y2", "sqrt(y2 - 0.1) - y1/3", "-y1*1e-7 + y2*1e300"],
+               lo=-1.0, hi=1.0)
+    rep = grid_oracle(p, GridSpec((13, 9)))
+    assert rep.failed.any() and rep.compared.any()
+    dump_csv(p, rep, tmp_path / "new.csv")
+    _csv_writer_dump(p, rep, tmp_path / "old.csv")
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
