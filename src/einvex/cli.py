@@ -303,10 +303,18 @@ def _cmd_oracle(ns):
     problem = load_problem(ns.problem)
     grid = _parse_grid(ns.grid, problem.n)
     rep = _base_report(ns, {"grid": "x".join(str(c) for c in grid.counts)})
+    # a flag the chosen mode would ignore is refused, not dropped
+    if ns.minimizer and not ns.at:
+        raise CliUsageError("--minimizer requires --at")
+    if ns.at and not ns.minimizer:
+        raise CliUsageError("--at is the point for --minimizer and needs it")
+    if ns.minimizer and ns.query:
+        raise CliUsageError("--query and --minimizer are separate checks; give one")
+    if ns.csv and (ns.query or ns.minimizer):
+        raise CliUsageError("--csv dumps a grid classification and cannot go with "
+                            "--query or --minimizer")
 
     if ns.minimizer:
-        if not ns.at:
-            raise CliUsageError("--minimizer requires --at")
         fn = problem.function(ns.minimizer)
         point = _resolve_point(problem, ns.at)
         res = e_minimizer_check(fn, problem, point, grid, tol=ns.eps)

@@ -16,6 +16,11 @@ objective rows under the plain product order, found by a lexicographic
 presort and a block filter; then every row is tested against M alone with
 the tolerance rules, N |M| comparisons instead of N^2.  The guard caps
 N |M| at MAX_COMPARISONS, checked while M grows.
+
+The grid is the box lattice plus the candidates and the query point that
+are not lattice points; a point outside the box has no verdict and is
+refused.  A point query is one masked pass over the whole grid, with no
+copies of the point or objective rows.
 """
 
 from __future__ import annotations
@@ -58,23 +63,38 @@ class GridSpec:
 
 
 def build_grid(problem: EProblem, grid: GridSpec, extra_points=None) -> np.ndarray:
-    """Cartesian grid over the box, plus candidate points snapped in."""
-    if len(grid.counts) != problem.n:
-        raise GridGuardError(f"grid has {len(grid.counts)} axes, problem has {problem.n}")
-    axes = [np.linspace(problem.lo[j], problem.hi[j], int(grid.counts[j]))
-            for j in range(problem.n)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=-1)
+    """Cartesian grid over the box in C order, then the candidates and
+    extra_points that are not lattice points, each once.
+
+    The lattice is filled in place, one broadcast assignment per axis.  A
+    point is a lattice point when each coordinate equals some value of its
+    axis, O(sum of counts) per point.  A point outside the box, or with a
+    nan coordinate, raises InfeasiblePointError.
+    """
+    n = problem.n
+    if len(grid.counts) != n:
+        raise GridGuardError(f"grid has {len(grid.counts)} axes, problem has {n}")
+    axes = [np.linspace(problem.lo[j], problem.hi[j], int(grid.counts[j])) for j in range(n)]
     snap = [c.x for c in problem.candidates]
     if extra_points is not None:
-        snap += [np.asarray(p, dtype=float) for p in np.atleast_2d(extra_points)]
+        snap += list(np.atleast_2d(extra_points))
     add = []
     for s in snap:
-        s = np.asarray(s, dtype=float).reshape(problem.n)
-        if not ((pts == s).all(axis=1).any() or any((a == s).all() for a in add)):
+        s = np.asarray(s, dtype=float).reshape(n)
+        if not np.all((problem.lo <= s) & (s <= problem.hi)):
+            raise InfeasiblePointError(
+                f"point {s.tolist()} lies outside the box [{problem.lo.tolist()}, "
+                f"{problem.hi.tolist()}]")
+        on_lattice = all((a == v).any() for a, v in zip(axes, s))
+        if not (on_lattice or any((a == s).all() for a in add)):
             add.append(s)
+    size = math.prod(a.size for a in axes)
+    pts = np.empty((size + len(add), n))
+    lattice = pts[:size].reshape(*(a.size for a in axes), n)
+    for j, a in enumerate(axes):
+        lattice[..., j] = a.reshape((-1,) + (1,) * (n - 1 - j))
     if add:
-        pts = np.vstack([pts, np.asarray(add)])
+        pts[size:] = add
     return pts
 
 
@@ -198,14 +218,19 @@ class GridReport:
         return d
 
 
+def _grid_values(problem: EProblem, grid: Optional[GridSpec], tol: float, extra_points=None):
+    """(points, feasible mask, objective rows, failed mask) over the whole grid."""
+    pts = build_grid(problem, grid or GridSpec.uniform(33, problem.n), extra_points)
+    keep = constraint_slacks(problem, pts)[2] <= tol
+    F, bad = _objective_matrix(problem, pts)
+    return pts, keep, F, bad
+
+
 def grid_oracle(problem: EProblem, grid: Optional[GridSpec] = None, tol: float = 1e-9) -> GridReport:
     """Enumerate the grid and classify every feasible point."""
-    grid = grid or GridSpec.uniform(33, problem.n)
-    pts = build_grid(problem, grid)
-    keep = constraint_slacks(problem, pts)[2] <= tol
+    pts, keep, F, bad = _grid_values(problem, grid, tol)
     if not keep.any():
         raise InfeasiblePointError("no feasible grid point at this resolution; refine the grid")
-    F, bad = _objective_matrix(problem, pts)
     report = GridReport(pts, keep, F, bad, np.zeros_like(keep), np.zeros_like(keep), tol)
     cmp = report.compared
     report.weak_mask[cmp], report.pareto_mask[cmp] = skyline_masks(F[cmp], tol)
@@ -213,27 +238,27 @@ def grid_oracle(problem: EProblem, grid: Optional[GridSpec] = None, tol: float =
 
 
 def is_weak_pareto(problem: EProblem, y, grid: Optional[GridSpec] = None, tol: float = 1e-9):
-    """(verdict, witness): witness is a feasible grid point strictly better
-    in every objective, when one exists.  The queried point itself always
-    joins the comparison set."""
+    """(verdict, witness): the witness is the first feasible grid point, in
+    grid order, whose objectives all evaluate and are all below those of y
+    by more than tol.  The queried point itself always joins the grid.
+
+    One masked pass over the grid: no point or objective rows are copied.
+    """
     y = np.asarray(y, dtype=float).reshape(problem.n)
     rep = feasible(problem, y, tol)
     if not rep.feasible:
         raise InfeasiblePointError(
             f"query point {y.tolist()} infeasible (worst violation {rep.worst:.3g})")
-    grid = grid or GridSpec.uniform(33, problem.n)
-    pts = build_grid(problem, grid, extra_points=y[None, :])
-    keep = constraint_slacks(problem, pts)[2] <= tol
-    fpts = pts[keep]
-    F, bad = _objective_matrix(problem, fpts)
-    fpts, F = fpts[~bad], F[~bad]
+    pts, better, F, bad = _grid_values(problem, grid, tol, extra_points=y[None, :])
     fy, bady = _objective_matrix(problem, y[None, :])
     if bady.any():
         raise InfeasiblePointError(f"objectives do not evaluate at {y.tolist()}")
-    better = (F < fy[0] - tol).all(axis=1)
-    if better.any():
-        i = int(np.argmax(better))
-        return False, {"x": fpts[i].tolist(), "objectives": F[i].tolist(),
+    better &= ~bad
+    for k in range(F.shape[1]):  # one pass per column beats a reduction over a short axis
+        better &= F[:, k] < fy[0, k] - tol
+    i = int(np.argmax(better))
+    if better[i]:
+        return False, {"x": pts[i].tolist(), "objectives": F[i].tolist(),
                        "query_objectives": fy[0].tolist()}
     return True, None
 

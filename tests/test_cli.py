@@ -216,6 +216,44 @@ def test_oracle_minimizer(vp1):
     assert rep["minimizer"]["gradient_inf_norm"] == pytest.approx(1.0)
 
 
+def test_oracle_csv_with_a_query_is_refused(vp1, tmp_path):
+    out = tmp_path / "grid.csv"
+    code, text = run(["oracle", vp1, "--grid", "5x5", "--query", "1,1", "--csv", str(out)])
+    assert code == 3 and "--csv" in text
+    assert not out.exists()
+    code, text = run(["oracle", vp1, "--grid", "5x5", "--minimizer", "f1", "--at", "ybar",
+                      "--csv", str(out)])
+    assert code == 3 and "--csv" in text
+    assert not out.exists()
+
+
+def test_oracle_query_with_a_minimizer_is_refused(vp1):
+    # the failing query used to be dropped and the run reported pass
+    code, text = run(["oracle", vp1, "--grid", "5x5", "--query", "1,1",
+                      "--minimizer", "f1", "--at", "ybar"])
+    assert code == 3 and "--query" in text and "--minimizer" in text
+
+
+def test_oracle_at_without_a_minimizer_is_refused(vp1):
+    code, text = run(["oracle", vp1, "--grid", "5x5", "--at", "ybar"])
+    assert code == 3 and "--at" in text
+
+
+def test_oracle_refuses_points_outside_the_box(e1, tmp_path):
+    # example1's box is [-6, 0]; -9 used to pass both checks
+    code, text = run(["oracle", e1, "--grid", "5", "--query", "-9"])
+    assert code == 3 and "[-9.0]" in text and "outside the box" in text
+    code, text = run(["oracle", e1, "--grid", "5", "--minimizer", "f1", "--at", "-9"])
+    assert code == 3 and "[-9.0]" in text and "outside the box" in text
+    # a problem-file candidate outside the box used to be listed as Pareto
+    prob = tmp_path / "outside.json"
+    prob.write_text(json.dumps({
+        "n": 1, "E": ["x1"], "eta": ["u1 - v1"], "objectives": ["y1"],
+        "box": {"lo": [0.0], "hi": [1.0]}, "candidates": [{"name": "c", "x": [5.0]}]}))
+    code, text = run(["oracle", str(prob), "--grid", "5"])
+    assert code == 3 and "[5.0]" in text and "outside the box" in text
+
+
 def test_invex_set_kind_needs_no_function(vp1, tmp_path):
     code, rep = _json(["check", vp1, "--kind", "invex-set", "--pairs", "500",
                        "--format", "json"])

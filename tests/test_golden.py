@@ -28,6 +28,7 @@ VP1 = str(HERE.parent / "problems" / "vp1.json")
 FAILING = str(GOLDEN / "problems" / "failing.json")   # log, shifted log, cbrt; an infeasible g1
 BAD_MAP = str(GOLDEN / "problems" / "bad-map.json")   # E = log(x1) on [-1, 1]
 POINT = str(GOLDEN / "problems" / "point.json")       # a one-point box: strict kinds are vacuous
+ORACLE = str(GOLDEN / "problems" / "oracle.json")     # infeasible and failing parts; off-grid c
 
 KINDS = ("preinvex", "strict-preinvex", "quasi-preinvex", "strict-quasi-preinvex",
          "invex", "strict-invex", "quasi-invex", "pseudo-invex", "strict-pseudo-invex",
@@ -51,6 +52,14 @@ def _commands():
         "c8-kkt-supplied": ["kkt", VP1, "--candidate", "ybar", "--verify-supplied"],
         "c8-oracle": ["oracle", VP1, "--grid", "41x41"],
         "c8-oracle-query": ["oracle", VP1, "--grid", "41x41", "--query", "1,1"],
+        "vp1-oracle-query-ybar": ["oracle", VP1, "--grid", "41x41", "--query", "ybar"],
+        "example1-oracle-minimizer": ["oracle", E1, "--grid", "1001", "--minimizer", "f1",
+                                      "--at", "xbar"],
+        # grid oracle on a box whose lower left is infeasible and whose left half
+        # fails log(y1): the classification, a failing and a passing query
+        "oracle-classify": ["oracle", ORACLE, "--grid", "21x21"],
+        "oracle-query-fails": ["oracle", ORACLE, "--grid", "21x21", "--query", "c"],
+        "oracle-query-passes": ["oracle", ORACLE, "--grid", "21x21", "--query", "0.5,0"],
     }
     for t in ("t4", "t5", "t6"):
         cmds[f"c8-certify-{t}"] = ["certify", VP1, "--candidate", "ybar", "--theorem", t,

@@ -2,6 +2,8 @@
 
 import csv
 import math
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,9 +20,10 @@ from einvex.pareto import (
     is_weak_pareto,
     skyline_masks,
 )
-from einvex.problem import load_problem
+from einvex.problem import constraint_slacks, eval_columns, feasible, load_problem
 
 MAX_PAIRWISE = 20_000
+ORACLE = Path(__file__).resolve().parent / "golden" / "problems" / "oracle.json"
 
 
 def _dominance_masks(F, tol):
@@ -259,6 +262,160 @@ def test_no_feasible_grid_point_is_an_error():
 # ---------------------------------------------------------------------------
 # grid construction
 # ---------------------------------------------------------------------------
+
+
+def _reference_build_grid(problem, grid, extra_points=None):
+    """Reference: the former grid build, a meshgrid plus a scan of the whole
+    grid per snapped point, kept to check build_grid against (in-box points)."""
+    axes = [np.linspace(problem.lo[j], problem.hi[j], int(grid.counts[j]))
+            for j in range(problem.n)]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    pts = np.stack([m.ravel() for m in mesh], axis=-1)
+    snap = [c.x for c in problem.candidates]
+    if extra_points is not None:
+        snap += [np.asarray(p, dtype=float) for p in np.atleast_2d(extra_points)]
+    add = []
+    for s in snap:
+        s = np.asarray(s, dtype=float).reshape(problem.n)
+        if not ((pts == s).all(axis=1).any() or any((a == s).all() for a in add)):
+            add.append(s)
+    if add:
+        pts = np.vstack([pts, np.asarray(add)])
+    return pts
+
+
+def _reference_is_weak_pareto(problem, y, grid, tol=1e-9):
+    """Reference: the former query, which copied the feasible rows, then the
+    evaluable ones, and reduced over the objective axis."""
+    def objectives(X):
+        return eval_columns([fn.composed for fn in problem.objectives], problem.env_x(X))
+
+    y = np.asarray(y, dtype=float).reshape(problem.n)
+    rep = feasible(problem, y, tol)
+    if not rep.feasible:
+        raise InfeasiblePointError(
+            f"query point {y.tolist()} infeasible (worst violation {rep.worst:.3g})")
+    pts = _reference_build_grid(problem, grid, extra_points=y[None, :])
+    keep = constraint_slacks(problem, pts)[2] <= tol
+    fpts = pts[keep]
+    F, bad = objectives(fpts)
+    fpts, F = fpts[~bad], F[~bad]
+    fy, bady = objectives(y[None, :])
+    if bady.any():
+        raise InfeasiblePointError(f"objectives do not evaluate at {y.tolist()}")
+    better = (F < fy[0] - tol).all(axis=1)
+    if better.any():
+        i = int(np.argmax(better))
+        return False, {"x": fpts[i].tolist(), "objectives": F[i].tolist(),
+                       "query_objectives": fy[0].tolist()}
+    return True, None
+
+
+def _cube(n, candidates=(), objectives=None, ineq=()):
+    """[-1, 1]^n with identity E; log(y1) fails on the left half."""
+    return load_problem({
+        "n": n, "E": [f"x{j + 1}" for j in range(n)],
+        "eta": [f"u{j + 1} - v{j + 1}" for j in range(n)],
+        "objectives": objectives or ["log(y1)", " + ".join(f"y{j + 1}" for j in range(n))],
+        "ineq": list(ineq), "box": {"lo": [-1.0] * n, "hi": [1.0] * n},
+        "candidates": [{"name": f"c{i}", "x": list(x)} for i, x in enumerate(candidates)]})
+
+
+def _same_grid(a, b):
+    """Equal shapes and equal bits, so -0.0 and 0.0 count as different."""
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("counts", [(5,), (4,), (1,), (5, 3), (4, 4), (3, 4, 5), (2, 1, 3)])
+def test_build_grid_matches_the_reference(counts):
+    n = len(counts)
+    grid = GridSpec(counts)
+    lattice = _reference_build_grid(_cube(n), grid)
+    off = np.full(n, 0.3)
+    neg_zero = np.full(n, -0.0)   # on the lattice where an axis holds 0.0
+    mixed = lattice[-1].copy()
+    mixed[0] = 0.3                # on the lattice in every axis but one
+    cases = [
+        ([], None),
+        ([lattice[0], off], None),                       # on and off the lattice
+        ([off, off], [off]),                             # duplicates, candidate and extra
+        ([neg_zero, -neg_zero], [neg_zero, lattice[len(lattice) // 2]]),  # -0.0 == 0.0
+        ([mixed, off], np.stack([lattice[-1], mixed, -off])),
+    ]
+    for candidates, extra in cases:
+        p = _cube(n, candidates)
+        got = build_grid(p, grid, extra)
+        assert _same_grid(got, _reference_build_grid(p, grid, extra)), (counts, candidates, extra)
+
+
+def _query_cases(problem, grid, rng, k):
+    """k seeded points: half drawn from the lattice, half anywhere in the box."""
+    lattice = _reference_build_grid(problem, grid)
+    on = lattice[rng.integers(0, lattice.shape[0], k // 2)]
+    off = rng.uniform(problem.lo, problem.hi, size=(k - k // 2, problem.n))
+    return np.concatenate([on, off])
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except InfeasiblePointError as e:
+        return "error", str(e)
+
+
+@pytest.mark.parametrize("tol", [1e-9, 0.0])  # 0: exact ties between grid rows
+@pytest.mark.parametrize("counts", [(21, 21), (17, 9)])
+def test_queries_match_the_reference_on_the_oracle_problem(counts, tol):
+    p = load_problem(ORACLE)
+    grid = GridSpec(counts)
+    errors = 0
+    for y in _query_cases(p, grid, np.random.default_rng(list(counts)), 40):
+        got = _outcome(is_weak_pareto, p, y, grid, tol)
+        assert got == _outcome(_reference_is_weak_pareto, p, y, grid, tol), y.tolist()
+        errors += got[0] == "error"
+    assert 0 < errors < 40  # infeasible and failing points are among the draws
+
+
+# log(y1) fails below 0; -exp(800*y1) is -inf above 0.89, where it would
+# beat every query with the second objective if failed rows were not masked
+@pytest.mark.parametrize("first,sign", [("log(y1)", ""), ("-exp(800*y1)", "-")])
+@pytest.mark.parametrize("counts", [(9,), (6, 5), (5, 4, 3)])
+def test_queries_match_the_reference_in_one_to_three_dimensions(counts, first, sign):
+    n = len(counts)
+    total = " + ".join(f"y{j + 1}" for j in range(n))
+    # the constraint cuts off a corner of the cube
+    p = _cube(n, [np.full(n, 0.37)], objectives=[first, f"{sign}({total})"],
+              ineq=[f"-0.5 - ({total})"])
+    grid = GridSpec(counts)
+    for tol in (1e-9, 0.0):
+        for y in _query_cases(p, grid, np.random.default_rng(n), 20):
+            got = _outcome(is_weak_pareto, p, y, grid, tol)
+            assert got == _outcome(_reference_is_weak_pareto, p, y, grid, tol), y.tolist()
+
+
+def test_query_memory_stays_within_four_grid_arrays(vp1):
+    grid = GridSpec((401, 401))
+    is_weak_pareto(vp1, [1.0, 1.0], grid)  # first-call allocations are not the query's
+    tracemalloc.start()
+    try:
+        ok, _ = is_weak_pareto(vp1, [1.0, 1.0], grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not ok
+    assert peak < 4 * 401 * 401 * 2 * 8  # 10.3 MB; the copying query peaked at 14.6 MB
+
+
+def test_build_grid_refuses_points_outside_the_box():
+    p = _line(["y1"], lo=0.0, hi=1.0, candidates=[{"name": "c", "x": [5.0]}])
+    with pytest.raises(InfeasiblePointError) as exc:
+        build_grid(p, GridSpec((5,)))
+    assert "[5.0]" in str(exc.value)
+    q = _line(["y1"], lo=0.0, hi=1.0)
+    for bad in ([-1e-12], [1.0000001], [float("nan")]):
+        with pytest.raises(InfeasiblePointError):
+            build_grid(q, GridSpec((5,)), [bad])
+    assert build_grid(q, GridSpec((5,)), [[0.0], [1.0]]).shape == (5, 1)  # the box is closed
 
 
 def test_build_grid_snaps_candidates_once():
