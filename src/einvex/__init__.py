@@ -13,5 +13,5 @@ from .invexity import (InvexKind, PreinvexKind, check_invex, check_preinvex,  # 
                        epigraph_invex_check, gradient_monotonicity, level_set_invex_check)
 from .kkt import Certificate, KktPoint, certify, solve_multipliers, verify_kkt_point  # noqa: F401
 from .pareto import GridSpec, e_minimizer_check, grid_oracle, is_weak_pareto  # noqa: F401
-from .problem import (EProblem, SampleConfig, Verdict, active_sets, einvex_set_check,  # noqa: F401
-                      feasible, load_problem)
+from .problem import (EProblem, SampleConfig, Verdict, einvex_set_check, load_problem,  # noqa: F401
+                      point_slacks)

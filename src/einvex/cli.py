@@ -4,7 +4,8 @@ Subcommands: parse, check, kkt, certify, oracle.  Every run prints either a
 human-readable report or, with --format json, a machine-readable one whose
 bytes are identical across reruns with the same flags (except the wall-time
 field).  Exit codes: 0 holds/certified/pass, 1 fails/not-established,
-2 inconclusive, 3 bad input.
+2 inconclusive, 3 bad input, such as an ignored flag or a point outside
+the box or, judged on the feasible set, infeasible.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .invexity import (InvexKind, PreinvexKind, check_invex, check_preinvex,
 from .kkt import THEOREMS, KktPoint, certify, solve_multipliers, verify_kkt_point
 from .pareto import GridSpec, dump_csv, e_minimizer_check, grid_oracle, is_weak_pareto
 from .problem import (SampleConfig, _jsonable, box_region, einvex_set_check, feasible_region,
-                      load_problem)
+                      load_problem, point_slacks, require_in_box)
 
 DEFAULT_SEED = 42
 EXIT_BY_CONCLUSION = {
@@ -35,8 +36,10 @@ EXIT_BY_CONCLUSION = {
     "inconclusive": 2,
 }
 
-CHECK_KINDS = tuple(k.value for k in PreinvexKind) + tuple(k.value for k in InvexKind) + (
-    "monotone-gradient", "strict-monotone-gradient", "epigraph", "level-set", "invex-set")
+PREINVEX_KINDS = tuple(k.value for k in PreinvexKind)
+INVEX_KINDS = tuple(k.value for k in InvexKind)
+MONOTONE_KINDS = ("monotone-gradient", "strict-monotone-gradient")
+CHECK_KINDS = PREINVEX_KINDS + INVEX_KINDS + MONOTONE_KINDS + ("epigraph", "level-set", "invex-set")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -147,7 +150,8 @@ def _sample_config(ns) -> SampleConfig:
 
 def _digest(path):
     try:
-        return hashlib.sha256(open(path, "rb").read()).hexdigest()
+        with open(path, "rb") as fh:
+            return hashlib.sha256(fh.read()).hexdigest()
     except OSError:
         return None
 
@@ -192,11 +196,22 @@ def _cmd_parse(ns):
 
 
 def _cmd_check(ns):
+    kind = ns.kind
+    # a flag the chosen kind would ignore is refused, not dropped
+    if ns.function and kind == "invex-set":
+        raise CliUsageError("invex-set checks the region itself and takes no --function")
+    if ns.at and kind not in INVEX_KINDS + MONOTONE_KINDS:
+        raise CliUsageError(f"--at pins the base point of the gradient family; {kind} has none")
+    if ns.naive and kind not in PREINVEX_KINDS:
+        raise CliUsageError("--naive applies to the four *-preinvex kinds only")
+    if ns.levels and kind != "level-set":
+        raise CliUsageError("--levels applies to kind level-set only")
     problem = load_problem(ns.problem)
     cfg = _sample_config(ns)
     region = feasible_region(problem, cfg.tol) if ns.region == "feasible" else box_region(problem, cfg.tol)
-    at = _resolve_point(problem, ns.at) if ns.at else None
-    kind = ns.kind
+    at = require_in_box(problem, _resolve_point(problem, ns.at), "--at point") if ns.at else None
+    if at is not None and ns.region == "feasible":  # the rule of the region sampled
+        point_slacks(problem, at, cfg.tol, "--at point")
     extra = {"kind": kind, "function": ns.function, "at": None if at is None else list(map(float, at)),
              "region": ns.region, "naive": bool(ns.naive)}
 
@@ -207,11 +222,11 @@ def _cmd_check(ns):
             raise CliUsageError(f"--function is required for kind {kind}")
         fn = problem.function(ns.function)
         mode = "naive" if ns.naive else "log"
-        if kind in tuple(k.value for k in PreinvexKind):
+        if kind in PREINVEX_KINDS:
             verdict = check_preinvex(fn, problem, PreinvexKind(kind), cfg, region=region, mode=mode)
-        elif kind in tuple(k.value for k in InvexKind):
+        elif kind in INVEX_KINDS:
             verdict = check_invex(fn, problem, InvexKind(kind), cfg, at=at, region=region)
-        elif kind in ("monotone-gradient", "strict-monotone-gradient"):
+        elif kind in MONOTONE_KINDS:
             verdict = gradient_monotonicity(fn, problem, cfg, strict=kind.startswith("strict"),
                                             region=region, at=at)
         elif kind == "epigraph":
@@ -231,15 +246,12 @@ def _cmd_check(ns):
 
 
 def _kkt_point_from_candidate(problem, cand):
-    p, m, q = len(problem.objectives), len(problem.ineq), len(problem.eq)
+    """The stored multipliers; load_problem has checked their lengths."""
     if cand.tau is None:
         raise CliUsageError(f"candidate {cand.name!r} carries no multipliers to verify")
-    rho = cand.rho if cand.rho is not None else np.zeros(m)
-    xi = cand.xi if cand.xi is not None else np.zeros(q)
-    if len(cand.tau) != p or len(rho) != m or len(xi) != q:
-        raise CliUsageError(f"candidate {cand.name!r} multiplier lengths do not match the problem")
-    return KktPoint(cand.x, np.asarray(cand.tau, float), np.asarray(rho, float),
-                    np.asarray(xi, float))
+    rho = cand.rho if cand.rho is not None else np.zeros(len(problem.ineq))
+    xi = cand.xi if cand.xi is not None else np.zeros(len(problem.eq))
+    return KktPoint(cand.x, cand.tau, rho, xi)
 
 
 def _cmd_kkt(ns):
@@ -286,6 +298,7 @@ def _cmd_certify(ns):
     rep = _base_report(ns, {"candidate": ns.candidate, "theorem": ns.theorem,
                             "use_supplied": bool(ns.use_supplied)})
     if ns.use_supplied:
+        point_slacks(problem, cand.x, cfg.tol, "candidate")  # refused as the solve path refuses it
         point = _kkt_point_from_candidate(problem, cand)
     else:
         try:

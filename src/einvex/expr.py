@@ -26,10 +26,11 @@ from .rng import SampleStream
 
 UNARY_FUNCTIONS = ("exp", "log", "sqrt", "cbrt")
 
-# Number of probe points and relative tolerance used when validating a
-# hand-supplied composed form against direct substitution.
+# Number of probe points, relative tolerance and probe seed used when
+# validating a hand-supplied composed form against direct substitution.
 OVERRIDE_SAMPLES = 256
 OVERRIDE_TOL = 1e-9
+OVERRIDE_SEED = 42
 
 
 class Expr:
@@ -524,13 +525,14 @@ def substitute(node: Expr, mapping: Mapping[str, Expr]) -> Expr:
 
 
 def compose(f: Expr, inner: Sequence[Expr], inner_vars: Sequence[str], box_lo, box_hi,
-            override: Optional[Expr] = None, seed: int = 42) -> Expr:
+            override: Optional[Expr] = None) -> Expr:
     """Build f after the substitution y_i := inner_i(x).
 
     ``f`` is written over y1..yn; each ``inner[i]`` is written over the
     problem variables.  When ``override`` is given it is validated against
-    the direct substitution on OVERRIDE_SAMPLES points of the box (relative
-    tolerance OVERRIDE_TOL) and then used verbatim; a mismatch raises
+    the direct substitution on OVERRIDE_SAMPLES points of the box, drawn
+    with OVERRIDE_SEED (relative tolerance OVERRIDE_TOL), and then used
+    verbatim; a mismatch raises
     ComposeMismatchError carrying the worst point.
     """
     mapping = {f"y{i + 1}": inner[i] for i in range(len(inner))}
@@ -543,7 +545,7 @@ def compose(f: Expr, inner: Sequence[Expr], inner_vars: Sequence[str], box_lo, b
     extra = override.variables() - set(inner_vars)
     if extra:
         raise ComposeMismatchError(f"composed form uses undeclared variables {sorted(extra)}")
-    stream = SampleStream(seed, "compose-validate")
+    stream = SampleStream(OVERRIDE_SEED, "compose-validate")
     pts = stream.box(np.asarray(box_lo, float), np.asarray(box_hi, float), OVERRIDE_SAMPLES)
     env = {name: pts[:, j] for j, name in enumerate(inner_vars)}
     sub = eval_many(substituted, env)

@@ -172,7 +172,7 @@ def preinvex_sides(fn: ProblemFunction, problem: EProblem, x, x0, tau: float) ->
 
 def check_preinvex(fn: ProblemFunction, problem: EProblem, kind: PreinvexKind,
                    cfg: SampleConfig = SampleConfig(), region: Optional[Region] = None,
-                   mode: str = "log", vacuous_policy: str = "inconclusive") -> Verdict:
+                   mode: str = "log") -> Verdict:
     """Check one mixture-family definition of exp(f) along eta-paths."""
     kind = PreinvexKind(kind)
 
@@ -193,7 +193,7 @@ def check_preinvex(fn: ProblemFunction, problem: EProblem, kind: PreinvexKind,
         sat, nonvac = preinvex_masks(s, kind, cfg, mode)
         return Judgement(sat, witness, nonvac)
 
-    return sampled_verdict(lambda: preinvex_pairs(fn, problem, cfg, region), judge, vacuous_policy)
+    return sampled_verdict(lambda: preinvex_pairs(fn, problem, cfg, region), judge, "inconclusive")
 
 
 # ---------------------------------------------------------------------------
@@ -395,8 +395,7 @@ def check_invex(fn: ProblemFunction, problem: EProblem, kind: InvexKind,
 
 def gradient_monotonicity(fn: ProblemFunction, problem: EProblem,
                           cfg: SampleConfig = SampleConfig(), strict: bool = False,
-                          region: Optional[Region] = None, at=None,
-                          vacuous_policy: str = "inconclusive") -> Verdict:
+                          region: Optional[Region] = None, at=None) -> Verdict:
     """Monotone-gradient consequence of the invexity inequality.
 
     Tests (grad F(x) e^{F(x)} - grad F(x0) e^{F(x0)}) . eta >= 0 with both
@@ -430,7 +429,7 @@ def gradient_monotonicity(fn: ProblemFunction, problem: EProblem,
 
     return sampled_verdict(
         lambda: invex_pairs(fn, problem, cfg, at=at, region=region, probes=strict, want_gx=True),
-        judge, vacuous_policy)
+        judge, "inconclusive")
 
 
 # ---------------------------------------------------------------------------
@@ -439,13 +438,12 @@ def gradient_monotonicity(fn: ProblemFunction, problem: EProblem,
 
 
 def epigraph_invex_check(fn: ProblemFunction, problem: EProblem,
-                         cfg: SampleConfig = SampleConfig(), region: Optional[Region] = None,
-                         level_span: float = LEVEL_SPAN) -> Verdict:
+                         cfg: SampleConfig = SampleConfig(), region: Optional[Region] = None) -> Verdict:
     """Invexity of the region above exp(f) over the image of E.
 
     Each sampled pair is lifted twice: once with tight levels (exactly
     exp(f) at both endpoints) and once with independently drawn headroom in
-    (0, level_span].  The tight instance makes this check fail exactly when
+    (0, LEVEL_SPAN].  The tight instance makes this check fail exactly when
     the mixture inequality fails on the same sample; the slack instance
     exercises genuinely interior epigraph points.
     """
@@ -454,8 +452,8 @@ def epigraph_invex_check(fn: ProblemFunction, problem: EProblem,
         r1 = SampleStream(cfg.seed, "level-x").uniform(N)
         r2 = SampleStream(cfg.seed, "level-x0").uniform(N)
         with np.errstate(divide="ignore"):
-            lift_a = np.logaddexp(s.A, np.log(level_span * r1))
-            lift_b = np.logaddexp(s.B, np.log(level_span * r2))
+            lift_a = np.logaddexp(s.A, np.log(LEVEL_SPAN * r1))
+            lift_b = np.logaddexp(s.B, np.log(LEVEL_SPAN * r2))
         mix_rand = _mix_log(s.T, lift_a[:, None], lift_b[:, None])
         sat = np.stack([s.C <= s.mix_log + cfg.tol, s.C <= mix_rand + cfg.tol], axis=-1)
 

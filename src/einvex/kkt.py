@@ -14,7 +14,8 @@ when r* exceeds the tolerance), then the largest smallest objective weight
 at residual r* (so no objective is silently dropped), then the smallest
 sum(rho) + sum(|xi|) at that weight.  The last step is an L1 tie-break: it
 picks a vertex of the optimal set, which coincides with the minimum
-Euclidean norm only where the multipliers are unique.
+Euclidean norm only where the multipliers are unique.  Every function
+here admits y by problem.point_slacks, whose g gives the active set.
 """
 
 from __future__ import annotations
@@ -25,10 +26,9 @@ from typing import Optional
 import numpy as np
 
 from . import expr as ex
-from .errors import EinvexError, InfeasibleMultipliersError, InfeasiblePointError
+from .errors import EinvexError, InfeasibleMultipliersError
 from .invexity import InvexKind, check_invex
-from .problem import (EProblem, SampleConfig, Verdict, _jsonable, active_sets, feasible,
-                      feasible_region)
+from .problem import EProblem, SampleConfig, Verdict, _jsonable, feasible_region, point_slacks
 
 
 @dataclass
@@ -87,13 +87,11 @@ def verify_kkt_point(problem: EProblem, point: KktPoint, tol: float = 1e-9) -> K
     """Residuals of the first-order system for supplied multipliers.
 
     The check is scale-free: multiplying all multipliers by c > 0 scales
-    the residuals by c and cannot flip any sign condition.
+    the residuals by c and cannot flip any sign condition.  The point is
+    admitted by point_slacks, whose g gives the complementarity residual.
     """
     y = np.asarray(point.y, dtype=float)
-    rep = feasible(problem, y, tol)
-    if not rep.feasible:
-        raise InfeasiblePointError(
-            f"candidate {y.tolist()} infeasible (worst violation {rep.worst:.3g})")
+    g, _ = point_slacks(problem, y, tol, "candidate")
     p, m, q = len(problem.objectives), len(problem.ineq), len(problem.eq)
     tau = np.asarray(point.tau, dtype=float).reshape(p)
     rho = np.asarray(point.rho, dtype=float).reshape(m)
@@ -105,7 +103,7 @@ def verify_kkt_point(problem: EProblem, point: KktPoint, tol: float = 1e-9) -> K
     lam = np.concatenate([tau, rho, xi])
     stat = A @ lam
     r_stat = float(np.max(np.abs(stat))) if stat.size else 0.0
-    r_comp = float(np.max(np.abs(rho * rep.g_values))) if m else 0.0
+    r_comp = float(np.max(np.abs(rho * g))) if m else 0.0
     neg = 0.0
     if p:
         neg = max(neg, float(-np.min(tau)))
@@ -176,16 +174,14 @@ def solve_multipliers(problem: EProblem, y, tol: float = 1e-9) -> KktPoint:
     The multipliers are the three-LP choice the module docstring describes.
     Inactive inequality multipliers are zero by construction, so
     complementarity holds exactly.  Raises InfeasibleMultipliersError
-    carrying r* when r* > tol, and InfeasiblePointError when y itself is
-    infeasible.
+    carrying r* when r* > tol, and the errors of point_slacks when y is not
+    an admissible point.  The active inequalities (|g| <= tol) come from
+    that one evaluation of the constraints at y.
     """
     y = np.asarray(y, dtype=float).reshape(problem.n)
-    rep = feasible(problem, y, tol)
-    if not rep.feasible:
-        raise InfeasiblePointError(
-            f"candidate {y.tolist()} infeasible (worst violation {rep.worst:.3g})")
+    g, _ = point_slacks(problem, y, tol, "candidate")
     p, m, q = len(problem.objectives), len(problem.ineq), len(problem.eq)
-    active = active_sets(problem, y, tol).active_ineq
+    active = np.flatnonzero(np.abs(g) <= tol)
     ma = len(active)
     H = _gradient_columns(problem, y, problem.eq)
     A = np.hstack([_gradient_columns(problem, y, problem.objectives),
@@ -249,7 +245,8 @@ def certify(problem: EProblem, point: KktPoint, theorem: str,
             cfg: SampleConfig = SampleConfig()) -> Certificate:
     """Check the sampled hypotheses of one sufficiency theorem at a point.
 
-    The point must first pass the first-order verification; then every
+    The point must first pass the first-order verification (a point that
+    point_slacks refuses fails it, so it is "not-established"); then every
     hypothesis function is checked for its required generalized-invexity
     kind with the base point pinned at y and moving points drawn from the
     feasible region.  Implication-form hypotheses whose antecedent never
@@ -267,7 +264,7 @@ def certify(problem: EProblem, point: KktPoint, theorem: str,
 
     try:
         rep = verify_kkt_point(problem, point, cfg.tol)
-    except (InfeasiblePointError, EinvexError) as e:
+    except EinvexError as e:
         return Certificate(key, spec["tag"], spec["claim"], point, "not-established",
                            None, [], None, f"first-order verification failed: {e}")
     if not rep.passes:
@@ -275,11 +272,12 @@ def certify(problem: EProblem, point: KktPoint, theorem: str,
                            rep, [], None,
                            "point does not satisfy the first-order system: " + "; ".join(rep.notes))
 
-    acts = active_sets(problem, point.y, cfg.tol, xi=point.xi)
+    g, _ = point_slacks(problem, point.y, cfg.tol, "candidate")
+    xi = np.asarray(point.xi, dtype=float)
     plan = [(fn, spec["objectives"]) for fn in problem.objectives]
-    plan += [(problem.ineq[k], spec["constraints"]) for k in acts.active_ineq]
-    plan += [(problem.eq[j], spec["constraints"]) for j in acts.eq_plus]
-    plan += [(problem.eq[j].negated(), spec["constraints"]) for j in acts.eq_minus]
+    plan += [(problem.ineq[k], spec["constraints"]) for k in np.flatnonzero(np.abs(g) <= cfg.tol)]
+    plan += [(problem.eq[j], spec["constraints"]) for j in np.flatnonzero(xi > cfg.tol)]
+    plan += [(problem.eq[j].negated(), spec["constraints"]) for j in np.flatnonzero(xi < -cfg.tol)]
 
     region = feasible_region(problem, cfg.tol)
     hyps = [HypothesisResult(fn.name, kind.value,

@@ -19,8 +19,9 @@ N |M| at MAX_COMPARISONS, checked while M grows.
 
 The grid is the box lattice plus the candidates and the query point that
 are not lattice points; a point outside the box has no verdict and is
-refused.  A point query is one masked pass over the whole grid, with no
-copies of the point or objective rows.
+refused (problem.require_in_box), and a query point must also be feasible
+(problem.point_slacks).  A point query is one masked pass over the whole
+grid, with no copies of the point or objective rows.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ import numpy as np
 from . import expr as ex
 from .errors import GridGuardError, InfeasiblePointError
 from .problem import (EProblem, ProblemFunction, _jsonable, constraint_slacks, eval_columns,
-                      feasible)
+                      point_slacks, require_in_box)
 
 MAX_GRID_POINTS = 10_000_000
 MAX_COMPARISONS = 20_000 ** 2  # feasible points times minimal objective rows
@@ -68,8 +69,9 @@ def build_grid(problem: EProblem, grid: GridSpec, extra_points=None) -> np.ndarr
 
     The lattice is filled in place, one broadcast assignment per axis.  A
     point is a lattice point when each coordinate equals some value of its
-    axis, O(sum of counts) per point.  A point outside the box, or with a
-    nan coordinate, raises InfeasiblePointError.
+    axis, O(sum of counts) per point.  Each point is admitted by
+    require_in_box: one outside the box, or with a nan coordinate, raises
+    InfeasiblePointError.
     """
     n = problem.n
     if len(grid.counts) != n:
@@ -80,11 +82,7 @@ def build_grid(problem: EProblem, grid: GridSpec, extra_points=None) -> np.ndarr
         snap += list(np.atleast_2d(extra_points))
     add = []
     for s in snap:
-        s = np.asarray(s, dtype=float).reshape(n)
-        if not np.all((problem.lo <= s) & (s <= problem.hi)):
-            raise InfeasiblePointError(
-                f"point {s.tolist()} lies outside the box [{problem.lo.tolist()}, "
-                f"{problem.hi.tolist()}]")
+        s = require_in_box(problem, s)
         on_lattice = all((a == v).any() for a, v in zip(axes, s))
         if not (on_lattice or any((a == s).all() for a in add)):
             add.append(s)
@@ -242,13 +240,12 @@ def is_weak_pareto(problem: EProblem, y, grid: Optional[GridSpec] = None, tol: f
     grid order, whose objectives all evaluate and are all below those of y
     by more than tol.  The queried point itself always joins the grid.
 
-    One masked pass over the grid: no point or objective rows are copied.
+    y is admitted by point_slacks first, so a query outside the box or
+    infeasible raises InfeasiblePointError.  One masked pass over the grid:
+    no point or objective rows are copied.
     """
     y = np.asarray(y, dtype=float).reshape(problem.n)
-    rep = feasible(problem, y, tol)
-    if not rep.feasible:
-        raise InfeasiblePointError(
-            f"query point {y.tolist()} infeasible (worst violation {rep.worst:.3g})")
+    point_slacks(problem, y, tol, "query point")
     pts, better, F, bad = _grid_values(problem, grid, tol, extra_points=y[None, :])
     fy, bady = _objective_matrix(problem, y[None, :])
     if bady.any():

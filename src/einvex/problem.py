@@ -5,7 +5,8 @@ inequality constraints g_k (g <= 0), equality constraints h_j (h = 0), a
 domain box, and named candidate points.  Every function is kept in two
 forms: raw (over the image variables y1..yn) and composed (over the
 problem variables), with hand-supplied composed forms validated against
-direct substitution at load time.
+direct substitution at load time.  A single point judged on its own is
+admitted by point_slacks; sampled and grid points are filtered instead.
 """
 
 from __future__ import annotations
@@ -22,6 +23,9 @@ from . import expr as ex
 from .errors import (ComposeMismatchError, DomainEvalError, InfeasiblePointError, ParseError,
                      ProblemFormatError, SamplingStarvedError)
 from .rng import SampleStream, tau_grid
+
+
+MAX_ROUNDS = 64  # proposal rounds of sample_region before it reports starvation
 
 
 @dataclass(frozen=True)
@@ -346,20 +350,8 @@ def load_problem(source) -> EProblem:
 
 
 # ---------------------------------------------------------------------------
-# Feasibility and active sets
+# Constraint slacks and the single-point admission gate
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class FeasibilityReport:
-    feasible: bool
-    g_values: np.ndarray  # g_k(E(x)); feasible when <= tol
-    h_values: np.ndarray  # h_j(E(x)); feasible when |.| <= tol
-    worst: float          # largest violation, 0 when feasible
-
-    def to_dict(self):
-        return {"feasible": self.feasible, "g_values": _jsonable(self.g_values),
-                "h_values": _jsonable(self.h_values), "worst": _jsonable(self.worst)}
 
 
 def constraint_slacks(problem: EProblem, X):
@@ -384,43 +376,29 @@ def constraint_slacks(problem: EProblem, X):
     return [r.values for r in g], [r.values for r in h], worst, node
 
 
-def feasible(problem: EProblem, x, tol: float = 1e-9) -> FeasibilityReport:
-    """Constraint slacks of a single point (evaluated through composed forms)."""
-    x = np.asarray(x, dtype=float).reshape(1, problem.n)
-    g, h, worst, node = constraint_slacks(problem, x)
+def require_in_box(problem: EProblem, x, role: str = "point") -> np.ndarray:
+    """x as an (n,) array; InfeasiblePointError unless lo <= x <= hi, with no
+    tolerance (a nan coordinate lies outside).  ``role`` names the point."""
+    x = np.asarray(x, dtype=float).reshape(problem.n)
+    if not np.all((problem.lo <= x) & (x <= problem.hi)):
+        raise InfeasiblePointError(f"{role} {x.tolist()} lies outside the box "
+                                   f"[{problem.lo.tolist()}, {problem.hi.tolist()}]")
+    return x
+
+
+def point_slacks(problem: EProblem, x, tol: float = 1e-9, role: str = "point"):
+    """The slacks g (m,), h (q,) of a single point judged on its own, from one
+    constraint_slacks call, once it lies in the box (require_in_box).  Raises
+    DomainEvalError where a constraint leaves its domain, and
+    InfeasiblePointError where g > tol or |h| > tol (nan included).
+    """
+    x = require_in_box(problem, x, role)
+    g, h, worst, node = constraint_slacks(problem, x[None, :])
     if node is not None:
-        raise DomainEvalError(node, point=list(map(float, x[0])))
-    worst = max(0.0, float(worst[0]))
-    return FeasibilityReport(worst <= tol, np.array([c[0] for c in g], dtype=float),
-                             np.array([c[0] for c in h], dtype=float), worst)
-
-
-@dataclass
-class ActiveSets:
-    """0-based index sets; report labels are 1-based names like g2."""
-
-    active_ineq: list   # k with |g_k(E(y))| <= tol
-    eq_plus: list       # j with xi_j > tol
-    eq_minus: list      # j with xi_j < -tol
-
-    def to_dict(self):
-        return {"active_ineq": self.active_ineq, "eq_plus": self.eq_plus, "eq_minus": self.eq_minus}
-
-
-def active_sets(problem: EProblem, y, tol: float = 1e-9, xi=None) -> ActiveSets:
-    rep = feasible(problem, y, tol)
-    if not rep.feasible:
-        raise InfeasiblePointError(
-            f"point {list(map(float, np.asarray(y, float)))} infeasible (worst violation {rep.worst:.3g})")
-    active = [k for k, v in enumerate(rep.g_values) if abs(v) <= tol]
-    plus, minus = [], []
-    if xi is not None:
-        for j, v in enumerate(np.asarray(xi, dtype=float)):
-            if v > tol:
-                plus.append(j)
-            elif v < -tol:
-                minus.append(j)
-    return ActiveSets(active, plus, minus)
+        raise DomainEvalError(node, point=x.tolist())
+    if worst[0] > tol:
+        raise InfeasiblePointError(f"{role} {x.tolist()} infeasible (worst violation {worst[0]:.3g})")
+    return np.array([c[0] for c in g], dtype=float), np.array([c[0] for c in h], dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -457,17 +435,17 @@ def feasible_region(problem: EProblem, tol: float = 1e-9) -> Region:
     return Region("feasible", contains)
 
 
-def sample_region(problem: EProblem, stream: SampleStream, count: int, region: Region,
-                  max_rounds: int = 64) -> np.ndarray:
+def sample_region(problem: EProblem, stream: SampleStream, count: int, region: Region) -> np.ndarray:
     """Uniform points of the box kept when region accepts them.
 
     Deterministic given the stream; raises SamplingStarvedError when the
-    acceptance rate is too low to collect `count` points.
+    acceptance rate is too low to collect `count` points in MAX_ROUNDS
+    proposal rounds.
     """
     got = []
     have = 0
     chunk = max(count, 1024)
-    for _ in range(max_rounds):
+    for _ in range(MAX_ROUNDS):
         pts = stream.box(problem.lo, problem.hi, chunk)
         keep = pts[region.contains(pts)]
         if keep.size:
@@ -477,7 +455,7 @@ def sample_region(problem: EProblem, stream: SampleStream, count: int, region: R
             return np.concatenate(got, axis=0)[:count]
     raise SamplingStarvedError(
         f"could not draw {count} points from region '{region.name}' "
-        f"({have} accepted after {max_rounds * chunk} proposals)")
+        f"({have} accepted after {MAX_ROUNDS * chunk} proposals)")
 
 
 def sample_pairs(problem: EProblem, cfg: SampleConfig, region: Region, at=None):

@@ -254,6 +254,65 @@ def test_oracle_refuses_points_outside_the_box(e1, tmp_path):
     assert code == 3 and "[5.0]" in text and "outside the box" in text
 
 
+@pytest.fixture()
+def vp1_outside(vp1_path, tmp_path):
+    """vp1 with a candidate at (3, 0): its constraints hold there, the box [0, 2]^2 does not."""
+    data = json.loads(vp1_path.read_text())
+    data["candidates"].append({"name": "out", "x": [3, 0], "tau": [0.5, 0.5], "rho": [1, 1]})
+    path = tmp_path / "vp1-outside.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+@pytest.mark.parametrize("command,flags", [
+    ("kkt", []),
+    ("kkt", ["--verify-supplied"]),
+    ("certify", ["--theorem", "t4"]),
+    ("certify", ["--theorem", "t4", "--use-supplied"]),
+    ("oracle", ["--grid", "5x5", "--query", "out"]),
+    ("check", ["--function", "f1", "--kind", "invex", "--at", "out"]),
+    ("check", ["--function", "f1", "--kind", "invex", "--at", "out", "--region", "feasible"]),
+], ids=["kkt", "kkt-verify-supplied", "certify", "certify-use-supplied", "oracle-query",
+        "check-at-box", "check-at-feasible"])
+def test_every_command_refuses_a_candidate_outside_the_box(vp1_outside, command, flags):
+    if command in ("kkt", "certify"):
+        flags = ["--candidate", "out", *flags]
+    code, text = run([command, vp1_outside, *flags])
+    assert code == 3
+    assert "[3.0, 0.0] lies outside the box [[0.0, 0.0], [2.0, 2.0]]" in text
+
+
+def test_check_at_is_admitted_by_the_rule_of_its_region(e1, vp1_path, tmp_path):
+    # example1's box is [-6, 0]; -9 used to answer "holds"
+    code, text = run(["check", e1, "--function", "f1", "--kind", "invex", "--at", "-9",
+                      "--pairs", "300"])
+    assert code == 3 and "--at point [-9.0] lies outside the box" in text
+    # on vp1 over [-1, 2]^2 the point (-0.5, 0.5) is in the box but infeasible
+    data = json.loads(vp1_path.read_text())
+    data["box"] = {"lo": [-1, -1], "hi": [2, 2]}
+    wide = tmp_path / "vp1-wide.json"
+    wide.write_text(json.dumps(data))
+    base = ["check", str(wide), "--function", "f2", "--kind", "monotone-gradient",
+            "--at=-0.5,0.5", "--pairs", "300"]
+    assert run(base)[0] != 3
+    code, text = run(base + ["--region", "feasible"])
+    assert code == 3 and "--at point [-0.5, 0.5] infeasible (worst violation 0.5)" in text
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--function", "f1", "--kind", "preinvex", "--at", "xbar"], "--at pins the base point"),
+    (["--function", "f1", "--kind", "epigraph", "--at", "-1"], "--at pins the base point"),
+    (["--function", "f1", "--kind", "invex", "--naive"], "--naive applies to"),
+    (["--function", "f1", "--kind", "epigraph", "--naive"], "--naive applies to"),
+    (["--function", "f1", "--kind", "quasi-preinvex", "--levels", "1"], "--levels applies to"),
+    (["--function", "f1", "--kind", "invex-set"], "takes no --function"),
+], ids=["at-preinvex", "at-epigraph", "naive-invex", "naive-epigraph", "levels-quasi-preinvex",
+        "function-invex-set"])
+def test_check_refuses_flags_its_kind_ignores(e1, argv, message):
+    code, text = run(["check", e1, *argv, "--pairs", "300"])
+    assert code == 3 and message in text
+
+
 def test_invex_set_kind_needs_no_function(vp1, tmp_path):
     code, rep = _json(["check", vp1, "--kind", "invex-set", "--pairs", "500",
                        "--format", "json"])

@@ -6,6 +6,7 @@ import random
 import numpy as np
 import pytest
 
+from einvex import expr as ex
 from einvex.errors import (
     EinvexError,
     InfeasibleMultipliersError,
@@ -113,6 +114,32 @@ def test_infeasible_candidate_raises(vp1, supplied):
                                        supplied.rho, supplied.xi))
     with pytest.raises(InfeasiblePointError):
         solve_multipliers(vp1, [-1.0, 0.0])
+
+
+def _count_constraint_evaluations(problem, monkeypatch):
+    """Rows evaluated per call of eval_many on a constraint's composed form."""
+    constraints = [fn.composed for fn in (*problem.ineq, *problem.eq)]
+    rows = []
+    real = ex.eval_many
+
+    def counting(node, env):
+        if any(node is c for c in constraints):
+            rows.append(ex._batch_shape(env))
+        return real(node, env)
+
+    monkeypatch.setattr(ex, "eval_many", counting)
+    return rows
+
+
+def test_solve_multipliers_evaluates_the_constraints_at_y_once(vp1, monkeypatch):
+    rows = _count_constraint_evaluations(vp1, monkeypatch)
+    point = solve_multipliers(vp1, [0.0, 0.0])
+    assert point.rho.tolist() == [0.75, 0.75]
+    assert len(rows) == len(vp1.ineq)  # one pass over the two constraints, one row each
+    assert all(r == (1,) for r in rows)
+    rows.clear()
+    verify_kkt_point(vp1, point)
+    assert len(rows) == len(vp1.ineq)
 
 
 # ---------------------------------------------------------------------------

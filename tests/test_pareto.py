@@ -20,7 +20,7 @@ from einvex.pareto import (
     is_weak_pareto,
     skyline_masks,
 )
-from einvex.problem import constraint_slacks, eval_columns, feasible, load_problem
+from einvex.problem import constraint_slacks, eval_columns, load_problem, point_slacks
 
 MAX_PAIRWISE = 20_000
 ORACLE = Path(__file__).resolve().parent / "golden" / "problems" / "oracle.json"
@@ -291,10 +291,7 @@ def _reference_is_weak_pareto(problem, y, grid, tol=1e-9):
         return eval_columns([fn.composed for fn in problem.objectives], problem.env_x(X))
 
     y = np.asarray(y, dtype=float).reshape(problem.n)
-    rep = feasible(problem, y, tol)
-    if not rep.feasible:
-        raise InfeasiblePointError(
-            f"query point {y.tolist()} infeasible (worst violation {rep.worst:.3g})")
+    point_slacks(problem, y, tol, "query point")
     pts = _reference_build_grid(problem, grid, extra_points=y[None, :])
     keep = constraint_slacks(problem, pts)[2] <= tol
     fpts = pts[keep]

@@ -1,11 +1,16 @@
-"""Problem loading, feasibility, active sets, regions, invex-set sampling."""
+"""Problem loading, single-point admission, active sets, regions, invex-set sampling."""
+
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from einvex import expr as ex
+from einvex import kkt
 from einvex.errors import (
     DomainEvalError,
+    InfeasibleMultipliersError,
     InfeasiblePointError,
     ProblemFormatError,
     SamplingStarvedError,
@@ -16,12 +21,12 @@ from einvex.problem import (
     SampleConfig,
     Verdict,
     Witness,
-    active_sets,
     box_region,
     einvex_set_check,
-    feasible,
     feasible_region,
     load_problem,
+    point_slacks,
+    require_in_box,
     sample_region,
 )
 from einvex.rng import SampleStream
@@ -156,84 +161,115 @@ def test_negated_function_flips_sign(vp1_path):
 
 
 # ---------------------------------------------------------------------------
-# feasibility and active sets
+# single-point admission (point_slacks) and active sets
 # ---------------------------------------------------------------------------
 
 
+def _vp1_wide(vp1_path):
+    """vp1 on the box [-1, 2]^2: its constraints x >= 0 now cut the box."""
+    data = json.loads(Path(vp1_path).read_text())
+    data["box"] = {"lo": [-1.0, -1.0], "hi": [2.0, 2.0]}
+    return load_problem(data)
+
+
 def test_feasible_vp1_slacks(vp1_path):
-    p = load_problem(vp1_path)
-    rep = feasible(p, [-0.5, 0.0])
-    assert not rep.feasible
-    assert rep.g_values.tolist() == [0.5, 0.0]
-    assert rep.worst == 0.5
+    p = _vp1_wide(vp1_path)
+    with pytest.raises(InfeasiblePointError) as exc:
+        point_slacks(p, [-0.5, 0.0])
+    assert str(exc.value) == "point [-0.5, 0.0] infeasible (worst violation 0.5)"
 
-    rep = feasible(p, [0.0, 0.0])
-    assert rep.feasible
-    assert rep.g_values.tolist() == [0.0, 0.0]
-    assert rep.worst == 0.0
+    g, h = point_slacks(p, [0.0, 0.0])
+    assert g.tolist() == [0.0, 0.0]
+    assert h.shape == (0,)
 
-    rep = feasible(p, [1.0, 1.0])
-    assert rep.feasible
-    assert rep.g_values.tolist() == [-1.0, -1.0]
+    g, _ = point_slacks(p, [1.0, 1.0])
+    assert g.tolist() == [-1.0, -1.0]
 
 
 def test_feasible_tolerance_is_monotone(vp1_path):
-    p = load_problem(vp1_path)
+    p = _vp1_wide(vp1_path)
     x = [-1e-8, 0.0]
-    assert not feasible(p, x, tol=1e-9).feasible
-    assert feasible(p, x, tol=1e-6).feasible
+    with pytest.raises(InfeasiblePointError):
+        point_slacks(p, x, tol=1e-9)
+    assert point_slacks(p, x, tol=1e-6)[0].tolist() == [1e-8, -0.0]
 
 
-def test_feasible_ignores_the_box(vp1_path):
-    # The box bounds the sampling/grid domain; feasibility is the constraint
-    # system alone, so points outside the box can still be "feasible".
+def test_point_slacks_refuses_points_outside_the_box(vp1_path):
+    # vp1's constraints hold at (3, 3), but the program lives on the box
+    # [0, 2]^2: the point is refused before any constraint is evaluated
     p = load_problem(vp1_path)
-    assert feasible(p, [3.0, 3.0]).feasible
+    with pytest.raises(InfeasiblePointError) as exc:
+        point_slacks(p, [3.0, 3.0], role="candidate")
+    assert str(exc.value) == ("candidate [3.0, 3.0] lies outside the box "
+                              "[[0.0, 0.0], [2.0, 2.0]]")
+    for bad in ([-1e-12, 1.0], [1.0, 2.0000001], [float("nan"), 1.0]):
+        with pytest.raises(InfeasiblePointError) as exc:
+            point_slacks(p, bad)
+        assert "outside the box" in str(exc.value)
+    assert point_slacks(p, [2.0, 2.0])[0].tolist() == [-2.0, -2.0]  # the box is closed
+    assert require_in_box(p, [[1, 2]]).tolist() == [1.0, 2.0]
 
 
 def test_feasible_equality_constraints():
     p = load_problem(_prob(n=2, E=["x1", "x2"], eta=["u1 - v1", "u2 - v2"],
                            objectives=["y1 + y2"], eq=["y1 - y2"],
                            box={"lo": [0.0, 0.0], "hi": [1.0, 1.0]}))
-    assert feasible(p, [0.3, 0.3]).feasible
-    rep = feasible(p, [0.3, 0.5])
-    assert not rep.feasible
-    assert rep.h_values.tolist() == [-0.2]
-    assert rep.worst == pytest.approx(0.2)
+    g, h = point_slacks(p, [0.3, 0.3])
+    assert g.shape == (0,) and h.tolist() == [0.0]
+    with pytest.raises(InfeasiblePointError) as exc:
+        point_slacks(p, [0.3, 0.5])
+    assert "worst violation 0.2)" in str(exc.value)
+    assert point_slacks(p, [0.3, 0.5], tol=0.5)[1].tolist() == [-0.2]
 
 
 def test_feasible_raises_on_domain_failure():
     p = load_problem(_prob(ineq=["log(y1)"], box={"lo": [-1.0], "hi": [1.0]}))
-    with pytest.raises(DomainEvalError):
-        feasible(p, [-0.5])
+    with pytest.raises(DomainEvalError) as exc:
+        point_slacks(p, [-0.5])
+    assert exc.value.point == [-0.5]
 
 
-def test_active_sets_vp1(vp1_path):
+def test_active_sets_vp1(vp1_path, monkeypatch):
+    # solve_multipliers gives a rho column to each inequality with |g| <= tol
+    # and to no other; at (1, 1) and (0, 1) no multipliers exist
     p = load_problem(vp1_path)
-    assert active_sets(p, [0.0, 0.0]).active_ineq == [0, 1]
-    assert active_sets(p, [1.0, 1.0]).active_ineq == []
-    assert active_sets(p, [0.0, 1.0]).active_ineq == [0]
+    active, real = [], kkt._lp_multipliers
+
+    def spy(A, n_obj, tol):
+        active.append(A.shape[1] - n_obj)
+        return real(A, n_obj, tol)
+
+    monkeypatch.setattr(kkt, "_lp_multipliers", spy)
+    assert kkt.solve_multipliers(p, [0.0, 0.0]).rho.tolist() == [0.75, 0.75]
+    for x in ([1.0, 1.0], [0.0, 1.0]):
+        with pytest.raises(InfeasibleMultipliersError):
+            kkt.solve_multipliers(p, x)
+    assert active == [2, 0, 1]
 
 
 def test_active_sets_partitions_equality_multipliers():
+    # certify checks h_j where xi_j > tol, -h_j where xi_j < -tol, and skips
+    # the rest; the equality's zero-volume feasible set starves every check
     p = load_problem(_prob(objectives=["y1"], eq=["y1", "y1", "y1"]))
-    s = active_sets(p, [0.0], xi=[0.5, -2.0, 0.0])
-    assert s.eq_plus == [0]
-    assert s.eq_minus == [1]
+    point = kkt.KktPoint(np.array([0.0]), np.array([1.0]), np.zeros(0), np.array([0.5, -1.5, 0.0]))
+    cert = kkt.certify(p, point, "t4", SampleConfig(n_pairs=10))
+    assert cert.residual.passes
+    assert [h.target for h in cert.hypotheses] == ["f1", "h1", "-h2"]
 
 
 def test_active_sets_rejects_infeasible_point(vp1_path):
-    p = load_problem(vp1_path)
+    p = _vp1_wide(vp1_path)
     with pytest.raises(InfeasiblePointError) as exc:
-        active_sets(p, [-1.0, 0.0])
-    assert "infeasible" in str(exc.value)
+        point_slacks(p, [-1.0, 0.0], role="candidate")
+    assert str(exc.value) == "candidate [-1.0, 0.0] infeasible (worst violation 1)"
 
 
 def test_nan_constraint_value_is_infeasible_everywhere():
     # exp(800) overflows, so at x = 1 the constraint is inf - inf = nan
     p = load_problem(_prob(ineq=["exp(800*y1) - exp(800*y1)"], box={"lo": [0.0], "hi": [1.0]}))
-    rep = feasible(p, [1.0])
-    assert not rep.feasible and rep.worst == np.inf
+    with pytest.raises(InfeasiblePointError) as exc:
+        point_slacks(p, [1.0])
+    assert "worst violation inf" in str(exc.value)
     assert feasible_region(p).contains(np.array([[1.0], [0.5]])).tolist() == [False, True]
     report = grid_oracle(p, GridSpec((5,)))
     assert report.grid[:, 0].tolist() == [0.0, 0.25, 0.5, 0.75, 1.0]
@@ -258,11 +294,13 @@ def test_feasibility_consumers_agree_row_by_row():
     outcomes = []
     for x in report.grid:
         try:
-            rep = feasible(p, x)
+            point_slacks(p, x)
         except DomainEvalError:
             outcomes.append("domain")
+        except InfeasiblePointError as e:
+            outcomes.append("nan" if "worst violation inf" in str(e) else False)
         else:
-            outcomes.append("nan" if rep.worst == np.inf else rep.feasible)
+            outcomes.append(True)
     assert {"domain", "nan", True, False} <= set(outcomes)
     singles = [o is True for o in outcomes]
     assert report.feasible.tolist() == singles
