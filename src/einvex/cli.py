@@ -15,6 +15,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import sys
 import time
 
@@ -49,15 +50,24 @@ class _Parser(argparse.ArgumentParser):
         raise CliUsageError(message)
 
 
-def _eps(text):
-    """--eps: a finite slack >= 0; a negative one would let a point beat itself."""
+def _number(text, ok, rule):
     try:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expects a number, got {text!r}") from None
-    if not (math.isfinite(value) and value >= 0.0):
-        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text!r}")
+    if not (math.isfinite(value) and ok(value)):
+        raise argparse.ArgumentTypeError(f"must be {rule}, got {text!r}")
     return value
+
+
+def _eps(text):
+    """--eps: a finite slack >= 0; a negative one would let a point beat itself."""
+    return _number(text, lambda v: v >= 0.0, "finite and >= 0")
+
+
+def _delta(text):
+    """--delta: a finite margin > 0; an infinite one would fail every strict kind."""
+    return _number(text, lambda v: v > 0.0, "finite and > 0")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -76,7 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--pairs", type=int, default=10000)
             sp.add_argument("--tau", type=int, default=8,
                             help="mixture weights per pair, anchors 0, 1/2, 1 included")
-            sp.add_argument("--delta", type=float, default=1e-7,
+            sp.add_argument("--delta", type=_delta, default=1e-7,
                             help="required margin for strict comparisons (default 1e-7)")
 
     sp = sub.add_parser("parse", help="parse and echo a problem file")
@@ -181,15 +191,12 @@ def _cmd_parse(ns):
         "n": problem.n, "vars": problem.vars,
         "E": [str(e) for e in problem.e_ops],
         "eta": [str(e) for e in problem.eta],
-        "objectives": [{"name": f.name, "raw": str(f.raw), "composed": str(f.composed),
-                        "override": f.has_override} for f in problem.objectives],
-        "ineq": [{"name": f.name, "raw": str(f.raw), "composed": str(f.composed),
-                  "override": f.has_override} for f in problem.ineq],
-        "eq": [{"name": f.name, "raw": str(f.raw), "composed": str(f.composed),
-                "override": f.has_override} for f in problem.eq],
-        "box": {"lo": problem.lo.tolist(), "hi": problem.hi.tolist()},
-        "candidates": [{"name": c.name, "x": c.x.tolist()} for c in problem.candidates],
+        "box": {"lo": problem.lo, "hi": problem.hi},
+        "candidates": [{"name": c.name, "x": c.x} for c in problem.candidates],
     }
+    for group in ("objectives", "ineq", "eq"):
+        payload[group] = [{"name": f.name, "raw": str(f.raw), "composed": str(f.composed),
+                           "override": f.has_override} for f in getattr(problem, group)]
     rep = _base_report(ns, {})
     rep.update({"conclusion": "pass", **payload})
     return rep
@@ -241,7 +248,7 @@ def _cmd_check(ns):
             raise CliUsageError(f"unhandled kind {kind}")
 
     rep = _base_report(ns, extra)
-    rep.update({"conclusion": verdict.status, "verdict": verdict.to_dict()})
+    rep.update({"conclusion": verdict.status, "verdict": verdict})
     return rep
 
 
@@ -263,7 +270,7 @@ def _cmd_kkt(ns):
     if ns.verify_supplied:
         point = _kkt_point_from_candidate(problem, cand)
         res = verify_kkt_point(problem, point, cfg.tol)
-        payload = {"point": point.to_dict(), "residual": res.to_dict()}
+        payload = {"point": point, "residual": res}
         if res.passes:
             rep.update({"conclusion": "pass", **payload})
             return rep
@@ -271,7 +278,7 @@ def _cmd_kkt(ns):
         try:
             alt = solve_multipliers(problem, cand.x, cfg.tol)
             alt_res = verify_kkt_point(problem, alt, cfg.tol)
-            payload["solved_alternative"] = {"point": alt.to_dict(), "residual": alt_res.to_dict()}
+            payload["solved_alternative"] = {"point": alt, "residual": alt_res}
             payload["note"] = ("supplied multipliers fail the first-order system, but a "
                                "consistent multiplier vector exists at this point")
         except (EinvexError, InfeasibleMultipliersError):
@@ -284,10 +291,10 @@ def _cmd_kkt(ns):
         point = solve_multipliers(problem, cand.x, cfg.tol)
     except InfeasibleMultipliersError as e:
         rep.update({"conclusion": "infeasible",
-                    "best_residual": _jsonable(e.best_residual), "note": str(e)})
+                    "best_residual": e.best_residual, "note": str(e)})
         return rep
     res = verify_kkt_point(problem, point, cfg.tol)
-    rep.update({"conclusion": "pass", "point": point.to_dict(), "residual": res.to_dict()})
+    rep.update({"conclusion": "pass", "point": point, "residual": res})
     return rep
 
 
@@ -308,7 +315,7 @@ def _cmd_certify(ns):
                         "reason": f"no multipliers at the candidate: {e}"})
             return rep
     cert = certify(problem, point, ns.theorem, cfg)
-    rep.update({"conclusion": cert.conclusion, "certificate": cert.to_dict()})
+    rep.update({"conclusion": cert.conclusion, "certificate": cert})
     return rep
 
 
@@ -333,7 +340,7 @@ def _cmd_oracle(ns):
         res = e_minimizer_check(fn, problem, point, grid, tol=ns.eps)
         rep["config"].update({"minimizer": ns.minimizer, "at": list(map(float, point))})
         rep.update({"conclusion": "pass" if res.is_minimizer else "fails",
-                    "minimizer": res.to_dict()})
+                    "minimizer": res})
         return rep
 
     if ns.query:
@@ -341,7 +348,7 @@ def _cmd_oracle(ns):
         ok, witness = is_weak_pareto(problem, point, grid, tol=ns.eps)
         rep["config"]["query"] = list(map(float, point))
         rep.update({"conclusion": "pass" if ok else "fails",
-                    "weak_pareto": ok, "witness": _jsonable(witness) if witness else None})
+                    "weak_pareto": ok, "witness": witness})
         return rep
 
     report = grid_oracle(problem, grid, tol=ns.eps)
@@ -467,26 +474,45 @@ def _render_text(rep):
 
 
 def _render(rep, fmt):
+    rep = _jsonable(rep)
     if fmt == "json":
-        return json.dumps(_jsonable(rep), indent=2, sort_keys=True)
+        return json.dumps(rep, indent=2, sort_keys=True)
     return _render_text(rep)
 
 
 HANDLERS = {"parse": _cmd_parse, "check": _cmd_check, "kkt": _cmd_kkt,
             "certify": _cmd_certify, "oracle": _cmd_oracle}
+_POINT_FLAGS = ("--at", "--query")
+_NEGATIVE_VALUE = re.compile(r"-[\d.]")
+
+
+def _join_negative_points(argv):
+    """--at -0.5,1 as --at=-0.5,1: argparse takes a value that starts with a
+    minus and is not one plain number for an option."""
+    out = []
+    for tok in argv:
+        if out and out[-1] in _POINT_FLAGS and _NEGATIVE_VALUE.match(tok):
+            out[-1] = f"{out[-1]}={tok}"
+        else:
+            out.append(tok)
+    return out
 
 
 def run(argv=None):
     """Execute one CLI invocation; returns (exit_code, rendered_report)."""
     parser = build_parser()
     try:
-        ns = parser.parse_args(argv)
+        ns = parser.parse_args(_join_negative_points(sys.argv[1:] if argv is None else argv))
     except CliUsageError as e:
         return 3, f"error: {e}"
     started = time.perf_counter()
     try:
         if getattr(ns, "seed", 0) is None:  # only sampling commands take --seed
-            ns.seed = int(os.environ.get("EINVEX_SEED", DEFAULT_SEED))
+            seed = os.environ.get("EINVEX_SEED", str(DEFAULT_SEED))
+            try:
+                ns.seed = int(seed)
+            except ValueError:
+                raise CliUsageError(f"EINVEX_SEED must be an integer, got {seed!r}") from None
         rep = HANDLERS[ns.command](ns)
     except CliUsageError as e:
         return 3, f"error: {e}"

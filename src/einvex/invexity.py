@@ -353,9 +353,6 @@ def invex_sides(fn: ProblemFunction, problem: EProblem, x, x0) -> dict:
             "norm_left": norm_left, "norm_right": d}
 
 
-_GRADIENT_KINDS = {InvexKind.QUASI, InvexKind.PSEUDO, InvexKind.STRICT_PSEUDO}
-
-
 def check_invex(fn: ProblemFunction, problem: EProblem, kind: InvexKind,
                 cfg: SampleConfig = SampleConfig(), at=None, region: Optional[Region] = None,
                 vacuous_policy: str = "inconclusive") -> Verdict:

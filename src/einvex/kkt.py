@@ -28,7 +28,7 @@ import numpy as np
 from . import expr as ex
 from .errors import EinvexError, InfeasibleMultipliersError
 from .invexity import InvexKind, check_invex
-from .problem import EProblem, SampleConfig, Verdict, _jsonable, feasible_region, point_slacks
+from .problem import EProblem, SampleConfig, Verdict, feasible_region, point_slacks
 
 
 @dataclass
@@ -47,10 +47,6 @@ class KktPoint:
             raise EinvexError("cannot normalize: objective multipliers sum to zero")
         return KktPoint(self.y.copy(), self.tau / s, self.rho / s, self.xi / s)
 
-    def to_dict(self):
-        return {"y": _jsonable(self.y), "tau": _jsonable(self.tau),
-                "rho": _jsonable(self.rho), "xi": _jsonable(self.xi)}
-
 
 @dataclass
 class KktResidualReport:
@@ -62,16 +58,6 @@ class KktResidualReport:
     stationarity: np.ndarray
     passes: bool
     notes: list = field(default_factory=list)
-
-    def to_dict(self):
-        return {"r_stationarity": _jsonable(self.r_stationarity),
-                "r_complementarity": _jsonable(self.r_complementarity),
-                "sign_violation": _jsonable(self.sign_violation),
-                "tau_sum": _jsonable(self.tau_sum),
-                "tau_all_zero": self.tau_all_zero,
-                "stationarity": _jsonable(self.stationarity),
-                "passes": self.passes,
-                "notes": list(self.notes)}
 
 
 def _gradient_columns(problem: EProblem, y, which):
@@ -217,9 +203,6 @@ class HypothesisResult:
     kind: str     # InvexKind value
     verdict: Verdict
 
-    def to_dict(self):
-        return {"target": self.target, "kind": self.kind, "verdict": self.verdict.to_dict()}
-
 
 @dataclass
 class Certificate:
@@ -232,13 +215,6 @@ class Certificate:
     hypotheses: list
     failing: Optional[str]
     reason: Optional[str]
-
-    def to_dict(self):
-        return {"theorem": self.theorem, "tag": self.tag, "claim": self.claim,
-                "point": self.point.to_dict(), "conclusion": self.conclusion,
-                "residual": self.residual.to_dict() if self.residual else None,
-                "hypotheses": [h.to_dict() for h in self.hypotheses],
-                "failing": self.failing, "reason": self.reason}
 
 
 def certify(problem: EProblem, point: KktPoint, theorem: str,

@@ -28,21 +28,22 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import expr as ex
 from .errors import GridGuardError, InfeasiblePointError
-from .problem import (EProblem, ProblemFunction, _jsonable, constraint_slacks, eval_columns,
-                      point_slacks, require_in_box)
+from .problem import (EProblem, ProblemFunction, constraint_slacks, eval_columns, point_slacks,
+                      require_in_box)
 
 MAX_GRID_POINTS = 10_000_000
 MAX_COMPARISONS = 20_000 ** 2  # feasible points times minimal objective rows
 _BLOCK = 256                   # sorted rows per block of the minimal-set filter
 _CHUNK = 1 << 22               # comparison cells per block of the final test
 _CSV_ROWS = 1 << 16            # grid rows formatted per write of dump_csv
+LIST_CAP = 1000                # points listed per set in a grid report
 
 
 @dataclass(frozen=True)
@@ -202,17 +203,14 @@ class GridReport:
     def pareto_points(self):
         return self.grid[self.pareto_mask]
 
-    def to_dict(self, list_cap: int = 1000):
-        def capped(P):
-            out = _jsonable(P[:list_cap])
-            return out
+    def to_dict(self):
         d = {"grid_points": self.grid_points, "feasible_points": self.feasible_points,
              "weak_pareto_count": int(np.count_nonzero(self.weak_mask)),
              "pareto_count": int(np.count_nonzero(self.pareto_mask)),
-             "weak_pareto_points": capped(self.weak_points),
-             "pareto_points": capped(self.pareto_points)}
-        if np.count_nonzero(self.weak_mask) > list_cap or np.count_nonzero(self.pareto_mask) > list_cap:
-            d["truncated_at"] = list_cap
+             "weak_pareto_points": self.weak_points[:LIST_CAP],
+             "pareto_points": self.pareto_points[:LIST_CAP]}
+        if max(d["weak_pareto_count"], d["pareto_count"]) > LIST_CAP:
+            d["truncated_at"] = LIST_CAP
         return d
 
 
@@ -268,17 +266,14 @@ class MinimizerReport:
     is_minimizer: bool
     witness: Optional[dict]
 
-    def to_dict(self):
-        return {"gradient": _jsonable(self.gradient),
-                "gradient_inf_norm": _jsonable(self.gradient_inf_norm),
-                "value": _jsonable(self.value), "is_minimizer": self.is_minimizer,
-                "witness": _jsonable(self.witness) if self.witness else None}
-
 
 def e_minimizer_check(fn: ProblemFunction, problem: EProblem, xbar,
                       grid: Optional[GridSpec] = None, tol: float = 1e-9) -> MinimizerReport:
-    """Stationarity plus a grid check that xbar minimizes (fn o E) on the box."""
-    xbar = np.asarray(xbar, dtype=float).reshape(problem.n)
+    """Stationarity plus a grid check that xbar minimizes (fn o E) on the box.
+
+    xbar is admitted by require_in_box before fn is evaluated there.
+    """
+    xbar = require_in_box(problem, xbar)
     env = {name: float(v) for name, v in zip(problem.vars, xbar)}
     grad = ex.gradient(fn.composed, env, problem.vars)
     value = ex.evaluate(fn.composed, env)

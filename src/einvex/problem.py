@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields, is_dataclass
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -43,8 +43,8 @@ class SampleConfig:
             raise ValueError("n_pairs must be positive")
         if self.n_tau < 3:
             raise ValueError("n_tau must be at least 3")
-        if not (self.tol > 0.0 and self.strict_margin > 0.0):
-            raise ValueError("tolerances must be positive")
+        if not (0.0 < self.tol < math.inf and 0.0 < self.strict_margin < math.inf):
+            raise ValueError("tolerances must be finite and positive")
 
 
 # ---------------------------------------------------------------------------
@@ -53,6 +53,12 @@ class SampleConfig:
 
 
 def _jsonable(v):
+    """Plain JSON data: a dataclass becomes the dict of its fields, except
+    that a field declared ``= None`` is left out while it is None; nonfinite
+    floats become their repr."""
+    if is_dataclass(v):
+        return {f.name: _jsonable(getattr(v, f.name)) for f in fields(v)
+                if not (f.default is None and getattr(v, f.name) is None)}
     if isinstance(v, (bool, np.bool_)):  # before int: bool is a subclass
         return bool(v)
     if isinstance(v, (np.floating, float)):
@@ -80,21 +86,7 @@ class Witness:
     right: Optional[float] = None
     comparison: str = ""
     index: int = -1
-    extra: dict = field(default_factory=dict)
-
-    def to_dict(self):
-        out = {"x": _jsonable(self.x), "comparison": self.comparison, "index": self.index}
-        if self.x0 is not None:
-            out["x0"] = _jsonable(self.x0)
-        if self.tau is not None:
-            out["tau"] = _jsonable(self.tau)
-        if self.left is not None:
-            out["left"] = _jsonable(self.left)
-        if self.right is not None:
-            out["right"] = _jsonable(self.right)
-        if self.extra:
-            out["extra"] = _jsonable(self.extra)
-        return out
+    extra: Optional[dict] = None
 
 
 @dataclass
@@ -126,16 +118,6 @@ class Verdict:
 
     def __bool__(self):
         return self.status == "holds"
-
-    def to_dict(self):
-        out = {"status": self.status, "checked": self.checked}
-        if self.nonvacuous is not None:
-            out["nonvacuous"] = self.nonvacuous
-        if self.witness is not None:
-            out["witness"] = self.witness.to_dict()
-        if self.reason is not None:
-            out["reason"] = self.reason
-        return out
 
 
 # ---------------------------------------------------------------------------

@@ -104,6 +104,15 @@ def test_eps_must_be_a_finite_nonnegative_number(vp1, eps):
         assert text.startswith("error: argument --eps:")
 
 
+@pytest.mark.parametrize("delta", ["inf", "nan", "0", "-1e-7", "abc"])
+def test_delta_must_be_a_finite_positive_number(e1, delta):
+    # an infinite margin made every strict kind "fail"
+    code, text = run(["check", e1, "--function", "f1", "--kind", "strict-invex",
+                      "--pairs", "300", f"--delta={delta}"])
+    assert code == 3
+    assert text.startswith("error: argument --delta:")
+
+
 def test_eps_zero_is_accepted(vp1):
     code, rep = _json(["oracle", vp1, "--grid", "5x5", "--eps", "0", "--format", "json"])
     assert code == 0
@@ -245,6 +254,13 @@ def test_oracle_refuses_points_outside_the_box(e1, tmp_path):
     assert code == 3 and "[-9.0]" in text and "outside the box" in text
     code, text = run(["oracle", e1, "--grid", "5", "--minimizer", "f1", "--at", "-9"])
     assert code == 3 and "[-9.0]" in text and "outside the box" in text
+    # the minimizer point is admitted before its objective is evaluated there
+    logbox = tmp_path / "log.json"
+    logbox.write_text(json.dumps({
+        "n": 1, "E": ["x1"], "eta": ["u1 - v1"], "objectives": ["log(y1)"],
+        "box": {"lo": [1.0], "hi": [2.0]}}))
+    code, text = run(["oracle", str(logbox), "--grid", "5", "--minimizer", "f1", "--at=-1"])
+    assert code == 3 and "point [-1.0] lies outside the box" in text
     # a problem-file candidate outside the box used to be listed as Pareto
     prob = tmp_path / "outside.json"
     prob.write_text(json.dumps({
@@ -337,6 +353,44 @@ def test_reports_are_byte_identical_modulo_wall_time(e1, vp1):
         ["oracle", vp1, "--grid", "21x21", "--format", "json"],
     ):
         assert _stripped(argv) == _stripped(argv), argv
+
+
+@pytest.fixture()
+def square(tmp_path):
+    """Two objectives on [-1, 1]^2 with no constraints and no domain edges."""
+    path = tmp_path / "square.json"
+    path.write_text(json.dumps({
+        "n": 2, "E": ["x1", "x2"], "eta": ["u1 - v1", "u2 - v2"],
+        "objectives": ["y1^2 + y2", "y2^2 - y1"], "box": {"lo": [-1, -1], "hi": [1, 1]}}))
+    return str(path)
+
+
+@pytest.mark.parametrize("value", ["-0.5,0.5", "-.5,1", "-1e-3"])
+@pytest.mark.parametrize("argv", [
+    ["check", "--function", "f1", "--kind", "invex", "--pairs", "300", "--at"],
+    ["oracle", "--grid", "5", "--minimizer", "f1", "--at"],
+    ["oracle", "--grid", "5", "--query"],
+], ids=["check-at", "oracle-at", "oracle-query"])
+def test_negative_point_lists_parse_as_values(e1, square, argv, value):
+    # argparse takes a token that starts with a minus and is not one plain
+    # number for an option; each form must read as --flag=value does
+    command, *flags, flag = argv
+    head = [command, e1 if value == "-1e-3" else square, *flags]
+    joined = _stripped(head + [f"{flag}={value}", "--format", "json"])
+    assert joined[0] != 3
+    assert _stripped(head + [flag, value, "--format", "json"]) == joined
+
+
+def test_a_point_flag_followed_by_an_option_is_a_usage_error(e1):
+    code, text = run(["check", e1, "--function", "f1", "--kind", "invex", "--at",
+                      "--format", "json"])
+    assert code == 3 and "argument --at: expected one argument" in text
+
+
+def test_seed_env_must_be_an_integer(e1, monkeypatch):
+    monkeypatch.setenv("EINVEX_SEED", "abc")
+    code, text = run(["check", e1, "--function", "f1", "--kind", "invex", "--pairs", "300"])
+    assert code == 3 and text == "error: EINVEX_SEED must be an integer, got 'abc'"
 
 
 def test_seed_env_and_flag_precedence(e1, monkeypatch):

@@ -4,9 +4,11 @@ The reports in tests/golden/ are compared byte for byte after dropping
 ``wall_time_s`` and ``problem.path`` (the only fields that depend on the
 machine or the checkout).  They cover the criterion-8 commands, one
 ``check`` per kind on both shipped problems, and an evaluation failure and
-a starved draw for each of the six sampled checkers.
+a starved draw for each of the six sampled checkers.  tests/golden/text.json
+maps each command to its ``--format text`` report, with the checkout path
+masked and the wall-time line dropped.
 
-Regenerate after an intended report change with
+Regenerate both after an intended report change with
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -23,6 +25,7 @@ from einvex.cli import run
 
 HERE = Path(__file__).resolve().parent
 GOLDEN = HERE / "golden"
+TEXT = GOLDEN / "text.json"
 E1 = str(HERE.parent / "problems" / "example1.json")
 VP1 = str(HERE.parent / "problems" / "vp1.json")
 FAILING = str(GOLDEN / "problems" / "failing.json")   # log, shifted log, cbrt; an infeasible g1
@@ -104,17 +107,37 @@ def _report(argv):
     return json.dumps({"exit_code": code, "report": rep}, indent=2, sort_keys=True) + "\n"
 
 
+def _text_report(argv):
+    """Exit code and text report, the checkout path masked, the wall time dropped."""
+    code, text = run(argv[:-1] + ["text"])
+    lines = [ln for ln in text.replace(str(HERE.parent), "<repo>").splitlines()
+             if not ln.startswith("wall time: ")]
+    return {"exit_code": code, "lines": lines}
+
+
+def _text_reports():
+    return json.dumps({name: _text_report(COMMANDS[name]) for name in sorted(COMMANDS)},
+                      indent=2, sort_keys=True) + "\n"
+
+
 @pytest.mark.parametrize("name", sorted(COMMANDS))
 def test_report_matches_golden(name):
     assert _report(COMMANDS[name]) == (GOLDEN / f"{name}.json").read_text()
 
 
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_text_report_matches_golden(name):
+    assert _text_report(COMMANDS[name]) == json.loads(TEXT.read_text())[name]
+
+
 def test_every_golden_has_a_command():
-    stored = {p.stem for p in GOLDEN.glob("*.json")}
+    stored = {p.stem for p in GOLDEN.glob("*.json")} - {TEXT.stem}
     assert stored == set(COMMANDS)
+    assert set(json.loads(TEXT.read_text())) == set(COMMANDS)
 
 
 if __name__ == "__main__":
     for name, argv in COMMANDS.items():
         (GOLDEN / f"{name}.json").write_text(_report(argv))
-    print(f"wrote {len(COMMANDS)} reports to {GOLDEN}", file=sys.stderr)
+    TEXT.write_text(_text_reports())
+    print(f"wrote {len(COMMANDS)} reports and their text forms to {GOLDEN}", file=sys.stderr)

@@ -20,7 +20,8 @@ from einvex.invexity import (
     preinvex_pairs,
     preinvex_sides,
 )
-from einvex.problem import EProblem, Region, SampleConfig, einvex_set_check, load_problem
+from einvex.problem import (EProblem, Region, SampleConfig, _jsonable, einvex_set_check,
+                            load_problem)
 
 
 @pytest.fixture(scope="module")
@@ -272,7 +273,7 @@ def test_verdicts_are_deterministic():
     f = p.function("f1")
     a = check_preinvex(f, p, "preinvex", CFG)
     b = check_preinvex(f, p, "preinvex", CFG)
-    assert a.to_dict() == b.to_dict()
+    assert _jsonable(a) == _jsonable(b)
 
 
 def test_each_distinct_point_is_evaluated_once(example1, monkeypatch):

@@ -20,7 +20,7 @@ from einvex.kkt import (
     solve_multipliers,
     verify_kkt_point,
 )
-from einvex.problem import SampleConfig, load_problem
+from einvex.problem import SampleConfig, _jsonable, load_problem
 
 
 @pytest.fixture(scope="module")
@@ -71,7 +71,7 @@ def test_solver_finds_exact_multipliers(vp1):
 def test_solver_is_deterministic(vp1):
     a = solve_multipliers(vp1, [0.0, 0.0])
     b = solve_multipliers(vp1, [0.0, 0.0])
-    assert a.to_dict() == b.to_dict()
+    assert _jsonable(a) == _jsonable(b)
 
 
 def test_verification_is_scale_free(vp1):

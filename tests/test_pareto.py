@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from einvex.errors import GridGuardError, InfeasiblePointError
+from einvex import pareto
 from einvex.pareto import (
     MAX_COMPARISONS,
     GridSpec,
@@ -432,10 +433,11 @@ def test_build_grid_does_not_duplicate_on_grid_candidates(vp1):
     assert pts.shape == (1681, 2)
 
 
-def test_report_dict_caps_long_lists():
+def test_report_dict_caps_long_lists(monkeypatch):
+    monkeypatch.setattr(pareto, "LIST_CAP", 2)
     p = _line(["y1", "-y1"], lo=0.0, hi=1.0)
     rep = grid_oracle(p, GridSpec((11,)))
-    d = rep.to_dict(list_cap=2)
+    d = rep.to_dict()
     assert d["weak_pareto_count"] == 11
     assert len(d["weak_pareto_points"]) == 2
     assert d["truncated_at"] == 2

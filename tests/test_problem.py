@@ -1,7 +1,9 @@
 """Problem loading, single-point admission, active sets, regions, invex-set sampling."""
 
 import json
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Optional
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from einvex.problem import (
     SampleConfig,
     Verdict,
     Witness,
+    _jsonable,
     box_region,
     einvex_set_check,
     feasible_region,
@@ -340,6 +343,8 @@ def test_sample_config_validation():
         {"n_tau": 2},
         {"tol": 0.0},
         {"strict_margin": -1.0},
+        {"tol": float("inf")},
+        {"strict_margin": float("inf")},
     ):
         with pytest.raises(ValueError):
             SampleConfig(**bad)
@@ -400,13 +405,32 @@ def test_verdict_truthiness_and_dict():
     assert bool(Verdict.holds(checked=10))
     assert not bool(Verdict.fails(Witness(x=[0.0]), checked=10))
     assert not bool(Verdict.inconclusive("why"))
-    d = Verdict.holds(checked=10, nonvacuous=4).to_dict()
+    d = _jsonable(Verdict.holds(checked=10, nonvacuous=4))
     assert d == {"status": "holds", "checked": 10, "nonvacuous": 4}
+
+
+def test_jsonable_walks_dataclass_fields():
+    @dataclass
+    class Inner:
+        v: float
+        tag: Optional[str] = None
+
+    @dataclass
+    class Outer:
+        items: list
+        arr: np.ndarray
+        kept: Optional[float]          # no default: kept as null
+        note: Optional[str] = None     # declared = None: left out while None
+
+    d = _jsonable(Outer([Inner(1.0), Inner(float("-inf"), "t")], np.array([[1, 2]]), None))
+    assert d == {"items": [{"v": 1.0}, {"v": "-inf", "tag": "t"}], "arr": [[1, 2]], "kept": None}
+    assert _jsonable(Outer([], np.array([np.nan]), 2.0, "n")) == {
+        "items": [], "arr": ["nan"], "kept": 2.0, "note": "n"}
 
 
 def test_witness_dict_drops_unset_fields_and_stringifies_nonfinite():
     w = Witness(x=[float("inf")], left=float("nan"), comparison="c", index=3)
-    d = w.to_dict()
+    d = _jsonable(w)
     assert d["x"] == ["inf"]
     assert d["left"] == "nan"
     assert "x0" not in d and "tau" not in d and "right" not in d and "extra" not in d
