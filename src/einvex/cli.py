@@ -50,24 +50,37 @@ class _Parser(argparse.ArgumentParser):
         raise CliUsageError(message)
 
 
-def _number(text, ok, rule):
+def _number(text, ok, rule, cast=float):
     try:
-        value = float(text)
+        value = cast(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expects a number, got {text!r}") from None
+        what = "an integer" if cast is int else "a number"
+        raise argparse.ArgumentTypeError(f"expects {what}, got {text!r}") from None
     if not (math.isfinite(value) and ok(value)):
         raise argparse.ArgumentTypeError(f"must be {rule}, got {text!r}")
     return value
 
 
 def _eps(text):
-    """--eps: a finite slack >= 0; a negative one would let a point beat itself."""
+    """--eps of parse and oracle: a finite slack >= 0; a negative one would let
+    a point beat itself."""
     return _number(text, lambda v: v >= 0.0, "finite and >= 0")
 
 
-def _delta(text):
-    """--delta: a finite margin > 0; an infinite one would fail every strict kind."""
+def _positive(text):
+    """--delta, and --eps of a sampling command: finite and > 0, as SampleConfig
+    needs; an infinite margin would fail every strict kind."""
     return _number(text, lambda v: v > 0.0, "finite and > 0")
+
+
+def _at_least(least):
+    """An integer flag with the lower bound SampleConfig needs: --pairs 1, --tau 3."""
+    return lambda text: _number(text, lambda v: v >= least, f"at least {least}", int)
+
+
+def _levels(text):
+    """--levels: comma-separated thresholds on exp(f), each finite and > 0."""
+    return [_positive(item) for item in text.split(",")]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -78,15 +91,15 @@ def build_parser() -> argparse.ArgumentParser:
     def common(sp, sampling=True):
         sp.add_argument("problem", help="problem JSON file")
         sp.add_argument("--format", choices=("text", "json"), default="text")
-        sp.add_argument("--eps", type=_eps, default=1e-9,
+        sp.add_argument("--eps", type=_positive if sampling else _eps, default=1e-9,
                         help="slack for non-strict comparisons (default 1e-9)")
         if sampling:
             sp.add_argument("--seed", type=int, default=None,
                             help="sampling seed (default: EINVEX_SEED or 42)")
-            sp.add_argument("--pairs", type=int, default=10000)
-            sp.add_argument("--tau", type=int, default=8,
+            sp.add_argument("--pairs", type=_at_least(1), default=10000)
+            sp.add_argument("--tau", type=_at_least(3), default=8,
                             help="mixture weights per pair, anchors 0, 1/2, 1 included")
-            sp.add_argument("--delta", type=_delta, default=1e-7,
+            sp.add_argument("--delta", type=_positive, default=1e-7,
                             help="required margin for strict comparisons (default 1e-7)")
 
     sp = sub.add_parser("parse", help="parse and echo a problem file")
@@ -98,9 +111,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--kind", required=True, choices=CHECK_KINDS)
     sp.add_argument("--at", help="candidate name or comma-separated coordinates for the base point")
     sp.add_argument("--region", choices=("box", "feasible"), default="box")
-    sp.add_argument("--naive", action="store_true",
-                    help="exponential-domain evaluation (cross-check mode)")
-    sp.add_argument("--levels", help="comma-separated positive thresholds for level-set checks")
+    sp.add_argument("--levels", type=_levels,
+                    help="comma-separated positive thresholds for level-set checks")
 
     sp = sub.add_parser("kkt", help="solve or verify first-order multipliers")
     common(sp)
@@ -209,8 +221,6 @@ def _cmd_check(ns):
         raise CliUsageError("invex-set checks the region itself and takes no --function")
     if ns.at and kind not in INVEX_KINDS + MONOTONE_KINDS:
         raise CliUsageError(f"--at pins the base point of the gradient family; {kind} has none")
-    if ns.naive and kind not in PREINVEX_KINDS:
-        raise CliUsageError("--naive applies to the four *-preinvex kinds only")
     if ns.levels and kind != "level-set":
         raise CliUsageError("--levels applies to kind level-set only")
     problem = load_problem(ns.problem)
@@ -220,7 +230,7 @@ def _cmd_check(ns):
     if at is not None and ns.region == "feasible":  # the rule of the region sampled
         point_slacks(problem, at, cfg.tol, "--at point")
     extra = {"kind": kind, "function": ns.function, "at": None if at is None else list(map(float, at)),
-             "region": ns.region, "naive": bool(ns.naive)}
+             "region": ns.region}
 
     if kind == "invex-set":
         verdict = einvex_set_check(problem, cfg, region=region)
@@ -228,9 +238,8 @@ def _cmd_check(ns):
         if not ns.function:
             raise CliUsageError(f"--function is required for kind {kind}")
         fn = problem.function(ns.function)
-        mode = "naive" if ns.naive else "log"
         if kind in PREINVEX_KINDS:
-            verdict = check_preinvex(fn, problem, PreinvexKind(kind), cfg, region=region, mode=mode)
+            verdict = check_preinvex(fn, problem, PreinvexKind(kind), cfg, region=region)
         elif kind in INVEX_KINDS:
             verdict = check_invex(fn, problem, InvexKind(kind), cfg, at=at, region=region)
         elif kind in MONOTONE_KINDS:
@@ -239,11 +248,9 @@ def _cmd_check(ns):
         elif kind == "epigraph":
             verdict = epigraph_invex_check(fn, problem, cfg, region=region)
         elif kind == "level-set":
-            levels = None
             if ns.levels:
-                levels = [float(v) for v in ns.levels.split(",")]
-                extra["levels"] = levels
-            verdict = level_set_invex_check(fn, problem, levels=levels, cfg=cfg, region=region)
+                extra["levels"] = ns.levels
+            verdict = level_set_invex_check(fn, problem, levels=ns.levels, cfg=cfg, region=region)
         else:  # pragma: no cover - choices guard this
             raise CliUsageError(f"unhandled kind {kind}")
 

@@ -14,8 +14,7 @@ convention throughout:
 Exponential-domain quantities are never formed for decisions: membership in
 the value domain is tested on logarithms (log-sum-exp for mixtures) and the
 gradient inequalities are normalized by exp(f(E(x0))) > 0, which turns
-exp(a) - exp(b) >= d * exp(b) into expm1(a - b) >= d.  A naive
-exponential-domain mode is kept for cross-checking on small values.
+exp(a) - exp(b) >= d * exp(b) into expm1(a - b) >= d.
 """
 
 from __future__ import annotations
@@ -105,45 +104,25 @@ def preinvex_pairs(fn: ProblemFunction, problem: EProblem, cfg: SampleConfig,
     return PreinvexSamples(m.X, m.X0, m.T, m.U, m.V, m.H, bad, invalid_comb, A=A, B=B, C=C)
 
 
-def preinvex_masks(s: PreinvexSamples, kind: PreinvexKind, cfg: SampleConfig, mode: str = "log"):
-    """Per-sample (satisfied, nonvacuous) masks for one definition.
-
-    In "naive" mode the same thresholds are applied to exponentials
-    directly (slack becomes the factor exp(tol), margins exp(-margin)), so
-    verdicts agree with the log path wherever the exponentials are finite.
-    """
+def preinvex_masks(s: PreinvexSamples, kind: PreinvexKind, cfg: SampleConfig):
+    """Per-sample (satisfied, nonvacuous) masks for one definition."""
     tol, margin = cfg.tol, cfg.strict_margin
     interior = (s.T > tol) & (s.T < 1.0 - tol)
-    if mode == "log":
-        mix, mx, c = s.mix_log, s.max_log, s.C
-    elif mode == "naive":
-        with np.errstate(over="ignore"):
-            ea, eb, c = np.exp(s.A), np.exp(s.B), np.exp(s.C)
-            mix = s.T * ea[:, None] + (1.0 - s.T) * eb[:, None]
-            mx = np.maximum(ea, eb)[:, None]
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-
-    def le(lhs, rhs, add, mul):
-        if mode == "log":
-            return lhs <= rhs + add
-        return lhs <= rhs * mul
-
     if kind == PreinvexKind.EXP:
-        sat = le(c, mix, tol, math.exp(tol))
+        sat = s.C <= s.mix_log + tol
         nonvac = np.ones_like(sat)
     elif kind == PreinvexKind.STRICT:
         sep = (np.max(np.abs(s.U - s.V), axis=1) > tol)[:, None]
         cond = interior & sep
-        sat = ~cond | le(c, mix, -margin, math.exp(-margin))
+        sat = ~cond | (s.C <= s.mix_log - margin)
         nonvac = cond
     elif kind == PreinvexKind.QUASI:
-        sat = le(c, mx, tol, math.exp(tol))
+        sat = s.C <= s.max_log + tol
         nonvac = np.ones_like(sat)
     elif kind == PreinvexKind.STRICT_QUASI:
         sep = (np.max(np.abs(s.X - s.X0), axis=1) > tol)[:, None]
         cond = interior & sep
-        sat = ~cond | le(c, mx, -margin, math.exp(-margin))
+        sat = ~cond | (s.C <= s.max_log - margin)
         nonvac = cond
     else:
         raise ValueError(f"not a mixture-family kind: {kind}")
@@ -171,8 +150,7 @@ def preinvex_sides(fn: ProblemFunction, problem: EProblem, x, x0, tau: float) ->
 
 
 def check_preinvex(fn: ProblemFunction, problem: EProblem, kind: PreinvexKind,
-                   cfg: SampleConfig = SampleConfig(), region: Optional[Region] = None,
-                   mode: str = "log") -> Verdict:
+                   cfg: SampleConfig = SampleConfig(), region: Optional[Region] = None) -> Verdict:
     """Check one mixture-family definition of exp(f) along eta-paths."""
     kind = PreinvexKind(kind)
 
@@ -190,7 +168,7 @@ def check_preinvex(fn: ProblemFunction, problem: EProblem, kind: PreinvexKind,
                                   "log_right": sides["mix_log"] if right_key == "right_mix" else sides["max_log"],
                                   "combined": sides["combined"]})
 
-        sat, nonvac = preinvex_masks(s, kind, cfg, mode)
+        sat, nonvac = preinvex_masks(s, kind, cfg)
         return Judgement(sat, witness, nonvac)
 
     return sampled_verdict(lambda: preinvex_pairs(fn, problem, cfg, region), judge, "inconclusive")
@@ -440,9 +418,9 @@ def epigraph_invex_check(fn: ProblemFunction, problem: EProblem,
 
     Each sampled pair is lifted twice: once with tight levels (exactly
     exp(f) at both endpoints) and once with independently drawn headroom in
-    (0, LEVEL_SPAN].  The tight instance makes this check fail exactly when
-    the mixture inequality fails on the same sample; the slack instance
-    exercises genuinely interior epigraph points.
+    (0, LEVEL_SPAN].  The tight instance is the preinvex mask on the same
+    samples, the paper's epigraph characterization; only the slack instance,
+    at genuinely interior epigraph points, adds evidence of its own.
     """
     def judge(s):
         N = s.A.shape[0]
@@ -452,7 +430,8 @@ def epigraph_invex_check(fn: ProblemFunction, problem: EProblem,
             lift_a = np.logaddexp(s.A, np.log(LEVEL_SPAN * r1))
             lift_b = np.logaddexp(s.B, np.log(LEVEL_SPAN * r2))
         mix_rand = _mix_log(s.T, lift_a[:, None], lift_b[:, None])
-        sat = np.stack([s.C <= s.mix_log + cfg.tol, s.C <= mix_rand + cfg.tol], axis=-1)
+        tight, _ = preinvex_masks(s, PreinvexKind.EXP, cfg)
+        sat = np.stack([tight, s.C <= mix_rand + cfg.tol], axis=-1)
 
         def witness(flat):
             i, rest = divmod(flat, sat.shape[1] * 2)
@@ -483,7 +462,9 @@ def level_set_invex_check(fn: ProblemFunction, problem: EProblem,
     reported and make the overall verdict inconclusive rather than holds.
     A violation is reported at the first level, in the given order, that
     has one.  Without levels every pair is tested against its own binding
-    level max(exp(f(E(x))), exp(f(E(x0)))), the tightest set containing it.
+    level max(exp(f(E(x))), exp(f(E(x0)))), the tightest set containing it:
+    that is the quasi-preinvex mask on the same samples, the paper's
+    sublevel-set characterization.
     """
     if levels is not None and not all(lvl > 0.0 for lvl in levels):
         raise ValueError("levels must be positive (they bound exp(f))")
@@ -497,10 +478,9 @@ def level_set_invex_check(fn: ProblemFunction, problem: EProblem,
                            extra={"level": _exp_or_inf(level_log)})
 
         if levels is None:
+            sat, nonvac = preinvex_masks(s, PreinvexKind.QUASI, cfg)
             mx = s.max_log
-            sat = s.C <= mx + cfg.tol
-            return Judgement(sat, lambda flat: fail_at(flat, float(mx[flat // s.T.shape[1], 0])),
-                             np.ones_like(sat))
+            return Judgement(sat, lambda flat: fail_at(flat, float(mx[flat // s.T.shape[1], 0])), nonvac)
         logs = np.array([math.log(lvl) for lvl in levels])[:, None]
         qualify = (s.A <= logs) & (s.B <= logs)                            # (levels, N)
         sat = ~qualify[:, :, None] | (s.C <= logs[:, :, None] + cfg.tol)   # (levels, N, k)

@@ -444,10 +444,9 @@ def sample_pairs(problem: EProblem, cfg: SampleConfig, region: Region, at=None):
     """The seeded pairs (X, X0), each (N, n), that every sampled checker draws.
 
     X and X0 come from the region through one named stream each, so the same
-    seed yields the same pairs in every checker; that makes the definitional
-    cross-checks (epigraph vs mixture inequality, level sets vs the max
-    form) sample-exact.  ``at`` pins the base point: X0 is then that single
-    row and no x0 stream is drawn.
+    seed yields the same pairs in every checker; the epigraph and level-set
+    forms judge them with the mixture checks' own masks.  ``at`` pins the
+    base point: X0 is then that single row and no x0 stream is drawn.
     """
     X = sample_region(problem, SampleStream(cfg.seed, "pairs-x"), cfg.n_pairs, region)
     if at is not None:

@@ -4,7 +4,8 @@ Twenty single-function problems mixing convex, monotone, bimodal, and
 composed shapes, over one and two variables, with identity and non-identity
 distortion maps and two eta kernels.  `small` marks entries whose |f| stays
 within 50 on the box, the regime where exponential-domain arithmetic is
-still finite and must agree with the log-domain path sample by sample.
+still finite and must agree with the log-domain path sample by sample;
+`naive_preinvex_masks` below is that exponential-domain reference.
 
 `preinvex` / `quasi` are the expected verdict statuses of the mixture
 inequality and its max form under CFG below.  They were frozen from the
@@ -14,8 +15,12 @@ mid-segment bump -> fails with a fat witness region the sampler cannot
 miss), so they act as anchors against regressions, not as circular oracles.
 """
 
+import math
 from dataclasses import dataclass
 
+import numpy as np
+
+from einvex.invexity import PreinvexKind
 from einvex.problem import EProblem, SampleConfig, load_problem
 
 CFG = SampleConfig(seed=42, n_pairs=800, n_tau=6)
@@ -101,3 +106,35 @@ def by_name(name: str) -> CorpusEntry:
         if e.name == name:
             return e
     raise KeyError(name)
+
+
+def naive_preinvex_masks(s, kind, cfg: SampleConfig):
+    """Reference for ``invexity.preinvex_masks`` in the exponential domain.
+
+    The thresholds of the log path are applied to exponentials directly: the
+    slack tol becomes the factor exp(tol), a margin the factor exp(-margin).
+    Wherever the exponentials are finite the masks must agree with the log
+    path sample by sample.
+    """
+    tol, margin = cfg.tol, cfg.strict_margin
+    interior = (s.T > tol) & (s.T < 1.0 - tol)
+    with np.errstate(over="ignore"):
+        ea, eb, c = np.exp(s.A), np.exp(s.B), np.exp(s.C)
+        mix = s.T * ea[:, None] + (1.0 - s.T) * eb[:, None]
+        mx = np.maximum(ea, eb)[:, None]
+    kind = PreinvexKind(kind)
+    if kind == PreinvexKind.EXP:
+        sat = c <= mix * math.exp(tol)
+        nonvac = np.ones_like(sat)
+    elif kind == PreinvexKind.STRICT:
+        cond = interior & (np.max(np.abs(s.U - s.V), axis=1) > tol)[:, None]
+        sat = ~cond | (c <= mix * math.exp(-margin))
+        nonvac = cond
+    elif kind == PreinvexKind.QUASI:
+        sat = c <= mx * math.exp(tol)
+        nonvac = np.ones_like(sat)
+    else:
+        cond = interior & (np.max(np.abs(s.X - s.X0), axis=1) > tol)[:, None]
+        sat = ~cond | (c <= mx * math.exp(-margin))
+        nonvac = cond
+    return sat, nonvac

@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from corpus import CFG, ENTRIES, problem
+from corpus import CFG, ENTRIES, naive_preinvex_masks, problem
 from einvex import expr as ex
 from einvex.cli import run
 from einvex.invexity import (
@@ -172,15 +172,15 @@ def test_criterion_7_numerics():
         p = problem(ent)
         s = preinvex_pairs(p.function("f1"), p, CFG)
         for kind in PreinvexKind:
-            a, na = preinvex_masks(s, kind, CFG, "log")
-            b, nb = preinvex_masks(s, kind, CFG, "naive")
+            a, na = preinvex_masks(s, kind, CFG)
+            b, nb = naive_preinvex_masks(s, kind, CFG)
             assert np.array_equal(a, b) and np.array_equal(na, nb), \
                 (ent.name, kind)
 
     # the log path stays finite where exp(f) overflows (|f| up to 500)
     steep = next(e for e in ENTRIES if e.name == "steep-affine")
     p = problem(steep)
-    v = check_preinvex(p.function("f1"), p, "preinvex", CFG, mode="log")
+    v = check_preinvex(p.function("f1"), p, "preinvex", CFG)
     assert v.status == "holds"
     assert v.checked == CFG.n_pairs * CFG.n_tau
     _ok("criterion 7: gradients within 1e-6 of central differences; "

@@ -4,6 +4,7 @@ import importlib.metadata
 import importlib.resources
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -104,13 +105,30 @@ def test_eps_must_be_a_finite_nonnegative_number(vp1, eps):
         assert text.startswith("error: argument --eps:")
 
 
-@pytest.mark.parametrize("delta", ["inf", "nan", "0", "-1e-7", "abc"])
-def test_delta_must_be_a_finite_positive_number(e1, delta):
-    # an infinite margin made every strict kind "fail"
-    code, text = run(["check", e1, "--function", "f1", "--kind", "strict-invex",
-                      "--pairs", "300", f"--delta={delta}"])
+SAMPLING_FLAG_CASES = [
+    *(("check", "--delta", v) for v in ("inf", "nan", "0", "-1e-7", "abc")),
+    *((cmd, "--eps", "0") for cmd in ("check", "kkt", "certify")),
+    ("check", "--pairs", "0"), ("check", "--pairs", "-5"), ("check", "--pairs", "1.5"),
+    ("check", "--tau", "2"), ("check", "--tau", "abc"),
+    *(("check", "--levels", v) for v in ("abc", "0", "-1", "nan", "inf", "1,,2")),
+]
+
+
+@pytest.mark.parametrize("cmd,flag,value", SAMPLING_FLAG_CASES,
+                         ids=[v if f == "--delta" else f"{c}{f}={v}" for c, f, v in SAMPLING_FLAG_CASES])
+def test_delta_must_be_a_finite_positive_number(e1, vp1, cmd, flag, value):
+    # (named for its first flag, whose rows keep their ids) the parser checks
+    # every sampling flag, so the error names it: an infinite
+    # --delta made every strict kind "fail", --eps 0 and --pairs 0 stopped with
+    # SampleConfig messages that named no flag, --levels abc with a float()
+    # message, and --levels inf answered "holds"
+    base = {"check": ["check", e1, "--function", "f1", "--pairs", "300", "--kind",
+                      "level-set" if flag == "--levels" else "strict-invex"],
+            "kkt": ["kkt", vp1, "--candidate", "ybar"],
+            "certify": ["certify", vp1, "--candidate", "ybar", "--theorem", "t4"]}[cmd]
+    code, text = run(base + [f"{flag}={value}"])
     assert code == 3
-    assert text.startswith("error: argument --delta:")
+    assert text.startswith(f"error: argument {flag}:"), text
 
 
 def test_eps_zero_is_accepted(vp1):
@@ -318,11 +336,10 @@ def test_check_at_is_admitted_by_the_rule_of_its_region(e1, vp1_path, tmp_path):
 @pytest.mark.parametrize("argv,message", [
     (["--function", "f1", "--kind", "preinvex", "--at", "xbar"], "--at pins the base point"),
     (["--function", "f1", "--kind", "epigraph", "--at", "-1"], "--at pins the base point"),
-    (["--function", "f1", "--kind", "invex", "--naive"], "--naive applies to"),
-    (["--function", "f1", "--kind", "epigraph", "--naive"], "--naive applies to"),
+    (["--function", "f1", "--kind", "preinvex", "--naive"], "unrecognized arguments: --naive"),
     (["--function", "f1", "--kind", "quasi-preinvex", "--levels", "1"], "--levels applies to"),
     (["--function", "f1", "--kind", "invex-set"], "takes no --function"),
-], ids=["at-preinvex", "at-epigraph", "naive-invex", "naive-epigraph", "levels-quasi-preinvex",
+], ids=["at-preinvex", "at-epigraph", "naive-preinvex", "levels-quasi-preinvex",
         "function-invex-set"])
 def test_check_refuses_flags_its_kind_ignores(e1, argv, message):
     code, text = run(["check", e1, *argv, "--pairs", "300"])
@@ -443,7 +460,11 @@ def _project_table(repo_root):
 
 def test_scipy_is_declared_and_cli_import_leaves_it_unloaded(repo_root):
     # scipy.optimize takes most of a second to import; only a multiplier solve needs it
-    assert any(dep.startswith("scipy") for dep in _project_table(repo_root)["dependencies"])
+    project = _project_table(repo_root)
+    assert any(dep.startswith("scipy") for dep in project["dependencies"])
+    # the suite imports hypothesis (test_expr_properties), so `pip install .[test]` needs it
+    test_extra = {re.match(r"[\w-]+", dep).group() for dep in project["optional-dependencies"]["test"]}
+    assert {"pytest", "hypothesis"} <= test_extra
     out = subprocess.run([sys.executable, "-c",
                           "import sys, einvex.cli; print('scipy.optimize' in sys.modules)"],
                          capture_output=True, text=True)

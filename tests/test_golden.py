@@ -72,7 +72,6 @@ def _commands():
         cmds[f"vp1-f2-feasible-{kind}"] = _check(VP1, "f2", kind, "--region", "feasible")
     for kind in ("invex", "strict-pseudo-invex", "monotone-gradient"):
         cmds[f"vp1-f1-at-ybar-{kind}"] = _check(VP1, "f1", kind, "--at", "ybar")
-    cmds["example1-preinvex-naive"] = _check(E1, "f1", "preinvex", "--naive")
     cmds["example1-level-set-levels"] = _check(E1, "f1", "level-set", "--levels", "0.5,1,20")
     cmds["example1-level-set-empty-level"] = _check(E1, "f1", "level-set", "--levels", "1e-9,20")
 

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from corpus import CFG, ENTRIES, by_name, problem
+from corpus import CFG, ENTRIES, by_name, naive_preinvex_masks, problem
 from einvex import expr
 from einvex.invexity import (
     InvexKind,
@@ -167,12 +167,12 @@ def test_vacuous_antecedent_policies():
 
 
 def test_epigraph_matches_mixture_verdict_on_corpus_samples():
-    for name in ("square", "affine-under-log", "shifted-cube", "double-well"):
-        p = problem(by_name(name))
+    for ent in ENTRIES:
+        p = problem(ent)
         f = p.function("f1")
         pre = check_preinvex(f, p, "preinvex", CFG)
         epi = epigraph_invex_check(f, p, CFG)
-        assert pre.status == epi.status, name
+        assert pre.status == epi.status, ent.name
 
 
 def test_epigraph_failure_is_driven_by_the_tight_level():
@@ -184,12 +184,16 @@ def test_epigraph_failure_is_driven_by_the_tight_level():
 
 
 def test_level_set_auto_matches_quasi_verdict():
-    for name in ("square", "shifted-cube", "double-well", "cap"):
-        p = problem(by_name(name))
+    # without levels the sublevel-set form is the quasi-preinvex mask
+    for ent in ENTRIES:
+        p = problem(ent)
         f = p.function("f1")
         quasi = check_preinvex(f, p, "quasi-preinvex", CFG)
         lvl = level_set_invex_check(f, p, cfg=CFG)
-        assert quasi.status == lvl.status, name
+        assert quasi.status == lvl.status, ent.name
+        assert (quasi.witness is None) == (lvl.witness is None), ent.name
+        if lvl.witness is not None:
+            assert lvl.witness.index == quasi.witness.index, ent.name
 
 
 def test_level_set_explicit_levels():
@@ -239,8 +243,8 @@ def test_log_and_naive_masks_agree_elementwise(name):
     p = problem(by_name(name))
     s = preinvex_pairs(p.function("f1"), p, CFG)
     for kind in PreinvexKind:
-        sat_log, nv_log = preinvex_masks(s, kind, CFG, "log")
-        sat_naive, nv_naive = preinvex_masks(s, kind, CFG, "naive")
+        sat_log, nv_log = preinvex_masks(s, kind, CFG)
+        sat_naive, nv_naive = naive_preinvex_masks(s, kind, CFG)
         assert np.array_equal(sat_log, sat_naive), kind
         assert np.array_equal(nv_log, nv_naive), kind
 
@@ -248,7 +252,7 @@ def test_log_and_naive_masks_agree_elementwise(name):
 def test_log_path_survives_extreme_scales():
     # composed values around +/-500: exp overflows, logaddexp does not
     p = problem(by_name("steep-affine"))
-    v = check_preinvex(p.function("f1"), p, "preinvex", CFG, mode="log")
+    v = check_preinvex(p.function("f1"), p, "preinvex", CFG)
     assert v.status == "holds"
     assert v.witness is None
 
