@@ -55,10 +55,6 @@ class ProblemFormatError(EinvexError):
         super().__init__(f"{location}: {message}")
 
 
-class SamplingStarvedError(EinvexError):
-    """Rejection sampling could not draw enough points from a region."""
-
-
 class InfeasiblePointError(EinvexError):
     """A candidate point violates the problem constraints."""
 

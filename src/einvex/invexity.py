@@ -26,9 +26,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .problem import (EProblem, Judgement, MixtureSamples, ProblemFunction, Region, SampleConfig,
-                      Verdict, Witness, _point_list, box_region, mixture_samples,
-                      sample_pairs, sampled_verdict)
+from .problem import (EProblem, Judgement, MixtureSamples, PairDraw, ProblemFunction, Region,
+                      SampleConfig, Verdict, Witness, _point_list, all_vacuous, box_region,
+                      mixture_samples, sample_pairs, sampled_verdict)
 from .rng import SampleStream
 
 PROBE_RADII = (1e-2, 1e-3, 1e-4, 1e-5)
@@ -89,10 +89,10 @@ class PreinvexSamples(MixtureSamples):
         return np.maximum(self.A, self.B)[:, None]
 
 
-def preinvex_pairs(fn: ProblemFunction, problem: EProblem, cfg: SampleConfig,
-                   region: Optional[Region] = None) -> PreinvexSamples:
-    """Draw the shared (x, x0, tau) sample set and evaluate f on it."""
-    m = mixture_samples(problem, cfg, region or box_region(problem, cfg.tol))
+def preinvex_pairs(fn: ProblemFunction, problem: EProblem, cfg: SampleConfig, pairs: PairDraw,
+                   lo: int, hi: int) -> PreinvexSamples:
+    """The shared (x, x0, tau) samples of pairs lo..hi-1 with f evaluated on them."""
+    m = mixture_samples(problem, cfg, pairs, lo, hi)
     ra = problem.composed_values(fn, m.X)
     rb = problem.composed_values(fn, m.X0)
     A, B = ra.values, rb.values
@@ -101,7 +101,8 @@ def preinvex_pairs(fn: ProblemFunction, problem: EProblem, cfg: SampleConfig,
     rc = problem.raw_values(fn, m.combined().reshape(-1, problem.n))
     C = rc.values.reshape(m.T.shape)
     invalid_comb = (rc.invalid | ~np.isfinite(rc.values)).reshape(m.T.shape) | bad[:, None]
-    return PreinvexSamples(m.X, m.X0, m.T, m.U, m.V, m.H, bad, invalid_comb, A=A, B=B, C=C)
+    return PreinvexSamples(m.X, m.X0, m.T, m.U, m.V, m.H, bad, invalid_comb, m.lo, m.starved,
+                           A=A, B=B, C=C)
 
 
 def preinvex_masks(s: PreinvexSamples, kind: PreinvexKind, cfg: SampleConfig):
@@ -153,6 +154,7 @@ def check_preinvex(fn: ProblemFunction, problem: EProblem, kind: PreinvexKind,
                    cfg: SampleConfig = SampleConfig(), region: Optional[Region] = None) -> Verdict:
     """Check one mixture-family definition of exp(f) along eta-paths."""
     kind = PreinvexKind(kind)
+    pairs = PairDraw(problem, cfg, region or box_region(problem, cfg.tol))
 
     def judge(s):
         def witness(flat):
@@ -163,7 +165,8 @@ def check_preinvex(fn: ProblemFunction, problem: EProblem, kind: PreinvexKind,
             right_key = "right_mix" if kind in (PreinvexKind.EXP, PreinvexKind.STRICT) else "right_max"
             cmp = ("strict gap below margin" if strictish else "left > right beyond tol")
             return Witness(x=_point_list(s.X[i]), x0=_point_list(s.X0[i]), tau=tau,
-                           left=sides["left"], right=sides[right_key], comparison=cmp, index=flat,
+                           left=sides["left"], right=sides[right_key], comparison=cmp,
+                           index=s.lo * s.T.shape[1] + flat,
                            extra={"log_left": sides["c"],
                                   "log_right": sides["mix_log"] if right_key == "right_mix" else sides["max_log"],
                                   "combined": sides["combined"]})
@@ -171,7 +174,8 @@ def check_preinvex(fn: ProblemFunction, problem: EProblem, kind: PreinvexKind,
         sat, nonvac = preinvex_masks(s, kind, cfg)
         return Judgement(sat, witness, nonvac)
 
-    return sampled_verdict(lambda: preinvex_pairs(fn, problem, cfg, region), judge, "inconclusive")
+    return sampled_verdict(cfg.n_pairs, lambda lo, hi: preinvex_pairs(fn, problem, cfg, pairs, lo, hi),
+                           judge, all_vacuous)
 
 
 # ---------------------------------------------------------------------------
@@ -189,23 +193,22 @@ def _probe_points(centers, problem, region, tol):
     """
     n = problem.n
     diag = np.ones(n) / math.sqrt(n)
-    dirs = [diag] + [e for e in np.eye(n)] + [-diag] + [-e for e in np.eye(n)]
+    dirs = np.vstack([diag, np.eye(n), -diag, -np.eye(n)])
     scale = max(1.0, float(np.linalg.norm(problem.hi - problem.lo)))
-    xs, owner = [], []
-    for k, c in enumerate(np.atleast_2d(centers)):
-        for r in PROBE_RADII:
-            for d in dirs:
-                p = np.clip(c + r * scale * d, problem.lo, problem.hi)
-                if np.max(np.abs(p - c)) <= tol:
-                    continue
-                if bool(region.contains(p[None, :])[0]):
-                    xs.append(p)
-                    owner.append(k)
-    return np.asarray(xs).reshape(-1, n), np.asarray(owner, dtype=np.intp)
+    C = np.atleast_2d(centers)
+    steps = (np.asarray(PROBE_RADII)[:, None, None] * scale) * dirs          # (radii, dirs, n)
+    pts = np.clip(C[:, None, None, :] + steps, problem.lo, problem.hi).reshape(-1, n)
+    owner = np.repeat(np.arange(C.shape[0]), steps.shape[0] * steps.shape[1])
+    keep = np.max(np.abs(pts - C[owner]), axis=1) > tol
+    if keep.any():
+        keep[keep] = region.contains(pts[keep])
+    return pts[keep], owner[keep]
 
 
 @dataclass
 class InvexSamples:
+    """One block of (x, x0) samples, rows in canonical order."""
+
     X: np.ndarray      # (N, n) moving points
     X0: np.ndarray     # (N, n) base points
     A: np.ndarray      # f(E(x))
@@ -216,7 +219,10 @@ class InvexSamples:
     D: np.ndarray      # G0 . H
     invalid: np.ndarray
     nondiff: np.ndarray
-    n_regular: int     # samples before appended probes
+    index: np.ndarray  # sample index of each row: i, N + i reversed, then the probes
+    unit: np.ndarray   # the pair of each row, counted in the block; each probe is one
+    n_regular: int     # sample index of the first probe
+    starved: Optional[str] = None  # why no pair after these could be drawn
     T = invalid_comb = None  # no mixture weights: each sample is one pair
 
     @property
@@ -224,47 +230,55 @@ class InvexSamples:
         return self.invalid | self.nondiff
 
 
-def invex_pairs(fn: ProblemFunction, problem: EProblem, cfg: SampleConfig,
-                at=None, region: Optional[Region] = None, probes: bool = False,
-                want_gx: bool = False) -> InvexSamples:
-    """Sample base/moving pairs and the gradient-side data.
+def invex_pairs(fn: ProblemFunction, problem: EProblem, cfg: SampleConfig, pairs: PairDraw,
+                lo: int, hi: int, probes: bool = False, want_gx: bool = False) -> InvexSamples:
+    """The gradient-side data of pairs lo..hi-1.
 
-    With ``at`` fixed, x0 is constant and x is drawn from the region.  In
-    pair mode each drawn pair is used in both orientations, so any verdict
-    is automatically symmetric in the roles of x and x0.
+    With ``pairs.at`` fixed, x0 is constant and x is drawn from the region.
+    In pair mode each drawn pair is used in both orientations, (x, x0)
+    before (x0, x), so any verdict is automatically symmetric in the roles
+    of x and x0.  ``probes`` puts the probes of the first PROBE_CENTERS base
+    points right after the last of those pairs.
 
-    Each distinct point is evaluated once: the rows P = [X; X0; probes]
-    (X0 is the single row ``at`` in pinned mode) carry values and E, and
-    sample k pairs moving row ix[k] with base row i0[k].  Gradients are
+    Each point is evaluated once per block, a probed base point once more as
+    a center: the rows P = [X; X0; centers; probes] (X0 is the single row
+    ``at`` in pinned mode) carry values and E, and sample k pairs moving row
+    ix[k] with base row i0[k].  Gradients are
     taken only on the rows that serve as a base, or on all rows when
     ``want_gx`` asks for them at x too.
     """
-    region = region or box_region(problem, cfg.tol)
-    X, X0 = sample_pairs(problem, cfg, region, at)
-    N = X.shape[0]
-    if at is None:
-        ix = np.arange(2 * N)
-        i0 = np.concatenate([np.arange(N, 2 * N), np.arange(N)])
+    X, X0, starved = sample_pairs(pairs, lo, hi)
+    b, pinned = X.shape[0], pairs.at is not None
+    w = 1 if pinned else 2               # samples per pair
+    k = np.arange(b)
+    if pinned:
+        ix, i0, index = k, np.full(b, b), lo + k
     else:
-        ix = np.arange(N)
-        i0 = np.full(N, N)
-    n_regular = ix.size
-    m = N + X0.shape[0]
-    parts = [X, X0]
-    if probes:
-        Q, owner = _probe_points(X0[:PROBE_CENTERS], problem, region, cfg.tol)
-        parts.append(Q)
-        ix = np.concatenate([ix, np.arange(m, m + Q.shape[0])])
-        i0 = np.concatenate([i0, N + owner])
-    P = np.vstack(parts)
+        ix = np.column_stack([k, b + k]).ravel()
+        i0 = np.column_stack([b + k, k]).ravel()
+        index = np.column_stack([lo + k, cfg.n_pairs + lo + k]).ravel()
+    unit = np.repeat(k, w)
+    n_regular = w * cfg.n_pairs
+    m = b + X0.shape[0]
+    C = Q = np.empty((0, problem.n))
+    last = min(cfg.n_pairs, PROBE_CENTERS) - 1 - lo   # the last probed pair, in the block
+    if probes and 0 <= last < b:
+        C = pairs.first_x0(lo + last + 1)
+        Q, owner = _probe_points(C, problem, pairs.region, cfg.tol)
+        j, cut = np.arange(Q.shape[0]), w * (last + 1)
+        ix = np.insert(ix, cut, m + C.shape[0] + j)
+        i0 = np.insert(i0, cut, m + owner)
+        index = np.insert(index, cut, n_regular + j)
+        unit = np.concatenate([unit[:cut], last + 1 + j, unit[cut:] + Q.shape[0]])
+    P = np.vstack([X, X0, C, Q])
 
     vals = problem.composed_values(fn, P)
     E, bad_e = problem.e_map(P)
     row_bad = vals.invalid | bad_e | ~np.isfinite(vals.values)
-    lo = 0 if at is None or want_gx else N      # pinned: the base is row N alone
-    hi = P.shape[0] if want_gx else m          # probes never serve as a base
-    grads = problem.composed_grads(fn, P[lo:hi])
-    j0 = i0 - lo
+    g_lo = b if pinned and not want_gx else 0      # pinned: the bases are row b and the centers
+    g_hi = P.shape[0] if want_gx else m + C.shape[0]  # probes never serve as a base
+    grads = problem.composed_grads(fn, P[g_lo:g_hi])
+    j0 = i0 - g_lo
 
     A, B = np.take(vals.values, ix), np.take(vals.values, i0)
     H, bad_h = problem.eta_map(np.take(E, ix, axis=0), np.take(E, i0, axis=0))
@@ -278,7 +292,7 @@ def invex_pairs(fn: ProblemFunction, problem: EProblem, cfg: SampleConfig,
         invalid |= np.take(grads.invalid, ix)
         nondiff |= np.take(grads.nondiff, ix)
     return InvexSamples(np.take(P, ix, axis=0), np.take(P, i0, axis=0), A, B, GX, G0, H, D,
-                        invalid, nondiff & ~invalid, n_regular)
+                        invalid, nondiff & ~invalid, index, unit, n_regular, starved)
 
 
 def invex_masks(s: InvexSamples, kind: InvexKind, cfg: SampleConfig):
@@ -344,28 +358,30 @@ def check_invex(fn: ProblemFunction, problem: EProblem, kind: InvexKind,
     """
     kind = InvexKind(kind)
     strict = kind in (InvexKind.STRICT, InvexKind.STRICT_PSEUDO)
+    pairs = PairDraw(problem, cfg, region or box_region(problem, cfg.tol), at)
 
     def judge(s):
         def witness(i):
             sides = invex_sides(fn, problem, s.X[i], s.X0[i])
+            index, probe = int(s.index[i]), bool(s.index[i] >= s.n_regular)
             if kind in (InvexKind.EXP, InvexKind.STRICT):
                 cmp = ("strict gap below margin" if kind == InvexKind.STRICT
                        else "left < right beyond tol")
                 return Witness(x=_point_list(s.X[i]), x0=_point_list(s.X0[i]),
-                               left=sides["left"], right=sides["right"], comparison=cmp, index=int(i),
+                               left=sides["left"], right=sides["right"], comparison=cmp, index=index,
                                extra={"norm_left": sides["norm_left"], "norm_right": sides["norm_right"],
-                                      "probe": bool(i >= s.n_regular)})
+                                      "probe": probe})
             cmp = "antecedent held but gradient term not below threshold"
             return Witness(x=_point_list(s.X[i]), x0=_point_list(s.X0[i]),
-                           left=sides["d"], right=0.0, comparison=cmp, index=int(i),
-                           extra={"a": sides["a"], "b": sides["b"], "probe": bool(i >= s.n_regular)})
+                           left=sides["d"], right=0.0, comparison=cmp, index=index,
+                           extra={"a": sides["a"], "b": sides["b"], "probe": probe})
 
         sat, nonvac = invex_masks(s, kind, cfg)
         return Judgement(sat, witness, nonvac)
 
     return sampled_verdict(
-        lambda: invex_pairs(fn, problem, cfg, at=at, region=region, probes=strict), judge,
-        vacuous_policy)
+        cfg.n_pairs, lambda lo, hi: invex_pairs(fn, problem, cfg, pairs, lo, hi, probes=strict),
+        judge, all_vacuous if vacuous_policy == "inconclusive" else None)
 
 
 def gradient_monotonicity(fn: ProblemFunction, problem: EProblem,
@@ -377,6 +393,8 @@ def gradient_monotonicity(fn: ProblemFunction, problem: EProblem,
     sides divided by e^{max(F(x), F(x0))}, which keeps every quantity
     representable regardless of the magnitude of F.
     """
+    pairs = PairDraw(problem, cfg, region or box_region(problem, cfg.tol), at)
+
     def judge(s):
         m = np.maximum(s.A, s.B)
         gx_eta = np.einsum("ij,ij->i", s.GX, s.H)
@@ -397,14 +415,15 @@ def gradient_monotonicity(fn: ProblemFunction, problem: EProblem,
             return Witness(x=_point_list(s.X[i]), x0=_point_list(s.X0[i]),
                            left=float(unnorm) if math.isfinite(unnorm) else tval, right=0.0,
                            comparison=("strict gap below margin" if strict else "left < right beyond tol"),
-                           index=int(i), extra={"normalized": tval, "scale_log": mm,
-                                                "probe": bool(i >= s.n_regular)})
+                           index=int(s.index[i]), extra={"normalized": tval, "scale_log": mm,
+                                                         "probe": bool(s.index[i] >= s.n_regular)})
 
         return Judgement(sat, witness, nonvac)
 
     return sampled_verdict(
-        lambda: invex_pairs(fn, problem, cfg, at=at, region=region, probes=strict, want_gx=True),
-        judge, "inconclusive")
+        cfg.n_pairs,
+        lambda lo, hi: invex_pairs(fn, problem, cfg, pairs, lo, hi, probes=strict, want_gx=True),
+        judge, all_vacuous)
 
 
 # ---------------------------------------------------------------------------
@@ -422,10 +441,12 @@ def epigraph_invex_check(fn: ProblemFunction, problem: EProblem,
     samples, the paper's epigraph characterization; only the slack instance,
     at genuinely interior epigraph points, adds evidence of its own.
     """
+    pairs = PairDraw(problem, cfg, region or box_region(problem, cfg.tol))
+
     def judge(s):
-        N = s.A.shape[0]
-        r1 = SampleStream(cfg.seed, "level-x").uniform(N)
-        r2 = SampleStream(cfg.seed, "level-x0").uniform(N)
+        rows = s.A.shape[0]
+        r1 = SampleStream(cfg.seed, "level-x").uniform(rows, start=s.lo)
+        r2 = SampleStream(cfg.seed, "level-x0").uniform(rows, start=s.lo)
         with np.errstate(divide="ignore"):
             lift_a = np.logaddexp(s.A, np.log(LEVEL_SPAN * r1))
             lift_b = np.logaddexp(s.B, np.log(LEVEL_SPAN * r2))
@@ -442,13 +463,15 @@ def epigraph_invex_check(fn: ProblemFunction, problem: EProblem,
             lvl = float(_mix_log(tau, level_a, level_b))
             return Witness(x=_point_list(s.X[i]), x0=_point_list(s.X0[i]), tau=tau,
                            left=_exp_or_inf(float(s.C[i, t])), right=_exp_or_inf(lvl),
-                           comparison="combined point above the combined level", index=flat,
+                           comparison="combined point above the combined level",
+                           index=s.lo * sat.shape[1] * 2 + flat,
                            extra={"level_x": _exp_or_inf(level_a), "level_x0": _exp_or_inf(level_b),
                                   "tight": variant == 0})
 
         return Judgement(sat, witness, np.ones_like(sat))
 
-    return sampled_verdict(lambda: preinvex_pairs(fn, problem, cfg, region), judge, weight=2)
+    return sampled_verdict(cfg.n_pairs, lambda lo, hi: preinvex_pairs(fn, problem, cfg, pairs, lo, hi),
+                           judge, weight=2)
 
 
 def level_set_invex_check(fn: ProblemFunction, problem: EProblem,
@@ -460,34 +483,45 @@ def level_set_invex_check(fn: ProblemFunction, problem: EProblem,
     With explicit ``levels`` (thresholds on exp(f), so positive), pairs are
     restricted to each sublevel set; levels catching no sampled pair are
     reported and make the overall verdict inconclusive rather than holds.
-    A violation is reported at the first level, in the given order, that
-    has one.  Without levels every pair is tested against its own binding
-    level max(exp(f(E(x))), exp(f(E(x0)))), the tightest set containing it:
-    that is the quasi-preinvex mask on the same samples, the paper's
-    sublevel-set characterization.
+    A violation is reported at the first pair, then the first level in the
+    given order, that has one.  Without levels every pair is tested against
+    its own binding level max(exp(f(E(x))), exp(f(E(x0)))), the tightest set
+    containing it: that is the quasi-preinvex mask on the same samples, the
+    paper's sublevel-set characterization.
     """
     if levels is not None and not all(lvl > 0.0 for lvl in levels):
         raise ValueError("levels must be positive (they bound exp(f))")
+    logs = None if levels is None else np.array([math.log(lvl) for lvl in levels])
+    pairs = PairDraw(problem, cfg, region or box_region(problem, cfg.tol))
 
     def judge(s):
-        def fail_at(flat, level_log):
-            i, t = divmod(flat, s.T.shape[1])
+        k = s.T.shape[1]
+
+        def fail_at(i, t, level_log, index):
             return Witness(x=_point_list(s.X[i]), x0=_point_list(s.X0[i]), tau=float(s.T[i, t]),
                            left=_exp_or_inf(float(s.C[i, t])), right=_exp_or_inf(level_log),
-                           comparison="combined point left the sublevel set", index=flat,
+                           comparison="combined point left the sublevel set", index=index,
                            extra={"level": _exp_or_inf(level_log)})
 
         if levels is None:
             sat, nonvac = preinvex_masks(s, PreinvexKind.QUASI, cfg)
             mx = s.max_log
-            return Judgement(sat, lambda flat: fail_at(flat, float(mx[flat // s.T.shape[1], 0])), nonvac)
-        logs = np.array([math.log(lvl) for lvl in levels])[:, None]
-        qualify = (s.A <= logs) & (s.B <= logs)                            # (levels, N)
-        sat = ~qualify[:, :, None] | (s.C <= logs[:, :, None] + cfg.tol)   # (levels, N, k)
-        empty = [lvl for lvl, q in zip(levels, qualify) if not q.any()]
-        return Judgement(
-            sat, lambda flat: fail_at(flat % s.C.size, float(logs[flat // s.C.size, 0])),
-            np.broadcast_to(qualify[:, :, None], sat.shape),
-            vacuous=f"no sampled pair lies in the sublevel set for levels {empty}" if empty else None)
+            return Judgement(
+                sat, lambda flat: fail_at(*divmod(flat, k), float(mx[flat // k, 0]), s.lo * k + flat),
+                nonvac)
+        qualify = (s.A[:, None] <= logs) & (s.B[:, None] <= logs)             # (N, levels)
+        sat = ~qualify[:, :, None] | (s.C[:, None, :] <= logs[:, None] + cfg.tol)  # (N, levels, k)
 
-    return sampled_verdict(lambda: preinvex_pairs(fn, problem, cfg, region), judge)
+        def witness(flat):
+            i, rest = divmod(flat, logs.size * k)
+            lv, t = divmod(rest, k)
+            return fail_at(i, t, float(logs[lv]), (lv * cfg.n_pairs + s.lo + i) * k + t)
+
+        return Judgement(sat, witness, np.broadcast_to(qualify[:, :, None], sat.shape))
+
+    def empty_levels(counts):
+        empty = [lvl for lvl, c in zip(levels, counts) if not c.any()]
+        return f"no sampled pair lies in the sublevel set for levels {empty}" if empty else None
+
+    return sampled_verdict(cfg.n_pairs, lambda lo, hi: preinvex_pairs(fn, problem, cfg, pairs, lo, hi),
+                           judge, None if levels is None else empty_levels)

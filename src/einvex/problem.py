@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import dataclass, fields, is_dataclass, replace
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -21,11 +21,12 @@ import numpy as np
 
 from . import expr as ex
 from .errors import (ComposeMismatchError, DomainEvalError, InfeasiblePointError, ParseError,
-                     ProblemFormatError, SamplingStarvedError)
+                     ProblemFormatError)
 from .rng import SampleStream, tau_grid
 
 
-MAX_ROUNDS = 64  # proposal rounds of sample_region before it reports starvation
+MAX_ROUNDS = 64  # a region draw may spend MAX_ROUNDS * max(N, 1024) proposals on N points
+BLOCK_PAIRS = 8192  # pairs drawn and judged at a time; no verdict depends on it
 
 
 @dataclass(frozen=True)
@@ -95,7 +96,11 @@ class Verdict:
 
     "holds" is a sampling claim: no violation among `checked` samples, of
     which `nonvacuous` actually exercised the inequality.  "fails" carries a
-    re-verified witness.  "inconclusive" explains itself in `reason`.
+    re-verified witness, and `checked` counts the samples up to and
+    including its pair, in the canonical order of sampled_verdict.
+    "inconclusive" explains itself in `reason`; after a failed evaluation
+    `checked` counts as for "fails", after a starved draw the samples before
+    the pair that could not be drawn.
     """
 
     status: str  # holds | fails | inconclusive
@@ -417,48 +422,108 @@ def feasible_region(problem: EProblem, tol: float = 1e-9) -> Region:
     return Region("feasible", contains)
 
 
-def sample_region(problem: EProblem, stream: SampleStream, count: int, region: Region) -> np.ndarray:
-    """Uniform points of the box kept when region accepts them.
+@dataclass
+class RegionDraw:
+    """The points of one region, handed out in order by sample_region.
 
-    Deterministic given the stream; raises SamplingStarvedError when the
-    acceptance rate is too low to collect `count` points in MAX_ROUNDS
-    proposal rounds.
+    The proposals are the stream's uniform box points, in stream order, and
+    the accepted ones form one sequence: any split of it into calls gives
+    the same bits.  All calls share one budget of MAX_ROUNDS * max(total,
+    1024) proposals, ``total`` being the number of points drawn for.
     """
-    got = []
-    have = 0
-    chunk = max(count, 1024)
-    for _ in range(MAX_ROUNDS):
-        pts = stream.box(problem.lo, problem.hi, chunk)
-        keep = pts[region.contains(pts)]
-        if keep.size:
-            got.append(keep)
-            have += keep.shape[0]
-        if have >= count:
-            return np.concatenate(got, axis=0)[:count]
-    raise SamplingStarvedError(
-        f"could not draw {count} points from region '{region.name}' "
-        f"({have} accepted after {MAX_ROUNDS * chunk} proposals)")
+
+    stream: SampleStream
+    region: Region
+    total: int
+    proposals: int = 0                    # drawn so far
+    accepted: int = 0                     # accepted so far, pending ones included
+    pending: Optional[np.ndarray] = None  # accepted, not yet handed out
+
+    @property
+    def budget(self) -> int:
+        return MAX_ROUNDS * max(self.total, 1024)
+
+    def starved(self) -> str:
+        return (f"could not draw {self.total} points from region '{self.region.name}' "
+                f"({self.accepted} accepted after {self.budget} proposals)")
 
 
-def sample_pairs(problem: EProblem, cfg: SampleConfig, region: Region, at=None):
-    """The seeded pairs (X, X0), each (N, n), that every sampled checker draws.
+def sample_region(problem: EProblem, draw: RegionDraw, count: int) -> np.ndarray:
+    """The next ``count`` accepted points of ``draw``; shape (count, n).
+
+    Rounds of max(count, 1024) proposals run until enough are accepted, and
+    what a round accepts beyond ``count`` waits for the next call.  Fewer
+    rows come back only once the whole budget is spent without them;
+    ``draw.starved()`` then says so.
+    """
+    got = [] if draw.pending is None else [draw.pending]
+    have = sum(g.shape[0] for g in got)
+    while have < count and draw.proposals < draw.budget:
+        chunk = min(max(count, 1024), draw.budget - draw.proposals)
+        pts = draw.stream.box(problem.lo, problem.hi, chunk)
+        keep = pts[draw.region.contains(pts)]
+        draw.proposals += chunk
+        draw.accepted += keep.shape[0]
+        got.append(keep)
+        have += keep.shape[0]
+    rows = np.concatenate(got, axis=0) if got else np.empty((0, problem.n))
+    draw.pending = rows[count:]
+    return rows[:count]
+
+
+class PairDraw:
+    """The seeded pairs (x, x0) of one sampled check, drawn in pair order.
 
     X and X0 come from the region through one named stream each, so the same
-    seed yields the same pairs in every checker; the epigraph and level-set
-    forms judge them with the mixture checks' own masks.  ``at`` pins the
-    base point: X0 is then that single row and no x0 stream is drawn.
+    seed yields the same pairs in every checker.  ``at`` pins the base
+    point: every x0 is then that single row and no x0 stream is drawn.
     """
-    X = sample_region(problem, SampleStream(cfg.seed, "pairs-x"), cfg.n_pairs, region)
-    if at is not None:
-        return X, np.asarray(at, dtype=float).reshape(1, problem.n)
-    return X, sample_region(problem, SampleStream(cfg.seed, "pairs-x0"), cfg.n_pairs, region)
+
+    def __init__(self, problem: EProblem, cfg: SampleConfig, region: Region, at=None):
+        self.problem, self.region = problem, region
+        self.x = RegionDraw(SampleStream(cfg.seed, "pairs-x"), region, cfg.n_pairs)
+        self.x0 = None if at is not None else RegionDraw(SampleStream(cfg.seed, "pairs-x0"),
+                                                         region, cfg.n_pairs)
+        self.at = None if at is None else np.asarray(at, dtype=float).reshape(1, problem.n)
+        self.taken = 0  # pairs handed out
+
+    def first_x0(self, count: int) -> np.ndarray:
+        """The base points of the first ``count`` pairs, redrawn from the
+        start of the x0 stream; the pinned row alone under ``at``."""
+        if self.at is not None:
+            return self.at
+        fresh = RegionDraw(SampleStream(self.x0.stream.seed, self.x0.stream.label),
+                           self.region, self.x0.total)
+        return sample_region(self.problem, fresh, count)
+
+
+def sample_pairs(pairs: PairDraw, lo: int, hi: int):
+    """Pairs lo..hi-1 as (X, X0, starved): X (b, n), X0 (b, n) or the pinned row.
+
+    Ranges are drawn in order, each from where the last one ended.  b is
+    hi - lo unless a stream spends its budget before pair lo + b; ``starved``
+    is then that stream's message (the x stream's when both stop there),
+    else None.
+    """
+    if lo != pairs.taken:
+        raise ValueError(f"pairs from {lo} asked for after {pairs.taken} were drawn")
+    X = sample_region(pairs.problem, pairs.x, hi - lo)
+    starved = pairs.x.starved() if X.shape[0] < hi - lo else None
+    X0 = pairs.at
+    if X0 is None:
+        X0 = sample_region(pairs.problem, pairs.x0, X.shape[0])
+        if X0.shape[0] < X.shape[0]:
+            X, starved = X[:X0.shape[0]], pairs.x0.starved()
+    pairs.taken = lo + X.shape[0]
+    return X, X0, starved
 
 
 @dataclass
 class MixtureSamples:
-    """Seeded triples (x, x0, tau) through E and eta: the mixture-family
-    checks evaluate f at their combined points E(x0) + tau*eta(E(x), E(x0)),
-    the invex-set check tests those for membership."""
+    """Seeded triples (x, x0, tau) of pairs lo.. through E and eta: the
+    mixture-family checks evaluate f at their combined points
+    E(x0) + tau*eta(E(x), E(x0)), the invex-set check tests those for
+    membership.  One row per pair."""
 
     X: np.ndarray       # (N, n)
     X0: np.ndarray
@@ -468,21 +533,25 @@ class MixtureSamples:
     H: np.ndarray       # eta(U, V)
     bad: np.ndarray     # (N,) pairs whose evaluation failed
     invalid_comb: Optional[np.ndarray] = None  # (N, k) failed triples, bad pairs included
+    lo: int = 0                                # the first pair
+    starved: Optional[str] = None              # why no pair after these could be drawn
     nondiff = None  # no gradients taken: every bad pair is a failed evaluation
+    unit = None     # each row is a pair of its own
 
     def combined(self) -> np.ndarray:
         """The (N, k, n) combined points."""
         return self.V[:, None, :] + self.T[:, :, None] * self.H[:, None, :]
 
 
-def mixture_samples(problem: EProblem, cfg: SampleConfig, region: Region) -> MixtureSamples:
-    """The shared pairs with their "tau" weights, through E and eta."""
-    X, X0 = sample_pairs(problem, cfg, region)
-    T = tau_grid(SampleStream(cfg.seed, "tau"), cfg.n_pairs, cfg.n_tau)
+def mixture_samples(problem: EProblem, cfg: SampleConfig, pairs: PairDraw,
+                    lo: int, hi: int) -> MixtureSamples:
+    """Pairs lo..hi-1 with their "tau" weights, through E and eta."""
+    X, X0, starved = sample_pairs(pairs, lo, hi)
+    T = tau_grid(SampleStream(cfg.seed, "tau"), lo, lo + X.shape[0], cfg.n_tau)
     U, bad_u = problem.e_map(X)
     V, bad_v = problem.e_map(X0)
     H, bad_h = problem.eta_map(U, V)
-    return MixtureSamples(X, X0, T, U, V, H, bad_u | bad_v | bad_h)
+    return MixtureSamples(X, X0, T, U, V, H, bad_u | bad_v | bad_h, lo=lo, starved=starved)
 
 
 def _point_list(row):
@@ -490,60 +559,97 @@ def _point_list(row):
 
 
 class Judgement(NamedTuple):
-    """What a checker's definition says about samples free of bad rows."""
+    """What a checker's definition says about a block of samples free of
+    failed evaluations."""
 
-    sat: np.ndarray                      # False at a violation
+    sat: np.ndarray                      # (rows, ...) False at a violation; flat order is canonical
     witness: Callable[[int], Witness]    # the witness of a flat index into sat
-    nonvac: Optional[np.ndarray] = None  # samples that exercised the inequality; None: not counted
-    vacuous: Optional[str] = None        # why the samples show nothing, by the checker's own rule
+    nonvac: Optional[np.ndarray] = None  # like sat: samples that exercised the inequality; None: not counted
 
 
-def sampled_verdict(draw, judge, vacuous_policy: str = "holds", failed: str = "evaluation",
+def all_vacuous(counts) -> Optional[str]:
+    """The vacuity rule of a definition that some sample must exercise."""
+    return None if np.any(counts) else "all samples were vacuous for this definition"
+
+
+def _head(s, rows: int):
+    """The samples of the first ``rows`` rows."""
+    return replace(s, **{f.name: v[:rows] for f in fields(s)
+                         if isinstance(v := getattr(s, f.name), np.ndarray)})
+
+
+def _failure(s, i: int, failed: str) -> str:
+    tail = ""
+    if not s.bad[i]:  # only a combined point failed
+        tail = f", tau={float(s.T[i, int(np.argmax(s.invalid_comb[i]))])}"
+    elif s.nondiff is not None and s.nondiff[i]:
+        failed = "gradient"
+    return f"{failed} failed at x={_point_list(s.X[i])}, x0={_point_list(s.X0[i])}{tail}"
+
+
+def sampled_verdict(n_pairs: int, draw, judge, vacuous=None, failed: str = "evaluation",
                     weight: int = 1) -> Verdict:
-    """The one path from sampled pairs to a Verdict, in this order:
+    """The one path from sampled pairs to a Verdict.
 
-    1. inconclusive when ``draw()`` raises SamplingStarvedError;
-    2. inconclusive at the first row of the samples' ``bad`` (N,), else of
-       ``invalid_comb`` (N, k) (None without mixture weights T), naming
-       the failed quantity: "gradient" at a kink (the samples' ``nondiff``),
-       else ``failed``;
-    3. fails at the first violation of ``judge(samples)``, a Judgement;
-    4. inconclusive when the samples are vacuous: by the judge's own rule,
-       or, under vacuous_policy "inconclusive", when none is nonvacuous;
-    5. holds.
+    ``draw(lo, hi)`` returns the samples of pairs lo..hi-1, at most
+    BLOCK_PAIRS of them at a time, with rows in canonical order; a pair is
+    one row, or the rows of one value of the samples' ``unit``.
+    ``judge(samples)`` returns their Judgement.  The first pair, in this
+    order, that does one of the following decides, and no later pair is
+    drawn:
 
-    ``checked`` counts the judged instances drawn, whatever the status:
-    ``weight`` per pair, or per (pair, tau) with T.
+    1. fails to evaluate: inconclusive at its first row of the samples'
+       ``bad``, else of ``invalid_comb`` (None without mixture weights T),
+       naming the failed quantity: "gradient" at a kink (the samples'
+       ``nondiff``), else ``failed``.  This wins over a violation at the
+       same pair;
+    2. violates: fails, with the witness of its first violation;
+    3. cannot be drawn within the proposal budget: inconclusive, with the
+       sampler's message.
+
+    With no deciding pair the verdict is inconclusive when
+    ``vacuous(counts)`` gives a reason, ``counts`` being the nonvacuous
+    samples summed over the pairs (one count per instance of a pair), and
+    holds otherwise.
+
+    ``checked`` counts judged instances, ``weight`` per row, or per (row,
+    tau) with T: all of them for holds and vacuous verdicts, those up to
+    and including the deciding pair for fails and failed evaluations, and
+    those before the pair that could not be drawn for a starved draw.
     """
-    try:
-        s = draw()
-    except SamplingStarvedError as e:
-        return Verdict.inconclusive(str(e))
-    checked = weight * (s.X.shape[0] if s.T is None else s.T.size)
-    tail = None
-    if s.bad.any():
-        i, tail = int(np.argmax(s.bad)), ""
-        if s.nondiff is not None and s.nondiff[i]:
-            failed = "gradient"
-    elif s.invalid_comb is not None and s.invalid_comb.any():
-        i, t = divmod(int(np.argmax(s.invalid_comb)), s.T.shape[1])
-        tail = f", tau={float(s.T[i, t])}"
-    if tail is not None:
-        return Verdict.inconclusive(
-            f"{failed} failed at x={_point_list(s.X[i])}, x0={_point_list(s.X0[i])}{tail}",
-            checked=checked)
+    checked, counts = 0, None
+    for lo in range(0, n_pairs, BLOCK_PAIRS):
+        s = draw(lo, min(lo + BLOCK_PAIRS, n_pairs))
+        rows = s.bad.shape[0]
+        per_row = weight * (1 if s.T is None else s.T.shape[1])
+        failing = s.bad if s.invalid_comb is None else s.invalid_comb.any(axis=1)
+        f = int(np.argmax(failing)) if failing.any() else rows
+        r = f if s.unit is None or f == rows else int(np.searchsorted(s.unit, s.unit[f]))
+        j = judge(s if r == rows else _head(s, r)) if r else None
+        if j is not None and not j.sat.all():
+            viol = ~j.sat
+            flat = int(np.argmax(viol))
+            return Verdict.fails(j.witness(flat),
+                                 checked + per_row * _through(s, flat // (viol.size // r)))
+        if f < rows:
+            return Verdict.inconclusive(_failure(s, f, failed),
+                                        checked + per_row * _through(s, f))
+        checked += per_row * rows
+        if j is not None and j.nonvac is not None:
+            part = np.count_nonzero(j.nonvac, axis=0)
+            counts = part if counts is None else counts + part
+        if s.starved is not None:
+            return Verdict.inconclusive(s.starved, checked)
+    nv = None if counts is None else int(np.sum(counts))
+    reason = None if vacuous is None else vacuous(counts)
+    if reason is not None:
+        return Verdict.inconclusive(reason, checked)
+    return Verdict.holds(checked, nv)
 
-    j = judge(s)
-    viol = ~j.sat
-    if viol.any():
-        return Verdict.fails(j.witness(int(np.argmax(viol))), checked=checked)
-    nv = None if j.nonvac is None else int(np.count_nonzero(j.nonvac))
-    vacuous = j.vacuous
-    if vacuous is None and vacuous_policy == "inconclusive" and nv == 0:
-        vacuous = "all samples were vacuous for this definition"
-    if vacuous is not None:
-        return Verdict.inconclusive(vacuous, checked=checked)
-    return Verdict.holds(checked=checked, nonvacuous=nv)
+
+def _through(s, row: int) -> int:
+    """The rows up to and including the pair of ``row``."""
+    return row + 1 if s.unit is None else int(np.searchsorted(s.unit, s.unit[row], side="right"))
 
 
 def einvex_set_check(problem: EProblem, cfg: SampleConfig = SampleConfig(),
@@ -554,6 +660,7 @@ def einvex_set_check(problem: EProblem, cfg: SampleConfig = SampleConfig(),
     Points x, x0 are drawn from the region itself.
     """
     region = region or box_region(problem, cfg.tol)
+    pairs = PairDraw(problem, cfg, region)
 
     def judge(s):
         Z = s.combined()
@@ -562,10 +669,10 @@ def einvex_set_check(problem: EProblem, cfg: SampleConfig = SampleConfig(),
         def witness(flat):
             i, t = divmod(flat, cfg.n_tau)
             return Witness(x=_point_list(s.X[i]), x0=_point_list(s.X0[i]), tau=float(s.T[i, t]),
-                           comparison="combined point left the region", index=flat,
-                           extra={"combined": Z[i, t].tolist()})
+                           comparison="combined point left the region",
+                           index=s.lo * cfg.n_tau + flat, extra={"combined": Z[i, t].tolist()})
 
         return Judgement(member, witness)
 
-    return sampled_verdict(lambda: mixture_samples(problem, cfg, region), judge,
-                           failed="map evaluation")
+    return sampled_verdict(cfg.n_pairs, lambda lo, hi: mixture_samples(problem, cfg, pairs, lo, hi),
+                           judge, failed="map evaluation")

@@ -37,7 +37,8 @@ class SampleStream:
 
     ``uniform(k)`` returns the next ``k`` doubles in [0, 1).  The values
     depend only on (seed, label, position), so two streams built with the
-    same arguments replay identically.
+    same arguments replay identically, and ``uniform(k, start)`` reads any
+    stretch of the stream without drawing what comes before it.
     """
 
     def __init__(self, seed: int, label: str):
@@ -46,7 +47,11 @@ class SampleStream:
         self._base = _fold_label(seed, label)
         self._pos = 0
 
-    def uniform(self, count: int) -> np.ndarray:
+    def uniform(self, count: int, start=None) -> np.ndarray:
+        """``count`` doubles from position ``start`` on, by default from
+        where the last draw ended."""
+        if start is not None:
+            self._pos = start
         idx = np.arange(self._pos, self._pos + count, dtype=np.uint64)
         self._pos += count
         with np.errstate(over="ignore"):
@@ -61,19 +66,21 @@ class SampleStream:
         return lo + u * (hi - lo)
 
 
-def tau_grid(stream: SampleStream, n_pairs: int, n_tau: int) -> np.ndarray:
-    """Per-pair convex-combination weights, shape (n_pairs, n_tau).
+def tau_grid(stream: SampleStream, lo: int, hi: int, n_tau: int) -> np.ndarray:
+    """Convex-combination weights of pairs lo..hi-1, shape (hi - lo, n_tau).
 
     The first three columns are always the deterministic anchors 0, 1/2, 1;
-    the rest are uniform draws.  Anchors first keeps endpoint behaviour in
-    every run regardless of seed.
+    the rest are uniform draws, n_tau - 3 per pair in pair order, so a pair's
+    weights do not depend on the range it is drawn in.  Anchors first keeps
+    endpoint behaviour in every run regardless of seed.
     """
     if n_tau < 3:
         raise ValueError("n_tau must be at least 3 (anchors 0, 1/2, 1)")
-    out = np.empty((n_pairs, n_tau))
+    out = np.empty((hi - lo, n_tau))
     out[:, 0] = 0.0
     out[:, 1] = 0.5
     out[:, 2] = 1.0
     if n_tau > 3:
-        out[:, 3:] = stream.uniform(n_pairs * (n_tau - 3)).reshape(n_pairs, n_tau - 3)
+        draws = stream.uniform((hi - lo) * (n_tau - 3), start=lo * (n_tau - 3))
+        out[:, 3:] = draws.reshape(hi - lo, n_tau - 3)
     return out

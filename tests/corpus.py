@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from einvex.invexity import PreinvexKind
-from einvex.problem import EProblem, SampleConfig, load_problem
+from einvex.invexity import PreinvexKind, preinvex_pairs
+from einvex.problem import EProblem, PairDraw, SampleConfig, box_region, load_problem
 
 CFG = SampleConfig(seed=42, n_pairs=800, n_tau=6)
 
@@ -106,6 +106,11 @@ def by_name(name: str) -> CorpusEntry:
         if e.name == name:
             return e
     raise KeyError(name)
+
+
+def preinvex_block(fn, p: EProblem, cfg: SampleConfig = CFG):
+    """The mixture samples of all cfg.n_pairs box pairs of fn, as one block."""
+    return preinvex_pairs(fn, p, cfg, PairDraw(p, cfg, box_region(p, cfg.tol)), 0, cfg.n_pairs)
 
 
 def naive_preinvex_masks(s, kind, cfg: SampleConfig):

@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from corpus import CFG, ENTRIES, naive_preinvex_masks, problem
+from corpus import CFG, ENTRIES, naive_preinvex_masks, preinvex_block, problem
 from einvex import expr as ex
 from einvex.cli import run
 from einvex.invexity import (
@@ -23,7 +23,6 @@ from einvex.invexity import (
     invex_sides,
     level_set_invex_check,
     preinvex_masks,
-    preinvex_pairs,
 )
 from einvex.kkt import KktPoint, certify, solve_multipliers, verify_kkt_point
 from einvex.pareto import GridSpec, grid_oracle
@@ -135,7 +134,7 @@ def test_criterion_6_mixture_satisfaction_implies_quasi_per_sample():
     counterexamples = 0
     for ent in ENTRIES:
         p = problem(ent)
-        s = preinvex_pairs(p.function("f1"), p, CFG)
+        s = preinvex_block(p.function("f1"), p)
         sat_exp, _ = preinvex_masks(s, PreinvexKind.EXP, CFG)
         sat_quasi, _ = preinvex_masks(s, PreinvexKind.QUASI, CFG)
         valid = ~s.invalid_comb[:, None]
@@ -170,7 +169,7 @@ def test_criterion_7_numerics():
         if not ent.small:
             continue
         p = problem(ent)
-        s = preinvex_pairs(p.function("f1"), p, CFG)
+        s = preinvex_block(p.function("f1"), p)
         for kind in PreinvexKind:
             a, na = preinvex_masks(s, kind, CFG)
             b, nb = naive_preinvex_masks(s, kind, CFG)

@@ -84,6 +84,10 @@ def _commands():
         cmds[f"failing-kink-{kind}"] = _check(FAILING, "f3", kind, "--at", "0", pairs=300)
     cmds["failing-pair-level-set-levels"] = _check(FAILING, "f1", "level-set", "--levels", "1",
                                                    pairs=300)
+    # f2 violates the other combined-point forms before its first failed combined
+    # point; no pair violates a level far above exp(f2)
+    cmds["failing-combined-level-set-levels"] = _check(FAILING, "f2", "level-set", "--levels",
+                                                       "100", pairs=300)
     cmds["failing-map-invex-set"] = _check(BAD_MAP, None, "invex-set", pairs=300)
     # starved draws: g1 rejects every point of the feasible region
     for kind in CHECKERS:

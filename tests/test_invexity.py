@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from corpus import CFG, ENTRIES, by_name, naive_preinvex_masks, problem
+from corpus import CFG, ENTRIES, by_name, naive_preinvex_masks, preinvex_block, problem
 from einvex import expr
 from einvex.invexity import (
+    PROBE_RADII,
     InvexKind,
     PreinvexKind,
     check_invex,
@@ -17,11 +18,11 @@ from einvex.invexity import (
     invex_sides,
     level_set_invex_check,
     preinvex_masks,
-    preinvex_pairs,
     preinvex_sides,
+    _probe_points,
 )
-from einvex.problem import (EProblem, Region, SampleConfig, _jsonable, einvex_set_check,
-                            load_problem)
+from einvex.problem import (EProblem, Region, SampleConfig, _jsonable, box_region,
+                            einvex_set_check, load_problem)
 
 
 @pytest.fixture(scope="module")
@@ -138,6 +139,36 @@ def test_strict_invex_fails_via_deterministic_probes():
     assert v.witness.extra["probe"] is True
 
 
+def _reference_probe_points(centers, problem, region, tol):
+    """invexity._probe_points as a loop over centers, radii and directions."""
+    n = problem.n
+    diag = np.ones(n) / math.sqrt(n)
+    dirs = [diag] + [e for e in np.eye(n)] + [-diag] + [-e for e in np.eye(n)]
+    scale = max(1.0, float(np.linalg.norm(problem.hi - problem.lo)))
+    xs, owner = [], []
+    for k, c in enumerate(np.atleast_2d(centers)):
+        for r in PROBE_RADII:
+            for d in dirs:
+                p = np.clip(c + r * scale * d, problem.lo, problem.hi)
+                if np.max(np.abs(p - c)) <= tol:
+                    continue
+                if bool(region.contains(p[None, :])[0]):
+                    xs.append(p)
+                    owner.append(k)
+    return np.asarray(xs).reshape(-1, n), np.asarray(owner, dtype=np.intp)
+
+
+def test_probe_points_match_the_loop(vp1_path):
+    # the box corners clip probes onto their center; the half plane drops some
+    p = load_problem(vp1_path)
+    centers = np.array([[0.0, 0.0], [1.0, 0.5], [0.3, 0.7], [p.hi[0], p.hi[1]]])
+    half = Region("x1 <= x2", lambda P: np.atleast_2d(P)[:, 0] <= np.atleast_2d(P)[:, 1])
+    for region in (box_region(p, CFG.tol), half):
+        got = _probe_points(centers, p, region, CFG.tol)
+        want = _reference_probe_points(centers, p, region, CFG.tol)
+        assert got[0].tobytes() == want[0].tobytes() and np.array_equal(got[1], want[1])
+
+
 def test_strict_mixture_kinds_have_no_probes():
     # Mixture-family strict kinds only see sampled pairs: the quadratic-gap
     # argument needs x near x0 *and* an interior tau, which sampling rarely
@@ -241,7 +272,7 @@ def test_level_set_rejects_nonpositive_levels():
 @pytest.mark.parametrize("name", ["square", "double-well", "affine-under-log"])
 def test_log_and_naive_masks_agree_elementwise(name):
     p = problem(by_name(name))
-    s = preinvex_pairs(p.function("f1"), p, CFG)
+    s = preinvex_block(p.function("f1"), p)
     for kind in PreinvexKind:
         sat_log, nv_log = preinvex_masks(s, kind, CFG)
         sat_naive, nv_naive = naive_preinvex_masks(s, kind, CFG)
@@ -260,7 +291,7 @@ def test_log_path_survives_extreme_scales():
 def test_preinvex_satisfaction_implies_quasi_per_sample():
     for name in ("square", "shifted-cube", "double-well", "plain-cube"):
         p = problem(by_name(name))
-        s = preinvex_pairs(p.function("f1"), p, CFG)
+        s = preinvex_block(p.function("f1"), p)
         sat_exp, _ = preinvex_masks(s, PreinvexKind.EXP, CFG)
         sat_quasi, _ = preinvex_masks(s, PreinvexKind.QUASI, CFG)
         ok = ~s.invalid_comb[:, None] & np.ones_like(sat_exp)

@@ -15,11 +15,11 @@ from einvex.errors import (
     InfeasibleMultipliersError,
     InfeasiblePointError,
     ProblemFormatError,
-    SamplingStarvedError,
 )
 from einvex.pareto import GridSpec, grid_oracle
 from einvex.problem import (
     Region,
+    RegionDraw,
     SampleConfig,
     Verdict,
     Witness,
@@ -318,7 +318,7 @@ def test_feasibility_consumers_agree_row_by_row():
 def test_sample_region_stays_inside():
     p = load_problem(_prob())
     region = box_region(p)
-    X = sample_region(p, SampleStream(42, "unit"), 500, region)
+    X = sample_region(p, RegionDraw(SampleStream(42, "unit"), region, 500), 500)
     assert X.shape == (500, 1)
     assert region.contains(X).all()
 
@@ -326,8 +326,11 @@ def test_sample_region_stays_inside():
 def test_sample_region_starves_on_empty_region():
     p = load_problem(_prob())
     never = Region("empty", lambda P: np.zeros(np.atleast_2d(P).shape[0], dtype=bool))
-    with pytest.raises(SamplingStarvedError):
-        sample_region(p, SampleStream(42, "unit"), 100, never)
+    draw = RegionDraw(SampleStream(42, "unit"), never, 100)
+    assert sample_region(p, draw, 100).shape == (0, 1)
+    assert draw.proposals == draw.budget
+    assert draw.starved() == ("could not draw 100 points from region 'empty' "
+                              "(0 accepted after 65536 proposals)")
 
 
 def test_feasible_region_filters_constraints(vp1_path):

@@ -1,0 +1,301 @@
+"""Streamed sampled checks: prefix-stable region draws, verdicts that do not
+depend on the block size, the rule for ``checked``, and bounded memory.
+
+Every sampled checker draws and judges its pairs in blocks of BLOCK_PAIRS and
+stops at the block that holds the deciding pair.  These tests pin what must not
+change with the block size: the accepted points, the deciding pair and the
+counts of the report.
+"""
+
+import json
+import tracemalloc
+from dataclasses import dataclass, replace
+from typing import Optional
+
+import numpy as np
+import pytest
+
+import einvex.problem as problem_mod
+from corpus import CFG, ENTRIES, problem
+from einvex.cli import run
+from einvex.invexity import (PROBE_CENTERS, InvexKind, PreinvexKind, _probe_points, check_invex,
+                             check_preinvex, epigraph_invex_check, gradient_monotonicity,
+                             level_set_invex_check)
+from einvex.problem import (MAX_ROUNDS, PairDraw, Region, RegionDraw, Witness, _jsonable,
+                            box_region, einvex_set_check, feasible_region, load_problem,
+                            sample_region, sampled_verdict)
+from einvex.rng import SampleStream
+from test_golden import COMMANDS, GOLDEN, KINDS, _report
+
+DEFAULT_BLOCK = problem_mod.BLOCK_PAIRS
+
+
+# ---------------------------------------------------------------------------
+# prefix-stable region draws
+# ---------------------------------------------------------------------------
+
+
+class _Starved(Exception):
+    pass
+
+
+def _reference_sample_region(problem, stream, count, region):
+    """sample_region as it was before draws were streamed: all points in one call."""
+    got = []
+    have = 0
+    chunk = max(count, 1024)
+    for _ in range(MAX_ROUNDS):
+        pts = stream.box(problem.lo, problem.hi, chunk)
+        keep = pts[region.contains(pts)]
+        if keep.size:
+            got.append(keep)
+            have += keep.shape[0]
+        if have >= count:
+            return np.concatenate(got, axis=0)[:count]
+    raise _Starved(
+        f"could not draw {count} points from region '{region.name}' "
+        f"({have} accepted after {MAX_ROUNDS * chunk} proposals)")
+
+
+UNIT_SQUARE = {"n": 2, "E": ["x1", "x2"], "eta": ["u1 - v1", "u2 - v2"], "objectives": ["y1"],
+               "box": {"lo": [0, 0], "hi": [1, 1]}}
+ACCEPT = {"one-in-50": 0.02, "one-in-100": 0.01, "none": 0.0}   # share of the box accepted
+SPLITS = ([3000], [1, 2999], [7, 97, 1000, 1896], [2999, 1])
+
+
+@pytest.mark.parametrize("name", sorted(ACCEPT))
+def test_streamed_region_draws_are_one_whole_draw(name):
+    p = load_problem(UNIT_SQUARE)
+    region = Region(name, lambda P: np.atleast_2d(P)[:, 0] < ACCEPT[name])
+    try:
+        whole, message = _reference_sample_region(p, SampleStream(7, "ref"), 3000, region), None
+    except _Starved as e:
+        whole, message = None, str(e)
+    # 3000 points at 1/100 need about 300k proposals; the budget is 192k
+    assert (message is None) == (name == "one-in-50")
+    for split in SPLITS:
+        draw = RegionDraw(SampleStream(7, "ref"), region, 3000)
+        got = np.concatenate([sample_region(p, draw, count) for count in split])
+        if message is None:
+            assert got.tobytes() == whole.tobytes(), split
+        else:  # every point the budget accepts, in order, then the parent's message
+            proposals = SampleStream(7, "ref").box(p.lo, p.hi, draw.budget)
+            assert got.tobytes() == proposals[region.contains(proposals)].tobytes(), split
+            assert draw.starved() == message
+
+
+# ---------------------------------------------------------------------------
+# the deciding pair, on synthetic blocks
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class _Rows:
+    """Minimal samples: one row per pair, two per pair with ``unit``."""
+
+    X: np.ndarray
+    X0: np.ndarray
+    bad: np.ndarray
+    viol: np.ndarray
+    lo: int
+    unit: Optional[np.ndarray] = None
+    starved: Optional[str] = None
+    T = invalid_comb = nondiff = None
+
+
+def _synthetic(events, rows_per_pair=1, drawable=None):
+    """A draw over pairs whose rows carry 'v' (violates), 'f' (fails to
+    evaluate) or '.'; pairs from ``drawable`` on cannot be drawn."""
+    events = [e.ljust(rows_per_pair, ".") for e in events]
+    drawable = len(events) if drawable is None else drawable
+
+    def draw(lo, hi):
+        stop = min(hi, drawable)
+        ev = "".join(events[lo:stop])
+        x = np.arange(lo, stop, dtype=float).repeat(rows_per_pair)[:, None]
+        unit = np.arange(stop - lo).repeat(rows_per_pair) if rows_per_pair > 1 else None
+        return _Rows(x, x, np.array([c == "f" for c in ev], dtype=bool),
+                     np.array([c == "v" for c in ev], dtype=bool), lo, unit,
+                     "starved" if stop < hi else None)
+
+    def judge(s):
+        def witness(i):
+            return Witness(x=[float(s.X[i, 0])], index=s.lo * rows_per_pair + i)
+        return problem_mod.Judgement(~s.viol, witness, np.ones_like(s.viol))
+
+    return len(events), draw, judge
+
+
+# (events per pair, rows per pair, first undrawable pair) -> (status, witness index, checked)
+CASES = [
+    ((["."] * 10, 1, None), ("holds", None, 10)),
+    ((["."] * 5 + ["v"] + ["f"] * 4, 1, None), ("fails", 5, 6)),
+    ((["."] * 5 + ["f"] + ["v"] * 4, 1, None), ("inconclusive", None, 6)),
+    ((["."] * 4 + [".f", "v."] + ["."] * 4, 2, None), ("inconclusive", None, 10)),
+    ((["."] * 4 + ["vf"] + ["."] * 5, 2, None), ("inconclusive", None, 10)),
+    ((["."] * 4 + [".v"] + ["."] * 5, 2, None), ("fails", 9, 10)),
+    ((["."] * 6 + ["v"] * 4, 1, 6), ("inconclusive", None, 6)),
+    ((["."] * 3 + ["v"] + ["."] * 6, 1, 6), ("fails", 3, 4)),
+]
+
+
+@pytest.mark.parametrize("block", [1, 3, 4, 97, DEFAULT_BLOCK])
+@pytest.mark.parametrize("case, expected", CASES)
+def test_first_deciding_pair_decides_in_any_block_size(case, expected, block, monkeypatch):
+    monkeypatch.setattr(problem_mod, "BLOCK_PAIRS", block)
+    n, draw, judge = _synthetic(*case)
+    v = sampled_verdict(n, draw, judge)
+    assert (v.status, v.witness and v.witness.index, v.checked) == expected
+
+
+# ---------------------------------------------------------------------------
+# verdicts do not depend on the block size
+# ---------------------------------------------------------------------------
+
+SAMPLED = sorted(name for name, argv in COMMANDS.items() if argv[0] in ("check", "certify"))
+
+
+def _capped(argv, pairs):
+    at = argv.index("--pairs") + 1
+    return argv[:at] + [str(min(int(argv[at]), pairs))] + argv[at + 1:]
+
+
+def _under_block(monkeypatch, block, produce):
+    monkeypatch.setattr(problem_mod, "BLOCK_PAIRS", block)
+    try:
+        return produce()
+    finally:
+        monkeypatch.setattr(problem_mod, "BLOCK_PAIRS", DEFAULT_BLOCK)
+
+
+def _judges_every_pair(name):
+    report = json.loads((GOLDEN / f"{name}.json").read_text())["report"]
+    return report["conclusion"] in ("holds", "certified")
+
+
+@pytest.mark.parametrize("block, cap", [(97, 300), (3, 20)])
+def test_golden_reports_do_not_depend_on_the_block_size(block, cap, monkeypatch):
+    """97 divides no pair count: every sampled golden decided before its last
+    pair reproduces its stored report.  3 is below PROBE_CENTERS, so the
+    probes fall in a later block than the first pairs.  The goldens that
+    judge every pair (all of them under 3) run at --pairs <= cap instead,
+    against a default-block run of the same command, to keep the suite fast."""
+    stored = {n: (GOLDEN / f"{n}.json").read_text() for n in SAMPLED
+              if block == 97 and not _judges_every_pair(n)}
+    small = {n: _capped(COMMANDS[n], cap) for n in SAMPLED if n not in stored}
+    expected = {**stored, **{n: _report(argv) for n, argv in small.items()}}
+    got = _under_block(monkeypatch, block, lambda: {
+        n: _report(small.get(n, COMMANDS[n])) for n in SAMPLED})
+    assert got == expected
+
+
+def _verdict(p, kind, cfg):
+    fn = p.function("f1")
+    if kind in tuple(PreinvexKind):
+        return check_preinvex(fn, p, kind, cfg)
+    if kind in tuple(InvexKind):
+        return check_invex(fn, p, kind, cfg)
+    if kind.endswith("monotone-gradient"):
+        return gradient_monotonicity(fn, p, cfg, strict=kind.startswith("strict"))
+    if kind == "epigraph":
+        return epigraph_invex_check(fn, p, cfg)
+    if kind == "level-set":
+        return level_set_invex_check(fn, p, cfg=cfg)
+    return einvex_set_check(p, cfg)
+
+
+def _corpus_reports(n_pairs):
+    cfg = replace(CFG, n_pairs=n_pairs)
+    return [json.dumps(_jsonable(_verdict(problem(ent), kind, cfg)), sort_keys=True)
+            for ent in ENTRIES for kind in KINDS]
+
+
+@pytest.mark.parametrize("block, n_pairs", [(97, 120), (3, 12)])
+def test_corpus_verdicts_do_not_depend_on_the_block_size(block, n_pairs, monkeypatch):
+    """Every corpus entry under every kind; 120 pairs split unevenly into
+    blocks of 97, and 12 pairs keep the blocks of 3 affordable."""
+    got = _under_block(monkeypatch, block, lambda: _corpus_reports(n_pairs))
+    assert got == _corpus_reports(n_pairs)
+
+
+# ---------------------------------------------------------------------------
+# the rule for checked
+# ---------------------------------------------------------------------------
+
+
+def _verdicts(report):
+    """(kind, verdict) of every sampled verdict in a report."""
+    if "verdict" in report:
+        return [(report["config"]["kind"], report["verdict"])]
+    hyps = report.get("certificate", {}).get("hypotheses", [])
+    return [(h["kind"], h["verdict"]) for h in hyps]
+
+
+def _n_probes(argv, report, cfg, pinned):
+    """The probes of a strict gradient-family check, as its report configured it."""
+    p = load_problem(argv[1])
+    region = feasible_region(p, cfg.tol)
+    if report["command"] == "check" and report["config"]["region"] == "box":
+        region = box_region(p, cfg.tol)
+    centers = PairDraw(p, cfg, region, pinned).first_x0(min(cfg.n_pairs, PROBE_CENTERS))
+    return _probe_points(centers, p, region, cfg.tol)[0].shape[0]
+
+
+def _expected_checked(kind, index, n, k, pinned, probes):
+    """checked of a fails verdict, from its witness index: every instance up to
+    and including the deciding pair, in canonical order."""
+    if kind == "epigraph":
+        return (index // (2 * k) + 1) * 2 * k
+    if kind in tuple(PreinvexKind) or kind in ("level-set", "invex-set"):
+        return ((index // k) % n + 1) * k          # (levels, N, k) drops its level
+    per_pair = 1 if pinned else 2
+    c = min(n, PROBE_CENTERS)
+    if index >= per_pair * n:                      # probe j follows pair c - 1
+        return per_pair * c + index - per_pair * n + 1
+    i = index % n
+    strict = kind.startswith("strict")
+    return per_pair * (i + 1) + (probes() if strict and i >= c else 0)
+
+
+def test_checked_follows_from_the_witness_index():
+    seen = 0
+    for name, argv in sorted(COMMANDS.items()):
+        report = json.loads((GOLDEN / f"{name}.json").read_text())["report"]
+        config = report["config"]
+        n, k = config.get("pairs"), config.get("tau")
+        pinned = report.get("certificate", {}).get("point", {}).get("y") or config.get("at")
+        for kind, v in _verdicts(report):
+            if v["status"] == "holds" or "witness" not in v:
+                continue
+            cfg = replace(CFG, seed=config["seed"], n_pairs=n, n_tau=k, tol=config["eps"],
+                          strict_margin=config["delta"])
+            assert v["checked"] == _expected_checked(
+                kind, v["witness"]["index"], n, k, pinned,
+                lambda: _n_probes(argv, report, cfg, pinned)), (name, kind)
+            seen += 1
+    assert seen >= 25
+
+
+# ---------------------------------------------------------------------------
+# bounded memory
+# ---------------------------------------------------------------------------
+
+
+def _traced_peak(argv):
+    tracemalloc.start()
+    try:
+        code, _ = run(argv)
+        return code, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_memory_does_not_grow_with_the_pairs(vp1_path):
+    """A holding check draws every pair; ten times the pairs must not raise its
+    traced peak by more than 10 %."""
+    argv = ["check", str(vp1_path), "--function", "f1", "--kind", "invex", "--format", "json"]
+    run(argv + ["--pairs", "1000"])  # imports and caches outside the traced runs
+    small_code, small = _traced_peak(argv + ["--pairs", "40000"])
+    large_code, large = _traced_peak(argv + ["--pairs", "400000"])
+    assert small_code == large_code == 0
+    assert large <= 1.10 * small, (small, large)
