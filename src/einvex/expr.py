@@ -305,71 +305,69 @@ def _walk(node, env, flags, wrt):
 
     if isinstance(node, Unary):
         a, ad = _walk(node.arg, env, flags, wrt)
-        with np.errstate(all="ignore"):
-            if node.op == "neg":
-                return -a, (-ad if want_d else None)
-            if node.op == "exp":
-                v = np.exp(a)
-                if not want_d:
-                    return v, None
-                return v, np.where(ad == 0.0, 0.0, v[..., None] * ad)
-            if node.op == "log":
-                flags.flag_invalid(a <= 0.0, node)
-                v = np.log(np.where(a > 0.0, a, np.nan))
-                return v, (ad / a[..., None] if want_d else None)
-            if node.op == "sqrt":
-                flags.flag_invalid(a < 0.0, node)
-                v = np.sqrt(np.where(a >= 0.0, a, np.nan))
-            elif node.op == "cbrt":
-                v = np.cbrt(a)
-            else:
-                raise AssertionError(f"unknown unary op {node.op}")
+        if node.op == "neg":
+            return -a, (-ad if want_d else None)
+        if node.op == "exp":
+            v = np.exp(a)
             if not want_d:
                 return v, None
-            # A zero argument is a kink, or hides the derivative whatever the
-            # argument's own (cbrt(x1^3) is x1, sqrt(x1^2) is |x1|): flag it
-            # wherever the argument depends on wrt.
-            if not node.arg.variables().isdisjoint(wrt):
-                flags.flag_nondiff(a == 0.0, node)
-            slope = 2.0 * v if node.op == "sqrt" else 3.0 * v * v
-            return v, np.where(ad == 0.0, 0.0, ad / slope[..., None])
+            return v, np.where(ad == 0.0, 0.0, v[..., None] * ad)
+        if node.op == "log":
+            flags.flag_invalid(a <= 0.0, node)
+            v = np.log(np.where(a > 0.0, a, np.nan))
+            return v, (ad / a[..., None] if want_d else None)
+        if node.op == "sqrt":
+            flags.flag_invalid(a < 0.0, node)
+            v = np.sqrt(np.where(a >= 0.0, a, np.nan))
+        elif node.op == "cbrt":
+            v = np.cbrt(a)
+        else:
+            raise AssertionError(f"unknown unary op {node.op}")
+        if not want_d:
+            return v, None
+        # A zero argument is a kink, or hides the derivative whatever the
+        # argument's own (cbrt(x1^3) is x1, sqrt(x1^2) is |x1|): flag it
+        # wherever the argument depends on wrt.
+        if not node.arg.variables().isdisjoint(wrt):
+            flags.flag_nondiff(a == 0.0, node)
+        slope = 2.0 * v if node.op == "sqrt" else 3.0 * v * v
+        return v, np.where(ad == 0.0, 0.0, ad / slope[..., None])
 
     a, ad = _walk(node.lhs, env, flags, wrt)
     b, bd = _walk(node.rhs, env, flags, wrt)
-    with np.errstate(all="ignore"):
-        if node.op == "+":
-            return a + b, (ad + bd if want_d else None)
-        if node.op == "-":
-            return a - b, (ad - bd if want_d else None)
-        if node.op == "*":
-            return a * b, (ad * b[..., None] + a[..., None] * bd if want_d else None)
-        if node.op == "/":
-            flags.flag_invalid(b == 0.0, node)
-            v = a / np.where(b == 0.0, np.nan, b)
-            return v, ((ad * b[..., None] - a[..., None] * bd) / (b * b)[..., None]
-                       if want_d else None)
-        if node.op == "^":
-            nonint = (b != np.floor(b)) | ~np.isfinite(b)
-            flags.flag_invalid(((a < 0.0) & nonint) | ((a == 0.0) & (b < 0.0)), node)
-            v = np.power(a, b)
-            v = np.where((a < 0.0) & nonint, np.nan, v)
-            if not want_d:
-                return v, None
-            # The rule is chosen per row and variable, so no row depends on
-            # the others in the batch.  Where the exponent does not move, the
-            # plain power rule holds, also for negative bases at integral
-            # exponents; elsewhere the log form needs a positive base.
-            moving = bd != 0.0
-            d = (b * np.power(a, b - 1.0))[..., None] * ad
-            d = np.where((ad == 0.0) | (b == 0.0)[..., None], 0.0, d)
-            flags.flag_nondiff((~np.isfinite(d) & ~moving).any(axis=-1)
-                               & np.isfinite(a) & np.isfinite(v), node)
-            if moving.any():
-                flags.flag_invalid((a <= 0.0) & moving.any(axis=-1), node)
-                la = np.log(np.where(a > 0.0, a, np.nan))
-                d_log = v[..., None] * (bd * la[..., None] + b[..., None] * ad / a[..., None])
-                d = np.where(moving, d_log, d)
-            return v, d
+    if node.op == "+":
+        return a + b, (ad + bd if want_d else None)
+    if node.op == "-":
+        return a - b, (ad - bd if want_d else None)
+    if node.op == "*":
+        return a * b, (ad * b[..., None] + a[..., None] * bd if want_d else None)
+    if node.op == "/":
+        flags.flag_invalid(b == 0.0, node)
+        v = a / np.where(b == 0.0, np.nan, b)
+        return v, ((ad * b[..., None] - a[..., None] * bd) / (b * b)[..., None]
+                   if want_d else None)
+    if node.op == "^":
+        nonint = (b != np.floor(b)) | ~np.isfinite(b)
+        flags.flag_invalid(((a < 0.0) & nonint) | ((a == 0.0) & (b < 0.0)), node)
+        v = np.power(a, b)
+        v = np.where((a < 0.0) & nonint, np.nan, v)
+        if not want_d:
+            return v, None
+        # The rule is chosen per row and variable, so no row depends on
+        # the others in the batch.  Where the exponent does not move, the
+        # plain power rule holds, also for negative bases at integral
+        # exponents; elsewhere the log form needs a positive base.
+        moving = bd != 0.0
+        d = (b * np.power(a, b - 1.0))[..., None] * ad
+        d = np.where((ad == 0.0) | (b == 0.0)[..., None], 0.0, d)
+        flags.flag_nondiff((~np.isfinite(d) & ~moving).any(axis=-1)
+                           & np.isfinite(a) & np.isfinite(v), node)
+        if moving.any():
+            flags.flag_invalid((a <= 0.0) & moving.any(axis=-1), node)
+            la = np.log(np.where(a > 0.0, a, np.nan))
+            d_log = v[..., None] * (bd * la[..., None] + b[..., None] * ad / a[..., None])
+            d = np.where(moving, d_log, d)
+        return v, d
     raise AssertionError(f"unknown binary op {node.op}")
 
 
@@ -402,7 +400,8 @@ def _batch_shape(env) -> tuple:
 def eval_many(node: Expr, env: Mapping[str, np.ndarray]) -> EvalResult:
     """Vectorized evaluation; domain violations are masked, not raised."""
     flags = _Flags()
-    v, _ = _walk(node, env, flags, None)
+    with np.errstate(all="ignore"):  # domain violations are flagged, not warned about
+        v, _ = _walk(node, env, flags, None)
     v = np.asarray(np.broadcast_to(np.asarray(v, dtype=float), _batch_shape(env)))
     invalid = np.broadcast_to(np.asarray(flags.invalid, dtype=bool), v.shape)
     return EvalResult(v, invalid, flags.invalid_node)
@@ -411,7 +410,8 @@ def eval_many(node: Expr, env: Mapping[str, np.ndarray]) -> EvalResult:
 def grad_many(node: Expr, env: Mapping[str, np.ndarray], wrt: Sequence[str]) -> GradResult:
     """Vectorized forward-mode gradient: one sweep carries every variable in wrt."""
     flags = _Flags()
-    v, d = _walk(node, env, flags, tuple(wrt))
+    with np.errstate(all="ignore"):
+        v, d = _walk(node, env, flags, tuple(wrt))
     vals = np.asarray(np.broadcast_to(np.asarray(v, dtype=float), _batch_shape(env)))
     grads = np.broadcast_to(np.asarray(d, dtype=float), vals.shape + (len(wrt),))
     invalid = np.broadcast_to(np.asarray(flags.invalid, dtype=bool), vals.shape)
@@ -463,51 +463,50 @@ def eval_with_error(node: Expr, env: Mapping[str, np.ndarray]):
             return np.float64(n.value), np.float64(0.0)
         if isinstance(n, Var):
             return np.asarray(env[n.name], dtype=float), np.float64(0.0)
-        with np.errstate(all="ignore"):
-            if isinstance(n, Unary):
-                a, ea = walk(n.arg)
-                if n.op == "neg":
-                    return -a, ea
-                if n.op == "exp":
-                    v = np.exp(a)
-                    return v, v * ea + ulp(v)
-                if n.op == "log":
-                    v = np.log(np.where(a > 0.0, a, np.nan))
-                    return v, ea / np.abs(a) + ulp(v)
-                if n.op == "sqrt":
-                    v = np.sqrt(np.where(a >= 0.0, a, np.nan))
-                    return v, np.where(v > 0.0, ea / (2.0 * v), np.where(ea > 0.0, np.inf, 0.0)) + ulp(v)
-                if n.op == "cbrt":
-                    v = np.cbrt(a)
-                    return v, np.where(v != 0.0, ea / np.abs(3.0 * v * v),
-                                       np.where(ea > 0.0, np.inf, 0.0)) + ulp(v)
-            a, ea = walk(n.lhs)
-            b, eb = walk(n.rhs)
-            if n.op == "+":
-                v = a + b
-                return v, ea + eb + ulp(v)
-            if n.op == "-":
-                v = a - b
-                return v, ea + eb + ulp(v)
-            if n.op == "*":
-                v = a * b
-                return v, ea * np.abs(b) + eb * np.abs(a) + ulp(v)
-            if n.op == "/":
-                v = a / np.where(b == 0.0, np.nan, b)
-                return v, (ea + eb * np.abs(v)) / np.abs(b) + ulp(v)
-            # pow: |d/da| = |b a^(b-1)|, |d/db| = |v log a| (log term only
-            # meaningful for positive bases, where general exponents live)
-            nonint = (b != np.floor(b)) | ~np.isfinite(b)
-            v = np.power(a, b)
-            v = np.where((a < 0.0) & nonint, np.nan, v)
-            da = np.abs(b * np.power(a, b - 1.0)) * ea
-            da = np.where(ea == 0.0, 0.0, da)
-            la = np.abs(np.log(np.where(a > 0.0, a, 1.0)))
-            db = np.where(eb == 0.0, 0.0, np.abs(v) * la * eb)
-            return v, da + db + ulp(v)
-        raise AssertionError(f"unknown node {n!r}")
+        if isinstance(n, Unary):
+            a, ea = walk(n.arg)
+            if n.op == "neg":
+                return -a, ea
+            if n.op == "exp":
+                v = np.exp(a)
+                return v, v * ea + ulp(v)
+            if n.op == "log":
+                v = np.log(np.where(a > 0.0, a, np.nan))
+                return v, ea / np.abs(a) + ulp(v)
+            if n.op == "sqrt":
+                v = np.sqrt(np.where(a >= 0.0, a, np.nan))
+                return v, np.where(v > 0.0, ea / (2.0 * v), np.where(ea > 0.0, np.inf, 0.0)) + ulp(v)
+            if n.op == "cbrt":
+                v = np.cbrt(a)
+                return v, np.where(v != 0.0, ea / np.abs(3.0 * v * v),
+                                   np.where(ea > 0.0, np.inf, 0.0)) + ulp(v)
+        a, ea = walk(n.lhs)
+        b, eb = walk(n.rhs)
+        if n.op == "+":
+            v = a + b
+            return v, ea + eb + ulp(v)
+        if n.op == "-":
+            v = a - b
+            return v, ea + eb + ulp(v)
+        if n.op == "*":
+            v = a * b
+            return v, ea * np.abs(b) + eb * np.abs(a) + ulp(v)
+        if n.op == "/":
+            v = a / np.where(b == 0.0, np.nan, b)
+            return v, (ea + eb * np.abs(v)) / np.abs(b) + ulp(v)
+        # pow: |d/da| = |b a^(b-1)|, |d/db| = |v log a| (log term only
+        # meaningful for positive bases, where general exponents live)
+        nonint = (b != np.floor(b)) | ~np.isfinite(b)
+        v = np.power(a, b)
+        v = np.where((a < 0.0) & nonint, np.nan, v)
+        da = np.abs(b * np.power(a, b - 1.0)) * ea
+        da = np.where(ea == 0.0, 0.0, da)
+        la = np.abs(np.log(np.where(a > 0.0, a, 1.0)))
+        db = np.where(eb == 0.0, 0.0, np.abs(v) * la * eb)
+        return v, da + db + ulp(v)
 
-    v, e = walk(node)
+    with np.errstate(all="ignore"):
+        v, e = walk(node)
     v = np.asarray(np.broadcast_to(np.asarray(v, dtype=float), _batch_shape(env)))
     e = np.broadcast_to(np.asarray(e, dtype=float), v.shape)
     return v, np.where(np.isfinite(v), e, np.inf)

@@ -347,14 +347,15 @@ def invex_sides(fn: ProblemFunction, problem: EProblem, x, x0) -> dict:
 
 def check_invex(fn: ProblemFunction, problem: EProblem, kind: InvexKind,
                 cfg: SampleConfig = SampleConfig(), at=None, region: Optional[Region] = None,
-                vacuous_policy: str = "inconclusive") -> Verdict:
+                vacuous=all_vacuous) -> Verdict:
     """Check one gradient-family definition at sampled pairs.
 
     ``at`` pins the base point (the mode certificates use); otherwise both
     orientations of each sampled pair are tested.  Strict kinds also test
     deterministic probes near base points: "holds" for them means the
     strict gap stays above the margin even arbitrarily close to x0 in the
-    probed directions.
+    probed directions.  ``vacuous`` is the vacuity rule of sampled_verdict;
+    None lets a check whose samples were all vacuous hold.
     """
     kind = InvexKind(kind)
     strict = kind in (InvexKind.STRICT, InvexKind.STRICT_PSEUDO)
@@ -381,7 +382,7 @@ def check_invex(fn: ProblemFunction, problem: EProblem, kind: InvexKind,
 
     return sampled_verdict(
         cfg.n_pairs, lambda lo, hi: invex_pairs(fn, problem, cfg, pairs, lo, hi, probes=strict),
-        judge, all_vacuous if vacuous_policy == "inconclusive" else None)
+        judge, vacuous)
 
 
 def gradient_monotonicity(fn: ProblemFunction, problem: EProblem,
@@ -471,7 +472,7 @@ def epigraph_invex_check(fn: ProblemFunction, problem: EProblem,
         return Judgement(sat, witness, np.ones_like(sat))
 
     return sampled_verdict(cfg.n_pairs, lambda lo, hi: preinvex_pairs(fn, problem, cfg, pairs, lo, hi),
-                           judge, weight=2)
+                           judge)
 
 
 def level_set_invex_check(fn: ProblemFunction, problem: EProblem,
@@ -515,7 +516,7 @@ def level_set_invex_check(fn: ProblemFunction, problem: EProblem,
         def witness(flat):
             i, rest = divmod(flat, logs.size * k)
             lv, t = divmod(rest, k)
-            return fail_at(i, t, float(logs[lv]), (lv * cfg.n_pairs + s.lo + i) * k + t)
+            return fail_at(i, t, float(logs[lv]), s.lo * logs.size * k + flat)
 
         return Judgement(sat, witness, np.broadcast_to(qualify[:, :, None], sat.shape))
 

@@ -7,11 +7,12 @@ composed functions (f_i o E), (g_k o E), (h_j o E):
         + sum_j xi_j grad(h_j o E)(y) = 0,
     rho_k g_k(E(y)) = 0,   tau >= 0 (not all zero),   rho >= 0.
 
-Multipliers come from three linear programs (scipy's HiGHS) over
-lam = (tau, rho on the active constraints, xi+, xi-) >= 0 with sum(tau) = 1:
-the smallest stationarity residual r* = min ||A lam||_inf (no multipliers
-when r* exceeds the tolerance), then the largest smallest objective weight
-at residual r* (so no objective is silently dropped), then the smallest
+Multipliers come from three linear programs, each solved by _lp, a dense
+two-phase simplex in numpy with Bland's rule, over lam = (tau, rho on the
+active constraints, xi+, xi-) >= 0 with sum(tau) = 1: the smallest
+stationarity residual r* = min ||A lam||_inf (no multipliers when r*
+exceeds the tolerance), then the largest smallest objective weight at
+residual r* (so no objective is silently dropped), then the smallest
 sum(rho) + sum(|xi|) at that weight.  The last step is an L1 tie-break: it
 picks a vertex of the optimal set, which coincides with the minimum
 Euclidean norm only where the multipliers are unique.  Every function
@@ -116,17 +117,66 @@ def verify_kkt_point(problem: EProblem, point: KktPoint, tol: float = 1e-9) -> K
 # ---------------------------------------------------------------------------
 
 
-LP_FEASIBILITY_TOL = 1e-10  # HiGHS primal feasibility; its default 1e-7 exceeds eps = 1e-9
+PIVOT_TOL = 1e-10    # smallest pivot and reduced cost acted on; largest Phase I residual
+MAX_PIVOTS = 10_000  # guards against cycling on rounding noise, which Bland's rule cannot see
+
+
+def _pivot(T, basis, i, j):
+    """Make column j basic in row i of tableau T."""
+    T[i] /= T[i, j]
+    T -= np.outer(np.r_[T[:i, j], 0.0, T[i + 1:, j]], T[i])
+    basis[i] = j
+
+
+def _simplex(T, basis, cost, ncols):
+    """Minimize cost . x from the feasible basis of T (rhs last), entering
+    only columns below ncols.  Bland's rule: the entering column is the
+    first with a negative reduced cost, the leaving row the one of smallest
+    basic index among the ratio-test ties, so no basis repeats."""
+    for _ in range(MAX_PIVOTS):
+        enter = np.flatnonzero(cost[:ncols] - cost[basis] @ T[:, :ncols] < -PIVOT_TOL)
+        if not enter.size:
+            return
+        col = T[:, enter[0]]
+        rows = np.flatnonzero(col > PIVOT_TOL)
+        if not rows.size:
+            raise EinvexError("multiplier LP failed: the objective is unbounded")
+        ratio = np.maximum(T[rows, -1], 0.0) / col[rows]
+        ties = rows[ratio == ratio.min()]
+        _pivot(T, basis, ties[np.argmin(basis[ties])], enter[0])
+    raise EinvexError(f"multiplier LP failed: no optimum within {MAX_PIVOTS} pivots")
 
 
 def _lp(c, A_ub, b_ub, sum_row):
-    """argmin c.x over x >= 0 with A_ub x <= b_ub and sum_row . x = 1, by HiGHS."""
-    from scipy.optimize import linprog  # imported on the first solve only: it takes ~0.7 s
-    res = linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=[sum_row], b_eq=[1.0], bounds=(0, None),
-                  method="highs", options={"primal_feasibility_tolerance": LP_FEASIBILITY_TOL})
-    if res.status != 0:
-        raise EinvexError(f"multiplier LP failed: {res.message}")
-    return res.x
+    """argmin c.x over x >= 0 with A_ub x <= b_ub and sum_row . x = 1.
+
+    A dense tableau simplex over (x, slacks, artificials).  The rows of A_ub
+    with a negative right-hand side are negated; they and the sum_row
+    equality start on artificials, which Phase I drives to zero before
+    Phase II minimizes c (Bland, Math. Oper. Res. 2, 1977).
+    """
+    A_ub, b_ub = np.asarray(A_ub, dtype=float), np.asarray(b_ub, dtype=float)
+    mu, d = A_ub.shape
+    flip = np.where(b_ub < 0.0, -1.0, 1.0)
+    art = np.r_[np.flatnonzero(flip < 0.0), mu]  # the rows that start on an artificial
+    k = d + mu                                   # the columns of x and the slacks
+    T = np.zeros((mu + 1, k + art.size + 1))
+    T[:mu, :d], T[:mu, d:k], T[mu, :d] = A_ub * flip[:, None], np.diag(flip), sum_row
+    T[art, k + np.arange(art.size)] = 1.0
+    T[:, -1] = np.r_[b_ub * flip, 1.0]
+    basis = np.r_[d + np.arange(mu), 0]
+    basis[art] = k + np.arange(art.size)
+    _simplex(T, basis, np.r_[np.zeros(k), np.ones(art.size)], T.shape[1] - 1)
+    if np.sum(T[basis >= k, -1]) > PIVOT_TOL:
+        raise EinvexError("multiplier LP failed: infeasible, Phase I left an artificial nonzero")
+    for i in np.flatnonzero(basis >= k):  # a basic artificial at zero leaves, unless redundant
+        j = np.flatnonzero(np.abs(T[i, :k]) > PIVOT_TOL)
+        if j.size:
+            _pivot(T, basis, i, j[0])
+    _simplex(T, basis, np.r_[c, np.zeros(T.shape[1] - 1 - d)], k)
+    x = np.zeros(T.shape[1] - 1)
+    x[basis] = T[:, -1]
+    return x[:d]
 
 
 def _lp_multipliers(A, p, tol):
@@ -258,7 +308,7 @@ def certify(problem: EProblem, point: KktPoint, theorem: str,
     region = feasible_region(problem, cfg.tol)
     hyps = [HypothesisResult(fn.name, kind.value,
                              check_invex(fn, problem, kind, cfg, at=point.y, region=region,
-                                         vacuous_policy="holds"))
+                                         vacuous=None))
             for fn, kind in plan]
     for status, conclusion, word in (("fails", "not-established", "failed"),
                                      ("inconclusive", "inconclusive", "inconclusive")):

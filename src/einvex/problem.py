@@ -587,8 +587,7 @@ def _failure(s, i: int, failed: str) -> str:
     return f"{failed} failed at x={_point_list(s.X[i])}, x0={_point_list(s.X0[i])}{tail}"
 
 
-def sampled_verdict(n_pairs: int, draw, judge, vacuous=None, failed: str = "evaluation",
-                    weight: int = 1) -> Verdict:
+def sampled_verdict(n_pairs: int, draw, judge, vacuous=None, failed: str = "evaluation") -> Verdict:
     """The one path from sampled pairs to a Verdict.
 
     ``draw(lo, hi)`` returns the samples of pairs lo..hi-1, at most
@@ -612,30 +611,30 @@ def sampled_verdict(n_pairs: int, draw, judge, vacuous=None, failed: str = "eval
     samples summed over the pairs (one count per instance of a pair), and
     holds otherwise.
 
-    ``checked`` counts judged instances, ``weight`` per row, or per (row,
-    tau) with T: all of them for holds and vacuous verdicts, those up to
-    and including the deciding pair for fails and failed evaluations, and
-    those before the pair that could not be drawn for a starved draw.
+    ``checked`` counts judged instances, the entries of a row's judgement
+    (one per tau, level or lift it tests): all of them for holds and vacuous
+    verdicts, those up to and including the deciding pair for fails and
+    failed evaluations, and those before the pair that could not be drawn
+    for a starved draw.  The judgement of a head with no rows still gives
+    the instances per row.
     """
     checked, counts = 0, None
     for lo in range(0, n_pairs, BLOCK_PAIRS):
         s = draw(lo, min(lo + BLOCK_PAIRS, n_pairs))
         rows = s.bad.shape[0]
-        per_row = weight * (1 if s.T is None else s.T.shape[1])
         failing = s.bad if s.invalid_comb is None else s.invalid_comb.any(axis=1)
         f = int(np.argmax(failing)) if failing.any() else rows
         r = f if s.unit is None or f == rows else int(np.searchsorted(s.unit, s.unit[f]))
-        j = judge(s if r == rows else _head(s, r)) if r else None
-        if j is not None and not j.sat.all():
-            viol = ~j.sat
-            flat = int(np.argmax(viol))
-            return Verdict.fails(j.witness(flat),
-                                 checked + per_row * _through(s, flat // (viol.size // r)))
+        j = judge(s if r == rows else _head(s, r))
+        per_row = math.prod(j.sat.shape[1:])
+        if not j.sat.all():
+            flat = int(np.argmax(~j.sat))
+            return Verdict.fails(j.witness(flat), checked + per_row * _through(s, flat // per_row))
         if f < rows:
             return Verdict.inconclusive(_failure(s, f, failed),
                                         checked + per_row * _through(s, f))
         checked += per_row * rows
-        if j is not None and j.nonvac is not None:
+        if j.nonvac is not None:
             part = np.count_nonzero(j.nonvac, axis=0)
             counts = part if counts is None else counts + part
         if s.starved is not None:

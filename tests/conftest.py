@@ -1,10 +1,13 @@
-"""Shared fixtures: repository paths and a small default sample config."""
+"""Shared fixtures: repository paths, a small default sample config and the
+synthetic multiplier wedges."""
 
+import importlib
+import random
 from pathlib import Path
 
 import pytest
 
-from einvex.problem import SampleConfig
+from einvex.problem import SampleConfig, load_problem
 
 REPO = Path(__file__).resolve().parents[1]
 PROBLEMS = REPO / "problems"
@@ -34,3 +37,14 @@ def vp1_path():
 def fast_cfg():
     """Small but non-toy sampling budget for unit-level checks."""
     return SampleConfig(seed=42, n_pairs=2000, n_tau=8)
+
+
+@pytest.fixture()
+def wedge(repo_root, monkeypatch):
+    """bench/workloads.synthetic_problem: p linear objectives and m linear
+    constraints, all active at the origin; solvable wedges need non-uniform
+    objective weights, unsolvable ones have no multipliers."""
+    monkeypatch.syspath_prepend(str(repo_root / "bench"))
+    workloads = importlib.import_module("workloads")
+    return lambda seed, p, m, solvable: load_problem(
+        workloads.synthetic_problem(random.Random(seed), p, m, solvable))

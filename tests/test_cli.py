@@ -458,18 +458,22 @@ def _project_table(repo_root):
         return tomllib.load(fh)["project"]
 
 
-def test_scipy_is_declared_and_cli_import_leaves_it_unloaded(repo_root):
-    # scipy.optimize takes most of a second to import; only a multiplier solve needs it
+def test_numpy_is_the_only_runtime_dependency(repo_root, vp1_path):
+    # the multipliers come from a numpy simplex: kkt and certify never load scipy
     project = _project_table(repo_root)
-    assert any(dep.startswith("scipy") for dep in project["dependencies"])
-    # the suite imports hypothesis (test_expr_properties), so `pip install .[test]` needs it
+    assert [re.match(r"[\w-]+", dep).group() for dep in project["dependencies"]] == ["numpy"]
+    # the suite imports hypothesis (test_expr_properties), and scipy is the
+    # multiplier reference of test_kkt_highs, so `pip install .[test]` needs them
     test_extra = {re.match(r"[\w-]+", dep).group() for dep in project["optional-dependencies"]["test"]}
-    assert {"pytest", "hypothesis"} <= test_extra
-    out = subprocess.run([sys.executable, "-c",
-                          "import sys, einvex.cli; print('scipy.optimize' in sys.modules)"],
-                         capture_output=True, text=True)
+    assert {"pytest", "hypothesis", "scipy"} <= test_extra
+    script = (f"import sys\nfrom einvex.cli import run\n"
+              f"assert run(['kkt', {str(vp1_path)!r}, '--candidate', 'ybar'])[0] == 0\n"
+              f"assert run(['certify', {str(vp1_path)!r}, '--candidate', 'ybar', "
+              f"'--theorem', 't4', '--pairs', '500'])[0] == 0\n"
+              f"print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"
 
 
 def test_console_script_is_installed(repo_root):

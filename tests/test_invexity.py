@@ -187,9 +187,11 @@ def test_vacuous_antecedent_policies():
     v = check_invex(f, p, "quasi-invex", CFG, at=[5.0])
     assert v.status == "inconclusive"
     assert "vacuous" in v.reason
-    v = check_invex(f, p, "quasi-invex", CFG, at=[5.0], vacuous_policy="holds")
+    v = check_invex(f, p, "quasi-invex", CFG, at=[5.0], vacuous=None)
     assert v.status == "holds"
     assert v.nonvacuous == 0
+    with pytest.raises(TypeError):  # the rule is a function, not a word to misspell
+        check_invex(f, p, "quasi-invex", CFG, at=[5.0], vacuous_policy="inconclusve")
 
 
 # ---------------------------------------------------------------------------
@@ -252,6 +254,14 @@ def test_level_set_explicit_levels():
     v = level_set_invex_check(p.function("f1"), p, levels=[math.exp(-15.0)], cfg=CFG)
     assert v.status == "inconclusive"
     assert "no sampled pair" in v.reason
+
+
+def test_level_set_counts_each_pair_once_per_level(example1):
+    # an instance is a (pair, level, tau): nonvacuous, the instances inside
+    # their level, cannot exceed checked
+    v = level_set_invex_check(example1.function("f1"), example1, levels=[1e6, 1e7, 1e8], cfg=CFG)
+    assert v.status == "holds" and v.checked == CFG.n_pairs * 3 * CFG.n_tau
+    assert 0 < v.nonvacuous <= v.checked
 
 
 def test_level_set_rejects_nonpositive_levels():

@@ -1,12 +1,10 @@
 """First-order system: residual verification, multiplier search, certificates."""
 
-import importlib
-import random
-
 import numpy as np
 import pytest
 
 from einvex import expr as ex
+from einvex import kkt
 from einvex.errors import (
     EinvexError,
     InfeasibleMultipliersError,
@@ -210,17 +208,6 @@ def test_tie_break_minimizes_the_l1_norm_of_constraint_multipliers():
     assert verify_kkt_point(p, pt).passes
 
 
-@pytest.fixture()
-def wedge(repo_root, monkeypatch):
-    """bench/workloads.synthetic_problem: p linear objectives and m linear
-    constraints, all active at the origin; solvable wedges need non-uniform
-    objective weights, unsolvable ones have no multipliers."""
-    monkeypatch.syspath_prepend(str(repo_root / "bench"))
-    workloads = importlib.import_module("workloads")
-    return lambda seed, p, m, solvable: load_problem(
-        workloads.synthetic_problem(random.Random(seed), p, m, solvable))
-
-
 @pytest.mark.parametrize("p, m", [(3, 4), (4, 4), (4, 8)])
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_solved_wedge_multipliers_pass_their_own_verification(wedge, seed, p, m):
@@ -248,6 +235,24 @@ def test_unsolvable_wedge_reports_the_least_residual(wedge):
 def _grads(prob, fns):
     env = {"x1": 0.0, "x2": 0.0}
     return np.stack([gradient(fn.composed, env, prob.vars) for fn in fns], axis=1)
+
+
+def test_phase_one_reports_an_infeasible_program():
+    # x1 + x2 = 1 with x1 + x2 <= 0.5 has no point
+    with pytest.raises(EinvexError, match="multiplier LP failed"):
+        kkt._lp(np.zeros(2), np.ones((1, 2)), np.array([0.5]), np.ones(2))
+
+
+def test_a_program_without_optimum_is_reported():
+    # min -x2 with x1 = 1 and no bound on x2
+    with pytest.raises(EinvexError, match="multiplier LP failed"):
+        kkt._lp(np.array([0.0, -1.0]), np.zeros((1, 2)), np.zeros(1), np.array([1.0, 0.0]))
+
+
+def test_the_pivot_cap_is_reported(monkeypatch):
+    monkeypatch.setattr(kkt, "MAX_PIVOTS", 1)
+    with pytest.raises(EinvexError, match="no optimum within 1 pivots"):
+        kkt._lp(np.array([1.0, 0.0]), np.zeros((0, 2)), np.zeros(0), np.ones(2))
 
 
 # ---------------------------------------------------------------------------

@@ -241,13 +241,13 @@ def _n_probes(argv, report, cfg, pinned):
     return _probe_points(centers, p, region, cfg.tol)[0].shape[0]
 
 
-def _expected_checked(kind, index, n, k, pinned, probes):
+def _expected_checked(kind, index, n, k, pinned, probes, levels=1):
     """checked of a fails verdict, from its witness index: every instance up to
-    and including the deciding pair, in canonical order."""
-    if kind == "epigraph":
-        return (index // (2 * k) + 1) * 2 * k
-    if kind in tuple(PreinvexKind) or kind in ("level-set", "invex-set"):
-        return ((index // k) % n + 1) * k          # (levels, N, k) drops its level
+    and including the deciding pair, in canonical order.  A mixture pair holds
+    one instance per (level, tau, epigraph lift), numbered pair-major."""
+    if kind in tuple(PreinvexKind) or kind in ("epigraph", "level-set", "invex-set"):
+        width = levels * k * (2 if kind == "epigraph" else 1)
+        return (index // width + 1) * width
     per_pair = 1 if pinned else 2
     c = min(n, PROBE_CENTERS)
     if index >= per_pair * n:                      # probe j follows pair c - 1
@@ -271,7 +271,8 @@ def test_checked_follows_from_the_witness_index():
                           strict_margin=config["delta"])
             assert v["checked"] == _expected_checked(
                 kind, v["witness"]["index"], n, k, pinned,
-                lambda: _n_probes(argv, report, cfg, pinned)), (name, kind)
+                lambda: _n_probes(argv, report, cfg, pinned),
+                len(config.get("levels") or [None])), (name, kind)
             seen += 1
     assert seen >= 25
 
