@@ -30,7 +30,7 @@ from .pareto import GridSpec, dump_csv, e_minimizer_check, grid_oracle, is_weak_
 from .problem import (SampleConfig, _jsonable, box_region, einvex_set_check, feasible_region,
                       load_problem, point_slacks, require_in_box)
 
-DEFAULT_SEED = 42
+DEFAULT_SEED = SampleConfig().seed
 EXIT_BY_CONCLUSION = {
     "holds": 0, "pass": 0, "certified": 0,
     "fails": 1, "fail": 1, "not-established": 1, "infeasible": 1,
@@ -88,18 +88,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--version", action="version", version=f"einvex {__version__}")
     sub = p.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
+    cfg = SampleConfig()  # the defaults of the sampling flags
+
     def common(sp, sampling=True):
         sp.add_argument("problem", help="problem JSON file")
         sp.add_argument("--format", choices=("text", "json"), default="text")
-        sp.add_argument("--eps", type=_positive if sampling else _eps, default=1e-9,
+        sp.add_argument("--eps", type=_positive if sampling else _eps,
+                        default=cfg.tol if sampling else 1e-9,
                         help="slack for non-strict comparisons (default 1e-9)")
         if sampling:
             sp.add_argument("--seed", type=int, default=None,
-                            help="sampling seed (default: EINVEX_SEED or 42)")
-            sp.add_argument("--pairs", type=_at_least(1), default=10000)
-            sp.add_argument("--tau", type=_at_least(3), default=8,
+                            help=f"sampling seed (default: EINVEX_SEED or {DEFAULT_SEED})")
+            sp.add_argument("--pairs", type=_at_least(1), default=cfg.n_pairs)
+            sp.add_argument("--tau", type=_at_least(3), default=cfg.n_tau,
                             help="mixture weights per pair, anchors 0, 1/2, 1 included")
-            sp.add_argument("--delta", type=_positive, default=1e-7,
+            sp.add_argument("--delta", type=_positive, default=cfg.strict_margin,
                             help="required margin for strict comparisons (default 1e-7)")
 
     sp = sub.add_parser("parse", help="parse and echo a problem file")

@@ -27,8 +27,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .problem import (EProblem, Judgement, MixtureSamples, PairDraw, ProblemFunction, Region,
-                      SampleConfig, Verdict, Witness, _point_list, all_vacuous, box_region,
-                      mixture_samples, sample_pairs, sampled_verdict)
+                      SampleConfig, Verdict, all_vacuous, box_region, mixture_samples, sample_pairs,
+                      sampled_verdict)
 from .rng import SampleStream
 
 PROBE_RADII = (1e-2, 1e-3, 1e-4, 1e-5)
@@ -157,19 +157,16 @@ def check_preinvex(fn: ProblemFunction, problem: EProblem, kind: PreinvexKind,
     pairs = PairDraw(problem, cfg, region or box_region(problem, cfg.tol))
 
     def judge(s):
-        def witness(flat):
-            i, t = divmod(flat, s.T.shape[1])
+        def witness(i, t):
             tau = float(s.T[i, t])
             sides = preinvex_sides(fn, problem, s.X[i], s.X0[i], tau)
             strictish = kind in (PreinvexKind.STRICT, PreinvexKind.STRICT_QUASI)
             right_key = "right_mix" if kind in (PreinvexKind.EXP, PreinvexKind.STRICT) else "right_max"
             cmp = ("strict gap below margin" if strictish else "left > right beyond tol")
-            return Witness(x=_point_list(s.X[i]), x0=_point_list(s.X0[i]), tau=tau,
-                           left=sides["left"], right=sides[right_key], comparison=cmp,
-                           index=s.lo * s.T.shape[1] + flat,
-                           extra={"log_left": sides["c"],
-                                  "log_right": sides["mix_log"] if right_key == "right_mix" else sides["max_log"],
-                                  "combined": sides["combined"]})
+            return dict(tau=tau, left=sides["left"], right=sides[right_key], comparison=cmp,
+                        extra={"log_left": sides["c"],
+                               "log_right": sides["mix_log"] if right_key == "right_mix" else sides["max_log"],
+                               "combined": sides["combined"]})
 
         sat, nonvac = preinvex_masks(s, kind, cfg)
         return Judgement(sat, witness, nonvac)
@@ -238,7 +235,8 @@ def invex_pairs(fn: ProblemFunction, problem: EProblem, cfg: SampleConfig, pairs
     In pair mode each drawn pair is used in both orientations, (x, x0)
     before (x0, x), so any verdict is automatically symmetric in the roles
     of x and x0.  ``probes`` puts the probes of the first PROBE_CENTERS base
-    points right after the last of those pairs.
+    points (``pairs.centers``, kept as they are drawn) right after the last
+    of those pairs.
 
     Each point is evaluated once per block, a probed base point once more as
     a center: the rows P = [X; X0; centers; probes] (X0 is the single row
@@ -262,8 +260,10 @@ def invex_pairs(fn: ProblemFunction, problem: EProblem, cfg: SampleConfig, pairs
     m = b + X0.shape[0]
     C = Q = np.empty((0, problem.n))
     last = min(cfg.n_pairs, PROBE_CENTERS) - 1 - lo   # the last probed pair, in the block
+    if probes and not pinned and lo < PROBE_CENTERS:
+        pairs.centers = np.vstack([pairs.centers, X0[:PROBE_CENTERS - lo]])
     if probes and 0 <= last < b:
-        C = pairs.first_x0(lo + last + 1)
+        C = X0 if pinned else pairs.centers
         Q, owner = _probe_points(C, problem, pairs.region, cfg.tol)
         j, cut = np.arange(Q.shape[0]), w * (last + 1)
         ix = np.insert(ix, cut, m + C.shape[0] + j)
@@ -364,18 +364,16 @@ def check_invex(fn: ProblemFunction, problem: EProblem, kind: InvexKind,
     def judge(s):
         def witness(i):
             sides = invex_sides(fn, problem, s.X[i], s.X0[i])
-            index, probe = int(s.index[i]), bool(s.index[i] >= s.n_regular)
+            probe = bool(s.index[i] >= s.n_regular)
             if kind in (InvexKind.EXP, InvexKind.STRICT):
                 cmp = ("strict gap below margin" if kind == InvexKind.STRICT
                        else "left < right beyond tol")
-                return Witness(x=_point_list(s.X[i]), x0=_point_list(s.X0[i]),
-                               left=sides["left"], right=sides["right"], comparison=cmp, index=index,
-                               extra={"norm_left": sides["norm_left"], "norm_right": sides["norm_right"],
-                                      "probe": probe})
+                return dict(left=sides["left"], right=sides["right"], comparison=cmp,
+                            extra={"norm_left": sides["norm_left"], "norm_right": sides["norm_right"],
+                                   "probe": probe})
             cmp = "antecedent held but gradient term not below threshold"
-            return Witness(x=_point_list(s.X[i]), x0=_point_list(s.X0[i]),
-                           left=sides["d"], right=0.0, comparison=cmp, index=index,
-                           extra={"a": sides["a"], "b": sides["b"], "probe": probe})
+            return dict(left=sides["d"], right=0.0, comparison=cmp,
+                        extra={"a": sides["a"], "b": sides["b"], "probe": probe})
 
         sat, nonvac = invex_masks(s, kind, cfg)
         return Judgement(sat, witness, nonvac)
@@ -413,11 +411,10 @@ def gradient_monotonicity(fn: ProblemFunction, problem: EProblem,
             mm = max(a, b)
             tval = float(gx_eta[i] * math.exp(a - mm) - s.D[i] * math.exp(b - mm))
             unnorm = (gx_eta[i] * math.exp(a) - s.D[i] * math.exp(b)) if mm < 700 else math.inf
-            return Witness(x=_point_list(s.X[i]), x0=_point_list(s.X0[i]),
-                           left=float(unnorm) if math.isfinite(unnorm) else tval, right=0.0,
-                           comparison=("strict gap below margin" if strict else "left < right beyond tol"),
-                           index=int(s.index[i]), extra={"normalized": tval, "scale_log": mm,
-                                                         "probe": bool(s.index[i] >= s.n_regular)})
+            return dict(left=float(unnorm) if math.isfinite(unnorm) else tval, right=0.0,
+                        comparison=("strict gap below margin" if strict else "left < right beyond tol"),
+                        extra={"normalized": tval, "scale_log": mm,
+                               "probe": bool(s.index[i] >= s.n_regular)})
 
         return Judgement(sat, witness, nonvac)
 
@@ -455,19 +452,15 @@ def epigraph_invex_check(fn: ProblemFunction, problem: EProblem,
         tight, _ = preinvex_masks(s, PreinvexKind.EXP, cfg)
         sat = np.stack([tight, s.C <= mix_rand + cfg.tol], axis=-1)
 
-        def witness(flat):
-            i, rest = divmod(flat, sat.shape[1] * 2)
-            t, variant = divmod(rest, 2)
+        def witness(i, t, variant):
             tau = float(s.T[i, t])
             level_a = float(s.A[i] if variant == 0 else lift_a[i])
             level_b = float(s.B[i] if variant == 0 else lift_b[i])
             lvl = float(_mix_log(tau, level_a, level_b))
-            return Witness(x=_point_list(s.X[i]), x0=_point_list(s.X0[i]), tau=tau,
-                           left=_exp_or_inf(float(s.C[i, t])), right=_exp_or_inf(lvl),
-                           comparison="combined point above the combined level",
-                           index=s.lo * sat.shape[1] * 2 + flat,
-                           extra={"level_x": _exp_or_inf(level_a), "level_x0": _exp_or_inf(level_b),
-                                  "tight": variant == 0})
+            return dict(tau=tau, left=_exp_or_inf(float(s.C[i, t])), right=_exp_or_inf(lvl),
+                        comparison="combined point above the combined level",
+                        extra={"level_x": _exp_or_inf(level_a), "level_x0": _exp_or_inf(level_b),
+                               "tight": variant == 0})
 
         return Judgement(sat, witness, np.ones_like(sat))
 
@@ -496,29 +489,19 @@ def level_set_invex_check(fn: ProblemFunction, problem: EProblem,
     pairs = PairDraw(problem, cfg, region or box_region(problem, cfg.tol))
 
     def judge(s):
-        k = s.T.shape[1]
-
-        def fail_at(i, t, level_log, index):
-            return Witness(x=_point_list(s.X[i]), x0=_point_list(s.X0[i]), tau=float(s.T[i, t]),
-                           left=_exp_or_inf(float(s.C[i, t])), right=_exp_or_inf(level_log),
-                           comparison="combined point left the sublevel set", index=index,
-                           extra={"level": _exp_or_inf(level_log)})
+        def fail_at(i, t, level_log):
+            return dict(tau=float(s.T[i, t]), left=_exp_or_inf(float(s.C[i, t])),
+                        right=_exp_or_inf(level_log), comparison="combined point left the sublevel set",
+                        extra={"level": _exp_or_inf(level_log)})
 
         if levels is None:
             sat, nonvac = preinvex_masks(s, PreinvexKind.QUASI, cfg)
             mx = s.max_log
-            return Judgement(
-                sat, lambda flat: fail_at(*divmod(flat, k), float(mx[flat // k, 0]), s.lo * k + flat),
-                nonvac)
+            return Judgement(sat, lambda i, t: fail_at(i, t, float(mx[i, 0])), nonvac)
         qualify = (s.A[:, None] <= logs) & (s.B[:, None] <= logs)             # (N, levels)
         sat = ~qualify[:, :, None] | (s.C[:, None, :] <= logs[:, None] + cfg.tol)  # (N, levels, k)
-
-        def witness(flat):
-            i, rest = divmod(flat, logs.size * k)
-            lv, t = divmod(rest, k)
-            return fail_at(i, t, float(logs[lv]), s.lo * logs.size * k + flat)
-
-        return Judgement(sat, witness, np.broadcast_to(qualify[:, :, None], sat.shape))
+        return Judgement(sat, lambda i, lv, t: fail_at(i, t, float(logs[lv])),
+                         np.broadcast_to(qualify[:, :, None], sat.shape))
 
     def empty_levels(counts):
         empty = [lvl for lvl, c in zip(levels, counts) if not c.any()]

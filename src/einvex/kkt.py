@@ -41,13 +41,6 @@ class KktPoint:
     rho: np.ndarray
     xi: np.ndarray
 
-    def normalized(self) -> "KktPoint":
-        """Scale multipliers so the objective weights sum to one."""
-        s = float(np.sum(self.tau))
-        if s <= 0.0:
-            raise EinvexError("cannot normalize: objective multipliers sum to zero")
-        return KktPoint(self.y.copy(), self.tau / s, self.rho / s, self.xi / s)
-
 
 @dataclass
 class KktResidualReport:
@@ -185,8 +178,17 @@ def _lp_multipliers(A, p, tol):
     1. r* = min ||A lam||_inf; InfeasibleMultipliersError(r*) when r* > tol;
     2. t* = max min(lam[:p]) subject to ||A lam||_inf <= r*;
     3. min sum(lam[p:]) subject to both, with lam[:p] >= t*.
+
+    The columns after the first p are scaled by powers of two, which are
+    exact, to a largest entry in [1/2, 1): a constraint gradient far larger
+    than the objective ones would otherwise break the simplex.  Stage 3
+    costs each scaled column its scale, so it minimizes the same sum, and
+    lam comes back unscaled.
     """
     n, d = A.shape
+    _, exp = np.frexp(np.max(np.abs(A[:, p:]), axis=0))  # largest entry m * 2**exp, m in [1/2, 1)
+    scale = np.r_[np.ones(p), np.ldexp(1.0, -exp)]
+    A = A * scale
     band = np.vstack([A, -A])                              # |A lam| <= r: band @ lam <= r
     floor = np.hstack([-np.eye(p), np.zeros((p, d - p))])  # tau >= t: floor @ lam <= -t
     tau_row = np.r_[np.ones(p), np.zeros(d - p)]
@@ -200,8 +202,8 @@ def _lp_multipliers(A, p, tol):
     x = _lp(np.r_[np.zeros(d), -1.0],
             np.block([[band, np.zeros((2 * n, 1))], [floor, np.ones((p, 1))]]),
             np.r_[at_r, np.zeros(p)], np.r_[tau_row, 0.0])  # variables (lam, t)
-    return _lp(np.r_[np.zeros(p), np.ones(d - p)], np.vstack([band, floor]),
-               np.r_[at_r, np.full(p, -x[-1])], tau_row)
+    return scale * _lp(np.r_[np.zeros(p), scale[p:]], np.vstack([band, floor]),
+                       np.r_[at_r, np.full(p, -x[-1])], tau_row)
 
 
 def solve_multipliers(problem: EProblem, y, tol: float = 1e-9) -> KktPoint:

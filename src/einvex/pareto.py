@@ -191,11 +191,6 @@ class GridReport:
         return int(np.count_nonzero(self.compared))
 
     @property
-    def objectives(self):
-        """Objective rows of the compared points."""
-        return self.values[self.compared]
-
-    @property
     def weak_points(self):
         return self.grid[self.weak_mask]
 

@@ -96,8 +96,12 @@ class Verdict:
 
     "holds" is a sampling claim: no violation among `checked` samples, of
     which `nonvacuous` actually exercised the inequality.  "fails" carries a
-    re-verified witness, and `checked` counts the samples up to and
-    including its pair, in the canonical order of sampled_verdict.
+    witness, and `checked` counts the samples up to and including its pair,
+    in the canonical order of sampled_verdict.  The witness sides of the
+    mixture (preinvex) and gradient (invex) kinds are evaluated again at
+    the one sample, by preinvex_sides and invex_sides; the monotone-gradient,
+    epigraph, level-set and invex-set kinds report the values of the block
+    that found the violation.
     "inconclusive" explains itself in `reason`; after a failed evaluation
     `checked` counts as for "fails", after a starved draw the samples before
     the pair that could not be drawn.
@@ -120,9 +124,6 @@ class Verdict:
     @staticmethod
     def inconclusive(reason, checked=0):
         return Verdict("inconclusive", checked=checked, reason=reason)
-
-    def __bool__(self):
-        return self.status == "holds"
 
 
 # ---------------------------------------------------------------------------
@@ -486,15 +487,7 @@ class PairDraw:
                                                          region, cfg.n_pairs)
         self.at = None if at is None else np.asarray(at, dtype=float).reshape(1, problem.n)
         self.taken = 0  # pairs handed out
-
-    def first_x0(self, count: int) -> np.ndarray:
-        """The base points of the first ``count`` pairs, redrawn from the
-        start of the x0 stream; the pinned row alone under ``at``."""
-        if self.at is not None:
-            return self.at
-        fresh = RegionDraw(SampleStream(self.x0.stream.seed, self.x0.stream.label),
-                           self.region, self.x0.total)
-        return sample_region(self.problem, fresh, count)
+        self.centers = np.empty((0, problem.n))  # the first base points, kept by invex_pairs
 
 
 def sample_pairs(pairs: PairDraw, lo: int, hi: int):
@@ -536,7 +529,14 @@ class MixtureSamples:
     lo: int = 0                                # the first pair
     starved: Optional[str] = None              # why no pair after these could be drawn
     nondiff = None  # no gradients taken: every bad pair is a failed evaluation
-    unit = None     # each row is a pair of its own
+
+    @property
+    def unit(self) -> np.ndarray:   # each row is a pair of its own
+        return np.arange(self.X.shape[0])
+
+    @property
+    def index(self) -> np.ndarray:  # the global index of each row: its pair
+        return self.lo + self.unit
 
     def combined(self) -> np.ndarray:
         """The (N, k, n) combined points."""
@@ -563,7 +563,7 @@ class Judgement(NamedTuple):
     failed evaluations."""
 
     sat: np.ndarray                      # (rows, ...) False at a violation; flat order is canonical
-    witness: Callable[[int], Witness]    # the witness of a flat index into sat
+    witness: Callable[..., dict]         # (row, *instance) -> the kind's Witness fields at sat[row, *instance]
     nonvac: Optional[np.ndarray] = None  # like sat: samples that exercised the inequality; None: not counted
 
 
@@ -591,20 +591,28 @@ def sampled_verdict(n_pairs: int, draw, judge, vacuous=None, failed: str = "eval
     """The one path from sampled pairs to a Verdict.
 
     ``draw(lo, hi)`` returns the samples of pairs lo..hi-1, at most
-    BLOCK_PAIRS of them at a time, with rows in canonical order; a pair is
-    one row, or the rows of one value of the samples' ``unit``.
-    ``judge(samples)`` returns their Judgement.  The first pair, in this
-    order, that does one of the following decides, and no later pair is
-    drawn:
+    BLOCK_PAIRS of them at a time, with rows in canonical order: the
+    samples' ``index`` is the global index of each row and ``unit`` its
+    pair, counted in the block.  ``judge(samples)`` returns their
+    Judgement.  The first pair, in this order, that does one of the
+    following decides, and no later pair is drawn:
 
     1. fails to evaluate: inconclusive at its first row of the samples'
        ``bad``, else of ``invalid_comb`` (None without mixture weights T),
        naming the failed quantity: "gradient" at a kink (the samples'
        ``nondiff``), else ``failed``.  This wins over a violation at the
        same pair;
-    2. violates: fails, with the witness of its first violation;
+    2. violates: fails, with the witness of its first violation in the flat
+       order of ``sat``;
     3. cannot be drawn within the proposal budget: inconclusive, with the
        sampler's message.
+
+    The witness frame is built here.  A violation at sat[row, *instance]
+    has x = X[row], x0 = X0[row] and index = index[row] * per_row + flat %
+    per_row, where flat is its position in the flat order of ``sat`` and
+    per_row = prod(sat.shape[1:]) the instances per row;
+    ``witness(row, *instance)`` of the judgement adds the fields of its kind
+    (tau, left, right, comparison, extra).
 
     With no deciding pair the verdict is inconclusive when
     ``vacuous(counts)`` gives a reason, ``counts`` being the nonvacuous
@@ -624,12 +632,16 @@ def sampled_verdict(n_pairs: int, draw, judge, vacuous=None, failed: str = "eval
         rows = s.bad.shape[0]
         failing = s.bad if s.invalid_comb is None else s.invalid_comb.any(axis=1)
         f = int(np.argmax(failing)) if failing.any() else rows
-        r = f if s.unit is None or f == rows else int(np.searchsorted(s.unit, s.unit[f]))
+        r = f if f == rows else int(np.searchsorted(s.unit, s.unit[f]))
         j = judge(s if r == rows else _head(s, r))
         per_row = math.prod(j.sat.shape[1:])
         if not j.sat.all():
             flat = int(np.argmax(~j.sat))
-            return Verdict.fails(j.witness(flat), checked + per_row * _through(s, flat // per_row))
+            row, *instance = map(int, np.unravel_index(flat, j.sat.shape))
+            witness = Witness(_point_list(s.X[row]), _point_list(s.X0[row]),
+                              index=int(s.index[row]) * per_row + flat % per_row,
+                              **j.witness(row, *instance))
+            return Verdict.fails(witness, checked + per_row * _through(s, row))
         if f < rows:
             return Verdict.inconclusive(_failure(s, f, failed),
                                         checked + per_row * _through(s, f))
@@ -648,7 +660,7 @@ def sampled_verdict(n_pairs: int, draw, judge, vacuous=None, failed: str = "eval
 
 def _through(s, row: int) -> int:
     """The rows up to and including the pair of ``row``."""
-    return row + 1 if s.unit is None else int(np.searchsorted(s.unit, s.unit[row], side="right"))
+    return int(np.searchsorted(s.unit, s.unit[row], side="right"))
 
 
 def einvex_set_check(problem: EProblem, cfg: SampleConfig = SampleConfig(),
@@ -664,14 +676,9 @@ def einvex_set_check(problem: EProblem, cfg: SampleConfig = SampleConfig(),
     def judge(s):
         Z = s.combined()
         member = region.contains(Z.reshape(-1, problem.n)).reshape(s.T.shape)
-
-        def witness(flat):
-            i, t = divmod(flat, cfg.n_tau)
-            return Witness(x=_point_list(s.X[i]), x0=_point_list(s.X0[i]), tau=float(s.T[i, t]),
-                           comparison="combined point left the region",
-                           index=s.lo * cfg.n_tau + flat, extra={"combined": Z[i, t].tolist()})
-
-        return Judgement(member, witness)
+        return Judgement(member, lambda i, t: dict(
+            tau=float(s.T[i, t]), comparison="combined point left the region",
+            extra={"combined": Z[i, t].tolist()}))
 
     return sampled_verdict(cfg.n_pairs, lambda lo, hi: mixture_samples(problem, cfg, pairs, lo, hi),
                            judge, failed="map evaluation")

@@ -40,11 +40,16 @@ def fast_cfg():
 
 
 @pytest.fixture()
-def wedge(repo_root, monkeypatch):
+def workloads(repo_root, monkeypatch):
+    """The benchmark's bench/workloads module."""
+    monkeypatch.syspath_prepend(str(repo_root / "bench"))
+    return importlib.import_module("workloads")
+
+
+@pytest.fixture()
+def wedge(workloads):
     """bench/workloads.synthetic_problem: p linear objectives and m linear
     constraints, all active at the origin; solvable wedges need non-uniform
     objective weights, unsolvable ones have no multipliers."""
-    monkeypatch.syspath_prepend(str(repo_root / "bench"))
-    workloads = importlib.import_module("workloads")
     return lambda seed, p, m, solvable: load_problem(
         workloads.synthetic_problem(random.Random(seed), p, m, solvable))

@@ -1,10 +1,14 @@
 """First-order system: residual verification, multiplier search, certificates."""
 
+import json
+import random
+
 import numpy as np
 import pytest
 
 from einvex import expr as ex
 from einvex import kkt
+from einvex.cli import run
 from einvex.errors import (
     EinvexError,
     InfeasibleMultipliersError,
@@ -79,15 +83,6 @@ def test_verification_is_scale_free(vp1):
     rep = verify_kkt_point(vp1, scaled)
     assert rep.passes
     assert rep.tau_sum == pytest.approx(lam, abs=1e-12)
-    norm = scaled.normalized()
-    assert float(np.sum(norm.tau)) == pytest.approx(1.0, abs=1e-12)
-    assert norm.rho == pytest.approx(pt.rho, abs=1e-12)
-
-
-def test_normalizing_zero_weights_raises(vp1):
-    pt = KktPoint(np.array([0.0, 0.0]), np.zeros(2), np.zeros(2), np.zeros(0))
-    with pytest.raises(EinvexError):
-        pt.normalized()
 
 
 def test_all_zero_objective_weights_fail_verification(vp1):
@@ -253,6 +248,27 @@ def test_the_pivot_cap_is_reported(monkeypatch):
     monkeypatch.setattr(kkt, "MAX_PIVOTS", 1)
     with pytest.raises(EinvexError, match="no optimum within 1 pivots"):
         kkt._lp(np.array([1.0, 0.0]), np.zeros((0, 2)), np.zeros(0), np.ones(2))
+
+
+def test_constraint_gradients_far_above_the_objective_ones(workloads, tmp_path):
+    """A solvable wedge with every constraint times 1e8 has the multipliers
+    of the plain wedge, rho divided by 1e8.  Unscaled columns made the
+    simplex stop with "the objective is unbounded" here."""
+    points = []
+    for factor in (None, 1e8):
+        d = workloads.synthetic_problem(random.Random(4), 2, 3, True)
+        if factor is not None:
+            for g in d["ineq"]:
+                g["raw"] = f"{factor!r}*({g['raw']})"
+        path = tmp_path / f"wedge-{factor}.json"
+        path.write_text(json.dumps(d))
+        code, text = run(["kkt", str(path), "--candidate", "origin", "--format", "json"])
+        assert code == 0, text
+        points.append(json.loads(text)["point"])
+    plain, scaled = points
+    assert scaled["tau"] == pytest.approx(plain["tau"], rel=0.0, abs=1e-9)
+    assert scaled["rho"] == pytest.approx([r * 1e-8 for r in plain["rho"]], rel=1e-9, abs=1e-17)
+    assert max(plain["rho"]) > 0.1
 
 
 # ---------------------------------------------------------------------------

@@ -145,7 +145,7 @@ def test_pareto_is_always_a_subset_of_weak(vp1):
 
 def test_strict_dominance_is_irreflexive_and_transitive(vp1):
     rep = grid_oracle(vp1, GridSpec.uniform(9, 2))
-    F, tol = rep.objectives, rep.tol
+    F, tol = rep.values[rep.compared], rep.tol
     D = (F[:, None, :] < F[None, :, :] - tol).all(axis=2)  # D[i,j]: i beats j
     assert not D.diagonal().any()
     chained = np.einsum("ij,jk->ik", D.astype(int), D.astype(int)) > 0
@@ -198,7 +198,7 @@ def test_skyline_masks_of_no_rows():
 
 def test_long_front_matches_the_reference(long_front):
     rep = grid_oracle(long_front, GridSpec.uniform(61, 2))
-    weak, pareto = _dominance_masks(rep.objectives, rep.tol)
+    weak, pareto = _dominance_masks(rep.values[rep.compared], rep.tol)
     assert rep.pareto_mask[rep.compared].tolist() == pareto.tolist()
     assert rep.weak_mask[rep.compared].tolist() == weak.tolist()
     assert rep.feasible_points == 1891
@@ -210,7 +210,7 @@ def test_three_objectives_match_the_reference():
     p = _plane(["y1", "y2", "(y1 - 0.5)^2 + (y2 - 0.5)^2"], lo=-1.0, hi=1.0,
                ineq=["y1^2 + y2^2 - 1"])
     rep = grid_oracle(p, GridSpec.uniform(41, 2))
-    weak, pareto = _dominance_masks(rep.objectives, rep.tol)
+    weak, pareto = _dominance_masks(rep.values[rep.compared], rep.tol)
     assert rep.pareto_mask[rep.compared].tolist() == pareto.tolist()
     assert rep.weak_mask[rep.compared].tolist() == weak.tolist()
     assert 1 < int(np.count_nonzero(pareto)) < int(np.count_nonzero(weak))

@@ -8,6 +8,7 @@ counts of the report.
 """
 
 import json
+import math
 import tracemalloc
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -21,7 +22,7 @@ from einvex.cli import run
 from einvex.invexity import (PROBE_CENTERS, InvexKind, PreinvexKind, _probe_points, check_invex,
                              check_preinvex, epigraph_invex_check, gradient_monotonicity,
                              level_set_invex_check)
-from einvex.problem import (MAX_ROUNDS, PairDraw, Region, RegionDraw, Witness, _jsonable,
+from einvex.problem import (MAX_ROUNDS, Region, RegionDraw, _jsonable,
                             box_region, einvex_set_check, feasible_region, load_problem,
                             sample_region, sampled_verdict)
 from einvex.rng import SampleStream
@@ -91,51 +92,58 @@ def test_streamed_region_draws_are_one_whole_draw(name):
 
 @dataclass
 class _Rows:
-    """Minimal samples: one row per pair, two per pair with ``unit``."""
+    """Minimal samples: ``index`` numbers the rows, ``unit`` their pairs."""
 
     X: np.ndarray
     X0: np.ndarray
     bad: np.ndarray
     viol: np.ndarray
-    lo: int
-    unit: Optional[np.ndarray] = None
+    index: np.ndarray
+    unit: np.ndarray
     starved: Optional[str] = None
     T = invalid_comb = nondiff = None
 
 
-def _synthetic(events, rows_per_pair=1, drawable=None):
+def _synthetic(events, rows_per_pair=1, drawable=None, instances=()):
     """A draw over pairs whose rows carry 'v' (violates), 'f' (fails to
-    evaluate) or '.'; pairs from ``drawable`` on cannot be drawn."""
+    evaluate) or '.'; pairs from ``drawable`` on cannot be drawn.  Each row
+    judges the ``instances`` of a trailing axis and violates at the last two
+    of them; the witness reports the row's index and the instance it got."""
     events = [e.ljust(rows_per_pair, ".") for e in events]
     drawable = len(events) if drawable is None else drawable
 
     def draw(lo, hi):
         stop = min(hi, drawable)
         ev = "".join(events[lo:stop])
-        x = np.arange(lo, stop, dtype=float).repeat(rows_per_pair)[:, None]
-        unit = np.arange(stop - lo).repeat(rows_per_pair) if rows_per_pair > 1 else None
+        index = np.arange(lo * rows_per_pair, stop * rows_per_pair)
+        x = (index // rows_per_pair).astype(float)[:, None]
         return _Rows(x, x, np.array([c == "f" for c in ev], dtype=bool),
-                     np.array([c == "v" for c in ev], dtype=bool), lo, unit,
-                     "starved" if stop < hi else None)
+                     np.array([c == "v" for c in ev], dtype=bool), index,
+                     np.arange(stop - lo).repeat(rows_per_pair), "starved" if stop < hi else None)
 
     def judge(s):
-        def witness(i):
-            return Witness(x=[float(s.X[i, 0])], index=s.lo * rows_per_pair + i)
-        return problem_mod.Judgement(~s.viol, witness, np.ones_like(s.viol))
+        sat = np.ones(s.viol.shape + instances, dtype=bool)
+        sat.reshape(sat.shape[0], math.prod(instances))[s.viol, -2:] = False
+        return problem_mod.Judgement(
+            sat, lambda row, *instance: {"extra": {"at": [int(s.index[row]), *instance]}},
+            np.ones_like(sat))
 
     return len(events), draw, judge
 
 
-# (events per pair, rows per pair, first undrawable pair) -> (status, witness index, checked)
+# (events per pair, rows per pair, first undrawable pair, instances per row)
+#   -> (status, witness index, checked, the row index and instance the witness got)
 CASES = [
-    ((["."] * 10, 1, None), ("holds", None, 10)),
-    ((["."] * 5 + ["v"] + ["f"] * 4, 1, None), ("fails", 5, 6)),
-    ((["."] * 5 + ["f"] + ["v"] * 4, 1, None), ("inconclusive", None, 6)),
-    ((["."] * 4 + [".f", "v."] + ["."] * 4, 2, None), ("inconclusive", None, 10)),
-    ((["."] * 4 + ["vf"] + ["."] * 5, 2, None), ("inconclusive", None, 10)),
-    ((["."] * 4 + [".v"] + ["."] * 5, 2, None), ("fails", 9, 10)),
-    ((["."] * 6 + ["v"] * 4, 1, 6), ("inconclusive", None, 6)),
-    ((["."] * 3 + ["v"] + ["."] * 6, 1, 6), ("fails", 3, 4)),
+    ((["."] * 10, 1, None), ("holds", None, 10, None)),
+    ((["."] * 5 + ["v"] + ["f"] * 4, 1, None), ("fails", 5, 6, [5])),
+    ((["."] * 5 + ["f"] + ["v"] * 4, 1, None), ("inconclusive", None, 6, None)),
+    ((["."] * 4 + [".f", "v."] + ["."] * 4, 2, None), ("inconclusive", None, 10, None)),
+    ((["."] * 4 + ["vf"] + ["."] * 5, 2, None), ("inconclusive", None, 10, None)),
+    ((["."] * 4 + [".v"] + ["."] * 5, 2, None), ("fails", 9, 10, [9])),
+    ((["."] * 6 + ["v"] * 4, 1, 6), ("inconclusive", None, 6, None)),
+    ((["."] * 3 + ["v"] + ["."] * 6, 1, 6), ("fails", 3, 4, [3])),
+    # row 9 violates first at instance (1, 1) of (2, 3): index 9 * 6 + 1 * 3 + 1
+    ((["."] * 4 + [".v"] + ["."] * 5, 2, None, (2, 3)), ("fails", 58, 60, [9, 1, 1])),
 ]
 
 
@@ -145,7 +153,9 @@ def test_first_deciding_pair_decides_in_any_block_size(case, expected, block, mo
     monkeypatch.setattr(problem_mod, "BLOCK_PAIRS", block)
     n, draw, judge = _synthetic(*case)
     v = sampled_verdict(n, draw, judge)
-    assert (v.status, v.witness and v.witness.index, v.checked) == expected
+    w = v.witness
+    assert (v.status, w and w.index, v.checked, w and w.extra["at"]) == expected
+    assert w is None or w.x == w.x0 == [float(w.extra["at"][0] // case[1])]
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +247,8 @@ def _n_probes(argv, report, cfg, pinned):
     region = feasible_region(p, cfg.tol)
     if report["command"] == "check" and report["config"]["region"] == "box":
         region = box_region(p, cfg.tol)
-    centers = PairDraw(p, cfg, region, pinned).first_x0(min(cfg.n_pairs, PROBE_CENTERS))
+    centers = pinned or sample_region(p, RegionDraw(SampleStream(cfg.seed, "pairs-x0"), region,
+                                                    cfg.n_pairs), min(cfg.n_pairs, PROBE_CENTERS))
     return _probe_points(centers, p, region, cfg.tol)[0].shape[0]
 
 
