@@ -23,8 +23,8 @@ import numpy as np
 
 from . import __version__
 from .errors import (CliUsageError, EinvexError, InfeasibleMultipliersError)
-from .invexity import (InvexKind, PreinvexKind, check_invex, check_preinvex,
-                       epigraph_invex_check, gradient_monotonicity, level_set_invex_check)
+from .invexity import (InvexKind, PreinvexKind, check_invex, check_preinvex, epigraph_invex_check,
+                       level_set_invex_check)
 from .kkt import THEOREMS, KktPoint, certify, solve_multipliers, verify_kkt_point
 from .pareto import GridSpec, dump_csv, e_minimizer_check, grid_oracle, is_weak_pareto
 from .problem import (SampleConfig, _jsonable, box_region, einvex_set_check, feasible_region,
@@ -39,8 +39,7 @@ EXIT_BY_CONCLUSION = {
 
 PREINVEX_KINDS = tuple(k.value for k in PreinvexKind)
 INVEX_KINDS = tuple(k.value for k in InvexKind)
-MONOTONE_KINDS = ("monotone-gradient", "strict-monotone-gradient")
-CHECK_KINDS = PREINVEX_KINDS + INVEX_KINDS + MONOTONE_KINDS + ("epigraph", "level-set", "invex-set")
+CHECK_KINDS = PREINVEX_KINDS + INVEX_KINDS + ("epigraph", "level-set", "invex-set")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -222,7 +221,7 @@ def _cmd_check(ns):
     # a flag the chosen kind would ignore is refused, not dropped
     if ns.function and kind == "invex-set":
         raise CliUsageError("invex-set checks the region itself and takes no --function")
-    if ns.at and kind not in INVEX_KINDS + MONOTONE_KINDS:
+    if ns.at and kind not in INVEX_KINDS:
         raise CliUsageError(f"--at pins the base point of the gradient family; {kind} has none")
     if ns.levels and kind != "level-set":
         raise CliUsageError("--levels applies to kind level-set only")
@@ -245,9 +244,6 @@ def _cmd_check(ns):
             verdict = check_preinvex(fn, problem, PreinvexKind(kind), cfg, region=region)
         elif kind in INVEX_KINDS:
             verdict = check_invex(fn, problem, InvexKind(kind), cfg, at=at, region=region)
-        elif kind in MONOTONE_KINDS:
-            verdict = gradient_monotonicity(fn, problem, cfg, strict=kind.startswith("strict"),
-                                            region=region, at=at)
         elif kind == "epigraph":
             verdict = epigraph_invex_check(fn, problem, cfg, region=region)
         elif kind == "level-set":

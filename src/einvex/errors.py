@@ -14,7 +14,6 @@ class ParseError(EinvexError):
     def __init__(self, message, offset):
         super().__init__(f"syntax error at offset {offset}: {message}")
         self.offset = offset
-        self.bare_message = message
 
 
 class DomainEvalError(EinvexError):
@@ -62,12 +61,10 @@ class InfeasiblePointError(EinvexError):
 class InfeasibleMultipliersError(EinvexError):
     """No multiplier vector satisfies the first-order system within tolerance."""
 
-    def __init__(self, best_residual, detail=""):
+    def __init__(self, best_residual):
         self.best_residual = best_residual
-        msg = f"no multipliers within residual tolerance (best stationarity residual {best_residual:.6g})"
-        if detail:
-            msg += f"; {detail}"
-        super().__init__(msg)
+        super().__init__(f"no multipliers within residual tolerance "
+                         f"(best stationarity residual {best_residual:.6g})")
 
 
 class GridGuardError(EinvexError):

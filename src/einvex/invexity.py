@@ -14,7 +14,8 @@ convention throughout:
 Exponential-domain quantities are never formed for decisions: membership in
 the value domain is tested on logarithms (log-sum-exp for mixtures) and the
 gradient inequalities are normalized by exp(f(E(x0))) > 0, which turns
-exp(a) - exp(b) >= d * exp(b) into expm1(a - b) >= d.
+exp(a) - exp(b) >= d * exp(b) into expm1(a - b) >= d; the monotone-gradient
+inequality is normalized by exp(max(f(E(x)), f(E(x0)))).
 """
 
 from __future__ import annotations
@@ -49,6 +50,8 @@ class InvexKind(str, Enum):
     QUASI = "quasi-invex"
     PSEUDO = "pseudo-invex"
     STRICT_PSEUDO = "strict-pseudo-invex"
+    MONOTONE = "monotone-gradient"
+    STRICT_MONOTONE = "strict-monotone-gradient"
 
 
 # ---------------------------------------------------------------------------
@@ -59,6 +62,11 @@ class InvexKind(str, Enum):
 def _exp_or_inf(v):
     """exp(v) for reporting, with inf once v is too large to exponentiate."""
     return math.exp(v) if v < 700 else math.inf
+
+
+def _apart(P, Q, tol):
+    """Rows of P and Q more than tol apart in some coordinate."""
+    return np.max(np.abs(P - Q), axis=1) > tol
 
 
 def _mix_log(tau, a, b):
@@ -113,16 +121,14 @@ def preinvex_masks(s: PreinvexSamples, kind: PreinvexKind, cfg: SampleConfig):
         sat = s.C <= s.mix_log + tol
         nonvac = np.ones_like(sat)
     elif kind == PreinvexKind.STRICT:
-        sep = (np.max(np.abs(s.U - s.V), axis=1) > tol)[:, None]
-        cond = interior & sep
+        cond = interior & _apart(s.U, s.V, tol)[:, None]
         sat = ~cond | (s.C <= s.mix_log - margin)
         nonvac = cond
     elif kind == PreinvexKind.QUASI:
         sat = s.C <= s.max_log + tol
         nonvac = np.ones_like(sat)
     elif kind == PreinvexKind.STRICT_QUASI:
-        sep = (np.max(np.abs(s.X - s.X0), axis=1) > tol)[:, None]
-        cond = interior & sep
+        cond = interior & _apart(s.X, s.X0, tol)[:, None]
         sat = ~cond | (s.C <= s.max_log - margin)
         nonvac = cond
     else:
@@ -155,18 +161,17 @@ def check_preinvex(fn: ProblemFunction, problem: EProblem, kind: PreinvexKind,
     """Check one mixture-family definition of exp(f) along eta-paths."""
     kind = PreinvexKind(kind)
     pairs = PairDraw(problem, cfg, region or box_region(problem, cfg.tol))
+    mixed = kind in (PreinvexKind.EXP, PreinvexKind.STRICT)
+    cmp = ("strict gap below margin" if kind in (PreinvexKind.STRICT, PreinvexKind.STRICT_QUASI)
+           else "left > right beyond tol")
 
     def judge(s):
         def witness(i, t):
-            tau = float(s.T[i, t])
-            sides = preinvex_sides(fn, problem, s.X[i], s.X0[i], tau)
-            strictish = kind in (PreinvexKind.STRICT, PreinvexKind.STRICT_QUASI)
-            right_key = "right_mix" if kind in (PreinvexKind.EXP, PreinvexKind.STRICT) else "right_max"
-            cmp = ("strict gap below margin" if strictish else "left > right beyond tol")
-            return dict(tau=tau, left=sides["left"], right=sides[right_key], comparison=cmp,
-                        extra={"log_left": sides["c"],
-                               "log_right": sides["mix_log"] if right_key == "right_mix" else sides["max_log"],
-                               "combined": sides["combined"]})
+            tau, a, b, c = float(s.T[i, t]), s.A[i], s.B[i], float(s.C[i, t])
+            log_right = float(_mix_log(tau, a, b) if mixed else max(a, b))
+            return dict(tau=tau, left=_exp_or_inf(c), right=_exp_or_inf(log_right), comparison=cmp,
+                        extra={"log_left": c, "log_right": log_right,
+                               "combined": (s.V[i] + tau * s.H[i]).tolist()})
 
         sat, nonvac = preinvex_masks(s, kind, cfg)
         return Judgement(sat, witness, nonvac)
@@ -196,7 +201,7 @@ def _probe_points(centers, problem, region, tol):
     steps = (np.asarray(PROBE_RADII)[:, None, None] * scale) * dirs          # (radii, dirs, n)
     pts = np.clip(C[:, None, None, :] + steps, problem.lo, problem.hi).reshape(-1, n)
     owner = np.repeat(np.arange(C.shape[0]), steps.shape[0] * steps.shape[1])
-    keep = np.max(np.abs(pts - C[owner]), axis=1) > tol
+    keep = _apart(pts, C[owner], tol)
     if keep.any():
         keep[keep] = region.contains(pts[keep])
     return pts[keep], owner[keep]
@@ -210,7 +215,7 @@ class InvexSamples:
     X0: np.ndarray     # (N, n) base points
     A: np.ndarray      # f(E(x))
     B: np.ndarray      # f(E(x0))
-    GX: Optional[np.ndarray]  # gradient of (f o E) at x, only when asked for (monotone check)
+    GX: Optional[np.ndarray]  # gradient of (f o E) at x, only for the monotone kinds
     G0: np.ndarray     # gradient of (f o E) at x0
     H: np.ndarray      # eta(E(x), E(x0))
     D: np.ndarray      # G0 . H
@@ -295,16 +300,28 @@ def invex_pairs(fn: ProblemFunction, problem: EProblem, cfg: SampleConfig, pairs
                         invalid, nondiff & ~invalid, index, unit, n_regular, starved)
 
 
+def _monotone_term(s: InvexSamples):
+    """(grad F(x) e^F(x) - grad F(x0) e^F(x0)) . eta over e^max(F(x), F(x0))."""
+    m = np.maximum(s.A, s.B)
+    return np.einsum("ij,ij->i", s.GX, s.H) * np.exp(s.A - m) - s.D * np.exp(s.B - m)
+
+
 def invex_masks(s: InvexSamples, kind: InvexKind, cfg: SampleConfig):
-    """Per-sample (satisfied, nonvacuous) masks, normalized by exp(B)."""
+    """Per-sample (satisfied, nonvacuous) masks for one of the seven kinds.
+
+    The invex kinds are normalized by exp(B), the monotone kinds by
+    exp(max(A, B)), which needs ``s.GX``.  Each branch computes only what
+    it reads.
+    """
     tol, margin = cfg.tol, cfg.strict_margin
-    with np.errstate(over="ignore"):  # inf: f grew by more than exp can represent
-        lhs = np.expm1(s.A - s.B)
-    sep = np.max(np.abs(s.X - s.X0), axis=1) > tol
+    if kind in (InvexKind.EXP, InvexKind.STRICT):
+        with np.errstate(over="ignore"):  # inf: f grew by more than exp can represent
+            lhs = np.expm1(s.A - s.B)
     if kind == InvexKind.EXP:
         sat = lhs >= s.D - tol
         nonvac = np.ones_like(sat)
     elif kind == InvexKind.STRICT:
+        sep = _apart(s.X, s.X0, tol)
         sat = ~sep | (lhs >= s.D + margin)
         nonvac = sep
     elif kind == InvexKind.QUASI:
@@ -316,9 +333,16 @@ def invex_masks(s: InvexSamples, kind: InvexKind, cfg: SampleConfig):
         sat = ~ante | (s.D <= tol)
         nonvac = ante
     elif kind == InvexKind.STRICT_PSEUDO:
-        cond = (s.A <= s.B + tol) & sep
+        cond = (s.A <= s.B + tol) & _apart(s.X, s.X0, tol)
         sat = ~cond | (s.D <= -margin)
         nonvac = cond
+    elif kind == InvexKind.MONOTONE:
+        sat = _monotone_term(s) >= -tol
+        nonvac = np.ones_like(sat)
+    elif kind == InvexKind.STRICT_MONOTONE:
+        sep = _apart(s.X, s.X0, tol)
+        sat = ~sep | (_monotone_term(s) >= margin)
+        nonvac = sep
     else:
         raise ValueError(f"not a gradient-family kind: {kind}")
     return sat, nonvac
@@ -345,83 +369,63 @@ def invex_sides(fn: ProblemFunction, problem: EProblem, x, x0) -> dict:
             "norm_left": norm_left, "norm_right": d}
 
 
+def _invex_witness(kind: InvexKind, s: InvexSamples, i: int) -> dict:
+    """The witness fields of row i, from the values its block judged."""
+    a, b, d = float(s.A[i]), float(s.B[i]), float(s.D[i])
+    probe = bool(s.index[i] >= s.n_regular)
+    cmp = ("strict gap below margin" if kind in (InvexKind.STRICT, InvexKind.STRICT_MONOTONE)
+           else "left < right beyond tol")
+    if kind in (InvexKind.EXP, InvexKind.STRICT):
+        eb = _exp_or_inf(b)
+        with np.errstate(over="ignore"):
+            norm_left = float(np.expm1(a - b))
+        return dict(left=_exp_or_inf(a) - eb, right=d * eb, comparison=cmp,
+                    extra={"norm_left": norm_left, "norm_right": d, "probe": probe})
+    if kind in (InvexKind.MONOTONE, InvexKind.STRICT_MONOTONE):
+        gx_eta = float(np.einsum("j,j", s.GX[i], s.H[i]))
+        mm = max(a, b)
+        normalized = gx_eta * math.exp(a - mm) - d * math.exp(b - mm)
+        left = gx_eta * math.exp(a) - d * math.exp(b) if mm < 700 else math.inf
+        return dict(left=left if math.isfinite(left) else normalized, right=0.0, comparison=cmp,
+                    extra={"normalized": normalized, "scale_log": mm, "probe": probe})
+    return dict(left=d, right=0.0, comparison="antecedent held but gradient term not below threshold",
+                extra={"a": a, "b": b, "probe": probe})
+
+
 def check_invex(fn: ProblemFunction, problem: EProblem, kind: InvexKind,
                 cfg: SampleConfig = SampleConfig(), at=None, region: Optional[Region] = None,
                 vacuous=all_vacuous) -> Verdict:
-    """Check one gradient-family definition at sampled pairs.
+    """Check one of the seven gradient-family definitions at sampled pairs.
 
     ``at`` pins the base point (the mode certificates use); otherwise both
-    orientations of each sampled pair are tested.  Strict kinds also test
-    deterministic probes near base points: "holds" for them means the
-    strict gap stays above the margin even arbitrarily close to x0 in the
-    probed directions.  ``vacuous`` is the vacuity rule of sampled_verdict;
-    None lets a check whose samples were all vacuous hold.
+    orientations of each sampled pair are tested.  The three strict kinds
+    also test deterministic probes near base points: "holds" for them
+    means the strict gap stays above the margin even arbitrarily close to
+    x0 in the probed directions.  The monotone kinds also take the gradient
+    at x.  ``vacuous`` is the vacuity rule of sampled_verdict; None lets a
+    check whose samples were all vacuous hold.
     """
     kind = InvexKind(kind)
-    strict = kind in (InvexKind.STRICT, InvexKind.STRICT_PSEUDO)
+    probes = kind in (InvexKind.STRICT, InvexKind.STRICT_PSEUDO, InvexKind.STRICT_MONOTONE)
+    want_gx = kind in (InvexKind.MONOTONE, InvexKind.STRICT_MONOTONE)
     pairs = PairDraw(problem, cfg, region or box_region(problem, cfg.tol), at)
 
     def judge(s):
-        def witness(i):
-            sides = invex_sides(fn, problem, s.X[i], s.X0[i])
-            probe = bool(s.index[i] >= s.n_regular)
-            if kind in (InvexKind.EXP, InvexKind.STRICT):
-                cmp = ("strict gap below margin" if kind == InvexKind.STRICT
-                       else "left < right beyond tol")
-                return dict(left=sides["left"], right=sides["right"], comparison=cmp,
-                            extra={"norm_left": sides["norm_left"], "norm_right": sides["norm_right"],
-                                   "probe": probe})
-            cmp = "antecedent held but gradient term not below threshold"
-            return dict(left=sides["d"], right=0.0, comparison=cmp,
-                        extra={"a": sides["a"], "b": sides["b"], "probe": probe})
-
         sat, nonvac = invex_masks(s, kind, cfg)
-        return Judgement(sat, witness, nonvac)
+        return Judgement(sat, lambda i: _invex_witness(kind, s, i), nonvac)
 
     return sampled_verdict(
-        cfg.n_pairs, lambda lo, hi: invex_pairs(fn, problem, cfg, pairs, lo, hi, probes=strict),
+        cfg.n_pairs,
+        lambda lo, hi: invex_pairs(fn, problem, cfg, pairs, lo, hi, probes=probes, want_gx=want_gx),
         judge, vacuous)
 
 
 def gradient_monotonicity(fn: ProblemFunction, problem: EProblem,
                           cfg: SampleConfig = SampleConfig(), strict: bool = False,
                           region: Optional[Region] = None, at=None) -> Verdict:
-    """Monotone-gradient consequence of the invexity inequality.
-
-    Tests (grad F(x) e^{F(x)} - grad F(x0) e^{F(x0)}) . eta >= 0 with both
-    sides divided by e^{max(F(x), F(x0))}, which keeps every quantity
-    representable regardless of the magnitude of F.
-    """
-    pairs = PairDraw(problem, cfg, region or box_region(problem, cfg.tol), at)
-
-    def judge(s):
-        m = np.maximum(s.A, s.B)
-        gx_eta = np.einsum("ij,ij->i", s.GX, s.H)
-        term = gx_eta * np.exp(s.A - m) - s.D * np.exp(s.B - m)
-        if strict:
-            sep = np.max(np.abs(s.X - s.X0), axis=1) > cfg.tol
-            sat = ~sep | (term >= cfg.strict_margin)
-            nonvac = sep
-        else:
-            sat = term >= -cfg.tol
-            nonvac = np.ones_like(sat)
-
-        def witness(i):
-            a, b = float(s.A[i]), float(s.B[i])
-            mm = max(a, b)
-            tval = float(gx_eta[i] * math.exp(a - mm) - s.D[i] * math.exp(b - mm))
-            unnorm = (gx_eta[i] * math.exp(a) - s.D[i] * math.exp(b)) if mm < 700 else math.inf
-            return dict(left=float(unnorm) if math.isfinite(unnorm) else tval, right=0.0,
-                        comparison=("strict gap below margin" if strict else "left < right beyond tol"),
-                        extra={"normalized": tval, "scale_log": mm,
-                               "probe": bool(s.index[i] >= s.n_regular)})
-
-        return Judgement(sat, witness, nonvac)
-
-    return sampled_verdict(
-        cfg.n_pairs,
-        lambda lo, hi: invex_pairs(fn, problem, cfg, pairs, lo, hi, probes=strict, want_gx=True),
-        judge, all_vacuous)
+    """check_invex of the (strict) monotone-gradient kind."""
+    return check_invex(fn, problem, InvexKind.STRICT_MONOTONE if strict else InvexKind.MONOTONE,
+                       cfg, at=at, region=region)
 
 
 # ---------------------------------------------------------------------------

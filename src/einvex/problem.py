@@ -97,11 +97,9 @@ class Verdict:
     "holds" is a sampling claim: no violation among `checked` samples, of
     which `nonvacuous` actually exercised the inequality.  "fails" carries a
     witness, and `checked` counts the samples up to and including its pair,
-    in the canonical order of sampled_verdict.  The witness sides of the
-    mixture (preinvex) and gradient (invex) kinds are evaluated again at
-    the one sample, by preinvex_sides and invex_sides; the monotone-gradient,
-    epigraph, level-set and invex-set kinds report the values of the block
-    that found the violation.
+    in the canonical order of sampled_verdict.  Every witness reports the
+    values of the block that judged it; invexity.preinvex_sides and
+    invex_sides replay a witness independently.
     "inconclusive" explains itself in `reason`; after a failed evaluation
     `checked` counts as for "fails", after a starved draw the samples before
     the pair that could not be drawn.
@@ -279,6 +277,9 @@ def load_problem(source) -> EProblem:
     lo = np.asarray(box["lo"], dtype=float)
     hi = np.asarray(box["hi"], dtype=float)
     _expect(lo.shape == (n,) and hi.shape == (n,), "box", f"'lo' and 'hi' must have length {n}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        finite = np.isfinite(hi - lo).all()  # nan or inf in lo or hi makes the width non-finite
+    _expect(bool(finite), "box", "'lo', 'hi' and their difference must be finite")
     _expect(bool(np.all(lo <= hi)), "box", "'lo' must be componentwise <= 'hi'")
 
     e_src = data.get("E")

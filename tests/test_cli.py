@@ -3,6 +3,7 @@
 import importlib.metadata
 import importlib.resources
 import json
+import math
 import os
 import re
 import shutil
@@ -344,6 +345,44 @@ def test_check_at_is_admitted_by_the_rule_of_its_region(e1, vp1_path, tmp_path):
 def test_check_refuses_flags_its_kind_ignores(e1, argv, message):
     code, text = run(["check", e1, *argv, "--pairs", "300"])
     assert code == 3 and message in text
+
+
+GRADIENT_KINDS = ("invex", "strict-invex", "quasi-invex", "pseudo-invex", "strict-pseudo-invex",
+                  "monotone-gradient", "strict-monotone-gradient")
+OTHER_KINDS = ("preinvex", "strict-preinvex", "quasi-preinvex", "strict-quasi-preinvex",
+               "epigraph", "level-set", "invex-set")
+
+
+@pytest.mark.parametrize("kind", GRADIENT_KINDS + OTHER_KINDS)
+def test_at_goes_with_exactly_the_gradient_kinds(e1, kind):
+    fn = [] if kind == "invex-set" else ["--function", "f1"]
+    code, text = run(["check", e1, *fn, "--kind", kind, "--at", "-3", "--pairs", "50"])
+    if kind in GRADIENT_KINDS:
+        assert code != 3, text
+    else:
+        assert code == 3 and f"{kind} has none" in text
+
+
+def test_check_help_lists_the_kinds_in_order(capsys):
+    with pytest.raises(SystemExit):
+        run(["check", "--help"])
+    listed = re.search(r"--kind \{([^}]*)\}", capsys.readouterr().out).group(1)
+    assert listed.split(",") == ["preinvex", "strict-preinvex", "quasi-preinvex",
+                                 "strict-quasi-preinvex", *GRADIENT_KINDS,
+                                 "epigraph", "level-set", "invex-set"]
+
+
+def test_a_box_without_finite_bounds_is_refused(tmp_path):
+    # Python's json reads -Infinity; the grid oracle answered from nan points
+    path = tmp_path / "open.json"
+    path.write_text(json.dumps({
+        "n": 1, "E": ["x1"], "eta": ["u1 - v1"], "objectives": ["y1"],
+        "box": {"lo": [-math.inf], "hi": [math.inf]}, "candidates": [{"name": "z", "x": [0.0]}]}))
+    assert "-Infinity" in path.read_text()
+    for argv in (["oracle", str(path), "--grid", "5"], ["oracle", str(path), "--query", "z"],
+                 ["check", str(path), "--function", "f1", "--kind", "invex", "--pairs", "50"]):
+        code, text = run(argv)
+        assert code == 3 and text.startswith("error: box: "), (argv, text)
 
 
 def test_invex_set_kind_needs_no_function(vp1, tmp_path):

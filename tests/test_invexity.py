@@ -375,8 +375,6 @@ _EVERY_KIND = {
     **{k.value: lambda fn, p, k=k: check_invex(fn, p, k, CFG) for k in InvexKind},
     **{f"{k.value}@center": lambda fn, p, k=k: check_invex(fn, p, k, CFG, at=(p.lo + p.hi) / 2)
        for k in InvexKind},
-    "monotone-gradient": lambda fn, p: gradient_monotonicity(fn, p, CFG),
-    "strict-monotone-gradient": lambda fn, p: gradient_monotonicity(fn, p, CFG, strict=True),
     "epigraph": lambda fn, p: epigraph_invex_check(fn, p, CFG),
     "level-set": lambda fn, p: level_set_invex_check(fn, p, cfg=CFG),
     "invex-set": lambda fn, p: einvex_set_check(p, CFG),
@@ -401,3 +399,66 @@ def test_invex_holds_implies_monotone_holds_on_corpus():
         f = p.function("f1")
         if check_invex(f, p, "invex", CFG).status == "holds":
             assert gradient_monotonicity(f, p, CFG).status == "holds", name
+
+
+# ---------------------------------------------------------------------------
+# witnesses report the values their block judged; the scalar helpers replay them
+# ---------------------------------------------------------------------------
+
+
+def _close(got, want, scale=0.0):
+    return math.isclose(got, want, rel_tol=1e-12, abs_tol=1e-12 * scale)
+
+
+def _replay_gradient(fn, p, kind, w):
+    """(got, want, scale) of one gradient-family witness.
+
+    The monotone term is a difference of two products that can cancel (at a
+    probe it is about 1e-4 of them), and the replay's np.dot rounds apart
+    from the block's einsum by an ulp, so it is compared relative to the
+    size of the products."""
+    s = invex_sides(fn, p, w.x, w.x0)
+    a, b, d = s["a"], s["b"], s["d"]
+    if kind in (InvexKind.EXP, InvexKind.STRICT):
+        return [(w.left, s["left"], 0.0), (w.right, s["right"], 0.0),
+                (w.extra["norm_left"], s["norm_left"], 0.0), (w.extra["norm_right"], s["norm_right"], 0.0)]
+    if kind in (InvexKind.MONOTONE, InvexKind.STRICT_MONOTONE):
+        # the gradient at x is the base gradient of the reversed orientation
+        gx_eta = float(np.dot(invex_sides(fn, p, w.x0, w.x)["grad0"], s["eta"]))
+        m = max(a, b)
+        normalized = gx_eta * math.exp(a - m) - d * math.exp(b - m)
+        size = abs(gx_eta) * math.exp(a - m) + abs(d) * math.exp(b - m)
+        left = gx_eta * math.exp(a) - d * math.exp(b) if m < 700 else math.inf
+        left_size = size * math.exp(m) if math.isfinite(left) else size
+        return [(w.left, left if math.isfinite(left) else normalized, left_size), (w.right, 0.0, 0.0),
+                (w.extra["normalized"], normalized, size), (w.extra["scale_log"], m, 0.0)]
+    return [(w.left, d, 0.0), (w.right, 0.0, 0.0), (w.extra["a"], a, 0.0), (w.extra["b"], b, 0.0)]
+
+
+def _replay_mixture(fn, p, kind, w):
+    s = preinvex_sides(fn, p, w.x, w.x0, w.tau)
+    mixed = kind in (PreinvexKind.EXP, PreinvexKind.STRICT)
+    return [(w.left, s["left"], 0.0), (w.right, s["right_mix"] if mixed else s["right_max"], 0.0),
+            (w.extra["log_left"], s["c"], 0.0),
+            (w.extra["log_right"], s["mix_log"] if mixed else s["max_log"], 0.0),
+            *((got, want, 0.0) for got, want in zip(w.extra["combined"], s["combined"]))]
+
+
+def test_every_corpus_witness_replays_through_the_scalar_helpers():
+    replayed = {}
+    for ent in ENTRIES:
+        p = problem(ent)
+        fn = p.function("f1")
+        runs = [(k, "box", check_invex(fn, p, k, CFG), _replay_gradient) for k in InvexKind]
+        runs += [(k, "center", check_invex(fn, p, k, CFG, at=(p.lo + p.hi) / 2), _replay_gradient)
+                 for k in InvexKind]
+        runs += [(k, "box", check_preinvex(fn, p, k, CFG), _replay_mixture) for k in PreinvexKind]
+        for kind, where, v, replay in runs:
+            if v.status != "fails":
+                continue
+            for got, want, scale in replay(fn, p, kind, v.witness):
+                assert _close(got, want, scale), (ent.name, kind.value, where, got, want)
+            replayed[kind, where] = replayed.get((kind, where), 0) + 1
+    # every kind fails somewhere on the corpus, sampled over the box
+    assert {k for k, where in replayed if where == "box"} == {*InvexKind, *PreinvexKind}
+    assert sum(replayed.values()) > 150

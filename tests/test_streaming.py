@@ -20,8 +20,7 @@ import einvex.problem as problem_mod
 from corpus import CFG, ENTRIES, problem
 from einvex.cli import run
 from einvex.invexity import (PROBE_CENTERS, InvexKind, PreinvexKind, _probe_points, check_invex,
-                             check_preinvex, epigraph_invex_check, gradient_monotonicity,
-                             level_set_invex_check)
+                             check_preinvex, epigraph_invex_check, level_set_invex_check)
 from einvex.problem import (MAX_ROUNDS, Region, RegionDraw, _jsonable,
                             box_region, einvex_set_check, feasible_region, load_problem,
                             sample_region, sampled_verdict)
@@ -205,8 +204,6 @@ def _verdict(p, kind, cfg):
         return check_preinvex(fn, p, kind, cfg)
     if kind in tuple(InvexKind):
         return check_invex(fn, p, kind, cfg)
-    if kind.endswith("monotone-gradient"):
-        return gradient_monotonicity(fn, p, cfg, strict=kind.startswith("strict"))
     if kind == "epigraph":
         return epigraph_invex_check(fn, p, cfg)
     if kind == "level-set":
