@@ -117,10 +117,6 @@ def test_raw_and_composed_agree_through_e(vp1_path):
         ({"box": None}, "box"),
         ({"box": {"lo": [1.0], "hi": [-1.0]}}, "box"),
         ({"box": {"lo": [0.0, 0.0], "hi": [1.0, 1.0]}}, "box"),
-        ({"box": {"lo": [-float("inf")], "hi": [1.0]}}, "box"),
-        ({"box": {"lo": [0.0], "hi": [float("inf")]}}, "box"),
-        ({"box": {"lo": [float("nan")], "hi": [1.0]}}, "box"),
-        ({"box": {"lo": [-1e308], "hi": [1e308]}}, "box"),  # the width overflows
         ({"E": []}, "E"),
         ({"E": ["x1 +"]}, "E[0]"),
         ({"eta": ["u1 - x1"]}, "eta[0]"),
@@ -130,6 +126,10 @@ def test_raw_and_composed_agree_through_e(vp1_path):
         ({"objectives": [{"body": "y1"}]}, "objectives[0]"),
         ({"candidates": [{"x": [0.0, 0.0]}]}, "candidates[0].x"),
         ({"candidates": [{"x": [0.0], "rho": [1.0]}]}, "candidates[0].rho"),
+        ({"box": {"lo": [-float("inf")], "hi": [1.0]}}, "box"),
+        ({"box": {"lo": [0.0], "hi": [float("inf")]}}, "box"),
+        ({"box": {"lo": [float("nan")], "hi": [1.0]}}, "box"),
+        ({"box": {"lo": [-1e308], "hi": [1e308]}}, "box"),  # the width overflows
     ],
 )
 def test_load_rejects_malformed_input_with_location(mutate, location):
