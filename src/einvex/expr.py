@@ -8,9 +8,15 @@ total real cube root, so odd roots of negative values are first-class and
 never go through ``pow``.
 
 Evaluation is vectorized: environment values may be floats or equally shaped
-numpy arrays.  Differentiation is forward mode in a single sweep: each node
-carries its value and a derivative array with one trailing column per
-requested variable.
+numpy arrays.  One walker, ``_walk``, evaluates every tree: each node
+carries its value and, when asked, a derivative array with one trailing
+column per requested variable (forward mode, one sweep) and a running
+rounding-error bound (Higham 2002, section 3.3).  Each operation adds half
+an ulp of its result (one ulp for exp, log, cbrt and ^) and propagates its
+operands' bounds through its derivative magnitudes.  A *, /, exp or ^ result
+below the normal range adds 2^-1074 unless an operand (the numerator for /)
+is an exact zero, a zero with a zero bound; + and - are exact under gradual
+underflow.
 """
 
 from __future__ import annotations
@@ -262,6 +268,13 @@ def to_source(node: Expr) -> str:
 # Evaluation
 # ---------------------------------------------------------------------------
 
+# IEEE rounds + - * / and sqrt to half an ulp; numpy's exp and power were
+# measured up to 1.17 |v| 2^-53 off, so exp, log, cbrt and ^ get one ulp.
+_HALF_ULP = 0.5 * float(np.finfo(float).eps)
+_ULP = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)         # the smallest normal float; below it,
+_SUBNORMAL = float(np.nextafter(0.0, 1.0))  # results round to multiples of 2^-1074
+
 
 class _Flags:
     """Accumulates per-sample domain and differentiability violations."""
@@ -287,35 +300,44 @@ class _Flags:
             self.nondiff = self.nondiff | mask
 
 
-def _walk(node, env, flags, wrt):
-    """Return (value, derivative); the derivative has one trailing column per
-    variable in wrt (one-hot at a Var) and is None when wrt is None."""
+def _underflow(v, *operands):
+    """2^-1074 where v is below the normal range, unless some (value, bound)
+    operand is an exact zero, which makes v one too."""
+    exact = False
+    for x, e in operands:
+        exact = exact | ((x == 0.0) & (e == 0.0))
+    return np.where((np.abs(v) < _TINY) & ~exact, _SUBNORMAL, 0.0)
+
+
+def _walk(node, env, flags, wrt, err):
+    """Return (value, derivative, error).  The derivative has one trailing
+    column per variable in wrt (one-hot at a Var), None when wrt is None; the
+    error is the running rounding-error bound, None unless err."""
     want_d = wrt is not None
     if isinstance(node, Const):
-        return np.float64(node.value), (np.zeros(len(wrt)) if want_d else None)
+        return np.float64(node.value), (np.zeros(len(wrt)) if want_d else None), (0.0 if err else None)
     if isinstance(node, Var):
         try:
             v = env[node.name]
         except KeyError:
             raise DomainEvalError(node) from None
         v = np.asarray(v, dtype=float) if not np.isscalar(v) else np.float64(v)
-        if not want_d:
-            return v, None
-        return v, np.array([float(name == node.name) for name in wrt])
+        d = np.array([float(name == node.name) for name in wrt]) if want_d else None
+        return v, d, (0.0 if err else None)
 
     if isinstance(node, Unary):
-        a, ad = _walk(node.arg, env, flags, wrt)
+        a, ad, ea = _walk(node.arg, env, flags, wrt, err)
         if node.op == "neg":
-            return -a, (-ad if want_d else None)
+            return -a, (-ad if want_d else None), ea
         if node.op == "exp":
             v = np.exp(a)
-            if not want_d:
-                return v, None
-            return v, np.where(ad == 0.0, 0.0, v[..., None] * ad)
+            return (v, np.where(ad == 0.0, 0.0, v[..., None] * ad) if want_d else None,
+                    v * ea + np.abs(v) * _ULP + _underflow(v) if err else None)
         if node.op == "log":
             flags.flag_invalid(a <= 0.0, node)
             v = np.log(np.where(a > 0.0, a, np.nan))
-            return v, (ad / a[..., None] if want_d else None)
+            return (v, ad / a[..., None] if want_d else None,
+                    ea / np.abs(a) + np.abs(v) * _ULP if err else None)
         if node.op == "sqrt":
             flags.flag_invalid(a < 0.0, node)
             v = np.sqrt(np.where(a >= 0.0, a, np.nan))
@@ -323,42 +345,60 @@ def _walk(node, env, flags, wrt):
             v = np.cbrt(a)
         else:
             raise AssertionError(f"unknown unary op {node.op}")
+        if not (want_d or err):
+            return v, None, None
+        slope = 2.0 * v if node.op == "sqrt" else 3.0 * v * v
+        # a zero root has an infinite slope: an error in its argument is unbounded
+        e = (np.where(v != 0.0, ea / slope, np.where(ea > 0.0, np.inf, 0.0))
+             + np.abs(v) * (_HALF_ULP if node.op == "sqrt" else _ULP)) if err else None
         if not want_d:
-            return v, None
+            return v, None, e
         # A zero argument is a kink, or hides the derivative whatever the
         # argument's own (cbrt(x1^3) is x1, sqrt(x1^2) is |x1|): flag it
         # wherever the argument depends on wrt.
         if not node.arg.variables().isdisjoint(wrt):
             flags.flag_nondiff(a == 0.0, node)
-        slope = 2.0 * v if node.op == "sqrt" else 3.0 * v * v
-        return v, np.where(ad == 0.0, 0.0, ad / slope[..., None])
+        return v, np.where(ad == 0.0, 0.0, ad / slope[..., None]), e
 
-    a, ad = _walk(node.lhs, env, flags, wrt)
-    b, bd = _walk(node.rhs, env, flags, wrt)
+    a, ad, ea = _walk(node.lhs, env, flags, wrt, err)
+    b, bd, eb = _walk(node.rhs, env, flags, wrt, err)
     if node.op == "+":
-        return a + b, (ad + bd if want_d else None)
+        v = a + b
+        return v, (ad + bd if want_d else None), (ea + eb + np.abs(v) * _HALF_ULP if err else None)
     if node.op == "-":
-        return a - b, (ad - bd if want_d else None)
+        v = a - b
+        return v, (ad - bd if want_d else None), (ea + eb + np.abs(v) * _HALF_ULP if err else None)
     if node.op == "*":
-        return a * b, (ad * b[..., None] + a[..., None] * bd if want_d else None)
+        v = a * b
+        return (v, ad * b[..., None] + a[..., None] * bd if want_d else None,
+                ea * np.abs(b) + eb * np.abs(a) + np.abs(v) * _HALF_ULP
+                + _underflow(v, (a, ea), (b, eb)) if err else None)
     if node.op == "/":
         flags.flag_invalid(b == 0.0, node)
         v = a / np.where(b == 0.0, np.nan, b)
-        return v, ((ad * b[..., None] - a[..., None] * bd) / (b * b)[..., None]
-                   if want_d else None)
+        return (v, (ad * b[..., None] - a[..., None] * bd) / (b * b)[..., None] if want_d else None,
+                (ea + eb * np.abs(v)) / np.abs(b) + np.abs(v) * _HALF_ULP + _underflow(v, (a, ea))
+                if err else None)
     if node.op == "^":
         nonint = (b != np.floor(b)) | ~np.isfinite(b)
         flags.flag_invalid(((a < 0.0) & nonint) | ((a == 0.0) & (b < 0.0)), node)
         v = np.power(a, b)
         v = np.where((a < 0.0) & nonint, np.nan, v)
+        if not (want_d or err):
+            return v, None, None
+        slope = b * np.power(a, b - 1.0)
+        # |dv/db| = |v log a|, where a positive base allows any exponent
+        e = (np.where(ea == 0.0, 0.0, np.abs(slope) * ea)
+             + np.where(eb == 0.0, 0.0, np.abs(v) * np.abs(np.log(np.where(a > 0.0, a, 1.0))) * eb)
+             + np.abs(v) * _ULP + _underflow(v, (a, ea), (b, eb))) if err else None
         if not want_d:
-            return v, None
+            return v, None, e
         # The rule is chosen per row and variable, so no row depends on
         # the others in the batch.  Where the exponent does not move, the
         # plain power rule holds, also for negative bases at integral
         # exponents; elsewhere the log form needs a positive base.
         moving = bd != 0.0
-        d = (b * np.power(a, b - 1.0))[..., None] * ad
+        d = slope[..., None] * ad
         d = np.where((ad == 0.0) | (b == 0.0)[..., None], 0.0, d)
         flags.flag_nondiff((~np.isfinite(d) & ~moving).any(axis=-1)
                            & np.isfinite(a) & np.isfinite(v), node)
@@ -367,7 +407,7 @@ def _walk(node, env, flags, wrt):
             la = np.log(np.where(a > 0.0, a, np.nan))
             d_log = v[..., None] * (bd * la[..., None] + b[..., None] * ad / a[..., None])
             d = np.where(moving, d_log, d)
-        return v, d
+        return v, d, e
     raise AssertionError(f"unknown binary op {node.op}")
 
 
@@ -376,6 +416,7 @@ class EvalResult:
     values: np.ndarray
     invalid: np.ndarray  # bool mask of domain violations
     invalid_node: Optional[Expr]
+    error: Optional[np.ndarray] = None  # rounding-error bound, when asked; inf on flagged rows
 
 
 @dataclass
@@ -397,27 +438,32 @@ def _batch_shape(env) -> tuple:
     return ()
 
 
-def eval_many(node: Expr, env: Mapping[str, np.ndarray]) -> EvalResult:
-    """Vectorized evaluation; domain violations are masked, not raised."""
+def _evaluate(node: Expr, env, wrt=None, err=False):
+    """One walk of node over env, broadcast to the batch shape: (EvalResult,
+    derivative, flags).  With err the result carries the error bound (for
+    compose; the samplers skip it), infinite on flagged or non-finite rows."""
     flags = _Flags()
     with np.errstate(all="ignore"):  # domain violations are flagged, not warned about
-        v, _ = _walk(node, env, flags, None)
+        v, d, e = _walk(node, env, flags, wrt, err)
     v = np.asarray(np.broadcast_to(np.asarray(v, dtype=float), _batch_shape(env)))
     invalid = np.broadcast_to(np.asarray(flags.invalid, dtype=bool), v.shape)
-    return EvalResult(v, invalid, flags.invalid_node)
+    if err:
+        e = np.where(np.isfinite(v) & ~invalid, e, np.inf)
+    return EvalResult(v, invalid, flags.invalid_node, e), d, flags
+
+
+def eval_many(node: Expr, env: Mapping[str, np.ndarray]) -> EvalResult:
+    """Vectorized evaluation; domain violations are masked, not raised."""
+    return _evaluate(node, env)[0]
 
 
 def grad_many(node: Expr, env: Mapping[str, np.ndarray], wrt: Sequence[str]) -> GradResult:
     """Vectorized forward-mode gradient: one sweep carries every variable in wrt."""
-    flags = _Flags()
-    with np.errstate(all="ignore"):
-        v, d = _walk(node, env, flags, tuple(wrt))
-    vals = np.asarray(np.broadcast_to(np.asarray(v, dtype=float), _batch_shape(env)))
-    grads = np.broadcast_to(np.asarray(d, dtype=float), vals.shape + (len(wrt),))
-    invalid = np.broadcast_to(np.asarray(flags.invalid, dtype=bool), vals.shape)
-    nondiff = np.broadcast_to(np.asarray(flags.nondiff, dtype=bool), vals.shape)
-    nondiff = (nondiff | ~np.isfinite(grads).all(axis=-1)) & ~invalid
-    return GradResult(vals, grads, invalid, flags.invalid_node, nondiff, flags.nondiff_node)
+    res, d, flags = _evaluate(node, env, tuple(wrt))
+    grads = np.broadcast_to(np.asarray(d, dtype=float), res.values.shape + (len(wrt),))
+    nondiff = np.broadcast_to(np.asarray(flags.nondiff, dtype=bool), res.values.shape)
+    nondiff = (nondiff | ~np.isfinite(grads).all(axis=-1)) & ~res.invalid
+    return GradResult(res.values, grads, res.invalid, res.invalid_node, nondiff, flags.nondiff_node)
 
 
 def evaluate(node: Expr, env: Mapping[str, float]) -> float:
@@ -442,76 +488,6 @@ def gradient(node: Expr, env: Mapping[str, float], wrt: Sequence[str]) -> np.nda
 # Substitution and composition
 # ---------------------------------------------------------------------------
 
-_HALF_ULP = 0.5 * float(np.finfo(float).eps)
-
-
-def eval_with_error(node: Expr, env: Mapping[str, np.ndarray]):
-    """Evaluate with a running forward rounding-error bound.
-
-    Returns (values, bound) where bound overestimates the accumulated
-    floating-point error of this particular evaluation order (first-order
-    running error analysis: each operation adds half an ulp of its result
-    and propagates input uncertainty through its derivative magnitude).
-    Domain violations surface as nan values with infinite bounds.
-    """
-
-    def ulp(v):
-        return np.abs(v) * _HALF_ULP
-
-    def walk(n):
-        if isinstance(n, Const):
-            return np.float64(n.value), np.float64(0.0)
-        if isinstance(n, Var):
-            return np.asarray(env[n.name], dtype=float), np.float64(0.0)
-        if isinstance(n, Unary):
-            a, ea = walk(n.arg)
-            if n.op == "neg":
-                return -a, ea
-            if n.op == "exp":
-                v = np.exp(a)
-                return v, v * ea + ulp(v)
-            if n.op == "log":
-                v = np.log(np.where(a > 0.0, a, np.nan))
-                return v, ea / np.abs(a) + ulp(v)
-            if n.op == "sqrt":
-                v = np.sqrt(np.where(a >= 0.0, a, np.nan))
-                return v, np.where(v > 0.0, ea / (2.0 * v), np.where(ea > 0.0, np.inf, 0.0)) + ulp(v)
-            if n.op == "cbrt":
-                v = np.cbrt(a)
-                return v, np.where(v != 0.0, ea / np.abs(3.0 * v * v),
-                                   np.where(ea > 0.0, np.inf, 0.0)) + ulp(v)
-        a, ea = walk(n.lhs)
-        b, eb = walk(n.rhs)
-        if n.op == "+":
-            v = a + b
-            return v, ea + eb + ulp(v)
-        if n.op == "-":
-            v = a - b
-            return v, ea + eb + ulp(v)
-        if n.op == "*":
-            v = a * b
-            return v, ea * np.abs(b) + eb * np.abs(a) + ulp(v)
-        if n.op == "/":
-            v = a / np.where(b == 0.0, np.nan, b)
-            return v, (ea + eb * np.abs(v)) / np.abs(b) + ulp(v)
-        # pow: |d/da| = |b a^(b-1)|, |d/db| = |v log a| (log term only
-        # meaningful for positive bases, where general exponents live)
-        nonint = (b != np.floor(b)) | ~np.isfinite(b)
-        v = np.power(a, b)
-        v = np.where((a < 0.0) & nonint, np.nan, v)
-        da = np.abs(b * np.power(a, b - 1.0)) * ea
-        da = np.where(ea == 0.0, 0.0, da)
-        la = np.abs(np.log(np.where(a > 0.0, a, 1.0)))
-        db = np.where(eb == 0.0, 0.0, np.abs(v) * la * eb)
-        return v, da + db + ulp(v)
-
-    with np.errstate(all="ignore"):
-        v, e = walk(node)
-    v = np.asarray(np.broadcast_to(np.asarray(v, dtype=float), _batch_shape(env)))
-    e = np.broadcast_to(np.asarray(e, dtype=float), v.shape)
-    return v, np.where(np.isfinite(v), e, np.inf)
-
-
 def substitute(node: Expr, mapping: Mapping[str, Expr]) -> Expr:
     """Replace variables by whole subtrees."""
     if isinstance(node, Var):
@@ -530,9 +506,11 @@ def compose(f: Expr, inner: Sequence[Expr], inner_vars: Sequence[str], box_lo, b
     ``f`` is written over y1..yn; each ``inner[i]`` is written over the
     problem variables.  When ``override`` is given it is validated against
     the direct substitution on OVERRIDE_SAMPLES points of the box, drawn
-    with OVERRIDE_SEED (relative tolerance OVERRIDE_TOL), and then used
-    verbatim; a mismatch raises
-    ComposeMismatchError carrying the worst point.
+    with OVERRIDE_SEED, and then used verbatim.  The allowance is the
+    relative tolerance OVERRIDE_TOL plus 8 times the running rounding-error
+    bounds of both evaluations, so an exact override of a badly conditioned
+    substitution (cancellation inside E) is not rejected for float noise; a
+    mismatch beyond it raises ComposeMismatchError carrying the worst point.
     """
     mapping = {f"y{i + 1}": inner[i] for i in range(len(inner))}
     for name in f.variables():
@@ -547,18 +525,12 @@ def compose(f: Expr, inner: Sequence[Expr], inner_vars: Sequence[str], box_lo, b
     stream = SampleStream(OVERRIDE_SEED, "compose-validate")
     pts = stream.box(np.asarray(box_lo, float), np.asarray(box_hi, float), OVERRIDE_SAMPLES)
     env = {name: pts[:, j] for j, name in enumerate(inner_vars)}
-    sub = eval_many(substituted, env)
-    ovr = eval_many(override, env)
+    sub = _evaluate(substituted, env, err=True)[0]
+    ovr = _evaluate(override, env, err=True)[0]
     ok = ~sub.invalid & ~ovr.invalid & np.isfinite(sub.values) & np.isfinite(ovr.values)
     if not ok.any():
         raise ComposeMismatchError("composed form could not be validated: no comparable sample points")
-    # The budget pairs the relative tolerance with a running rounding-error
-    # bound of both evaluations, so exact overrides of badly conditioned
-    # substitutions (catastrophic cancellation inside E) are not rejected
-    # for float noise while genuinely different functions still are.
-    _, err_sub = eval_with_error(substituted, env)
-    _, err_ovr = eval_with_error(override, env)
-    budget = OVERRIDE_TOL * (1.0 + np.abs(ovr.values)) + 8.0 * (err_sub + err_ovr)
+    budget = OVERRIDE_TOL * (1.0 + np.abs(ovr.values)) + 8.0 * (sub.error + ovr.error)
     excess = np.abs(sub.values - ovr.values) - budget
     excess = np.where(ok & np.isfinite(excess), excess, -np.inf)
     worst = int(np.argmax(excess))

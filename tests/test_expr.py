@@ -15,9 +15,9 @@ from einvex.expr import (
     Const,
     Unary,
     Var,
+    _evaluate,
     compose,
     eval_many,
-    eval_with_error,
     evaluate,
     grad_many,
     gradient,
@@ -394,6 +394,12 @@ def test_compose_rejects_override_with_stray_variable():
     assert "z9" in str(exc.value)
 
 
+def _bound(node, env):
+    """Values and running rounding-error bound of one walk."""
+    res = _evaluate(node, env, err=True)[0]
+    return res.values, res.error
+
+
 def test_error_bound_covers_cancellation():
     # |cbrt(((x+3)^9 - 3) + 3) - (x+3)^3| near x = -3 is far above the plain
     # relative tolerance, but inside the tracked rounding-error budget.
@@ -406,15 +412,53 @@ def test_error_bound_covers_cancellation():
         ]
     )
     env = {"x1": x}
-    v_sub, e_sub = eval_with_error(sub, env)
-    v_ex, e_ex = eval_with_error(exact, env)
+    v_sub, e_sub = _bound(sub, env)
+    v_ex, e_ex = _bound(exact, env)
     gap = np.abs(v_sub - v_ex)
     assert np.all(gap <= e_sub + e_ex)
     # and the naive budget alone would reject the pair
     assert np.any(gap > OVERRIDE_TOL * (1.0 + np.abs(v_ex)))
 
 
-def test_eval_with_error_flags_domain_failures_with_infinite_bounds():
-    v, e = eval_with_error(parse("log(x1)", X1), {"x1": np.array([-1.0, 1.0])})
+def test_error_bound_flags_domain_failures_with_infinite_bounds():
+    v, e = _bound(parse("log(x1)", X1), {"x1": np.array([-1.0, 1.0])})
     assert np.isnan(v[0]) and np.isinf(e[0])
     assert v[1] == 0.0 and np.isfinite(e[1])
+
+
+def test_error_bound_is_infinite_on_every_flagged_row():
+    # exp(-(0^-1)) is exp(-inf) = 0, a finite value on a row that left the domain
+    node = parse("exp(-(x1^-1))", X1)
+    v, e = _bound(node, {"x1": np.array([0.0, 1.0])})
+    assert eval_many(node, {"x1": np.array([0.0, 1.0])}).invalid.tolist() == [True, False]
+    assert v[0] == 0.0 and e[0] == np.inf
+    assert np.isfinite(e[1])
+
+
+def test_error_bound_of_an_unbound_variable_is_a_domain_error():
+    with pytest.raises(DomainEvalError):
+        _bound(parse("x1 + x2", X12), {"x1": np.array([1.0])})
+
+
+@pytest.mark.parametrize("source", ["sqrt(x1 - x1)", "sqrt(0*x1)", "0*x1", "0/x1"])
+def test_structural_zeros_keep_a_zero_bound(source):
+    # an exact zero below a root keeps the bound finite: with 2^-1074 for
+    # every zero result the root's infinite slope would make it infinite
+    x = np.array([-2.0, 1e-300, 0.5, 3.0])
+    v, e = _bound(parse(source, X1), {"x1": x})
+    assert np.all(v == 0.0) and np.all(e == 0.0)
+
+
+def test_underflowed_zero_keeps_its_error():
+    # x1*x1 underflows to 0, a zero that carries error: its root is unbounded
+    v, e = _bound(parse("cbrt(x1*x1)", X1), {"x1": np.array([1e-200])})
+    assert v[0] == 0.0 and e[0] == np.inf
+    v, e = _bound(parse("x1*x1", X1), {"x1": np.array([-9.3797e-157, 1e-200])})
+    assert np.all(e >= 2.0 ** -1074)
+
+
+def test_compose_rejects_wrong_override_around_a_structural_zero():
+    f = parse("y1 + sqrt(y1 - y1) + sqrt(0*y1)", ["y1"])
+    with pytest.raises(ComposeMismatchError):
+        compose(f, [parse("x1", X1)], X1, [-1.0], [1.0], override=parse("x1 + 1e-6", X1))
+    assert compose(f, [parse("x1", X1)], X1, [-1.0], [1.0], override=parse("x1", X1)) == parse("x1", X1)

@@ -4,11 +4,14 @@ Trees over x1, x2 use every operator and every function of the language.
 Settings are derandomized, so every run draws the same examples.
 """
 
+import mpmath
 import numpy as np
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from einvex.expr import UNARY_FUNCTIONS, Binary, Const, Unary, Var, eval_many, grad_many, parse
+from einvex.expr import (UNARY_FUNCTIONS, Binary, Const, Unary, Var, _evaluate, eval_many,
+                         grad_many, parse)
+from mpexpr import DPS, mp_eval
 
 X12 = ["x1", "x2"]
 SETTINGS = settings(max_examples=150, derandomize=True, deadline=None, database=None,
@@ -94,3 +97,27 @@ def test_gradients_match_central_differences(tree, rows):
                        & (np.abs(fd - fd_half) <= tol) & np.isfinite(gr.grads[:, j]))
         err = np.abs(gr.grads[:, j] - fd)
         assert np.all(err[trusted] <= tol[trusted]), (str(tree), X[trusted], j)
+
+
+# The running error bound against the 60-digit value, wherever the value and
+# the bound are finite and the exact value is defined.  The first four
+# examples underflow into the subnormal range; the last two hit numpy's exp
+# and power more than half an ulp off.
+@settings(SETTINGS, max_examples=400)
+@given(tree=TREES, rows=BATCH)
+@example(tree=parse("x2*x2", X12), rows=[(-0.2656, -9.3797e-157)])
+@example(tree=parse("cbrt(cbrt(x2*x2*(x2*x2)))", X12), rows=[(0.5, -6.98e-233)])
+@example(tree=parse("x1/3", X12), rows=[(-2.225073858507203e-309, 0.5)])
+@example(tree=parse("exp(log(x2))", X12), rows=[(0.0, 5e-324)])
+@example(tree=parse("exp(x1)", X12), rows=[(2.2456345631359493, 0.5)])
+@example(tree=parse("x2^3", X12), rows=[(2.153349360412431, 1.621412546438453)])
+def test_error_bound_covers_the_distance_to_the_exact_value(tree, rows):
+    X = np.array(rows)
+    res = _evaluate(tree, _env(X), err=True)[0]
+    for i in range(X.shape[0]):
+        v, bound = res.values[i], res.error[i]
+        exact = mp_eval(tree, {"x1": X[i, 0], "x2": X[i, 1]})
+        if not (np.isfinite(v) and np.isfinite(bound)) or exact is None:
+            continue
+        with mpmath.workdps(DPS):
+            assert abs(mpmath.mpf(v) - exact) <= bound, (str(tree), X[i], v, bound)

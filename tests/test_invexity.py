@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -23,6 +24,7 @@ from einvex.invexity import (
 )
 from einvex.problem import (EProblem, Region, SampleConfig, _jsonable, box_region,
                             einvex_set_check, load_problem)
+from mpexpr import DPS, mp_eval
 
 
 @pytest.fixture(scope="module")
@@ -462,3 +464,38 @@ def test_every_corpus_witness_replays_through_the_scalar_helpers():
     # every kind fails somewhere on the corpus, sampled over the box
     assert {k for k, where in replayed if where == "box"} == {*InvexKind, *PreinvexKind}
     assert sum(replayed.values()) > 150
+
+
+def _mixture_gap(fn, p, kind, w):
+    """log f(V + tau H) minus the right side of the mixture inequality, at
+    60 digits, and the largest coordinate gap of E(x) and E(x0)."""
+    with mpmath.workdps(DPS):
+        x = dict(zip(p.vars, w.x))
+        x0 = dict(zip(p.vars, w.x0))
+        U = [mp_eval(e, x) for e in p.e_ops]
+        V = [mp_eval(e, x0) for e in p.e_ops]
+        uv = {**{f"u{j + 1}": u for j, u in enumerate(U)}, **{f"v{j + 1}": v for j, v in enumerate(V)}}
+        H = [mp_eval(e, uv) for e in p.eta]
+        a, b = mp_eval(fn.composed, x), mp_eval(fn.composed, x0)
+        c = mp_eval(fn.raw, {f"y{j + 1}": v + w.tau * h for j, (v, h) in enumerate(zip(V, H))})
+        mixed = kind in (PreinvexKind.EXP, PreinvexKind.STRICT)
+        right = mpmath.log(w.tau * mpmath.exp(a) + (1 - w.tau) * mpmath.exp(b)) if mixed else max(a, b)
+        return c - right, max(abs(u - v) for u, v in zip(U, V))
+
+
+def test_mixture_witnesses_keep_their_sign_at_60_digits():
+    gaps = []
+    for ent in ENTRIES:
+        p = problem(ent)
+        fn = p.function("f1")
+        for kind in PreinvexKind:
+            v = check_preinvex(fn, p, kind, CFG)
+            if v.status != "fails":
+                continue
+            gap, apart = _mixture_gap(fn, p, kind, v.witness)
+            strict = kind in (PreinvexKind.STRICT, PreinvexKind.STRICT_QUASI)
+            assert gap > (-CFG.strict_margin if strict else CFG.tol), (ent.name, kind.value, gap)
+            if kind == PreinvexKind.STRICT:
+                assert apart > CFG.tol, (ent.name, apart)
+            gaps.append(gap)
+    assert len(gaps) == 39
