@@ -21,15 +21,15 @@ inequality is normalized by exp(max(f(E(x)), f(E(x0)))).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .problem import (EProblem, Judgement, MixtureSamples, PairDraw, ProblemFunction, Region,
-                      SampleConfig, Verdict, all_vacuous, box_region, mixture_samples, sample_pairs,
-                      sampled_verdict)
+from .problem import (EProblem, Hypothesis, Judgement, MixtureSamples, PairDraw, ProblemFunction,
+                      Region, SampleConfig, Verdict, all_vacuous, box_region, mixture_samples,
+                      sample_pairs, sampled_verdict, sampled_verdicts)
 from .rng import SampleStream
 
 PROBE_RADII = (1e-2, 1e-3, 1e-4, 1e-5)
@@ -233,23 +233,56 @@ class InvexSamples:
         return self.invalid | self.nondiff
 
 
-def invex_pairs(fn: ProblemFunction, problem: EProblem, cfg: SampleConfig, pairs: PairDraw,
-                lo: int, hi: int, probes: bool = False, want_gx: bool = False) -> InvexSamples:
-    """The gradient-side data of pairs lo..hi-1.
+@dataclass
+class InvexBlock:
+    """The function-independent part of one block of gradient-family samples.
+
+    Sample k moves row ix[k] of P = [X; X0; centers; probes] against base
+    row i0[k] (X0 is the single row ``at`` in pinned mode).  Every
+    hypothesis judged on the block reads these arrays; invex_pairs adds a
+    function's values and gradients.
+    """
+
+    P: np.ndarray       # the points of the block
+    E: np.ndarray       # E(P)
+    bad_e: np.ndarray   # rows of P where E failed
+    ix: np.ndarray      # the moving row of each sample
+    i0: np.ndarray      # its base row
+    X: np.ndarray       # P[ix]
+    X0: np.ndarray      # P[i0]
+    H: np.ndarray       # eta(E(x), E(x0))
+    bad_h: np.ndarray
+    index: np.ndarray   # as in InvexSamples
+    unit: np.ndarray
+    n_regular: int
+    starved: Optional[str]
+    bases: tuple        # (lo, hi): the rows of P that serve as a base, or a center
+    points: int         # the rows of X and X0 in P
+    per_pair: int       # samples per pair: 1 pinned, 2 in pair mode
+
+    def plain(self) -> "InvexBlock":
+        """The block without its centers and probes, for the kinds that take none.
+        Only the block of the last probed pair has them."""
+        if self.P.shape[0] == self.points:
+            return self
+        keep, rows = self.index < self.n_regular, slice(0, self.points)
+        pairs = np.arange(int(keep.sum()) // self.per_pair)
+        return replace(self, P=self.P[rows], E=self.E[rows], bad_e=self.bad_e[rows],
+                       bases=(self.bases[0], self.points), unit=np.repeat(pairs, self.per_pair),
+                       **{f: getattr(self, f)[keep]
+                          for f in ("ix", "i0", "X", "X0", "H", "bad_h", "index")})
+
+
+def invex_block(problem: EProblem, cfg: SampleConfig, pairs: PairDraw, lo: int, hi: int,
+                probes: bool = False) -> InvexBlock:
+    """The shared part of pairs lo..hi-1: the draw, E, eta and the row frame.
 
     With ``pairs.at`` fixed, x0 is constant and x is drawn from the region.
     In pair mode each drawn pair is used in both orientations, (x, x0)
     before (x0, x), so any verdict is automatically symmetric in the roles
     of x and x0.  ``probes`` puts the probes of the first PROBE_CENTERS base
     points (``pairs.centers``, kept as they are drawn) right after the last
-    of those pairs.
-
-    Each point is evaluated once per block, a probed base point once more as
-    a center: the rows P = [X; X0; centers; probes] (X0 is the single row
-    ``at`` in pinned mode) carry values and E, and sample k pairs moving row
-    ix[k] with base row i0[k].  Gradients are
-    taken only on the rows that serve as a base, or on all rows when
-    ``want_gx`` asks for them at x too.
+    of those pairs; a probed base point is a row of its own, as a center.
     """
     X, X0, starved = sample_pairs(pairs, lo, hi)
     b, pinned = X.shape[0], pairs.at is not None
@@ -277,28 +310,40 @@ def invex_pairs(fn: ProblemFunction, problem: EProblem, cfg: SampleConfig, pairs
         index = np.insert(index, cut, n_regular + j)
         unit = np.concatenate([unit[:cut], last + 1 + j, unit[cut:] + Q.shape[0]])
     P = np.vstack([X, X0, C, Q])
-
-    vals = problem.composed_values(fn, P)
     E, bad_e = problem.e_map(P)
-    row_bad = vals.invalid | bad_e | ~np.isfinite(vals.values)
-    g_lo = b if pinned and not want_gx else 0      # pinned: the bases are row b and the centers
-    g_hi = P.shape[0] if want_gx else m + C.shape[0]  # probes never serve as a base
-    grads = problem.composed_grads(fn, P[g_lo:g_hi])
-    j0 = i0 - g_lo
-
-    A, B = np.take(vals.values, ix), np.take(vals.values, i0)
     H, bad_h = problem.eta_map(np.take(E, ix, axis=0), np.take(E, i0, axis=0))
+    # pinned, the bases are row b and the centers; probes never serve as a base
+    return InvexBlock(P, E, bad_e, ix, i0, np.take(P, ix, axis=0), np.take(P, i0, axis=0), H, bad_h,
+                      index, unit, n_regular, starved, (b if pinned else 0, m + C.shape[0]), m, w)
+
+
+def invex_pairs(fn: ProblemFunction, problem: EProblem, blk: InvexBlock,
+                want_gx: bool = False) -> InvexSamples:
+    """The gradient-side data of ``fn`` on one block.
+
+    Each point of the block is evaluated once.  Gradients are taken only on
+    the rows that serve as a base, or on all rows when ``want_gx`` asks for
+    them at x too.
+    """
+    vals = problem.composed_values(fn, blk.P)
+    row_bad = vals.invalid | blk.bad_e | ~np.isfinite(vals.values)
+    g_lo, g_hi = (0, blk.P.shape[0]) if want_gx else blk.bases
+    grads = problem.composed_grads(fn, blk.P[g_lo:g_hi])
+    j0 = blk.i0 - g_lo
+
+    A, B = np.take(vals.values, blk.ix), np.take(vals.values, blk.i0)
     G0 = np.take(grads.grads, j0, axis=0)
-    D = np.einsum("ij,ij->i", G0, H)
-    invalid = np.take(row_bad, ix) | np.take(row_bad, i0) | np.take(grads.invalid, j0) | bad_h
+    D = np.einsum("ij,ij->i", G0, blk.H)
+    invalid = (np.take(row_bad, blk.ix) | np.take(row_bad, blk.i0) | np.take(grads.invalid, j0)
+               | blk.bad_h)
     nondiff = np.take(grads.nondiff, j0)
     GX = None
     if want_gx:
-        GX = np.take(grads.grads, ix, axis=0)
-        invalid |= np.take(grads.invalid, ix)
-        nondiff |= np.take(grads.nondiff, ix)
-    return InvexSamples(np.take(P, ix, axis=0), np.take(P, i0, axis=0), A, B, GX, G0, H, D,
-                        invalid, nondiff & ~invalid, index, unit, n_regular, starved)
+        GX = np.take(grads.grads, blk.ix, axis=0)
+        invalid |= np.take(grads.invalid, blk.ix)
+        nondiff |= np.take(grads.nondiff, blk.ix)
+    return InvexSamples(blk.X, blk.X0, A, B, GX, G0, blk.H, D, invalid, nondiff & ~invalid,
+                        blk.index, blk.unit, blk.n_regular, blk.starved)
 
 
 def _monotone_term(s: InvexSamples):
@@ -393,6 +438,9 @@ def _invex_witness(kind: InvexKind, s: InvexSamples, i: int) -> dict:
                 extra={"a": a, "b": b, "probe": probe})
 
 
+PROBED_KINDS = (InvexKind.STRICT, InvexKind.STRICT_PSEUDO, InvexKind.STRICT_MONOTONE)
+
+
 def check_invex(fn: ProblemFunction, problem: EProblem, kind: InvexKind,
                 cfg: SampleConfig = SampleConfig(), at=None, region: Optional[Region] = None,
                 vacuous=all_vacuous) -> Verdict:
@@ -406,19 +454,38 @@ def check_invex(fn: ProblemFunction, problem: EProblem, kind: InvexKind,
     at x.  ``vacuous`` is the vacuity rule of sampled_verdict; None lets a
     check whose samples were all vacuous hold.
     """
-    kind = InvexKind(kind)
-    probes = kind in (InvexKind.STRICT, InvexKind.STRICT_PSEUDO, InvexKind.STRICT_MONOTONE)
-    want_gx = kind in (InvexKind.MONOTONE, InvexKind.STRICT_MONOTONE)
+    return check_invex_many(problem, [(fn, kind)], cfg, at, region, vacuous)[0]
+
+
+def check_invex_many(problem: EProblem, plan, cfg: SampleConfig = SampleConfig(), at=None,
+                     region: Optional[Region] = None, vacuous=all_vacuous) -> list:
+    """check_invex of every (fn, kind) of ``plan``, judged on one shared draw.
+
+    Each block of pairs is drawn once, with the probes when some kind takes
+    them; every hypothesis still undecided is judged on it, a kind without
+    probes on the block without them.  Each verdict equals that of its own
+    check_invex call.
+    """
+    kinds = [InvexKind(kind) for _, kind in plan]
     pairs = PairDraw(problem, cfg, region or box_region(problem, cfg.tol), at)
 
-    def judge(s):
-        sat, nonvac = invex_masks(s, kind, cfg)
-        return Judgement(sat, lambda i: _invex_witness(kind, s, i), nonvac)
+    def hypothesis(fn, kind):
+        probed = kind in PROBED_KINDS
+        want_gx = kind in (InvexKind.MONOTONE, InvexKind.STRICT_MONOTONE)
 
-    return sampled_verdict(
-        cfg.n_pairs,
-        lambda lo, hi: invex_pairs(fn, problem, cfg, pairs, lo, hi, probes=probes, want_gx=want_gx),
-        judge, vacuous)
+        def judge(s):
+            sat, nonvac = invex_masks(s, kind, cfg)
+            return Judgement(sat, lambda i: _invex_witness(kind, s, i), nonvac)
+
+        def samples(blk):
+            return invex_pairs(fn, problem, blk if probed else blk.plain(), want_gx)
+
+        return Hypothesis(judge, samples, vacuous)
+
+    probes = any(kind in PROBED_KINDS for kind in kinds)
+    return sampled_verdicts(cfg.n_pairs,
+                            lambda lo, hi: invex_block(problem, cfg, pairs, lo, hi, probes),
+                            [hypothesis(fn, kind) for (fn, _), kind in zip(plan, kinds)])
 
 
 def gradient_monotonicity(fn: ProblemFunction, problem: EProblem,

@@ -589,15 +589,40 @@ def _failure(s, i: int, failed: str) -> str:
     return f"{failed} failed at x={_point_list(s.X[i])}, x0={_point_list(s.X0[i])}{tail}"
 
 
-def sampled_verdict(n_pairs: int, draw, judge, vacuous=None, failed: str = "evaluation") -> Verdict:
-    """The one path from sampled pairs to a Verdict.
+class Hypothesis(NamedTuple):
+    """One definition judged on a shared draw."""
 
-    ``draw(lo, hi)`` returns the samples of pairs lo..hi-1, at most
-    BLOCK_PAIRS of them at a time, with rows in canonical order: the
-    samples' ``index`` is the global index of each row and ``unit`` its
-    pair, counted in the block.  ``judge(samples)`` returns their
-    Judgement.  The first pair, in this order, that does one of the
-    following decides, and no later pair is drawn:
+    judge: Callable[..., Judgement]           # its samples -> their Judgement
+    samples: Callable = lambda block: block   # a drawn block -> its samples of it
+    vacuous: Optional[Callable] = None        # its vacuity rule, see sampled_verdicts
+    failed: str = "evaluation"                # the quantity a failed evaluation names
+
+
+def sampled_verdict(n_pairs: int, draw, judge, vacuous=None, failed: str = "evaluation") -> Verdict:
+    """sampled_verdicts of one hypothesis that judges the drawn samples as they are."""
+    return sampled_verdicts(n_pairs, draw, [Hypothesis(judge, vacuous=vacuous, failed=failed)])[0]
+
+
+@dataclass
+class _Tally:
+    """One hypothesis so far: instances judged, nonvacuous counts, its verdict once decided."""
+
+    checked: int = 0
+    counts: Optional[np.ndarray] = None
+    verdict: Optional[Verdict] = None
+
+
+def sampled_verdicts(n_pairs: int, draw, hypotheses: Sequence[Hypothesis]) -> list:
+    """The one path from sampled pairs to Verdicts, one per hypothesis.
+
+    ``draw(lo, hi)`` returns the block of pairs lo..hi-1, at most
+    BLOCK_PAIRS of them at a time, and every hypothesis is judged on the
+    same blocks: ``samples(block)`` gives its samples, with rows in
+    canonical order (the samples' ``index`` is the global index of each row
+    and ``unit`` its pair, counted in the block), and ``judge(samples)``
+    their Judgement.  For each hypothesis the first pair, in this order,
+    that does one of the following decides, and that hypothesis is judged
+    on no later block:
 
     1. fails to evaluate: inconclusive at its first row of the samples'
        ``bad``, else of ``invalid_comb`` (None without mixture weights T),
@@ -608,6 +633,9 @@ def sampled_verdict(n_pairs: int, draw, judge, vacuous=None, failed: str = "eval
        order of ``sat``;
     3. cannot be drawn within the proposal budget: inconclusive, with the
        sampler's message.
+
+    No block is drawn once every hypothesis is decided, and none is kept
+    past the next.
 
     The witness frame is built here.  A violation at sat[row, *instance]
     has x = X[row], x0 = X0[row] and index = index[row] * per_row + flat %
@@ -628,36 +656,48 @@ def sampled_verdict(n_pairs: int, draw, judge, vacuous=None, failed: str = "eval
     for a starved draw.  The judgement of a head with no rows still gives
     the instances per row.
     """
-    checked, counts = 0, None
+    tallies = [_Tally() for _ in hypotheses]
     for lo in range(0, n_pairs, BLOCK_PAIRS):
-        s = draw(lo, min(lo + BLOCK_PAIRS, n_pairs))
-        rows = s.bad.shape[0]
-        failing = s.bad if s.invalid_comb is None else s.invalid_comb.any(axis=1)
-        f = int(np.argmax(failing)) if failing.any() else rows
-        r = f if f == rows else int(np.searchsorted(s.unit, s.unit[f]))
-        j = judge(s if r == rows else _head(s, r))
-        per_row = math.prod(j.sat.shape[1:])
-        if not j.sat.all():
-            flat = int(np.argmax(~j.sat))
-            row, *instance = map(int, np.unravel_index(flat, j.sat.shape))
-            witness = Witness(_point_list(s.X[row]), _point_list(s.X0[row]),
-                              index=int(s.index[row]) * per_row + flat % per_row,
-                              **j.witness(row, *instance))
-            return Verdict.fails(witness, checked + per_row * _through(s, row))
-        if f < rows:
-            return Verdict.inconclusive(_failure(s, f, failed),
-                                        checked + per_row * _through(s, f))
-        checked += per_row * rows
-        if j.nonvac is not None:
-            part = np.count_nonzero(j.nonvac, axis=0)
-            counts = part if counts is None else counts + part
-        if s.starved is not None:
-            return Verdict.inconclusive(s.starved, checked)
-    nv = None if counts is None else int(np.sum(counts))
-    reason = None if vacuous is None else vacuous(counts)
-    if reason is not None:
-        return Verdict.inconclusive(reason, checked)
-    return Verdict.holds(checked, nv)
+        live = [(h, t) for h, t in zip(hypotheses, tallies) if t.verdict is None]
+        if not live:
+            break
+        block = draw(lo, min(lo + BLOCK_PAIRS, n_pairs))
+        for h, t in live:
+            t.verdict = _decide(h, h.samples(block), t)
+    for h, t in zip(hypotheses, tallies):
+        if t.verdict is None:
+            reason = None if h.vacuous is None else h.vacuous(t.counts)
+            nv = None if t.counts is None else int(np.sum(t.counts))
+            t.verdict = (Verdict.holds(t.checked, nv) if reason is None
+                         else Verdict.inconclusive(reason, t.checked))
+    return [t.verdict for t in tallies]
+
+
+def _decide(h: Hypothesis, s, t: _Tally) -> Optional[Verdict]:
+    """The verdict that the block's samples ``s`` decide for ``h``, or None
+    with their instances and nonvacuous counts added to ``t``."""
+    rows = s.bad.shape[0]
+    failing = s.bad if s.invalid_comb is None else s.invalid_comb.any(axis=1)
+    f = int(np.argmax(failing)) if failing.any() else rows
+    r = f if f == rows else int(np.searchsorted(s.unit, s.unit[f]))
+    j = h.judge(s if r == rows else _head(s, r))
+    per_row = math.prod(j.sat.shape[1:])
+    if not j.sat.all():
+        flat = int(np.argmax(~j.sat))
+        row, *instance = map(int, np.unravel_index(flat, j.sat.shape))
+        witness = Witness(_point_list(s.X[row]), _point_list(s.X0[row]),
+                          index=int(s.index[row]) * per_row + flat % per_row,
+                          **j.witness(row, *instance))
+        return Verdict.fails(witness, t.checked + per_row * _through(s, row))
+    if f < rows:
+        return Verdict.inconclusive(_failure(s, f, h.failed), t.checked + per_row * _through(s, f))
+    t.checked += per_row * rows
+    if j.nonvac is not None:
+        part = np.count_nonzero(j.nonvac, axis=0)
+        t.counts = part if t.counts is None else t.counts + part
+    if s.starved is not None:
+        return Verdict.inconclusive(s.starved, t.checked)
+    return None
 
 
 def _through(s, row: int) -> int:

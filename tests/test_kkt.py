@@ -328,13 +328,17 @@ def test_certify_rejects_non_stationary_point(vp1, supplied, fast_cfg):
     assert cert.residual is not None and not cert.residual.passes
 
 
+# the feasible set of its equality constraint has zero volume in the box
+EQUALITY = {"n": 2, "E": ["x1", "x2"], "eta": ["u1 - v1", "u2 - v2"],
+            "objectives": ["y1 - y2"], "eq": ["y1 - y2"],
+            "box": {"lo": [0.0, 0.0], "hi": [1.0, 1.0]}}
+
+
 def test_certify_on_equality_constrained_problem(fast_cfg):
     # xi < 0 flips the hypothesis to the negated constraint; the feasible
     # region is measure-zero in the box, so sampling starves and the
     # certificate honestly reports inconclusive hypotheses.
-    p = load_problem({"n": 2, "E": ["x1", "x2"], "eta": ["u1 - v1", "u2 - v2"],
-                      "objectives": ["y1 - y2"], "eq": ["y1 - y2"],
-                      "box": {"lo": [0.0, 0.0], "hi": [1.0, 1.0]}})
+    p = load_problem(EQUALITY)
     pt = solve_multipliers(p, [0.0, 0.0])
     cert = certify(p, pt, "t4", fast_cfg)
     assert cert.conclusion == "inconclusive"

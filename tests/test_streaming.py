@@ -21,11 +21,13 @@ from corpus import CFG, ENTRIES, problem
 from einvex.cli import run
 from einvex.invexity import (PROBE_CENTERS, InvexKind, PreinvexKind, _probe_points, check_invex,
                              check_preinvex, epigraph_invex_check, level_set_invex_check)
+from einvex.kkt import THEOREMS, certify, solve_multipliers
 from einvex.problem import (MAX_ROUNDS, Region, RegionDraw, _jsonable,
                             box_region, einvex_set_check, feasible_region, load_problem,
                             sample_region, sampled_verdict)
 from einvex.rng import SampleStream
 from test_golden import COMMANDS, GOLDEN, KINDS, _report
+from test_kkt import EQUALITY
 
 DEFAULT_BLOCK = problem_mod.BLOCK_PAIRS
 
@@ -300,11 +302,73 @@ def _traced_peak(argv):
 
 
 def test_memory_does_not_grow_with_the_pairs(vp1_path):
-    """A holding check draws every pair; ten times the pairs must not raise its
-    traced peak by more than 10 %."""
-    argv = ["check", str(vp1_path), "--function", "f1", "--kind", "invex", "--format", "json"]
-    run(argv + ["--pairs", "1000"])  # imports and caches outside the traced runs
-    small_code, small = _traced_peak(argv + ["--pairs", "40000"])
-    large_code, large = _traced_peak(argv + ["--pairs", "400000"])
-    assert small_code == large_code == 0
-    assert large <= 1.10 * small, (small, large)
+    """A holding check draws every pair, and a certified t4 judges all four
+    hypotheses on every block; ten times the pairs must not raise the traced
+    peak of either by more than 10 %."""
+    for command in (["check", str(vp1_path), "--function", "f1", "--kind", "invex"],
+                    ["certify", str(vp1_path), "--candidate", "ybar", "--theorem", "t4"]):
+        argv = command + ["--format", "json"]
+        run(argv + ["--pairs", "1000"])  # imports and caches outside the traced runs
+        small_code, small = _traced_peak(argv + ["--pairs", "40000"])
+        large_code, large = _traced_peak(argv + ["--pairs", "400000"])
+        assert small_code == large_code == 0
+        assert large <= 1.10 * small, (command[0], small, large)
+
+
+# ---------------------------------------------------------------------------
+# one draw per certificate
+# ---------------------------------------------------------------------------
+
+# f2 fails at the first pairs, g1 only at a rare pair further on (pair 50 at
+# seed 1, in the 17th block of 3 pairs), f1 and g2 hold
+STAGGERED = {"n": 2, "E": ["x1", "x2"], "eta": ["u1 - v1", "u2 - v2"],
+             "objectives": ["y1 + y2", "y1 + y2 - 4*y1^2"],
+             "ineq": ["-y1 - exp(100*(y2 - 1)) + exp(-100)", "-y2"],
+             "box": {"lo": [0, 0], "hi": [1, 1]}}
+CERTIFIED = ([("vp1", theorem) for theorem in THEOREMS]
+             + [("staggered", theorem) for theorem in THEOREMS] + [("equality", "t4")])
+
+
+def _program(name, vp1_path):
+    return load_problem({"vp1": vp1_path, "staggered": STAGGERED, "equality": EQUALITY}[name])
+
+
+def _alone(p, hypothesis, y, cfg):
+    """The hypothesis checked on its own draw."""
+    name = hypothesis.target.lstrip("-")
+    fn = p.function(name) if name == hypothesis.target else p.function(name).negated()
+    return check_invex(fn, p, hypothesis.kind, cfg, at=y, region=feasible_region(p, cfg.tol),
+                       vacuous=None)
+
+
+@pytest.mark.parametrize("block", [3, 97, DEFAULT_BLOCK])
+@pytest.mark.parametrize("name, theorem", CERTIFIED)
+def test_certificate_hypotheses_equal_their_own_checks(name, theorem, block, vp1_path,
+                                                       monkeypatch):
+    """Judged in lockstep on one draw, every hypothesis gets the verdict of its
+    own check_invex: the same deciding pair, witness, checked and vacuity."""
+    p, cfg = _program(name, vp1_path), replace(CFG, seed=1, n_pairs=300)
+    pt = solve_multipliers(p, [0.0, 0.0])
+    cert = _under_block(monkeypatch, block, lambda: certify(p, pt, theorem, cfg))
+    alone = _under_block(monkeypatch, block, lambda: [_alone(p, h, pt.y, cfg)
+                                                      for h in cert.hypotheses])
+    assert cert.hypotheses
+    assert [h.verdict for h in cert.hypotheses] == alone
+    if (name, theorem) == ("staggered", "t4"):
+        assert [(h.target, h.verdict.status, h.verdict.checked) for h in cert.hypotheses] == [
+            ("f1", "holds", 300), ("f2", "fails", 1), ("g1", "fails", 51), ("g2", "holds", 300)]
+    if name == "equality":
+        assert [h.verdict.status for h in cert.hypotheses] == ["inconclusive"] * 2
+
+
+def test_certify_draws_each_block_once(vp1_path, monkeypatch):
+    """100k pairs are 13 blocks: one sample_region call each, not one per
+    hypothesis and block."""
+    calls = []
+    draw = problem_mod.sample_region
+    monkeypatch.setattr(problem_mod, "sample_region",
+                        lambda *args: calls.append(args[2]) or draw(*args))
+    code, _ = run(["certify", str(vp1_path), "--candidate", "ybar", "--theorem", "t4",
+                   "--pairs", "100000", "--format", "json"])
+    assert code == 0
+    assert len(calls) == math.ceil(100000 / DEFAULT_BLOCK) == 13
