@@ -9,14 +9,14 @@ never go through ``pow``.
 
 Evaluation is vectorized: environment values may be floats or equally shaped
 numpy arrays.  One walker, ``_walk``, evaluates every tree: each node
-carries its value and, when asked, a derivative array with one trailing
-column per requested variable (forward mode, one sweep) and a running
-rounding-error bound (Higham 2002, section 3.3).  Each operation adds half
-an ulp of its result (one ulp for exp, log, cbrt and ^) and propagates its
-operands' bounds through its derivative magnitudes.  A *, /, exp or ^ result
-below the normal range adds 2^-1074 unless an operand (the numerator for /)
-is an exact zero, a zero with a zero bound; + and - are exact under gradual
-underflow.
+carries its value and, when asked, a derivative array whose leading axis
+runs over the requested variables, shape (k, *batch) (forward mode, one
+sweep), and a running rounding-error bound (Higham 2002, section 3.3).
+Each operation adds half an ulp of its result (one ulp for exp, log, cbrt
+and ^) and propagates its operands' bounds through its derivative
+magnitudes.  A *, /, exp or ^ result below the normal range adds 2^-1074
+unless an operand (the numerator for /) is an exact zero, a zero with a
+zero bound; + and - are exact under gradual underflow.
 """
 
 from __future__ import annotations
@@ -287,11 +287,14 @@ class _Flags:
         self.nondiff = np.bool_(False)
         self.nondiff_node = None
 
-    def flag_invalid(self, mask, node):
-        if np.any(mask):
-            if self.invalid_node is None:
-                self.invalid_node = node
-            self.invalid = self.invalid | mask
+    def flag_invalid(self, mask, node) -> bool:
+        """Record the rows of mask; True when there is one."""
+        if not np.any(mask):
+            return False
+        if self.invalid_node is None:
+            self.invalid_node = node
+        self.invalid = self.invalid | mask
+        return True
 
     def flag_nondiff(self, mask, node):
         if np.any(mask):
@@ -309,20 +312,38 @@ def _underflow(v, *operands):
     return np.where((np.abs(v) < _TINY) & ~exact, _SUBNORMAL, 0.0)
 
 
+def _seeds(wrt, ndim) -> dict:
+    """The derivative seeds of one evaluation, each of shape (k, 1, ..., 1)
+    with ndim ones: one-hot per variable of wrt, all zeros under None."""
+    shape = (len(wrt),) + (1,) * ndim
+    seeds = {name: np.array([float(w == name) for w in wrt]).reshape(shape) for name in wrt}
+    seeds[None] = np.zeros(shape)
+    return seeds
+
+
+def _signed_power(a, b):
+    """a^b for an integral constant b, as +-|a|^b: numpy's power is many
+    times slower on negative bases.  Exactly odd in a for odd b."""
+    p = np.power(np.abs(a), b)
+    return np.copysign(p, a) if b % 2 else p
+
+
 def _walk(node, env, flags, wrt, err):
-    """Return (value, derivative, error).  The derivative has one trailing
-    column per variable in wrt (one-hot at a Var), None when wrt is None; the
-    error is the running rounding-error bound, None unless err."""
+    """Return (value, derivative, error).  wrt maps each variable to its
+    seed (see _seeds) or is None; the derivative's leading axis runs over
+    its variables, so a node of batch shape S has a derivative of shape
+    (k, *S) (or (k, 1, ...) where S broadcasts), None when wrt is None.
+    The error is the running rounding-error bound, None unless err."""
     want_d = wrt is not None
     if isinstance(node, Const):
-        return np.float64(node.value), (np.zeros(len(wrt)) if want_d else None), (0.0 if err else None)
+        return np.float64(node.value), (wrt[None] if want_d else None), (0.0 if err else None)
     if isinstance(node, Var):
         try:
             v = env[node.name]
         except KeyError:
             raise DomainEvalError(node) from None
         v = np.asarray(v, dtype=float) if not np.isscalar(v) else np.float64(v)
-        d = np.array([float(name == node.name) for name in wrt]) if want_d else None
+        d = wrt.get(node.name, wrt[None]) if want_d else None
         return v, d, (0.0 if err else None)
 
     if isinstance(node, Unary):
@@ -331,16 +352,16 @@ def _walk(node, env, flags, wrt, err):
             return -a, (-ad if want_d else None), ea
         if node.op == "exp":
             v = np.exp(a)
-            return (v, np.where(ad == 0.0, 0.0, v[..., None] * ad) if want_d else None,
+            return (v, np.where(ad == 0.0, 0.0, v * ad) if want_d else None,
                     v * ea + np.abs(v) * _ULP + _underflow(v) if err else None)
         if node.op == "log":
-            flags.flag_invalid(a <= 0.0, node)
-            v = np.log(np.where(a > 0.0, a, np.nan))
-            return (v, ad / a[..., None] if want_d else None,
+            bad = a <= 0.0
+            v = np.log(np.where(bad, np.nan, a) if flags.flag_invalid(bad, node) else a)
+            return (v, ad / a if want_d else None,
                     ea / np.abs(a) + np.abs(v) * _ULP if err else None)
         if node.op == "sqrt":
-            flags.flag_invalid(a < 0.0, node)
-            v = np.sqrt(np.where(a >= 0.0, a, np.nan))
+            bad = a < 0.0
+            v = np.sqrt(np.where(bad, np.nan, a) if flags.flag_invalid(bad, node) else a)
         elif node.op == "cbrt":
             v = np.cbrt(a)
         else:
@@ -358,7 +379,7 @@ def _walk(node, env, flags, wrt, err):
         # wherever the argument depends on wrt.
         if not node.arg.variables().isdisjoint(wrt):
             flags.flag_nondiff(a == 0.0, node)
-        return v, np.where(ad == 0.0, 0.0, ad / slope[..., None]), e
+        return v, np.where(ad == 0.0, 0.0, ad / slope), e
 
     a, ad, ea = _walk(node.lhs, env, flags, wrt, err)
     b, bd, eb = _walk(node.rhs, env, flags, wrt, err)
@@ -370,23 +391,30 @@ def _walk(node, env, flags, wrt, err):
         return v, (ad - bd if want_d else None), (ea + eb + np.abs(v) * _HALF_ULP if err else None)
     if node.op == "*":
         v = a * b
-        return (v, ad * b[..., None] + a[..., None] * bd if want_d else None,
+        return (v, ad * b + a * bd if want_d else None,
                 ea * np.abs(b) + eb * np.abs(a) + np.abs(v) * _HALF_ULP
                 + _underflow(v, (a, ea), (b, eb)) if err else None)
     if node.op == "/":
-        flags.flag_invalid(b == 0.0, node)
-        v = a / np.where(b == 0.0, np.nan, b)
-        return (v, (ad * b[..., None] - a[..., None] * bd) / (b * b)[..., None] if want_d else None,
+        bad = b == 0.0
+        v = a / (np.where(bad, np.nan, b) if flags.flag_invalid(bad, node) else b)
+        return (v, (ad * b - a * bd) / (b * b) if want_d else None,
                 (ea + eb * np.abs(v)) / np.abs(b) + np.abs(v) * _HALF_ULP + _underflow(v, (a, ea))
                 if err else None)
     if node.op == "^":
-        nonint = (b != np.floor(b)) | ~np.isfinite(b)
-        flags.flag_invalid(((a < 0.0) & nonint) | ((a == 0.0) & (b < 0.0)), node)
-        v = np.power(a, b)
-        v = np.where((a < 0.0) & nonint, np.nan, v)
+        # A constant integral exponent leaves only 0^negative out of the domain.
+        integral = not node.rhs.variables() and np.isfinite(b) and b == np.floor(b)
+        if integral:
+            if b < 0.0:
+                flags.flag_invalid(a == 0.0, node)
+            v = _signed_power(a, b)
+        else:
+            nonint = (b != np.floor(b)) | ~np.isfinite(b)
+            flags.flag_invalid(((a < 0.0) & nonint) | ((a == 0.0) & (b < 0.0)), node)
+            v = np.power(a, b)
+            v = np.where((a < 0.0) & nonint, np.nan, v)
         if not (want_d or err):
             return v, None, None
-        slope = b * np.power(a, b - 1.0)
+        slope = b * (_signed_power(a, b - 1.0) if integral else np.power(a, b - 1.0))
         # |dv/db| = |v log a|, where a positive base allows any exponent
         e = (np.where(ea == 0.0, 0.0, np.abs(slope) * ea)
              + np.where(eb == 0.0, 0.0, np.abs(v) * np.abs(np.log(np.where(a > 0.0, a, 1.0))) * eb)
@@ -397,16 +425,17 @@ def _walk(node, env, flags, wrt, err):
         # the others in the batch.  Where the exponent does not move, the
         # plain power rule holds, also for negative bases at integral
         # exponents; elsewhere the log form needs a positive base.
+        d = np.where((ad == 0.0) | (b == 0.0), 0.0, slope * ad)
+        if integral:
+            flags.flag_nondiff(~np.isfinite(d).all(axis=0) & np.isfinite(a) & np.isfinite(v), node)
+            return v, d, e
         moving = bd != 0.0
-        d = slope[..., None] * ad
-        d = np.where((ad == 0.0) | (b == 0.0)[..., None], 0.0, d)
-        flags.flag_nondiff((~np.isfinite(d) & ~moving).any(axis=-1)
+        flags.flag_nondiff((~np.isfinite(d) & ~moving).any(axis=0)
                            & np.isfinite(a) & np.isfinite(v), node)
         if moving.any():
-            flags.flag_invalid((a <= 0.0) & moving.any(axis=-1), node)
+            flags.flag_invalid((a <= 0.0) & moving.any(axis=0), node)
             la = np.log(np.where(a > 0.0, a, np.nan))
-            d_log = v[..., None] * (bd * la[..., None] + b[..., None] * ad / a[..., None])
-            d = np.where(moving, d_log, d)
+            d = np.where(moving, v * (bd * la + b * ad / a), d)
         return v, d, e
     raise AssertionError(f"unknown binary op {node.op}")
 
@@ -422,7 +451,7 @@ class EvalResult:
 @dataclass
 class GradResult:
     values: np.ndarray
-    grads: np.ndarray  # shape (..., len(wrt))
+    grads: np.ndarray  # shape (len(wrt), ...): the variable axis leads
     invalid: np.ndarray
     invalid_node: Optional[Expr]
     nondiff: np.ndarray
@@ -442,11 +471,19 @@ def _evaluate(node: Expr, env, wrt=None, err=False):
     """One walk of node over env, broadcast to the batch shape: (EvalResult,
     derivative, flags).  With err the result carries the error bound (for
     compose; the samplers skip it), infinite on flagged or non-finite rows."""
-    flags = _Flags()
+    flags, shape = _Flags(), _batch_shape(env)
+    seeds = None if wrt is None else _seeds(wrt, len(shape))
     with np.errstate(all="ignore"):  # domain violations are flagged, not warned about
-        v, d, e = _walk(node, env, flags, wrt, err)
-    v = np.asarray(np.broadcast_to(np.asarray(v, dtype=float), _batch_shape(env)))
-    invalid = np.broadcast_to(np.asarray(flags.invalid, dtype=bool), v.shape)
+        v, d, e = _walk(node, env, flags, seeds, err)
+    v = np.asarray(v, dtype=float)
+    if v.shape != shape:
+        v = np.broadcast_to(v, shape)
+    elif isinstance(node, Var):  # the caller's own array: hand it back read-only
+        v = v.view()
+        v.flags.writeable = False
+    invalid = flags.invalid
+    if np.shape(invalid) != shape:
+        invalid = np.broadcast_to(invalid, shape)
     if err:
         e = np.where(np.isfinite(v) & ~invalid, e, np.inf)
     return EvalResult(v, invalid, flags.invalid_node, e), d, flags
@@ -460,9 +497,11 @@ def eval_many(node: Expr, env: Mapping[str, np.ndarray]) -> EvalResult:
 def grad_many(node: Expr, env: Mapping[str, np.ndarray], wrt: Sequence[str]) -> GradResult:
     """Vectorized forward-mode gradient: one sweep carries every variable in wrt."""
     res, d, flags = _evaluate(node, env, tuple(wrt))
-    grads = np.broadcast_to(np.asarray(d, dtype=float), res.values.shape + (len(wrt),))
-    nondiff = np.broadcast_to(np.asarray(flags.nondiff, dtype=bool), res.values.shape)
-    nondiff = (nondiff | ~np.isfinite(grads).all(axis=-1)) & ~res.invalid
+    shape = (len(wrt),) + res.values.shape
+    grads = d if d.shape == shape else np.broadcast_to(d, shape)
+    nondiff = flags.nondiff | ~np.isfinite(grads).all(axis=0)
+    if flags.invalid_node is not None:  # set exactly when some row left the domain
+        nondiff = nondiff & ~res.invalid
     return GradResult(res.values, grads, res.invalid, res.invalid_node, nondiff, flags.nondiff_node)
 
 

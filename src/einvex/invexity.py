@@ -317,6 +317,16 @@ def invex_block(problem: EProblem, cfg: SampleConfig, pairs: PairDraw, lo: int, 
                       index, unit, n_regular, starved, (b if pinned else 0, m + C.shape[0]), m, w)
 
 
+def _rows(grads, idx):
+    """Rows idx of variable-major gradients, as a C-contiguous (len(idx), n)
+    array.  einsum sums a transposed view in another order (at n >= 3), so
+    the D of such a view would not be bit-identical."""
+    out = np.empty((len(idx), grads.shape[0]))
+    for j, g in enumerate(grads):  # per variable: 3x cheaper than a take of transposed rows
+        out[:, j] = np.take(g, idx)
+    return out
+
+
 def invex_pairs(fn: ProblemFunction, problem: EProblem, blk: InvexBlock,
                 want_gx: bool = False) -> InvexSamples:
     """The gradient-side data of ``fn`` on one block.
@@ -332,14 +342,14 @@ def invex_pairs(fn: ProblemFunction, problem: EProblem, blk: InvexBlock,
     j0 = blk.i0 - g_lo
 
     A, B = np.take(vals.values, blk.ix), np.take(vals.values, blk.i0)
-    G0 = np.take(grads.grads, j0, axis=0)
+    G0 = _rows(grads.grads, j0)
     D = np.einsum("ij,ij->i", G0, blk.H)
     invalid = (np.take(row_bad, blk.ix) | np.take(row_bad, blk.i0) | np.take(grads.invalid, j0)
                | blk.bad_h)
     nondiff = np.take(grads.nondiff, j0)
     GX = None
     if want_gx:
-        GX = np.take(grads.grads, blk.ix, axis=0)
+        GX = _rows(grads.grads, blk.ix)
         invalid |= np.take(grads.invalid, blk.ix)
         nondiff |= np.take(grads.nondiff, blk.ix)
     return InvexSamples(blk.X, blk.X0, A, B, GX, G0, blk.H, D, invalid, nondiff & ~invalid,
@@ -401,7 +411,7 @@ def invex_sides(fn: ProblemFunction, problem: EProblem, x, x0) -> dict:
     a = float(problem.composed_values(fn, x).values[0])
     gr = problem.composed_grads(fn, x0)
     b = float(gr.values[0])
-    g0 = gr.grads[0]
+    g0 = gr.grads[:, 0]
     U, _ = problem.e_map(x)
     V, _ = problem.e_map(x0)
     H, _ = problem.eta_map(U, V)

@@ -63,7 +63,10 @@ class SampleStream:
         lo = np.asarray(lo, dtype=float)
         hi = np.asarray(hi, dtype=float)
         u = self.uniform(count * lo.size).reshape(count, lo.size)
-        return lo + u * (hi - lo)
+        # one coordinate at a time: numpy broadcasts slowly over a short last axis
+        for j in range(lo.size):
+            u[:, j] = lo[j] + u[:, j] * (hi[j] - lo[j])
+        return u
 
 
 def tau_grid(stream: SampleStream, lo: int, hi: int, n_tau: int) -> np.ndarray:

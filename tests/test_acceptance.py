@@ -160,7 +160,7 @@ def test_criterion_7_numerics():
             dn[name] = env[name] - h
             fd = (ex.eval_many(fn.composed, up).values
                   - ex.eval_many(fn.composed, dn).values) / (2.0 * h)
-            err = np.abs(res.grads[:, j] - fd)
+            err = np.abs(res.grads[j] - fd)
             assert np.all(err <= 1e-6 * (1.0 + np.abs(fd))), (ent.name, name)
 
     # log-domain and exponential-domain evaluation agree sample by sample

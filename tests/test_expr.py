@@ -174,7 +174,7 @@ def test_eval_many_broadcasts_constants():
     assert res.values.shape == (7,)
     assert np.all(res.values == 1.5)
     g = grad_many(parse("2", X1), env, X1)
-    assert g.values.shape == (7,) and g.grads.shape == (7, 1)
+    assert g.values.shape == (7,) and g.grads.shape == (1, 7)
     assert np.all(g.grads == 0.0)
 
 
@@ -211,11 +211,11 @@ def test_grad_many_flags_kinks_per_sample():
     res = grad_many(parse("cbrt(x1)", X1), {"x1": np.array([-1.0, 0.0, 8.0])}, X1)
     assert res.nondiff.tolist() == [False, True, False]
     assert not res.invalid.any()
-    assert res.grads[2, 0] == pytest.approx(1.0 / 12.0, rel=1e-15)
+    assert res.grads[0, 2] == pytest.approx(1.0 / 12.0, rel=1e-15)
     # a root of a variable outside wrt, or of a constant, is no kink
     res = grad_many(parse("x1 + sqrt(x2^2) + cbrt(0)", X12),
                     {"x1": np.zeros(2), "x2": np.array([0.0, 1.0])}, X1)
-    assert res.grads.tolist() == [[1.0], [1.0]] and not res.nondiff.any()
+    assert res.grads.tolist() == [[1.0, 1.0]] and not res.nondiff.any()
 
 
 def test_negative_base_integer_power_is_differentiable():
@@ -230,10 +230,10 @@ def test_power_gradient_does_not_depend_on_the_batch():
     node = parse("x1^(x2^2)", X12)
     alone = grad_many(node, {"x1": np.array([-2.0]), "x2": np.array([0.0])}, X12)
     batch = grad_many(node, {"x1": np.array([-2.0, 2.0]), "x2": np.array([0.0, 1.0])}, X12)
-    assert alone.grads[0].tolist() == [0.0, 0.0] and not alone.invalid[0]
-    assert batch.grads[0].tolist() == alone.grads[0].tolist()
+    assert alone.grads[:, 0].tolist() == [0.0, 0.0] and not alone.invalid[0]
+    assert batch.grads[:, 0].tolist() == alone.grads[:, 0].tolist()
     assert not batch.invalid[0] and not batch.nondiff[0]
-    assert batch.grads[1].tolist() == pytest.approx([1.0, 4.0 * np.log(2.0)], rel=1e-15)
+    assert batch.grads[:, 1].tolist() == pytest.approx([1.0, 4.0 * np.log(2.0)], rel=1e-15)
 
 
 @pytest.mark.parametrize("source, variables, lo, hi", SMOOTH)
@@ -251,8 +251,84 @@ def test_gradient_matches_central_differences(source, variables, lo, hi):
         hi_env[name] = env[name] + h
         lo_env[name] = env[name] - h
         fd = (eval_many(node, hi_env).values - eval_many(node, lo_env).values) / (2.0 * h)
-        err = np.abs(res.grads[:, j] - fd)
+        err = np.abs(res.grads[j] - fd)
         assert np.all(err <= 1e-6 * (1.0 + np.abs(fd)))
+
+
+# Each has a moving exponent (the log form of the power rule), a constant
+# integral power and a kink at the zero of its last variable.
+BATCH_VS_ROWS = [
+    ("cbrt(x1) + (x1 + 3)^3 + (x1 + 4)^(x1/2)", X1, [-3.0], [3.0]),
+    ("log(x1 + x2 + 4) + (x1 + 2)^(x2 + 1) - x1^5 + sqrt(x2^2)", X12, [-1.5, -2.0], [2.0, 2.0]),
+    ("exp(x1*x3) + (x2 + 3)^(x3^2) - x1^3*x2^-2 + cbrt(x3)", ["x1", "x2", "x3"],
+     [-2.0, 0.5, -1.0], [2.0, 2.0, 1.0]),
+]
+
+
+@pytest.mark.parametrize("source, variables, lo, hi", BATCH_VS_ROWS)
+def test_grad_many_equals_the_gradient_row_by_row(source, variables, lo, hi):
+    node = parse(source, variables)
+    pts = SampleStream(3, f"rows:{source}").box(np.asarray(lo), np.asarray(hi), 60)
+    pts[::7, -1] = 0.0  # the kink
+    res = grad_many(node, {name: pts[:, j] for j, name in enumerate(variables)}, variables)
+    assert res.grads.shape == (len(variables), pts.shape[0])
+    assert res.nondiff.sum() == len(pts[::7]) and not res.invalid.any()
+    for i, row in enumerate(pts):
+        env = {name: float(x) for name, x in zip(variables, row)}
+        assert res.values[i].tobytes() == np.float64(evaluate(node, env)).tobytes()
+        if res.nondiff[i]:
+            with pytest.raises(NonDifferentiableError):
+                gradient(node, env, variables)
+        else:
+            assert res.grads[:, i].tobytes() == gradient(node, env, variables).tobytes()
+
+
+def test_a_bare_variable_is_not_handed_back_writable():
+    x = np.array([1.0, 2.0, 3.0])
+    for res in (eval_many(parse("x1", X1), {"x1": x}), grad_many(parse("x1", X1), {"x1": x}, X1)):
+        assert not (res.values.flags.writeable and np.shares_memory(res.values, x))
+        with pytest.raises(ValueError):
+            res.values[0] = 9.0
+    assert x.tolist() == [1.0, 2.0, 3.0]
+
+
+# ---------------------------------------------------------------------------
+# constant integral powers: +-|a|^b
+# ---------------------------------------------------------------------------
+
+SPECIAL = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1e-300, -1e-300,
+                    2.2250738585072014e-308, -2.2250738585072014e-308, 1e-160, -1e-160,
+                    1.5, -1.5, 1e300, -1e300])
+
+
+@pytest.mark.parametrize("b", [0, -1, 2, 3, 9])
+def test_integral_power_special_values_match_numpy(b):
+    res = eval_many(parse(f"x1^{b}" if b >= 0 else f"x1^({b})", X1), {"x1": SPECIAL})
+    with np.errstate(all="ignore"):
+        ref = np.power(SPECIAL, float(b))
+    assert res.values.tobytes() == ref.tobytes()
+    assert res.invalid.tolist() == ((SPECIAL == 0.0) & (b < 0)).tolist()
+
+
+def test_integral_power_signs_and_zero_division():
+    assert np.signbit(evaluate(parse("x1^3", X1), {"x1": -0.0}))
+    assert not np.signbit(evaluate(parse("x1^2", X1), {"x1": -0.0}))
+    res = eval_many(parse("x1^-1", X1), {"x1": np.array([-0.0, 0.0])})
+    assert res.values.tolist() == [-np.inf, np.inf] and res.invalid.all()
+    for zero in (0.0, -0.0):
+        with pytest.raises(DomainEvalError):
+            evaluate(parse("x1^-1", X1), {"x1": zero})
+
+
+@pytest.mark.parametrize("b", [3, 5, 9, -3])
+def test_odd_integral_powers_are_odd_and_within_an_ulp_of_numpy(b):
+    x = SampleStream(5, "odd-powers").uniform(200_000) * 6.0 - 3.0
+    node = parse(f"x1^{b}" if b >= 0 else f"x1^({b})", X1)
+    v = eval_many(node, {"x1": x}).values
+    assert (eval_many(node, {"x1": -x}).values == -v).all()
+    ref = np.power(x, float(b))
+    assert (np.sign(v) == np.sign(ref)).all()
+    assert np.abs(v.view(np.int64) - ref.view(np.int64)).max() <= 1
 
 
 # ---------------------------------------------------------------------------

@@ -54,7 +54,7 @@ def test_a_batch_equals_its_rows_one_by_one(tree, rows):
         gr1 = grad_many(tree, one, X12)
         np.testing.assert_array_equal(ev.values[i], ev1.values[0])
         np.testing.assert_array_equal(gr.values[i], gr1.values[0])
-        np.testing.assert_array_equal(gr.grads[i], gr1.grads[0])
+        np.testing.assert_array_equal(gr.grads[:, i], gr1.grads[:, 0])
         assert ev.invalid[i] == ev1.invalid[0]
         assert gr.invalid[i] == gr1.invalid[0]
         assert gr.nondiff[i] == gr1.nondiff[0]
@@ -94,15 +94,16 @@ def test_gradients_match_central_differences(tree, rows):
         # by less than the tolerance; elsewhere it, not the gradient, is off
         with np.errstate(all="ignore"):
             trusted = (ok & ok_half & ~gr.invalid & ~gr.nondiff
-                       & (np.abs(fd - fd_half) <= tol) & np.isfinite(gr.grads[:, j]))
-        err = np.abs(gr.grads[:, j] - fd)
+                       & (np.abs(fd - fd_half) <= tol) & np.isfinite(gr.grads[j]))
+        err = np.abs(gr.grads[j] - fd)
         assert np.all(err[trusted] <= tol[trusted]), (str(tree), X[trusted], j)
 
 
 # The running error bound against the 60-digit value, wherever the value and
 # the bound are finite and the exact value is defined.  The first four
-# examples underflow into the subnormal range; the last two hit numpy's exp
-# and power more than half an ulp off.
+# examples underflow into the subnormal range; the next two hit numpy's exp
+# and power more than half an ulp off; the last four take integral powers
+# of negative bases, computed as +-|a|^b.
 @settings(SETTINGS, max_examples=400)
 @given(tree=TREES, rows=BATCH)
 @example(tree=parse("x2*x2", X12), rows=[(-0.2656, -9.3797e-157)])
@@ -111,6 +112,10 @@ def test_gradients_match_central_differences(tree, rows):
 @example(tree=parse("exp(log(x2))", X12), rows=[(0.0, 5e-324)])
 @example(tree=parse("exp(x1)", X12), rows=[(2.2456345631359493, 0.5)])
 @example(tree=parse("x2^3", X12), rows=[(2.153349360412431, 1.621412546438453)])
+@example(tree=parse("x2^3", X12), rows=[(0.5, -2.153349360412431), (0.5, -1.621412546438453)])
+@example(tree=parse("(x1 - x2)^9", X12), rows=[(-1.3, 0.4), (-2.9, 0.1), (0.25, 2.75)])
+@example(tree=parse("x1^-3 + x2^(0-1)", X12), rows=[(-1.7, -0.3), (-2.2, -2.9)])
+@example(tree=parse("(x1*x2)^4", X12), rows=[(-1.7, 0.9), (2.6, -1.1)])
 def test_error_bound_covers_the_distance_to_the_exact_value(tree, rows):
     X = np.array(rows)
     res = _evaluate(tree, _env(X), err=True)[0]

@@ -16,13 +16,15 @@ from einvex.invexity import (
     check_preinvex,
     epigraph_invex_check,
     gradient_monotonicity,
+    invex_block,
+    invex_pairs,
     invex_sides,
     level_set_invex_check,
     preinvex_masks,
     preinvex_sides,
     _probe_points,
 )
-from einvex.problem import (EProblem, Region, SampleConfig, _jsonable, box_region,
+from einvex.problem import (EProblem, PairDraw, Region, SampleConfig, _jsonable, box_region,
                             einvex_set_check, load_problem)
 from mpexpr import DPS, mp_eval
 
@@ -87,8 +89,8 @@ def test_example1_monotonicity_fails_with_replayable_term(example1, fast_cfg):
     U, _ = example1.e_map(np.array([[-4.0]]))
     V, _ = example1.e_map(np.array([[-3.0]]))
     H, _ = example1.eta_map(U, V)
-    term = float(gr.grads[0] @ H[0]) * math.exp(gr.values[0]) - \
-        float(gr0.grads[0] @ H[0]) * math.exp(gr0.values[0])
+    term = float(gr.grads[:, 0] @ H[0]) * math.exp(gr.values[0]) - \
+        float(gr0.grads[:, 0] @ H[0]) * math.exp(gr0.values[0])
     assert term == pytest.approx(-3.0 / math.e, abs=1e-15)
     assert term < -fast_cfg.tol
 
@@ -499,3 +501,23 @@ def test_mixture_witnesses_keep_their_sign_at_60_digits():
                 assert apart > CFG.tol, (ent.name, apart)
             gaps.append(gap)
     assert len(gaps) == 39
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("pinned", [False, True])
+def test_d_is_the_row_major_einsum_of_the_base_gradients(n, pinned):
+    # einsum sums a transposed (variable-major) view in another order from
+    # n = 3 on, so D must come from C-contiguous rows of the gradients
+    names = [f"x{j + 1}" for j in range(n)]
+    y_sum = " + ".join(f"y{j + 1}" for j in range(n))
+    p = load_problem({"n": n, "vars": names, "E": names,
+                      "eta": [f"u{j + 1} - v{j + 1}" for j in range(n)],
+                      "objectives": [{"raw": f"log({y_sum} + {n + 1})"}],
+                      "ineq": [], "eq": [], "box": {"lo": [-1.0] * n, "hi": [1.0] * n}})
+    cfg = SampleConfig(n_pairs=1500, seed=4)
+    pairs = PairDraw(p, cfg, box_region(p, cfg.tol), np.full(n, 0.1) if pinned else None)
+    fn = p.function("f1")
+    s = invex_pairs(fn, p, invex_block(p, cfg, pairs, 0, cfg.n_pairs))
+    G = np.array([expr.gradient(fn.composed, dict(zip(p.vars, row)), p.vars) for row in s.X0])
+    assert G.flags.c_contiguous and G.shape == (s.X0.shape[0], n)
+    assert s.D.tobytes() == np.einsum("ij,ij->i", G, s.H).tobytes()

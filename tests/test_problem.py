@@ -283,6 +283,16 @@ def test_nan_constraint_value_is_infeasible_everywhere():
     assert report.feasible.tolist() == [True, True, True, True, False]
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("count", [0, 1, 1000])
+def test_box_is_lo_plus_u_times_the_width(dim, count):
+    lo, hi = np.array([-6.0, 0.1, -1e-3])[:dim], np.array([0.0, 2.0, 7.5])[:dim]
+    got = SampleStream(9, "box").box(lo, hi, count)
+    u = SampleStream(9, "box").uniform(count * dim).reshape(count, dim)
+    assert got.shape == (count, dim)
+    assert got.tobytes() == (lo + u * (hi - lo)).tobytes()
+
+
 def test_feasibility_consumers_agree_row_by_row():
     # log-domain failures (y1 <= 0.3), nan values (y2 > ~0.887), an equality
     # met on the diagonal and a plain inequality, at grid points and at
