@@ -21,7 +21,7 @@ inequality is normalized by exp(max(f(E(x)), f(E(x0)))).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
 
@@ -29,7 +29,7 @@ import numpy as np
 
 from .problem import (EProblem, Hypothesis, Judgement, MixtureSamples, PairDraw, ProblemFunction,
                       Region, SampleConfig, Verdict, all_vacuous, box_region, mixture_samples,
-                      sample_pairs, sampled_verdict, sampled_verdicts)
+                      sample_pairs, sample_rows, sampled_verdict, sampled_verdicts)
 from .rng import SampleStream
 
 PROBE_RADII = (1e-2, 1e-3, 1e-4, 1e-5)
@@ -216,10 +216,9 @@ class InvexSamples:
     X0: np.ndarray     # (N, n) base points
     A: np.ndarray      # f(E(x))
     B: np.ndarray      # f(E(x0))
-    GX: Optional[np.ndarray]  # gradient of (f o E) at x, only for the monotone kinds
-    G0: np.ndarray     # gradient of (f o E) at x0
     H: np.ndarray      # eta(E(x), E(x0))
-    D: np.ndarray      # G0 . H
+    D: np.ndarray      # grad (f o E)(x0) . H, summed over the variables in order
+    DX: Optional[np.ndarray]  # grad (f o E)(x) . H alike, only for the monotone kinds
     invalid: np.ndarray
     nondiff: np.ndarray
     index: np.ndarray  # sample index of each row: i, N + i reversed, then the probes
@@ -257,20 +256,6 @@ class InvexBlock:
     n_regular: int
     starved: Optional[str]
     bases: tuple        # (lo, hi): the rows of P that serve as a base, or a center
-    points: int         # the rows of X and X0 in P
-    per_pair: int       # samples per pair: 1 pinned, 2 in pair mode
-
-    def plain(self) -> "InvexBlock":
-        """The block without its centers and probes, for the kinds that take none.
-        Only the block of the last probed pair has them."""
-        if self.P.shape[0] == self.points:
-            return self
-        keep, rows = self.index < self.n_regular, slice(0, self.points)
-        pairs = np.arange(int(keep.sum()) // self.per_pair)
-        return replace(self, P=self.P[rows], E=self.E[rows], bad_e=self.bad_e[rows],
-                       bases=(self.bases[0], self.points), unit=np.repeat(pairs, self.per_pair),
-                       **{f: getattr(self, f)[keep]
-                          for f in ("ix", "i0", "X", "X0", "H", "bad_h", "index")})
 
 
 def invex_block(problem: EProblem, cfg: SampleConfig, pairs: PairDraw, lo: int, hi: int,
@@ -314,16 +299,15 @@ def invex_block(problem: EProblem, cfg: SampleConfig, pairs: PairDraw, lo: int, 
     H, bad_h = problem.eta_map(np.take(E, ix, axis=0), np.take(E, i0, axis=0))
     # pinned, the bases are row b and the centers; probes never serve as a base
     return InvexBlock(P, E, bad_e, ix, i0, np.take(P, ix, axis=0), np.take(P, i0, axis=0), H, bad_h,
-                      index, unit, n_regular, starved, (b if pinned else 0, m + C.shape[0]), m, w)
+                      index, unit, n_regular, starved, (b if pinned else 0, m + C.shape[0]))
 
 
-def _rows(grads, idx):
-    """Rows idx of variable-major gradients, as a C-contiguous (len(idx), n)
-    array.  einsum sums a transposed view in another order (at n >= 3), so
-    the D of such a view would not be bit-identical."""
-    out = np.empty((len(idx), grads.shape[0]))
-    for j, g in enumerate(grads):  # per variable: 3x cheaper than a take of transposed rows
-        out[:, j] = np.take(g, idx)
+def _dot_eta(grads, idx, H):
+    """sum_j grads[j][idx] * H[:, j], the variables taken in order: the one
+    definition of D and DX."""
+    out = np.take(grads[0], idx) * H[:, 0]
+    for j in range(1, grads.shape[0]):
+        out += np.take(grads[j], idx) * H[:, j]
     return out
 
 
@@ -342,31 +326,30 @@ def invex_pairs(fn: ProblemFunction, problem: EProblem, blk: InvexBlock,
     j0 = blk.i0 - g_lo
 
     A, B = np.take(vals.values, blk.ix), np.take(vals.values, blk.i0)
-    G0 = _rows(grads.grads, j0)
-    D = np.einsum("ij,ij->i", G0, blk.H)
+    D = _dot_eta(grads.grads, j0, blk.H)
     invalid = (np.take(row_bad, blk.ix) | np.take(row_bad, blk.i0) | np.take(grads.invalid, j0)
                | blk.bad_h)
     nondiff = np.take(grads.nondiff, j0)
-    GX = None
+    DX = None
     if want_gx:
-        GX = _rows(grads.grads, blk.ix)
+        DX = _dot_eta(grads.grads, blk.ix, blk.H)
         invalid |= np.take(grads.invalid, blk.ix)
         nondiff |= np.take(grads.nondiff, blk.ix)
-    return InvexSamples(blk.X, blk.X0, A, B, GX, G0, blk.H, D, invalid, nondiff & ~invalid,
+    return InvexSamples(blk.X, blk.X0, A, B, blk.H, D, DX, invalid, nondiff & ~invalid,
                         blk.index, blk.unit, blk.n_regular, blk.starved)
 
 
 def _monotone_term(s: InvexSamples):
     """(grad F(x) e^F(x) - grad F(x0) e^F(x0)) . eta over e^max(F(x), F(x0))."""
     m = np.maximum(s.A, s.B)
-    return np.einsum("ij,ij->i", s.GX, s.H) * np.exp(s.A - m) - s.D * np.exp(s.B - m)
+    return s.DX * np.exp(s.A - m) - s.D * np.exp(s.B - m)
 
 
 def invex_masks(s: InvexSamples, kind: InvexKind, cfg: SampleConfig):
     """Per-sample (satisfied, nonvacuous) masks for one of the seven kinds.
 
     The invex kinds are normalized by exp(B), the monotone kinds by
-    exp(max(A, B)), which needs ``s.GX``.  Each branch computes only what
+    exp(max(A, B)), which needs ``s.DX``.  Each branch computes only what
     it reads.
     """
     tol, margin = cfg.tol, cfg.strict_margin
@@ -438,9 +421,8 @@ def _invex_witness(kind: InvexKind, s: InvexSamples, i: int) -> dict:
         return dict(left=_exp_or_inf(a) - eb, right=d * eb, comparison=cmp,
                     extra={"norm_left": norm_left, "norm_right": d, "probe": probe})
     if kind in (InvexKind.MONOTONE, InvexKind.STRICT_MONOTONE):
-        gx_eta = float(np.einsum("j,j", s.GX[i], s.H[i]))
-        mm = max(a, b)
-        normalized = gx_eta * math.exp(a - mm) - d * math.exp(b - mm)
+        gx_eta, mm = float(s.DX[i]), max(a, b)
+        normalized = float(_monotone_term(s)[i])  # the term its mask judged
         left = gx_eta * math.exp(a) - d * math.exp(b) if mm < 700 else math.inf
         return dict(left=left if math.isfinite(left) else normalized, right=0.0, comparison=cmp,
                     extra={"normalized": normalized, "scale_log": mm, "probe": probe})
@@ -473,8 +455,8 @@ def check_invex_many(problem: EProblem, plan, cfg: SampleConfig = SampleConfig()
 
     Each block of pairs is drawn once, with the probes when some kind takes
     them; every hypothesis still undecided is judged on it, a kind without
-    probes on the block without them.  Each verdict equals that of its own
-    check_invex call.
+    probes on its samples with the probe rows dropped.  Each verdict equals
+    that of its own check_invex call.
     """
     kinds = [InvexKind(kind) for _, kind in plan]
     pairs = PairDraw(problem, cfg, region or box_region(problem, cfg.tol), at)
@@ -488,7 +470,11 @@ def check_invex_many(problem: EProblem, plan, cfg: SampleConfig = SampleConfig()
             return Judgement(sat, lambda i: _invex_witness(kind, s, i), nonvac)
 
         def samples(blk):
-            return invex_pairs(fn, problem, blk if probed else blk.plain(), want_gx)
+            s = invex_pairs(fn, problem, blk, want_gx)
+            if probed:
+                return s
+            probe = s.index >= s.n_regular  # only the block of the last probed pair has any
+            return sample_rows(s, ~probe) if probe.any() else s
 
         return Hypothesis(judge, samples, vacuous)
 

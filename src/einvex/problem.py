@@ -574,9 +574,9 @@ def all_vacuous(counts) -> Optional[str]:
     return None if np.any(counts) else "all samples were vacuous for this definition"
 
 
-def _head(s, rows: int):
-    """The samples of the first ``rows`` rows."""
-    return replace(s, **{f.name: v[:rows] for f in fields(s)
+def sample_rows(s, rows):
+    """The samples of ``rows``, a slice or a boolean mask."""
+    return replace(s, **{f.name: v[rows] for f in fields(s)
                          if isinstance(v := getattr(s, f.name), np.ndarray)})
 
 
@@ -619,10 +619,10 @@ def sampled_verdicts(n_pairs: int, draw, hypotheses: Sequence[Hypothesis]) -> li
     BLOCK_PAIRS of them at a time, and every hypothesis is judged on the
     same blocks: ``samples(block)`` gives its samples, with rows in
     canonical order (the samples' ``index`` is the global index of each row
-    and ``unit`` its pair, counted in the block), and ``judge(samples)``
-    their Judgement.  For each hypothesis the first pair, in this order,
-    that does one of the following decides, and that hypothesis is judged
-    on no later block:
+    and ``unit`` its pair, counted in the block; it may skip pairs), and
+    ``judge(samples)`` their Judgement.  For each hypothesis the first
+    pair, in this order, that does one of the following decides, and that
+    hypothesis is judged on no later block:
 
     1. fails to evaluate: inconclusive at its first row of the samples'
        ``bad``, else of ``invalid_comb`` (None without mixture weights T),
@@ -680,7 +680,7 @@ def _decide(h: Hypothesis, s, t: _Tally) -> Optional[Verdict]:
     failing = s.bad if s.invalid_comb is None else s.invalid_comb.any(axis=1)
     f = int(np.argmax(failing)) if failing.any() else rows
     r = f if f == rows else int(np.searchsorted(s.unit, s.unit[f]))
-    j = h.judge(s if r == rows else _head(s, r))
+    j = h.judge(s if r == rows else sample_rows(s, slice(0, r)))
     per_row = math.prod(j.sat.shape[1:])
     if not j.sat.all():
         flat = int(np.argmax(~j.sat))

@@ -10,6 +10,7 @@ from corpus import CFG, ENTRIES, by_name, naive_preinvex_masks, preinvex_block, 
 from einvex import expr
 from einvex.invexity import (
     PROBE_RADII,
+    PROBED_KINDS,
     InvexKind,
     PreinvexKind,
     check_invex,
@@ -22,6 +23,7 @@ from einvex.invexity import (
     level_set_invex_check,
     preinvex_masks,
     preinvex_sides,
+    _monotone_term,
     _probe_points,
 )
 from einvex.problem import (EProblem, PairDraw, Region, SampleConfig, _jsonable, box_region,
@@ -418,9 +420,9 @@ def _replay_gradient(fn, p, kind, w):
     """(got, want, scale) of one gradient-family witness.
 
     The monotone term is a difference of two products that can cancel (at a
-    probe it is about 1e-4 of them), and the replay's np.dot rounds apart
-    from the block's einsum by an ulp, so it is compared relative to the
-    size of the products."""
+    probe it is about 1e-4 of them), and the replay's np.dot and math.exp
+    round apart from the block's ordered sum over the variables and np.exp
+    by an ulp, so it is compared relative to the size of the products."""
     s = invex_sides(fn, p, w.x, w.x0)
     a, b, d = s["a"], s["b"], s["d"]
     if kind in (InvexKind.EXP, InvexKind.STRICT):
@@ -503,21 +505,53 @@ def test_mixture_witnesses_keep_their_sign_at_60_digits():
     assert len(gaps) == 39
 
 
-@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
 @pytest.mark.parametrize("pinned", [False, True])
-def test_d_is_the_row_major_einsum_of_the_base_gradients(n, pinned):
-    # einsum sums a transposed (variable-major) view in another order from
-    # n = 3 on, so D must come from C-contiguous rows of the gradients
+def test_d_and_dx_are_sums_over_the_variables_in_order(n, pinned):
+    # D = sum_j g_j(x0) * eta_j and DX the same at x, j = 1..n in order; a
+    # sum in another order (einsum over (rows, n) rows) differs from n = 3 on
     names = [f"x{j + 1}" for j in range(n)]
-    y_sum = " + ".join(f"y{j + 1}" for j in range(n))
+    raw = " + ".join(f"{j + 1}*y{j + 1}^2" for j in range(n))
     p = load_problem({"n": n, "vars": names, "E": names,
                       "eta": [f"u{j + 1} - v{j + 1}" for j in range(n)],
-                      "objectives": [{"raw": f"log({y_sum} + {n + 1})"}],
+                      "objectives": [{"raw": f"log({raw} + 1)"}],
                       "ineq": [], "eq": [], "box": {"lo": [-1.0] * n, "hi": [1.0] * n}})
-    cfg = SampleConfig(n_pairs=1500, seed=4)
+    cfg = SampleConfig(n_pairs=600, seed=4)
     pairs = PairDraw(p, cfg, box_region(p, cfg.tol), np.full(n, 0.1) if pinned else None)
     fn = p.function("f1")
-    s = invex_pairs(fn, p, invex_block(p, cfg, pairs, 0, cfg.n_pairs))
-    G = np.array([expr.gradient(fn.composed, dict(zip(p.vars, row)), p.vars) for row in s.X0])
-    assert G.flags.c_contiguous and G.shape == (s.X0.shape[0], n)
-    assert s.D.tobytes() == np.einsum("ij,ij->i", G, s.H).tobytes()
+    s = invex_pairs(fn, p, invex_block(p, cfg, pairs, 0, cfg.n_pairs), want_gx=True)
+
+    def ordered(points):
+        out = []
+        for row, h in zip(points, s.H):
+            g = expr.gradient(fn.composed, dict(zip(p.vars, row)), p.vars)
+            d = float(g[0]) * float(h[0])
+            for j in range(1, n):
+                d += float(g[j]) * float(h[j])
+            out.append(d)
+        return np.array(out)
+
+    assert s.D.tobytes() == ordered(s.X0).tobytes()
+    assert s.DX.tobytes() == ordered(s.X).tobytes()
+
+
+def test_a_monotone_witness_reports_the_term_its_mask_judged():
+    """extra.normalized is the judged term of the witness row, to the bit,
+    not a recomputation with other exponentials."""
+    seen = 0
+    for ent in ENTRIES:
+        p = problem(ent)
+        fn = p.function("f1")
+        for kind in (InvexKind.MONOTONE, InvexKind.STRICT_MONOTONE):
+            for at in (None, (p.lo + p.hi) / 2):
+                v = check_invex(fn, p, kind, CFG, at=at)
+                if v.status != "fails":
+                    continue
+                pairs = PairDraw(p, CFG, box_region(p, CFG.tol), at)
+                blk = invex_block(p, CFG, pairs, 0, CFG.n_pairs, kind in PROBED_KINDS)
+                s = invex_pairs(fn, p, blk, want_gx=True)
+                row = int(np.flatnonzero(s.index == v.witness.index)[0])
+                judged = float(_monotone_term(s)[row])
+                assert v.witness.extra["normalized"].hex() == judged.hex(), (ent.name, kind.value, at)
+                seen += 1
+    assert seen == 56

@@ -22,7 +22,7 @@ from einvex.kkt import (
     solve_multipliers,
     verify_kkt_point,
 )
-from einvex.problem import SampleConfig, _jsonable, load_problem
+from einvex.problem import _jsonable, load_problem
 
 
 @pytest.fixture(scope="module")

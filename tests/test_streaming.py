@@ -16,11 +16,13 @@ from typing import Optional
 import numpy as np
 import pytest
 
+import einvex.invexity as invexity
 import einvex.problem as problem_mod
-from corpus import CFG, ENTRIES, problem
+from corpus import CFG, ENTRIES, by_name, problem
 from einvex.cli import run
 from einvex.invexity import (PROBE_CENTERS, InvexKind, PreinvexKind, _probe_points, check_invex,
-                             check_preinvex, epigraph_invex_check, level_set_invex_check)
+                             check_invex_many, check_preinvex, epigraph_invex_check,
+                             level_set_invex_check)
 from einvex.kkt import THEOREMS, certify, solve_multipliers
 from einvex.problem import (MAX_ROUNDS, Region, RegionDraw, _jsonable,
                             box_region, einvex_set_check, feasible_region, load_problem,
@@ -359,6 +361,45 @@ def test_certificate_hypotheses_equal_their_own_checks(name, theorem, block, vp1
             ("f1", "holds", 300), ("f2", "fails", 1), ("g1", "fails", 51), ("g2", "holds", 300)]
     if name == "equality":
         assert [h.verdict.status for h in cert.hypotheses] == ["inconclusive"] * 2
+
+
+JUDGED = ("X", "X0", "A", "B", "D", "DX", "invalid", "nondiff", "index")
+
+
+def _judged(monkeypatch, block, p, plan, cfg, at):
+    """The samples judged for each kind of ``plan``, block by block, and the verdicts."""
+    seen = {}
+    masks = invexity.invex_masks
+    monkeypatch.setattr(invexity, "invex_masks",
+                        lambda s, kind, c: seen.setdefault(kind, []).append(s) or masks(s, kind, c))
+    try:
+        return seen, _under_block(monkeypatch, block, lambda: check_invex_many(p, plan, cfg, at))
+    finally:
+        monkeypatch.setattr(invexity, "invex_masks", masks)
+
+
+@pytest.mark.parametrize("block, n_pairs", [(3, 12), (DEFAULT_BLOCK, 300)])
+@pytest.mark.parametrize("pinned", [False, True])
+def test_a_probe_free_kind_judges_what_a_draw_without_probes_gives(block, n_pairs, pinned,
+                                                                   monkeypatch):
+    """Drawn with the probes of a strict kind, a kind that takes none judges
+    the arrays of its own probe-free draw, the block of the probes included."""
+    p = problem(by_name("bowl-2d"))
+    fn, cfg = p.function("f1"), replace(CFG, n_pairs=n_pairs)
+    at = (p.lo + p.hi) / 2 if pinned else None
+    free = (InvexKind.EXP, InvexKind.MONOTONE)
+    shared, verdicts = _judged(monkeypatch, block, p,
+                               [(fn, InvexKind.STRICT)] + [(fn, k) for k in free], cfg, at)
+    assert [v.status for v in verdicts[1:]] == ["holds"] * len(free)
+    assert any((s.index >= s.n_regular).any() for s in shared[InvexKind.STRICT])
+    for kind in free:
+        alone, _ = _judged(monkeypatch, block, p, [(fn, kind)], cfg, at)
+        assert len(shared[kind]) == len(alone[kind]) == math.ceil(n_pairs / block)
+        for s, t in zip(shared[kind], alone[kind]):
+            for name in JUDGED:
+                a, b = getattr(s, name), getattr(t, name)
+                assert (a is None) == (b is None), (kind, name)
+                assert a is None or (a.shape == b.shape and a.tobytes() == b.tobytes()), (kind, name)
 
 
 def test_certify_draws_each_block_once(vp1_path, monkeypatch):
