@@ -43,6 +43,15 @@ class PreinvexKind(str, Enum):
     QUASI = "quasi-preinvex"
     STRICT_QUASI = "strict-quasi-preinvex"
 
+    @property
+    def mixed(self) -> bool:
+        """Compared with the tau-mixture of the endpoint values, not their max."""
+        return self in (PreinvexKind.EXP, PreinvexKind.STRICT)
+
+    @property
+    def strict(self) -> bool:
+        return self in (PreinvexKind.STRICT, PreinvexKind.STRICT_QUASI)
+
 
 class InvexKind(str, Enum):
     EXP = "invex"
@@ -52,6 +61,15 @@ class InvexKind(str, Enum):
     STRICT_PSEUDO = "strict-pseudo-invex"
     MONOTONE = "monotone-gradient"
     STRICT_MONOTONE = "strict-monotone-gradient"
+
+    @property
+    def monotone(self) -> bool:
+        """Judged on the monotone term, which takes the gradient at x too."""
+        return self in (InvexKind.MONOTONE, InvexKind.STRICT_MONOTONE)
+
+
+# the strict gradient kinds, which also take the probes
+PROBED_KINDS = (InvexKind.STRICT, InvexKind.STRICT_PSEUDO, InvexKind.STRICT_MONOTONE)
 
 
 # ---------------------------------------------------------------------------
@@ -115,26 +133,23 @@ def preinvex_pairs(fn: ProblemFunction, problem: EProblem, cfg: SampleConfig, pa
 
 
 def preinvex_masks(s: PreinvexSamples, kind: PreinvexKind, cfg: SampleConfig):
-    """Per-sample (satisfied, nonvacuous) masks for one definition."""
-    tol, margin = cfg.tol, cfg.strict_margin
-    interior = (s.T > tol) & (s.T < 1.0 - tol)
-    if kind == PreinvexKind.EXP:
-        sat = s.C <= s.mix_log + tol
-        nonvac = np.ones_like(sat)
-    elif kind == PreinvexKind.STRICT:
-        cond = interior & _apart(s.U, s.V, tol)[:, None]
-        sat = ~cond | (s.C <= s.mix_log - margin)
-        nonvac = cond
-    elif kind == PreinvexKind.QUASI:
-        sat = s.C <= s.max_log + tol
-        nonvac = np.ones_like(sat)
-    elif kind == PreinvexKind.STRICT_QUASI:
-        cond = interior & _apart(s.X, s.X0, tol)[:, None]
-        sat = ~cond | (s.C <= s.max_log - margin)
-        nonvac = cond
-    else:
-        raise ValueError(f"not a mixture-family kind: {kind}")
-    return sat, nonvac
+    """Per-sample (satisfied, nonvacuous) masks for one definition.
+
+    Every kind is the one comparison C <= level + need, with C the log of
+    f at the combined point.  The level is the tau-mixture of the endpoint
+    values or their max; need is tol, or -margin for a strict kind.  A
+    strict kind counts only interior tau and points apart (the E-images for
+    strict-preinvex, x and x0 for strict-quasi-preinvex); any other sample
+    holds vacuously.
+    """
+    kind, tol = PreinvexKind(kind), cfg.tol
+    level = s.mix_log if kind.mixed else s.max_log
+    sat = s.C <= level + (-cfg.strict_margin if kind.strict else tol)
+    if not kind.strict:
+        return sat, np.ones_like(sat)
+    P, Q = (s.U, s.V) if kind.mixed else (s.X, s.X0)
+    cond = (s.T > tol) & (s.T < 1.0 - tol) & _apart(P, Q, tol)[:, None]
+    return ~cond | sat, cond
 
 
 def preinvex_sides(fn: ProblemFunction, problem: EProblem, x, x0, tau: float) -> dict:
@@ -162,14 +177,12 @@ def check_preinvex(fn: ProblemFunction, problem: EProblem, kind: PreinvexKind,
     """Check one mixture-family definition of exp(f) along eta-paths."""
     kind = PreinvexKind(kind)
     pairs = PairDraw(problem, cfg, region or box_region(problem, cfg.tol))
-    mixed = kind in (PreinvexKind.EXP, PreinvexKind.STRICT)
-    cmp = ("strict gap below margin" if kind in (PreinvexKind.STRICT, PreinvexKind.STRICT_QUASI)
-           else "left > right beyond tol")
+    cmp = "strict gap below margin" if kind.strict else "left > right beyond tol"
 
     def judge(s):
         def witness(i, t):
             tau, a, b, c = float(s.T[i, t]), s.A[i], s.B[i], float(s.C[i, t])
-            log_right = float(_mix_log(tau, a, b) if mixed else max(a, b))
+            log_right = float(_mix_log(tau, a, b) if kind.mixed else max(a, b))
             return dict(tau=tau, left=_exp_or_inf(c), right=_exp_or_inf(log_right), comparison=cmp,
                         extra={"log_left": c, "log_right": log_right,
                                "combined": (s.V[i] + tau * s.H[i]).tolist()})
@@ -348,43 +361,30 @@ def _monotone_term(s: InvexSamples):
 def invex_masks(s: InvexSamples, kind: InvexKind, cfg: SampleConfig):
     """Per-sample (satisfied, nonvacuous) masks for one of the seven kinds.
 
-    The invex kinds are normalized by exp(B), the monotone kinds by
-    exp(max(A, B)), which needs ``s.DX``.  Each branch computes only what
-    it reads.
+    Every kind is the one comparison left >= right + need, with need -tol,
+    or +margin for a strict kind (PROBED_KINDS).  The sides are expm1(A - B)
+    against D for (strict-)invex, normalized by exp(B); 0 against D for the
+    quasi and pseudo kinds; and the monotone term, normalized by
+    exp(max(A, B)), against 0.  The quasi and pseudo antecedents and, for a
+    strict kind, x apart from x0 are the side condition: any other sample
+    holds vacuously.
     """
-    tol, margin = cfg.tol, cfg.strict_margin
-    if kind in (InvexKind.EXP, InvexKind.STRICT):
+    kind, tol = InvexKind(kind), cfg.tol
+    strict = kind in PROBED_KINDS
+    cond = _apart(s.X, s.X0, tol) if strict else None
+    if kind.monotone:
+        left, right = _monotone_term(s), 0.0
+    elif kind in (InvexKind.EXP, InvexKind.STRICT):
         with np.errstate(over="ignore"):  # inf: f grew by more than exp can represent
-            lhs = np.expm1(s.A - s.B)
-    if kind == InvexKind.EXP:
-        sat = lhs >= s.D - tol
-        nonvac = np.ones_like(sat)
-    elif kind == InvexKind.STRICT:
-        sep = _apart(s.X, s.X0, tol)
-        sat = ~sep | (lhs >= s.D + margin)
-        nonvac = sep
-    elif kind == InvexKind.QUASI:
-        ante = s.A <= s.B + tol
-        sat = ~ante | (s.D <= tol)
-        nonvac = ante
-    elif kind == InvexKind.PSEUDO:
-        ante = s.A < s.B - tol
-        sat = ~ante | (s.D <= tol)
-        nonvac = ante
-    elif kind == InvexKind.STRICT_PSEUDO:
-        cond = (s.A <= s.B + tol) & _apart(s.X, s.X0, tol)
-        sat = ~cond | (s.D <= -margin)
-        nonvac = cond
-    elif kind == InvexKind.MONOTONE:
-        sat = _monotone_term(s) >= -tol
-        nonvac = np.ones_like(sat)
-    elif kind == InvexKind.STRICT_MONOTONE:
-        sep = _apart(s.X, s.X0, tol)
-        sat = ~sep | (_monotone_term(s) >= margin)
-        nonvac = sep
+            left, right = np.expm1(s.A - s.B), s.D
     else:
-        raise ValueError(f"not a gradient-family kind: {kind}")
-    return sat, nonvac
+        left, right = 0.0, s.D
+        ante = s.A < s.B - tol if kind == InvexKind.PSEUDO else s.A <= s.B + tol
+        cond = ante if cond is None else ante & cond
+    sat = left >= right + (cfg.strict_margin if strict else -tol)
+    if cond is None:
+        return sat, np.ones_like(sat)
+    return ~cond | sat, cond
 
 
 def invex_sides(fn: ProblemFunction, problem: EProblem, x, x0) -> dict:
@@ -412,15 +412,14 @@ def _invex_witness(kind: InvexKind, s: InvexSamples, i: int) -> dict:
     """The witness fields of row i, from the values its block judged."""
     a, b, d = float(s.A[i]), float(s.B[i]), float(s.D[i])
     probe = bool(s.index[i] >= s.n_regular)
-    cmp = ("strict gap below margin" if kind in (InvexKind.STRICT, InvexKind.STRICT_MONOTONE)
-           else "left < right beyond tol")
+    cmp = "strict gap below margin" if kind in PROBED_KINDS else "left < right beyond tol"
     if kind in (InvexKind.EXP, InvexKind.STRICT):
         eb = _exp_or_inf(b)
         with np.errstate(over="ignore"):
             norm_left = float(np.expm1(a - b))
         return dict(left=_exp_or_inf(a) - eb, right=d * eb, comparison=cmp,
                     extra={"norm_left": norm_left, "norm_right": d, "probe": probe})
-    if kind in (InvexKind.MONOTONE, InvexKind.STRICT_MONOTONE):
+    if kind.monotone:
         gx_eta, mm = float(s.DX[i]), max(a, b)
         normalized = float(_monotone_term(s)[i])  # the term its mask judged
         left = gx_eta * math.exp(a) - d * math.exp(b) if mm < 700 else math.inf
@@ -428,9 +427,6 @@ def _invex_witness(kind: InvexKind, s: InvexSamples, i: int) -> dict:
                     extra={"normalized": normalized, "scale_log": mm, "probe": probe})
     return dict(left=d, right=0.0, comparison="antecedent held but gradient term not below threshold",
                 extra={"a": a, "b": b, "probe": probe})
-
-
-PROBED_KINDS = (InvexKind.STRICT, InvexKind.STRICT_PSEUDO, InvexKind.STRICT_MONOTONE)
 
 
 def check_invex(fn: ProblemFunction, problem: EProblem, kind: InvexKind,
@@ -463,14 +459,13 @@ def check_invex_many(problem: EProblem, plan, cfg: SampleConfig = SampleConfig()
 
     def hypothesis(fn, kind):
         probed = kind in PROBED_KINDS
-        want_gx = kind in (InvexKind.MONOTONE, InvexKind.STRICT_MONOTONE)
 
         def judge(s):
             sat, nonvac = invex_masks(s, kind, cfg)
             return Judgement(sat, lambda i: _invex_witness(kind, s, i), nonvac)
 
         def samples(blk):
-            s = invex_pairs(fn, problem, blk, want_gx)
+            s = invex_pairs(fn, problem, blk, kind.monotone)
             if probed:
                 return s
             probe = s.index >= s.n_regular  # only the block of the last probed pair has any

@@ -7,17 +7,20 @@ import numpy as np
 import pytest
 
 from corpus import CFG, ENTRIES, by_name, naive_preinvex_masks, preinvex_block, problem
-from einvex import expr
+from einvex import cli, expr
 from einvex.invexity import (
     PROBE_RADII,
     PROBED_KINDS,
     InvexKind,
+    InvexSamples,
     PreinvexKind,
+    PreinvexSamples,
     check_invex,
     check_preinvex,
     epigraph_invex_check,
     gradient_monotonicity,
     invex_block,
+    invex_masks,
     invex_pairs,
     invex_sides,
     level_set_invex_check,
@@ -201,6 +204,96 @@ def test_vacuous_antecedent_policies():
 
 
 # ---------------------------------------------------------------------------
+# boundary table: every conclusion, side condition and level pinned by hand
+# ---------------------------------------------------------------------------
+
+TOL, MARGIN = CFG.tol, CFG.strict_margin
+
+
+def _gradient_row(A, B, D, DX=0.0, apart=True):
+    """One gradient-family sample at n = 1: x0 = 0, and x = 1 or, not apart, x = 0."""
+    x = np.array([[1.0 if apart else 0.0]])
+    A, B, D, DX = (np.array([v], float) for v in (A, B, D, DX))
+    no = np.zeros(1, bool)
+    return InvexSamples(x, np.zeros((1, 1)), A, B, x, D, DX, no, no, np.zeros(1, int), np.zeros(1, int), 1)
+
+
+def _mixture_row(A, B, C, tau=0.5, apart=True):
+    """One mixture-family triple at n = 1 with E the identity: x0 = E(x0) = 0,
+    and x = E(x) = 1 or, not apart, 0."""
+    x = np.array([[1.0 if apart else 0.0]])
+    return PreinvexSamples(x, np.zeros((1, 1)), np.array([[tau]]), x, np.zeros((1, 1)), x,
+                           np.zeros(1, bool), np.zeros((1, 1), bool),
+                           A=np.array([A], float), B=np.array([B], float), C=np.array([[C]], float))
+
+
+# (kind, sample, satisfied, nonvacuous, what the row pins).  At A = B = 0
+# both levels of the mixture family are 0 and expm1(A - B) is 0.  Each row
+# sits on the side of a threshold that a one-notch change of the mask moves.
+G, M = _gradient_row, _mixture_row
+BOUNDARY = [
+    (InvexKind.EXP, G(0, 0, TOL / 2), True, True, "invex: D - tol is the threshold, not D"),
+    (InvexKind.EXP, G(0, 0, 2 * TOL), False, True, "invex: D beyond tol fails"),
+    (InvexKind.EXP, G(1, 0, 1.5), True, True, "invex: the left side is expm1(A - B)"),
+    (InvexKind.STRICT, G(0, 0, 0), False, True, "strict-invex: a tie misses the margin"),
+    (InvexKind.STRICT, G(0, 0, -2 * MARGIN), True, True, "strict-invex: clearing the margin holds"),
+    (InvexKind.STRICT, G(0, 0, 0, apart=False), True, False, "strict-invex: only apart pairs count"),
+    (InvexKind.QUASI, G(0, 0, 10 * TOL), False, True, "quasi-invex: D above tol fails"),
+    (InvexKind.QUASI, G(TOL, 0, 1), False, True, "quasi-invex: A = B + tol is in the antecedent"),
+    (InvexKind.QUASI, G(2 * TOL, 0, 1), True, False, "quasi-invex: A > B + tol is vacuous"),
+    (InvexKind.PSEUDO, G(-1, 0, 0), True, True, "pseudo-invex: D = 0 holds (not D <= -margin)"),
+    (InvexKind.PSEUDO, G(-1, 0, 2 * TOL), False, True, "pseudo-invex: D beyond tol fails"),
+    (InvexKind.PSEUDO, G(-TOL, 0, 1), True, False, "pseudo-invex: A = B - tol is not in the antecedent"),
+    (InvexKind.STRICT_PSEUDO, G(0, 0, 0), False, True, "strict-pseudo-invex: D = 0 misses the margin"),
+    (InvexKind.STRICT_PSEUDO, G(0, 0, -2 * MARGIN), True, True, "strict-pseudo-invex: D <= -margin holds"),
+    (InvexKind.STRICT_PSEUDO, G(TOL, 0, 0), False, True, "strict-pseudo-invex: A = B + tol is in the antecedent"),
+    (InvexKind.STRICT_PSEUDO, G(2 * TOL, 0, 0), True, False, "strict-pseudo-invex: A > B + tol is vacuous"),
+    (InvexKind.STRICT_PSEUDO, G(0, 0, 0, apart=False), True, False, "strict-pseudo-invex: only apart pairs count"),
+    (InvexKind.MONOTONE, G(0, 0, 0, DX=-TOL / 2), True, True, "monotone-gradient: the term may dip by tol"),
+    (InvexKind.MONOTONE, G(0, 0, 0, DX=-2 * TOL), False, True, "monotone-gradient: beyond tol fails"),
+    (InvexKind.MONOTONE, G(0, 0, 1, DX=0.5), False, True, "monotone-gradient: the term is DX - D at A = B"),
+    (InvexKind.MONOTONE, G(0, -1, 1, DX=0.5), True, True, "monotone-gradient: D is weighted by exp(B - A)"),
+    (InvexKind.STRICT_MONOTONE, G(0, 0, 0), False, True, "strict-monotone-gradient: a zero term misses the margin"),
+    (InvexKind.STRICT_MONOTONE, G(0, 0, 0, DX=2 * MARGIN), True, True, "strict-monotone-gradient: clearing it holds"),
+    (InvexKind.STRICT_MONOTONE, G(0, 0, 0, apart=False), True, False, "strict-monotone-gradient: only apart pairs count"),
+    (PreinvexKind.EXP, M(0, 0, TOL / 2), True, True, "preinvex: the level plus tol is the threshold"),
+    (PreinvexKind.EXP, M(0, 0, 2 * TOL), False, True, "preinvex: beyond tol fails"),
+    (PreinvexKind.EXP, M(0, -1, -0.1), False, True, "preinvex: the level is the tau-mixture, not the max"),
+    (PreinvexKind.STRICT, M(0, 0, 0), False, True, "strict-preinvex: a tie misses the margin"),
+    (PreinvexKind.STRICT, M(0, 0, -2 * MARGIN), True, True, "strict-preinvex: clearing the margin holds"),
+    (PreinvexKind.STRICT, M(0, -1, -0.1), False, True, "strict-preinvex: the level is the tau-mixture"),
+    (PreinvexKind.STRICT, M(0, 0, 0, tau=TOL / 2), True, False, "strict-preinvex: only interior tau counts"),
+    (PreinvexKind.STRICT, M(0, 0, 0, apart=False), True, False, "strict-preinvex: only apart E-images count"),
+    (PreinvexKind.QUASI, M(0, 0, TOL / 2), True, True, "quasi-preinvex: the level plus tol is the threshold"),
+    (PreinvexKind.QUASI, M(0, 0, 2 * TOL), False, True, "quasi-preinvex: beyond tol fails"),
+    (PreinvexKind.QUASI, M(0, -1, -0.1), True, True, "quasi-preinvex: the level is the max"),
+    (PreinvexKind.STRICT_QUASI, M(0, 0, 0), False, True, "strict-quasi-preinvex: a tie misses the margin"),
+    (PreinvexKind.STRICT_QUASI, M(0, -1, -0.1), True, True, "strict-quasi-preinvex: the level is the max"),
+    (PreinvexKind.STRICT_QUASI, M(0, 0, 0, tau=1 - TOL / 2), True, False,
+     "strict-quasi-preinvex: only interior tau counts"),
+    (PreinvexKind.STRICT_QUASI, M(0, 0, 0, apart=False), True, False,
+     "strict-quasi-preinvex: only apart pairs count"),
+]
+
+
+@pytest.mark.parametrize("kind, s, sat, nonvac", [row[:4] for row in BOUNDARY],
+                         ids=[row[4] for row in BOUNDARY])
+def test_each_kind_on_its_boundary(kind, s, sat, nonvac):
+    masks = invex_masks if isinstance(kind, InvexKind) else preinvex_masks
+    got_sat, got_nonvac = masks(s, kind, CFG)
+    assert (bool(got_sat.all()), bool(got_nonvac.all())) == (sat, nonvac)
+
+
+def test_every_kind_is_documented_and_pinned(repo_root):
+    """A new kind lands with a README row and a boundary row, or not at all."""
+    readme = (repo_root / "README.md").read_text()
+    rows = {line.split("`")[1] for line in readme.splitlines() if line.startswith("| `")}
+    assert set(cli.CHECK_KINDS) <= rows, set(cli.CHECK_KINDS) - rows
+    pinned = {row[0] for row in BOUNDARY}
+    assert set(InvexKind) | set(PreinvexKind) <= pinned
+
+
+# ---------------------------------------------------------------------------
 # epigraph and level-set forms
 # ---------------------------------------------------------------------------
 
@@ -305,13 +398,46 @@ def test_log_path_survives_extreme_scales():
 
 
 def test_preinvex_satisfaction_implies_quasi_per_sample():
-    for name in ("square", "shifted-cube", "double-well", "plain-cube"):
-        p = problem(by_name(name))
-        s = preinvex_block(p.function("f1"), p)
-        sat_exp, _ = preinvex_masks(s, PreinvexKind.EXP, CFG)
-        sat_quasi, _ = preinvex_masks(s, PreinvexKind.QUASI, CFG)
-        ok = ~s.invalid_comb[:, None] & np.ones_like(sat_exp)
-        assert np.all(~(sat_exp & ok) | sat_quasi), name
+    """The implications between kinds, sample by sample on corpus blocks.
+
+    preinvex implies quasi-preinvex, and each strict kind its plain kind on
+    the samples its side condition marks, everywhere.  invex implies
+    quasi-invex except where 0 < A - B <= tol: there expm1(A - B) >= D - tol
+    allows D up to about 2 tol.  invex implies today's pseudo-invex, whose
+    antecedent A < B - tol makes expm1(A - B) negative, everywhere.
+    """
+    I, P = InvexKind, PreinvexKind
+    premises = dict.fromkeys(["mixture", "invex", "strict"], 0)
+    for ent in ENTRIES:
+        p = problem(ent)
+        fn = p.function("f1")
+        s = preinvex_block(fn, p)
+        ok = ~s.invalid_comb
+        m = {kind: preinvex_masks(s, kind, CFG) for kind in PreinvexKind}
+        assert np.all(~(m[P.EXP][0] & ok) | m[P.QUASI][0]), ent.name
+        for strict, plain in ((P.STRICT, P.EXP), (P.STRICT_QUASI, P.QUASI)):
+            sat, cond = m[strict]
+            assert np.all(~(sat & cond & ok) | m[plain][0]), (ent.name, strict.value)
+            premises["mixture"] += int(np.count_nonzero(sat & cond & ok))
+
+        blk = invex_block(p, CFG, PairDraw(p, CFG, box_region(p, CFG.tol)), 0, CFG.n_pairs, True)
+        s = invex_pairs(fn, p, blk, want_gx=True)
+        ok = ~s.bad
+        m = {kind: invex_masks(s, kind, CFG) for kind in InvexKind}
+        invex = m[I.EXP][0] & ok
+        band = (s.A > s.B) & (s.A <= s.B + CFG.tol)
+        assert np.all(~(invex & ~band) | m[I.QUASI][0]), ent.name
+        assert np.all(~invex | m[I.PSEUDO][0]), ent.name
+        premises["invex"] += int(np.count_nonzero(invex))
+        for strict, plain in ((I.STRICT, I.EXP), (I.STRICT_PSEUDO, I.PSEUDO),
+                              (I.STRICT_MONOTONE, I.MONOTONE)):
+            sat, cond = m[strict]
+            assert np.all(~(sat & cond & ok) | m[plain][0]), (ent.name, strict.value)
+            premises["strict"] += int(np.count_nonzero(sat & cond & ok))
+    assert all(premises.values()), premises
+    # no corpus sample falls in the band, but the band is real
+    edge = _gradient_row(TOL / 2, 0, 1.2 * TOL)
+    assert invex_masks(edge, I.EXP, CFG)[0].all() and not invex_masks(edge, I.QUASI, CFG)[0].any()
 
 
 # ---------------------------------------------------------------------------
