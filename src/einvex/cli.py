@@ -30,7 +30,6 @@ from .pareto import GridSpec, dump_csv, e_minimizer_check, grid_oracle, is_weak_
 from .problem import (SampleConfig, _jsonable, box_region, einvex_set_check, feasible_region,
                       load_problem, point_slacks, require_in_box)
 
-DEFAULT_SEED = SampleConfig().seed
 EXIT_BY_CONCLUSION = {
     "holds": 0, "pass": 0, "certified": 0,
     "fails": 1, "fail": 1, "not-established": 1, "infeasible": 1,
@@ -61,14 +60,14 @@ def _number(text, ok, rule, cast=float):
 
 
 def _eps(text):
-    """--eps of parse and oracle: a finite slack >= 0; a negative one would let
-    a point beat itself."""
+    """--eps of oracle: a finite slack >= 0; a negative one would let a point
+    beat itself."""
     return _number(text, lambda v: v >= 0.0, "finite and >= 0")
 
 
 def _positive(text):
-    """--delta, and --eps of a sampling command: finite and > 0, as SampleConfig
-    needs; an infinite margin would fail every strict kind."""
+    """--delta, and --eps of check, kkt and certify: finite and > 0, as
+    SampleConfig needs; an infinite margin would fail every strict kind."""
     return _number(text, lambda v: v > 0.0, "finite and > 0")
 
 
@@ -89,26 +88,26 @@ def build_parser() -> argparse.ArgumentParser:
 
     cfg = SampleConfig()  # the defaults of the sampling flags
 
-    def common(sp, sampling=True):
+    def common(sp, eps=_positive, sampling=True):  # --eps and the sampling flags where read
         sp.add_argument("problem", help="problem JSON file")
         sp.add_argument("--format", choices=("text", "json"), default="text")
-        sp.add_argument("--eps", type=_positive if sampling else _eps,
-                        default=cfg.tol if sampling else 1e-9,
-                        help="slack for non-strict comparisons (default 1e-9)")
+        if eps:
+            sp.add_argument("--eps", type=eps, default=cfg.tol,
+                            help="slack for non-strict comparisons (default 1e-9)")
         if sampling:
-            sp.add_argument("--seed", type=int, default=None,
-                            help=f"sampling seed (default: EINVEX_SEED or {DEFAULT_SEED})")
+            sp.add_argument("--seed", type=int, default=cfg.seed,
+                            help=f"sampling seed (default {cfg.seed})")
             sp.add_argument("--pairs", type=_at_least(1), default=cfg.n_pairs)
-            sp.add_argument("--tau", type=_at_least(3), default=cfg.n_tau,
-                            help="mixture weights per pair, anchors 0, 1/2, 1 included")
             sp.add_argument("--delta", type=_positive, default=cfg.strict_margin,
                             help="required margin for strict comparisons (default 1e-7)")
 
     sp = sub.add_parser("parse", help="parse and echo a problem file")
-    common(sp, sampling=False)
+    common(sp, eps=None, sampling=False)
 
     sp = sub.add_parser("check", help="run one sampled definition check")
     common(sp)
+    sp.add_argument("--tau", type=_at_least(3), default=cfg.n_tau,
+                    help="mixture weights per pair, anchors 0, 1/2, 1 included")
     sp.add_argument("--function", help="f1/g1/h1-style name (not needed for invex-set)")
     sp.add_argument("--kind", required=True, choices=CHECK_KINDS)
     sp.add_argument("--at", help="candidate name or comma-separated coordinates for the base point")
@@ -117,7 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="comma-separated positive thresholds for level-set checks")
 
     sp = sub.add_parser("kkt", help="solve or verify first-order multipliers")
-    common(sp)
+    common(sp, sampling=False)
     sp.add_argument("--candidate", required=True)
     sp.add_argument("--verify-supplied", action="store_true",
                     help="verify the multipliers stored on the candidate instead of solving")
@@ -130,7 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="take multipliers from the candidate instead of solving")
 
     sp = sub.add_parser("oracle", help="brute-force grid enumeration of (weak) Pareto sets")
-    common(sp, sampling=False)
+    common(sp, eps=_eps, sampling=False)
     sp.add_argument("--grid", default="33", help="points per axis, e.g. 41x41 or 33")
     sp.add_argument("--query", help="candidate name or coordinates: is this point weak Pareto?")
     sp.add_argument("--csv", help="write per-point classification to this CSV file")
@@ -167,9 +166,14 @@ def _parse_grid(text, n):
     return GridSpec(tuple(parts))
 
 
+_CONFIG_FIELDS = {"eps": "tol", "seed": "seed", "pairs": "n_pairs", "tau": "n_tau",
+                  "delta": "strict_margin"}  # flag -> SampleConfig field
+
+
 def _sample_config(ns) -> SampleConfig:
-    return SampleConfig(seed=ns.seed, n_pairs=ns.pairs, n_tau=ns.tau,
-                        tol=ns.eps, strict_margin=ns.delta)
+    """The flags the command declares; a field it takes no flag for keeps its default."""
+    return SampleConfig(**{field: getattr(ns, flag) for flag, field in _CONFIG_FIELDS.items()
+                           if hasattr(ns, flag)})
 
 
 def _digest(path):
@@ -181,10 +185,7 @@ def _digest(path):
 
 
 def _base_report(ns, extra_config):
-    cfgd = {"eps": ns.eps, "format": ns.format}
-    for key in ("seed", "pairs", "tau", "delta"):
-        if hasattr(ns, key):
-            cfgd[key] = getattr(ns, key)
+    cfgd = {key: getattr(ns, key) for key in ("format", *_CONFIG_FIELDS) if hasattr(ns, key)}
     cfgd.update(extra_config)
     return {
         "tool": {"name": "einvex", "version": __version__},
@@ -269,21 +270,20 @@ def _kkt_point_from_candidate(problem, cand):
 
 def _cmd_kkt(ns):
     problem = load_problem(ns.problem)
-    cfg = _sample_config(ns)
     cand = problem.candidate(ns.candidate)
     rep = _base_report(ns, {"candidate": ns.candidate, "verify_supplied": bool(ns.verify_supplied)})
 
     if ns.verify_supplied:
         point = _kkt_point_from_candidate(problem, cand)
-        res = verify_kkt_point(problem, point, cfg.tol)
+        res = verify_kkt_point(problem, point, ns.eps)
         payload = {"point": point, "residual": res}
         if res.passes:
             rep.update({"conclusion": "pass", **payload})
             return rep
         # surface the discrepancy: do consistent multipliers exist at all?
         try:
-            alt = solve_multipliers(problem, cand.x, cfg.tol)
-            alt_res = verify_kkt_point(problem, alt, cfg.tol)
+            alt = solve_multipliers(problem, cand.x, ns.eps)
+            alt_res = verify_kkt_point(problem, alt, ns.eps)
             payload["solved_alternative"] = {"point": alt, "residual": alt_res}
             payload["note"] = ("supplied multipliers fail the first-order system, but a "
                                "consistent multiplier vector exists at this point")
@@ -294,12 +294,12 @@ def _cmd_kkt(ns):
         return rep
 
     try:
-        point = solve_multipliers(problem, cand.x, cfg.tol)
+        point = solve_multipliers(problem, cand.x, ns.eps)
     except InfeasibleMultipliersError as e:
         rep.update({"conclusion": "infeasible",
                     "best_residual": e.best_residual, "note": str(e)})
         return rep
-    res = verify_kkt_point(problem, point, cfg.tol)
+    res = verify_kkt_point(problem, point, ns.eps)
     rep.update({"conclusion": "pass", "point": point, "residual": res})
     return rep
 
@@ -513,12 +513,6 @@ def run(argv=None):
         return 3, f"error: {e}"
     started = time.perf_counter()
     try:
-        if getattr(ns, "seed", 0) is None:  # only sampling commands take --seed
-            seed = os.environ.get("EINVEX_SEED", str(DEFAULT_SEED))
-            try:
-                ns.seed = int(seed)
-            except ValueError:
-                raise CliUsageError(f"EINVEX_SEED must be an integer, got {seed!r}") from None
         rep = HANDLERS[ns.command](ns)
     except CliUsageError as e:
         return 3, f"error: {e}"

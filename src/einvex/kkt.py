@@ -69,6 +69,10 @@ def verify_kkt_point(problem: EProblem, point: KktPoint, tol: float = 1e-9) -> K
     The check is scale-free: multiplying all multipliers by c > 0 scales
     the residuals by c and cannot flip any sign condition.  The point is
     admitted by point_slacks, whose g gives the complementarity residual.
+    Only the active inequalities (|g| <= tol) and those with a nonzero rho
+    are differentiated: an inactive one with rho = 0 drops out, so it need
+    not be differentiable at y (solve_multipliers likewise takes only the
+    active ones).
     """
     y = np.asarray(point.y, dtype=float)
     g, _ = point_slacks(problem, y, tol, "candidate")
@@ -77,8 +81,10 @@ def verify_kkt_point(problem: EProblem, point: KktPoint, tol: float = 1e-9) -> K
     rho = np.asarray(point.rho, dtype=float).reshape(m)
     xi = np.asarray(point.xi, dtype=float).reshape(q)
 
-    A = np.hstack([_gradient_columns(problem, y, problem.objectives),
-                   _gradient_columns(problem, y, problem.ineq),
+    used = np.flatnonzero((np.abs(g) <= tol) | (rho != 0.0))
+    G = np.zeros((problem.n, m))
+    G[:, used] = _gradient_columns(problem, y, [problem.ineq[k] for k in used])
+    A = np.hstack([_gradient_columns(problem, y, problem.objectives), G,
                    _gradient_columns(problem, y, problem.eq)])
     lam = np.concatenate([tau, rho, xi])
     stat = A @ lam

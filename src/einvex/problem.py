@@ -239,6 +239,13 @@ def _expect(cond, location, message):
         raise ProblemFormatError(location, message)
 
 
+def _known_keys(entry, keys, location):
+    """Refuse a key the loader does not read: a misspelled one would drop its data."""
+    unknown = [k for k in entry if k not in keys]
+    if unknown:
+        raise ProblemFormatError(location, f"unknown key {unknown[0]!r} (known: {', '.join(keys)})")
+
+
 def _parse_at(source, variables, location):
     _expect(isinstance(source, str), location, f"expected an expression string, got {type(source).__name__}")
     try:
@@ -264,6 +271,8 @@ def load_problem(source) -> EProblem:
         raise ProblemFormatError("problem", f"unsupported source type {type(source).__name__}")
 
     _expect(isinstance(data, dict), "problem", "top level must be an object")
+    _known_keys(data, ("n", "vars", "box", "E", "eta", "objectives", "ineq", "eq", "candidates"),
+                "problem")
     n = data.get("n")
     _expect(isinstance(n, int) and n >= 1, "n", "must be a positive integer")
     vars = data.get("vars", [f"x{j + 1}" for j in range(n)])
@@ -274,6 +283,7 @@ def load_problem(source) -> EProblem:
 
     box = data.get("box")
     _expect(isinstance(box, dict) and "lo" in box and "hi" in box, "box", "must carry 'lo' and 'hi' arrays")
+    _known_keys(box, ("lo", "hi"), "box")
     lo = np.asarray(box["lo"], dtype=float)
     hi = np.asarray(box["hi"], dtype=float)
     _expect(lo.shape == (n,) and hi.shape == (n,), "box", f"'lo' and 'hi' must have length {n}")
@@ -301,6 +311,7 @@ def load_problem(source) -> EProblem:
             if isinstance(entry, str):
                 entry = {"raw": entry}
             _expect(isinstance(entry, dict) and "raw" in entry, loc, "expected {'raw': ..., 'composed'?: ...}")
+            _known_keys(entry, ("raw", "composed"), loc)
             raw = _parse_at(entry["raw"], y_names, f"{loc}.raw")
             override = None
             if entry.get("composed") is not None:
@@ -320,6 +331,7 @@ def load_problem(source) -> EProblem:
     for idx, entry in enumerate(data.get("candidates", [])):
         loc = f"candidates[{idx}]"
         _expect(isinstance(entry, dict) and "x" in entry, loc, "expected {'name': ..., 'x': [...]}")
+        _known_keys(entry, ("name", "x", "tau", "rho", "xi"), loc)
         x = np.asarray(entry["x"], dtype=float)
         _expect(x.shape == (n,), f"{loc}.x", f"must have length {n}")
         name = entry.get("name", f"c{idx + 1}")
@@ -489,7 +501,7 @@ class PairDraw:
                                                          region, cfg.n_pairs)
         self.at = None if at is None else np.asarray(at, dtype=float).reshape(1, problem.n)
         self.taken = 0  # pairs handed out
-        self.centers = np.empty((0, problem.n))  # the first base points, kept by invex_pairs
+        self.centers = np.empty((0, problem.n))  # the first base points, kept by invex_block
 
 
 def sample_pairs(pairs: PairDraw, lo: int, hi: int):

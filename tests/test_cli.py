@@ -1,5 +1,6 @@
 """Command line surface: exit codes, JSON schema, determinism, error paths."""
 
+import argparse
 import importlib.metadata
 import importlib.resources
 import json
@@ -12,7 +13,7 @@ import sys
 
 import pytest
 
-from einvex.cli import EXIT_BY_CONCLUSION, run
+from einvex.cli import EXIT_BY_CONCLUSION, build_parser, run
 
 
 def _json(argv):
@@ -443,22 +444,63 @@ def test_a_point_flag_followed_by_an_option_is_a_usage_error(e1):
     assert code == 3 and "argument --at: expected one argument" in text
 
 
-def test_seed_env_must_be_an_integer(e1, monkeypatch):
-    monkeypatch.setenv("EINVEX_SEED", "abc")
-    code, text = run(["check", e1, "--function", "f1", "--kind", "invex", "--pairs", "300"])
-    assert code == 3 and text == "error: EINVEX_SEED must be an integer, got 'abc'"
-
-
-def test_seed_env_and_flag_precedence(e1, monkeypatch):
+def test_seed_is_the_flag_else_42_whatever_the_environment(e1, monkeypatch):
+    # a report depends only on its command line and its problem file: an
+    # EINVEX_SEED in the environment, integer or not, changes nothing
     argv = ["check", e1, "--function", "f1", "--kind", "quasi-invex",
             "--pairs", "500", "--format", "json"]
-    _, rep = _json(argv)
-    assert rep["config"]["seed"] == 42
-    monkeypatch.setenv("EINVEX_SEED", "7")
-    _, rep = _json(argv)
-    assert rep["config"]["seed"] == 7
-    _, rep = _json(argv + ["--seed", "9"])
-    assert rep["config"]["seed"] == 9
+    monkeypatch.delenv("EINVEX_SEED", raising=False)
+    plain, seeded = _stripped(argv), _stripped(argv + ["--seed", "9"])
+    assert json.loads(plain[1])["config"]["seed"] == 42
+    assert json.loads(seeded[1])["config"]["seed"] == 9
+    for value in ("abc", "7"):
+        monkeypatch.setenv("EINVEX_SEED", value)
+        assert _stripped(argv) == plain
+        assert _stripped(argv + ["--seed", "9"]) == seeded
+
+
+SETTINGS = {"eps", "seed", "pairs", "tau", "delta"}
+CONFIG_ARGV = {  # one run per command, with every optional setting it echoes
+    "parse": ["parse", "{e1}"],
+    "check": ["check", "{e1}", "--function", "f1", "--kind", "level-set", "--levels", "1",
+              "--pairs", "300"],
+    "kkt": ["kkt", "{vp1}", "--candidate", "ybar"],
+    "certify": ["certify", "{vp1}", "--candidate", "ybar", "--theorem", "t4", "--pairs", "300"],
+    "oracle": ["oracle", "{e1}", "--grid", "11", "--minimizer", "f1", "--at", "xbar"],
+}
+
+
+def _declared(command):
+    """The dests of the options a subcommand declares, without help and the problem."""
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {a.dest for a in sub.choices[command]._actions} - {"help", "problem"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["kkt", "{vp1}", "--candidate", "ybar", "--pairs", "10"],
+    ["kkt", "{vp1}", "--candidate", "ybar", "--seed", "1"],
+    ["kkt", "{vp1}", "--candidate", "ybar", "--tau", "4"],
+    ["kkt", "{vp1}", "--candidate", "ybar", "--delta", "1e-6"],
+    ["certify", "{vp1}", "--candidate", "ybar", "--theorem", "t4", "--tau", "4"],
+    ["parse", "{vp1}", "--eps", "0"],
+], ids=["kkt-pairs", "kkt-seed", "kkt-tau", "kkt-delta", "certify-tau", "parse-eps"])
+def test_a_command_takes_only_the_settings_it_reads(vp1, argv):
+    code, text = run([a.format(vp1=vp1) for a in argv])
+    assert code == 3 and text.startswith("error: unrecognized arguments: "), text
+
+
+@pytest.mark.parametrize("command", sorted(CONFIG_ARGV))
+def test_config_echoes_the_settings_a_command_declares(e1, vp1, command):
+    argv = [a.format(e1=e1, vp1=vp1) for a in CONFIG_ARGV[command]]
+    code, rep = _json(argv + ["--format", "json"])
+    assert code in (0, 1), rep
+    declared, config = _declared(command), set(rep["config"])
+    assert config <= declared
+    assert config & SETTINGS == declared & SETTINGS
+    if command != "oracle":  # --csv, --query and --minimizer are modes, echoed when given
+        assert config == declared
+    if command == "kkt":
+        assert declared == {"format", "eps", "candidate", "verify_supplied"}
 
 
 def test_closed_stdout_exits_quietly_with_the_verdict_code(e1):

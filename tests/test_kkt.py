@@ -167,6 +167,26 @@ def test_inactive_constraint_multiplier_is_exactly_zero():
     assert rep.r_complementarity == 0.0
 
 
+def test_an_inactive_constraint_may_have_a_kink(tmp_path, fast_cfg):
+    # |y1| - 0.5 <= 0 is inactive at 0 and not differentiable there; the
+    # first-order system does not need its gradient, as rho = 0 drops it
+    d = {"n": 1, "E": ["x1"], "eta": ["u1 - v1"], "box": {"lo": [-1], "hi": [1]},
+         "objectives": ["y1^2"], "ineq": ["sqrt(y1^2) - 0.5"],
+         "candidates": [{"name": "o", "x": [0.0]}]}
+    p = load_problem(d)
+    pt = solve_multipliers(p, [0.0])
+    assert pt.rho.tolist() == [0.0]
+    assert verify_kkt_point(p, pt).passes
+    assert certify(p, pt, "t4", fast_cfg).conclusion == "certified"
+    # a nonzero rho still needs the gradient, and fails complementarity besides
+    with pytest.raises(EinvexError, match="non-differentiable"):
+        verify_kkt_point(p, KktPoint(pt.y, pt.tau, np.array([1.0]), pt.xi))
+    path = tmp_path / "kink.json"
+    path.write_text(json.dumps(d))
+    code, text = run(["kkt", str(path), "--candidate", "o", "--format", "json"])
+    assert code == 0 and json.loads(text)["point"]["rho"] == [0.0]
+
+
 def test_interior_point_of_conflicting_increasing_objectives(vp1):
     # strictly positive objective gradients and no active constraint: the
     # best simplex combination leaves the smaller gradient, norm 1/4

@@ -138,6 +138,21 @@ def test_load_rejects_malformed_input_with_location(mutate, location):
     assert str(exc.value).startswith(location + ":")
 
 
+@pytest.mark.parametrize("mutate, location, key", [
+    ({"inequalities": ["-y1"]}, "problem", "inequalities"),
+    ({"box": {"lo": [-1.0], "hi": [1.0], "high": [2.0]}}, "box", "high"),
+    ({"ineq": [{"raw": "-y1", "compose": "-x1"}]}, "ineq[0]", "compose"),
+    ({"candidates": [{"name": "o", "x": [0.0], "lambda": [1.0]}]}, "candidates[0]", "lambda"),
+])
+def test_load_refuses_unknown_keys(mutate, location, key):
+    # a misspelled key would otherwise drop its data: the constraint above,
+    # ignored, let the oracle report -1 as the Pareto point of min y1
+    with pytest.raises(ProblemFormatError) as exc:
+        load_problem(_prob(**mutate))
+    assert exc.value.location == location
+    assert str(exc.value).startswith(f"{location}: unknown key {key!r}")
+
+
 def test_load_file_errors(tmp_path):
     with pytest.raises(ProblemFormatError) as exc:
         load_problem(tmp_path / "missing.json")

@@ -274,7 +274,7 @@ def test_checked_follows_from_the_witness_index():
     for name, argv in sorted(COMMANDS.items()):
         report = json.loads((GOLDEN / f"{name}.json").read_text())["report"]
         config = report["config"]
-        n, k = config.get("pairs"), config.get("tau")
+        n, k = config.get("pairs"), config.get("tau", CFG.n_tau)  # certify draws no tau
         pinned = report.get("certificate", {}).get("point", {}).get("y") or config.get("at")
         for kind, v in _verdicts(report):
             if v["status"] == "holds" or "witness" not in v:
