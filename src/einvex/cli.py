@@ -67,7 +67,9 @@ def _eps(text):
 
 def _positive(text):
     """--delta, and --eps of check, kkt and certify: finite and > 0, as
-    SampleConfig needs; an infinite margin would fail every strict kind."""
+    SampleConfig needs; an infinite margin would fail every strict kind.  The
+    value is checked wherever given; only a strict check kind or theorem t5
+    reads --delta, and any other run refuses it (_sample_config)."""
     return _number(text, lambda v: v > 0.0, "finite and > 0")
 
 
@@ -98,7 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--seed", type=int, default=cfg.seed,
                             help=f"sampling seed (default {cfg.seed})")
             sp.add_argument("--pairs", type=_at_least(1), default=cfg.n_pairs)
-            sp.add_argument("--delta", type=_positive, default=cfg.strict_margin,
+            sp.add_argument("--delta", type=_positive,  # None when not given: see _sample_config
                             help="required margin for strict comparisons (default 1e-7)")
 
     sp = sub.add_parser("parse", help="parse and echo a problem file")
@@ -106,8 +108,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("check", help="run one sampled definition check")
     common(sp)
-    sp.add_argument("--tau", type=_at_least(3), default=cfg.n_tau,
-                    help="mixture weights per pair, anchors 0, 1/2, 1 included")
+    sp.add_argument("--tau", type=_at_least(3),
+                    help=f"mixture weights per pair, anchors 0, 1/2, 1 included (default {cfg.n_tau})")
     sp.add_argument("--function", help="f1/g1/h1-style name (not needed for invex-set)")
     sp.add_argument("--kind", required=True, choices=CHECK_KINDS)
     sp.add_argument("--at", help="candidate name or comma-separated coordinates for the base point")
@@ -168,12 +170,49 @@ def _parse_grid(text, n):
 
 _CONFIG_FIELDS = {"eps": "tol", "seed": "seed", "pairs": "n_pairs", "tau": "n_tau",
                   "delta": "strict_margin"}  # flag -> SampleConfig field
+_BY_KIND = ("tau", "delta", "at", "levels", "function")  # read or not by the kind or theorem
+_UNREAD = {  # why a run does not read the flag
+    "tau": "--tau sets the mixture weights of E(x0) + tau*eta; {what} draws none",
+    "delta": "--delta is the margin of strict comparisons; {what} makes none",
+    "at": "--at pins the base point of the gradient family; {what} has none",
+    "levels": "--levels applies to kind level-set only",
+    "function": "{what} checks the region itself and takes no --function",
+}
 
 
-def _sample_config(ns) -> SampleConfig:
-    """The flags the command declares; a field it takes no flag for keeps its default."""
-    return SampleConfig(**{field: getattr(ns, flag) for flag, field in _CONFIG_FIELDS.items()
-                           if hasattr(ns, flag)})
+def _check_reads(kind) -> set:
+    """The flags of _BY_KIND a check of this kind reads: --function for all but
+    invex-set, --at for the gradient family, --tau for every other kind (they
+    sample E(x0) + tau*eta), --delta for a strict kind, --levels for level-set."""
+    if kind in INVEX_KINDS:
+        return {"function", "at"} | ({"delta"} if InvexKind(kind).strict else set())
+    reads = {"tau"} if kind == "invex-set" else {"tau", "function"}
+    if kind in PREINVEX_KINDS and PreinvexKind(kind).strict:
+        reads.add("delta")
+    if kind == "level-set":
+        reads.add("levels")
+    return reads
+
+
+def _sample_config(ns):
+    """The SampleConfig of a check or certify run, and the settings it echoes:
+    --eps, --seed, --pairs and the flags of _BY_KIND the run reads, an unset
+    one at its default.  A flag of _BY_KIND given but not read is refused,
+    not dropped."""
+    if ns.command == "check":
+        reads, what = _check_reads(ns.kind), ns.kind
+    else:  # a theorem reads --delta when one of its hypotheses is strict
+        spec = THEOREMS[ns.theorem]
+        strict = spec["objectives"].strict or spec["constraints"].strict
+        reads, what = ({"delta"} if strict else set()), f"theorem {ns.theorem}"
+    for flag in _BY_KIND:
+        if getattr(ns, flag, None) is not None and flag not in reads:
+            raise CliUsageError(_UNREAD[flag].format(what=what))
+    cfg = SampleConfig(**{field: getattr(ns, flag) for flag, field in _CONFIG_FIELDS.items()
+                          if getattr(ns, flag, None) is not None})
+    echo = {flag: getattr(cfg, field) for flag, field in _CONFIG_FIELDS.items()
+            if flag in ("eps", "seed", "pairs") or flag in reads}
+    return cfg, echo
 
 
 def _digest(path):
@@ -184,14 +223,12 @@ def _digest(path):
         return None
 
 
-def _base_report(ns, extra_config):
-    cfgd = {key: getattr(ns, key) for key in ("format", *_CONFIG_FIELDS) if hasattr(ns, key)}
-    cfgd.update(extra_config)
+def _base_report(ns, config):
     return {
         "tool": {"name": "einvex", "version": __version__},
         "command": ns.command,
         "problem": {"path": ns.problem, "sha256": _digest(ns.problem)},
-        "config": cfgd,
+        "config": {"format": ns.format, **config},
     }
 
 
@@ -219,21 +256,14 @@ def _cmd_parse(ns):
 
 def _cmd_check(ns):
     kind = ns.kind
-    # a flag the chosen kind would ignore is refused, not dropped
-    if ns.function and kind == "invex-set":
-        raise CliUsageError("invex-set checks the region itself and takes no --function")
-    if ns.at and kind not in INVEX_KINDS:
-        raise CliUsageError(f"--at pins the base point of the gradient family; {kind} has none")
-    if ns.levels and kind != "level-set":
-        raise CliUsageError("--levels applies to kind level-set only")
+    cfg, echo = _sample_config(ns)
     problem = load_problem(ns.problem)
-    cfg = _sample_config(ns)
     region = feasible_region(problem, cfg.tol) if ns.region == "feasible" else box_region(problem, cfg.tol)
-    at = require_in_box(problem, _resolve_point(problem, ns.at), "--at point") if ns.at else None
+    at = None if ns.at is None else require_in_box(problem, _resolve_point(problem, ns.at), "--at point")
     if at is not None and ns.region == "feasible":  # the rule of the region sampled
         point_slacks(problem, at, cfg.tol, "--at point")
-    extra = {"kind": kind, "function": ns.function, "at": None if at is None else list(map(float, at)),
-             "region": ns.region}
+    extra = {**echo, "kind": kind, "function": ns.function,
+             "at": None if at is None else list(map(float, at)), "region": ns.region}
 
     if kind == "invex-set":
         verdict = einvex_set_check(problem, cfg, region=region)
@@ -271,7 +301,8 @@ def _kkt_point_from_candidate(problem, cand):
 def _cmd_kkt(ns):
     problem = load_problem(ns.problem)
     cand = problem.candidate(ns.candidate)
-    rep = _base_report(ns, {"candidate": ns.candidate, "verify_supplied": bool(ns.verify_supplied)})
+    rep = _base_report(ns, {"eps": ns.eps, "candidate": ns.candidate,
+                            "verify_supplied": bool(ns.verify_supplied)})
 
     if ns.verify_supplied:
         point = _kkt_point_from_candidate(problem, cand)
@@ -305,10 +336,10 @@ def _cmd_kkt(ns):
 
 
 def _cmd_certify(ns):
+    cfg, echo = _sample_config(ns)
     problem = load_problem(ns.problem)
-    cfg = _sample_config(ns)
     cand = problem.candidate(ns.candidate)
-    rep = _base_report(ns, {"candidate": ns.candidate, "theorem": ns.theorem,
+    rep = _base_report(ns, {**echo, "candidate": ns.candidate, "theorem": ns.theorem,
                             "use_supplied": bool(ns.use_supplied)})
     if ns.use_supplied:
         point_slacks(problem, cand.x, cfg.tol, "candidate")  # refused as the solve path refuses it
@@ -328,7 +359,7 @@ def _cmd_certify(ns):
 def _cmd_oracle(ns):
     problem = load_problem(ns.problem)
     grid = _parse_grid(ns.grid, problem.n)
-    rep = _base_report(ns, {"grid": "x".join(str(c) for c in grid.counts)})
+    rep = _base_report(ns, {"eps": ns.eps, "grid": "x".join(str(c) for c in grid.counts)})
     # a flag the chosen mode would ignore is refused, not dropped
     if ns.minimizer and not ns.at:
         raise CliUsageError("--minimizer requires --at")

@@ -187,7 +187,10 @@ def parse(source: str, variables: Sequence[str]) -> Expr:
     def parse_atom():
         kind, text, pos = lex.take()
         if kind == "num":
-            return Const(float(text))
+            value = float(text)
+            if not np.isfinite(value):  # 1e999 reads as inf, which to_source cannot print back
+                raise ParseError(f"number {text!r} overflows to {value}", pos + 1)
+            return Const(value)
         if kind == "name":
             nxt, _, _ = lex.peek()
             if nxt == "(":

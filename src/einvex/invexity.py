@@ -67,6 +67,11 @@ class InvexKind(str, Enum):
         """Judged on the monotone term, which takes the gradient at x too."""
         return self in (InvexKind.MONOTONE, InvexKind.STRICT_MONOTONE)
 
+    @property
+    def strict(self) -> bool:
+        """Compared against the margin, not the tolerance."""
+        return self in PROBED_KINDS
+
 
 # the strict gradient kinds, which also take the probes
 PROBED_KINDS = (InvexKind.STRICT, InvexKind.STRICT_PSEUDO, InvexKind.STRICT_MONOTONE)
@@ -362,7 +367,7 @@ def invex_masks(s: InvexSamples, kind: InvexKind, cfg: SampleConfig):
     """Per-sample (satisfied, nonvacuous) masks for one of the seven kinds.
 
     Every kind is the one comparison left >= right + need, with need -tol,
-    or +margin for a strict kind (PROBED_KINDS).  The sides are expm1(A - B)
+    or +margin for a strict kind.  The sides are expm1(A - B)
     against D for (strict-)invex, normalized by exp(B); 0 against D for the
     quasi and pseudo kinds; and the monotone term, normalized by
     exp(max(A, B)), against 0.  The quasi and pseudo antecedents and, for a
@@ -370,8 +375,7 @@ def invex_masks(s: InvexSamples, kind: InvexKind, cfg: SampleConfig):
     holds vacuously.
     """
     kind, tol = InvexKind(kind), cfg.tol
-    strict = kind in PROBED_KINDS
-    cond = _apart(s.X, s.X0, tol) if strict else None
+    cond = _apart(s.X, s.X0, tol) if kind.strict else None
     if kind.monotone:
         left, right = _monotone_term(s), 0.0
     elif kind in (InvexKind.EXP, InvexKind.STRICT):
@@ -381,7 +385,7 @@ def invex_masks(s: InvexSamples, kind: InvexKind, cfg: SampleConfig):
         left, right = 0.0, s.D
         ante = s.A < s.B - tol if kind == InvexKind.PSEUDO else s.A <= s.B + tol
         cond = ante if cond is None else ante & cond
-    sat = left >= right + (cfg.strict_margin if strict else -tol)
+    sat = left >= right + (cfg.strict_margin if kind.strict else -tol)
     if cond is None:
         return sat, np.ones_like(sat)
     return ~cond | sat, cond
@@ -412,7 +416,7 @@ def _invex_witness(kind: InvexKind, s: InvexSamples, i: int) -> dict:
     """The witness fields of row i, from the values its block judged."""
     a, b, d = float(s.A[i]), float(s.B[i]), float(s.D[i])
     probe = bool(s.index[i] >= s.n_regular)
-    cmp = "strict gap below margin" if kind in PROBED_KINDS else "left < right beyond tol"
+    cmp = "strict gap below margin" if kind.strict else "left < right beyond tol"
     if kind in (InvexKind.EXP, InvexKind.STRICT):
         eb = _exp_or_inf(b)
         with np.errstate(over="ignore"):

@@ -224,6 +224,9 @@ def grid_oracle(problem: EProblem, grid: Optional[GridSpec] = None, tol: float =
         raise InfeasiblePointError("no feasible grid point at this resolution; refine the grid")
     report = GridReport(pts, keep, F, bad, np.zeros_like(keep), np.zeros_like(keep), tol)
     cmp = report.compared
+    if not cmp.any():  # a pass with no point compared would claim nothing
+        raise InfeasiblePointError("the objectives fail to evaluate at every feasible grid point; "
+                                   "nothing to compare")
     report.weak_mask[cmp], report.pareto_mask[cmp] = skyline_masks(F[cmp], tol)
     return report
 

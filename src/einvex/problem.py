@@ -278,6 +278,7 @@ def load_problem(source) -> EProblem:
     vars = data.get("vars", [f"x{j + 1}" for j in range(n)])
     _expect(isinstance(vars, list) and len(vars) == n and all(isinstance(v, str) for v in vars),
             "vars", f"must list {n} variable names")
+    _expect(len(set(vars)) == n, "vars", f"names must be distinct, got {vars}")
     y_names = [f"y{j + 1}" for j in range(n)]
     uv_names = [f"u{j + 1}" for j in range(n)] + [f"v{j + 1}" for j in range(n)]
 
@@ -327,14 +328,19 @@ def load_problem(source) -> EProblem:
     ineq = build_group("ineq", "g", required=False)
     eq = build_group("eq", "h", required=False)
 
+    entries = data.get("candidates", [])
+    _expect(isinstance(entries, list), "candidates", "must be a list")
     candidates = []
-    for idx, entry in enumerate(data.get("candidates", [])):
+    for idx, entry in enumerate(entries):
         loc = f"candidates[{idx}]"
         _expect(isinstance(entry, dict) and "x" in entry, loc, "expected {'name': ..., 'x': [...]}")
         _known_keys(entry, ("name", "x", "tau", "rho", "xi"), loc)
         x = np.asarray(entry["x"], dtype=float)
         _expect(x.shape == (n,), f"{loc}.x", f"must have length {n}")
         name = entry.get("name", f"c{idx + 1}")
+        _expect(isinstance(name, str), f"{loc}.name", "must be a string")
+        # a second candidate of one name could never be reached by name
+        _expect(all(c.name != name for c in candidates), f"{loc}.name", f"duplicate name {name!r}")
 
         def opt_vec(key, length):
             if entry.get(key) is None:

@@ -154,8 +154,8 @@ def test_json_report_schema(e1):
     assert rep["problem"]["path"] == e1
     assert len(rep["problem"]["sha256"]) == 64
     cfg = rep["config"]
-    assert cfg["seed"] == 42 and cfg["pairs"] == 500 and cfg["tau"] == 8
-    assert cfg["eps"] == 1e-9 and cfg["delta"] == 1e-7 and "threads" not in cfg
+    assert cfg["seed"] == 42 and cfg["pairs"] == 500 and cfg["eps"] == 1e-9
+    assert "tau" not in cfg and "delta" not in cfg and "threads" not in cfg  # invex reads neither
     assert cfg["kind"] == "invex" and cfg["function"] == "f1"
     assert rep["conclusion"] == "fails"
     w = rep["verdict"]["witness"]
@@ -341,8 +341,10 @@ def test_check_at_is_admitted_by_the_rule_of_its_region(e1, vp1_path, tmp_path):
     (["--function", "f1", "--kind", "preinvex", "--naive"], "unrecognized arguments: --naive"),
     (["--function", "f1", "--kind", "quasi-preinvex", "--levels", "1"], "--levels applies to"),
     (["--function", "f1", "--kind", "invex-set"], "takes no --function"),
+    (["--function", "f1", "--kind", "invex", "--tau", "4"], "invex draws none"),
+    (["--function", "f1", "--kind", "preinvex", "--delta", "1e-6"], "preinvex makes none"),
 ], ids=["at-preinvex", "at-epigraph", "naive-preinvex", "levels-quasi-preinvex",
-        "function-invex-set"])
+        "function-invex-set", "tau-invex", "delta-preinvex"])
 def test_check_refuses_flags_its_kind_ignores(e1, argv, message):
     code, text = run(["check", e1, *argv, "--pairs", "300"])
     assert code == 3 and message in text
@@ -352,16 +354,40 @@ GRADIENT_KINDS = ("invex", "strict-invex", "quasi-invex", "pseudo-invex", "stric
                   "monotone-gradient", "strict-monotone-gradient")
 OTHER_KINDS = ("preinvex", "strict-preinvex", "quasi-preinvex", "strict-quasi-preinvex",
                "epigraph", "level-set", "invex-set")
+THEOREM_NAMES = ("t4", "t5", "t6", "remark")
+READ_BY = {  # flag -> the check kinds and certify theorems that read it
+    "--at": set(GRADIENT_KINDS),
+    "--tau": set(OTHER_KINDS),
+    "--delta": {k for k in GRADIENT_KINDS + OTHER_KINDS if k.startswith("strict-")} | {"t5"},
+    "--levels": {"level-set"},
+    "--function": set(GRADIENT_KINDS + OTHER_KINDS) - {"invex-set"},
+}
+FLAG_VALUES = {"--at": ("-3", [-3.0]), "--tau": ("4", 4), "--delta": ("1e-6", 1e-6),
+               "--levels": ("1", [1.0]), "--function": ("f1", "f1")}  # given, echoed
+FLAG_CASES = [(flag, kind) for flag in FLAG_VALUES for kind in GRADIENT_KINDS + OTHER_KINDS]
+FLAG_CASES += [("--delta", theorem) for theorem in THEOREM_NAMES]
 
 
-@pytest.mark.parametrize("kind", GRADIENT_KINDS + OTHER_KINDS)
-def test_at_goes_with_exactly_the_gradient_kinds(e1, kind):
-    fn = [] if kind == "invex-set" else ["--function", "f1"]
-    code, text = run(["check", e1, *fn, "--kind", kind, "--at", "-3", "--pairs", "50"])
-    if kind in GRADIENT_KINDS:
-        assert code != 3, text
+@pytest.mark.parametrize("flag,target", FLAG_CASES,
+                         ids=[t if f == "--at" else f"{f[2:]}-{t}" for f, t in FLAG_CASES])
+def test_at_goes_with_exactly_the_gradient_kinds(e1, vp1, flag, target):
+    # (named for its first flag, whose rows keep their ids) a check kind or a
+    # certify theorem takes exactly the flags it reads: one it reads is echoed
+    # in config, any other exits 3 naming the flag and the kind or theorem
+    if target in THEOREM_NAMES:
+        argv = ["certify", vp1, "--candidate", "ybar", "--theorem", target]
     else:
-        assert code == 3 and f"{kind} has none" in text
+        fn = [] if target == "invex-set" or flag == "--function" else ["--function", "f1"]
+        argv = ["check", e1, *fn, "--kind", target]
+    given, echoed = FLAG_VALUES[flag]
+    code, text = run([*argv, flag, given, "--pairs", "50", "--format", "json"])
+    if target in READ_BY[flag]:
+        assert code != 3, text
+        assert json.loads(text)["config"][flag[2:]] == echoed
+    else:
+        assert code == 3 and flag in text, text
+        named = {"--at": f"{target} has none", "--levels": "level-set only"}.get(flag, target)
+        assert named in text, text
 
 
 def test_check_help_lists_the_kinds_in_order(capsys):
@@ -460,13 +486,14 @@ def test_seed_is_the_flag_else_42_whatever_the_environment(e1, monkeypatch):
 
 
 SETTINGS = {"eps", "seed", "pairs", "tau", "delta"}
-CONFIG_ARGV = {  # one run per command, with every optional setting it echoes
-    "parse": ["parse", "{e1}"],
-    "check": ["check", "{e1}", "--function", "f1", "--kind", "level-set", "--levels", "1",
-              "--pairs", "300"],
-    "kkt": ["kkt", "{vp1}", "--candidate", "ybar"],
-    "certify": ["certify", "{vp1}", "--candidate", "ybar", "--theorem", "t4", "--pairs", "300"],
-    "oracle": ["oracle", "{e1}", "--grid", "11", "--minimizer", "f1", "--at", "xbar"],
+CONFIG_ARGV = {  # one run per command, with the settings of SETTINGS that run reads
+    "parse": (["parse", "{e1}"], set()),
+    "check": (["check", "{e1}", "--function", "f1", "--kind", "level-set", "--levels", "1",
+               "--pairs", "300"], {"eps", "seed", "pairs", "tau"}),  # level-set is not strict
+    "kkt": (["kkt", "{vp1}", "--candidate", "ybar"], {"eps"}),
+    "certify": (["certify", "{vp1}", "--candidate", "ybar", "--theorem", "t4", "--pairs", "300"],
+                {"eps", "seed", "pairs"}),  # t4 has no strict hypothesis
+    "oracle": (["oracle", "{e1}", "--grid", "11", "--minimizer", "f1", "--at", "xbar"], {"eps"}),
 }
 
 
@@ -491,14 +518,18 @@ def test_a_command_takes_only_the_settings_it_reads(vp1, argv):
 
 @pytest.mark.parametrize("command", sorted(CONFIG_ARGV))
 def test_config_echoes_the_settings_a_command_declares(e1, vp1, command):
-    argv = [a.format(e1=e1, vp1=vp1) for a in CONFIG_ARGV[command]]
-    code, rep = _json(argv + ["--format", "json"])
+    # (named for its old rule) config echoes exactly the settings the run
+    # reads, an unset --tau or --delta at its default; the others it declares
+    argv, reads = CONFIG_ARGV[command]
+    code, rep = _json([a.format(e1=e1, vp1=vp1) for a in argv] + ["--format", "json"])
     assert code in (0, 1), rep
     declared, config = _declared(command), set(rep["config"])
     assert config <= declared
-    assert config & SETTINGS == declared & SETTINGS
+    assert config & SETTINGS == reads
     if command != "oracle":  # --csv, --query and --minimizer are modes, echoed when given
-        assert config == declared
+        assert config == declared - (SETTINGS - reads)
+    if "tau" in reads:
+        assert rep["config"]["tau"] == 8
     if command == "kkt":
         assert declared == {"format", "eps", "candidate", "verify_supplied"}
 

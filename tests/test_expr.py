@@ -112,6 +112,7 @@ def test_parse_negative_exponent():
         ("1 + ", 5, "expected a value"),
         ("x1 x1", 4, "trailing input"),
         ("(x1))", 5, "trailing input"),
+        ("x1 + 1e999", 6, "number '1e999' overflows to inf"),
     ],
 )
 def test_parse_errors_carry_one_based_offsets(source, offset, fragment):

@@ -1,6 +1,7 @@
 """Brute-force grid oracle: dominance, queries, minimizer check, CSV dump."""
 
 import csv
+import json
 import math
 import tracemalloc
 from pathlib import Path
@@ -8,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from einvex.cli import run
 from einvex.errors import GridGuardError, InfeasiblePointError
 from einvex import pareto
 from einvex.pareto import (
@@ -258,6 +260,19 @@ def test_no_feasible_grid_point_is_an_error():
     with pytest.raises(InfeasiblePointError) as exc:
         grid_oracle(p, GridSpec((5,)))
     assert "refine the grid" in str(exc.value)
+
+
+def test_no_compared_grid_point_is_an_error(tmp_path):
+    # every feasible point fails log(y1) on [-1, 0]: the oracle answered
+    # "pass" with "5 points, 0 feasible; pareto 0, weak pareto 0"
+    with pytest.raises(InfeasiblePointError) as exc:
+        grid_oracle(_line(["log(y1)"], lo=-1.0, hi=0.0), GridSpec((5,)))
+    assert "fail to evaluate at every feasible grid point" in str(exc.value)
+    path = tmp_path / "log.json"
+    path.write_text(json.dumps({"n": 1, "E": ["x1"], "eta": ["u1 - v1"], "objectives": ["log(y1)"],
+                                "box": {"lo": [-1], "hi": [0]}}))
+    code, text = run(["oracle", str(path), "--grid", "5"])
+    assert code == 3 and "fail to evaluate at every feasible grid point" in text
 
 
 # ---------------------------------------------------------------------------

@@ -153,6 +153,29 @@ def test_load_refuses_unknown_keys(mutate, location, key):
     assert str(exc.value).startswith(f"{location}: unknown key {key!r}")
 
 
+@pytest.mark.parametrize("mutate, location, message", [
+    ({"candidates": None}, "candidates", "must be a list"),
+    ({"candidates": {"a": 1}}, "candidates", "must be a list"),
+    ({"n": 2, "vars": ["x", "x"]}, "vars", "names must be distinct"),
+    ({"candidates": [{"name": "a", "x": [0.0]}, {"name": "a", "x": [0.5]}]},
+     "candidates[1].name", "duplicate name 'a'"),
+    ({"candidates": [{"x": [0.0]}, {"name": "c1", "x": [0.5]}]},
+     "candidates[1].name", "duplicate name 'c1'"),
+    ({"candidates": [{"name": 5, "x": [0.0]}]}, "candidates[0].name", "must be a string"),
+    ({"objectives": ["y1 + 1e999"]}, "objectives[0].raw", "overflows to inf"),
+], ids=["candidates-null", "candidates-object", "duplicate-vars", "duplicate-candidates",
+        "duplicate-default-name", "candidate-name-number", "overflowing-literal"])
+def test_load_refuses_input_it_would_misread(mutate, location, message):
+    # each loaded before, or crashed: None with a TypeError, the object as
+    # "candidates[0]: expected {...}", the vars with x bound to the second
+    # column only, a second candidate that no name could reach, and the
+    # literal as Const(inf), whose printing raised OverflowError
+    with pytest.raises(ProblemFormatError) as exc:
+        load_problem(_prob(**mutate))
+    assert exc.value.location == location
+    assert message in str(exc.value)
+
+
 def test_load_file_errors(tmp_path):
     with pytest.raises(ProblemFormatError) as exc:
         load_problem(tmp_path / "missing.json")

@@ -24,7 +24,7 @@ from einvex.invexity import (PROBE_CENTERS, InvexKind, PreinvexKind, _probe_poin
                              check_invex_many, check_preinvex, epigraph_invex_check,
                              level_set_invex_check)
 from einvex.kkt import THEOREMS, certify, solve_multipliers
-from einvex.problem import (MAX_ROUNDS, Region, RegionDraw, _jsonable,
+from einvex.problem import (MAX_ROUNDS, Region, RegionDraw, SampleConfig, _jsonable,
                             box_region, einvex_set_check, feasible_region, load_problem,
                             sample_region, sampled_verdict)
 from einvex.rng import SampleStream
@@ -274,13 +274,14 @@ def test_checked_follows_from_the_witness_index():
     for name, argv in sorted(COMMANDS.items()):
         report = json.loads((GOLDEN / f"{name}.json").read_text())["report"]
         config = report["config"]
-        n, k = config.get("pairs"), config.get("tau", CFG.n_tau)  # certify draws no tau
+        # a run echoes --tau and --delta only where it reads them, else keeps the default
+        n, k = config.get("pairs"), config.get("tau", SampleConfig.n_tau)
         pinned = report.get("certificate", {}).get("point", {}).get("y") or config.get("at")
         for kind, v in _verdicts(report):
             if v["status"] == "holds" or "witness" not in v:
                 continue
             cfg = replace(CFG, seed=config["seed"], n_pairs=n, n_tau=k, tol=config["eps"],
-                          strict_margin=config["delta"])
+                          strict_margin=config.get("delta", SampleConfig.strict_margin))
             assert v["checked"] == _expected_checked(
                 kind, v["witness"]["index"], n, k, pinned,
                 lambda: _n_probes(argv, report, cfg, pinned),
