@@ -490,8 +490,9 @@ def _render_text(rep):
         if m.get("witness"):
             lines.append(f"  better grid point: {m['witness']}")
     if "pareto_count" in rep:
-        lines.append(f"grid: {rep['grid_points']} points, {rep['feasible_points']} feasible; "
-                     f"pareto {rep['pareto_count']}, weak pareto {rep['weak_pareto_count']}")
+        failed = f" ({rep['failed_points']} failed to evaluate)" if rep["failed_points"] else ""
+        lines.append(f"grid: {rep['grid_points']} points, {rep['feasible_points']} feasible"
+                     f"{failed}; pareto {rep['pareto_count']}, weak pareto {rep['weak_pareto_count']}")
         cap = 20
         pp = rep.get("pareto_points", [])
         for row in pp[:cap]:

@@ -20,8 +20,12 @@ N |M| at MAX_COMPARISONS, checked while M grows.
 The grid is the box lattice plus the candidates and the query point that
 are not lattice points; a point outside the box has no verdict and is
 refused (problem.require_in_box), and a query point must also be feasible
-(problem.point_slacks).  A point query is one masked pass over the whole
-grid, with no copies of the point or objective rows.
+(problem.point_slacks).  A point query and the minimizer check walk the
+grid in grid order, one block at a time: a block is a run of whole slabs of
+the leading axis, at most _QUERY_ROWS points and always at least one slab,
+and the off-lattice points follow the lattice as one last block.  A query
+stops at the first block that holds a dominating point, and neither check
+holds more than one block of points and values at once.
 """
 
 from __future__ import annotations
@@ -43,6 +47,7 @@ MAX_COMPARISONS = 20_000 ** 2  # feasible points times minimal objective rows
 _BLOCK = 256                   # sorted rows per block of the minimal-set filter
 _CHUNK = 1 << 22               # comparison cells per block of the final test
 _CSV_ROWS = 1 << 16            # grid rows formatted per write of dump_csv
+_QUERY_ROWS = 1 << 15          # grid points per block of a query or minimizer check
 LIST_CAP = 1000                # points listed per set in a grid report
 
 
@@ -64,37 +69,108 @@ class GridSpec:
         return GridSpec(tuple([count] * n))
 
 
-def build_grid(problem: EProblem, grid: GridSpec, extra_points=None) -> np.ndarray:
-    """Cartesian grid over the box in C order, then the candidates and
-    extra_points that are not lattice points, each once.
+def _counts(problem: EProblem, grid: GridSpec) -> list:
+    if len(grid.counts) != problem.n:
+        raise GridGuardError(f"grid has {len(grid.counts)} axes, problem has {problem.n}")
+    return [int(c) for c in grid.counts]
 
-    The lattice is filled in place, one broadcast assignment per axis.  A
-    point is a lattice point when each coordinate equals some value of its
+
+def _span(lo, hi, count: int, first: int = 0, stop: Optional[int] = None) -> np.ndarray:
+    """np.linspace(lo, hi, count)[first:stop], computed for those values
+    alone with linspace's arithmetic: index * step + lo, the last value hi."""
+    stop = count if stop is None else stop
+    y = np.arange(first, stop, dtype=float)
+    delta = hi - lo
+    if count > 1:
+        step = delta / (count - 1)
+        if step == 0:  # the step underflows: linspace divides, then scales
+            y /= count - 1
+            y *= delta
+        else:
+            y *= step
+    else:
+        y *= delta
+    y += lo
+    if count > 1 and stop == count:
+        y[-1] = hi
+    return y
+
+
+def _on_axis(lo, hi, count: int, v) -> bool:
+    """v equals some value of the axis, scanned _QUERY_ROWS values at a time."""
+    return any((_span(lo, hi, count, i, min(i + _QUERY_ROWS, count)) == v).any()
+               for i in range(0, count, _QUERY_ROWS))
+
+
+def _admit(problem: EProblem, counts: list, extra_points=None) -> np.ndarray:
+    """The candidates and extra_points that are not lattice points, each once,
+    as rows (k, n).
+
+    A point is a lattice point when each coordinate equals some value of its
     axis, O(sum of counts) per point.  Each point is admitted by
     require_in_box: one outside the box, or with a nan coordinate, raises
     InfeasiblePointError.
     """
-    n = problem.n
-    if len(grid.counts) != n:
-        raise GridGuardError(f"grid has {len(grid.counts)} axes, problem has {n}")
-    axes = [np.linspace(problem.lo[j], problem.hi[j], int(grid.counts[j])) for j in range(n)]
     snap = [c.x for c in problem.candidates]
     if extra_points is not None:
         snap += list(np.atleast_2d(extra_points))
     add = []
     for s in snap:
         s = require_in_box(problem, s)
-        on_lattice = all((a == v).any() for a, v in zip(axes, s))
+        on_lattice = all(map(_on_axis, problem.lo, problem.hi, counts, s))
         if not (on_lattice or any((a == s).all() for a in add)):
             add.append(s)
-    size = math.prod(a.size for a in axes)
-    pts = np.empty((size + len(add), n))
-    lattice = pts[:size].reshape(*(a.size for a in axes), n)
+    return np.array(add).reshape(len(add), problem.n)
+
+
+def _fill(out: np.ndarray, axes: list) -> np.ndarray:
+    """Fill the C-contiguous rows of out with the product of the axes in C
+    order, one broadcast assignment per axis."""
+    n = len(axes)
+    lattice = out.reshape(*(a.size for a in axes), n)
     for j, a in enumerate(axes):
         lattice[..., j] = a.reshape((-1,) + (1,) * (n - 1 - j))
-    if add:
-        pts[size:] = add
+    return out
+
+
+def build_grid(problem: EProblem, grid: GridSpec, extra_points=None) -> np.ndarray:
+    """Cartesian grid over the box in C order, then the candidates and
+    extra_points that are not lattice points, each once (see _admit)."""
+    counts = _counts(problem, grid)
+    add = _admit(problem, counts, extra_points)
+    size = math.prod(counts)
+    pts = np.empty((size + len(add), problem.n))
+    _fill(pts[:size], list(map(_span, problem.lo, problem.hi, counts)))
+    pts[size:] = add
     return pts
+
+
+def _blocks(problem: EProblem, grid: Optional[GridSpec], point: np.ndarray):
+    """The rows of build_grid(problem, grid, point) in blocks, in grid order.
+
+    The points are admitted here, before the first block is made, so errors
+    come in the order of build_grid.  The lattice blocks are runs of whole
+    leading-axis slabs, at most _QUERY_ROWS points and at least one slab,
+    filled into one buffer: a block is valid until the next is taken.  The
+    off-lattice points follow as one last block.  Only the trailing axes and
+    one block are ever held, never the whole leading axis.
+    """
+    counts = _counts(problem, grid or GridSpec.uniform(33, problem.n))
+    add = _admit(problem, counts, point[None, :])
+    return _walk(problem, counts, add)
+
+
+def _walk(problem: EProblem, counts: list, add: np.ndarray):
+    lo, hi, lead = problem.lo[0], problem.hi[0], counts[0]
+    rest = list(map(_span, problem.lo[1:], problem.hi[1:], counts[1:]))
+    slab = math.prod(counts[1:])
+    step = max(1, _QUERY_ROWS // slab)
+    buf = np.empty((min(step, lead) * slab, problem.n))
+    for first in range(0, lead, step):
+        axis = _span(lo, hi, lead, first, min(first + step, lead))
+        yield _fill(buf[:axis.size * slab], [axis] + rest)
+    if len(add):
+        yield add
 
 
 def _objective_matrix(problem: EProblem, pts: np.ndarray):
@@ -188,7 +264,11 @@ class GridReport:
 
     @property
     def feasible_points(self):
-        return int(np.count_nonzero(self.compared))
+        return int(np.count_nonzero(self.feasible))
+
+    @property
+    def failed_points(self):
+        return int(np.count_nonzero(self.feasible & self.failed))
 
     @property
     def weak_points(self):
@@ -200,6 +280,7 @@ class GridReport:
 
     def to_dict(self):
         d = {"grid_points": self.grid_points, "feasible_points": self.feasible_points,
+             "failed_points": self.failed_points,
              "weak_pareto_count": int(np.count_nonzero(self.weak_mask)),
              "pareto_count": int(np.count_nonzero(self.pareto_mask)),
              "weak_pareto_points": self.weak_points[:LIST_CAP],
@@ -209,17 +290,11 @@ class GridReport:
         return d
 
 
-def _grid_values(problem: EProblem, grid: Optional[GridSpec], tol: float, extra_points=None):
-    """(points, feasible mask, objective rows, failed mask) over the whole grid."""
-    pts = build_grid(problem, grid or GridSpec.uniform(33, problem.n), extra_points)
-    keep = constraint_slacks(problem, pts)[2] <= tol
-    F, bad = _objective_matrix(problem, pts)
-    return pts, keep, F, bad
-
-
 def grid_oracle(problem: EProblem, grid: Optional[GridSpec] = None, tol: float = 1e-9) -> GridReport:
     """Enumerate the grid and classify every feasible point."""
-    pts, keep, F, bad = _grid_values(problem, grid, tol)
+    pts = build_grid(problem, grid or GridSpec.uniform(33, problem.n))
+    keep = constraint_slacks(problem, pts)[2] <= tol
+    F, bad = _objective_matrix(problem, pts)
     if not keep.any():
         raise InfeasiblePointError("no feasible grid point at this resolution; refine the grid")
     report = GridReport(pts, keep, F, bad, np.zeros_like(keep), np.zeros_like(keep), tol)
@@ -237,22 +312,27 @@ def is_weak_pareto(problem: EProblem, y, grid: Optional[GridSpec] = None, tol: f
     by more than tol.  The queried point itself always joins the grid.
 
     y is admitted by point_slacks first, so a query outside the box or
-    infeasible raises InfeasiblePointError.  One masked pass over the grid:
-    no point or objective rows are copied.
+    infeasible raises InfeasiblePointError; then the grid's other points are
+    admitted, then y's objectives must evaluate.  The grid is walked in
+    blocks (_blocks), and the walk stops at the first block that holds a
+    witness; no point or objective rows are copied.
     """
     y = np.asarray(y, dtype=float).reshape(problem.n)
     point_slacks(problem, y, tol, "query point")
-    pts, better, F, bad = _grid_values(problem, grid, tol, extra_points=y[None, :])
+    blocks = _blocks(problem, grid, y)
     fy, bady = _objective_matrix(problem, y[None, :])
     if bady.any():
         raise InfeasiblePointError(f"objectives do not evaluate at {y.tolist()}")
-    better &= ~bad
-    for k in range(F.shape[1]):  # one pass per column beats a reduction over a short axis
-        better &= F[:, k] < fy[0, k] - tol
-    i = int(np.argmax(better))
-    if better[i]:
-        return False, {"x": pts[i].tolist(), "objectives": F[i].tolist(),
-                       "query_objectives": fy[0].tolist()}
+    for pts in blocks:
+        better = constraint_slacks(problem, pts)[2] <= tol
+        F, bad = _objective_matrix(problem, pts)
+        better &= ~bad
+        for k in range(F.shape[1]):  # one pass per column beats a reduction over a short axis
+            better &= F[:, k] < fy[0, k] - tol
+        i = int(np.argmax(better))
+        if better[i]:
+            return False, {"x": pts[i].tolist(), "objectives": F[i].tolist(),
+                           "query_objectives": fy[0].tolist()}
     return True, None
 
 
@@ -269,22 +349,25 @@ def e_minimizer_check(fn: ProblemFunction, problem: EProblem, xbar,
                       grid: Optional[GridSpec] = None, tol: float = 1e-9) -> MinimizerReport:
     """Stationarity plus a grid check that xbar minimizes (fn o E) on the box.
 
-    xbar is admitted by require_in_box before fn is evaluated there.
+    xbar is admitted by require_in_box before fn is evaluated there.  The
+    grid is walked in blocks (_blocks) with a running verdict and a running
+    argmin that a later block replaces only when strictly lower, so the
+    witness is the first grid point, in grid order, of least value.
     """
     xbar = require_in_box(problem, xbar)
     env = {name: float(v) for name, v in zip(problem.vars, xbar)}
     grad = ex.gradient(fn.composed, env, problem.vars)
     value = ex.evaluate(fn.composed, env)
-    grid = grid or GridSpec.uniform(33, problem.n)
-    pts = build_grid(problem, grid, extra_points=xbar[None, :])
-    r = problem.composed_values(fn, pts)
-    ok = ~r.invalid & np.isfinite(r.values)
-    vals = np.where(ok, r.values, np.inf)
-    is_min = bool(np.all(value <= vals + tol))
-    witness = None
-    if not is_min:
+    is_min, best, at = True, None, None
+    for pts in _blocks(problem, grid, xbar):
+        r = problem.composed_values(fn, pts)
+        ok = ~r.invalid & np.isfinite(r.values)
+        vals = np.where(ok, r.values, np.inf)
+        is_min &= bool(np.all(value <= vals + tol))
         i = int(np.argmin(vals))
-        witness = {"x": pts[i].tolist(), "value": float(vals[i]), "value_at_xbar": value}
+        if best is None or vals[i] < best:
+            best, at = float(vals[i]), pts[i].tolist()
+    witness = None if is_min else {"x": at, "value": best, "value_at_xbar": value}
     return MinimizerReport(grad, float(np.max(np.abs(grad))) if grad.size else 0.0,
                            value, is_min, witness)
 

@@ -11,6 +11,7 @@ import pytest
 
 from einvex.cli import run
 from einvex.errors import GridGuardError, InfeasiblePointError
+from einvex.expr import evaluate
 from einvex import pareto
 from einvex.pareto import (
     MAX_COMPARISONS,
@@ -406,17 +407,127 @@ def test_queries_match_the_reference_in_one_to_three_dimensions(counts, first, s
             assert got == _outcome(_reference_is_weak_pareto, p, y, grid, tol), y.tolist()
 
 
-def test_query_memory_stays_within_four_grid_arrays(vp1):
-    grid = GridSpec((401, 401))
-    is_weak_pareto(vp1, [1.0, 1.0], grid)  # first-call allocations are not the query's
+def _reference_e_minimizer_check(fn, problem, xbar, grid, tol=1e-9):
+    """Reference: the former minimizer check, one argmin over the whole grid
+    of build_grid; (is_minimizer, value, witness)."""
+    xbar = np.asarray(xbar, dtype=float).reshape(problem.n)
+    value = evaluate(fn.composed, dict(zip(problem.vars, map(float, xbar))))
+    pts = build_grid(problem, grid, extra_points=xbar[None, :])
+    r = problem.composed_values(fn, pts)
+    vals = np.where(~r.invalid & np.isfinite(r.values), r.values, np.inf)
+    is_min = bool(np.all(value <= vals + tol))
+    witness = None
+    if not is_min:
+        i = int(np.argmin(vals))
+        witness = {"x": pts[i].tolist(), "value": float(vals[i]), "value_at_xbar": value}
+    return is_min, value, witness
+
+
+def _block_cases():
+    """(problem, grid, query points, minimizer points) for the block-size test."""
+    cases = []
+    for counts in [(9,), (6, 5), (5, 4, 3)]:
+        n = len(counts)
+        total = " + ".join(f"y{j + 1}" for j in range(n))
+        for first, sign in [("log(y1)", ""), ("-exp(800*y1)", "-")]:
+            p = _cube(n, [np.full(n, 0.37)], objectives=[first, f"{sign}({total})"],
+                      ineq=[f"-0.5 - ({total})"])
+            ys = _query_cases(p, GridSpec(counts), np.random.default_rng(n), 20)
+            cases.append((p, GridSpec(counts), ys, ys))
+    # the only dominating point is an off-lattice candidate, in the last block
+    p = _line(["(y1 - 0.3)^2"], lo=0.0, hi=1.0, candidates=[{"name": "c", "x": [0.3]}])
+    cases.append((p, GridSpec((5,)), [[0.25], [0.3]], [[0.25], [0.3]]))
+    # least value 0 at -0.5 and 0.5, grid points 4 and 12: blocks of 1 and 7 split them
+    p = _line(["(y1^2 - 0.25)^2"])
+    cases.append((p, GridSpec((17,)), [[0.0], [0.5]], [[0.0], [0.5], [-0.5]]))
+    # one leading-axis slab of 40,000 points is larger than any block tried
+    p = _cube(3, [[0.1, 0.2, 0.3]])
+    ys = [[1.0, 1.0, 1.0], [0.1, 0.2, 0.3], [1.0, -1.0, 0.5]]
+    cases.append((p, GridSpec((2, 200, 200)), ys, ys))
+    return cases
+
+
+@pytest.mark.parametrize("rows", [1, 7, 64, pareto._QUERY_ROWS])
+def test_queries_and_minimizer_checks_do_not_depend_on_the_block_size(rows, monkeypatch):
+    monkeypatch.setattr(pareto, "_QUERY_ROWS", rows)
+    for p, grid, ys, xs in _block_cases():
+        for y in ys:
+            got = _outcome(is_weak_pareto, p, y, grid)
+            assert repr(got) == repr(_outcome(_reference_is_weak_pareto, p, y, grid)), (grid, y)
+        fn = p.objectives[-1]
+        for x in xs:
+            m = e_minimizer_check(fn, p, x, grid)
+            got = (m.is_minimizer, m.value, m.witness)
+            assert repr(got) == repr(_reference_e_minimizer_check(fn, p, x, grid)), (grid, x)
+
+
+def _counted_slacks(monkeypatch):
+    """Record every block of rows that passes through pareto.constraint_slacks."""
+    seen = []
+
+    def counted(problem, X):
+        seen.append(np.array(X))
+        return constraint_slacks(problem, X)
+    monkeypatch.setattr(pareto, "constraint_slacks", counted)
+    return seen
+
+
+def test_failing_query_stops_in_its_first_block(vp1, monkeypatch):
+    seen = _counted_slacks(monkeypatch)
+    ok, wit = is_weak_pareto(vp1, [1.0, 1.0], GridSpec((801, 801)))
+    assert not ok and wit["x"] == [0.0, 0.0]
+    assert [len(X) for X in seen] == [40 * 801]  # 32,040 rows: 40 whole slabs of 801
+
+
+def test_passing_query_evaluates_every_point_once(vp1, monkeypatch):
+    seen = _counted_slacks(monkeypatch)
+    grid = GridSpec((801, 801))
+    ybar = vp1.candidate("ybar").x
+    assert is_weak_pareto(vp1, ybar, grid) == (True, None)
+    assert [len(X) for X in seen] == [32_040] * 20 + [801]
+    assert _same_grid(np.concatenate(seen), build_grid(vp1, grid, [ybar]))  # 641,601 rows
+
+
+def _traced_peak(fn, *args):
+    fn(*args)  # first-call allocations are not the check's
     tracemalloc.start()
     try:
-        ok, _ = is_weak_pareto(vp1, [1.0, 1.0], grid)
-        peak = tracemalloc.get_traced_memory()[1]
+        out = fn(*args)
+        return out, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert not ok
-    assert peak < 4 * 401 * 401 * 2 * 8  # 10.3 MB; the copying query peaked at 14.6 MB
+
+
+def test_query_and_minimizer_memory_does_not_grow_with_the_grid(vp1):
+    # one block of 2-D points is 512 KB and these peak near 2.2 MB; the
+    # whole-grid checks peaked at 8.0 MB (query, 401x401), 128 MB (query,
+    # 1601x1601) and 34 MB (minimizer, 1,000,001 points)
+    bound = 8 * pareto._QUERY_ROWS * 2 * 8
+    ybar = vp1.candidate("ybar").x
+    for count in (401, 1601):
+        (ok, _), peak = _traced_peak(is_weak_pareto, vp1, ybar, GridSpec((count, count)))
+        assert ok
+        assert peak < bound, (count, peak)
+    p = _line(["(y1 - 0.3)^2"])
+    m, peak = _traced_peak(e_minimizer_check, p.function("f1"), p, [1.0], GridSpec((1_000_001,)))
+    assert not m.is_minimizer and m.witness["x"] == pytest.approx([0.3])
+    assert peak < bound, peak
+
+
+@pytest.mark.parametrize("lo,hi", [(-1.0, 1.0), (0.0, 2.0), (-0.0, 0.0), (3.0, 3.0), (-5.0, -1.0),
+                                   (0.1, 0.7), (1e-310, 3e-310), (0.0, 5e-324),
+                                   (-1e300, 1e300)])
+def test_axis_slices_match_linspace(lo, hi, monkeypatch):
+    monkeypatch.setattr(pareto, "_QUERY_ROWS", 3)
+    lo, hi = np.float64(lo), np.float64(hi)
+    for count in (1, 2, 3, 7, 1001):
+        whole = np.linspace(lo, hi, count)
+        assert _same_grid(pareto._span(lo, hi, count), whole), count
+        for first, stop in [(0, 1), (1, count), (count // 2, count), (count - 1, count)]:
+            if first < stop:
+                assert _same_grid(pareto._span(lo, hi, count, first, stop), whole[first:stop])
+        for v in np.concatenate([whole[[0, count // 2, -1]], [np.nextafter(whole[-1], -np.inf)]]):
+            assert pareto._on_axis(lo, hi, count, v) == bool((whole == v).any()), (count, v)
 
 
 def test_build_grid_refuses_points_outside_the_box():
@@ -446,6 +557,18 @@ def test_build_grid_does_not_duplicate_on_grid_candidates(vp1):
     # ybar = (0, 0) coincides with a lattice corner and must not be repeated
     pts = build_grid(vp1, GridSpec.uniform(41, 2))
     assert pts.shape == (1681, 2)
+
+
+def test_feasible_points_whose_objectives_fail_are_counted(tmp_path):
+    p = _line(["sqrt(y1)"], lo=-1.0, hi=0.0)
+    rep = grid_oracle(p, GridSpec((5,)))
+    assert (rep.grid_points, rep.feasible_points, rep.failed_points) == (5, 5, 4)
+    assert rep.to_dict()["failed_points"] == 4
+    path = tmp_path / "sqrt.json"
+    path.write_text(json.dumps({"n": 1, "E": ["x1"], "eta": ["u1 - v1"], "objectives": ["sqrt(y1)"],
+                                "box": {"lo": [-1], "hi": [0]}}))
+    code, text = run(["oracle", str(path), "--grid", "5"])
+    assert code == 0 and "grid: 5 points, 5 feasible (4 failed to evaluate); " in text
 
 
 def test_report_dict_caps_long_lists(monkeypatch):
