@@ -11,7 +11,6 @@ the box or, judged on the feasible set, infeasible.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import math
 import os
@@ -83,33 +82,32 @@ def _levels(text):
     return [_positive(item) for item in text.split(",")]
 
 
-def build_parser() -> argparse.ArgumentParser:
-    p = _Parser(prog="einvex", description=__doc__.splitlines()[0] if __doc__ else "")
-    p.add_argument("--version", action="version", version=f"einvex {__version__}")
-    sub = p.add_subparsers(dest="command", required=True, parser_class=_Parser)
+_DEFAULTS = SampleConfig()  # the defaults of the sampling flags
 
-    cfg = SampleConfig()  # the defaults of the sampling flags
 
-    def common(sp, eps=_positive, sampling=True):  # --eps and the sampling flags where read
-        sp.add_argument("problem", help="problem JSON file")
-        sp.add_argument("--format", choices=("text", "json"), default="text")
-        if eps:
-            sp.add_argument("--eps", type=eps, default=cfg.tol,
-                            help="slack for non-strict comparisons (default 1e-9)")
-        if sampling:
-            sp.add_argument("--seed", type=int, default=cfg.seed,
-                            help=f"sampling seed (default {cfg.seed})")
-            sp.add_argument("--pairs", type=_at_least(1), default=cfg.n_pairs)
-            sp.add_argument("--delta", type=_positive,  # None when not given: see _sample_config
-                            help="required margin for strict comparisons (default 1e-7)")
+def _common(sp, eps=_positive, sampling=True):
+    """The problem, --format, and --eps and the sampling flags where read."""
+    sp.add_argument("problem", help="problem JSON file")
+    sp.add_argument("--format", choices=("text", "json"), default="text")
+    if eps:
+        sp.add_argument("--eps", type=eps, default=_DEFAULTS.tol,
+                        help="slack for non-strict comparisons (default 1e-9)")
+    if sampling:
+        sp.add_argument("--seed", type=int, default=_DEFAULTS.seed,
+                        help=f"sampling seed (default {_DEFAULTS.seed})")
+        sp.add_argument("--pairs", type=_at_least(1), default=_DEFAULTS.n_pairs)
+        sp.add_argument("--delta", type=_positive,  # None when not given: see _sample_config
+                        help="required margin for strict comparisons (default 1e-7)")
 
-    sp = sub.add_parser("parse", help="parse and echo a problem file")
-    common(sp, eps=None, sampling=False)
 
-    sp = sub.add_parser("check", help="run one sampled definition check")
-    common(sp)
+def _parse_flags(sp):
+    _common(sp, eps=None, sampling=False)
+
+
+def _check_flags(sp):
+    _common(sp)
     sp.add_argument("--tau", type=_at_least(3),
-                    help=f"mixture weights per pair, anchors 0, 1/2, 1 included (default {cfg.n_tau})")
+                    help=f"mixture weights per pair, anchors 0, 1/2, 1 included (default {_DEFAULTS.n_tau})")
     sp.add_argument("--function", help="f1/g1/h1-style name (not needed for invex-set)")
     sp.add_argument("--kind", required=True, choices=CHECK_KINDS)
     sp.add_argument("--at", help="candidate name or comma-separated coordinates for the base point")
@@ -117,27 +115,52 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--levels", type=_levels,
                     help="comma-separated positive thresholds for level-set checks")
 
-    sp = sub.add_parser("kkt", help="solve or verify first-order multipliers")
-    common(sp, sampling=False)
+
+def _kkt_flags(sp):
+    _common(sp, sampling=False)
     sp.add_argument("--candidate", required=True)
     sp.add_argument("--verify-supplied", action="store_true",
                     help="verify the multipliers stored on the candidate instead of solving")
 
-    sp = sub.add_parser("certify", help="check the hypotheses of a sufficiency theorem")
-    common(sp)
+
+def _certify_flags(sp):
+    _common(sp)
     sp.add_argument("--candidate", required=True)
     sp.add_argument("--theorem", required=True, choices=sorted(THEOREMS))
     sp.add_argument("--use-supplied", action="store_true",
                     help="take multipliers from the candidate instead of solving")
 
-    sp = sub.add_parser("oracle", help="brute-force grid enumeration of (weak) Pareto sets")
-    common(sp, eps=_eps, sampling=False)
+
+def _oracle_flags(sp):
+    _common(sp, eps=_eps, sampling=False)
     sp.add_argument("--grid", default="33", help="points per axis, e.g. 41x41 or 33")
     sp.add_argument("--query", help="candidate name or coordinates: is this point weak Pareto?")
     sp.add_argument("--csv", help="write per-point classification to this CSV file")
     sp.add_argument("--minimizer", metavar="FUNC",
                     help="check that --at globally minimizes FUNC over the box grid")
     sp.add_argument("--at", help="point for --minimizer (candidate name or coordinates)")
+
+
+SUBCOMMANDS = {  # name -> (help, flag adder): the one definition of each subcommand
+    "parse": ("parse and echo a problem file", _parse_flags),
+    "check": ("run one sampled definition check", _check_flags),
+    "kkt": ("solve or verify first-order multipliers", _kkt_flags),
+    "certify": ("check the hypotheses of a sufficiency theorem", _certify_flags),
+    "oracle": ("brute-force grid enumeration of (weak) Pareto sets", _oracle_flags),
+}
+
+
+def build_parser(command=None) -> argparse.ArgumentParser:
+    """The parser of the command line.  When ``command`` names a subcommand,
+    only that one is registered, and a command line that starts with it
+    parses, and fails, as under the full parser.  Any other value (None, an
+    unknown name, an option such as --help) registers all of them."""
+    p = _Parser(prog="einvex", description=__doc__.splitlines()[0] if __doc__ else "")
+    p.add_argument("--version", action="version", version=f"einvex {__version__}")
+    sub = p.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    for name in (command,) if command in SUBCOMMANDS else SUBCOMMANDS:
+        help_text, add_flags = SUBCOMMANDS[name]
+        add_flags(sub.add_parser(name, help=help_text))
     return p
 
 
@@ -215,19 +238,11 @@ def _sample_config(ns):
     return cfg, echo
 
 
-def _digest(path):
-    try:
-        with open(path, "rb") as fh:
-            return hashlib.sha256(fh.read()).hexdigest()
-    except OSError:
-        return None
-
-
-def _base_report(ns, config):
+def _base_report(ns, problem, config):
     return {
         "tool": {"name": "einvex", "version": __version__},
         "command": ns.command,
-        "problem": {"path": ns.problem, "sha256": _digest(ns.problem)},
+        "problem": {"path": ns.problem, "sha256": problem.sha256},
         "config": {"format": ns.format, **config},
     }
 
@@ -249,7 +264,7 @@ def _cmd_parse(ns):
     for group in ("objectives", "ineq", "eq"):
         payload[group] = [{"name": f.name, "raw": str(f.raw), "composed": str(f.composed),
                            "override": f.has_override} for f in getattr(problem, group)]
-    rep = _base_report(ns, {})
+    rep = _base_report(ns, problem, {})
     rep.update({"conclusion": "pass", **payload})
     return rep
 
@@ -284,7 +299,7 @@ def _cmd_check(ns):
         else:  # pragma: no cover - choices guard this
             raise CliUsageError(f"unhandled kind {kind}")
 
-    rep = _base_report(ns, extra)
+    rep = _base_report(ns, problem, extra)
     rep.update({"conclusion": verdict.status, "verdict": verdict})
     return rep
 
@@ -301,7 +316,7 @@ def _kkt_point_from_candidate(problem, cand):
 def _cmd_kkt(ns):
     problem = load_problem(ns.problem)
     cand = problem.candidate(ns.candidate)
-    rep = _base_report(ns, {"eps": ns.eps, "candidate": ns.candidate,
+    rep = _base_report(ns, problem, {"eps": ns.eps, "candidate": ns.candidate,
                             "verify_supplied": bool(ns.verify_supplied)})
 
     if ns.verify_supplied:
@@ -339,7 +354,7 @@ def _cmd_certify(ns):
     cfg, echo = _sample_config(ns)
     problem = load_problem(ns.problem)
     cand = problem.candidate(ns.candidate)
-    rep = _base_report(ns, {**echo, "candidate": ns.candidate, "theorem": ns.theorem,
+    rep = _base_report(ns, problem, {**echo, "candidate": ns.candidate, "theorem": ns.theorem,
                             "use_supplied": bool(ns.use_supplied)})
     if ns.use_supplied:
         point_slacks(problem, cand.x, cfg.tol, "candidate")  # refused as the solve path refuses it
@@ -359,7 +374,7 @@ def _cmd_certify(ns):
 def _cmd_oracle(ns):
     problem = load_problem(ns.problem)
     grid = _parse_grid(ns.grid, problem.n)
-    rep = _base_report(ns, {"eps": ns.eps, "grid": "x".join(str(c) for c in grid.counts)})
+    rep = _base_report(ns, problem, {"eps": ns.eps, "grid": "x".join(str(c) for c in grid.counts)})
     # a flag the chosen mode would ignore is refused, not dropped
     if ns.minimizer and not ns.at:
         raise CliUsageError("--minimizer requires --at")
@@ -437,10 +452,8 @@ def _text_verdict(v, indent=""):
 
 def _render_text(rep):
     lines = []
-    digest = rep["problem"].get("sha256")
-    short = digest[:12] if digest else "?"
     lines.append(f"einvex {rep['tool']['version']} {rep['command']} - "
-                 f"{rep['problem']['path']} (sha256 {short})")
+                 f"{rep['problem']['path']} (sha256 {rep['problem']['sha256'][:12]})")
     cfg = rep.get("config", {})
     shown = " ".join(f"{k}={v}" for k, v in sorted(cfg.items()) if v is not None and k != "format")
     lines.append(f"config: {shown}")
@@ -538,9 +551,9 @@ def _join_negative_points(argv):
 
 def run(argv=None):
     """Execute one CLI invocation; returns (exit_code, rendered_report)."""
-    parser = build_parser()
+    argv = _join_negative_points(sys.argv[1:] if argv is None else argv)
     try:
-        ns = parser.parse_args(_join_negative_points(sys.argv[1:] if argv is None else argv))
+        ns = build_parser(argv[0] if argv else None).parse_args(argv)
     except CliUsageError as e:
         return 3, f"error: {e}"
     started = time.perf_counter()

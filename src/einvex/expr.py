@@ -93,46 +93,52 @@ def _collect_vars(node, out):
 # Parsing
 # ---------------------------------------------------------------------------
 
-_NUM_RE = re.compile(r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
+# One token after optional whitespace; token classes are ASCII only, and any
+# other character ("bad") ends the tokens.
+_TOKEN_RE = re.compile(r"""\s*(?:
+    (?P<num>(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)
+  | (?P<name>[A-Za-z_][A-Za-z_0-9]*)
+  | (?P<op>[-+*/^()])
+  | (?P<bad>\S))""", re.VERBOSE)
 
 
 class _Lexer:
-    def __init__(self, source: str):
-        self.source = source
-        self.pos = 0  # 0-based; reported offsets are 1-based
+    """The tokens of one source, cut in one pass: (kind, text, 0-based
+    offset), an operator's kind being the operator itself.  They end at
+    "eof" or at the first character that starts no token, which raises
+    ParseError only when the parser reaches it, so an earlier syntax error
+    wins."""
 
-    def skip_ws(self):
-        while self.pos < len(self.source) and self.source[self.pos].isspace():
-            self.pos += 1
+    def __init__(self, source: str):
+        self.tokens = []
+        for m in _TOKEN_RE.finditer(source):
+            kind = m.lastgroup
+            text = m.group(kind)
+            self.tokens.append((text if kind == "op" else kind, text, m.start(kind)))
+            if kind == "bad":
+                break
+        else:
+            self.tokens.append(("eof", "", len(source)))
+        self.next = 0
 
     def peek(self):
-        self.skip_ws()
-        if self.pos >= len(self.source):
-            return ("eof", "", self.pos)
-        ch = self.source[self.pos]
-        if ch.isdigit() or ch == ".":
-            m = _NUM_RE.match(self.source, self.pos)
-            if m:
-                return ("num", m.group(0), self.pos)
-        if ch.isalpha() or ch == "_":
-            m = _NAME_RE.match(self.source, self.pos)
-            return ("name", m.group(0), self.pos)
-        if ch in "+-*/^()":
-            return (ch, ch, self.pos)
-        raise ParseError(f"unexpected character {ch!r}", self.pos + 1)
+        token = self.tokens[self.next]
+        if token[0] == "bad":
+            raise ParseError(f"unexpected character {token[1]!r}", token[2] + 1)
+        return token
 
     def take(self):
-        kind, text, pos = self.peek()
-        self.pos = pos + len(text)
-        return kind, text, pos
+        token = self.peek()
+        self.next += 1
+        return token
 
 
 def parse(source: str, variables: Sequence[str]) -> Expr:
     """Parse ``source`` over the declared variable names.
 
-    Raises ParseError with a 1-based byte offset on malformed input or on
-    any name that is neither a declared variable nor a known function.
+    Raises ParseError with a 1-based character offset on malformed input, on
+    a character outside the ASCII grammar, or on any name that is neither a
+    declared variable nor a known function.
     """
     if not source.strip():
         raise ParseError("empty expression", 1)
@@ -541,18 +547,25 @@ def substitute(node: Expr, mapping: Mapping[str, Expr]) -> Expr:
     return node
 
 
-def compose(f: Expr, inner: Sequence[Expr], inner_vars: Sequence[str], box_lo, box_hi,
-            override: Optional[Expr] = None) -> Expr:
+def validation_points(box_lo, box_hi) -> np.ndarray:
+    """The OVERRIDE_SAMPLES points of the box, drawn with OVERRIDE_SEED, on
+    which compose validates an override; shape (OVERRIDE_SAMPLES, n)."""
+    stream = SampleStream(OVERRIDE_SEED, "compose-validate")
+    return stream.box(np.asarray(box_lo, float), np.asarray(box_hi, float), OVERRIDE_SAMPLES)
+
+
+def compose(f: Expr, inner: Sequence[Expr], inner_vars: Sequence[str],
+            override: Optional[Expr] = None, points: Optional[np.ndarray] = None) -> Expr:
     """Build f after the substitution y_i := inner_i(x).
 
     ``f`` is written over y1..yn; each ``inner[i]`` is written over the
     problem variables.  When ``override`` is given it is validated against
-    the direct substitution on OVERRIDE_SAMPLES points of the box, drawn
-    with OVERRIDE_SEED, and then used verbatim.  The allowance is the
-    relative tolerance OVERRIDE_TOL plus 8 times the running rounding-error
-    bounds of both evaluations, so an exact override of a badly conditioned
-    substitution (cancellation inside E) is not rejected for float noise; a
-    mismatch beyond it raises ComposeMismatchError carrying the worst point.
+    the direct substitution on ``points``, the validation_points of the box,
+    and then used verbatim.  The allowance is the relative tolerance
+    OVERRIDE_TOL plus 8 times the running rounding-error bounds of both
+    evaluations, so an exact override of a badly conditioned substitution
+    (cancellation inside E) is not rejected for float noise; a mismatch
+    beyond it raises ComposeMismatchError carrying the worst point.
     """
     mapping = {f"y{i + 1}": inner[i] for i in range(len(inner))}
     for name in f.variables():
@@ -564,9 +577,7 @@ def compose(f: Expr, inner: Sequence[Expr], inner_vars: Sequence[str], box_lo, b
     extra = override.variables() - set(inner_vars)
     if extra:
         raise ComposeMismatchError(f"composed form uses undeclared variables {sorted(extra)}")
-    stream = SampleStream(OVERRIDE_SEED, "compose-validate")
-    pts = stream.box(np.asarray(box_lo, float), np.asarray(box_hi, float), OVERRIDE_SAMPLES)
-    env = {name: pts[:, j] for j, name in enumerate(inner_vars)}
+    env = {name: points[:, j] for j, name in enumerate(inner_vars)}
     sub = _evaluate(substituted, env, err=True)[0]
     ovr = _evaluate(override, env, err=True)[0]
     ok = ~sub.invalid & ~ovr.invalid & np.isfinite(sub.values) & np.isfinite(ovr.values)
@@ -577,7 +588,7 @@ def compose(f: Expr, inner: Sequence[Expr], inner_vars: Sequence[str], box_lo, b
     excess = np.where(ok & np.isfinite(excess), excess, -np.inf)
     worst = int(np.argmax(excess))
     if excess[worst] > 0.0:
-        point = {name: float(pts[worst, j]) for j, name in enumerate(inner_vars)}
+        point = {name: float(points[worst, j]) for j, name in enumerate(inner_vars)}
         raise ComposeMismatchError(
             f"composed form disagrees with substitution at {point}: "
             f"substituted {sub.values[worst]:.12g}, supplied {ovr.values[worst]:.12g}",

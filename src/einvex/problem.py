@@ -11,6 +11,8 @@ admitted by point_slacks; sampled and grid points are filtered instead.
 
 from __future__ import annotations
 
+import hashlib
+import io
 import json
 import math
 from dataclasses import dataclass, fields, is_dataclass, replace
@@ -182,6 +184,7 @@ class EProblem:
     hi: np.ndarray
     candidates: list
     source_path: Optional[str] = None
+    sha256: Optional[str] = None  # of the bytes loaded from source_path
 
     # -- lookup helpers ----------------------------------------------------
 
@@ -255,12 +258,16 @@ def _parse_at(source, variables, location):
 
 
 def load_problem(source) -> EProblem:
-    """Load a problem from a JSON file path or a plain dict."""
-    path = None
+    """Load a problem from a JSON file path, read once and hashed as read
+    (``sha256``), or from a plain dict."""
+    path = digest = None
     if isinstance(source, (str, Path)):
         path = str(source)
         try:
-            data = json.loads(Path(source).read_text())
+            raw = Path(source).read_bytes()
+            digest = hashlib.sha256(raw).hexdigest()
+            # decoded as read_text() decodes a file: UTF-8, universal newlines
+            data = json.loads(io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8").read())
         except OSError as e:
             raise ProblemFormatError(path, f"cannot read file: {e}") from e
         except json.JSONDecodeError as e:
@@ -301,7 +308,10 @@ def load_problem(source) -> EProblem:
     _expect(isinstance(eta_src, list) and len(eta_src) == n, "eta", f"must list {n} component expressions")
     eta = [_parse_at(s, uv_names, f"eta[{j}]") for j, s in enumerate(eta_src)]
 
+    points = None  # compose's validation points, drawn at the first override
+
     def build_group(key, prefix, required):
+        nonlocal points
         entries = data.get(key, [])
         _expect(isinstance(entries, list), key, "must be a list")
         if required:
@@ -317,8 +327,10 @@ def load_problem(source) -> EProblem:
             override = None
             if entry.get("composed") is not None:
                 override = _parse_at(entry["composed"], vars, f"{loc}.composed")
+                if points is None:
+                    points = ex.validation_points(lo, hi)
             try:
-                composed = ex.compose(raw, e_ops, vars, lo, hi, override=override)
+                composed = ex.compose(raw, e_ops, vars, override, points)
             except ComposeMismatchError as e:
                 raise ProblemFormatError(f"{loc}.composed", str(e)) from e
             out.append(ProblemFunction(f"{prefix}{idx + 1}", raw, composed, override is not None))
@@ -353,7 +365,7 @@ def load_problem(source) -> EProblem:
                                     opt_vec("rho", len(ineq)), opt_vec("xi", len(eq))))
 
     return EProblem(n=n, vars=list(vars), e_ops=e_ops, eta=eta, objectives=objectives,
-                    ineq=ineq, eq=eq, lo=lo, hi=hi, candidates=candidates, source_path=path)
+                    ineq=ineq, eq=eq, lo=lo, hi=hi, candidates=candidates, source_path=path, sha256=digest)
 
 
 # ---------------------------------------------------------------------------

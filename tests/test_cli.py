@@ -1,6 +1,7 @@
 """Command line surface: exit codes, JSON schema, determinism, error paths."""
 
 import argparse
+import hashlib
 import importlib.metadata
 import importlib.resources
 import json
@@ -13,7 +14,13 @@ import sys
 
 import pytest
 
-from einvex.cli import EXIT_BY_CONCLUSION, build_parser, run
+from einvex import cli
+from einvex.cli import EXIT_BY_CONCLUSION, SUBCOMMANDS, build_parser, run
+
+
+def _subparsers(parser):
+    """The subcommand parsers of ``parser``, by name."""
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
 
 
 def _json(argv):
@@ -212,6 +219,50 @@ def test_parse_echoes_both_forms(e1):
     assert rep["conclusion"] == "pass"
 
 
+def test_a_character_outside_the_grammar_is_a_parse_error(example1_path, tmp_path):
+    # a non-ASCII letter used to crash the lexer with AttributeError (exit 1)
+    data = json.loads(example1_path.read_text())
+    data["objectives"][0]["raw"] = "cbrt(y1+3) + \u00e9"
+    path = tmp_path / "accent.json"
+    path.write_text(json.dumps(data, ensure_ascii=False), encoding="utf-8")
+    code, text = run(["parse", str(path)])
+    assert (code, text) == (3, "error: objectives[0].raw: syntax error at offset 14: "
+                               "unexpected character '\u00e9'")
+
+
+@pytest.mark.parametrize("argv", [
+    ["parse", "{e1}", "--format", "json"],
+    ["kkt", "{vp1}", "--candidate", "ybar", "--format", "json"],
+    ["oracle", "{vp1}", "--grid", "5", "--query", "ybar", "--format", "json"],
+], ids=["parse", "kkt", "oracle"])
+def test_a_command_reads_its_file_once_and_hashes_what_it_read(e1, vp1, tmp_path, monkeypatch,
+                                                                argv):
+    # a writer replaces the file right after the one read: the report's
+    # digest and its contents both come from the bytes that were read
+    path = tmp_path / "problem.json"
+    shutil.copy(vp1 if "{vp1}" in argv else e1, path)
+    loaded = path.read_bytes()
+    other = tmp_path / "other.json"
+    other.write_text(json.dumps({"n": 1, "E": ["x1"], "eta": ["u1 - v1"], "objectives": ["y1"],
+                                 "box": {"lo": [0], "hi": [1]}}))
+    opened = []
+
+    def counting_open(file, *args, _open=open, **kwargs):
+        handle = _open(file, *args, **kwargs)
+        if isinstance(file, (str, os.PathLike)) and os.fspath(file) == str(path):
+            opened.append(file)
+            if len(opened) == 1:
+                os.replace(other, path)
+        return handle
+
+    monkeypatch.setattr("builtins.open", counting_open)
+    monkeypatch.setattr("io.open", counting_open)
+    code, rep = _json([a.format(e1=str(path), vp1=str(path)) for a in argv])
+    assert code == 0, rep
+    assert len(opened) == 1
+    assert rep["problem"]["sha256"] == hashlib.sha256(loaded).hexdigest()
+
+
 def test_check_text_mentions_sample_count(e1):
     code, text = run(["check", e1, "--function", "f1", "--kind", "pseudo-invex",
                       "--pairs", "500"])
@@ -399,6 +450,54 @@ def test_check_help_lists_the_kinds_in_order(capsys):
                                  "epigraph", "level-set", "invex-set"]
 
 
+@pytest.mark.parametrize("command", list(SUBCOMMANDS))
+def test_a_one_command_parser_prints_the_same_help(command):
+    one = _subparsers(build_parser(command))
+    assert list(one) == [command]
+    assert one[command].format_help() == _subparsers(build_parser())[command].format_help()
+
+
+@pytest.mark.parametrize("argv", [
+    [],
+    ["frobnicate", "{e1}"],
+    ["--version"],
+    ["--help"],
+    ["check", "--help"],
+    ["kkt"],
+    ["check", "{e1}", "--kind", "invex", "--function", "f1", "--bogus"],
+    ["check", "{e1}", "--kind", "nope", "--function", "f1"],
+    ["check", "{e1}", "--kind", "invex", "--function", "f1", "--version"],
+    ["check", "{e1}", "--kind", "invex", "--function", "f1", "--at", "-0.5,1"],
+], ids=["no-command", "unknown-command", "version", "help", "check-help", "kkt-no-problem",
+        "unknown-flag", "bad-kind", "check-version", "negative-at"])
+def test_a_one_command_parser_fails_as_the_full_one(e1, monkeypatch, capsys, argv):
+    argv = [a.format(e1=e1) for a in argv]
+
+    def outcome():
+        try:
+            result = run(argv)
+        except SystemExit as e:  # --help and --version print and exit
+            result = ("exit", e.code)
+        return result, capsys.readouterr()
+
+    got = outcome()
+    full = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: full())
+    assert got == outcome()
+    assert got[0][0] in (3, "exit"), got
+
+
+def test_a_command_registers_only_its_own_subparser(vp1, monkeypatch):
+    added = []
+    add_parser = argparse._SubParsersAction.add_parser
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser",
+                        lambda self, name, **kw: added.append(name) or add_parser(self, name, **kw))
+    assert run(["kkt", vp1, "--candidate", "ybar"])[0] == 0
+    assert added == ["kkt"]
+    build_parser()
+    assert added == ["kkt", *SUBCOMMANDS]
+
+
 def test_a_box_without_finite_bounds_is_refused(tmp_path):
     # Python's json reads -Infinity; the grid oracle answered from nan points
     path = tmp_path / "open.json"
@@ -499,8 +598,7 @@ CONFIG_ARGV = {  # one run per command, with the settings of SETTINGS that run r
 
 def _declared(command):
     """The dests of the options a subcommand declares, without help and the problem."""
-    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-    return {a.dest for a in sub.choices[command]._actions} - {"help", "problem"}
+    return {a.dest for a in _subparsers(build_parser())[command]._actions} - {"help", "problem"}
 
 
 @pytest.mark.parametrize("argv", [

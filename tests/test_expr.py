@@ -23,6 +23,7 @@ from einvex.expr import (
     gradient,
     parse,
     to_source,
+    validation_points,
 )
 from einvex.rng import SampleStream
 
@@ -113,6 +114,9 @@ def test_parse_negative_exponent():
         ("x1 x1", 4, "trailing input"),
         ("(x1))", 5, "trailing input"),
         ("x1 + 1e999", 6, "number '1e999' overflows to inf"),
+        ("\u00e9 + x1", 1, "unexpected character '\u00e9'"),  # token classes are ASCII only
+        ("x1 + \u0663", 6, "unexpected character '\u0663'"),  # an Arabic-Indic 3, not 3
+        ("x1 + + @", 6, "expected a value"),  # an earlier syntax error wins
     ],
 )
 def test_parse_errors_carry_one_based_offsets(source, offset, fragment):
@@ -413,7 +417,7 @@ def test_cbrt_is_an_odd_inverse_of_cube():
 def test_compose_plain_substitution():
     f = parse("y1^2 + y2", ["y1", "y2"])
     inner = [parse("x1 - x2", X12), parse("exp(x2)", X12)]
-    node = compose(f, inner, X12, [-2.0, -2.0], [2.0, 2.0])
+    node = compose(f, inner, X12)
     stream = SampleStream(3, "compose-direct")
     pts = stream.box(np.array([-2.0, -2.0]), np.array([2.0, 2.0]), 64)
     env = {"x1": pts[:, 0], "x2": pts[:, 1]}
@@ -425,7 +429,7 @@ def test_compose_plain_substitution():
 def test_compose_identity_inner_is_exact():
     f = parse("y1*y2 - y1", ["y1", "y2"])
     inner = [parse("x1", X12), parse("x2", X12)]
-    node = compose(f, inner, X12, [-1.0, -1.0], [1.0, 1.0])
+    node = compose(f, inner, X12)
     assert node == parse("x1*x2 - x1", X12)
 
 
@@ -436,7 +440,7 @@ def test_compose_accepts_equivalent_override():
     f = parse("cbrt(y1 + 3)", ["y1"])
     inner = [parse("(x1+3)^9 - 3", X1)]
     override = parse("(x1+3)^3", X1)
-    node = compose(f, inner, X1, [-6.0], [0.0], override=override)
+    node = compose(f, inner, X1, override, validation_points([-6.0], [0.0]))
     assert node is override
 
 
@@ -445,7 +449,7 @@ def test_compose_rejects_wrong_override():
     inner = [parse("(x1+3)^9 - 3", X1)]
     wrong = parse("(x1+3)^2", X1)
     with pytest.raises(ComposeMismatchError) as exc:
-        compose(f, inner, X1, [-6.0], [0.0], override=wrong)
+        compose(f, inner, X1, wrong, validation_points([-6.0], [0.0]))
     err = exc.value
     assert "disagrees" in str(err)
     assert set(err.point) == {"x1"}
@@ -459,7 +463,7 @@ def test_compose_rejects_wrong_override():
 def test_compose_rejects_unknown_outer_variable():
     f = parse("y2", ["y1", "y2"])
     with pytest.raises(ComposeMismatchError) as exc:
-        compose(f, [parse("x1", X1)], X1, [0.0], [1.0])
+        compose(f, [parse("x1", X1)], X1)
     assert "y2" in str(exc.value)
 
 
@@ -467,7 +471,7 @@ def test_compose_rejects_override_with_stray_variable():
     f = parse("y1", ["y1"])
     override = parse("x1 + 0*z9", ["x1", "z9"])
     with pytest.raises(ComposeMismatchError) as exc:
-        compose(f, [parse("x1", X1)], X1, [0.0], [1.0], override=override)
+        compose(f, [parse("x1", X1)], X1, override, validation_points([0.0], [1.0]))
     assert "z9" in str(exc.value)
 
 
@@ -536,6 +540,7 @@ def test_underflowed_zero_keeps_its_error():
 
 def test_compose_rejects_wrong_override_around_a_structural_zero():
     f = parse("y1 + sqrt(y1 - y1) + sqrt(0*y1)", ["y1"])
+    points = validation_points([-1.0], [1.0])
     with pytest.raises(ComposeMismatchError):
-        compose(f, [parse("x1", X1)], X1, [-1.0], [1.0], override=parse("x1 + 1e-6", X1))
-    assert compose(f, [parse("x1", X1)], X1, [-1.0], [1.0], override=parse("x1", X1)) == parse("x1", X1)
+        compose(f, [parse("x1", X1)], X1, parse("x1 + 1e-6", X1), points)
+    assert compose(f, [parse("x1", X1)], X1, parse("x1", X1), points) == parse("x1", X1)

@@ -11,6 +11,7 @@ import pytest
 from einvex import expr as ex
 from einvex import kkt
 from einvex.errors import (
+    ComposeMismatchError,
     DomainEvalError,
     InfeasibleMultipliersError,
     InfeasiblePointError,
@@ -86,7 +87,7 @@ def test_load_from_dict_defaults():
     assert p.vars == ["x1"]
     assert p.objectives[0].name == "f1"
     assert not p.objectives[0].has_override
-    assert p.source_path is None
+    assert p.source_path is None and p.sha256 is None
 
 
 def test_function_lookup_errors():
@@ -195,6 +196,37 @@ def test_load_file_errors(tmp_path):
 
     with pytest.raises(ProblemFormatError):
         load_problem(42)
+
+
+def test_overrides_share_one_draw_of_validation_points(monkeypatch):
+    # the second override, in another group, mismatches: it is judged on
+    # the points drawn for the first, and its worst point is the one each
+    # override's own draw gave
+    boxes = []
+    monkeypatch.setattr(SampleStream, "box", lambda self, *a, _box=SampleStream.box:
+                        boxes.append(self.label) or _box(self, *a))
+    d = _prob(objectives=[{"raw": "y1^2", "composed": "x1^2"}],
+              ineq=[{"raw": "y1^3", "composed": "x1^3 + 0.001*x1"}])
+    with pytest.raises(ProblemFormatError) as exc:
+        load_problem(d)
+    assert exc.value.location == "ineq[0].composed"
+    err = exc.value.__cause__
+    assert isinstance(err, ComposeMismatchError)
+    assert err.point == {"x1": -0.9964857119313513}
+    assert (err.substituted, err.supplied) == (-0.9894941430537091, -0.9904906287656404)
+    assert boxes == ["compose-validate"]
+
+
+def test_load_draws_validation_points_only_for_overrides(vp1_path, example1_path, monkeypatch):
+    calls = []
+    monkeypatch.setattr(SampleStream, "box", lambda self, *a, _box=SampleStream.box:
+                        calls.append(a[2]) or _box(self, *a))
+    load_problem(vp1_path)  # four overrides
+    assert calls == [ex.OVERRIDE_SAMPLES]
+    load_problem(example1_path)  # one
+    assert calls == [ex.OVERRIDE_SAMPLES] * 2
+    load_problem(_prob(objectives=["y1^2", "y1"], ineq=["-y1"]))  # none
+    assert calls == [ex.OVERRIDE_SAMPLES] * 2
 
 
 def test_negated_function_flips_sign(vp1_path):
