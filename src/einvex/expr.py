@@ -565,7 +565,9 @@ def compose(f: Expr, inner: Sequence[Expr], inner_vars: Sequence[str],
     OVERRIDE_TOL plus 8 times the running rounding-error bounds of both
     evaluations, so an exact override of a badly conditioned substitution
     (cancellation inside E) is not rejected for float noise; a mismatch
-    beyond it raises ComposeMismatchError carrying the worst point.
+    beyond it raises ComposeMismatchError carrying the worst point.  The
+    bounds only widen the allowance, so both forms are walked with them
+    only at the comparable points beyond the plain tolerance.
     """
     mapping = {f"y{i + 1}": inner[i] for i in range(len(inner))}
     for name in f.variables():
@@ -574,21 +576,32 @@ def compose(f: Expr, inner: Sequence[Expr], inner_vars: Sequence[str],
     substituted = substitute(f, mapping)
     if override is None:
         return substituted
+    if points is None:
+        raise ValueError("an override is validated on validation_points(lo, hi); pass them as points")
     extra = override.variables() - set(inner_vars)
     if extra:
         raise ComposeMismatchError(f"composed form uses undeclared variables {sorted(extra)}")
-    env = {name: points[:, j] for j, name in enumerate(inner_vars)}
-    sub = _evaluate(substituted, env, err=True)[0]
-    ovr = _evaluate(override, env, err=True)[0]
+
+    def walk(P, err):
+        env = {name: P[:, j] for j, name in enumerate(inner_vars)}
+        return _evaluate(substituted, env, err=err)[0], _evaluate(override, env, err=err)[0]
+
+    sub, ovr = walk(points, False)
     ok = ~sub.invalid & ~ovr.invalid & np.isfinite(sub.values) & np.isfinite(ovr.values)
     if not ok.any():
         raise ComposeMismatchError("composed form could not be validated: no comparable sample points")
+    beyond = ok & (np.abs(sub.values - ovr.values) > OVERRIDE_TOL * (1.0 + np.abs(ovr.values)))
+    if not beyond.any():
+        return override
+    # the walk is elementwise: these rows get the values and bounds of a walk of all points
+    rows = np.flatnonzero(beyond)
+    sub, ovr = walk(points[rows], True)
     budget = OVERRIDE_TOL * (1.0 + np.abs(ovr.values)) + 8.0 * (sub.error + ovr.error)
     excess = np.abs(sub.values - ovr.values) - budget
-    excess = np.where(ok & np.isfinite(excess), excess, -np.inf)
+    excess = np.where(np.isfinite(excess), excess, -np.inf)
     worst = int(np.argmax(excess))
     if excess[worst] > 0.0:
-        point = {name: float(points[worst, j]) for j, name in enumerate(inner_vars)}
+        point = {name: float(points[rows[worst], j]) for j, name in enumerate(inner_vars)}
         raise ComposeMismatchError(
             f"composed form disagrees with substitution at {point}: "
             f"substituted {sub.values[worst]:.12g}, supplied {ovr.values[worst]:.12g}",

@@ -24,8 +24,10 @@ refused (problem.require_in_box), and a query point must also be feasible
 grid in grid order, one block at a time: a block is a run of whole slabs of
 the leading axis, at most _QUERY_ROWS points and always at least one slab,
 and the off-lattice points follow the lattice as one last block.  A query
-stops at the first block that holds a dominating point, and neither check
-holds more than one block of points and values at once.
+stops at the first block that holds a dominating point and judges its
+conditions one at a time, leaving a block at the first that no point of it
+passes; neither check holds more than one block of points and values at
+once.
 """
 
 from __future__ import annotations
@@ -315,7 +317,10 @@ def is_weak_pareto(problem: EProblem, y, grid: Optional[GridSpec] = None, tol: f
     infeasible raises InfeasiblePointError; then the grid's other points are
     admitted, then y's objectives must evaluate.  The grid is walked in
     blocks (_blocks), and the walk stops at the first block that holds a
-    witness; no point or objective rows are copied.
+    witness.  Within a block the conditions are judged in order, each
+    objective (it evaluates, is finite and is below f_k(y) - tol) and then
+    feasibility, and the block is left at the first condition that no point
+    passes; no point or objective rows are copied.
     """
     y = np.asarray(y, dtype=float).reshape(problem.n)
     point_slacks(problem, y, tol, "query point")
@@ -323,16 +328,24 @@ def is_weak_pareto(problem: EProblem, y, grid: Optional[GridSpec] = None, tol: f
     fy, bady = _objective_matrix(problem, y[None, :])
     if bady.any():
         raise InfeasiblePointError(f"objectives do not evaluate at {y.tolist()}")
+    bound = fy[0] - tol
     for pts in blocks:
-        better = constraint_slacks(problem, pts)[2] <= tol
-        F, bad = _objective_matrix(problem, pts)
-        better &= ~bad
-        for k in range(F.shape[1]):  # one pass per column beats a reduction over a short axis
-            better &= F[:, k] < fy[0, k] - tol
-        i = int(np.argmax(better))
-        if better[i]:
-            return False, {"x": pts[i].tolist(), "objectives": F[i].tolist(),
-                           "query_objectives": fy[0].tolist()}
+        env = problem.env_x(pts)
+        better, cols = True, []
+        for fn, b in zip(problem.objectives, bound):
+            r = ex.eval_many(fn.composed, env)
+            better = better & np.isfinite(r.values) & (r.values < b)
+            if r.invalid_node is not None:  # set exactly when some row left the domain
+                better &= ~r.invalid
+            if not better.any():
+                break
+            cols.append(r.values)
+        else:
+            better &= constraint_slacks(problem, pts)[2] <= tol
+            i = int(np.argmax(better))
+            if better[i]:
+                return False, {"x": pts[i].tolist(), "objectives": [c[i].item() for c in cols],
+                               "query_objectives": fy[0].tolist()}
     return True, None
 
 

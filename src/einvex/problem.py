@@ -270,6 +270,8 @@ def load_problem(source) -> EProblem:
             data = json.loads(io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8").read())
         except OSError as e:
             raise ProblemFormatError(path, f"cannot read file: {e}") from e
+        except UnicodeDecodeError as e:
+            raise ProblemFormatError(path, f"cannot decode file as UTF-8: {e}") from e
         except json.JSONDecodeError as e:
             raise ProblemFormatError(path, f"invalid JSON: {e}") from e
     elif isinstance(source, dict):

@@ -263,6 +263,16 @@ def test_a_command_reads_its_file_once_and_hashes_what_it_read(e1, vp1, tmp_path
     assert rep["problem"]["sha256"] == hashlib.sha256(loaded).hexdigest()
 
 
+def test_a_file_that_is_not_utf8_is_refused_with_its_path(tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes('{"n": 1, "E": ["x1"], "eta": ["u1 - v1"], "objectives": ["y1"], '
+                     '"box": {"lo": [0], "hi": [1]}, "note": "é"}'.encode("latin-1"))
+    code, text = run(["parse", str(path)])
+    assert code == 3
+    assert text.startswith(f"error: {path}: cannot decode file as UTF-8: "), text
+    assert "0xe9" in text
+
+
 def test_check_text_mentions_sample_count(e1):
     code, text = run(["check", e1, "--function", "f1", "--kind", "pseudo-invex",
                       "--pairs", "500"])

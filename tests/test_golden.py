@@ -63,6 +63,18 @@ def _commands():
         "oracle-classify": ["oracle", ORACLE, "--grid", "21x21"],
         "oracle-query-fails": ["oracle", ORACLE, "--grid", "21x21", "--query", "c"],
         "oracle-query-passes": ["oracle", ORACLE, "--grid", "21x21", "--query", "0.5,0"],
+        # queries on a grid of three lattice blocks and the off-lattice one
+        # (c, and the query when off the lattice); the first block is all
+        # x1 < 0, where log(y1) fails.  The pass leaves its last block at
+        # y2: c is below the query in log(y1) only
+        "oracle-blocks-query-passes": ["oracle", ORACLE, "--grid", "301x301",
+                                       "--query", "0.41,0.09"],
+        # the witness lies in the second block, the first ruled out by log(y1)
+        "oracle-blocks-query-fails": ["oracle", ORACLE, "--grid", "301x301", "--query", "1,1"],
+        # the second block passes both objectives and fails the constraint;
+        # the witness lies in the third
+        "oracle-blocks-query-fails-late": ["oracle", ORACLE, "--grid", "301x301",
+                                           "--query", "0.9,0"],
     }
     for t in ("t4", "t5", "t6"):
         cmds[f"c8-certify-{t}"] = ["certify", VP1, "--candidate", "ybar", "--theorem", t,

@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 from einvex.cli import run
-from einvex.errors import GridGuardError, InfeasiblePointError
-from einvex.expr import evaluate
+from einvex.errors import DomainEvalError, GridGuardError, InfeasiblePointError
+from einvex.expr import eval_many, evaluate
 from einvex import pareto
 from einvex.pareto import (
     MAX_COMPARISONS,
@@ -302,8 +302,9 @@ def _reference_build_grid(problem, grid, extra_points=None):
 
 
 def _reference_is_weak_pareto(problem, y, grid, tol=1e-9):
-    """Reference: the former query, which copied the feasible rows, then the
-    evaluable ones, and reduced over the objective axis."""
+    """Reference: the former query, which judged every condition on every
+    grid row: it copied the feasible rows, then the evaluable ones, and
+    reduced over the objective axis."""
     def objectives(X):
         return eval_columns([fn.composed for fn in problem.objectives], problem.env_x(X))
 
@@ -461,6 +462,65 @@ def test_queries_and_minimizer_checks_do_not_depend_on_the_block_size(rows, monk
             assert repr(got) == repr(_reference_e_minimizer_check(fn, p, x, grid)), (grid, x)
 
 
+def _random_program(rng, n):
+    """A small program on [-1, 1]^n whose objectives fail to evaluate, or are
+    -inf, on parts of the box, with inequality and equality constraints."""
+    def y():
+        return f"y{rng.integers(1, n + 1)}"
+
+    def c():
+        return float(rng.choice([-0.5, -0.25, 0.0, 0.1, 0.25, 0.5]))
+
+    terms = [lambda: f"log({y()} - {c()})", lambda: f"sqrt({y()} + {c()})",
+             lambda: f"1/({y()} - {c()})", lambda: f"-exp(800*{y()})",
+             lambda: f"({y()} - {c()})^2", lambda: f"{rng.integers(-2, 3)}*{y()}",
+             lambda: f"cbrt({y()}) - {y()}", lambda: str(c()),
+             lambda: f"exp(0 - ({y()} - {c()})^-1)"]  # 0, a finite value, where it fails
+
+    def expr(k):
+        return " + ".join(terms[i]() for i in rng.integers(0, len(terms), k))
+
+    ineq = [rng.choice([f"{c()} - {y()} - {y()}", f"({y()} - {c()})^2 - 0.5",
+                        f"-log({y()} + 1)"]) for _ in range(rng.integers(0, 3))]
+    eq = [rng.choice([f"{y()} - {y()}", f"{y()} - {c()}"]) for _ in range(rng.integers(0, 2))]
+    return load_problem({
+        "n": n, "E": [str(rng.choice([f"x{j}", f"x{j}^3", f"x{j} + 0.1"])) for j in range(1, n + 1)],
+        "eta": [f"u{j} - v{j}" for j in range(1, n + 1)],
+        "objectives": [expr(rng.integers(1, 3)) for _ in range(rng.integers(1, 4))],
+        "ineq": ineq, "eq": eq, "box": {"lo": [-1.0] * n, "hi": [1.0] * n},
+        "candidates": [{"name": "c", "x": rng.uniform(-1, 1, n).tolist()}]})
+
+
+def _query_outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (InfeasiblePointError, DomainEvalError) as e:  # a query point infeasible or off the domain
+        return "error", str(e)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_lazy_queries_match_the_reference_on_random_programs(seed, monkeypatch):
+    rng = np.random.default_rng(seed)
+    seen = {"pass": 0, "fail": 0, "error": 0}
+    for _ in range(10):
+        n = int(rng.integers(1, 4))
+        p = _random_program(rng, n)
+        grid = GridSpec(tuple(int(c) for c in rng.integers(3, 10, n)))
+        monkeypatch.setattr(pareto, "_QUERY_ROWS", int(rng.choice([1, 5, 16, 40])))  # several blocks
+        lattice = build_grid(p, grid)
+        feasible = lattice[constraint_slacks(p, lattice)[2] <= 1e-9]
+        on = feasible if len(feasible) else lattice
+        ys = np.concatenate([on[rng.integers(0, len(on), 4)],
+                             rng.uniform(-1, 1, (4, n)), p.candidates[0].x[None, :]])
+        for y in ys:
+            for tol in (1e-9, 0.0):
+                got = _query_outcome(is_weak_pareto, p, y, grid, tol)
+                assert repr(got) == repr(_query_outcome(_reference_is_weak_pareto, p, y, grid, tol)), \
+                    (seed, y.tolist(), tol)
+                seen["error" if got[0] == "error" else "pass" if got[0] else "fail"] += 1
+    assert min(seen.values()) > 0, seen
+
+
 def _counted_slacks(monkeypatch):
     """Record every block of rows that passes through pareto.constraint_slacks."""
     seen = []
@@ -480,12 +540,22 @@ def test_failing_query_stops_in_its_first_block(vp1, monkeypatch):
 
 
 def test_passing_query_evaluates_every_point_once(vp1, monkeypatch):
-    seen = _counted_slacks(monkeypatch)
+    # f1 = log(x1 + x2 + 1) >= 0 = f1(ybar) on the box: the first objective
+    # rules out every block, so f2 and the constraints are never evaluated
+    slacks = _counted_slacks(monkeypatch)
+    seen = []
+
+    def counted(node, env):
+        if node is vp1.objectives[0].composed:
+            seen.append(np.stack(list(env.values()), axis=-1))
+        return eval_many(node, env)
+    monkeypatch.setattr(pareto.ex, "eval_many", counted)
     grid = GridSpec((801, 801))
     ybar = vp1.candidate("ybar").x
     assert is_weak_pareto(vp1, ybar, grid) == (True, None)
-    assert [len(X) for X in seen] == [32_040] * 20 + [801]
-    assert _same_grid(np.concatenate(seen), build_grid(vp1, grid, [ybar]))  # 641,601 rows
+    assert [len(X) for X in seen] == [1] + [32_040] * 20 + [801]  # ybar itself, then the walk
+    assert _same_grid(np.concatenate(seen[1:]), build_grid(vp1, grid, [ybar]))  # 641,601 rows
+    assert slacks == []
 
 
 def _traced_peak(fn, *args):
