@@ -9,9 +9,7 @@ __version__ = "0.1.0"
 
 from .errors import EinvexError, ParseError  # noqa: F401
 from .expr import Expr, compose, evaluate, gradient, parse, to_source  # noqa: F401
-from .invexity import (InvexKind, PreinvexKind, check_invex, check_preinvex,  # noqa: F401
-                       epigraph_invex_check, gradient_monotonicity, level_set_invex_check)
+from .invexity import InvexKind, PreinvexKind, check  # noqa: F401
 from .kkt import Certificate, KktPoint, certify, solve_multipliers, verify_kkt_point  # noqa: F401
 from .pareto import GridSpec, e_minimizer_check, grid_oracle, is_weak_pareto  # noqa: F401
-from .problem import (EProblem, SampleConfig, Verdict, einvex_set_check, load_problem,  # noqa: F401
-                      point_slacks)
+from .problem import EProblem, SampleConfig, Verdict, load_problem, point_slacks  # noqa: F401

@@ -22,22 +22,17 @@ import numpy as np
 
 from . import __version__
 from .errors import (CliUsageError, EinvexError, InfeasibleMultipliersError)
-from .invexity import (InvexKind, PreinvexKind, check_invex, check_preinvex, epigraph_invex_check,
-                       level_set_invex_check)
+from .invexity import KINDS, check
 from .kkt import THEOREMS, KktPoint, certify, solve_multipliers, verify_kkt_point
 from .pareto import GridSpec, dump_csv, e_minimizer_check, grid_oracle, is_weak_pareto
-from .problem import (SampleConfig, _jsonable, box_region, einvex_set_check, feasible_region,
-                      load_problem, point_slacks, require_in_box)
+from .problem import (SampleConfig, _jsonable, box_region, feasible_region, load_problem,
+                      point_slacks, require_in_box)
 
 EXIT_BY_CONCLUSION = {
     "holds": 0, "pass": 0, "certified": 0,
     "fails": 1, "fail": 1, "not-established": 1, "infeasible": 1,
     "inconclusive": 2,
 }
-
-PREINVEX_KINDS = tuple(k.value for k in PreinvexKind)
-INVEX_KINDS = tuple(k.value for k in InvexKind)
-CHECK_KINDS = PREINVEX_KINDS + INVEX_KINDS + ("epigraph", "level-set", "invex-set")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -78,8 +73,12 @@ def _at_least(least):
 
 
 def _levels(text):
-    """--levels: comma-separated thresholds on exp(f), each finite and > 0."""
-    return [_positive(item) for item in text.split(",")]
+    """--levels: comma-separated thresholds on exp(f), each finite and > 0,
+    and each given once: a repeated level would be judged twice."""
+    levels = [_positive(item) for item in text.split(",")]
+    if len(set(levels)) < len(levels):
+        raise argparse.ArgumentTypeError(f"must not repeat a level, got {text!r}")
+    return levels
 
 
 _DEFAULTS = SampleConfig()  # the defaults of the sampling flags
@@ -109,7 +108,7 @@ def _check_flags(sp):
     sp.add_argument("--tau", type=_at_least(3),
                     help=f"mixture weights per pair, anchors 0, 1/2, 1 included (default {_DEFAULTS.n_tau})")
     sp.add_argument("--function", help="f1/g1/h1-style name (not needed for invex-set)")
-    sp.add_argument("--kind", required=True, choices=CHECK_KINDS)
+    sp.add_argument("--kind", required=True, choices=tuple(KINDS))
     sp.add_argument("--at", help="candidate name or comma-separated coordinates for the base point")
     sp.add_argument("--region", choices=("box", "feasible"), default="box")
     sp.add_argument("--levels", type=_levels,
@@ -203,27 +202,13 @@ _UNREAD = {  # why a run does not read the flag
 }
 
 
-def _check_reads(kind) -> set:
-    """The flags of _BY_KIND a check of this kind reads: --function for all but
-    invex-set, --at for the gradient family, --tau for every other kind (they
-    sample E(x0) + tau*eta), --delta for a strict kind, --levels for level-set."""
-    if kind in INVEX_KINDS:
-        return {"function", "at"} | ({"delta"} if InvexKind(kind).strict else set())
-    reads = {"tau"} if kind == "invex-set" else {"tau", "function"}
-    if kind in PREINVEX_KINDS and PreinvexKind(kind).strict:
-        reads.add("delta")
-    if kind == "level-set":
-        reads.add("levels")
-    return reads
-
-
 def _sample_config(ns):
     """The SampleConfig of a check or certify run, and the settings it echoes:
     --eps, --seed, --pairs and the flags of _BY_KIND the run reads, an unset
     one at its default.  A flag of _BY_KIND given but not read is refused,
     not dropped."""
     if ns.command == "check":
-        reads, what = _check_reads(ns.kind), ns.kind
+        reads, what = KINDS[ns.kind].reads, ns.kind
     else:  # a theorem reads --delta when one of its hypotheses is strict
         spec = THEOREMS[ns.theorem]
         strict = spec["objectives"].strict or spec["constraints"].strict
@@ -270,34 +255,22 @@ def _cmd_parse(ns):
 
 
 def _cmd_check(ns):
-    kind = ns.kind
     cfg, echo = _sample_config(ns)
     problem = load_problem(ns.problem)
     region = feasible_region(problem, cfg.tol) if ns.region == "feasible" else box_region(problem, cfg.tol)
     at = None if ns.at is None else require_in_box(problem, _resolve_point(problem, ns.at), "--at point")
     if at is not None and ns.region == "feasible":  # the rule of the region sampled
         point_slacks(problem, at, cfg.tol, "--at point")
-    extra = {**echo, "kind": kind, "function": ns.function,
+    extra = {**echo, "kind": ns.kind, "function": ns.function,
              "at": None if at is None else list(map(float, at)), "region": ns.region}
-
-    if kind == "invex-set":
-        verdict = einvex_set_check(problem, cfg, region=region)
-    else:
-        if not ns.function:
-            raise CliUsageError(f"--function is required for kind {kind}")
-        fn = problem.function(ns.function)
-        if kind in PREINVEX_KINDS:
-            verdict = check_preinvex(fn, problem, PreinvexKind(kind), cfg, region=region)
-        elif kind in INVEX_KINDS:
-            verdict = check_invex(fn, problem, InvexKind(kind), cfg, at=at, region=region)
-        elif kind == "epigraph":
-            verdict = epigraph_invex_check(fn, problem, cfg, region=region)
-        elif kind == "level-set":
-            if ns.levels:
-                extra["levels"] = ns.levels
-            verdict = level_set_invex_check(fn, problem, levels=ns.levels, cfg=cfg, region=region)
-        else:  # pragma: no cover - choices guard this
-            raise CliUsageError(f"unhandled kind {kind}")
+    if "function" in KINDS[ns.kind].reads and not ns.function:
+        raise CliUsageError(f"--function is required for kind {ns.kind}")
+    fn = problem.function(ns.function) if ns.function else None
+    item = (fn, ns.kind)
+    if ns.levels is not None:  # given only where read: level-set
+        item += (ns.levels,)
+        extra["levels"] = ns.levels
+    verdict = check(problem, [item], cfg, at=at, region=region)[0]
 
     rep = _base_report(ns, problem, extra)
     rep.update({"conclusion": verdict.status, "verdict": verdict})

@@ -1,7 +1,8 @@
-"""Sampling checkers for the exponential invexity family.
+"""Sampling checks for the exponential invexity family.
 
-Every checker evaluates its defining inequality on a deterministic sample
-set and returns a Verdict.  "Holds" always means "no violation found among
+KINDS is the one table of the check kinds, and check the one runner: every
+kind evaluates its defining inequality on a deterministic sample set and
+gets a Verdict.  "Holds" always means "no violation found among
 the reported number of samples", never a proof.  Comparisons follow one
 convention throughout:
 
@@ -23,13 +24,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence
+from functools import partial
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .problem import (EProblem, Hypothesis, Judgement, MixtureSamples, PairDraw, ProblemFunction,
                       Region, SampleConfig, Verdict, all_vacuous, box_region, mixture_samples,
-                      sample_pairs, sample_rows, sampled_verdict, sampled_verdicts)
+                      sample_pairs, sample_rows, sampled_verdicts)
 from .rng import SampleStream
 
 PROBE_RADII = (1e-2, 1e-3, 1e-4, 1e-5)
@@ -100,7 +102,7 @@ def _mix_log(tau, a, b):
 
 
 # ---------------------------------------------------------------------------
-# Pair sampling for the mixture (preinvex) family
+# Mixture (preinvex) family
 # ---------------------------------------------------------------------------
 
 
@@ -121,10 +123,8 @@ class PreinvexSamples(MixtureSamples):
         return np.maximum(self.A, self.B)[:, None]
 
 
-def preinvex_pairs(fn: ProblemFunction, problem: EProblem, cfg: SampleConfig, pairs: PairDraw,
-                   lo: int, hi: int) -> PreinvexSamples:
-    """The shared (x, x0, tau) samples of pairs lo..hi-1 with f evaluated on them."""
-    m = mixture_samples(problem, cfg, pairs, lo, hi)
+def preinvex_pairs(fn: ProblemFunction, problem: EProblem, m: MixtureSamples) -> PreinvexSamples:
+    """The drawn mixture block ``m`` with f evaluated at x, x0 and the combined points."""
     ra = problem.composed_values(fn, m.X)
     rb = problem.composed_values(fn, m.X0)
     A, B = ra.values, rb.values
@@ -175,28 +175,6 @@ def preinvex_sides(fn: ProblemFunction, problem: EProblem, x, x0, tau: float) ->
             "mix_log": mix, "max_log": max(a, b),
             "left": _exp_or_inf(c), "right_mix": _exp_or_inf(mix),
             "right_max": _exp_or_inf(max(a, b))}
-
-
-def check_preinvex(fn: ProblemFunction, problem: EProblem, kind: PreinvexKind,
-                   cfg: SampleConfig = SampleConfig(), region: Optional[Region] = None) -> Verdict:
-    """Check one mixture-family definition of exp(f) along eta-paths."""
-    kind = PreinvexKind(kind)
-    pairs = PairDraw(problem, cfg, region or box_region(problem, cfg.tol))
-    cmp = "strict gap below margin" if kind.strict else "left > right beyond tol"
-
-    def judge(s):
-        def witness(i, t):
-            tau, a, b, c = float(s.T[i, t]), s.A[i], s.B[i], float(s.C[i, t])
-            log_right = float(_mix_log(tau, a, b) if kind.mixed else max(a, b))
-            return dict(tau=tau, left=_exp_or_inf(c), right=_exp_or_inf(log_right), comparison=cmp,
-                        extra={"log_left": c, "log_right": log_right,
-                               "combined": (s.V[i] + tau * s.H[i]).tolist()})
-
-        sat, nonvac = preinvex_masks(s, kind, cfg)
-        return Judgement(sat, witness, nonvac)
-
-    return sampled_verdict(cfg.n_pairs, lambda lo, hi: preinvex_pairs(fn, problem, cfg, pairs, lo, hi),
-                           judge, all_vacuous)
 
 
 # ---------------------------------------------------------------------------
@@ -433,71 +411,55 @@ def _invex_witness(kind: InvexKind, s: InvexSamples, i: int) -> dict:
                 extra={"a": a, "b": b, "probe": probe})
 
 
-def check_invex(fn: ProblemFunction, problem: EProblem, kind: InvexKind,
-                cfg: SampleConfig = SampleConfig(), at=None, region: Optional[Region] = None,
-                vacuous=all_vacuous) -> Verdict:
-    """Check one of the seven gradient-family definitions at sampled pairs.
-
-    ``at`` pins the base point (the mode certificates use); otherwise both
-    orientations of each sampled pair are tested.  The three strict kinds
-    also test deterministic probes near base points: "holds" for them
-    means the strict gap stays above the margin even arbitrarily close to
-    x0 in the probed directions.  The monotone kinds also take the gradient
-    at x.  ``vacuous`` is the vacuity rule of sampled_verdict; None lets a
-    check whose samples were all vacuous hold.
-    """
-    return check_invex_many(problem, [(fn, kind)], cfg, at, region, vacuous)[0]
-
-
-def check_invex_many(problem: EProblem, plan, cfg: SampleConfig = SampleConfig(), at=None,
-                     region: Optional[Region] = None, vacuous=all_vacuous) -> list:
-    """check_invex of every (fn, kind) of ``plan``, judged on one shared draw.
-
-    Each block of pairs is drawn once, with the probes when some kind takes
-    them; every hypothesis still undecided is judged on it, a kind without
-    probes on its samples with the probe rows dropped.  Each verdict equals
-    that of its own check_invex call.
-    """
-    kinds = [InvexKind(kind) for _, kind in plan]
-    pairs = PairDraw(problem, cfg, region or box_region(problem, cfg.tol), at)
-
-    def hypothesis(fn, kind):
-        probed = kind in PROBED_KINDS
-
-        def judge(s):
-            sat, nonvac = invex_masks(s, kind, cfg)
-            return Judgement(sat, lambda i: _invex_witness(kind, s, i), nonvac)
-
-        def samples(blk):
-            s = invex_pairs(fn, problem, blk, kind.monotone)
-            if probed:
-                return s
-            probe = s.index >= s.n_regular  # only the block of the last probed pair has any
-            return sample_rows(s, ~probe) if probe.any() else s
-
-        return Hypothesis(judge, samples, vacuous)
-
-    probes = any(kind in PROBED_KINDS for kind in kinds)
-    return sampled_verdicts(cfg.n_pairs,
-                            lambda lo, hi: invex_block(problem, cfg, pairs, lo, hi, probes),
-                            [hypothesis(fn, kind) for (fn, _), kind in zip(plan, kinds)])
-
-
-def gradient_monotonicity(fn: ProblemFunction, problem: EProblem,
-                          cfg: SampleConfig = SampleConfig(), strict: bool = False,
-                          region: Optional[Region] = None, at=None) -> Verdict:
-    """check_invex of the (strict) monotone-gradient kind."""
-    return check_invex(fn, problem, InvexKind.STRICT_MONOTONE if strict else InvexKind.MONOTONE,
-                       cfg, at=at, region=region)
-
-
 # ---------------------------------------------------------------------------
-# Epigraph and level-set forms
+# The kind table and the one runner
 # ---------------------------------------------------------------------------
+#
+# Each builder returns the Hypothesis of its kind: how its samples come from a
+# drawn block and how they are judged.  ``vacuous`` is the rule of the eleven
+# definitions; the set kinds have their own.
 
 
-def epigraph_invex_check(fn: ProblemFunction, problem: EProblem,
-                         cfg: SampleConfig = SampleConfig(), region: Optional[Region] = None) -> Verdict:
+def _mixture(kind: PreinvexKind, fn, problem, cfg, region, vacuous) -> Hypothesis:
+    """One mixture-family definition of exp(f) along eta-paths."""
+    cmp = "strict gap below margin" if kind.strict else "left > right beyond tol"
+
+    def judge(s):
+        def witness(i, t):
+            tau, a, b, c = float(s.T[i, t]), s.A[i], s.B[i], float(s.C[i, t])
+            log_right = float(_mix_log(tau, a, b) if kind.mixed else max(a, b))
+            return dict(tau=tau, left=_exp_or_inf(c), right=_exp_or_inf(log_right), comparison=cmp,
+                        extra={"log_left": c, "log_right": log_right,
+                               "combined": (s.V[i] + tau * s.H[i]).tolist()})
+
+        sat, nonvac = preinvex_masks(s, kind, cfg)
+        return Judgement(sat, witness, nonvac)
+
+    return Hypothesis(judge, lambda m: preinvex_pairs(fn, problem, m), vacuous)
+
+
+def _gradient(kind: InvexKind, fn, problem, cfg, region, vacuous) -> Hypothesis:
+    """One of the seven gradient-family definitions.  A strict kind also
+    judges the probes: "holds" then means the strict gap stays above the
+    margin even arbitrarily close to x0 in the probed directions.  A kind
+    without probes judges its samples with the probe rows dropped.  The
+    monotone kinds also take the gradient at x."""
+
+    def judge(s):
+        sat, nonvac = invex_masks(s, kind, cfg)
+        return Judgement(sat, lambda i: _invex_witness(kind, s, i), nonvac)
+
+    def samples(blk):
+        s = invex_pairs(fn, problem, blk, kind.monotone)
+        if kind in PROBED_KINDS:
+            return s
+        probe = s.index >= s.n_regular  # only the block of the last probed pair has any
+        return sample_rows(s, ~probe) if probe.any() else s
+
+    return Hypothesis(judge, samples, vacuous)
+
+
+def _epigraph(fn, problem, cfg, region, vacuous) -> Hypothesis:
     """Invexity of the region above exp(f) over the image of E.
 
     Each sampled pair is lifted twice: once with tight levels (exactly
@@ -506,7 +468,6 @@ def epigraph_invex_check(fn: ProblemFunction, problem: EProblem,
     samples, the paper's epigraph characterization; only the slack instance,
     at genuinely interior epigraph points, adds evidence of its own.
     """
-    pairs = PairDraw(problem, cfg, region or box_region(problem, cfg.tol))
 
     def judge(s):
         rows = s.A.shape[0]
@@ -531,14 +492,11 @@ def epigraph_invex_check(fn: ProblemFunction, problem: EProblem,
 
         return Judgement(sat, witness, np.ones_like(sat))
 
-    return sampled_verdict(cfg.n_pairs, lambda lo, hi: preinvex_pairs(fn, problem, cfg, pairs, lo, hi),
-                           judge)
+    return Hypothesis(judge, lambda m: preinvex_pairs(fn, problem, m))
 
 
-def level_set_invex_check(fn: ProblemFunction, problem: EProblem,
-                          levels: Optional[Sequence[float]] = None,
-                          cfg: SampleConfig = SampleConfig(),
-                          region: Optional[Region] = None) -> Verdict:
+def _level_set(fn, problem, cfg, region, vacuous,
+               levels: Optional[Sequence[float]] = None) -> Hypothesis:
     """Invexity of sublevel sets of exp(f) over the image of E.
 
     With explicit ``levels`` (thresholds on exp(f), so positive), pairs are
@@ -553,7 +511,6 @@ def level_set_invex_check(fn: ProblemFunction, problem: EProblem,
     if levels is not None and not all(lvl > 0.0 for lvl in levels):
         raise ValueError("levels must be positive (they bound exp(f))")
     logs = None if levels is None else np.array([math.log(lvl) for lvl in levels])
-    pairs = PairDraw(problem, cfg, region or box_region(problem, cfg.tol))
 
     def judge(s):
         def fail_at(i, t, level_log):
@@ -574,5 +531,80 @@ def level_set_invex_check(fn: ProblemFunction, problem: EProblem,
         empty = [lvl for lvl, c in zip(levels, counts) if not c.any()]
         return f"no sampled pair lies in the sublevel set for levels {empty}" if empty else None
 
-    return sampled_verdict(cfg.n_pairs, lambda lo, hi: preinvex_pairs(fn, problem, cfg, pairs, lo, hi),
-                           judge, None if levels is None else empty_levels)
+    return Hypothesis(judge, lambda m: preinvex_pairs(fn, problem, m),
+                      None if levels is None else empty_levels)
+
+
+def _invex_set(fn, problem, cfg, region, vacuous) -> Hypothesis:
+    """Membership of E(x0) + tau*eta(E(x), E(x0)) in the region, whose
+    points x and x0 are drawn; no function is judged, so fn is ignored."""
+
+    def judge(s):
+        Z = s.combined()
+        member = region.contains(Z.reshape(-1, problem.n)).reshape(s.T.shape)
+        return Judgement(member, lambda i, t: dict(
+            tau=float(s.T[i, t]), comparison="combined point left the region",
+            extra={"combined": Z[i, t].tolist()}))
+
+    return Hypothesis(judge, failed="map evaluation")
+
+
+class Kind(NamedTuple):
+    """One --kind of check."""
+
+    gradient: bool      # judged on invex_block's draw, else on mixture_samples'
+    build: Callable     # (fn, problem, cfg, region, vacuous, *args) -> its Hypothesis
+    reads: frozenset    # the optional settings it reads: function, at, tau, delta, levels
+
+
+def _reads(*names, strict=False) -> frozenset:
+    return frozenset(names + (("delta",) if strict else ()))
+
+
+KINDS = {  # the one table of the 14 check kinds
+    **{k.value: Kind(False, partial(_mixture, k), _reads("function", "tau", strict=k.strict))
+       for k in PreinvexKind},
+    **{k.value: Kind(True, partial(_gradient, k), _reads("function", "at", strict=k.strict))
+       for k in InvexKind},
+    "epigraph": Kind(False, _epigraph, _reads("function", "tau")),
+    "level-set": Kind(False, _level_set, _reads("function", "tau", "levels")),
+    "invex-set": Kind(False, _invex_set, _reads("tau")),
+}
+
+
+def check(problem: EProblem, plan, cfg: SampleConfig = SampleConfig(), at=None,
+          region: Optional[Region] = None, vacuous=all_vacuous) -> list[Verdict]:
+    """The verdict of every item of ``plan``, all judged on one draw.
+
+    An item is (fn, kind), or (fn, "level-set", levels); invex-set judges
+    no function and ignores fn.  The kinds of a plan share one draw: the
+    gradient block of invex_block (with the probes when some kind takes
+    them) or the mixture block of mixture_samples.  Each block of pairs is
+    drawn once and judged for every item still undecided, so each verdict
+    equals that of its item checked alone.  ``at`` pins the base point of a gradient plan, the mode
+    certificates use; otherwise both orientations of each pair drawn from
+    ``region`` (the box by default) are tested.  ``vacuous`` is the vacuity
+    rule of the eleven definitions (see sampled_verdicts); None lets a check
+    whose samples were all vacuous hold.
+    """
+    kinds = [KINDS[kind] for _, kind, *_ in plan]
+    if len({k.gradient for k in kinds}) != 1:
+        raise ValueError("a plan holds kinds of one draw, gradient or mixture")
+    gradient = kinds[0].gradient
+    if at is not None and not gradient:
+        raise ValueError("at pins the base point of the gradient family")
+    region = region or box_region(problem, cfg.tol)
+    pairs = PairDraw(problem, cfg, region, at)
+    hypotheses = [k.build(fn, problem, cfg, region, vacuous, *args)
+                  for k, (fn, _, *args) in zip(kinds, plan)]
+    if gradient:
+        probes = any(kind in PROBED_KINDS for _, kind, *_ in plan)
+        return sampled_verdicts(cfg.n_pairs,
+                                lambda lo, hi: invex_block(problem, cfg, pairs, lo, hi, probes),
+                                hypotheses)
+    return sampled_verdicts(cfg.n_pairs, lambda lo, hi: mixture_samples(problem, cfg, pairs, lo, hi),
+                            hypotheses)
+
+
+# the names bench/spans.py traces as invexity.check; ROADMAP item 7 deletes them
+check_invex = check_preinvex = gradient_monotonicity = check

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import expr as ex
 from .errors import EinvexError, InfeasibleMultipliersError
-from .invexity import InvexKind, check_invex_many
+from .invexity import InvexKind, check
 from .problem import EProblem, SampleConfig, Verdict, feasible_region, point_slacks
 
 
@@ -284,8 +284,8 @@ def certify(problem: EProblem, point: KktPoint, theorem: str,
     hypothesis function is checked for its required generalized-invexity
     kind with the base point pinned at y and moving points drawn from the
     feasible region.  All hypotheses are judged on the same pinned feasible
-    pairs, drawn once per block (check_invex_many); each keeps its own
-    deciding pair, witness and `checked`, as its own check_invex would give,
+    pairs, drawn once per block (invexity.check); each keeps its own
+    deciding pair, witness and `checked`, as its own check would give,
     and is not judged on later blocks once decided.  Implication-form
     hypotheses whose antecedent never fires on the feasible samples count as
     satisfied: a vacuous antecedent on the whole sampled region implies the
@@ -317,8 +317,8 @@ def certify(problem: EProblem, point: KktPoint, theorem: str,
     plan += [(problem.eq[j], spec["constraints"]) for j in np.flatnonzero(xi > cfg.tol)]
     plan += [(problem.eq[j].negated(), spec["constraints"]) for j in np.flatnonzero(xi < -cfg.tol)]
 
-    verdicts = check_invex_many(problem, plan, cfg, at=point.y,
-                                region=feasible_region(problem, cfg.tol), vacuous=None)
+    verdicts = check(problem, plan, cfg, at=point.y, region=feasible_region(problem, cfg.tol),
+                     vacuous=None)
     hyps = [HypothesisResult(fn.name, kind.value, v) for (fn, kind), v in zip(plan, verdicts)]
     for status, conclusion, word in (("fails", "not-established", "failed"),
                                      ("inconclusive", "inconclusive", "inconclusive")):

@@ -99,7 +99,7 @@ class Verdict:
     "holds" is a sampling claim: no violation among `checked` samples, of
     which `nonvacuous` actually exercised the inequality.  "fails" carries a
     witness, and `checked` counts the samples up to and including its pair,
-    in the canonical order of sampled_verdict.  Every witness reports the
+    in the canonical order of sampled_verdicts.  Every witness reports the
     values of the block that judged it; invexity.preinvex_sides and
     invex_sides replay a witness independently.
     "inconclusive" explains itself in `reason`; after a failed evaluation
@@ -630,11 +630,6 @@ class Hypothesis(NamedTuple):
     failed: str = "evaluation"                # the quantity a failed evaluation names
 
 
-def sampled_verdict(n_pairs: int, draw, judge, vacuous=None, failed: str = "evaluation") -> Verdict:
-    """sampled_verdicts of one hypothesis that judges the drawn samples as they are."""
-    return sampled_verdicts(n_pairs, draw, [Hypothesis(judge, vacuous=vacuous, failed=failed)])[0]
-
-
 @dataclass
 class _Tally:
     """One hypothesis so far: instances judged, nonvacuous counts, its verdict once decided."""
@@ -735,24 +730,3 @@ def _decide(h: Hypothesis, s, t: _Tally) -> Optional[Verdict]:
 def _through(s, row: int) -> int:
     """The rows up to and including the pair of ``row``."""
     return int(np.searchsorted(s.unit, s.unit[row], side="right"))
-
-
-def einvex_set_check(problem: EProblem, cfg: SampleConfig = SampleConfig(),
-                     region: Optional[Region] = None) -> Verdict:
-    """Sampled membership check of E(x0) + tau*eta(E(x), E(x0)) in the region.
-
-    The default region is the domain box with +/- tol slack on each face.
-    Points x, x0 are drawn from the region itself.
-    """
-    region = region or box_region(problem, cfg.tol)
-    pairs = PairDraw(problem, cfg, region)
-
-    def judge(s):
-        Z = s.combined()
-        member = region.contains(Z.reshape(-1, problem.n)).reshape(s.T.shape)
-        return Judgement(member, lambda i, t: dict(
-            tau=float(s.T[i, t]), comparison="combined point left the region",
-            extra={"combined": Z[i, t].tolist()}))
-
-    return sampled_verdict(cfg.n_pairs, lambda lo, hi: mixture_samples(problem, cfg, pairs, lo, hi),
-                           judge, failed="map evaluation")

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from einvex.invexity import PreinvexKind, preinvex_pairs
-from einvex.problem import EProblem, PairDraw, SampleConfig, box_region, load_problem
+from einvex.problem import EProblem, PairDraw, SampleConfig, box_region, load_problem, mixture_samples
 
 CFG = SampleConfig(seed=42, n_pairs=800, n_tau=6)
 
@@ -31,8 +31,8 @@ class CorpusEntry:
     name: str
     spec: dict
     small: bool      # |f| <= 50 over the box (naive exponentials stay finite)
-    preinvex: str    # expected check_preinvex(..., "preinvex") status
-    quasi: str       # expected check_preinvex(..., "quasi-preinvex") status
+    preinvex: str    # expected status of check(..., [(f1, "preinvex")], CFG)
+    quasi: str       # expected status of check(..., [(f1, "quasi-preinvex")], CFG)
 
 
 def _one(name, f, box, small=True, preinvex="holds", quasi="holds",
@@ -110,7 +110,8 @@ def by_name(name: str) -> CorpusEntry:
 
 def preinvex_block(fn, p: EProblem, cfg: SampleConfig = CFG):
     """The mixture samples of all cfg.n_pairs box pairs of fn, as one block."""
-    return preinvex_pairs(fn, p, cfg, PairDraw(p, cfg, box_region(p, cfg.tol)), 0, cfg.n_pairs)
+    pairs = PairDraw(p, cfg, box_region(p, cfg.tol))
+    return preinvex_pairs(fn, p, mixture_samples(p, cfg, pairs, 0, cfg.n_pairs))
 
 
 def naive_preinvex_masks(s, kind, cfg: SampleConfig):

@@ -15,15 +15,7 @@ import pytest
 from corpus import CFG, ENTRIES, naive_preinvex_masks, preinvex_block, problem
 from einvex import expr as ex
 from einvex.cli import run
-from einvex.invexity import (
-    PreinvexKind,
-    check_invex,
-    check_preinvex,
-    epigraph_invex_check,
-    invex_sides,
-    level_set_invex_check,
-    preinvex_masks,
-)
+from einvex.invexity import PreinvexKind, check, invex_sides, preinvex_masks
 from einvex.kkt import KktPoint, certify, solve_multipliers, verify_kkt_point
 from einvex.pareto import GridSpec, grid_oracle
 from einvex.problem import SampleConfig, load_problem
@@ -41,10 +33,10 @@ def test_criterion_1_gradient_family_verdicts_on_example1(example1_path):
     p = load_problem(example1_path)
     f1 = p.function("f1")
 
-    assert check_invex(f1, p, "pseudo-invex", FULL).status == "holds"
-    assert check_invex(f1, p, "quasi-invex", FULL).status == "holds"
+    assert check(p, [(f1, "pseudo-invex")], FULL)[0].status == "holds"
+    assert check(p, [(f1, "quasi-invex")], FULL)[0].status == "holds"
 
-    v = check_invex(f1, p, "invex", FULL)
+    v = check(p, [(f1, "invex")], FULL)[0]
     assert v.status == "fails"
     w = v.witness
     sides = invex_sides(f1, p, w.x, w.x0)
@@ -112,20 +104,39 @@ def test_criterion_4_grid_oracle_finds_the_unique_optimum(vp1_path):
         f"{elapsed:.2f}s")
 
 
+def _sample(v):
+    """Where a verdict's witness lies: (x, x0, tau, index), or None."""
+    w = v.witness
+    return None if w is None else (w.x, w.x0, w.tau, w.index)
+
+
 def test_criterion_5_corpus_cross_checker_agreement():
+    """The README's aliases: level-set without --levels is the quasi-preinvex
+    mask, and the tight half of epigraph is the preinvex mask, on the same
+    samples.  So a level-set verdict is the quasi-preinvex one, and a failing
+    epigraph fails at preinvex's sample, lifted tight, with two instances
+    (tight, slack) where preinvex has one."""
     assert len(ENTRIES) == 20
+    failing_epigraphs = 0
     for ent in ENTRIES:
         p = problem(ent)
         fn = p.function("f1")
-        pre = check_preinvex(fn, p, "preinvex", CFG)
-        epi = epigraph_invex_check(fn, p, CFG)
+        pre = check(p, [(fn, "preinvex")], CFG)[0]
+        epi = check(p, [(fn, "epigraph")], CFG)[0]
         assert pre.status == ent.preinvex, ent.name
         assert epi.status == pre.status, f"{ent.name}: epigraph disagrees"
+        if epi.status == "fails":
+            assert _sample(epi)[:3] == _sample(pre)[:3], ent.name
+            assert epi.witness.extra["tight"] is True, ent.name
+            assert (epi.witness.index, epi.checked) == (2 * pre.witness.index, 2 * pre.checked)
+            failing_epigraphs += 1
 
-        quasi = check_preinvex(fn, p, "quasi-preinvex", CFG)
-        lvl = level_set_invex_check(fn, p, cfg=CFG)
+        quasi = check(p, [(fn, "quasi-preinvex")], CFG)[0]
+        lvl = check(p, [(fn, "level-set")], CFG)[0]
         assert quasi.status == ent.quasi, ent.name
         assert lvl.status == quasi.status, f"{ent.name}: level-set disagrees"
+        assert (lvl.checked, _sample(lvl)) == (quasi.checked, _sample(quasi)), ent.name
+    assert failing_epigraphs == 9
     _ok("criterion 5: 20/20 corpus entries, epigraph==mixture and "
         "level-set==quasi")
 
@@ -179,7 +190,7 @@ def test_criterion_7_numerics():
     # the log path stays finite where exp(f) overflows (|f| up to 500)
     steep = next(e for e in ENTRIES if e.name == "steep-affine")
     p = problem(steep)
-    v = check_preinvex(p.function("f1"), p, "preinvex", CFG)
+    v = check(p, [(p.function("f1"), "preinvex")], CFG)[0]
     assert v.status == "holds"
     assert v.checked == CFG.n_pairs * CFG.n_tau
     _ok("criterion 7: gradients within 1e-6 of central differences; "

@@ -119,7 +119,7 @@ SAMPLING_FLAG_CASES = [
     *((cmd, "--eps", "0") for cmd in ("check", "kkt", "certify")),
     ("check", "--pairs", "0"), ("check", "--pairs", "-5"), ("check", "--pairs", "1.5"),
     ("check", "--tau", "2"), ("check", "--tau", "abc"),
-    *(("check", "--levels", v) for v in ("abc", "0", "-1", "nan", "inf", "1,,2")),
+    *(("check", "--levels", v) for v in ("abc", "0", "-1", "nan", "inf", "1,,2", "1,1")),
 ]
 
 

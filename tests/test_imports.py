@@ -1,4 +1,5 @@
-"""No module of the package imports a name it never uses.
+"""No module of the package imports a name it never uses, and no function
+or class of the package goes unread.
 
 No linter ships with the package, so this walks the syntax tree: every name
 an import binds must be read somewhere in the module, in code or in a
@@ -7,6 +8,7 @@ a ``noqa`` line is exempt.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -64,3 +66,55 @@ def test_an_unused_import_is_found():
         "    return x",
     ])
     assert unused_imports(src) == ["Sequence (line 4)", "os (line 2)"]
+
+
+def _reads(node):
+    """The names that code under ``node`` reads, and the words of its strings:
+    a docstring that names a function, as Verdict's names the witness
+    replays, counts as a reader."""
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            yield n.id
+        elif isinstance(n, ast.Attribute):
+            yield n.attr
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+            yield from re.findall(r"[A-Za-z_]\w*", n.value)
+
+
+def unread_definitions(sources: dict) -> list:
+    """The module-level functions and classes of ``sources`` (file name ->
+    source) that nothing reads outside their own definition.  ``__init__``
+    is not searched: a re-export is not a use."""
+    trees = {name: ast.parse(src) for name, src in sources.items()}
+    readers = [(node, set(_reads(node))) for name, tree in trees.items() if name != "__init__.py"
+               for node in tree.body]
+    return sorted(f"{name}: {node.name}" for name, tree in trees.items() for node in tree.body
+                  if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                  and not any(node.name in names for other, names in readers if other is not node))
+
+
+def test_every_function_and_class_is_read_in_the_package():
+    sources = {p.name: p.read_text() for p in PACKAGE.glob("*.py")}
+    assert unread_definitions(sources) == []
+
+
+def test_an_unread_definition_is_found():
+    sources = {
+        "__init__.py": "from .a import dead, used",
+        "a.py": "\n".join([
+            "def used():",
+            "    return helper()",
+            "def helper():",
+            "    '''see documented'''",
+            "def documented():",
+            "    pass",
+            "def recursive(n):",
+            "    return recursive(n - 1)",
+            "def dead():",
+            "    pass",
+            "class Unused:",
+            "    pass",
+        ]),
+        "b.py": "from .a import used\nused()",
+    }
+    assert unread_definitions(sources) == ["a.py: Unused", "a.py: dead", "a.py: recursive"]

@@ -7,30 +7,27 @@ import numpy as np
 import pytest
 
 from corpus import CFG, ENTRIES, by_name, naive_preinvex_masks, preinvex_block, problem
-from einvex import cli, expr
+from einvex import expr
 from einvex.invexity import (
+    KINDS,
     PROBE_RADII,
     PROBED_KINDS,
     InvexKind,
     InvexSamples,
     PreinvexKind,
     PreinvexSamples,
-    check_invex,
-    check_preinvex,
-    epigraph_invex_check,
-    gradient_monotonicity,
+    check,
     invex_block,
     invex_masks,
     invex_pairs,
     invex_sides,
-    level_set_invex_check,
     preinvex_masks,
     preinvex_sides,
     _monotone_term,
     _probe_points,
 )
 from einvex.problem import (EProblem, PairDraw, Region, SampleConfig, _jsonable, box_region,
-                            einvex_set_check, load_problem)
+                            load_problem)
 from mpexpr import DPS, mp_eval
 
 
@@ -46,11 +43,11 @@ def example1(example1_path):
 
 def test_example1_gradient_family(example1, fast_cfg):
     f1 = example1.function("f1")
-    assert check_invex(f1, example1, "quasi-invex", fast_cfg).status == "holds"
-    assert check_invex(f1, example1, "pseudo-invex", fast_cfg).status == "holds"
-    assert check_invex(f1, example1, "strict-pseudo-invex", fast_cfg).status == "holds"
+    assert check(example1, [(f1, "quasi-invex")], fast_cfg)[0].status == "holds"
+    assert check(example1, [(f1, "pseudo-invex")], fast_cfg)[0].status == "holds"
+    assert check(example1, [(f1, "strict-pseudo-invex")], fast_cfg)[0].status == "holds"
 
-    v = check_invex(f1, example1, "invex", fast_cfg)
+    v = check(example1, [(f1, "invex")], fast_cfg)[0]
     assert v.status == "fails"
     w = v.witness
     # the witness replays exactly through the scalar helper
@@ -63,9 +60,9 @@ def test_example1_gradient_family(example1, fast_cfg):
 def test_example1_mixture_family_fails(example1, fast_cfg):
     f1 = example1.function("f1")
     for kind in ("preinvex", "strict-preinvex", "quasi-preinvex", "strict-quasi-preinvex"):
-        v = check_preinvex(f1, example1, kind, fast_cfg)
+        v = check(example1, [(f1, kind)], fast_cfg)[0]
         assert v.status == "fails", kind
-    v = check_preinvex(f1, example1, "preinvex", fast_cfg)
+    v = check(example1, [(f1, "preinvex")], fast_cfg)[0]
     w = v.witness
     sides = preinvex_sides(f1, example1, w.x, w.x0, w.tau)
     assert sides["c"] > sides["mix_log"] + fast_cfg.tol
@@ -86,7 +83,7 @@ def test_example1_curated_pair_values(example1):
 
 def test_example1_monotonicity_fails_with_replayable_term(example1, fast_cfg):
     f1 = example1.function("f1")
-    v = gradient_monotonicity(f1, example1, fast_cfg)
+    v = check(example1, [(f1, "monotone-gradient")], fast_cfg)[0]
     assert v.status == "fails"
     # curated pair: the monotonicity term at x=-4 against x0=-3 is -3/e
     gr = example1.composed_grads(f1, np.array([[-4.0]]))
@@ -120,19 +117,19 @@ def test_shifted_cube_curated_mixture_values():
 def test_constant_function_statuses():
     p = problem(by_name("constant"))
     f = p.function("f1")
-    assert check_preinvex(f, p, "preinvex", CFG).status == "holds"
-    assert check_preinvex(f, p, "quasi-preinvex", CFG).status == "holds"
-    assert check_invex(f, p, "invex", CFG).status == "holds"
-    assert check_invex(f, p, "quasi-invex", CFG).status == "holds"
-    assert gradient_monotonicity(f, p, CFG).status == "holds"
+    assert check(p, [(f, "preinvex")], CFG)[0].status == "holds"
+    assert check(p, [(f, "quasi-preinvex")], CFG)[0].status == "holds"
+    assert check(p, [(f, "invex")], CFG)[0].status == "holds"
+    assert check(p, [(f, "quasi-invex")], CFG)[0].status == "holds"
+    assert check(p, [(f, "monotone-gradient")], CFG)[0].status == "holds"
     # every strict variant collapses on a flat function
-    assert check_preinvex(f, p, "strict-preinvex", CFG).status == "fails"
-    assert check_preinvex(f, p, "strict-quasi-preinvex", CFG).status == "fails"
-    assert check_invex(f, p, "strict-invex", CFG).status == "fails"
-    assert check_invex(f, p, "strict-pseudo-invex", CFG).status == "fails"
-    assert gradient_monotonicity(f, p, CFG, strict=True).status == "fails"
+    assert check(p, [(f, "strict-preinvex")], CFG)[0].status == "fails"
+    assert check(p, [(f, "strict-quasi-preinvex")], CFG)[0].status == "fails"
+    assert check(p, [(f, "strict-invex")], CFG)[0].status == "fails"
+    assert check(p, [(f, "strict-pseudo-invex")], CFG)[0].status == "fails"
+    assert check(p, [(f, "strict-monotone-gradient")], CFG)[0].status == "fails"
     # pseudo's antecedent a < b - tol never fires on a constant
-    assert check_invex(f, p, "pseudo-invex", CFG).status == "inconclusive"
+    assert check(p, [(f, "pseudo-invex")], CFG)[0].status == "inconclusive"
 
 
 def test_strict_invex_fails_via_deterministic_probes():
@@ -140,10 +137,10 @@ def test_strict_invex_fails_via_deterministic_probes():
     # step, so only the near-basepoint probes can expose it.
     p = problem(by_name("affine"))
     f = p.function("f1")
-    v = check_invex(f, p, "strict-invex", CFG, at=[0.5])
+    v = check(p, [(f, "strict-invex")], CFG, at=[0.5])[0]
     assert v.status == "fails"
     assert v.witness.extra["probe"] is True
-    v = check_invex(f, p, "strict-invex", CFG)
+    v = check(p, [(f, "strict-invex")], CFG)[0]
     assert v.status == "fails"
     assert v.witness.extra["probe"] is True
 
@@ -184,8 +181,8 @@ def test_strict_mixture_kinds_have_no_probes():
     # supplies, so a strictly convex composition can still earn "holds".
     p = problem(by_name("square"))
     f = p.function("f1")
-    assert check_preinvex(f, p, "strict-quasi-preinvex", CFG).status == "holds"
-    v = check_invex(f, p, "strict-invex", CFG, at=[0.0])
+    assert check(p, [(f, "strict-quasi-preinvex")], CFG)[0].status == "holds"
+    v = check(p, [(f, "strict-invex")], CFG, at=[0.0])[0]
     assert v.status == "fails"  # the gradient family does probe
 
 
@@ -193,14 +190,29 @@ def test_vacuous_antecedent_policies():
     p = load_problem({"n": 1, "E": ["x1"], "eta": ["u1 - v1"],
                       "objectives": ["(y1-5)^2"], "box": {"lo": [-1.0], "hi": [1.0]}})
     f = p.function("f1")
-    v = check_invex(f, p, "quasi-invex", CFG, at=[5.0])
+    v = check(p, [(f, "quasi-invex")], CFG, at=[5.0])[0]
     assert v.status == "inconclusive"
     assert "vacuous" in v.reason
-    v = check_invex(f, p, "quasi-invex", CFG, at=[5.0], vacuous=None)
+    v = check(p, [(f, "quasi-invex")], CFG, at=[5.0], vacuous=None)[0]
     assert v.status == "holds"
     assert v.nonvacuous == 0
     with pytest.raises(TypeError):  # the rule is a function, not a word to misspell
-        check_invex(f, p, "quasi-invex", CFG, at=[5.0], vacuous_policy="inconclusve")
+        check(p, [(f, "quasi-invex")], CFG, at=[5.0], vacuous_policy="inconclusve")[0]
+
+
+def test_a_plan_shares_one_draw_and_keeps_each_verdict():
+    # a mixture plan judged in lockstep gives each item the verdict it gets alone
+    for name in ("double-well", "square"):
+        p = problem(by_name(name))
+        f = p.function("f1")
+        plan = [(f, "preinvex"), (f, "strict-quasi-preinvex"), (f, "epigraph"),
+                (f, "level-set", [math.exp(0.5)]), (None, "invex-set")]
+        assert check(p, plan, CFG) == [check(p, [item], CFG)[0] for item in plan], name
+    # one draw per plan: the two families draw differently, and only the gradient family pins x0
+    with pytest.raises(ValueError):
+        check(p, [(f, "invex"), (f, "preinvex")], CFG)
+    with pytest.raises(ValueError):
+        check(p, [(f, "preinvex")], CFG, at=[0.0])
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +300,7 @@ def test_every_kind_is_documented_and_pinned(repo_root):
     """A new kind lands with a README row and a boundary row, or not at all."""
     readme = (repo_root / "README.md").read_text()
     rows = {line.split("`")[1] for line in readme.splitlines() if line.startswith("| `")}
-    assert set(cli.CHECK_KINDS) <= rows, set(cli.CHECK_KINDS) - rows
+    assert set(KINDS) <= rows, set(KINDS) - rows
     pinned = {row[0] for row in BOUNDARY}
     assert set(InvexKind) | set(PreinvexKind) <= pinned
 
@@ -302,14 +314,14 @@ def test_epigraph_matches_mixture_verdict_on_corpus_samples():
     for ent in ENTRIES:
         p = problem(ent)
         f = p.function("f1")
-        pre = check_preinvex(f, p, "preinvex", CFG)
-        epi = epigraph_invex_check(f, p, CFG)
+        pre = check(p, [(f, "preinvex")], CFG)[0]
+        epi = check(p, [(f, "epigraph")], CFG)[0]
         assert pre.status == epi.status, ent.name
 
 
 def test_epigraph_failure_is_driven_by_the_tight_level():
     p = problem(by_name("shifted-cube"))
-    v = epigraph_invex_check(p.function("f1"), p, CFG)
+    v = check(p, [(p.function("f1"), "epigraph")], CFG)[0]
     assert v.status == "fails"
     assert v.witness.extra["tight"] is True
     assert v.witness.left > v.witness.right
@@ -320,8 +332,8 @@ def test_level_set_auto_matches_quasi_verdict():
     for ent in ENTRIES:
         p = problem(ent)
         f = p.function("f1")
-        quasi = check_preinvex(f, p, "quasi-preinvex", CFG)
-        lvl = level_set_invex_check(f, p, cfg=CFG)
+        quasi = check(p, [(f, "quasi-preinvex")], CFG)[0]
+        lvl = check(p, [(f, "level-set")], CFG)[0]
         assert quasi.status == lvl.status, ent.name
         assert (quasi.witness is None) == (lvl.witness is None), ent.name
         if lvl.witness is not None:
@@ -331,26 +343,26 @@ def test_level_set_auto_matches_quasi_verdict():
 def test_level_set_explicit_levels():
     p = problem(by_name("square"))
     # checked counts every (pair, tau) drawn; nonvacuous the ones inside the level
-    v = level_set_invex_check(p.function("f1"), p, levels=[math.exp(0.25)], cfg=CFG)
+    v = check(p, [(p.function("f1"), "level-set", [math.exp(0.25)])], CFG)[0]
     assert v.status == "holds" and v.checked == CFG.n_pairs * CFG.n_tau
     assert v.nonvacuous == 1182
 
     # monotone composition: every sublevel set is a ray, so even a level
     # cutting through the range holds
     p = problem(by_name("shifted-cube"))
-    v = level_set_invex_check(p.function("f1"), p, levels=[math.exp(-0.5)], cfg=CFG)
+    v = check(p, [(p.function("f1"), "level-set", [math.exp(-0.5)])], CFG)[0]
     assert v.status == "holds" and v.checked == CFG.n_pairs * CFG.n_tau
     assert v.nonvacuous == 198
 
     # two wells below the threshold, a hill above it in between
     p = problem(by_name("double-well"))
-    v = level_set_invex_check(p.function("f1"), p, levels=[math.exp(0.5)], cfg=CFG)
+    v = check(p, [(p.function("f1"), "level-set", [math.exp(0.5)])], CFG)[0]
     assert v.status == "fails"
     assert v.witness.extra["level"] == pytest.approx(math.exp(0.5), rel=1e-12)
     assert v.witness.left > v.witness.right
 
     # a level so deep no sampled pair qualifies is reported, not asserted
-    v = level_set_invex_check(p.function("f1"), p, levels=[math.exp(-15.0)], cfg=CFG)
+    v = check(p, [(p.function("f1"), "level-set", [math.exp(-15.0)])], CFG)[0]
     assert v.status == "inconclusive"
     assert "no sampled pair" in v.reason
 
@@ -358,7 +370,7 @@ def test_level_set_explicit_levels():
 def test_level_set_counts_each_pair_once_per_level(example1):
     # an instance is a (pair, level, tau): nonvacuous, the instances inside
     # their level, cannot exceed checked
-    v = level_set_invex_check(example1.function("f1"), example1, levels=[1e6, 1e7, 1e8], cfg=CFG)
+    v = check(example1, [(example1.function("f1"), "level-set", [1e6, 1e7, 1e8])], CFG)[0]
     assert v.status == "holds" and v.checked == CFG.n_pairs * 3 * CFG.n_tau
     assert 0 < v.nonvacuous <= v.checked
 
@@ -366,11 +378,11 @@ def test_level_set_counts_each_pair_once_per_level(example1):
 def test_level_set_rejects_nonpositive_levels():
     p = problem(by_name("square"))
     with pytest.raises(ValueError):
-        level_set_invex_check(p.function("f1"), p, levels=[0.0], cfg=CFG)
+        check(p, [(p.function("f1"), "level-set", [0.0])], CFG)[0]
     # before any sampling, so an earlier failing level does not hide it
     p = problem(by_name("double-well"))
     with pytest.raises(ValueError):
-        level_set_invex_check(p.function("f1"), p, levels=[math.exp(0.5), -1.0], cfg=CFG)
+        check(p, [(p.function("f1"), "level-set", [math.exp(0.5), -1.0])], CFG)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +404,7 @@ def test_log_and_naive_masks_agree_elementwise(name):
 def test_log_path_survives_extreme_scales():
     # composed values around +/-500: exp overflows, logaddexp does not
     p = problem(by_name("steep-affine"))
-    v = check_preinvex(p.function("f1"), p, "preinvex", CFG)
+    v = check(p, [(p.function("f1"), "preinvex")], CFG)[0]
     assert v.status == "holds"
     assert v.witness is None
 
@@ -448,8 +460,8 @@ def test_preinvex_satisfaction_implies_quasi_per_sample():
 def test_verdicts_are_deterministic():
     p = problem(by_name("double-well"))
     f = p.function("f1")
-    a = check_preinvex(f, p, "preinvex", CFG)
-    b = check_preinvex(f, p, "preinvex", CFG)
+    a = check(p, [(f, "preinvex")], CFG)[0]
+    b = check(p, [(f, "preinvex")], CFG)[0]
     assert _jsonable(a) == _jsonable(b)
 
 
@@ -471,45 +483,45 @@ def test_each_distinct_point_is_evaluated_once(example1, monkeypatch):
     monkeypatch.setattr(expr, "grad_many", counted_grad_many)
     f1 = example1.function("f1")
     cfg = SampleConfig(seed=42, n_pairs=500, n_tau=8)
-    assert check_invex(f1, example1, "quasi-invex", cfg).status == "holds"
+    assert check(example1, [(f1, "quasi-invex")], cfg)[0].status == "holds"
     assert rows["e_map"] == 2 * 500
     rows["grad_many"] = 0
-    assert check_invex(f1, example1, "quasi-invex", cfg, at=[-3.0]).status == "holds"
+    assert check(example1, [(f1, "quasi-invex")], cfg, at=[-3.0])[0].status == "holds"
     assert rows["grad_many"] == 1
 
 
 def test_starved_sampling_is_inconclusive():
     p = problem(by_name("square"))
     never = Region("empty", lambda P: np.zeros(np.atleast_2d(P).shape[0], dtype=bool))
-    v = check_preinvex(p.function("f1"), p, "preinvex", CFG, region=never)
+    v = check(p, [(p.function("f1"), "preinvex")], CFG, region=never)[0]
     assert v.status == "inconclusive"
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("check", [
-    lambda fn, p: check_preinvex(fn, p, "preinvex", CFG),
-    lambda fn, p: epigraph_invex_check(fn, p, CFG),
-    lambda fn, p: level_set_invex_check(fn, p, cfg=CFG),
+@pytest.mark.parametrize("run_check", [
+    lambda fn, p: check(p, [(fn, "preinvex")], CFG)[0],
+    lambda fn, p: check(p, [(fn, "epigraph")], CFG)[0],
+    lambda fn, p: check(p, [(fn, "level-set")], CFG)[0],
 ], ids=["preinvex", "epigraph", "level-set"])
-def test_failed_pair_is_inconclusive_before_any_mask(check):
+def test_failed_pair_is_inconclusive_before_any_mask(run_check):
     # log(y1) leaves its domain on half the box: the reason names the first
     # failed pair, which has no tau, and no nan reaches the masks (numpy
     # would warn from logaddexp)
     p = load_problem({"n": 1, "E": ["x1"], "eta": ["u1 - v1"], "objectives": ["log(y1)"],
                       "box": {"lo": [-1.0], "hi": [1.0]}})
-    v = check(p.function("f1"), p)
+    v = run_check(p.function("f1"), p)
     assert v.status == "inconclusive"
     assert v.reason.startswith("evaluation failed at x=[") and "tau" not in v.reason
 
 
 _EVERY_KIND = {
-    **{k.value: lambda fn, p, k=k: check_preinvex(fn, p, k, CFG) for k in PreinvexKind},
-    **{k.value: lambda fn, p, k=k: check_invex(fn, p, k, CFG) for k in InvexKind},
-    **{f"{k.value}@center": lambda fn, p, k=k: check_invex(fn, p, k, CFG, at=(p.lo + p.hi) / 2)
+    **{k.value: lambda fn, p, k=k: check(p, [(fn, k)], CFG)[0] for k in PreinvexKind},
+    **{k.value: lambda fn, p, k=k: check(p, [(fn, k)], CFG)[0] for k in InvexKind},
+    **{f"{k.value}@center": lambda fn, p, k=k: check(p, [(fn, k)], CFG, at=(p.lo + p.hi) / 2)[0]
        for k in InvexKind},
-    "epigraph": lambda fn, p: epigraph_invex_check(fn, p, CFG),
-    "level-set": lambda fn, p: level_set_invex_check(fn, p, cfg=CFG),
-    "invex-set": lambda fn, p: einvex_set_check(p, CFG),
+    "epigraph": lambda fn, p: check(p, [(fn, "epigraph")], CFG)[0],
+    "level-set": lambda fn, p: check(p, [(fn, "level-set")], CFG)[0],
+    "invex-set": lambda fn, p: check(p, [(None, "invex-set")], CFG)[0],
 }
 
 
@@ -529,8 +541,8 @@ def test_invex_holds_implies_monotone_holds_on_corpus():
     for name in ("square", "affine", "exp-of-exp", "bowl-2d", "saturating-eta"):
         p = problem(by_name(name))
         f = p.function("f1")
-        if check_invex(f, p, "invex", CFG).status == "holds":
-            assert gradient_monotonicity(f, p, CFG).status == "holds", name
+        if check(p, [(f, "invex")], CFG)[0].status == "holds":
+            assert check(p, [(f, "monotone-gradient")], CFG)[0].status == "holds", name
 
 
 # ---------------------------------------------------------------------------
@@ -581,10 +593,10 @@ def test_every_corpus_witness_replays_through_the_scalar_helpers():
     for ent in ENTRIES:
         p = problem(ent)
         fn = p.function("f1")
-        runs = [(k, "box", check_invex(fn, p, k, CFG), _replay_gradient) for k in InvexKind]
-        runs += [(k, "center", check_invex(fn, p, k, CFG, at=(p.lo + p.hi) / 2), _replay_gradient)
+        runs = [(k, "box", check(p, [(fn, k)], CFG)[0], _replay_gradient) for k in InvexKind]
+        runs += [(k, "center", check(p, [(fn, k)], CFG, at=(p.lo + p.hi) / 2)[0], _replay_gradient)
                  for k in InvexKind]
-        runs += [(k, "box", check_preinvex(fn, p, k, CFG), _replay_mixture) for k in PreinvexKind]
+        runs += [(k, "box", check(p, [(fn, k)], CFG)[0], _replay_mixture) for k in PreinvexKind]
         for kind, where, v, replay in runs:
             if v.status != "fails":
                 continue
@@ -619,7 +631,7 @@ def test_mixture_witnesses_keep_their_sign_at_60_digits():
         p = problem(ent)
         fn = p.function("f1")
         for kind in PreinvexKind:
-            v = check_preinvex(fn, p, kind, CFG)
+            v = check(p, [(fn, kind)], CFG)[0]
             if v.status != "fails":
                 continue
             gap, apart = _mixture_gap(fn, p, kind, v.witness)
@@ -670,7 +682,7 @@ def test_a_monotone_witness_reports_the_term_its_mask_judged():
         fn = p.function("f1")
         for kind in (InvexKind.MONOTONE, InvexKind.STRICT_MONOTONE):
             for at in (None, (p.lo + p.hi) / 2):
-                v = check_invex(fn, p, kind, CFG, at=at)
+                v = check(p, [(fn, kind)], CFG, at=at)[0]
                 if v.status != "fails":
                     continue
                 pairs = PairDraw(p, CFG, box_region(p, CFG.tol), at)

@@ -17,6 +17,7 @@ from einvex.errors import (
     InfeasiblePointError,
     ProblemFormatError,
 )
+from einvex.invexity import check
 from einvex.pareto import GridSpec, grid_oracle
 from einvex.problem import (
     Region,
@@ -26,7 +27,6 @@ from einvex.problem import (
     Witness,
     _jsonable,
     box_region,
-    einvex_set_check,
     feasible_region,
     load_problem,
     point_slacks,
@@ -447,7 +447,7 @@ def test_einvex_set_identity_box_holds():
                            objectives=["y1 + y2"],
                            box={"lo": [0.0, 0.0], "hi": [1.0, 1.0]}))
     cfg = SampleConfig(seed=42, n_pairs=1500, n_tau=6)
-    v = einvex_set_check(p, cfg)
+    v = check(p, [(None, "invex-set")], cfg)[0]
     assert v.status == "holds"
     assert v.checked == cfg.n_pairs * cfg.n_tau
 
@@ -459,8 +459,8 @@ def test_einvex_set_gapped_region_fails_inside_the_gap():
         t = np.atleast_2d(P)[:, 0]
         return ((t >= -1e-9) & (t <= 1.0 + 1e-9)) | ((t >= 2.0 - 1e-9) & (t <= 3.0 + 1e-9))
 
-    v = einvex_set_check(p, SampleConfig(seed=42, n_pairs=1500, n_tau=6),
-                         region=Region("two segments", in_union))
+    v = check(p, [(None, "invex-set")], SampleConfig(seed=42, n_pairs=1500, n_tau=6),
+              region=Region("two segments", in_union))[0]
     assert v.status == "fails"
     w = v.witness
     z = w.extra["combined"][0]
@@ -471,14 +471,14 @@ def test_einvex_set_gapped_region_fails_inside_the_gap():
 
 def test_einvex_set_square_image_holds():
     p = load_problem(_prob(E=["x1^2"]))
-    v = einvex_set_check(p, SampleConfig(seed=42, n_pairs=1500, n_tau=6))
+    v = check(p, [(None, "invex-set")], SampleConfig(seed=42, n_pairs=1500, n_tau=6))[0]
     assert v.status == "holds"
 
 
 def test_einvex_set_starved_region_is_inconclusive():
     p = load_problem(_prob())
     never = Region("empty", lambda P: np.zeros(np.atleast_2d(P).shape[0], dtype=bool))
-    v = einvex_set_check(p, SampleConfig(seed=42, n_pairs=100), region=never)
+    v = check(p, [(None, "invex-set")], SampleConfig(seed=42, n_pairs=100), region=never)[0]
     assert v.status == "inconclusive"
     assert v.reason
 

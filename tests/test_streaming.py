@@ -20,13 +20,11 @@ import einvex.invexity as invexity
 import einvex.problem as problem_mod
 from corpus import CFG, ENTRIES, by_name, problem
 from einvex.cli import run
-from einvex.invexity import (PROBE_CENTERS, InvexKind, PreinvexKind, _probe_points, check_invex,
-                             check_invex_many, check_preinvex, epigraph_invex_check,
-                             level_set_invex_check)
+from einvex.invexity import PROBE_CENTERS, InvexKind, PreinvexKind, _probe_points, check
 from einvex.kkt import THEOREMS, certify, solve_multipliers
-from einvex.problem import (MAX_ROUNDS, Region, RegionDraw, SampleConfig, _jsonable,
-                            box_region, einvex_set_check, feasible_region, load_problem,
-                            sample_region, sampled_verdict)
+from einvex.problem import (MAX_ROUNDS, Hypothesis, Region, RegionDraw, SampleConfig, _jsonable,
+                            box_region, feasible_region, load_problem, sample_region,
+                            sampled_verdicts)
 from einvex.rng import SampleStream
 from test_golden import COMMANDS, GOLDEN, KINDS, _report
 from test_kkt import EQUALITY
@@ -155,7 +153,7 @@ CASES = [
 def test_first_deciding_pair_decides_in_any_block_size(case, expected, block, monkeypatch):
     monkeypatch.setattr(problem_mod, "BLOCK_PAIRS", block)
     n, draw, judge = _synthetic(*case)
-    v = sampled_verdict(n, draw, judge)
+    v = sampled_verdicts(n, draw, [Hypothesis(judge)])[0]
     w = v.witness
     assert (v.status, w and w.index, v.checked, w and w.extra["at"]) == expected
     assert w is None or w.x == w.x0 == [float(w.extra["at"][0] // case[1])]
@@ -202,23 +200,10 @@ def test_golden_reports_do_not_depend_on_the_block_size(block, cap, monkeypatch)
     assert got == expected
 
 
-def _verdict(p, kind, cfg):
-    fn = p.function("f1")
-    if kind in tuple(PreinvexKind):
-        return check_preinvex(fn, p, kind, cfg)
-    if kind in tuple(InvexKind):
-        return check_invex(fn, p, kind, cfg)
-    if kind == "epigraph":
-        return epigraph_invex_check(fn, p, cfg)
-    if kind == "level-set":
-        return level_set_invex_check(fn, p, cfg=cfg)
-    return einvex_set_check(p, cfg)
-
-
 def _corpus_reports(n_pairs):
     cfg = replace(CFG, n_pairs=n_pairs)
-    return [json.dumps(_jsonable(_verdict(problem(ent), kind, cfg)), sort_keys=True)
-            for ent in ENTRIES for kind in KINDS]
+    return [json.dumps(_jsonable(check(p, [(p.function("f1"), kind)], cfg)[0]), sort_keys=True)
+            for p in map(problem, ENTRIES) for kind in KINDS]
 
 
 @pytest.mark.parametrize("block, n_pairs", [(97, 120), (3, 12)])
@@ -340,8 +325,8 @@ def _alone(p, hypothesis, y, cfg):
     """The hypothesis checked on its own draw."""
     name = hypothesis.target.lstrip("-")
     fn = p.function(name) if name == hypothesis.target else p.function(name).negated()
-    return check_invex(fn, p, hypothesis.kind, cfg, at=y, region=feasible_region(p, cfg.tol),
-                       vacuous=None)
+    return check(p, [(fn, hypothesis.kind)], cfg, at=y, region=feasible_region(p, cfg.tol),
+                 vacuous=None)[0]
 
 
 @pytest.mark.parametrize("block", [3, 97, DEFAULT_BLOCK])
@@ -349,7 +334,7 @@ def _alone(p, hypothesis, y, cfg):
 def test_certificate_hypotheses_equal_their_own_checks(name, theorem, block, vp1_path,
                                                        monkeypatch):
     """Judged in lockstep on one draw, every hypothesis gets the verdict of its
-    own check_invex: the same deciding pair, witness, checked and vacuity."""
+    own check: the same deciding pair, witness, checked and vacuity."""
     p, cfg = _program(name, vp1_path), replace(CFG, seed=1, n_pairs=300)
     pt = solve_multipliers(p, [0.0, 0.0])
     cert = _under_block(monkeypatch, block, lambda: certify(p, pt, theorem, cfg))
@@ -374,7 +359,7 @@ def _judged(monkeypatch, block, p, plan, cfg, at):
     monkeypatch.setattr(invexity, "invex_masks",
                         lambda s, kind, c: seen.setdefault(kind, []).append(s) or masks(s, kind, c))
     try:
-        return seen, _under_block(monkeypatch, block, lambda: check_invex_many(p, plan, cfg, at))
+        return seen, _under_block(monkeypatch, block, lambda: check(p, plan, cfg, at))
     finally:
         monkeypatch.setattr(invexity, "invex_masks", masks)
 
