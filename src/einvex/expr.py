@@ -17,10 +17,15 @@ and ^) and propagates its operands' bounds through its derivative
 magnitudes.  A *, /, exp or ^ result below the normal range adds 2^-1074
 unless an operand (the numerator for /) is an exact zero, a zero with a
 zero bound; + and - are exact under gradual underflow.
+
+A sibling of the walker, ``enclose``, bounds a tree over a box of variable
+intervals (see its docstring); the point and gradient walks do not use it.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 import re
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
@@ -530,6 +535,129 @@ def gradient(node: Expr, env: Mapping[str, float], wrt: Sequence[str]) -> np.nda
     if np.any(res.nondiff):
         raise NonDifferentiableError(res.nondiff_node or node, point=dict(env))
     return np.asarray(res.grads, dtype=float).reshape(len(wrt))
+
+
+# ---------------------------------------------------------------------------
+# Interval enclosures
+# ---------------------------------------------------------------------------
+
+# exp, log, cbrt and power are not correctly rounded: their ends are widened
+# by 2^-40 relative (thousands of ulps, far beyond numpy's few) plus 2^-1064
+# for results below the normal range, where the relative bound fails.
+_LOOSE = 2.0 ** -40
+_PAD = 2.0 ** -1064
+UNDECIDED = (-math.inf, math.inf)
+
+
+def enclose(node: Expr, box: Mapping[str, tuple]) -> tuple:
+    """(lo, hi) holding the value of node at every point of box, a mapping
+    from each variable to the (lo, hi) of its values; UNDECIDED, (-inf, inf),
+    where the box may leave a domain of the walk or some point may be nan.
+
+    Both the float value eval_many returns and the exact value lie in
+    [lo, hi].  The rules are the textbook ones (Moore, Kearfott and Cloud,
+    *Introduction to Interval Analysis*, SIAM 2009): + - * / take their
+    extreme corners, exp log sqrt cbrt are monotone, a constant exponent of ^
+    goes by its parity and a moving one through exp(b log a) over a positive
+    base.  Every end then steps one ulp outward, which bounds the exact value
+    and, rounding being monotone, the float one; exp, log, cbrt and ^ widen
+    further (_LOOSE, _PAD).  Rounding modes are not touched.
+    """
+    with np.errstate(all="ignore"):
+        out = _enclose(node, box)
+    return UNDECIDED if out is None else out
+
+
+def _out(lo, hi, loose=False):
+    """[lo, hi] stepped outward; None where an end is nan."""
+    if loose:
+        lo = lo * (1.0 - _LOOSE if lo > 0.0 else 1.0 + _LOOSE) - _PAD
+        hi = hi * (1.0 + _LOOSE if hi > 0.0 else 1.0 - _LOOSE) + _PAD
+    lo, hi = math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
+    return None if math.isnan(lo) or math.isnan(hi) else (lo, hi)
+
+
+def _corners(op, a, b):
+    """The extreme corners of op over the boxes a and b; None where one is nan."""
+    c = [op(x, y) for x in a for y in b]
+    return None if any(map(math.isnan, c)) else _out(min(c), max(c))
+
+
+def _product(a, b):
+    """a * b, None where 0 * inf is nan at a point that need not be a corner."""
+    if any(u[0] <= 0.0 <= u[1] and (math.isinf(v[0]) or math.isinf(v[1]))
+           for u, v in ((a, b), (b, a))):
+        return None
+    return _corners(operator.mul, a, b)
+
+
+def _unary(f, a, loose):
+    """The ends of the monotone non-decreasing f over a."""
+    return _out(float(f(a[0])), float(f(a[1])), loose)
+
+
+def _power(a, b: float):
+    """a^b for the constant exponent b, as the walk computes it."""
+    lo, hi = a
+    integral = math.isfinite(b) and b == math.floor(b)
+    if (not integral and lo < 0.0) or (b < 0.0 and lo <= 0.0 <= hi):
+        return None  # a root of a negative base, or 0^negative
+    if integral and b % 2:  # odd: monotone in a, the sign copied
+        ends = [math.copysign(float(np.power(abs(x), b)), x) for x in a]
+    else:  # monotone in |a|
+        small = 0.0 if lo <= 0.0 <= hi else min(abs(lo), abs(hi))
+        ends = [float(np.power(x, b)) for x in (small, max(abs(lo), abs(hi)))]
+    return _out(min(ends), max(ends), True)
+
+
+def _enclose(node, box):
+    if isinstance(node, Const):
+        return node.value, node.value
+    if isinstance(node, Var):
+        try:
+            lo, hi = box[node.name]
+        except KeyError:
+            raise DomainEvalError(node) from None
+        return float(lo), float(hi)
+    if isinstance(node, Unary):
+        a = _enclose(node.arg, box)
+        if a is None:
+            return None
+        if node.op == "neg":
+            return -a[1], -a[0]
+        if node.op == "exp":
+            return _unary(np.exp, a, True)
+        if node.op == "log":
+            return None if a[0] <= 0.0 else _unary(np.log, a, True)
+        if node.op == "sqrt":
+            return None if a[0] < 0.0 else _unary(math.sqrt, a, False)
+        if node.op == "cbrt":
+            return _unary(np.cbrt, a, True)
+        raise AssertionError(f"unknown unary op {node.op}")
+
+    a = _enclose(node.lhs, box)
+    if a is None:
+        return None
+    if node.op == "^" and not node.rhs.variables():
+        flags = _Flags()  # the exponent exactly as the walk takes it
+        b = float(_walk(node.rhs, {}, flags, None, False)[0])
+        return None if flags.invalid_node is not None else _power(a, b)
+    b = _enclose(node.rhs, box)
+    if b is None:
+        return None
+    if node.op == "+":
+        return _corners(operator.add, a, b)
+    if node.op == "-":
+        return _corners(operator.sub, a, b)
+    if node.op == "*":
+        return _product(a, b)
+    if node.op == "/":
+        return None if b[0] <= 0.0 <= b[1] else _corners(operator.truediv, a, b)
+    if node.op == "^":  # a moving exponent: exp(b log a), then pow's own rounding
+        m = None if a[0] <= 0.0 else _product(_unary(np.log, a, True), b)
+        e = m and _unary(np.exp, m, True)
+        return e and _out(*e, True)
+    raise AssertionError(f"unknown binary op {node.op}")
 
 
 # ---------------------------------------------------------------------------

@@ -22,8 +22,14 @@ are not lattice points; a point outside the box has no verdict and is
 refused (problem.require_in_box), and a query point must also be feasible
 (problem.point_slacks).  A point query and the minimizer check walk the
 grid in grid order, one block at a time: a block is a run of whole slabs of
-the leading axis, at most _QUERY_ROWS points and always at least one slab,
-and the off-lattice points follow the lattice as one last block.  A query
+the leading axis, and the off-lattice points follow the lattice as one last
+block.  The first lattice block holds at least _QUERY_ROWS // 32 points and
+each next one twice as many slabs, up to _QUERY_ROWS points but always at
+least one slab, so a witness near the front of the grid costs a small
+block.  Before a block is filled, the interval enclosures of its functions
+over the block's box (expr.enclose) may rule it out: the block is then
+skipped, unfilled and unevaluated.  Each skip test is the walk's own float
+comparison applied to an enclosure end, so no answer changes.  A query
 stops at the first block that holds a dominating point and judges its
 conditions one at a time, leaving a block at the first that no point of it
 passes; neither check holds more than one block of points and values at
@@ -32,6 +38,7 @@ once.
 
 from __future__ import annotations
 
+import bisect
 import csv
 import math
 from dataclasses import dataclass
@@ -77,11 +84,10 @@ def _counts(problem: EProblem, grid: GridSpec) -> list:
     return [int(c) for c in grid.counts]
 
 
-def _span(lo, hi, count: int, first: int = 0, stop: Optional[int] = None) -> np.ndarray:
-    """np.linspace(lo, hi, count)[first:stop], computed for those values
-    alone with linspace's arithmetic: index * step + lo, the last value hi."""
-    stop = count if stop is None else stop
-    y = np.arange(first, stop, dtype=float)
+def _scaled(y, lo, hi, count: int):
+    """The indices y (an array, scaled in place, or a float) as values of
+    np.linspace(lo, hi, count), with linspace's arithmetic: index * step + lo.
+    linspace then sets its last value to hi; the callers do."""
     delta = hi - lo
     if count > 1:
         step = delta / (count - 1)
@@ -93,15 +99,30 @@ def _span(lo, hi, count: int, first: int = 0, stop: Optional[int] = None) -> np.
     else:
         y *= delta
     y += lo
+    return y
+
+
+def _span(lo, hi, count: int, first: int = 0, stop: Optional[int] = None) -> np.ndarray:
+    """np.linspace(lo, hi, count)[first:stop], computed for those values alone."""
+    stop = count if stop is None else stop
+    y = _scaled(np.arange(first, stop, dtype=float), lo, hi, count)
     if count > 1 and stop == count:
         y[-1] = hi
     return y
 
 
+def _at(lo, hi, count: int, i: int) -> float:
+    """np.linspace(lo, hi, count)[i]."""
+    if count > 1 and i == count - 1:
+        return float(hi)
+    return _scaled(float(i), float(lo), float(hi), count)
+
+
 def _on_axis(lo, hi, count: int, v) -> bool:
-    """v equals some value of the axis, scanned _QUERY_ROWS values at a time."""
-    return any((_span(lo, hi, count, i, min(i + _QUERY_ROWS, count)) == v).any()
-               for i in range(0, count, _QUERY_ROWS))
+    """v equals some value of the axis, found by bisection: the values are
+    non-decreasing, so O(log count)."""
+    i = bisect.bisect_left(range(count), v, key=lambda k: _at(lo, hi, count, k))
+    return i < count and _at(lo, hi, count, i) == v
 
 
 def _admit(problem: EProblem, counts: list, extra_points=None) -> np.ndarray:
@@ -109,7 +130,7 @@ def _admit(problem: EProblem, counts: list, extra_points=None) -> np.ndarray:
     as rows (k, n).
 
     A point is a lattice point when each coordinate equals some value of its
-    axis, O(sum of counts) per point.  Each point is admitted by
+    axis (_on_axis), O(sum of log counts) per point.  Each point is admitted by
     require_in_box: one outside the box, or with a nan coordinate, raises
     InfeasiblePointError.
     """
@@ -147,31 +168,42 @@ def build_grid(problem: EProblem, grid: GridSpec, extra_points=None) -> np.ndarr
     return pts
 
 
-def _blocks(problem: EProblem, grid: Optional[GridSpec], point: np.ndarray):
-    """The rows of build_grid(problem, grid, point) in blocks, in grid order.
-
-    The points are admitted here, before the first block is made, so errors
-    come in the order of build_grid.  The lattice blocks are runs of whole
-    leading-axis slabs, at most _QUERY_ROWS points and at least one slab,
-    filled into one buffer: a block is valid until the next is taken.  The
-    off-lattice points follow as one last block.  Only the trailing axes and
-    one block are ever held, never the whole leading axis.
-    """
+def _admitted(problem: EProblem, grid: Optional[GridSpec], point: np.ndarray):
+    """(counts, off-lattice rows) of build_grid(problem, grid, point), admitted
+    in the order of build_grid, so errors come in its order."""
     counts = _counts(problem, grid or GridSpec.uniform(33, problem.n))
-    add = _admit(problem, counts, point[None, :])
-    return _walk(problem, counts, add)
+    return counts, _admit(problem, counts, point[None, :])
 
 
-def _walk(problem: EProblem, counts: list, add: np.ndarray):
+def _blocks(problem: EProblem, counts: list, add: np.ndarray, ruled_out):
+    """The rows of build_grid in blocks, in grid order, leaving out every
+    block whose box ruled_out(box) rejects.
+
+    A box maps each variable to the (lo, hi) of the block's values; it is
+    asked for before the block is filled, and after the previous block was
+    taken.  The lattice blocks are runs of whole leading-axis slabs.  The
+    first holds at least _QUERY_ROWS // 32 points, and each next one twice
+    as many slabs, up to _QUERY_ROWS points, but always at least one slab.
+    They are filled into one buffer: a block is valid until the next is
+    taken.  The off-lattice points follow as one last block.  Only the
+    trailing axes and one block are ever held, never the whole leading axis.
+    """
     lo, hi, lead = problem.lo[0], problem.hi[0], counts[0]
     rest = list(map(_span, problem.lo[1:], problem.hi[1:], counts[1:]))
+    rest_box = [(a[0], a[-1]) for a in rest]  # the axis values are non-decreasing
     slab = math.prod(counts[1:])
-    step = max(1, _QUERY_ROWS // slab)
-    buf = np.empty((min(step, lead) * slab, problem.n))
-    for first in range(0, lead, step):
-        axis = _span(lo, hi, lead, first, min(first + step, lead))
-        yield _fill(buf[:axis.size * slab], [axis] + rest)
-    if len(add):
+    cap = max(1, _QUERY_ROWS // slab)
+    step = min(cap, math.ceil(max(1, _QUERY_ROWS // 32) / slab))  # slabs in the first block
+    buf = np.empty((min(cap, lead) * slab, problem.n))
+    first = 0
+    while first < lead:
+        stop = min(first + step, lead)
+        ends = (_at(lo, hi, lead, first), _at(lo, hi, lead, stop - 1))
+        if not ruled_out(dict(zip(problem.vars, [ends] + rest_box))):
+            axis = _span(lo, hi, lead, first, stop)
+            yield _fill(buf[:axis.size * slab], [axis] + rest)
+        first, step = stop, min(2 * step, cap)
+    if len(add) and not ruled_out(dict(zip(problem.vars, zip(add.min(axis=0), add.max(axis=0))))):
         yield add
 
 
@@ -308,6 +340,14 @@ def grid_oracle(problem: EProblem, grid: Optional[GridSpec] = None, tol: float =
     return report
 
 
+def _surely_infeasible(problem: EProblem, box: dict, tol: float) -> bool:
+    """Some constraint is violated by more than tol on the whole box: an
+    inequality's lower end, or an equality's |h|, is above tol."""
+    return (any(ex.enclose(fn.composed, box)[0] > tol for fn in problem.ineq)
+            or any(max(lo, -hi) > tol
+                   for lo, hi in (ex.enclose(fn.composed, box) for fn in problem.eq)))
+
+
 def is_weak_pareto(problem: EProblem, y, grid: Optional[GridSpec] = None, tol: float = 1e-9):
     """(verdict, witness): the witness is the first feasible grid point, in
     grid order, whose objectives all evaluate and are all below those of y
@@ -317,19 +357,28 @@ def is_weak_pareto(problem: EProblem, y, grid: Optional[GridSpec] = None, tol: f
     infeasible raises InfeasiblePointError; then the grid's other points are
     admitted, then y's objectives must evaluate.  The grid is walked in
     blocks (_blocks), and the walk stops at the first block that holds a
-    witness.  Within a block the conditions are judged in order, each
-    objective (it evaluates, is finite and is below f_k(y) - tol) and then
-    feasibility, and the block is left at the first condition that no point
-    passes; no point or objective rows are copied.
+    witness.  A block is skipped unfilled where an enclosure (ex.enclose)
+    shows no point of its box can be a witness: some objective's lower end
+    is not below f_k(y) - tol, or some constraint fails on the whole box.
+    Within a block the conditions are judged in order, each objective (it
+    evaluates, is finite and is below f_k(y) - tol) and then feasibility,
+    and the block is left at the first condition that no point passes; no
+    point or objective rows are copied.
     """
     y = np.asarray(y, dtype=float).reshape(problem.n)
     point_slacks(problem, y, tol, "query point")
-    blocks = _blocks(problem, grid, y)
+    counts, add = _admitted(problem, grid, y)
     fy, bady = _objective_matrix(problem, y[None, :])
     if bady.any():
         raise InfeasiblePointError(f"objectives do not evaluate at {y.tolist()}")
     bound = fy[0] - tol
-    for pts in blocks:
+
+    def ruled_out(box):
+        return (any(ex.enclose(fn.composed, box)[0] >= b
+                    for fn, b in zip(problem.objectives, bound))
+                or _surely_infeasible(problem, box, tol))
+
+    for pts in _blocks(problem, counts, add, ruled_out):
         env = problem.env_x(pts)
         better, cols = True, []
         for fn, b in zip(problem.objectives, bound):
@@ -365,14 +414,22 @@ def e_minimizer_check(fn: ProblemFunction, problem: EProblem, xbar,
     xbar is admitted by require_in_box before fn is evaluated there.  The
     grid is walked in blocks (_blocks) with a running verdict and a running
     argmin that a later block replaces only when strictly lower, so the
-    witness is the first grid point, in grid order, of least value.
+    witness is the first grid point, in grid order, of least value.  Once
+    the argmin is set, a block is skipped unfilled where the lower end lo of
+    fn's enclosure over its box is at least the argmin's value: no point of
+    it is strictly lower, and while the verdict holds, value(xbar) <= argmin
+    + tol <= lo + tol, so it holds on the block too.
     """
     xbar = require_in_box(problem, xbar)
     env = {name: float(v) for name, v in zip(problem.vars, xbar)}
     grad = ex.gradient(fn.composed, env, problem.vars)
     value = ex.evaluate(fn.composed, env)
     is_min, best, at = True, None, None
-    for pts in _blocks(problem, grid, xbar):
+
+    def ruled_out(box):
+        return best is not None and ex.enclose(fn.composed, box)[0] >= best
+
+    for pts in _blocks(problem, *_admitted(problem, grid, xbar), ruled_out):
         r = problem.composed_values(fn, pts)
         ok = ~r.invalid & np.isfinite(r.values)
         vals = np.where(ok, r.values, np.inf)
@@ -390,7 +447,9 @@ def dump_csv(problem: EProblem, report: GridReport, path) -> int:
 
     The bytes are those of csv.writer: %.12g floats, blank objective cells
     where an objective failed, 0/1 flags, \\r\\n line ends.  Cells are
-    formatted a column at a time, _CSV_ROWS rows at a time.
+    formatted a column at a time, _CSV_ROWS rows at a time; a grid column
+    repeats few values, so each distinct one is formatted once, keyed by its
+    bits (a -0.0 keeps its "-0").
     """
     r = report
     num = "%.12g".__mod__
@@ -399,7 +458,11 @@ def dump_csv(problem: EProblem, report: GridReport, path) -> int:
                                 + ["feasible", "weak_pareto", "pareto"])
         for start in range(0, r.grid_points, _CSV_ROWS):
             rows = slice(start, start + _CSV_ROWS)
-            cols = [list(map(num, c)) for c in r.grid[rows].T.tolist()]
+            cols = []
+            for c in r.grid[rows].T:
+                keys, at = np.unique(c.view(np.int64), return_inverse=True)
+                distinct = np.array(list(map(num, keys.view(float).tolist())), dtype=object)
+                cols.append(distinct[at].tolist())
             failed = np.flatnonzero(r.failed[rows]).tolist()
             for c in r.values[rows].T.tolist():
                 cells = list(map(num, c))

@@ -1,16 +1,18 @@
 """Property tests of the evaluation core on random expression trees.
 
 Trees over x1, x2 use every operator and every function of the language.
-Settings are derandomized, so every run draws the same examples.
+Settings are derandomized, so every run draws the same examples.  The last
+tests hold the interval enclosure to the float walk and to the 60-digit value.
 """
 
 import mpmath
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from einvex.expr import (UNARY_FUNCTIONS, Binary, Const, Unary, Var, _evaluate, eval_many,
-                         grad_many, parse)
+from einvex.expr import (UNARY_FUNCTIONS, UNDECIDED, Binary, Const, Unary, Var, _evaluate,
+                         enclose, eval_many, grad_many, parse)
 from mpexpr import DPS, mp_eval
 
 X12 = ["x1", "x2"]
@@ -126,3 +128,74 @@ def test_error_bound_covers_the_distance_to_the_exact_value(tree, rows):
             continue
         with mpmath.workdps(DPS):
             assert abs(mpmath.mpf(v) - exact) <= bound, (str(tree), X[i], v, bound)
+
+
+# Box ends: domain edges, so that boxes touch 0 or straddle it under / and
+# log, and far ends where exp(x), x^x and the like overflow.
+ENDS = st.sampled_from(EDGES + [-800.0, -50.0, 50.0, 709.0, 710.0, 800.0]) | st.floats(-3.0, 3.0)
+BOXES = st.tuples(st.tuples(ENDS, ENDS).map(sorted), st.tuples(ENDS, ENDS).map(sorted))
+FRACTIONS = st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)), min_size=1, max_size=6)
+
+
+def _box_points(box, fractions):
+    """The corners of the box, its points nearest 0 in each axis, and the
+    given fractions of it, every point clipped into the box."""
+    (a, b), (c, d) = box
+    lo, hi = np.array([a, c]), np.array([b, d])
+    X = [[a, c], [a, d], [b, c], [b, d], np.clip(0.0, lo, hi)]
+    X += [lo + np.array(t) * (hi - lo) for t in fractions]
+    with np.errstate(all="ignore"):
+        return np.clip(np.array(X, dtype=float), lo, hi)
+
+
+@settings(SETTINGS, max_examples=400)
+@given(tree=TREES, box=BOXES, fractions=FRACTIONS)
+@example(tree=parse("log(x1 + x2 + 1)", X12), box=((0.0, 2.0), (0.0, 2.0)), fractions=[(0.5, 0.5)])
+@example(tree=parse("x1^x2", X12), box=((0.5, 2.0), (-1.0, 3.0)), fractions=[(0.3, 0.9)])
+@example(tree=parse("exp(x1*x2) - exp(x2)", X12), box=((1.0, 2.0), (709.0, 710.0)),
+         fractions=[(0.0, 0.99)])
+@example(tree=parse("x1*exp(x2)", X12), box=((-1.0, 1.0), (709.0, 800.0)), fractions=[(0.5, 1.0)])
+@example(tree=parse("cbrt(x1)^3 - x1", X12), box=((-2.0, -1.0), (0.0, 1.0)), fractions=[(0.2, 0.2)])
+def test_enclosure_holds_the_float_and_the_exact_values(tree, box, fractions):
+    lo, hi = enclose(tree, {"x1": box[0], "x2": box[1]})
+    X = _box_points(box, fractions)
+    res = eval_many(tree, _env(X))
+    if (lo, hi) == UNDECIDED:
+        return
+    # decided: no point leaves a domain or is nan, and every value lies inside
+    assert not res.invalid.any() and not np.isnan(res.values).any(), (str(tree), box)
+    assert ((lo <= res.values) & (res.values <= hi)).all(), (str(tree), box, lo, hi, res.values)
+    for x in X:
+        exact = mp_eval(tree, {"x1": x[0], "x2": x[1]})
+        if exact is not None:
+            with mpmath.workdps(DPS):
+                assert lo <= exact <= hi, (str(tree), box, x, lo, hi)
+
+
+# Each box may leave a domain of the walk, at the point named.
+@pytest.mark.parametrize("source,box,point", [
+    ("log(x1)", ((0.0, 1.0), (0.0, 0.0)), (0.0, 0.0)),
+    ("log(x1 - x2)", ((-1.0, 1.0), (0.5, 0.5)), (0.5, 0.5)),
+    ("sqrt(x1)", ((-1e-300, 1.0), (0.0, 0.0)), (-1e-300, 0.0)),
+    ("1/x1", ((-1.0, 1.0), (0.0, 0.0)), (0.0, 0.0)),
+    ("x2/(x1*x1)", ((-0.5, 0.5), (1.0, 1.0)), (0.0, 1.0)),
+    ("x1^-3", ((0.0, 2.0), (0.0, 0.0)), (0.0, 0.0)),
+    ("x1^0.5", ((-1.0, 1.0), (0.0, 0.0)), (-1.0, 0.0)),
+    ("x1^x2", ((-1.0, 1.0), (0.5, 0.5)), (-1.0, 0.5)),
+    ("exp(log(x1 - 1))", ((0.0, 2.0), (0.0, 0.0)), (0.0, 0.0)),
+    ("x1^log(x2)", ((1.0, 2.0), (-1.0, 1.0)), (1.0, -1.0)),
+])
+def test_a_box_that_may_leave_a_domain_is_undecided(source, box, point):
+    tree = parse(source, X12)
+    assert eval_many(tree, {"x1": point[0], "x2": point[1]}).invalid.any()
+    assert enclose(tree, {"x1": box[0], "x2": box[1]}) == UNDECIDED
+
+
+def test_a_nan_between_the_corners_is_undecided():
+    # 0 * inf and inf - inf are nan at points that need not be corners; the
+    # outer exp would turn (-inf, inf) into a decided (0, inf)
+    big = {"x1": (-1.0, 1.0), "x2": (709.0, 800.0)}
+    for source in ("exp(x1*exp(x2))", "exp(exp(x2) - exp(x2 + 1))"):
+        tree = parse(source, X12)
+        assert np.isnan(eval_many(tree, {"x1": 0.0, "x2": 800.0}).values)
+        assert enclose(tree, big) == UNDECIDED

@@ -536,26 +536,77 @@ def test_failing_query_stops_in_its_first_block(vp1, monkeypatch):
     seen = _counted_slacks(monkeypatch)
     ok, wit = is_weak_pareto(vp1, [1.0, 1.0], GridSpec((801, 801)))
     assert not ok and wit["x"] == [0.0, 0.0]
-    assert [len(X) for X in seen] == [40 * 801]  # 32,040 rows: 40 whole slabs of 801
+    assert [len(X) for X in seen] == [2 * 801]  # the first block: the fewest slabs of >= 1,024 points
 
 
-def test_passing_query_evaluates_every_point_once(vp1, monkeypatch):
-    # f1 = log(x1 + x2 + 1) >= 0 = f1(ybar) on the box: the first objective
-    # rules out every block, so f2 and the constraints are never evaluated
-    slacks = _counted_slacks(monkeypatch)
+def _counted_evaluations(monkeypatch, node):
+    """Record the rows of every evaluation of node, (1, n) for a scalar point."""
     seen = []
 
-    def counted(node, env):
-        if node is vp1.objectives[0].composed:
-            seen.append(np.stack(list(env.values()), axis=-1))
-        return eval_many(node, env)
+    def counted(expr, env):
+        if expr is node:
+            seen.append(np.atleast_2d(np.stack(list(env.values()), axis=-1)))
+        return eval_many(expr, env)
     monkeypatch.setattr(pareto.ex, "eval_many", counted)
-    grid = GridSpec((801, 801))
+    return seen
+
+
+def test_passing_query_skips_every_block_by_its_enclosure(vp1, monkeypatch):
+    # f1 = log(x1 + x2 + 1) >= 0 = f1(ybar) on the box: the enclosure of f1
+    # rules out every block, so no block is filled or evaluated
+    slacks = _counted_slacks(monkeypatch)
+    seen = _counted_evaluations(monkeypatch, vp1.objectives[0].composed)
     ybar = vp1.candidate("ybar").x
-    assert is_weak_pareto(vp1, ybar, grid) == (True, None)
-    assert [len(X) for X in seen] == [1] + [32_040] * 20 + [801]  # ybar itself, then the walk
-    assert _same_grid(np.concatenate(seen[1:]), build_grid(vp1, grid, [ybar]))  # 641,601 rows
+    assert is_weak_pareto(vp1, ybar, GridSpec((801, 801))) == (True, None)
+    assert [X.tolist() for X in seen] == [[ybar.tolist()]]  # ybar itself, and no lattice block
     assert slacks == []
+
+
+def test_minimizer_check_evaluates_its_first_block_only(example1_path, monkeypatch):
+    # (x1+3)^3 is least at the box end -6, in the first block of 1,024
+    # points; every later block's enclosure lies above that least value
+    p = load_problem(example1_path)
+    fn = p.function("f1")
+    seen = _counted_evaluations(monkeypatch, fn.composed)
+    m = e_minimizer_check(fn, p, p.candidate("xbar").x, GridSpec((100_001,)))
+    assert not m.is_minimizer and m.witness == {"x": [-6.0], "value": -27.0, "value_at_xbar": 0.0}
+    assert [len(X) for X in seen] == [1, 1024]  # xbar itself, then the first block
+    assert _same_grid(seen[1], build_grid(p, GridSpec((100_001,)))[:1024])
+
+
+@pytest.mark.parametrize("rows", [1, 32])
+def test_block_skips_are_exact_at_a_tie(rows, monkeypatch):
+    # one-point blocks make the enclosures tight: the first witness beats the
+    # query by just over tol, or just misses, and the minimizer's least
+    # values differ by far less than any block's width
+    monkeypatch.setattr(pareto, "_QUERY_ROWS", rows)
+    p = _line(["-y1"], lo=0.0, hi=1.0)
+    grid = GridSpec((101,))
+    for z in build_grid(p, grid)[[10, 50, 99], 0]:
+        for tol in (1e-9, 0.0):
+            for k in range(-2, 3):
+                y = [z - tol + k * np.spacing(z)]
+                got = _outcome(is_weak_pareto, p, y, grid, tol)
+                assert got == _outcome(_reference_is_weak_pareto, p, y, grid, tol), (z, tol, k)
+    for source in ["-0.0001*y1", "(y1 - 0.5)^2 - 1e-12*y1", "0"]:
+        p = _line([source], lo=0.0, hi=1.0)
+        fn = p.objectives[0]
+        for x in ([0.0], [0.5], [1.0]):
+            m = e_minimizer_check(fn, p, x, grid)
+            got = (m.is_minimizer, m.value, m.witness)
+            assert repr(got) == repr(_reference_e_minimizer_check(fn, p, x, grid)), (source, x)
+
+
+@pytest.mark.parametrize("constraint", [{"ineq": ["0.45 - y1"]}, {"eq": ["y1 - 0.5"]}])
+def test_surely_infeasible_blocks_are_skipped(constraint, monkeypatch):
+    # one slab per block; every block but x1 = 0.5 before the witness is
+    # infeasible on its whole box, although its objective might beat the query
+    monkeypatch.setattr(pareto, "_QUERY_ROWS", 11)
+    p = _plane(["y2"], **constraint)
+    slacks = _counted_slacks(monkeypatch)
+    ok, wit = is_weak_pareto(p, [0.5, 1.0], GridSpec((11, 11)))
+    assert not ok and wit["x"] == [0.5, 0.0]
+    assert [X[:, 0].tolist() for X in slacks] == [[0.5] * 11]
 
 
 def _traced_peak(fn, *args):
@@ -569,9 +620,10 @@ def _traced_peak(fn, *args):
 
 
 def test_query_and_minimizer_memory_does_not_grow_with_the_grid(vp1):
-    # one block of 2-D points is 512 KB and these peak near 2.2 MB; the
-    # whole-grid checks peaked at 8.0 MB (query, 401x401), 128 MB (query,
-    # 1601x1601) and 34 MB (minimizer, 1,000,001 points)
+    # one block of 2-D points is 512 KB; the ybar queries, which fill no
+    # block, peak near 0.5 MB and the minimizer near 1.9 MB.  The whole-grid
+    # checks peaked at 8.0 MB (query, 401x401), 128 MB (query, 1601x1601)
+    # and 34 MB (minimizer, 1,000,001 points)
     bound = 8 * pareto._QUERY_ROWS * 2 * 8
     ybar = vp1.candidate("ybar").x
     for count in (401, 1601):
@@ -584,20 +636,32 @@ def test_query_and_minimizer_memory_does_not_grow_with_the_grid(vp1):
     assert peak < bound, peak
 
 
+def _scanned_on_axis(lo, hi, count, v):
+    """Reference: the former lattice test, a scan of the axis 3 values at a time."""
+    return any((pareto._span(lo, hi, count, i, min(i + 3, count)) == v).any()
+               for i in range(0, count, 3))
+
+
 @pytest.mark.parametrize("lo,hi", [(-1.0, 1.0), (0.0, 2.0), (-0.0, 0.0), (3.0, 3.0), (-5.0, -1.0),
                                    (0.1, 0.7), (1e-310, 3e-310), (0.0, 5e-324),
                                    (-1e300, 1e300)])
-def test_axis_slices_match_linspace(lo, hi, monkeypatch):
-    monkeypatch.setattr(pareto, "_QUERY_ROWS", 3)
+def test_axis_slices_match_linspace(lo, hi):
     lo, hi = np.float64(lo), np.float64(hi)
     for count in (1, 2, 3, 7, 1001):
         whole = np.linspace(lo, hi, count)
         assert _same_grid(pareto._span(lo, hi, count), whole), count
+        assert (np.diff(whole) >= 0).all()  # the bisection and the block boxes rely on it
+        assert _same_grid(np.array([pareto._at(lo, hi, count, i) for i in range(count)]), whole)
         for first, stop in [(0, 1), (1, count), (count // 2, count), (count - 1, count)]:
             if first < stop:
                 assert _same_grid(pareto._span(lo, hi, count, first, stop), whole[first:stop])
-        for v in np.concatenate([whole[[0, count // 2, -1]], [np.nextafter(whole[-1], -np.inf)]]):
-            assert pareto._on_axis(lo, hi, count, v) == bool((whole == v).any()), (count, v)
+        between = (whole[:-1] + whole[1:])[::max(1, count // 5)] / 2
+        probes = np.concatenate([whole[[0, count // 2, -1]], between,
+                                 [np.nextafter(whole[-1], -np.inf), np.nextafter(whole[0], np.inf),
+                                  lo - 1.0, hi + 1.0]])
+        for v in probes:
+            found = pareto._on_axis(lo, hi, count, v)
+            assert found == _scanned_on_axis(lo, hi, count, v) == bool((whole == v).any()), (count, v)
 
 
 def test_build_grid_refuses_points_outside_the_box():
@@ -719,11 +783,23 @@ def _csv_writer_dump(problem, report, path):
 
 def test_csv_dump_bytes_match_the_csv_writer(tmp_path):
     # log and sqrt leave their domains on part of the box, so some rows have
-    # blank objective cells; the third objective spans 1e-7 to 1e300
-    p = _plane(["log(y1) + y2", "sqrt(y2 - 0.1) - y1/3", "-y1*1e-7 + y2*1e300"],
-               lo=-1.0, hi=1.0)
-    rep = grid_oracle(p, GridSpec((13, 9)))
-    assert rep.failed.any() and rep.compared.any()
-    dump_csv(p, rep, tmp_path / "new.csv")
-    _csv_writer_dump(p, rep, tmp_path / "old.csv")
-    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+    # blank objective cells; the third objective spans 1e-7 to 1e300.  The
+    # second box ends at -0.0, and its x2 axis [-0.0, -0.0] reads 0.0 but for
+    # its last value, -0.0: cells "0" and "-0" in one column.  Its candidate
+    # is off the lattice.
+    second = load_problem({"n": 2, "E": ["x1", "x2"], "eta": ["u1 - v1", "u2 - v2"],
+                           "objectives": ["y1 + y2", "sqrt(y1 + 0.5) - y2"],
+                           "box": {"lo": [-1.0, -0.0], "hi": [-0.0, -0.0]},
+                           "candidates": [{"name": "c", "x": [-0.3, -0.0]}]})
+    cases = [(_plane(["log(y1) + y2", "sqrt(y2 - 0.1) - y1/3", "-y1*1e-7 + y2*1e300"],
+                     lo=-1.0, hi=1.0), GridSpec((13, 9))),
+             (second, GridSpec((5, 4)))]
+    for p, grid in cases:
+        rep = grid_oracle(p, grid)
+        assert rep.failed.any() and rep.compared.any()
+        dump_csv(p, rep, tmp_path / "new.csv")
+        _csv_writer_dump(p, rep, tmp_path / "old.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+    rows = (tmp_path / "new.csv").read_text().splitlines()
+    assert [r.split(",")[1] for r in rows[1:5]] == ["0", "0", "0", "-0"]
+    assert len(rows) == 22 and rows[-1].startswith("-0.3,-0,")  # the candidate comes last
