@@ -11,15 +11,13 @@ Evaluation is vectorized: environment values may be floats or equally shaped
 numpy arrays.  One walker, ``_walk``, evaluates every tree: each node
 carries its value and, when asked, a derivative array whose leading axis
 runs over the requested variables, shape (k, *batch) (forward mode, one
-sweep), and a running rounding-error bound (Higham 2002, section 3.3).
-Each operation adds half an ulp of its result (one ulp for exp, log, cbrt
-and ^) and propagates its operands' bounds through its derivative
-magnitudes.  A *, /, exp or ^ result below the normal range adds 2^-1074
-unless an operand (the numerator for /) is an exact zero, a zero with a
-zero bound; + and - are exact under gradual underflow.
+sweep).
 
 A sibling of the walker, ``enclose``, bounds a tree over a box of variable
-intervals (see its docstring); the point and gradient walks do not use it.
+intervals (see its docstring).  It is the one rounding model of the
+package: on a point box it bounds the rounding error of the walk, which is
+how ``compose`` judges a hand-supplied composed form.  The point and
+gradient walks do not use it.
 """
 
 from __future__ import annotations
@@ -282,14 +280,6 @@ def to_source(node: Expr) -> str:
 # Evaluation
 # ---------------------------------------------------------------------------
 
-# IEEE rounds + - * / and sqrt to half an ulp; numpy's exp and power were
-# measured up to 1.17 |v| 2^-53 off, so exp, log, cbrt and ^ get one ulp.
-_HALF_ULP = 0.5 * float(np.finfo(float).eps)
-_ULP = float(np.finfo(float).eps)
-_TINY = float(np.finfo(float).tiny)         # the smallest normal float; below it,
-_SUBNORMAL = float(np.nextafter(0.0, 1.0))  # results round to multiples of 2^-1074
-
-
 class _Flags:
     """Accumulates per-sample domain and differentiability violations."""
 
@@ -317,15 +307,6 @@ class _Flags:
             self.nondiff = self.nondiff | mask
 
 
-def _underflow(v, *operands):
-    """2^-1074 where v is below the normal range, unless some (value, bound)
-    operand is an exact zero, which makes v one too."""
-    exact = False
-    for x, e in operands:
-        exact = exact | ((x == 0.0) & (e == 0.0))
-    return np.where((np.abs(v) < _TINY) & ~exact, _SUBNORMAL, 0.0)
-
-
 def _seeds(wrt, ndim) -> dict:
     """The derivative seeds of one evaluation, each of shape (k, 1, ..., 1)
     with ndim ones: one-hot per variable of wrt, all zeros under None."""
@@ -342,37 +323,33 @@ def _signed_power(a, b):
     return np.copysign(p, a) if b % 2 else p
 
 
-def _walk(node, env, flags, wrt, err):
-    """Return (value, derivative, error).  wrt maps each variable to its
-    seed (see _seeds) or is None; the derivative's leading axis runs over
-    its variables, so a node of batch shape S has a derivative of shape
-    (k, *S) (or (k, 1, ...) where S broadcasts), None when wrt is None.
-    The error is the running rounding-error bound, None unless err."""
+def _walk(node, env, flags, wrt):
+    """Return (value, derivative).  wrt maps each variable to its seed (see
+    _seeds) or is None; the derivative's leading axis runs over its
+    variables, so a node of batch shape S has a derivative of shape (k, *S)
+    (or (k, 1, ...) where S broadcasts), None when wrt is None."""
     want_d = wrt is not None
     if isinstance(node, Const):
-        return np.float64(node.value), (wrt[None] if want_d else None), (0.0 if err else None)
+        return np.float64(node.value), (wrt[None] if want_d else None)
     if isinstance(node, Var):
         try:
             v = env[node.name]
         except KeyError:
             raise DomainEvalError(node) from None
         v = np.asarray(v, dtype=float) if not np.isscalar(v) else np.float64(v)
-        d = wrt.get(node.name, wrt[None]) if want_d else None
-        return v, d, (0.0 if err else None)
+        return v, (wrt.get(node.name, wrt[None]) if want_d else None)
 
     if isinstance(node, Unary):
-        a, ad, ea = _walk(node.arg, env, flags, wrt, err)
+        a, ad = _walk(node.arg, env, flags, wrt)
         if node.op == "neg":
-            return -a, (-ad if want_d else None), ea
+            return -a, (-ad if want_d else None)
         if node.op == "exp":
             v = np.exp(a)
-            return (v, np.where(ad == 0.0, 0.0, v * ad) if want_d else None,
-                    v * ea + np.abs(v) * _ULP + _underflow(v) if err else None)
+            return v, (np.where(ad == 0.0, 0.0, v * ad) if want_d else None)
         if node.op == "log":
             bad = a <= 0.0
             v = np.log(np.where(bad, np.nan, a) if flags.flag_invalid(bad, node) else a)
-            return (v, ad / a if want_d else None,
-                    ea / np.abs(a) + np.abs(v) * _ULP if err else None)
+            return v, (ad / a if want_d else None)
         if node.op == "sqrt":
             bad = a < 0.0
             v = np.sqrt(np.where(bad, np.nan, a) if flags.flag_invalid(bad, node) else a)
@@ -380,40 +357,28 @@ def _walk(node, env, flags, wrt, err):
             v = np.cbrt(a)
         else:
             raise AssertionError(f"unknown unary op {node.op}")
-        if not (want_d or err):
-            return v, None, None
-        slope = 2.0 * v if node.op == "sqrt" else 3.0 * v * v
-        # a zero root has an infinite slope: an error in its argument is unbounded
-        e = (np.where(v != 0.0, ea / slope, np.where(ea > 0.0, np.inf, 0.0))
-             + np.abs(v) * (_HALF_ULP if node.op == "sqrt" else _ULP)) if err else None
         if not want_d:
-            return v, None, e
+            return v, None
+        slope = 2.0 * v if node.op == "sqrt" else 3.0 * v * v
         # A zero argument is a kink, or hides the derivative whatever the
         # argument's own (cbrt(x1^3) is x1, sqrt(x1^2) is |x1|): flag it
         # wherever the argument depends on wrt.
         if not node.arg.variables().isdisjoint(wrt):
             flags.flag_nondiff(a == 0.0, node)
-        return v, np.where(ad == 0.0, 0.0, ad / slope), e
+        return v, np.where(ad == 0.0, 0.0, ad / slope)
 
-    a, ad, ea = _walk(node.lhs, env, flags, wrt, err)
-    b, bd, eb = _walk(node.rhs, env, flags, wrt, err)
+    a, ad = _walk(node.lhs, env, flags, wrt)
+    b, bd = _walk(node.rhs, env, flags, wrt)
     if node.op == "+":
-        v = a + b
-        return v, (ad + bd if want_d else None), (ea + eb + np.abs(v) * _HALF_ULP if err else None)
+        return a + b, (ad + bd if want_d else None)
     if node.op == "-":
-        v = a - b
-        return v, (ad - bd if want_d else None), (ea + eb + np.abs(v) * _HALF_ULP if err else None)
+        return a - b, (ad - bd if want_d else None)
     if node.op == "*":
-        v = a * b
-        return (v, ad * b + a * bd if want_d else None,
-                ea * np.abs(b) + eb * np.abs(a) + np.abs(v) * _HALF_ULP
-                + _underflow(v, (a, ea), (b, eb)) if err else None)
+        return a * b, (ad * b + a * bd if want_d else None)
     if node.op == "/":
         bad = b == 0.0
         v = a / (np.where(bad, np.nan, b) if flags.flag_invalid(bad, node) else b)
-        return (v, (ad * b - a * bd) / (b * b) if want_d else None,
-                (ea + eb * np.abs(v)) / np.abs(b) + np.abs(v) * _HALF_ULP + _underflow(v, (a, ea))
-                if err else None)
+        return v, ((ad * b - a * bd) / (b * b) if want_d else None)
     if node.op == "^":
         # A constant integral exponent leaves only 0^negative out of the domain.
         integral = not node.rhs.variables() and np.isfinite(b) and b == np.floor(b)
@@ -426,15 +391,9 @@ def _walk(node, env, flags, wrt, err):
             flags.flag_invalid(((a < 0.0) & nonint) | ((a == 0.0) & (b < 0.0)), node)
             v = np.power(a, b)
             v = np.where((a < 0.0) & nonint, np.nan, v)
-        if not (want_d or err):
-            return v, None, None
-        slope = b * (_signed_power(a, b - 1.0) if integral else np.power(a, b - 1.0))
-        # |dv/db| = |v log a|, where a positive base allows any exponent
-        e = (np.where(ea == 0.0, 0.0, np.abs(slope) * ea)
-             + np.where(eb == 0.0, 0.0, np.abs(v) * np.abs(np.log(np.where(a > 0.0, a, 1.0))) * eb)
-             + np.abs(v) * _ULP + _underflow(v, (a, ea), (b, eb))) if err else None
         if not want_d:
-            return v, None, e
+            return v, None
+        slope = b * (_signed_power(a, b - 1.0) if integral else np.power(a, b - 1.0))
         # The rule is chosen per row and variable, so no row depends on
         # the others in the batch.  Where the exponent does not move, the
         # plain power rule holds, also for negative bases at integral
@@ -442,7 +401,7 @@ def _walk(node, env, flags, wrt, err):
         d = np.where((ad == 0.0) | (b == 0.0), 0.0, slope * ad)
         if integral:
             flags.flag_nondiff(~np.isfinite(d).all(axis=0) & np.isfinite(a) & np.isfinite(v), node)
-            return v, d, e
+            return v, d
         moving = bd != 0.0
         flags.flag_nondiff((~np.isfinite(d) & ~moving).any(axis=0)
                            & np.isfinite(a) & np.isfinite(v), node)
@@ -450,7 +409,7 @@ def _walk(node, env, flags, wrt, err):
             flags.flag_invalid((a <= 0.0) & moving.any(axis=0), node)
             la = np.log(np.where(a > 0.0, a, np.nan))
             d = np.where(moving, v * (bd * la + b * ad / a), d)
-        return v, d, e
+        return v, d
     raise AssertionError(f"unknown binary op {node.op}")
 
 
@@ -459,7 +418,14 @@ class EvalResult:
     values: np.ndarray
     invalid: np.ndarray  # bool mask of domain violations
     invalid_node: Optional[Expr]
-    error: Optional[np.ndarray] = None  # rounding-error bound, when asked; inf on flagged rows
+
+    @property
+    def failed(self) -> np.ndarray:
+        """Rows that left the domain or whose value is not finite."""
+        failed = ~np.isfinite(self.values)
+        if self.invalid_node is not None:  # set exactly when some row left the domain
+            failed |= self.invalid
+        return failed
 
 
 @dataclass
@@ -481,14 +447,13 @@ def _batch_shape(env) -> tuple:
     return ()
 
 
-def _evaluate(node: Expr, env, wrt=None, err=False):
+def _evaluate(node: Expr, env, wrt=None):
     """One walk of node over env, broadcast to the batch shape: (EvalResult,
-    derivative, flags).  With err the result carries the error bound (for
-    compose; the samplers skip it), infinite on flagged or non-finite rows."""
+    derivative, flags)."""
     flags, shape = _Flags(), _batch_shape(env)
     seeds = None if wrt is None else _seeds(wrt, len(shape))
     with np.errstate(all="ignore"):  # domain violations are flagged, not warned about
-        v, d, e = _walk(node, env, flags, seeds, err)
+        v, d = _walk(node, env, flags, seeds)
     v = np.asarray(v, dtype=float)
     if v.shape != shape:
         v = np.broadcast_to(v, shape)
@@ -498,9 +463,7 @@ def _evaluate(node: Expr, env, wrt=None, err=False):
     invalid = flags.invalid
     if np.shape(invalid) != shape:
         invalid = np.broadcast_to(invalid, shape)
-    if err:
-        e = np.where(np.isfinite(v) & ~invalid, e, np.inf)
-    return EvalResult(v, invalid, flags.invalid_node, e), d, flags
+    return EvalResult(v, invalid, flags.invalid_node), d, flags
 
 
 def eval_many(node: Expr, env: Mapping[str, np.ndarray]) -> EvalResult:
@@ -640,7 +603,7 @@ def _enclose(node, box):
         return None
     if node.op == "^" and not node.rhs.variables():
         flags = _Flags()  # the exponent exactly as the walk takes it
-        b = float(_walk(node.rhs, {}, flags, None, False)[0])
+        b = float(_walk(node.rhs, {}, flags, None)[0])
         return None if flags.invalid_node is not None else _power(a, b)
     b = _enclose(node.rhs, box)
     if b is None:
@@ -689,13 +652,16 @@ def compose(f: Expr, inner: Sequence[Expr], inner_vars: Sequence[str],
     ``f`` is written over y1..yn; each ``inner[i]`` is written over the
     problem variables.  When ``override`` is given it is validated against
     the direct substitution on ``points``, the validation_points of the box,
-    and then used verbatim.  The allowance is the relative tolerance
-    OVERRIDE_TOL plus 8 times the running rounding-error bounds of both
-    evaluations, so an exact override of a badly conditioned substitution
-    (cancellation inside E) is not rejected for float noise; a mismatch
-    beyond it raises ComposeMismatchError carrying the worst point.  The
-    bounds only widen the allowance, so both forms are walked with them
-    only at the comparable points beyond the plain tolerance.
+    and then used verbatim.  Both forms are walked at every point; a
+    comparable point (both values evaluate and are finite) is within
+    tolerance when the values differ by at most OVERRIDE_TOL * (1 +
+    |override value|).  The others are taken in order of decreasing gap and
+    both forms are enclosed on the point box: the point is reconciled when
+    both enclosures are decided and come within that tolerance of each
+    other.  A decided enclosure holds the float and the exact value, so an
+    exact override of a badly conditioned substitution (cancellation inside
+    E) is not rejected for float noise.  The first point not reconciled
+    raises ComposeMismatchError, naming it.
     """
     mapping = {f"y{i + 1}": inner[i] for i in range(len(inner))}
     for name in f.variables():
@@ -710,28 +676,21 @@ def compose(f: Expr, inner: Sequence[Expr], inner_vars: Sequence[str],
     if extra:
         raise ComposeMismatchError(f"composed form uses undeclared variables {sorted(extra)}")
 
-    def walk(P, err):
-        env = {name: P[:, j] for j, name in enumerate(inner_vars)}
-        return _evaluate(substituted, env, err=err)[0], _evaluate(override, env, err=err)[0]
-
-    sub, ovr = walk(points, False)
-    ok = ~sub.invalid & ~ovr.invalid & np.isfinite(sub.values) & np.isfinite(ovr.values)
+    env = {name: points[:, j] for j, name in enumerate(inner_vars)}
+    sub, ovr = _evaluate(substituted, env)[0], _evaluate(override, env)[0]
+    ok = ~(sub.failed | ovr.failed)
     if not ok.any():
         raise ComposeMismatchError("composed form could not be validated: no comparable sample points")
-    beyond = ok & (np.abs(sub.values - ovr.values) > OVERRIDE_TOL * (1.0 + np.abs(ovr.values)))
-    if not beyond.any():
-        return override
-    # the walk is elementwise: these rows get the values and bounds of a walk of all points
-    rows = np.flatnonzero(beyond)
-    sub, ovr = walk(points[rows], True)
-    budget = OVERRIDE_TOL * (1.0 + np.abs(ovr.values)) + 8.0 * (sub.error + ovr.error)
-    excess = np.abs(sub.values - ovr.values) - budget
-    excess = np.where(np.isfinite(excess), excess, -np.inf)
-    worst = int(np.argmax(excess))
-    if excess[worst] > 0.0:
-        point = {name: float(points[rows[worst], j]) for j, name in enumerate(inner_vars)}
-        raise ComposeMismatchError(
-            f"composed form disagrees with substitution at {point}: "
-            f"substituted {sub.values[worst]:.12g}, supplied {ovr.values[worst]:.12g}",
-            point=point, substituted=float(sub.values[worst]), supplied=float(ovr.values[worst]))
+    tol = OVERRIDE_TOL * (1.0 + np.abs(ovr.values))
+    gap = np.abs(sub.values - ovr.values)
+    rows = np.flatnonzero(ok & (gap > tol))
+    for i in rows[np.argsort(-gap[rows], kind="stable")]:
+        box = {name: (points[i, j], points[i, j]) for j, name in enumerate(inner_vars)}
+        s, o = enclose(substituted, box), enclose(override, box)
+        if UNDECIDED in (s, o) or max(s[0] - o[1], o[0] - s[1]) > tol[i]:
+            point = {name: float(points[i, j]) for j, name in enumerate(inner_vars)}
+            raise ComposeMismatchError(
+                f"composed form disagrees with substitution at {point}: "
+                f"substituted {sub.values[i]:.12g}, supplied {ovr.values[i]:.12g}",
+                point=point, substituted=float(sub.values[i]), supplied=float(ovr.values[i]))
     return override

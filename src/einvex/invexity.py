@@ -127,14 +127,12 @@ def preinvex_pairs(fn: ProblemFunction, problem: EProblem, m: MixtureSamples) ->
     """The drawn mixture block ``m`` with f evaluated at x, x0 and the combined points."""
     ra = problem.composed_values(fn, m.X)
     rb = problem.composed_values(fn, m.X0)
-    A, B = ra.values, rb.values
-    bad = m.bad | ra.invalid | rb.invalid | ~np.isfinite(A) | ~np.isfinite(B)
+    bad = m.bad | ra.failed | rb.failed
 
     rc = problem.raw_values(fn, m.combined().reshape(-1, problem.n))
-    C = rc.values.reshape(m.T.shape)
-    invalid_comb = (rc.invalid | ~np.isfinite(rc.values)).reshape(m.T.shape) | bad[:, None]
+    invalid_comb = rc.failed.reshape(m.T.shape) | bad[:, None]
     return PreinvexSamples(m.X, m.X0, m.T, m.U, m.V, m.H, bad, invalid_comb, m.lo, m.starved,
-                           A=A, B=B, C=C)
+                           A=ra.values, B=rb.values, C=rc.values.reshape(m.T.shape))
 
 
 def preinvex_masks(s: PreinvexSamples, kind: PreinvexKind, cfg: SampleConfig):
@@ -316,7 +314,7 @@ def invex_pairs(fn: ProblemFunction, problem: EProblem, blk: InvexBlock,
     them at x too.
     """
     vals = problem.composed_values(fn, blk.P)
-    row_bad = vals.invalid | blk.bad_e | ~np.isfinite(vals.values)
+    row_bad = vals.failed | blk.bad_e
     g_lo, g_hi = (0, blk.P.shape[0]) if want_gx else blk.bases
     grads = problem.composed_grads(fn, blk.P[g_lo:g_hi])
     j0 = blk.i0 - g_lo

@@ -383,9 +383,7 @@ def is_weak_pareto(problem: EProblem, y, grid: Optional[GridSpec] = None, tol: f
         better, cols = True, []
         for fn, b in zip(problem.objectives, bound):
             r = ex.eval_many(fn.composed, env)
-            better = better & np.isfinite(r.values) & (r.values < b)
-            if r.invalid_node is not None:  # set exactly when some row left the domain
-                better &= ~r.invalid
+            better = better & ~r.failed & (r.values < b)
             if not better.any():
                 break
             cols.append(r.values)
@@ -431,8 +429,7 @@ def e_minimizer_check(fn: ProblemFunction, problem: EProblem, xbar,
 
     for pts in _blocks(problem, *_admitted(problem, grid, xbar), ruled_out):
         r = problem.composed_values(fn, pts)
-        ok = ~r.invalid & np.isfinite(r.values)
-        vals = np.where(ok, r.values, np.inf)
+        vals = np.where(r.failed, np.inf, r.values)
         is_min &= bool(np.all(value <= vals + tol))
         i = int(np.argmin(vals))
         if best is None or vals[i] < best:

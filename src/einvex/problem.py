@@ -142,9 +142,7 @@ def eval_columns(exprs: Sequence[ex.Expr], env: dict):
     for e in exprs:
         r = ex.eval_many(e, env)
         cols.append(r.values)
-        failed |= ~np.isfinite(r.values)
-        if r.invalid_node is not None:  # set exactly when some row left the domain
-            failed |= r.invalid
+        failed |= r.failed
     return np.stack(cols, axis=-1), failed
 
 

@@ -1,10 +1,11 @@
-"""Override validation in compose: the plain tolerance first, error bounds after.
+"""Override validation in compose: the plain tolerance first, enclosures after.
 
-compose walks both forms without error bounds, then walks them with bounds
-only at the comparable points beyond the plain tolerance.  These tests hold
-it to the former rule, both forms walked with bounds at every point, on a
-table of overrides and on derandomized perturbations of them, and pin how
-many rows the bounded walks see.
+compose walks both forms, then encloses them on point boxes only at the
+comparable points beyond the plain tolerance, in order of decreasing gap,
+and stops at the first point it cannot reconcile.  These tests hold it to
+the same rule applied at every comparable point, on a table of overrides
+and on derandomized perturbations of them, and pin which points are
+enclosed.
 """
 
 import numpy as np
@@ -14,8 +15,8 @@ from hypothesis import strategies as st
 
 from einvex import expr as ex
 from einvex.errors import ComposeMismatchError
-from einvex.expr import (OVERRIDE_TOL, Binary, Const, _evaluate, compose, parse, substitute,
-                         to_source, validation_points)
+from einvex.expr import (OVERRIDE_TOL, UNDECIDED, Binary, Const, compose, enclose, eval_many,
+                         parse, substitute, to_source, validation_points)
 from einvex.problem import load_problem
 
 SETTINGS = settings(max_examples=150, derandomize=True, deadline=None, database=None,
@@ -23,20 +24,26 @@ SETTINGS = settings(max_examples=150, derandomize=True, deadline=None, database=
 
 
 def _reference_compose(f, inner, inner_vars, override, points):
-    """Reference: the former validation, both forms walked with error bounds
-    at every point."""
+    """Reference: both forms enclosed at every comparable point.  A point is
+    reconciled when the plain values are within the tolerance, or when both
+    enclosures are decided and within it of each other; the point named is
+    the unreconciled one of largest plain gap, the first of them on a tie."""
     substituted = substitute(f, {f"y{i + 1}": e for i, e in enumerate(inner)})
     env = {name: points[:, j] for j, name in enumerate(inner_vars)}
-    sub = _evaluate(substituted, env, err=True)[0]
-    ovr = _evaluate(override, env, err=True)[0]
+    sub, ovr = eval_many(substituted, env), eval_many(override, env)
     ok = ~sub.invalid & ~ovr.invalid & np.isfinite(sub.values) & np.isfinite(ovr.values)
     if not ok.any():
         raise ComposeMismatchError("composed form could not be validated: no comparable sample points")
-    budget = OVERRIDE_TOL * (1.0 + np.abs(ovr.values)) + 8.0 * (sub.error + ovr.error)
-    excess = np.abs(sub.values - ovr.values) - budget
-    excess = np.where(ok & np.isfinite(excess), excess, -np.inf)
-    worst = int(np.argmax(excess))
-    if excess[worst] > 0.0:
+    tol = OVERRIDE_TOL * (1.0 + np.abs(ovr.values))
+    gap = np.abs(sub.values - ovr.values)
+    worst = None
+    for i in np.flatnonzero(ok):
+        box = {name: (points[i, j], points[i, j]) for j, name in enumerate(inner_vars)}
+        s, o = enclose(substituted, box), enclose(override, box)
+        near = s != UNDECIDED and o != UNDECIDED and max(s[0] - o[1], o[0] - s[1]) <= tol[i]
+        if not (gap[i] <= tol[i] or near) and (worst is None or gap[i] > gap[worst]):
+            worst = i
+    if worst is not None:
         point = {name: float(points[worst, j]) for j, name in enumerate(inner_vars)}
         raise ComposeMismatchError(
             f"composed form disagrees with substitution at {point}: "
@@ -113,20 +120,20 @@ def test_perturbed_overrides_match_the_reference(name, op, c, data):
     assert got == _outcome(_reference_compose, f, inner, names, perturbed, points)
 
 
-def _bounded_rows(monkeypatch):
-    """Record the points of every walk with error bounds, as (node, rows)."""
+def _enclosed(monkeypatch):
+    """Record every enclosure compose takes, as (node, point)."""
     seen = []
 
-    def counted(node, env, wrt=None, err=False):
-        if err:
-            seen.append((node, np.stack(list(env.values()), axis=-1)))
-        return _evaluate(node, env, wrt, err)
-    monkeypatch.setattr(ex, "_evaluate", counted)
+    def counted(node, box):
+        seen.append((node, tuple(lo for lo, hi in box.values())))
+        assert all(lo == hi for lo, hi in box.values())  # point boxes only
+        return enclose(node, box)
+    monkeypatch.setattr(ex, "enclose", counted)
     return seen
 
 
-def test_a_vp1_load_walks_no_row_with_error_bounds(vp1_path, monkeypatch):
-    seen = _bounded_rows(monkeypatch)
+def test_a_vp1_load_encloses_no_point(vp1_path, monkeypatch):
+    seen = _enclosed(monkeypatch)
     load_problem(vp1_path)
     assert seen == []
 
@@ -136,15 +143,40 @@ def test_an_example1_load_bounds_only_the_points_beyond_the_plain_tolerance(exam
     f, inner, names, override, lo, hi = _case("example1")
     points = validation_points(lo, hi)
     env = {"x1": points[:, 0]}
-    sub = ex.eval_many(substitute(f, {"y1": inner[0]}), env).values
-    ovr = ex.eval_many(override, env).values
-    beyond = points[np.abs(sub - ovr) > OVERRIDE_TOL * (1.0 + np.abs(ovr))]
+    substituted = substitute(f, {"y1": inner[0]})
+    sub = eval_many(substituted, env).values
+    ovr = eval_many(override, env).values
+    gap = np.abs(sub - ovr)
+    beyond = np.flatnonzero(gap > OVERRIDE_TOL * (1.0 + np.abs(ovr)))
     assert len(beyond) == 4
-    seen = _bounded_rows(monkeypatch)
+    seen = _enclosed(monkeypatch)
     load_problem(example1_path)
-    assert len(seen) == 2  # the substituted and the supplied form, once each
-    for _, rows in seen:
-        assert rows.tobytes() == beyond.tobytes()
+    # each beyond point once per form, the largest gap first
+    assert [node for node, _ in seen] == [substituted, override] * 4
+    by_gap = points[beyond[np.argsort(-gap[beyond])], 0]
+    assert [p for _, (p,) in seen] == np.repeat(by_gap, 2).tolist()
+
+
+def test_a_wrong_override_is_named_at_its_first_unreconciled_point(monkeypatch):
+    # vp1's f1 off by about 1 everywhere: all 256 points are beyond the
+    # plain tolerance, and one enclosed pair decides the verdict
+    f, inner, names, _, lo, hi = _case("vp1-f1")
+    wrong = parse("log(x1 + x2 + 1) + 1.00000001", names)
+    points = validation_points(lo, hi)
+    env = {"x1": points[:, 0], "x2": points[:, 1]}
+    sub = eval_many(substitute(f, {"y1": inner[0], "y2": inner[1]}), env).values
+    ovr = eval_many(wrong, env).values
+    gap = np.abs(sub - ovr)
+    assert (gap > OVERRIDE_TOL * (1.0 + np.abs(ovr))).all()
+    seen = _enclosed(monkeypatch)
+    with pytest.raises(ComposeMismatchError) as exc:
+        compose(f, inner, names, wrong, points)
+    first = int(np.argmax(gap))
+    assert len(seen) == 2
+    assert seen[0][1] == seen[1][1] == tuple(points[first])
+    assert exc.value.point == dict(zip(names, points[first].tolist()))
+    assert _outcome(compose, f, inner, names, wrong, points) == \
+        _outcome(_reference_compose, f, inner, names, wrong, points)
 
 
 def test_an_override_without_points_is_a_value_error():

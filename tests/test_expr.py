@@ -9,14 +9,16 @@ from einvex.errors import (
     NonDifferentiableError,
     ParseError,
 )
+from einvex import expr as ex
 from einvex.expr import (
     OVERRIDE_TOL,
+    UNDECIDED,
     Binary,
     Const,
     Unary,
     Var,
-    _evaluate,
     compose,
+    enclose,
     eval_many,
     evaluate,
     grad_many,
@@ -171,6 +173,15 @@ def test_eval_many_masks_instead_of_raising():
     assert np.isnan(res.values[0]) and np.isnan(res.values[1])
     assert res.values[2] == 0.0
     assert res.invalid_node is not None
+
+
+def test_a_failed_row_left_the_domain_or_is_not_finite():
+    # exp(-(0^-1)) is exp(-inf) = 0: finite, but the row left the domain
+    x = np.array([0.0, 1.0, -1e-3, 1e-3])
+    res = eval_many(parse("exp(-(x1^-1))", X1), {"x1": x})
+    assert res.values[0] == 0.0 and np.isinf(res.values[2])
+    assert res.failed.tolist() == [True, False, True, False]
+    assert eval_many(parse("x1", X1), {"x1": x}).failed.tolist() == [False] * 4
 
 
 def test_eval_many_broadcasts_constants():
@@ -436,12 +447,28 @@ def test_compose_identity_inner_is_exact():
 def test_compose_accepts_equivalent_override():
     # Deep power chain: cbrt(y1+3) after y1 = (x1+3)^9 - 3 collapses to
     # (x1+3)^3.  Near x1 = -3 the substituted form loses almost all digits
-    # to cancellation, so acceptance must lean on the error bound.
+    # to cancellation, so acceptance must lean on the point-box enclosures.
     f = parse("cbrt(y1 + 3)", ["y1"])
     inner = [parse("(x1+3)^9 - 3", X1)]
     override = parse("(x1+3)^3", X1)
     node = compose(f, inner, X1, override, validation_points([-6.0], [0.0]))
     assert node is override
+
+
+def test_compose_reconciles_enclosures_within_the_tolerance():
+    # at x1 = -3.0001 the substituted form cancels to exactly 0, and its
+    # point-box enclosure reaches some 8e-6 either side: an override that
+    # far off is beyond the plain tolerance, but reconciled when its
+    # enclosure lies within the tolerance of the substituted one
+    f = parse("cbrt(y1 + 3)", ["y1"])
+    inner = [parse("(x1+3)^9 - 3", X1)]
+    point = np.array([[-3.0001]])
+    hi = enclose(parse("cbrt(((x1+3)^9 - 3) + 3)", X1), {"x1": (-3.0001, -3.0001)})[1]
+    assert 1e-6 < hi < 1e-4
+    near = parse(f"(x1+3)^3 + {hi + 0.5 * OVERRIDE_TOL!r}", X1)
+    assert compose(f, inner, X1, near, point) is near
+    with pytest.raises(ComposeMismatchError):
+        compose(f, inner, X1, parse(f"(x1+3)^3 + {hi + 3 * OVERRIDE_TOL!r}", X1), point)
 
 
 def test_compose_rejects_wrong_override():
@@ -475,15 +502,16 @@ def test_compose_rejects_override_with_stray_variable():
     assert "z9" in str(exc.value)
 
 
-def _bound(node, env):
-    """Values and running rounding-error bound of one walk."""
-    res = _evaluate(node, env, err=True)[0]
-    return res.values, res.error
+def _point_bound(node, x):
+    """The enclosure of node on the point box of each x1 in x, as (lo, hi)
+    arrays: the bound on the rounding error of the walk at x."""
+    lo, hi = zip(*(enclose(node, {"x1": (v, v)}) for v in x))
+    return np.array(lo), np.array(hi)
 
 
 def test_error_bound_covers_cancellation():
     # |cbrt(((x+3)^9 - 3) + 3) - (x+3)^3| near x = -3 is far above the plain
-    # relative tolerance, but inside the tracked rounding-error budget.
+    # relative tolerance, but the point-box enclosures of the two forms overlap
     sub = parse("cbrt(((x1+3)^9 - 3) + 3)", X1)
     exact = parse("(x1+3)^3", X1)
     x = np.concatenate(
@@ -492,50 +520,66 @@ def test_error_bound_covers_cancellation():
             SampleStream(11, "cancel").box(np.array([-6.0]), np.array([0.0]), 200)[:, 0],
         ]
     )
-    env = {"x1": x}
-    v_sub, e_sub = _bound(sub, env)
-    v_ex, e_ex = _bound(exact, env)
-    gap = np.abs(v_sub - v_ex)
-    assert np.all(gap <= e_sub + e_ex)
+    s_lo, s_hi = _point_bound(sub, x)
+    e_lo, e_hi = _point_bound(exact, x)
+    assert np.isfinite([s_lo, s_hi, e_lo, e_hi]).all()  # every enclosure is decided
+    assert np.all((s_lo <= e_hi) & (e_lo <= s_hi))
+    v_sub, v_ex = eval_many(sub, {"x1": x}).values, eval_many(exact, {"x1": x}).values
+    assert np.all((s_lo <= v_sub) & (v_sub <= s_hi) & (e_lo <= v_ex) & (v_ex <= e_hi))
     # and the naive budget alone would reject the pair
-    assert np.any(gap > OVERRIDE_TOL * (1.0 + np.abs(v_ex)))
+    assert np.any(np.abs(v_sub - v_ex) > OVERRIDE_TOL * (1.0 + np.abs(v_ex)))
 
 
 def test_error_bound_flags_domain_failures_with_infinite_bounds():
-    v, e = _bound(parse("log(x1)", X1), {"x1": np.array([-1.0, 1.0])})
-    assert np.isnan(v[0]) and np.isinf(e[0])
-    assert v[1] == 0.0 and np.isfinite(e[1])
+    lo, hi = _point_bound(parse("log(x1)", X1), [-1.0, 1.0])
+    assert (lo[0], hi[0]) == UNDECIDED
+    assert lo[1] <= 0.0 <= hi[1] and np.isfinite([lo[1], hi[1]]).all()
 
 
 def test_error_bound_is_infinite_on_every_flagged_row():
     # exp(-(0^-1)) is exp(-inf) = 0, a finite value on a row that left the domain
     node = parse("exp(-(x1^-1))", X1)
-    v, e = _bound(node, {"x1": np.array([0.0, 1.0])})
-    assert eval_many(node, {"x1": np.array([0.0, 1.0])}).invalid.tolist() == [True, False]
-    assert v[0] == 0.0 and e[0] == np.inf
-    assert np.isfinite(e[1])
+    res = eval_many(node, {"x1": np.array([0.0, 1.0])})
+    assert res.invalid.tolist() == [True, False] and res.values[0] == 0.0
+    lo, hi = _point_bound(node, [0.0, 1.0])
+    assert (lo[0], hi[0]) == UNDECIDED
+    assert lo[1] <= res.values[1] <= hi[1] and np.isfinite([lo[1], hi[1]]).all()
 
 
 def test_error_bound_of_an_unbound_variable_is_a_domain_error():
     with pytest.raises(DomainEvalError):
-        _bound(parse("x1 + x2", X12), {"x1": np.array([1.0])})
+        enclose(parse("x1 + x2", X12), {"x1": (1.0, 1.0)})
 
 
 @pytest.mark.parametrize("source", ["sqrt(x1 - x1)", "sqrt(0*x1)", "0*x1", "0/x1"])
-def test_structural_zeros_keep_a_zero_bound(source):
-    # an exact zero below a root keeps the bound finite: with 2^-1074 for
-    # every zero result the root's infinite slope would make it infinite
+def test_structural_zeros_keep_a_zero_bound(source, monkeypatch):
+    # an exact zero is exactly 0 in the walk, so an override that drops it
+    # is at a zero gap and is accepted on the plain values alone, with no
+    # enclosure taken: the point-box enclosure steps outward, and a root
+    # of it is undecided
     x = np.array([-2.0, 1e-300, 0.5, 3.0])
-    v, e = _bound(parse(source, X1), {"x1": x})
-    assert np.all(v == 0.0) and np.all(e == 0.0)
+    node = parse(source, X1)
+    assert np.all(eval_many(node, {"x1": x}).values == 0.0)
+    lo, hi = enclose(node, {"x1": (0.5, 0.5)})
+    assert (lo, hi) == UNDECIDED if source.startswith("sqrt") else lo < 0.0 < hi
+    seen = []
+    monkeypatch.setattr(ex, "enclose", lambda *a: seen.append(a) or enclose(*a))
+    f = parse("y1 + " + source.replace("x1", "y1"), ["y1"])
+    assert compose(f, [parse("x1", X1)], X1, parse("x1", X1), x[:, None]) == parse("x1", X1)
+    assert seen == []
 
 
-def test_underflowed_zero_keeps_its_error():
-    # x1*x1 underflows to 0, a zero that carries error: its root is unbounded
-    v, e = _bound(parse("cbrt(x1*x1)", X1), {"x1": np.array([1e-200])})
-    assert v[0] == 0.0 and e[0] == np.inf
-    v, e = _bound(parse("x1*x1", X1), {"x1": np.array([-9.3797e-157, 1e-200])})
-    assert np.all(e >= 2.0 ** -1074)
+def test_a_product_rounded_to_zero_keeps_its_error():
+    # x1*x1 underflows to 0, a zero that carries error: its point-box
+    # enclosure, and its root's, straddle 0 and reach the exact value
+    node = parse("cbrt(x1*x1)", X1)
+    assert eval_many(node, {"x1": 1e-200}).values == 0.0
+    lo, hi = enclose(node, {"x1": (1e-200, 1e-200)})
+    assert lo < 0.0 and hi >= 4.65e-134  # the exact value is about 10^(-400/3), 4.64e-134
+    x = np.array([-9.3797e-157, 1e-200])
+    lo, hi = _point_bound(parse("x1*x1", X1), x)
+    v = x * x
+    assert np.all((lo < v) & (v < hi) & (hi - lo >= 2.0 ** -1074))
 
 
 def test_compose_rejects_wrong_override_around_a_structural_zero():

@@ -2,7 +2,8 @@
 
 Trees over x1, x2 use every operator and every function of the language.
 Settings are derandomized, so every run draws the same examples.  The last
-tests hold the interval enclosure to the float walk and to the 60-digit value.
+tests hold the interval enclosure, over boxes and over single points, to
+the float walk and to the 60-digit value.
 """
 
 import mpmath
@@ -11,8 +12,8 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from einvex.expr import (UNARY_FUNCTIONS, UNDECIDED, Binary, Const, Unary, Var, _evaluate,
-                         enclose, eval_many, grad_many, parse)
+from einvex.expr import (UNARY_FUNCTIONS, UNDECIDED, Binary, Const, Unary, Var, enclose,
+                         eval_many, grad_many, parse)
 from mpexpr import DPS, mp_eval
 
 X12 = ["x1", "x2"]
@@ -101,39 +102,11 @@ def test_gradients_match_central_differences(tree, rows):
         assert np.all(err[trusted] <= tol[trusted]), (str(tree), X[trusted], j)
 
 
-# The running error bound against the 60-digit value, wherever the value and
-# the bound are finite and the exact value is defined.  The first four
-# examples underflow into the subnormal range; the next two hit numpy's exp
-# and power more than half an ulp off; the last four take integral powers
-# of negative bases, computed as +-|a|^b.
-@settings(SETTINGS, max_examples=400)
-@given(tree=TREES, rows=BATCH)
-@example(tree=parse("x2*x2", X12), rows=[(-0.2656, -9.3797e-157)])
-@example(tree=parse("cbrt(cbrt(x2*x2*(x2*x2)))", X12), rows=[(0.5, -6.98e-233)])
-@example(tree=parse("x1/3", X12), rows=[(-2.225073858507203e-309, 0.5)])
-@example(tree=parse("exp(log(x2))", X12), rows=[(0.0, 5e-324)])
-@example(tree=parse("exp(x1)", X12), rows=[(2.2456345631359493, 0.5)])
-@example(tree=parse("x2^3", X12), rows=[(2.153349360412431, 1.621412546438453)])
-@example(tree=parse("x2^3", X12), rows=[(0.5, -2.153349360412431), (0.5, -1.621412546438453)])
-@example(tree=parse("(x1 - x2)^9", X12), rows=[(-1.3, 0.4), (-2.9, 0.1), (0.25, 2.75)])
-@example(tree=parse("x1^-3 + x2^(0-1)", X12), rows=[(-1.7, -0.3), (-2.2, -2.9)])
-@example(tree=parse("(x1*x2)^4", X12), rows=[(-1.7, 0.9), (2.6, -1.1)])
-def test_error_bound_covers_the_distance_to_the_exact_value(tree, rows):
-    X = np.array(rows)
-    res = _evaluate(tree, _env(X), err=True)[0]
-    for i in range(X.shape[0]):
-        v, bound = res.values[i], res.error[i]
-        exact = mp_eval(tree, {"x1": X[i, 0], "x2": X[i, 1]})
-        if not (np.isfinite(v) and np.isfinite(bound)) or exact is None:
-            continue
-        with mpmath.workdps(DPS):
-            assert abs(mpmath.mpf(v) - exact) <= bound, (str(tree), X[i], v, bound)
-
-
 # Box ends: domain edges, so that boxes touch 0 or straddle it under / and
 # log, and far ends where exp(x), x^x and the like overflow.
 ENDS = st.sampled_from(EDGES + [-800.0, -50.0, 50.0, 709.0, 710.0, 800.0]) | st.floats(-3.0, 3.0)
-BOXES = st.tuples(st.tuples(ENDS, ENDS).map(sorted), st.tuples(ENDS, ENDS).map(sorted))
+BOXES = (st.tuples(st.tuples(ENDS, ENDS).map(sorted), st.tuples(ENDS, ENDS).map(sorted))
+         | st.tuples(ENDS, ENDS).map(lambda p: ((p[0], p[0]), (p[1], p[1]))))
 FRACTIONS = st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)), min_size=1, max_size=6)
 
 
@@ -148,8 +121,34 @@ def _box_points(box, fractions):
         return np.clip(np.array(X, dtype=float), lo, hi)
 
 
+# Point boxes, where the enclosure bounds the rounding error of the walk.
+# The first four underflow into the subnormal range; the next two hit
+# numpy's exp and power more than half an ulp off; the last four take
+# integral powers of negative bases, computed as +-|a|^b.
+POINT_EXAMPLES = [
+    ("x2*x2", [(-0.2656, -9.3797e-157)]),
+    ("cbrt(cbrt(x2*x2*(x2*x2)))", [(0.5, -6.98e-233)]),
+    ("x1/3", [(-2.225073858507203e-309, 0.5)]),
+    ("exp(log(x2))", [(0.0, 5e-324)]),
+    ("exp(x1)", [(2.2456345631359493, 0.5)]),
+    ("x2^3", [(2.153349360412431, 1.621412546438453)]),
+    ("x2^3", [(0.5, -2.153349360412431), (0.5, -1.621412546438453)]),
+    ("(x1 - x2)^9", [(-1.3, 0.4), (-2.9, 0.1), (0.25, 2.75)]),
+    ("x1^-3 + x2^(0-1)", [(-1.7, -0.3), (-2.2, -2.9)]),
+    ("(x1*x2)^4", [(-1.7, 0.9), (2.6, -1.1)]),
+]
+POINT_BOXES = [(source, ((a, a), (b, b))) for source, rows in POINT_EXAMPLES for a, b in rows]
+
+
+def _point_examples(test):
+    for source, box in POINT_BOXES:
+        test = example(tree=parse(source, X12), box=box, fractions=[(0.5, 0.5)])(test)
+    return test
+
+
 @settings(SETTINGS, max_examples=400)
 @given(tree=TREES, box=BOXES, fractions=FRACTIONS)
+@_point_examples
 @example(tree=parse("log(x1 + x2 + 1)", X12), box=((0.0, 2.0), (0.0, 2.0)), fractions=[(0.5, 0.5)])
 @example(tree=parse("x1^x2", X12), box=((0.5, 2.0), (-1.0, 3.0)), fractions=[(0.3, 0.9)])
 @example(tree=parse("exp(x1*x2) - exp(x2)", X12), box=((1.0, 2.0), (709.0, 710.0)),
@@ -170,6 +169,12 @@ def test_enclosure_holds_the_float_and_the_exact_values(tree, box, fractions):
         if exact is not None:
             with mpmath.workdps(DPS):
                 assert lo <= exact <= hi, (str(tree), box, x, lo, hi)
+
+
+def test_point_examples_are_decided():
+    # the property test returns early on an undecided box: these must not
+    for source, box in POINT_BOXES:
+        assert enclose(parse(source, X12), {"x1": box[0], "x2": box[1]}) != UNDECIDED, source
 
 
 # Each box may leave a domain of the walk, at the point named.
