@@ -140,15 +140,6 @@ def _oracle_flags(sp):
     sp.add_argument("--at", help="point for --minimizer (candidate name or coordinates)")
 
 
-SUBCOMMANDS = {  # name -> (help, flag adder): the one definition of each subcommand
-    "parse": ("parse and echo a problem file", _parse_flags),
-    "check": ("run one sampled definition check", _check_flags),
-    "kkt": ("solve or verify first-order multipliers", _kkt_flags),
-    "certify": ("check the hypotheses of a sufficiency theorem", _certify_flags),
-    "oracle": ("brute-force grid enumeration of (weak) Pareto sets", _oracle_flags),
-}
-
-
 def build_parser(command=None) -> argparse.ArgumentParser:
     """The parser of the command line.  When ``command`` names a subcommand,
     only that one is registered, and a command line that starts with it
@@ -158,7 +149,7 @@ def build_parser(command=None) -> argparse.ArgumentParser:
     p.add_argument("--version", action="version", version=f"einvex {__version__}")
     sub = p.add_subparsers(dest="command", required=True, parser_class=_Parser)
     for name in (command,) if command in SUBCOMMANDS else SUBCOMMANDS:
-        help_text, add_flags = SUBCOMMANDS[name]
+        help_text, add_flags, _ = SUBCOMMANDS[name]
         add_flags(sub.add_parser(name, help=help_text))
     return p
 
@@ -306,7 +297,7 @@ def _cmd_kkt(ns):
             payload["solved_alternative"] = {"point": alt, "residual": alt_res}
             payload["note"] = ("supplied multipliers fail the first-order system, but a "
                                "consistent multiplier vector exists at this point")
-        except (EinvexError, InfeasibleMultipliersError):
+        except EinvexError:
             payload["solved_alternative"] = None
             payload["note"] = "no alternative multipliers exist at this point either"
         rep.update({"conclusion": "fail", **payload})
@@ -385,6 +376,15 @@ def _cmd_oracle(ns):
     return rep
 
 
+SUBCOMMANDS = {  # name -> (help, flag adder, handler): the one definition of each subcommand
+    "parse": ("parse and echo a problem file", _parse_flags, _cmd_parse),
+    "check": ("run one sampled definition check", _check_flags, _cmd_check),
+    "kkt": ("solve or verify first-order multipliers", _kkt_flags, _cmd_kkt),
+    "certify": ("check the hypotheses of a sufficiency theorem", _certify_flags, _cmd_certify),
+    "oracle": ("brute-force grid enumeration of (weak) Pareto sets", _oracle_flags, _cmd_oracle),
+}
+
+
 # ---------------------------------------------------------------------------
 # Rendering
 # ---------------------------------------------------------------------------
@@ -460,8 +460,7 @@ def _render_text(rep):
             v = h["verdict"]
             extra = f" (checked {v.get('checked', 0)}, nonvacuous {v.get('nonvacuous', '-')})"
             lines.append(f"  [{v['status']}] {h['target']} {h['kind']}{extra}")
-            if v.get("witness"):
-                lines += _text_verdict(v, indent="    ")[1:]
+            lines += _text_verdict(v, indent="    ")[1:]
         if c.get("reason"):
             lines.append(f"reason: {c['reason']}")
     if "weak_pareto" in rep:
@@ -504,8 +503,6 @@ def _render(rep, fmt):
     return _render_text(rep)
 
 
-HANDLERS = {"parse": _cmd_parse, "check": _cmd_check, "kkt": _cmd_kkt,
-            "certify": _cmd_certify, "oracle": _cmd_oracle}
 _POINT_FLAGS = ("--at", "--query")
 _NEGATIVE_VALUE = re.compile(r"-[\d.]")
 
@@ -531,7 +528,7 @@ def run(argv=None):
         return 3, f"error: {e}"
     started = time.perf_counter()
     try:
-        rep = HANDLERS[ns.command](ns)
+        rep = SUBCOMMANDS[ns.command][2](ns)
     except CliUsageError as e:
         return 3, f"error: {e}"
     except (EinvexError, KeyError, ValueError, OSError) as e:

@@ -22,17 +22,17 @@ inequality is normalized by exp(max(f(E(x)), f(E(x0)))).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from functools import partial
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .problem import (EProblem, Hypothesis, Judgement, MixtureSamples, PairDraw, ProblemFunction,
-                      Region, SampleConfig, Verdict, all_vacuous, box_region, mixture_samples,
-                      sample_pairs, sample_rows, sampled_verdicts)
-from .rng import SampleStream
+from .problem import (EProblem, Hypothesis, Judgement, PairDraw, ProblemFunction, Region,
+                      SampleConfig, Verdict, all_vacuous, box_region, sample_pairs, sample_rows,
+                      sampled_verdicts)
+from .rng import SampleStream, tau_grid
 
 PROBE_RADII = (1e-2, 1e-3, 1e-4, 1e-5)
 PROBE_CENTERS = 4        # basepoints probed in pair mode
@@ -106,13 +106,39 @@ def _mix_log(tau, a, b):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(kw_only=True)
-class PreinvexSamples(MixtureSamples):
-    """Deterministic triples (x, x0, tau) with all values the checks need."""
+@dataclass
+class MixtureSamples:
+    """Seeded triples (x, x0, tau) of pairs lo.. through E and eta, one row
+    per pair: mixture_samples draws them with A, B and C None, and
+    preinvex_pairs fills in f at x, x0 and the combined points
+    E(x0) + tau*eta(E(x), E(x0)); invex-set tests those for membership."""
 
-    A: np.ndarray       # f(E(x))   per pair
-    B: np.ndarray       # f(E(x0))  per pair
-    C: np.ndarray       # (N, k) f at the combined point
+    X: np.ndarray       # (N, n)
+    X0: np.ndarray
+    T: np.ndarray       # (N, k) mixture weights
+    U: np.ndarray       # E(X)
+    V: np.ndarray       # E(X0)
+    H: np.ndarray       # eta(U, V)
+    bad: np.ndarray     # (N,) pairs whose evaluation failed
+    invalid_comb: Optional[np.ndarray] = None  # (N, k) failed triples, bad pairs included
+    lo: int = 0                                # the first pair
+    starved: Optional[str] = None              # why no pair after these could be drawn
+    A: Optional[np.ndarray] = None             # f(E(x))   per pair
+    B: Optional[np.ndarray] = None             # f(E(x0))  per pair
+    C: Optional[np.ndarray] = None             # (N, k) f at the combined point
+    nondiff = None  # no gradients taken: every bad pair is a failed evaluation
+
+    @property
+    def unit(self) -> np.ndarray:   # each row is a pair of its own
+        return np.arange(self.X.shape[0])
+
+    @property
+    def index(self) -> np.ndarray:  # the global index of each row: its pair
+        return self.lo + self.unit
+
+    def combined(self) -> np.ndarray:
+        """The (N, k, n) combined points."""
+        return self.V[:, None, :] + self.T[:, :, None] * self.H[:, None, :]
 
     @property
     def mix_log(self):
@@ -123,19 +149,29 @@ class PreinvexSamples(MixtureSamples):
         return np.maximum(self.A, self.B)[:, None]
 
 
-def preinvex_pairs(fn: ProblemFunction, problem: EProblem, m: MixtureSamples) -> PreinvexSamples:
+def mixture_samples(problem: EProblem, cfg: SampleConfig, pairs: PairDraw,
+                    lo: int, hi: int) -> MixtureSamples:
+    """Pairs lo..hi-1 with their "tau" weights, through E and eta."""
+    X, X0, starved = sample_pairs(pairs, lo, hi)
+    T = tau_grid(SampleStream(cfg.seed, "tau"), lo, lo + X.shape[0], cfg.n_tau)
+    U, bad_u = problem.e_map(X)
+    V, bad_v = problem.e_map(X0)
+    H, bad_h = problem.eta_map(U, V)
+    return MixtureSamples(X, X0, T, U, V, H, bad_u | bad_v | bad_h, lo=lo, starved=starved)
+
+
+def preinvex_pairs(fn: ProblemFunction, problem: EProblem, m: MixtureSamples) -> MixtureSamples:
     """The drawn mixture block ``m`` with f evaluated at x, x0 and the combined points."""
     ra = problem.composed_values(fn, m.X)
     rb = problem.composed_values(fn, m.X0)
     bad = m.bad | ra.failed | rb.failed
 
     rc = problem.raw_values(fn, m.combined().reshape(-1, problem.n))
-    invalid_comb = rc.failed.reshape(m.T.shape) | bad[:, None]
-    return PreinvexSamples(m.X, m.X0, m.T, m.U, m.V, m.H, bad, invalid_comb, m.lo, m.starved,
-                           A=ra.values, B=rb.values, C=rc.values.reshape(m.T.shape))
+    return replace(m, bad=bad, invalid_comb=rc.failed.reshape(m.T.shape) | bad[:, None],
+                   A=ra.values, B=rb.values, C=rc.values.reshape(m.T.shape))
 
 
-def preinvex_masks(s: PreinvexSamples, kind: PreinvexKind, cfg: SampleConfig):
+def preinvex_masks(s: MixtureSamples, kind: PreinvexKind, cfg: SampleConfig):
     """Per-sample (satisfied, nonvacuous) masks for one definition.
 
     Every kind is the one comparison C <= level + need, with C the log of
@@ -204,21 +240,22 @@ def _probe_points(centers, problem, region, tol):
 
 @dataclass
 class InvexSamples:
-    """One block of (x, x0) samples, rows in canonical order."""
+    """One block of (x, x0) samples, rows in canonical order: invex_block
+    draws them with A, B, D, DX and nondiff None, invex_pairs fills them in."""
 
     X: np.ndarray      # (N, n) moving points
     X0: np.ndarray     # (N, n) base points
-    A: np.ndarray      # f(E(x))
-    B: np.ndarray      # f(E(x0))
     H: np.ndarray      # eta(E(x), E(x0))
-    D: np.ndarray      # grad (f o E)(x0) . H, summed over the variables in order
-    DX: Optional[np.ndarray]  # grad (f o E)(x) . H alike, only for the monotone kinds
-    invalid: np.ndarray
-    nondiff: np.ndarray
+    invalid: np.ndarray  # E or eta failed; with f filled in, also f or its gradient
     index: np.ndarray  # sample index of each row: i, N + i reversed, then the probes
     unit: np.ndarray   # the pair of each row, counted in the block; each probe is one
     n_regular: int     # sample index of the first probe
     starved: Optional[str] = None  # why no pair after these could be drawn
+    A: Optional[np.ndarray] = None   # f(E(x))
+    B: Optional[np.ndarray] = None   # f(E(x0))
+    D: Optional[np.ndarray] = None   # grad (f o E)(x0) . H, summed over the variables in order
+    DX: Optional[np.ndarray] = None  # grad (f o E)(x) . H alike, only for the monotone kinds
+    nondiff: Optional[np.ndarray] = None
     T = invalid_comb = None  # no mixture weights: each sample is one pair
 
     @property
@@ -228,33 +265,24 @@ class InvexSamples:
 
 @dataclass
 class InvexBlock:
-    """The function-independent part of one block of gradient-family samples.
+    """One block of gradient-family samples: its points and its frame.
 
     Sample k moves row ix[k] of P = [X; X0; centers; probes] against base
-    row i0[k] (X0 is the single row ``at`` in pinned mode).  Every
-    hypothesis judged on the block reads these arrays; invex_pairs adds a
-    function's values and gradients.
+    row i0[k] (X0 is the single row ``at`` in pinned mode).  ``frame`` holds
+    the samples before any function is evaluated, shared by every
+    hypothesis judged on the block; invex_pairs fills in a copy.
     """
 
     P: np.ndarray       # the points of the block
-    E: np.ndarray       # E(P)
-    bad_e: np.ndarray   # rows of P where E failed
     ix: np.ndarray      # the moving row of each sample
     i0: np.ndarray      # its base row
-    X: np.ndarray       # P[ix]
-    X0: np.ndarray      # P[i0]
-    H: np.ndarray       # eta(E(x), E(x0))
-    bad_h: np.ndarray
-    index: np.ndarray   # as in InvexSamples
-    unit: np.ndarray
-    n_regular: int
-    starved: Optional[str]
     bases: tuple        # (lo, hi): the rows of P that serve as a base, or a center
+    frame: InvexSamples
 
 
 def invex_block(problem: EProblem, cfg: SampleConfig, pairs: PairDraw, lo: int, hi: int,
                 probes: bool = False) -> InvexBlock:
-    """The shared part of pairs lo..hi-1: the draw, E, eta and the row frame.
+    """The shared part of pairs lo..hi-1: the draw, E, eta and the frame.
 
     With ``pairs.at`` fixed, x0 is constant and x is drawn from the region.
     In pair mode each drawn pair is used in both orientations, (x, x0)
@@ -291,9 +319,10 @@ def invex_block(problem: EProblem, cfg: SampleConfig, pairs: PairDraw, lo: int, 
     P = np.vstack([X, X0, C, Q])
     E, bad_e = problem.e_map(P)
     H, bad_h = problem.eta_map(np.take(E, ix, axis=0), np.take(E, i0, axis=0))
+    frame = InvexSamples(np.take(P, ix, axis=0), np.take(P, i0, axis=0), H,
+                         np.take(bad_e, ix) | np.take(bad_e, i0) | bad_h, index, unit, n_regular, starved)
     # pinned, the bases are row b and the centers; probes never serve as a base
-    return InvexBlock(P, E, bad_e, ix, i0, np.take(P, ix, axis=0), np.take(P, i0, axis=0), H, bad_h,
-                      index, unit, n_regular, starved, (b if pinned else 0, m + C.shape[0]))
+    return InvexBlock(P, ix, i0, (b if pinned else 0, m + C.shape[0]), frame)
 
 
 def _dot_eta(grads, idx, H):
@@ -307,30 +336,30 @@ def _dot_eta(grads, idx, H):
 
 def invex_pairs(fn: ProblemFunction, problem: EProblem, blk: InvexBlock,
                 want_gx: bool = False) -> InvexSamples:
-    """The gradient-side data of ``fn`` on one block.
+    """The block's frame with the values and gradients of ``fn`` filled in.
 
     Each point of the block is evaluated once.  Gradients are taken only on
     the rows that serve as a base, or on all rows when ``want_gx`` asks for
-    them at x too.
+    them at x too.  The frame is shared by the block's hypotheses, so its
+    arrays are never updated in place.
     """
+    s = blk.frame
     vals = problem.composed_values(fn, blk.P)
-    row_bad = vals.failed | blk.bad_e
     g_lo, g_hi = (0, blk.P.shape[0]) if want_gx else blk.bases
     grads = problem.composed_grads(fn, blk.P[g_lo:g_hi])
     j0 = blk.i0 - g_lo
 
-    A, B = np.take(vals.values, blk.ix), np.take(vals.values, blk.i0)
-    D = _dot_eta(grads.grads, j0, blk.H)
-    invalid = (np.take(row_bad, blk.ix) | np.take(row_bad, blk.i0) | np.take(grads.invalid, j0)
-               | blk.bad_h)
+    D = _dot_eta(grads.grads, j0, s.H)
+    invalid = (s.invalid | np.take(vals.failed, blk.ix) | np.take(vals.failed, blk.i0)
+               | np.take(grads.invalid, j0))
     nondiff = np.take(grads.nondiff, j0)
     DX = None
     if want_gx:
-        DX = _dot_eta(grads.grads, blk.ix, blk.H)
+        DX = _dot_eta(grads.grads, blk.ix, s.H)
         invalid |= np.take(grads.invalid, blk.ix)
         nondiff |= np.take(grads.nondiff, blk.ix)
-    return InvexSamples(blk.X, blk.X0, A, B, blk.H, D, DX, invalid, nondiff & ~invalid,
-                        blk.index, blk.unit, blk.n_regular, blk.starved)
+    return replace(s, A=np.take(vals.values, blk.ix), B=np.take(vals.values, blk.i0), D=D, DX=DX,
+                   invalid=invalid, nondiff=nondiff & ~invalid)
 
 
 def _monotone_term(s: InvexSamples):

@@ -24,7 +24,7 @@ import numpy as np
 from . import expr as ex
 from .errors import (ComposeMismatchError, DomainEvalError, InfeasiblePointError, ParseError,
                      ProblemFormatError)
-from .rng import SampleStream, tau_grid
+from .rng import SampleStream
 
 
 MAX_ROUNDS = 64  # a region draw may spend MAX_ROUNDS * max(N, 1024) proposals on N points
@@ -247,6 +247,18 @@ def _known_keys(entry, keys, location):
         raise ProblemFormatError(location, f"unknown key {unknown[0]!r} (known: {', '.join(keys)})")
 
 
+def _vector(entry, key, length, location, message):
+    """entry[key] as a float vector: a JSON list of ``length`` numbers, int or
+    float but not bool.  ``message`` refuses a non-list or a wrong length."""
+    v = entry[key]
+    _expect(isinstance(v, list) and len(v) == length, location, message)
+    bad = [t for t in v if isinstance(t, bool) or not isinstance(t, (int, float))]
+    if bad:
+        got = json.dumps(bad[0], default=repr)
+        raise ProblemFormatError(location, f"'{key}' must hold numbers, got {got}")
+    return np.array(v, dtype=float)
+
+
 def _parse_at(source, variables, location):
     _expect(isinstance(source, str), location, f"expected an expression string, got {type(source).__name__}")
     try:
@@ -281,7 +293,7 @@ def load_problem(source) -> EProblem:
     _known_keys(data, ("n", "vars", "box", "E", "eta", "objectives", "ineq", "eq", "candidates"),
                 "problem")
     n = data.get("n")
-    _expect(isinstance(n, int) and n >= 1, "n", "must be a positive integer")
+    _expect(isinstance(n, int) and not isinstance(n, bool) and n >= 1, "n", "must be a positive integer")
     vars = data.get("vars", [f"x{j + 1}" for j in range(n)])
     _expect(isinstance(vars, list) and len(vars) == n and all(isinstance(v, str) for v in vars),
             "vars", f"must list {n} variable names")
@@ -292,9 +304,7 @@ def load_problem(source) -> EProblem:
     box = data.get("box")
     _expect(isinstance(box, dict) and "lo" in box and "hi" in box, "box", "must carry 'lo' and 'hi' arrays")
     _known_keys(box, ("lo", "hi"), "box")
-    lo = np.asarray(box["lo"], dtype=float)
-    hi = np.asarray(box["hi"], dtype=float)
-    _expect(lo.shape == (n,) and hi.shape == (n,), "box", f"'lo' and 'hi' must have length {n}")
+    lo, hi = (_vector(box, k, n, "box", f"'lo' and 'hi' must have length {n}") for k in ("lo", "hi"))
     with np.errstate(over="ignore", invalid="ignore"):
         finite = np.isfinite(hi - lo).all()  # nan or inf in lo or hi makes the width non-finite
     _expect(bool(finite), "box", "'lo', 'hi' and their difference must be finite")
@@ -347,8 +357,7 @@ def load_problem(source) -> EProblem:
         loc = f"candidates[{idx}]"
         _expect(isinstance(entry, dict) and "x" in entry, loc, "expected {'name': ..., 'x': [...]}")
         _known_keys(entry, ("name", "x", "tau", "rho", "xi"), loc)
-        x = np.asarray(entry["x"], dtype=float)
-        _expect(x.shape == (n,), f"{loc}.x", f"must have length {n}")
+        x = _vector(entry, "x", n, f"{loc}.x", f"must have length {n}")
         name = entry.get("name", f"c{idx + 1}")
         _expect(isinstance(name, str), f"{loc}.name", "must be a string")
         # a second candidate of one name could never be reached by name
@@ -357,9 +366,7 @@ def load_problem(source) -> EProblem:
         def opt_vec(key, length):
             if entry.get(key) is None:
                 return None
-            v = np.asarray(entry[key], dtype=float)
-            _expect(v.shape == (length,), f"{loc}.{key}", f"must have length {length}")
-            return v
+            return _vector(entry, key, length, f"{loc}.{key}", f"must have length {length}")
 
         candidates.append(Candidate(name, x, opt_vec("tau", len(objectives)),
                                     opt_vec("rho", len(ineq)), opt_vec("xi", len(eq))))
@@ -541,49 +548,6 @@ def sample_pairs(pairs: PairDraw, lo: int, hi: int):
             X, starved = X[:X0.shape[0]], pairs.x0.starved()
     pairs.taken = lo + X.shape[0]
     return X, X0, starved
-
-
-@dataclass
-class MixtureSamples:
-    """Seeded triples (x, x0, tau) of pairs lo.. through E and eta: the
-    mixture-family checks evaluate f at their combined points
-    E(x0) + tau*eta(E(x), E(x0)), the invex-set check tests those for
-    membership.  One row per pair."""
-
-    X: np.ndarray       # (N, n)
-    X0: np.ndarray
-    T: np.ndarray       # (N, k) mixture weights
-    U: np.ndarray       # E(X)
-    V: np.ndarray       # E(X0)
-    H: np.ndarray       # eta(U, V)
-    bad: np.ndarray     # (N,) pairs whose evaluation failed
-    invalid_comb: Optional[np.ndarray] = None  # (N, k) failed triples, bad pairs included
-    lo: int = 0                                # the first pair
-    starved: Optional[str] = None              # why no pair after these could be drawn
-    nondiff = None  # no gradients taken: every bad pair is a failed evaluation
-
-    @property
-    def unit(self) -> np.ndarray:   # each row is a pair of its own
-        return np.arange(self.X.shape[0])
-
-    @property
-    def index(self) -> np.ndarray:  # the global index of each row: its pair
-        return self.lo + self.unit
-
-    def combined(self) -> np.ndarray:
-        """The (N, k, n) combined points."""
-        return self.V[:, None, :] + self.T[:, :, None] * self.H[:, None, :]
-
-
-def mixture_samples(problem: EProblem, cfg: SampleConfig, pairs: PairDraw,
-                    lo: int, hi: int) -> MixtureSamples:
-    """Pairs lo..hi-1 with their "tau" weights, through E and eta."""
-    X, X0, starved = sample_pairs(pairs, lo, hi)
-    T = tau_grid(SampleStream(cfg.seed, "tau"), lo, lo + X.shape[0], cfg.n_tau)
-    U, bad_u = problem.e_map(X)
-    V, bad_v = problem.e_map(X0)
-    H, bad_h = problem.eta_map(U, V)
-    return MixtureSamples(X, X0, T, U, V, H, bad_u | bad_v | bad_h, lo=lo, starved=starved)
 
 
 def _point_list(row):

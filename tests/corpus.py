@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from einvex.invexity import PreinvexKind, preinvex_pairs
-from einvex.problem import EProblem, PairDraw, SampleConfig, box_region, load_problem, mixture_samples
+from einvex.invexity import PreinvexKind, mixture_samples, preinvex_pairs
+from einvex.problem import EProblem, PairDraw, SampleConfig, box_region, load_problem
 
 CFG = SampleConfig(seed=42, n_pairs=800, n_tau=6)
 

@@ -210,6 +210,24 @@ def test_certify_reports_hypotheses(vp1):
     assert rep["certificate"]["reason"].startswith("point does not satisfy")
 
 
+def test_certify_text_gives_each_inconclusive_hypothesis_its_reason(tmp_path):
+    # the feasible set of an equality constraint has no volume, so every draw starves
+    path = tmp_path / "equality.json"
+    path.write_text(json.dumps({
+        "n": 2, "E": ["x1", "x2"], "eta": ["u1 - v1", "u2 - v2"], "objectives": ["y1 - y2"],
+        "eq": ["y1 - y2"], "box": {"lo": [0.0, 0.0], "hi": [1.0, 1.0]},
+        "candidates": [{"name": "origin", "x": [0.0, 0.0]}]}))
+    code, text = run(["certify", str(path), "--candidate", "origin", "--theorem", "t4",
+                      "--pairs", "300"])
+    assert code == 2
+    lines = text.splitlines()
+    heads = [i for i, line in enumerate(lines) if line.startswith("  [inconclusive]")]
+    assert len(heads) == 2
+    for i in heads:
+        assert lines[i + 1] == ("      reason: could not draw 300 points from region 'feasible' "
+                                "(0 accepted after 65536 proposals)")
+
+
 def test_parse_echoes_both_forms(e1):
     code, text = run(["parse", e1])
     assert code == 0

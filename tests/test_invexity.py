@@ -14,8 +14,8 @@ from einvex.invexity import (
     PROBED_KINDS,
     InvexKind,
     InvexSamples,
+    MixtureSamples,
     PreinvexKind,
-    PreinvexSamples,
     check,
     invex_block,
     invex_masks,
@@ -200,7 +200,7 @@ def test_vacuous_antecedent_policies():
         check(p, [(f, "quasi-invex")], CFG, at=[5.0], vacuous_policy="inconclusve")[0]
 
 
-def test_a_plan_shares_one_draw_and_keeps_each_verdict():
+def test_a_plan_shares_one_draw_and_keeps_each_verdict(repo_root):
     # a mixture plan judged in lockstep gives each item the verdict it gets alone
     for name in ("double-well", "square"):
         p = problem(by_name(name))
@@ -213,6 +213,17 @@ def test_a_plan_shares_one_draw_and_keeps_each_verdict():
         check(p, [(f, "invex"), (f, "preinvex")], CFG)
     with pytest.raises(ValueError):
         check(p, [(f, "preinvex")], CFG, at=[0.0])
+    # a function that fails to evaluate leaves the others' verdicts alone: f1 = log(y1)
+    # leaves its domain on [-1, 1], f2 = log(y1 + 1.5) violates invexity
+    p = load_problem(repo_root / "tests" / "golden" / "problems" / "failing.json")
+    f1, f2 = p.function("f1"), p.function("f2")
+    cfg = SampleConfig(seed=1, n_pairs=300)
+    for plan in ([(f1, "invex"), (f2, "invex")],
+                 [(f1, "strict-invex"), (f2, "invex")],  # the probed block
+                 [(f1, "preinvex"), (f2, "preinvex")]):
+        verdicts = check(p, plan, cfg)
+        assert [v.status for v in verdicts] == ["inconclusive", "fails"], plan
+        assert verdicts == [check(p, [item], cfg)[0] for item in plan], plan
 
 
 # ---------------------------------------------------------------------------
@@ -227,16 +238,17 @@ def _gradient_row(A, B, D, DX=0.0, apart=True):
     x = np.array([[1.0 if apart else 0.0]])
     A, B, D, DX = (np.array([v], float) for v in (A, B, D, DX))
     no = np.zeros(1, bool)
-    return InvexSamples(x, np.zeros((1, 1)), A, B, x, D, DX, no, no, np.zeros(1, int), np.zeros(1, int), 1)
+    return InvexSamples(X=x, X0=np.zeros((1, 1)), H=x, invalid=no, index=np.zeros(1, int),
+                        unit=np.zeros(1, int), n_regular=1, A=A, B=B, D=D, DX=DX, nondiff=no)
 
 
 def _mixture_row(A, B, C, tau=0.5, apart=True):
     """One mixture-family triple at n = 1 with E the identity: x0 = E(x0) = 0,
     and x = E(x) = 1 or, not apart, 0."""
     x = np.array([[1.0 if apart else 0.0]])
-    return PreinvexSamples(x, np.zeros((1, 1)), np.array([[tau]]), x, np.zeros((1, 1)), x,
-                           np.zeros(1, bool), np.zeros((1, 1), bool),
-                           A=np.array([A], float), B=np.array([B], float), C=np.array([[C]], float))
+    return MixtureSamples(X=x, X0=np.zeros((1, 1)), T=np.array([[tau]]), U=x, V=np.zeros((1, 1)), H=x,
+                          bad=np.zeros(1, bool), invalid_comb=np.zeros((1, 1), bool),
+                          A=np.array([A], float), B=np.array([B], float), C=np.array([[C]], float))
 
 
 # (kind, sample, satisfied, nonvacuous, what the row pins).  At A = B = 0

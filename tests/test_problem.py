@@ -131,6 +131,10 @@ def test_raw_and_composed_agree_through_e(vp1_path):
         ({"box": {"lo": [0.0], "hi": [float("inf")]}}, "box"),
         ({"box": {"lo": [float("nan")], "hi": [1.0]}}, "box"),
         ({"box": {"lo": [-1e308], "hi": [1e308]}}, "box"),  # the width overflows
+        ({"n": True}, "n"),  # a bool is not an integer here
+        ({"box": {"lo": ["a"], "hi": [1.0]}}, "box"),
+        ({"box": {"lo": ["-1"], "hi": [1.0]}}, "box"),  # a string is not a number
+        ({"candidates": [{"x": [True]}]}, "candidates[0].x"),
     ],
 )
 def test_load_rejects_malformed_input_with_location(mutate, location):
