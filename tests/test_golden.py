@@ -3,8 +3,9 @@
 The reports in tests/golden/ are compared byte for byte after dropping
 ``wall_time_s`` and ``problem.path`` (the only fields that depend on the
 machine or the checkout).  They cover the criterion-8 commands, one
-``check`` per kind on both shipped problems, and an evaluation failure and
-a starved draw for each of the six sampled checkers.  tests/golden/text.json
+``check`` per kind on both shipped problems, an evaluation failure and
+a starved draw for each of the six sampled checkers, and gradient checks
+and a certificate on a problem with three variables.  tests/golden/text.json
 maps each command to its ``--format text`` report, with the checkout path
 masked and the wall-time line dropped.
 
@@ -32,6 +33,7 @@ FAILING = str(GOLDEN / "problems" / "failing.json")   # log, shifted log, cbrt; 
 BAD_MAP = str(GOLDEN / "problems" / "bad-map.json")   # E = log(x1) on [-1, 1]
 POINT = str(GOLDEN / "problems" / "point.json")       # a one-point box: strict kinds are vacuous
 ORACLE = str(GOLDEN / "problems" / "oracle.json")     # infeasible and failing parts; off-grid c
+N3 = str(GOLDEN / "problems" / "n3.json")             # three variables; g4 = x1*x2*x3 - 4 is not invex
 
 KINDS = ("preinvex", "strict-preinvex", "quasi-preinvex", "strict-quasi-preinvex",
          "invex", "strict-invex", "quasi-invex", "pseudo-invex", "strict-pseudo-invex",
@@ -84,6 +86,14 @@ def _commands():
         cmds[f"vp1-f2-feasible-{kind}"] = _check(VP1, "f2", kind, "--region", "feasible")
     for kind in ("invex", "strict-pseudo-invex", "monotone-gradient"):
         cmds[f"vp1-f1-at-ybar-{kind}"] = _check(VP1, "f1", kind, "--at", "ybar")
+    # n = 3: D and DX summed over three variables, in pair mode, past the
+    # probes and pinned; a certificate at the point kkt passes
+    for fn in ("f1", "g4"):
+        for kind in ("invex", "strict-pseudo-invex"):
+            cmds[f"n3-{fn}-{kind}"] = _check(N3, fn, kind)
+        cmds[f"n3-{fn}-at-mid-monotone-gradient"] = _check(N3, fn, "monotone-gradient", "--at", "mid")
+    cmds["n3-certify-t4"] = ["certify", N3, "--candidate", "ybar", "--theorem", "t4",
+                           "--pairs", "2000"]
     cmds["example1-level-set-levels"] = _check(E1, "f1", "level-set", "--levels", "0.5,1,20")
     cmds["example1-level-set-empty-level"] = _check(E1, "f1", "level-set", "--levels", "1e-9,20")
 
