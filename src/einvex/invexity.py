@@ -244,7 +244,7 @@ class InvexSamples:
     draws them with A, B, D, DX and nondiff None, invex_pairs fills them in."""
 
     X: np.ndarray      # (N, n) moving points
-    X0: np.ndarray     # (N, n) base points
+    X0: np.ndarray     # (N, n) base points; pinned, a read-only view of the one at row
     H: np.ndarray      # eta(E(x), E(x0))
     invalid: np.ndarray  # E or eta failed; with f filled in, also f or its gradient
     index: np.ndarray  # sample index of each row: i, N + i reversed, then the probes
@@ -267,17 +267,35 @@ class InvexSamples:
 class InvexBlock:
     """One block of gradient-family samples: its points and its frame.
 
-    Sample k moves row ix[k] of P = [X; X0; centers; probes] against base
-    row i0[k] (X0 is the single row ``at`` in pinned mode).  ``frame`` holds
-    the samples before any function is evaluated, shared by every
-    hypothesis judged on the block; invex_pairs fills in a copy.
+    P holds the moving point of every sample, in sample order, then the
+    points that serve only as a base: the ``at`` row in pinned mode, else
+    the probe centers when the block holds probes.  Its columns are
+    contiguous.  A sample's base is the ``at`` row when pinned, its center
+    for a probe, else its partner: pair k gives rows 2k (X[k] against X0[k])
+    and 2k + 1 (X0[k] against X[k]).  ``frame`` holds the samples before any
+    function is evaluated, shared by every hypothesis judged on the block;
+    invex_pairs fills in a copy.
     """
 
     P: np.ndarray       # the points of the block
-    ix: np.ndarray      # the moving row of each sample
-    i0: np.ndarray      # its base row
-    bases: tuple        # (lo, hi): the rows of P that serve as a base, or a center
-    frame: InvexSamples
+    rows: int           # its samples: P[:rows] are their moving points
+    pinned: bool        # every base is the at row, the last of P
+    probes: slice       # the probe samples
+    owner: np.ndarray   # the row of P of each probe's center
+    frame: Optional[InvexSamples] = None
+
+    def base(self, a):
+        """``a`` at the base point of every sample, for ``a`` given per row of
+        P along its first axis (pinned, its last entry is the at row's).
+        Pinned, a read-only broadcast view of that entry."""
+        if self.pinned:
+            return np.broadcast_to(a[-1], (self.rows,) + a.shape[1:])
+        out = np.empty((self.rows,) + a.shape[1:], a.dtype, order="F")
+        for pair in (slice(0, self.probes.start), slice(self.probes.stop, self.rows)):
+            out[pair][0::2], out[pair][1::2] = a[pair][1::2], a[pair][0::2]
+        if self.owner.size:
+            out[self.probes] = np.take(a, self.owner, axis=0)
+        return out
 
 
 def invex_block(problem: EProblem, cfg: SampleConfig, pairs: PairDraw, lo: int, hi: int,
@@ -290,21 +308,18 @@ def invex_block(problem: EProblem, cfg: SampleConfig, pairs: PairDraw, lo: int, 
     of x and x0.  ``probes`` puts the probes of the first PROBE_CENTERS base
     points (``pairs.centers``, kept as they are drawn) right after the last
     of those pairs; a probed base point is a row of its own, as a center.
+    E is taken once per point; pinned, eta's terms in v alone run once.
     """
     X, X0, starved = sample_pairs(pairs, lo, hi)
     b, pinned = X.shape[0], pairs.at is not None
     w = 1 if pinned else 2               # samples per pair
     k = np.arange(b)
-    if pinned:
-        ix, i0, index = k, np.full(b, b), lo + k
-    else:
-        ix = np.column_stack([k, b + k]).ravel()
-        i0 = np.column_stack([b + k, k]).ravel()
-        index = np.column_stack([lo + k, cfg.n_pairs + lo + k]).ravel()
+    index = lo + k if pinned else np.column_stack([lo + k, cfg.n_pairs + lo + k]).ravel()
     unit = np.repeat(k, w)
     n_regular = w * cfg.n_pairs
-    m = b + X0.shape[0]
-    C = Q = np.empty((0, problem.n))
+    cut = w * b
+    Q, owner = np.empty((0, problem.n)), np.empty(0, dtype=int)
+    tail = X0 if pinned else Q            # the rows of P after the samples'
     last = min(cfg.n_pairs, PROBE_CENTERS) - 1 - lo   # the last probed pair, in the block
     if probes and not pinned and lo < PROBE_CENTERS:
         pairs.centers = np.vstack([pairs.centers, X0[:PROBE_CENTERS - lo]])
@@ -312,53 +327,74 @@ def invex_block(problem: EProblem, cfg: SampleConfig, pairs: PairDraw, lo: int, 
         C = X0 if pinned else pairs.centers
         Q, owner = _probe_points(C, problem, pairs.region, cfg.tol)
         j, cut = np.arange(Q.shape[0]), w * (last + 1)
-        ix = np.insert(ix, cut, m + C.shape[0] + j)
-        i0 = np.insert(i0, cut, m + owner)
         index = np.insert(index, cut, n_regular + j)
         unit = np.concatenate([unit[:cut], last + 1 + j, unit[cut:] + Q.shape[0]])
-    P = np.vstack([X, X0, C, Q])
+        tail = C
+    q = Q.shape[0]
+    rows = w * b + q
+    P = np.empty((rows + tail.shape[0], problem.n), order="F")
+    P[cut:cut + q], P[rows:] = Q, tail
+    for seg, drawn in ((P[:cut], slice(0, cut // w)), (P[cut + q:rows], slice(cut // w, b))):
+        seg[0::w] = X[drawn]             # pair mode: each pair's two rows, x first
+        if not pinned:
+            seg[1::2] = X0[drawn]
+    blk = InvexBlock(P, rows, pinned, slice(cut, cut + q), rows + owner)
     E, bad_e = problem.e_map(P)
-    H, bad_h = problem.eta_map(np.take(E, ix, axis=0), np.take(E, i0, axis=0))
-    frame = InvexSamples(np.take(P, ix, axis=0), np.take(P, i0, axis=0), H,
-                         np.take(bad_e, ix) | np.take(bad_e, i0) | bad_h, index, unit, n_regular, starved)
-    # pinned, the bases are row b and the centers; probes never serve as a base
-    return InvexBlock(P, ix, i0, (b if pinned else 0, m + C.shape[0]), frame)
+    H, bad_h = problem.eta_map(E[:rows], E[rows:] if pinned else blk.base(E))
+    blk.frame = InvexSamples(P[:rows], blk.base(P), H, bad_e[:rows] | blk.base(bad_e) | bad_h,
+                             index, unit, n_regular, starved)
+    return blk
 
 
-def _dot_eta(grads, idx, H):
-    """sum_j grads[j][idx] * H[:, j], the variables taken in order: the one
+def _dot_eta(G, H):
+    """sum_j G[:, j] * H[:, j], the variables taken in order: the one
     definition of D and DX."""
-    out = np.take(grads[0], idx) * H[:, 0]
-    for j in range(1, grads.shape[0]):
-        out += np.take(grads[j], idx) * H[:, j]
+    out = G[:, 0] * H[:, 0]
+    for j in range(1, G.shape[1]):
+        out += G[:, j] * H[:, j]
     return out
+
+
+def _value_failed(fn: ProblemFunction, problem: EProblem, P, g) -> np.ndarray:
+    """Where f fails at the points P, from g, its gradient sweep over them.
+    The sweep also flags a point where only the gradient leaves the domain
+    (a moving exponent over a base <= 0), so a sweep that flags any point is
+    followed by a walk of the values alone."""
+    if g.invalid_node is None:
+        return ~np.isfinite(g.values)
+    return problem.composed_values(fn, P).failed
 
 
 def invex_pairs(fn: ProblemFunction, problem: EProblem, blk: InvexBlock,
                 want_gx: bool = False) -> InvexSamples:
     """The block's frame with the values and gradients of ``fn`` filled in.
 
-    Each point of the block is evaluated once.  Gradients are taken only on
-    the rows that serve as a base, or on all rows when ``want_gx`` asks for
-    them at x too.  The frame is shared by the block's hypotheses, so its
+    Every sample reads its values through the moving prefix or blk.base,
+    with no per-sample copies.  In pair mode, where every drawn point serves
+    as a base, the gradient is taken at every point and f's values come from
+    that sweep.  Pinned, f's values are taken at every point and its
+    gradient at the at row alone, or at every point when ``want_gx`` asks
+    for it at x too.  The frame is shared by the block's hypotheses, so its
     arrays are never updated in place.
     """
-    s = blk.frame
-    vals = problem.composed_values(fn, blk.P)
-    g_lo, g_hi = (0, blk.P.shape[0]) if want_gx else blk.bases
-    grads = problem.composed_grads(fn, blk.P[g_lo:g_hi])
-    j0 = blk.i0 - g_lo
-
-    D = _dot_eta(grads.grads, j0, s.H)
-    invalid = (s.invalid | np.take(vals.failed, blk.ix) | np.take(vals.failed, blk.i0)
-               | np.take(grads.invalid, j0))
-    nondiff = np.take(grads.nondiff, j0)
+    s, rows = blk.frame, blk.rows
+    if want_gx or not blk.pinned:
+        g = problem.composed_grads(fn, blk.P)
+        values, failed = g.values, _value_failed(fn, problem, blk.P, g)
+    else:
+        v = problem.composed_values(fn, blk.P)
+        g = problem.composed_grads(fn, blk.P[rows:])
+        values, failed = v.values, v.failed
+    G = g.grads.T
+    D = _dot_eta(blk.base(G), s.H)
+    invalid = s.invalid | failed[:rows] | blk.base(failed | g.invalid)
+    nondiff = blk.base(g.nondiff)
     DX = None
     if want_gx:
-        DX = _dot_eta(grads.grads, blk.ix, s.H)
-        invalid |= np.take(grads.invalid, blk.ix)
-        nondiff |= np.take(grads.nondiff, blk.ix)
-    return replace(s, A=np.take(vals.values, blk.ix), B=np.take(vals.values, blk.i0), D=D, DX=DX,
+        DX = _dot_eta(G[:rows], s.H)
+        invalid |= g.invalid[:rows]
+        nondiff = nondiff | g.nondiff[:rows]
+    return replace(s, A=values[:rows], B=blk.base(values), D=D, DX=DX,
                    invalid=invalid, nondiff=nondiff & ~invalid)
 
 

@@ -143,7 +143,7 @@ def eval_columns(exprs: Sequence[ex.Expr], env: dict):
         r = ex.eval_many(e, env)
         cols.append(r.values)
         failed |= r.failed
-    return np.stack(cols, axis=-1), failed
+    return np.stack(cols).T, failed  # columns contiguous: each is read as one variable
 
 
 @dataclass

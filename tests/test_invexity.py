@@ -8,8 +8,11 @@ import pytest
 
 from corpus import CFG, ENTRIES, by_name, naive_preinvex_masks, preinvex_block, problem
 from einvex import expr
+from einvex import problem as problem_mod
+from einvex.cli import run
 from einvex.invexity import (
     KINDS,
+    PROBE_CENTERS,
     PROBE_RADII,
     PROBED_KINDS,
     InvexKind,
@@ -27,7 +30,7 @@ from einvex.invexity import (
     _probe_points,
 )
 from einvex.problem import (EProblem, PairDraw, Region, SampleConfig, _jsonable, box_region,
-                            load_problem)
+                            load_problem, sample_pairs)
 from mpexpr import DPS, mp_eval
 
 
@@ -478,10 +481,12 @@ def test_verdicts_are_deterministic():
 
 
 def test_each_distinct_point_is_evaluated_once(example1, monkeypatch):
-    """Pair mode maps each of the 2N sampled points through E once, and a
-    pinned base point gets one gradient evaluation, not one per sample."""
-    rows = {"e_map": 0, "grad_many": 0}
-    e_map, grad_many = EProblem.e_map, expr.grad_many
+    """Pair mode maps each of the 2N sampled points through E once and walks
+    f once at each, its values coming with the gradient; a pinned base point
+    gets one gradient evaluation, not one per sample."""
+    f1 = example1.function("f1")
+    rows = {"e_map": 0, "grad_many": 0, "f values": 0}
+    e_map, grad_many, eval_many = EProblem.e_map, expr.grad_many, expr.eval_many
 
     def counted_e_map(self, X):
         rows["e_map"] += np.atleast_2d(X).shape[0]
@@ -491,12 +496,16 @@ def test_each_distinct_point_is_evaluated_once(example1, monkeypatch):
         rows["grad_many"] += next(np.size(v) for v in env.values())
         return grad_many(node, env, wrt)
 
+    def counted_eval_many(node, env):
+        rows["f values"] += next(np.size(v) for v in env.values()) if node is f1.composed else 0
+        return eval_many(node, env)
+
     monkeypatch.setattr(EProblem, "e_map", counted_e_map)
     monkeypatch.setattr(expr, "grad_many", counted_grad_many)
-    f1 = example1.function("f1")
+    monkeypatch.setattr(expr, "eval_many", counted_eval_many)
     cfg = SampleConfig(seed=42, n_pairs=500, n_tau=8)
     assert check(example1, [(f1, "quasi-invex")], cfg)[0].status == "holds"
-    assert rows["e_map"] == 2 * 500
+    assert rows == {"e_map": 2 * 500, "grad_many": 2 * 500, "f values": 0}
     rows["grad_many"] = 0
     assert check(example1, [(f1, "quasi-invex")], cfg, at=[-3.0])[0].status == "holds"
     assert rows["grad_many"] == 1
@@ -705,3 +714,137 @@ def test_a_monotone_witness_reports_the_term_its_mask_judged():
                 assert v.witness.extra["normalized"].hex() == judged.hex(), (ent.name, kind.value, at)
                 seen += 1
     assert seen == 56
+
+
+# ---------------------------------------------------------------------------
+# the block frame against a per-sample build
+# ---------------------------------------------------------------------------
+
+
+def _frame_problem(n, power):
+    """E = x^3, with eta's cbrt(v) terms in v alone.  f is log(x1 + 2*x2 +
+    ... - 0.5), which fails near the origin, or with ``power`` x1^xn on a
+    box at the origin, where a probe clipped to x1 = 0 has a value but no
+    gradient."""
+    if power:
+        f, hi = {"raw": f"cbrt(y1)^cbrt(y{n})", "composed": f"x1^x{n}"}, 0.01
+    else:
+        f, hi = {"raw": "log(" + " + ".join(f"{j + 1}*cbrt(y{j + 1})" for j in range(n)) + " - 0.5)",
+                 "composed": "log(" + " + ".join(f"{j + 1}*x{j + 1}" for j in range(n)) + " - 0.5)"}, 2.0
+    names = [f"x{j + 1}" for j in range(n)]
+    return load_problem({"n": n, "vars": names, "E": [f"{x}^3" for x in names],
+                         "eta": [f"1 - exp(cbrt(v{j + 1}) - cbrt(u{j + 1}))" for j in range(n)],
+                         "objectives": [f], "ineq": [], "eq": [],
+                         "box": {"lo": [0.0] * n, "hi": [hi] * n}})
+
+
+def _per_sample(fn, p, cfg, at, probes):
+    """Every sample of a check built from its own (x, x0), in canonical
+    order: (x, x0) copied out for each sample, then E, eta, f and its
+    gradients evaluated on those copies.  Returns the fields of
+    invex_pairs(..., want_gx) for want_gx False and True."""
+    region = box_region(p, cfg.tol)
+    X, X0, _ = sample_pairs(PairDraw(p, cfg, region, at), 0, cfg.n_pairs)
+    N, n = X.shape
+    per = 1 if at is not None else 2
+    if at is not None:
+        xs, x0s, index = X, np.repeat(X0, N, axis=0), np.arange(N)
+    else:
+        xs, x0s = np.stack([X, X0], axis=1).reshape(-1, n), np.stack([X0, X], axis=1).reshape(-1, n)
+        index = np.stack([np.arange(N), N + np.arange(N)], axis=1).ravel()
+    if probes:
+        C = X0[:PROBE_CENTERS] if at is None else X0
+        Q, owner = _probe_points(C, p, region, cfg.tol)
+        cut = per * min(N, PROBE_CENTERS)
+        xs, x0s = np.insert(xs, cut, Q, axis=0), np.insert(x0s, cut, C[owner], axis=0)
+        index = np.insert(index, cut, per * N + np.arange(Q.shape[0]))
+    U, bad_u = p.e_map(xs)
+    V, bad_v = p.e_map(x0s)
+    H, bad_h = p.eta_map(U, V)
+    a, b = p.composed_values(fn, xs), p.composed_values(fn, x0s)
+    gx, g0 = p.composed_grads(fn, xs), p.composed_grads(fn, x0s)
+
+    def dot(g):
+        out = g.grads[0] * H[:, 0]
+        for j in range(1, n):
+            out += g.grads[j] * H[:, j]
+        return out
+
+    invalid = bad_u | bad_v | bad_h | a.failed | b.failed | g0.invalid
+    common = dict(X=xs, X0=x0s, H=H, index=index, A=a.values, B=b.values, D=dot(g0))
+    return {False: dict(common, invalid=invalid, nondiff=g0.nondiff & ~invalid, DX=None),
+            True: dict(common, invalid=invalid | gx.invalid, DX=dot(gx),
+                       nondiff=(g0.nondiff | gx.nondiff) & ~(invalid | gx.invalid))}
+
+
+def _units(s, n_pairs):
+    """The pair of each row of ``s``, counted in its block; each probe is one."""
+    key = np.where(s.index < s.n_regular, s.index % n_pairs, -1 - s.index)
+    return np.cumsum(np.concatenate([[0], key[1:] != key[:-1]]))
+
+
+@pytest.mark.parametrize("block", [3, 97, 8192])
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("mode", ["pair", "pinned", "pair-probed", "pinned-probed"])
+@pytest.mark.parametrize("power", [False, True])
+def test_a_block_frame_matches_a_per_sample_build(monkeypatch, block, n, mode, power):
+    """Every field of invex_pairs, with and without the gradient at x, is the
+    per-sample build's to the bit, whatever the block size; pinned, the base
+    fields are read-only broadcast views, so writing into the shared frame
+    raises."""
+    monkeypatch.setattr(problem_mod, "BLOCK_PAIRS", block)
+    p = _frame_problem(n, power)
+    fn = p.function("f1")
+    cfg = SampleConfig(n_pairs=100, seed=3)
+    at = (p.lo + p.hi) / 2 if mode.startswith("pinned") else None
+    probes = mode.endswith("probed")
+    want = _per_sample(fn, p, cfg, at, probes)
+    pairs = PairDraw(p, cfg, box_region(p, cfg.tol), at)
+    got = {False: [], True: []}
+    for lo in range(0, cfg.n_pairs, problem_mod.BLOCK_PAIRS):
+        blk = invex_block(p, cfg, pairs, lo, min(lo + problem_mod.BLOCK_PAIRS, cfg.n_pairs), probes)
+        for want_gx in (False, True):
+            s = invex_pairs(fn, p, blk, want_gx)
+            assert (s.n_regular, s.starved) == ((1 if at is not None else 2) * cfg.n_pairs, None)
+            assert s.unit.tobytes() == _units(s, cfg.n_pairs).tobytes()
+            got[want_gx].append(s)
+        if at is not None:
+            for base in (blk.frame.X0, s.B):
+                assert base.strides[0] == 0 and not base.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                blk.frame.X0 += 1.0
+    for want_gx, fields in want.items():
+        for name, ref in fields.items():
+            parts = [getattr(s, name) for s in got[want_gx]]
+            if ref is None:
+                assert all(v is None for v in parts), name
+                continue
+            joined = np.concatenate(parts)
+            assert (joined.shape, joined.dtype) == (ref.shape, ref.dtype), name
+            assert joined.tobytes() == ref.tobytes(), (name, want_gx)
+    if power and mode == "pair-probed":  # the case the value walk of _value_failed is for
+        assert (want[False]["invalid"] != want[True]["invalid"]).any()
+
+
+def test_no_block_length_gather(monkeypatch, vp1_path):
+    """No command copies a per-point quantity to every sample with np.take:
+    each sample reads its points through views.  The probe centers are the
+    one gather left, as long as the probes; the strict run shows the
+    counter sees it."""
+    lengths = []
+    take = np.take
+
+    def counted(a, indices, *args, **kwargs):
+        lengths.append(np.size(indices))
+        return take(a, indices, *args, **kwargs)
+
+    monkeypatch.setattr(np, "take", counted)
+    pairs = 20000
+    shortest = min(problem_mod.BLOCK_PAIRS, pairs % problem_mod.BLOCK_PAIRS or pairs)
+    vp1 = str(vp1_path)
+    for argv in (["check", vp1, "--function", "f1", "--kind", "invex"],
+                 ["certify", vp1, "--candidate", "ybar", "--theorem", "t4"],
+                 ["check", vp1, "--function", "f1", "--kind", "strict-invex"]):
+        run(argv + ["--pairs", str(pairs), "--format", "json"])
+        assert max(lengths, default=0) < shortest, argv
+    assert lengths
