@@ -4,10 +4,11 @@ The reports in tests/golden/ are compared byte for byte after dropping
 ``wall_time_s`` and ``problem.path`` (the only fields that depend on the
 machine or the checkout).  They cover the criterion-8 commands, one
 ``check`` per kind on both shipped problems, an evaluation failure and
-a starved draw for each of the six sampled checkers, and gradient checks
-and a certificate on a problem with three variables.  tests/golden/text.json
-maps each command to its ``--format text`` report, with the checkout path
-masked and the wall-time line dropped.
+a starved draw for each of the six sampled checkers, and gradient checks,
+a certificate, the multipliers and the grid oracle on a problem with three
+variables.  tests/golden/text.json maps each command to its ``--format
+text`` report, with the checkout path masked and the wall-time line
+dropped.
 
 Regenerate both after an intended report change with
 
@@ -94,6 +95,10 @@ def _commands():
         cmds[f"n3-{fn}-at-mid-monotone-gradient"] = _check(N3, fn, "monotone-gradient", "--at", "mid")
     cmds["n3-certify-t4"] = ["certify", N3, "--candidate", "ybar", "--theorem", "t4",
                            "--pairs", "2000"]
+    # n = 3 off the sampler: the multiplier solve and the grid oracle on a 9x9x9 grid
+    cmds["n3-kkt"] = ["kkt", N3, "--candidate", "ybar"]
+    cmds["n3-oracle"] = ["oracle", N3, "--grid", "9x9x9"]
+    cmds["n3-oracle-query-ybar"] = ["oracle", N3, "--grid", "9x9x9", "--query", "ybar"]
     cmds["example1-level-set-levels"] = _check(E1, "f1", "level-set", "--levels", "0.5,1,20")
     cmds["example1-level-set-empty-level"] = _check(E1, "f1", "level-set", "--levels", "1e-9,20")
 
