@@ -151,13 +151,22 @@ class MixtureSamples:
 
 def mixture_samples(problem: EProblem, cfg: SampleConfig, pairs: PairDraw,
                     lo: int, hi: int) -> MixtureSamples:
-    """Pairs lo..hi-1 with their "tau" weights, through E and eta."""
-    X, X0, starved = sample_pairs(pairs, lo, hi)
-    T = tau_grid(SampleStream(cfg.seed, "tau"), lo, lo + X.shape[0], cfg.n_tau)
-    U, bad_u = problem.e_map(X)
-    V, bad_v = problem.e_map(X0)
-    H, bad_h = problem.eta_map(U, V)
-    return MixtureSamples(X, X0, T, U, V, H, bad_u | bad_v | bad_h, lo=lo, starved=starved)
+    """Pairs lo..hi-1 with their "tau" weights, through E and eta.
+
+    The streams write x and x0 straight into the two halves of one array of
+    points, so E is walked once over both."""
+    m = hi - lo
+    P = np.empty((2 * m, problem.n), order="F")
+    X, X0, starved = sample_pairs(pairs, lo, hi, P[:m], P[m:])
+    b = X.shape[0]
+    if b < m:  # a starved draw: x0 moves up to follow the b pairs' x
+        P[b:2 * b] = X0
+        P = P[:2 * b]
+    T = tau_grid(SampleStream(cfg.seed, "tau"), lo, lo + b, cfg.n_tau)
+    E, bad = problem.e_map(P)
+    H, bad_h = problem.eta_map(E[:b], E[b:])
+    return MixtureSamples(P[:b], P[b:], T, E[:b], E[b:], H, bad[:b] | bad[b:] | bad_h,
+                          lo=lo, starved=starved)
 
 
 def preinvex_pairs(fn: ProblemFunction, problem: EProblem, m: MixtureSamples) -> MixtureSamples:
@@ -308,11 +317,22 @@ def invex_block(problem: EProblem, cfg: SampleConfig, pairs: PairDraw, lo: int, 
     of x and x0.  ``probes`` puts the probes of the first PROBE_CENTERS base
     points (``pairs.centers``, kept as they are drawn) right after the last
     of those pairs; a probed base point is a row of its own, as a center.
-    E is taken once per point; pinned, eta's terms in v alone run once.
+    The streams write their points straight into their rows of P, except
+    in the block of the probes, whose pairs are copied around them.  E is
+    taken once per point, and so is each one-sided term of eta
+    (EProblem.eta_map): in pair mode both sides of a sample read one walk
+    of it over P; pinned, its v side is walked at the at row alone.
     """
-    X, X0, starved = sample_pairs(pairs, lo, hi)
-    b, pinned = X.shape[0], pairs.at is not None
+    pinned = pairs.at is not None
     w = 1 if pinned else 2               # samples per pair
+    last = min(cfg.n_pairs, PROBE_CENTERS) - 1 - lo   # the last probed pair, in the block
+    around = probes and 0 <= last < hi - lo           # the probes may fall inside the block
+    dest = None, None                     # around the probes: drawn apart, then copied
+    if not around:
+        P = np.empty((w * (hi - lo) + pinned, problem.n), order="F")
+        dest = P[:w * (hi - lo):w], None if pinned else P[1:2 * (hi - lo):2]
+    X, X0, starved = sample_pairs(pairs, lo, hi, *dest)
+    b = X.shape[0]
     k = np.arange(b)
     index = lo + k if pinned else np.column_stack([lo + k, cfg.n_pairs + lo + k]).ravel()
     unit = np.repeat(k, w)
@@ -320,7 +340,6 @@ def invex_block(problem: EProblem, cfg: SampleConfig, pairs: PairDraw, lo: int, 
     cut = w * b
     Q, owner = np.empty((0, problem.n)), np.empty(0, dtype=int)
     tail = X0 if pinned else Q            # the rows of P after the samples'
-    last = min(cfg.n_pairs, PROBE_CENTERS) - 1 - lo   # the last probed pair, in the block
     if probes and not pinned and lo < PROBE_CENTERS:
         pairs.centers = np.vstack([pairs.centers, X0[:PROBE_CENTERS - lo]])
     if probes and 0 <= last < b:
@@ -328,19 +347,22 @@ def invex_block(problem: EProblem, cfg: SampleConfig, pairs: PairDraw, lo: int, 
         Q, owner = _probe_points(C, problem, pairs.region, cfg.tol)
         j, cut = np.arange(Q.shape[0]), w * (last + 1)
         index = np.insert(index, cut, n_regular + j)
-        unit = np.concatenate([unit[:cut], last + 1 + j, unit[cut:] + Q.shape[0]])
+        unit = np.insert(unit + Q.shape[0] * (unit > last), cut, last + 1 + j)
         tail = C
     q = Q.shape[0]
     rows = w * b + q
-    P = np.empty((rows + tail.shape[0], problem.n), order="F")
+    if around:
+        P = np.empty((rows + tail.shape[0], problem.n), order="F")
+        for seg, drawn in ((P[:cut], slice(0, cut // w)), (P[cut + q:rows], slice(cut // w, b))):
+            seg[0::w] = X[drawn]         # pair mode: each pair's two rows, x first
+            if not pinned:
+                seg[1::2] = X0[drawn]
+    else:
+        P = P[:rows + tail.shape[0]]     # a starved draw leaves the last rows unfilled
     P[cut:cut + q], P[rows:] = Q, tail
-    for seg, drawn in ((P[:cut], slice(0, cut // w)), (P[cut + q:rows], slice(cut // w, b))):
-        seg[0::w] = X[drawn]             # pair mode: each pair's two rows, x first
-        if not pinned:
-            seg[1::2] = X0[drawn]
     blk = InvexBlock(P, rows, pinned, slice(cut, cut + q), rows + owner)
     E, bad_e = problem.e_map(P)
-    H, bad_h = problem.eta_map(E[:rows], E[rows:] if pinned else blk.base(E))
+    H, bad_h = problem.eta_map(E[:rows], E[rows:]) if pinned else problem.eta_map(E, blk)
     blk.frame = InvexSamples(P[:rows], blk.base(P), H, bad_e[:rows] | blk.base(bad_e) | bad_h,
                              index, unit, n_regular, starved)
     return blk
@@ -365,36 +387,46 @@ def _value_failed(fn: ProblemFunction, problem: EProblem, P, g) -> np.ndarray:
     return problem.composed_values(fn, P).failed
 
 
+def _sweep(fn: ProblemFunction, problem: EProblem, P):
+    """(gradient sweep, failed values) of f over the points P."""
+    g = problem.composed_grads(fn, P)
+    return g, _value_failed(fn, problem, P, g)
+
+
 def invex_pairs(fn: ProblemFunction, problem: EProblem, blk: InvexBlock,
-                want_gx: bool = False) -> InvexSamples:
+                want_gx: bool = False, at=None) -> InvexSamples:
     """The block's frame with the values and gradients of ``fn`` filled in.
 
     Every sample reads its values through the moving prefix or blk.base,
     with no per-sample copies.  In pair mode, where every drawn point serves
     as a base, the gradient is taken at every point and f's values come from
-    that sweep.  Pinned, f's values are taken at every point and its
-    gradient at the at row alone, or at every point when ``want_gx`` asks
-    for it at x too.  The frame is shared by the block's hypotheses, so its
-    arrays are never updated in place.
+    that sweep.  Pinned, the base is ``at``, the _sweep of f at the at row,
+    which is the same in every block of a check (taken here when None); f's
+    values are taken at the moving points, and its gradient there too when
+    ``want_gx`` asks for it at x.  The frame is shared by the block's
+    hypotheses, so its arrays are never updated in place.
     """
     s, rows = blk.frame, blk.rows
-    if want_gx or not blk.pinned:
-        g = problem.composed_grads(fn, blk.P)
-        values, failed = g.values, _value_failed(fn, problem, blk.P, g)
+    if not blk.pinned:  # every drawn point is a base: one sweep over all of them
+        g, failed = base, base_failed = _sweep(fn, problem, blk.P)
+        values = g.values
     else:
-        v = problem.composed_values(fn, blk.P)
-        g = problem.composed_grads(fn, blk.P[rows:])
-        values, failed = v.values, v.failed
-    G = g.grads.T
-    D = _dot_eta(blk.base(G), s.H)
-    invalid = s.invalid | failed[:rows] | blk.base(failed | g.invalid)
-    nondiff = blk.base(g.nondiff)
+        base, base_failed = at or _sweep(fn, problem, blk.P[rows:])
+        if want_gx:
+            g, failed = _sweep(fn, problem, blk.P[:rows])
+            values = g.values
+        else:
+            v = problem.composed_values(fn, blk.P[:rows])
+            values, failed = v.values, v.failed
+    D = _dot_eta(blk.base(base.grads.T), s.H)
+    invalid = s.invalid | failed[:rows] | blk.base(base_failed | base.invalid)
+    nondiff = blk.base(base.nondiff)
     DX = None
     if want_gx:
-        DX = _dot_eta(G[:rows], s.H)
+        DX = _dot_eta(g.grads.T[:rows], s.H)
         invalid |= g.invalid[:rows]
         nondiff = nondiff | g.nondiff[:rows]
-    return replace(s, A=values[:rows], B=blk.base(values), D=D, DX=DX,
+    return replace(s, A=values[:rows], B=blk.base(base.values), D=D, DX=DX,
                    invalid=invalid, nondiff=nondiff & ~invalid)
 
 
@@ -508,12 +540,17 @@ def _gradient(kind: InvexKind, fn, problem, cfg, region, vacuous) -> Hypothesis:
     without probes judges its samples with the probe rows dropped.  The
     monotone kinds also take the gradient at x."""
 
+    at = None  # pinned: the _sweep of f at the at row, taken once per check
+
     def judge(s):
         sat, nonvac = invex_masks(s, kind, cfg)
         return Judgement(sat, lambda i: _invex_witness(kind, s, i), nonvac)
 
     def samples(blk):
-        s = invex_pairs(fn, problem, blk, kind.monotone)
+        nonlocal at
+        if blk.pinned:
+            at = at or _sweep(fn, problem, blk.P[blk.rows:])
+        s = invex_pairs(fn, problem, blk, kind.monotone, at)
         if kind in PROBED_KINDS:
             return s
         probe = s.index >= s.n_regular  # only the block of the last probed pair has any

@@ -16,6 +16,7 @@ import io
 import json
 import math
 from dataclasses import dataclass, fields, is_dataclass, replace
+from functools import cached_property
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -213,12 +214,74 @@ class EProblem:
         """E(X) for rows of X; returns (values (N,n), invalid mask (N,))."""
         return eval_columns(self.e_ops, self.env_x(X))
 
-    def eta_map(self, U: np.ndarray, V: np.ndarray):
-        """eta(U, V) rowwise for points already in the image space."""
-        U, V = np.atleast_2d(U), np.atleast_2d(V)
-        env = {f"u{j + 1}": U[:, j] for j in range(self.n)}
-        env.update({f"v{j + 1}": V[:, j] for j in range(self.n)})
-        return eval_columns(self.eta, env)
+    @cached_property
+    def eta_terms(self):
+        """(components, terms, names): eta with its one-sided terms taken out.
+
+        A one-sided term is a maximal subtree of a component, other than a
+        bare variable, that reads u alone or v alone: a function of one
+        point.  It becomes the variable ``u:k`` or ``v:k`` of the component,
+        ``terms[k]`` being it over y1..yn, so a term in u and its twin in v
+        share k (vp1's cbrt(u1) and cbrt(v1) are both cbrt(y1)).  ``names``
+        lists what the components read as (name, side, is a term, its k or
+        column), u1..un first.
+        """
+        sides = {side: {f"{side}{j + 1}": ex.Var(f"y{j + 1}") for j in range(self.n)}
+                 for side in "uv"}
+        terms = {}
+
+        def split(node):
+            names = node.variables()
+            for side, to_y in sides.items():
+                if names and names <= to_y.keys() and not isinstance(node, ex.Var):
+                    return ex.Var(f"{side}:{terms.setdefault(ex.substitute(node, to_y), len(terms))}")
+            if isinstance(node, ex.Unary):
+                return ex.Unary(node.op, split(node.arg))
+            if isinstance(node, ex.Binary):
+                return ex.Binary(node.op, split(node.lhs), split(node.rhs))
+            return node
+
+        components = [split(c) for c in self.eta]
+        names = list(sides["u"])
+        names += sorted(set().union(*(c.variables() for c in components)) - set(names))
+        return components, list(terms), [(name, name[0], ":" in name,
+                                          int(name[2:]) if ":" in name else int(name[1:]) - 1)
+                                         for name in names]
+
+    def eta_map(self, U: np.ndarray, V):
+        """eta(U, V) rowwise for points already in the image space.
+
+        V holds the base points as rows (one row: every sample's), or is a
+        block that pairs the rows of U (an invexity.InvexBlock in pair
+        mode): its samples' moving points are the first ``V.rows`` rows of
+        U, and ``V.base(a)`` reads ``a``, given per row of U, at each
+        sample's base point.  Paired, every point is on both sides, so each
+        one-sided term (see eta_terms) is walked once over U and both sides
+        read it there; given as rows, eta is walked as written.
+        """
+        U = np.atleast_2d(U)
+        if not callable(getattr(V, "base", None)):
+            V = np.atleast_2d(V)
+            env = {f"u{j + 1}": U[:, j] for j in range(self.n)}
+            env.update({f"v{j + 1}": V[:, j] for j in range(self.n)})
+            return eval_columns(self.eta, env)
+        rows, base = V.rows, V.base
+        components, terms, names = self.eta_terms
+        env_y = self.env_y(U)
+        walked = [ex.eval_many(t, env_y) for t in terms]
+        env, bad = {}, []
+        for name, side, term, i in names:  # u1..un first: they give the batch shape
+            read = base if side == "v" else (lambda a: a[:rows])
+            if not term:
+                env[name] = read(U[:, i])
+                continue
+            env[name] = read(walked[i].values)
+            if walked[i].invalid_node is not None:  # set exactly when some row left the domain
+                bad.append(read(walked[i].invalid))
+        H, failed = eval_columns(components, env)
+        for b in bad:
+            failed |= b
+        return H, failed
 
     def composed_values(self, fn: ProblemFunction, X: np.ndarray) -> ex.EvalResult:
         return ex.eval_many(fn.composed, self.env_x(X))
@@ -487,28 +550,35 @@ class RegionDraw:
                 f"({self.accepted} accepted after {self.budget} proposals)")
 
 
-def sample_region(problem: EProblem, draw: RegionDraw, count: int) -> np.ndarray:
-    """The next ``count`` accepted points of ``draw``; shape (count, n).
+def sample_region(problem: EProblem, draw: RegionDraw, count: int, out=None) -> np.ndarray:
+    """The next ``count`` accepted points of ``draw``, written into the first
+    rows of ``out`` (a new (count, n) array by default); returns those rows.
 
-    Rounds of max(count, 1024) proposals run until enough are accepted, and
-    what a round accepts beyond ``count`` waits for the next call.  Fewer
-    rows come back only once the whole budget is spent without them;
-    ``draw.starved()`` then says so.
+    Rounds of max(count, 1024) proposals run until enough are accepted.  A
+    round that fits in the rows still to fill is drawn straight into them,
+    and only a round that rejects a point is compacted; what a round
+    accepts beyond ``count`` waits for the next call.  Fewer rows come back
+    only once the whole budget is spent without them; ``draw.starved()``
+    then says so.
     """
-    got = [] if draw.pending is None else [draw.pending]
-    have = sum(g.shape[0] for g in got)
+    out = np.empty((count, problem.n)) if out is None else out
+    have = 0
+    if draw.pending is not None:
+        have = min(count, draw.pending.shape[0])
+        out[:have], draw.pending = draw.pending[:have], draw.pending[have:]
     while have < count and draw.proposals < draw.budget:
         chunk = min(max(count, 1024), draw.budget - draw.proposals)
-        pts = draw.stream.box(problem.lo, problem.hi, chunk)
+        rows = out[have:have + chunk] if chunk <= count - have else None
+        pts = draw.stream.box(problem.lo, problem.hi, chunk, rows)
         inside = draw.region.contains(pts)
         keep = pts if inside.all() else pts[inside]
         draw.proposals += chunk
         draw.accepted += keep.shape[0]
-        got.append(keep)
-        have += keep.shape[0]
-    rows = np.concatenate(got, axis=0) if got else np.empty((0, problem.n))
-    draw.pending = rows[count:]
-    return rows[:count]
+        take = min(keep.shape[0], count - have)
+        if keep is not rows:
+            out[have:have + take], draw.pending = keep[:take], keep[take:]
+        have += take
+    return out[:have]
 
 
 class PairDraw:
@@ -529,23 +599,25 @@ class PairDraw:
         self.centers = np.empty((0, problem.n))  # the first base points, kept by invex_block
 
 
-def sample_pairs(pairs: PairDraw, lo: int, hi: int):
+def sample_pairs(pairs: PairDraw, lo: int, hi: int, X=None, X0=None):
     """Pairs lo..hi-1 as (X, X0, starved): X (b, n), X0 (b, n) or the pinned row.
 
     Ranges are drawn in order, each from where the last one ended.  b is
     hi - lo unless a stream spends its budget before pair lo + b; ``starved``
     is then that stream's message (the x stream's when both stop there),
-    else None.
+    else None.  Given ``X`` and ``X0``, at least hi - lo rows each, the
+    points are written into their first rows.
     """
     if lo != pairs.taken:
         raise ValueError(f"pairs from {lo} asked for after {pairs.taken} were drawn")
-    X = sample_region(pairs.problem, pairs.x, hi - lo)
+    X = sample_region(pairs.problem, pairs.x, hi - lo, X)
     starved = pairs.x.starved() if X.shape[0] < hi - lo else None
-    X0 = pairs.at
-    if X0 is None:
-        X0 = sample_region(pairs.problem, pairs.x0, X.shape[0])
+    if pairs.at is None:
+        X0 = sample_region(pairs.problem, pairs.x0, X.shape[0], X0)
         if X0.shape[0] < X.shape[0]:
             X, starved = X[:X0.shape[0]], pairs.x0.starved()
+    else:
+        X0 = pairs.at
     pairs.taken = lo + X.shape[0]
     return X, X0, starved
 

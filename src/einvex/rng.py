@@ -11,25 +11,43 @@ from __future__ import annotations
 
 import numpy as np
 
-_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
-_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
-_MIX2 = np.uint64(0x94D049BB133111EB)
+_M64 = 0xFFFFFFFFFFFFFFFF
+_GOLDEN = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
 _U64 = np.uint64
 
 
-def _mix(z):
-    """splitmix64 finalizer, vectorized over uint64 arrays."""
-    z = (z ^ (z >> _U64(30))) * _MIX1
-    z = (z ^ (z >> _U64(27))) * _MIX2
-    return z ^ (z >> _U64(31))
+def _mix(z: int) -> int:
+    """splitmix64 finalizer of one 64-bit integer."""
+    z = ((z ^ (z >> 30)) * _MIX1) & _M64
+    z = ((z ^ (z >> 27)) * _MIX2) & _M64
+    return z ^ (z >> 31)
 
 
-def _fold_label(seed: int, label: str) -> np.uint64:
-    with np.errstate(over="ignore"):
-        state = _mix(_U64(seed & 0xFFFFFFFFFFFFFFFF) * _GOLDEN + _GOLDEN)
-        for byte in label.encode("utf-8"):
-            state = _mix(state ^ _U64(byte) * _GOLDEN)
+def _fold_label(seed: int, label: str) -> int:
+    """The base state of the stream (seed, label), a 64-bit integer."""
+    state = _mix(((seed & _M64) * _GOLDEN + _GOLDEN) & _M64)
+    for byte in label.encode("utf-8"):
+        state = _mix(state ^ (byte * _GOLDEN & _M64))
     return state
+
+
+def _splitmix(z: np.ndarray, base: np.uint64, out: np.ndarray) -> None:
+    """Doubles in [0, 1) into ``out`` from z, the 1-based stream positions as
+    uint64, which serves as the work array: splitmix64 in place, then the
+    top 53 bits scaled by 2^-53."""
+    t = np.empty_like(z)
+    z *= _U64(_GOLDEN)
+    z += base
+    for shift, mul in ((30, _MIX1), (27, _MIX2)):
+        np.right_shift(z, _U64(shift), out=t)
+        z ^= t
+        z *= _U64(mul)
+    np.right_shift(z, _U64(31), out=t)
+    z ^= t
+    z >>= _U64(11)
+    np.multiply(z, 2.0 ** -53, out=out)
 
 
 class SampleStream:
@@ -44,7 +62,7 @@ class SampleStream:
     def __init__(self, seed: int, label: str):
         self.seed = seed
         self.label = label
-        self._base = _fold_label(seed, label)
+        self._base = _U64(_fold_label(seed, label))
         self._pos = 0
 
     def uniform(self, count: int, start=None) -> np.ndarray:
@@ -52,21 +70,31 @@ class SampleStream:
         where the last draw ended."""
         if start is not None:
             self._pos = start
-        idx = np.arange(self._pos, self._pos + count, dtype=np.uint64)
+        out = np.empty(count)
+        _splitmix(np.arange(self._pos + 1, self._pos + count + 1, dtype=np.uint64), self._base, out)
         self._pos += count
-        with np.errstate(over="ignore"):
-            bits = _mix(self._base + (idx + _U64(1)) * _GOLDEN)
-        return (bits >> _U64(11)).astype(np.float64) * (2.0 ** -53)
+        return out
 
-    def box(self, lo, hi, count: int) -> np.ndarray:
-        """Uniform points in the box [lo, hi]; shape (count, dim)."""
+    def box(self, lo, hi, count: int, out=None) -> np.ndarray:
+        """Uniform points in the box [lo, hi]; shape (count, dim).
+
+        Point i reads the stream at dim * i + j for coordinate j, as
+        ``uniform(count * dim).reshape(count, dim)`` would; each coordinate
+        is drawn straight into its column of ``out`` (a new array by
+        default), which is returned.
+        """
         lo = np.asarray(lo, dtype=float)
         hi = np.asarray(hi, dtype=float)
-        u = self.uniform(count * lo.size).reshape(count, lo.size)
-        # one coordinate at a time: numpy broadcasts slowly over a short last axis
-        for j in range(lo.size):
-            u[:, j] = lo[j] + u[:, j] * (hi[j] - lo[j])
-        return u
+        dim = lo.size
+        out = np.empty((count, dim)) if out is None else out
+        for j in range(dim):  # one coordinate at a time: numpy is slow over a short last axis
+            first = self._pos + j + 1
+            col = out[:, j]
+            _splitmix(np.arange(first, first + dim * count, dim, dtype=np.uint64), self._base, col)
+            col *= hi[j] - lo[j]  # lo + u * (hi - lo): the same two roundings
+            col += lo[j]
+        self._pos += dim * count
+        return out
 
 
 def tau_grid(stream: SampleStream, lo: int, hi: int, n_tau: int) -> np.ndarray:

@@ -1,7 +1,8 @@
 """A 60-digit mpmath evaluator of expression trees: the reference for float evaluation.
 
 ``mp_eval(node, point)`` evaluates a tree at one point, given as a mapping
-from variable names to floats, which mpmath takes exactly.  It follows the
+from variable names to floats, which mpmath takes exactly, and
+``mp_grad(node, point, names)`` takes its partial derivatives there.  It follows the
 domain rules of ``einvex.expr`` and returns None where the exact value is
 undefined: log of a non-positive number, sqrt of a negative one, division
 by zero, a negative base under a non-integral exponent, zero under a
@@ -21,6 +22,20 @@ REACH = 1e9
 def mp_eval(node, point):
     with mpmath.workdps(DPS):
         return _mp(node, point)
+
+
+def mp_grad(node, point, names):
+    """The partial derivatives of node at point in each of names, by
+    mpmath.diff, which raises the working precision above DPS digits for the
+    difference quotients; node must be defined near point."""
+    with mpmath.workdps(DPS):
+        xs = [mpmath.mpf(point[name]) for name in names]
+
+        def f(*v):
+            return _mp(node, {**point, **dict(zip(names, v))})
+
+        return [mpmath.diff(f, xs, tuple(int(i == j) for i in range(len(names))))
+                for j in range(len(names))]
 
 
 def _mp(node, point):

@@ -8,6 +8,7 @@ import pytest
 
 from corpus import CFG, ENTRIES, by_name, naive_preinvex_masks, preinvex_block, problem
 from einvex import expr
+from einvex import invexity
 from einvex import problem as problem_mod
 from einvex.cli import run
 from einvex.invexity import (
@@ -31,7 +32,7 @@ from einvex.invexity import (
 )
 from einvex.problem import (EProblem, PairDraw, Region, SampleConfig, _jsonable, box_region,
                             load_problem, sample_pairs)
-from mpexpr import DPS, mp_eval
+from mpexpr import DPS, mp_eval, mp_grad
 
 
 @pytest.fixture(scope="module")
@@ -664,6 +665,49 @@ def test_mixture_witnesses_keep_their_sign_at_60_digits():
     assert len(gaps) == 39
 
 
+def _gradient_gap(fn, p, kind, w, cfg):
+    """left - right - need of the gradient inequality at a witness, at 60
+    digits (below zero is a violation), and whether its antecedent holds
+    there: A and B from the composed tree, D and DX from its 60-digit
+    gradient dotted with the 60-digit eta."""
+    with mpmath.workdps(DPS):
+        x, x0 = dict(zip(p.vars, w.x)), dict(zip(p.vars, w.x0))
+        U = [mp_eval(e, x) for e in p.e_ops]
+        V = [mp_eval(e, x0) for e in p.e_ops]
+        uv = {**{f"u{j + 1}": u for j, u in enumerate(U)}, **{f"v{j + 1}": v for j, v in enumerate(V)}}
+        H = [mp_eval(e, uv) for e in p.eta]
+        a, b = mp_eval(fn.composed, x), mp_eval(fn.composed, x0)
+        d = mpmath.fsum(g * h for g, h in zip(mp_grad(fn.composed, x0, p.vars), H))
+        need = cfg.strict_margin if kind.strict else -cfg.tol
+        ante = max(abs(s - t) for s, t in zip(w.x, w.x0)) > cfg.tol if kind.strict else True
+        if kind.monotone:
+            dx = mpmath.fsum(g * h for g, h in zip(mp_grad(fn.composed, x, p.vars), H))
+            m = max(a, b)
+            return dx * mpmath.exp(a - m) - d * mpmath.exp(b - m) - need, ante
+        if kind in (InvexKind.EXP, InvexKind.STRICT):
+            return mpmath.expm1(a - b) - d - need, ante
+        ante = ante and (a < b - cfg.tol if kind == InvexKind.PSEUDO else a <= b + cfg.tol)
+        return -d - need, ante
+
+
+def test_gradient_witnesses_keep_their_sign_at_60_digits():
+    """The twin of the mixture test above for the seven gradient kinds, in
+    pair mode over the box and pinned at the center."""
+    gaps = []
+    for ent in ENTRIES:
+        p = problem(ent)
+        fn = p.function("f1")
+        for kind in InvexKind:
+            for at in (None, (p.lo + p.hi) / 2):
+                v = check(p, [(fn, kind)], CFG, at=at)[0]
+                if v.status != "fails":
+                    continue
+                gap, ante = _gradient_gap(fn, p, kind, v.witness, CFG)
+                assert ante and gap < 0, (ent.name, kind.value, at is None, gap)
+                gaps.append(gap)
+    assert len(gaps) == 142
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 @pytest.mark.parametrize("pinned", [False, True])
 def test_d_and_dx_are_sums_over_the_variables_in_order(n, pinned):
@@ -848,3 +892,82 @@ def test_no_block_length_gather(monkeypatch, vp1_path):
         run(argv + ["--pairs", str(pairs), "--format", "json"])
         assert max(lengths, default=0) < shortest, argv
     assert lengths
+
+
+# ---------------------------------------------------------------------------
+# each point's work once per check
+# ---------------------------------------------------------------------------
+
+
+def test_a_certificate_takes_the_pinned_base_once_per_hypothesis(monkeypatch, vp1_path):
+    """t4 at ybar judges four hypotheses on 13 blocks; each takes the
+    gradient at the one at row once, not once per block."""
+    one_row = []
+    grad_many = expr.grad_many
+
+    def counted(node, env, wrt):
+        if all(np.shape(v) == (1,) for v in env.values()):
+            one_row.append(str(node))
+        return grad_many(node, env, wrt)
+
+    monkeypatch.setattr(expr, "grad_many", counted)
+    code, text = run(["certify", str(vp1_path), "--candidate", "ybar", "--theorem", "t4",
+                      "--pairs", "100000", "--format", "json"])
+    assert code == 0 and '"certified"' in text
+    assert math.ceil(100000 / problem_mod.BLOCK_PAIRS) == 13
+    p = load_problem(vp1_path)
+    assert sorted(one_row) == sorted(str(fn.composed) for fn in (*p.objectives, *p.ineq))
+
+
+def test_a_one_sided_eta_term_is_walked_once_per_point(monkeypatch, example1_path):
+    """example1's eta is cbrt(cbrt(u1+3)) - cbrt(cbrt(v1+3)).  In pair mode
+    both sides of a block read the one walk of that term over the block's
+    2N points, not a walk per side."""
+    walks, blocks = [], []
+    walk, block = expr._walk, invexity.invex_block
+
+    def counted_walk(node, env, flags, wrt):
+        v, d = walk(node, env, flags, wrt)
+        if (isinstance(node, expr.Unary) and node.op == "cbrt"
+                and isinstance(node.arg, expr.Unary) and node.arg.op == "cbrt"):
+            walks.append(np.size(v))
+        return v, d
+
+    def counted_block(*args):
+        blk = block(*args)
+        blocks.append(blk.rows)
+        return blk
+
+    monkeypatch.setattr(expr, "_walk", counted_walk)
+    monkeypatch.setattr(invexity, "invex_block", counted_block)
+    # invex fails in the first block; pseudo-invex holds and walks all three
+    for kind, code, pairs in (("invex", 1, [8192]), ("pseudo-invex", 0, [8192, 8192, 3616])):
+        walks.clear()
+        blocks.clear()
+        assert run(["check", str(example1_path), "--function", "f1", "--kind", kind,
+                    "--pairs", "20000", "--seed", "5", "--format", "json"])[0] == code
+        assert walks == blocks == [2 * b for b in pairs], kind
+
+
+def test_no_draw_concatenates_a_block(monkeypatch, vp1_path):
+    """Each stream writes its accepted points into their rows of the block,
+    so no draw joins them with a block-length np.concatenate: in pair mode,
+    pinned, past the probes and for the mixture family."""
+    lengths = []
+    concatenate = np.concatenate
+
+    def counted(arrays, axis=0, *args, **kwargs):
+        out = concatenate(arrays, axis, *args, **kwargs)
+        lengths.append(out.shape[0] if out.ndim else 1)
+        return out
+
+    monkeypatch.setattr(np, "concatenate", counted)
+    pairs = 20000
+    shortest = min(problem_mod.BLOCK_PAIRS, pairs % problem_mod.BLOCK_PAIRS or pairs)
+    vp1 = str(vp1_path)
+    for argv in (["check", vp1, "--function", "f1", "--kind", "invex"],
+                 ["certify", vp1, "--candidate", "ybar", "--theorem", "t4"],
+                 ["check", vp1, "--function", "f1", "--kind", "strict-invex"],
+                 ["check", vp1, "--function", "f2", "--kind", "quasi-preinvex", "--region", "feasible"]):
+        assert run(argv + ["--pairs", str(pairs), "--format", "json"])[0] in (0, 1), argv
+        assert max(lengths, default=0) < shortest, argv
