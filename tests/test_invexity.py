@@ -1,5 +1,6 @@
 """Mixture- and gradient-family checkers, epigraph/level-set forms, probes."""
 
+import json
 import math
 
 import mpmath
@@ -706,6 +707,92 @@ def test_gradient_witnesses_keep_their_sign_at_60_digits():
                 assert ante and gap < 0, (ent.name, kind.value, at is None, gap)
                 gaps.append(gap)
     assert len(gaps) == 142
+
+
+def _golden_failures(repo_root):
+    """(golden name, problem, fn, kind, witness, cfg) of every failing
+    gradient or mixture verdict stored in tests/golden and tests/golden/bench:
+    a check's verdict or a certificate's hypothesis.  The problem is found
+    by the sha256 its report carries, and cfg holds the report's tolerances."""
+    from types import SimpleNamespace
+
+    golden = repo_root / "tests" / "golden"
+    problems = {p.sha256: p for p in map(load_problem, [*(repo_root / "problems").glob("*.json"),
+                                                        *(golden / "problems").glob("*.json")])}
+    kinds = {k.value: k for k in (*InvexKind, *PreinvexKind)}
+    for path in sorted([*golden.glob("*.json"), *(golden / "bench").glob("*.json")]):
+        rep = json.loads(path.read_text()).get("report")
+        if not isinstance(rep, dict) or "problem" not in rep:
+            continue  # text.json
+        config = rep["config"]
+        if "certificate" in rep:
+            verdicts = [(h["target"], h["kind"], h["verdict"]) for h in rep["certificate"]["hypotheses"]]
+        else:
+            verdicts = [(config.get("function"), config.get("kind"), rep.get("verdict") or {})]
+        cfg = SampleConfig(tol=config["eps"], strict_margin=config.get("delta", CFG.strict_margin))
+        p = problems[rep["problem"]["sha256"]]
+        for target, kind, verdict in verdicts:
+            if kind in kinds and verdict.get("status") == "fails":
+                w = verdict["witness"]
+                yield (f"{path.parent.name}/{path.stem}", p, p.function(target), kinds[kind],
+                       SimpleNamespace(x=w["x"], x0=w["x0"], tau=w.get("tau")), cfg)
+
+
+def test_golden_witnesses_keep_their_sign_at_60_digits(repo_root):
+    """Every failing gradient or mixture verdict of a golden report, checks
+    and certificate hypotheses alike, violates its inequality also at 60
+    digits: A, B and C from tests/mpexpr.py, D and DX from its mp_grad."""
+    seen = []
+    for name, p, fn, kind, w, cfg in _golden_failures(repo_root):
+        if isinstance(kind, InvexKind):
+            gap, ante = _gradient_gap(fn, p, kind, w, cfg)
+            assert ante and gap < 0, (name, fn.name, kind.value, gap)
+        else:
+            gap, apart = _mixture_gap(fn, p, kind, w)
+            strict = kind in (PreinvexKind.STRICT, PreinvexKind.STRICT_QUASI)
+            assert gap > (-cfg.strict_margin if strict else cfg.tol), (name, kind.value, gap)
+            if kind == PreinvexKind.STRICT:
+                assert apart > cfg.tol, (name, apart)
+        seen.append(name)
+    assert len(seen) == 25
+
+
+# ---------------------------------------------------------------------------
+# sampler power: a bump as thin as w, found after ever more pairs
+# ---------------------------------------------------------------------------
+
+
+def _bump(w):
+    """log(y1^2 + 1 + 0.01*exp(-((y1 - 0.3)/w)^2)) on [-1, 1], E the
+    identity and eta = u - v: invex but for a bump of width w at 0.3."""
+    return load_problem({"n": 1, "vars": ["x1"], "E": ["x1"], "eta": ["u1 - v1"],
+                         "objectives": [{"raw": f"log(y1^2 + 1 + 0.01*exp(-(((y1 - 0.3)/{w!r})^2)))"}],
+                         "ineq": [], "eq": [], "box": {"lo": [-1.0], "hi": [1.0]}})
+
+
+# (witness index, checked) at 100,000 pairs and seed 42.  A gradient index
+# N + i is pair i in the reversed orientation; a preinvex index counts
+# n_tau = 8 instances per pair.
+POWER = {
+    1e-2: {"invex": (100_026, 54), "preinvex": (45, 48), "quasi-invex": (100_026, 54)},
+    1e-3: {"invex": (100_415, 832), "preinvex": (1_695, 1_696), "quasi-invex": (100_466, 934)},
+    1e-4: {"invex": (15_369, 30_740), "preinvex": (25_505, 25_512), "quasi-invex": (131_935, 63_872)},
+}
+
+
+@pytest.mark.parametrize("w", sorted(POWER))
+def test_sampler_power_on_a_thin_bump(w):
+    p = _bump(w)
+    fn = p.function("f1")
+    cfg = SampleConfig(n_pairs=100_000)
+    got = {}
+    for kind in POWER[w]:
+        v = check(p, [(fn, kind)], cfg)[0]
+        assert v.status == "fails", (w, kind)
+        got[kind] = (v.witness.index, v.checked)
+    assert got == POWER[w]
+    if w == 1e-4:  # the thinnest bump slips past the default budget
+        assert check(p, [(fn, "invex")])[0].status == "holds"
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
