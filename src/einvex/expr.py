@@ -381,7 +381,7 @@ def _walk(node, env, flags, wrt):
         return v, ((ad * b - a * bd) / (b * b) if want_d else None)
     if node.op == "^":
         # A constant integral exponent leaves only 0^negative out of the domain.
-        integral = not node.rhs.variables() and np.isfinite(b) and b == np.floor(b)
+        integral = not node.rhs.variables() and math.isfinite(b) and float(b).is_integer()
         if integral:
             if b < 0.0:
                 flags.flag_invalid(a == 0.0, node)
@@ -461,7 +461,9 @@ def _evaluate(node: Expr, env, wrt=None):
         v = v.view()
         v.flags.writeable = False
     invalid = flags.invalid
-    if np.shape(invalid) != shape:
+    if flags.invalid_node is None:  # no row failed
+        invalid = np.zeros(shape, dtype=bool)
+    elif np.shape(invalid) != shape:  # a mask of another shape: flagged on a constant
         invalid = np.broadcast_to(invalid, shape)
     return EvalResult(v, invalid, flags.invalid_node), d, flags
 

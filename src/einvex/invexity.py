@@ -22,7 +22,7 @@ inequality is normalized by exp(max(f(E(x)), f(E(x0)))).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from functools import partial
 from typing import Callable, NamedTuple, Optional, Sequence
@@ -64,19 +64,19 @@ class InvexKind(str, Enum):
     MONOTONE = "monotone-gradient"
     STRICT_MONOTONE = "strict-monotone-gradient"
 
-    @property
-    def monotone(self) -> bool:
-        """Judged on the monotone term, which takes the gradient at x too."""
-        return self in (InvexKind.MONOTONE, InvexKind.STRICT_MONOTONE)
-
-    @property
-    def strict(self) -> bool:
-        """Compared against the margin, not the tolerance."""
-        return self in PROBED_KINDS
+    def __init__(self, value):
+        # what invex_masks reads of a kind, set once per member: compared
+        # against the margin, not the tolerance; judged on the monotone term,
+        # which takes the gradient at x too; left is expm1(A - B), not 0; the
+        # antecedent is A < B - tol, not A <= B + tol
+        self.strict = value.startswith("strict-")
+        self.monotone = value.endswith("monotone-gradient")
+        self.exponential = value in ("invex", "strict-invex")
+        self.pseudo = value == "pseudo-invex"
 
 
 # the strict gradient kinds, which also take the probes
-PROBED_KINDS = (InvexKind.STRICT, InvexKind.STRICT_PSEUDO, InvexKind.STRICT_MONOTONE)
+PROBED_KINDS = tuple(k for k in InvexKind if k.strict)
 
 
 # ---------------------------------------------------------------------------
@@ -176,8 +176,9 @@ def preinvex_pairs(fn: ProblemFunction, problem: EProblem, m: MixtureSamples) ->
     bad = m.bad | ra.failed | rb.failed
 
     rc = problem.raw_values(fn, m.combined().reshape(-1, problem.n))
-    return replace(m, bad=bad, invalid_comb=rc.failed.reshape(m.T.shape) | bad[:, None],
-                   A=ra.values, B=rb.values, C=rc.values.reshape(m.T.shape))
+    return MixtureSamples(m.X, m.X0, m.T, m.U, m.V, m.H, bad,
+                          rc.failed.reshape(m.T.shape) | bad[:, None], m.lo, m.starved,
+                          A=ra.values, B=rb.values, C=rc.values.reshape(m.T.shape))
 
 
 def preinvex_masks(s: MixtureSamples, kind: PreinvexKind, cfg: SampleConfig):
@@ -291,20 +292,41 @@ class InvexBlock:
     pinned: bool        # every base is the at row, the last of P
     probes: slice       # the probe samples
     owner: np.ndarray   # the row of P of each probe's center
+    shared: "_Shared"   # what every block of its check shares
     frame: Optional[InvexSamples] = None
 
     def base(self, a):
-        """``a`` at the base point of every sample, for ``a`` given per row of
-        P along its first axis (pinned, its last entry is the at row's).
-        Pinned, a read-only broadcast view of that entry."""
-        if self.pinned:
-            return np.broadcast_to(a[-1], (self.rows,) + a.shape[1:])
+        """``a`` at the base point of every sample in pair mode, for ``a``
+        given per row of P along its first axis.  (Pinned, the base is the
+        at row, read through the views of _Shared and _Pinned.)"""
         out = np.empty((self.rows,) + a.shape[1:], a.dtype, order="F")
         for pair in (slice(0, self.probes.start), slice(self.probes.stop, self.rows)):
             out[pair][0::2], out[pair][1::2] = a[pair][1::2], a[pair][0::2]
         if self.owner.size:
             out[self.probes] = np.take(a, self.owner, axis=0)
         return out
+
+
+class _Shared(NamedTuple):
+    """What every gradient block of one check shares, made with its first
+    block, which no later one outgrows but by its probes.  All read-only."""
+
+    index: np.ndarray          # the sample index of each row of a full block from pair 0
+    unit: np.ndarray           # the pair of each of those rows
+    X0: Optional[np.ndarray]   # pinned: the at row, a stride-0 view as long as any block
+
+
+def _shared(problem: EProblem, cfg: SampleConfig, pairs: PairDraw, full: int,
+            probes: bool) -> _Shared:
+    """The _Shared of a check whose first block holds ``full`` pairs."""
+    k = np.arange(full)
+    k.flags.writeable = False
+    if pairs.at is not None:  # the probe block adds at most every probe of the one center
+        longest = full + (len(PROBE_RADII) * 2 * (problem.n + 1) if probes else 0)
+        return _Shared(k, k, np.broadcast_to(pairs.at[0], (longest, problem.n)))
+    index, unit = np.column_stack([k, cfg.n_pairs + k]).ravel(), np.repeat(k, 2)
+    index.flags.writeable = unit.flags.writeable = False
+    return _Shared(index, unit, None)
 
 
 def invex_block(problem: EProblem, cfg: SampleConfig, pairs: PairDraw, lo: int, hi: int,
@@ -321,10 +343,14 @@ def invex_block(problem: EProblem, cfg: SampleConfig, pairs: PairDraw, lo: int, 
     in the block of the probes, whose pairs are copied around them.  E is
     taken once per point, and so is each one-sided term of eta
     (EProblem.eta_map): in pair mode both sides of a sample read one walk
-    of it over P; pinned, its v side is walked at the at row alone.
+    of it over P; pinned, its v side is walked at the at row alone.  What
+    every block shares is made with the first (PairDraw.shared, _Shared).
     """
     pinned = pairs.at is not None
     w = 1 if pinned else 2               # samples per pair
+    shared = pairs.shared = pairs.shared or _shared(problem, cfg, pairs, hi - lo, probes)
+    if shared.unit.shape[0] < w * (hi - lo):
+        raise ValueError(f"pairs {lo}..{hi - 1} make a block longer than the first")
     last = min(cfg.n_pairs, PROBE_CENTERS) - 1 - lo   # the last probed pair, in the block
     around = probes and 0 <= last < hi - lo           # the probes may fall inside the block
     dest = None, None                     # around the probes: drawn apart, then copied
@@ -333,9 +359,7 @@ def invex_block(problem: EProblem, cfg: SampleConfig, pairs: PairDraw, lo: int, 
         dest = P[:w * (hi - lo):w], None if pinned else P[1:2 * (hi - lo):2]
     X, X0, starved = sample_pairs(pairs, lo, hi, *dest)
     b = X.shape[0]
-    k = np.arange(b)
-    index = lo + k if pinned else np.column_stack([lo + k, cfg.n_pairs + lo + k]).ravel()
-    unit = np.repeat(k, w)
+    index, unit = shared.index[:w * b] + lo, shared.unit[:w * b]
     n_regular = w * cfg.n_pairs
     cut = w * b
     Q, owner = np.empty((0, problem.n)), np.empty(0, dtype=int)
@@ -360,11 +384,17 @@ def invex_block(problem: EProblem, cfg: SampleConfig, pairs: PairDraw, lo: int, 
     else:
         P = P[:rows + tail.shape[0]]     # a starved draw leaves the last rows unfilled
     P[cut:cut + q], P[rows:] = Q, tail
-    blk = InvexBlock(P, rows, pinned, slice(cut, cut + q), rows + owner)
+    blk = InvexBlock(P, rows, pinned, slice(cut, cut + q), rows + owner, shared)
     E, bad_e = problem.e_map(P)
-    H, bad_h = problem.eta_map(E[:rows], E[rows:]) if pinned else problem.eta_map(E, blk)
-    blk.frame = InvexSamples(P[:rows], blk.base(P), H, bad_e[:rows] | blk.base(bad_e) | bad_h,
-                             index, unit, n_regular, starved)
+    if pinned:
+        H, bad_h = problem.eta_map(E[:rows], E[rows:])
+        X0, invalid = shared.X0[:rows], bad_e[:rows] | bad_h
+        if bad_e[-1]:  # E fails at the at row: so does every sample
+            invalid[:] = True
+    else:
+        H, bad_h = problem.eta_map(E, blk)
+        X0, invalid = blk.base(P), bad_e[:rows] | blk.base(bad_e) | bad_h
+    blk.frame = InvexSamples(P[:rows], X0, H, invalid, index, unit, n_regular, starved)
     return blk
 
 
@@ -393,41 +423,71 @@ def _sweep(fn: ProblemFunction, problem: EProblem, P):
     return g, _value_failed(fn, problem, P, g)
 
 
+class _Pinned(NamedTuple):
+    """f at the at row, the same in every block of a check: its value and
+    gradient as read-only stride-0 views as long as any block of the check,
+    and so its failure and non-differentiability flags, each None where the
+    at row has none."""
+
+    values: np.ndarray
+    grads: np.ndarray
+    bad: Optional[np.ndarray]
+    nondiff: Optional[np.ndarray]
+
+
+def _pinned(fn: ProblemFunction, problem: EProblem, blk: InvexBlock) -> _Pinned:
+    """The _Pinned of f at the at row of the pinned block ``blk``."""
+    g, failed = _sweep(fn, problem, blk.P[blk.rows:])
+
+    def view(a):
+        return np.broadcast_to(a[-1], (blk.shared.X0.shape[0],) + a.shape[1:])
+
+    bad = failed | g.invalid
+    return _Pinned(view(g.values), view(g.grads.T), view(bad) if bad[0] else None,
+                   view(g.nondiff) if g.nondiff[0] else None)
+
+
 def invex_pairs(fn: ProblemFunction, problem: EProblem, blk: InvexBlock,
-                want_gx: bool = False, at=None) -> InvexSamples:
+                want_gx: bool = False, at: Optional[_Pinned] = None) -> InvexSamples:
     """The block's frame with the values and gradients of ``fn`` filled in.
 
     Every sample reads its values through the moving prefix or blk.base,
     with no per-sample copies.  In pair mode, where every drawn point serves
     as a base, the gradient is taken at every point and f's values come from
-    that sweep.  Pinned, the base is ``at``, the _sweep of f at the at row,
-    which is the same in every block of a check (taken here when None); f's
-    values are taken at the moving points, and its gradient there too when
-    ``want_gx`` asks for it at x.  The frame is shared by the block's
-    hypotheses, so its arrays are never updated in place.
+    that sweep.  Pinned, the base is ``at``, the _Pinned of f, which is the
+    same in every block of a check (taken here when None), and a valid,
+    differentiable at row adds nothing to the flags; f's values are taken at
+    the moving points, and its gradient there too when ``want_gx`` asks for
+    it at x.  The frame is shared by the block's hypotheses, so its arrays
+    are never updated in place.
     """
     s, rows = blk.frame, blk.rows
     if not blk.pinned:  # every drawn point is a base: one sweep over all of them
-        g, failed = base, base_failed = _sweep(fn, problem, blk.P)
+        g, failed = _sweep(fn, problem, blk.P)
         values = g.values
+        B, G0 = blk.base(values), blk.base(g.grads.T)
+        bad, nondiff = blk.base(failed | g.invalid), blk.base(g.nondiff)
     else:
-        base, base_failed = at or _sweep(fn, problem, blk.P[rows:])
+        at = at or _pinned(fn, problem, blk)
+        B, G0 = at.values[:rows], at.grads[:rows]
+        bad, nondiff = (None if a is None else a[:rows] for a in (at.bad, at.nondiff))
         if want_gx:
             g, failed = _sweep(fn, problem, blk.P[:rows])
             values = g.values
         else:
             v = problem.composed_values(fn, blk.P[:rows])
             values, failed = v.values, v.failed
-    D = _dot_eta(blk.base(base.grads.T), s.H)
-    invalid = s.invalid | failed[:rows] | blk.base(base_failed | base.invalid)
-    nondiff = blk.base(base.nondiff)
+    invalid = s.invalid | failed[:rows]
+    if bad is not None:
+        invalid |= bad
     DX = None
     if want_gx:
         DX = _dot_eta(g.grads.T[:rows], s.H)
         invalid |= g.invalid[:rows]
-        nondiff = nondiff | g.nondiff[:rows]
-    return replace(s, A=values[:rows], B=blk.base(base.values), D=D, DX=DX,
-                   invalid=invalid, nondiff=nondiff & ~invalid)
+        nondiff = g.nondiff[:rows] if nondiff is None else nondiff | g.nondiff[:rows]
+    nondiff = np.zeros(rows, dtype=bool) if nondiff is None else nondiff & ~invalid
+    return InvexSamples(s.X, s.X0, s.H, invalid, s.index, s.unit, s.n_regular, s.starved,
+                        A=values[:rows], B=B, D=_dot_eta(G0, s.H), DX=DX, nondiff=nondiff)
 
 
 def _monotone_term(s: InvexSamples):
@@ -445,18 +505,19 @@ def invex_masks(s: InvexSamples, kind: InvexKind, cfg: SampleConfig):
     quasi and pseudo kinds; and the monotone term, normalized by
     exp(max(A, B)), against 0.  The quasi and pseudo antecedents and, for a
     strict kind, x apart from x0 are the side condition: any other sample
-    holds vacuously.
+    holds vacuously.  ``kind`` is an InvexKind member, whose attributes
+    hold what this reads of it.
     """
-    kind, tol = InvexKind(kind), cfg.tol
+    tol = cfg.tol
     cond = _apart(s.X, s.X0, tol) if kind.strict else None
     if kind.monotone:
         left, right = _monotone_term(s), 0.0
-    elif kind in (InvexKind.EXP, InvexKind.STRICT):
+    elif kind.exponential:
         with np.errstate(over="ignore"):  # inf: f grew by more than exp can represent
             left, right = np.expm1(s.A - s.B), s.D
     else:
         left, right = 0.0, s.D
-        ante = s.A < s.B - tol if kind == InvexKind.PSEUDO else s.A <= s.B + tol
+        ante = s.A < s.B - tol if kind.pseudo else s.A <= s.B + tol
         cond = ante if cond is None else ante & cond
     sat = left >= right + (cfg.strict_margin if kind.strict else -tol)
     if cond is None:
@@ -540,7 +601,7 @@ def _gradient(kind: InvexKind, fn, problem, cfg, region, vacuous) -> Hypothesis:
     without probes judges its samples with the probe rows dropped.  The
     monotone kinds also take the gradient at x."""
 
-    at = None  # pinned: the _sweep of f at the at row, taken once per check
+    at = None  # pinned: the _Pinned of f, taken once per check
 
     def judge(s):
         sat, nonvac = invex_masks(s, kind, cfg)
@@ -548,13 +609,12 @@ def _gradient(kind: InvexKind, fn, problem, cfg, region, vacuous) -> Hypothesis:
 
     def samples(blk):
         nonlocal at
-        if blk.pinned:
-            at = at or _sweep(fn, problem, blk.P[blk.rows:])
+        if blk.pinned and at is None:
+            at = _pinned(fn, problem, blk)
         s = invex_pairs(fn, problem, blk, kind.monotone, at)
-        if kind in PROBED_KINDS:
+        if kind.strict or blk.probes.start == blk.probes.stop:  # a block without probes
             return s
-        probe = s.index >= s.n_regular  # only the block of the last probed pair has any
-        return sample_rows(s, ~probe) if probe.any() else s
+        return sample_rows(s, s.index < s.n_regular)
 
     return Hypothesis(judge, samples, vacuous)
 

@@ -597,6 +597,7 @@ class PairDraw:
         self.at = None if at is None else np.asarray(at, dtype=float).reshape(1, problem.n)
         self.taken = 0  # pairs handed out
         self.centers = np.empty((0, problem.n))  # the first base points, kept by invex_block
+        self.shared = None  # what every gradient block of the check shares, made by invex_block
 
 
 def sample_pairs(pairs: PairDraw, lo: int, hi: int, X=None, X0=None):

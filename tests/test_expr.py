@@ -184,6 +184,22 @@ def test_a_failed_row_left_the_domain_or_is_not_finite():
     assert eval_many(parse("x1", X1), {"x1": x}).failed.tolist() == [False] * 4
 
 
+def test_a_walk_that_fails_nowhere_broadcasts_nothing(monkeypatch):
+    """Without a failed row the mask is a fresh full-shaped array of False,
+    not a broadcast of one False to every row."""
+    calls = []
+    broadcast_to = np.broadcast_to
+    monkeypatch.setattr(np, "broadcast_to", lambda *a, **k: calls.append(a) or broadcast_to(*a, **k))
+    env = {"x1": np.linspace(-1.0, 1.0, 9), "x2": np.linspace(0.5, 2.0, 9)}
+    for source in ("log(x1^2 + 1)*x2^3 - cbrt(x1)", "x2^(-2)", "x2^x1"):
+        res = eval_many(parse(source, X12), env)
+        assert res.invalid_node is None and res.invalid.dtype == bool
+        assert res.invalid.shape == (9,) and not res.invalid.any()
+    assert calls == []
+    # a failed row still broadcasts a mask flagged on a constant
+    assert eval_many(parse("x1 + log(-1)", X12), env).invalid.tolist() == [True] * 9
+
+
 def test_eval_many_broadcasts_constants():
     env = {"x1": np.zeros(7)}
     res = eval_many(parse("1.5", X1), env)

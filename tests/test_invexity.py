@@ -1,7 +1,10 @@
 """Mixture- and gradient-family checkers, epigraph/level-set forms, probes."""
 
+import cProfile
+import dataclasses
 import json
 import math
+import pstats
 
 import mpmath
 import numpy as np
@@ -1058,3 +1061,43 @@ def test_no_draw_concatenates_a_block(monkeypatch, vp1_path):
                  ["check", vp1, "--function", "f2", "--kind", "quasi-preinvex", "--region", "feasible"]):
         assert run(argv + ["--pairs", str(pairs), "--format", "json"])[0] in (0, 1), argv
         assert max(lengths, default=0) < shortest, argv
+
+
+# ---------------------------------------------------------------------------
+# each block pays only for its rows
+# ---------------------------------------------------------------------------
+
+
+def _calls(argv, counted):
+    """Exit code of ``argv`` and how often each function of ``counted``
+    ran meanwhile, by its code object, so every binding of it counts."""
+    codes = {getattr(f, "_implementation", f).__code__: name for name, f in counted.items()}
+    keys = {(c.co_filename, c.co_firstlineno, c.co_name): name for c, name in codes.items()}
+    prof = cProfile.Profile()
+    prof.enable()
+    try:
+        code, _ = run(argv)
+    finally:
+        prof.disable()
+    calls = dict.fromkeys(counted, 0)
+    for key, (_, ncalls, *_) in pstats.Stats(prof).stats.items():
+        if key in keys:
+            calls[keys[key]] += ncalls
+    return code, calls
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["certify", "vp1", "--candidate", "ybar", "--theorem", "t4"], 0),
+    (["check", "vp1", "--function", "f1", "--kind", "invex"], 0),
+])
+def test_a_block_repeats_no_work_of_the_check(vp1_path, argv, code):
+    """What every block of a check shares (the pinned base views, the block
+    frame, the fields of the samples) is made once per check: 3 blocks and
+    13 make as many broadcasts, column stacks and dataclass replacements."""
+    counted = {"np.broadcast_to": np.broadcast_to, "np.column_stack": np.column_stack,
+               "dataclasses.replace": dataclasses.replace}
+    argv = [str(vp1_path) if a == "vp1" else a for a in argv]
+    got = {pairs: _calls(argv + ["--pairs", str(pairs), "--format", "json"], counted)
+           for pairs in (20000, 100000)}
+    assert [math.ceil(p / problem_mod.BLOCK_PAIRS) for p in got] == [3, 13]
+    assert got[20000] == got[100000] == (code, got[20000][1])
