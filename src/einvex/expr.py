@@ -381,7 +381,7 @@ def _walk(node, env, flags, wrt):
         return v, ((ad * b - a * bd) / (b * b) if want_d else None)
     if node.op == "^":
         # A constant integral exponent leaves only 0^negative out of the domain.
-        integral = not node.rhs.variables() and math.isfinite(b) and float(b).is_integer()
+        integral = not node.rhs.variables() and float(b).is_integer()  # False at inf and nan
         if integral:
             if b < 0.0:
                 flags.flag_invalid(a == 0.0, node)

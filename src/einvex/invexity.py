@@ -551,7 +551,7 @@ def _invex_witness(kind: InvexKind, s: InvexSamples, i: int) -> dict:
     a, b, d = float(s.A[i]), float(s.B[i]), float(s.D[i])
     probe = bool(s.index[i] >= s.n_regular)
     cmp = "strict gap below margin" if kind.strict else "left < right beyond tol"
-    if kind in (InvexKind.EXP, InvexKind.STRICT):
+    if kind.exponential:
         eb = _exp_or_inf(b)
         with np.errstate(over="ignore"):
             norm_left = float(np.expm1(a - b))

@@ -5,6 +5,7 @@ import dataclasses
 import json
 import math
 import pstats
+from types import SimpleNamespace
 
 import mpmath
 import numpy as np
@@ -717,8 +718,6 @@ def _golden_failures(repo_root):
     gradient or mixture verdict stored in tests/golden and tests/golden/bench:
     a check's verdict or a certificate's hypothesis.  The problem is found
     by the sha256 its report carries, and cfg holds the report's tolerances."""
-    from types import SimpleNamespace
-
     golden = repo_root / "tests" / "golden"
     problems = {p.sha256: p for p in map(load_problem, [*(repo_root / "problems").glob("*.json"),
                                                         *(golden / "problems").glob("*.json")])}
