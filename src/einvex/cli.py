@@ -11,6 +11,7 @@ the box or, judged on the feasible set, infeasible.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -144,11 +145,21 @@ def build_parser(command=None) -> argparse.ArgumentParser:
     """The parser of the command line.  When ``command`` names a subcommand,
     only that one is registered, and a command line that starts with it
     parses, and fails, as under the full parser.  Any other value (None, an
-    unknown name, an option such as --help) registers all of them."""
+    unknown name, an option such as --help) registers all of them.
+
+    Each of these len(SUBCOMMANDS) + 1 parsers is built once per process and
+    shared by every caller, who must not modify it: no flag has a mutable
+    default or an append action, and parse_args leaves the parser as it was.
+    """
+    return _built_parser(command if command in SUBCOMMANDS else None)
+
+
+@functools.lru_cache(maxsize=None)  # keyed on a name of SUBCOMMANDS or None
+def _built_parser(command):
     p = _Parser(prog="einvex", description=__doc__.splitlines()[0] if __doc__ else "")
     p.add_argument("--version", action="version", version=f"einvex {__version__}")
     sub = p.add_subparsers(dest="command", required=True, parser_class=_Parser)
-    for name in (command,) if command in SUBCOMMANDS else SUBCOMMANDS:
+    for name in (command,) if command else SUBCOMMANDS:
         help_text, add_flags, _ = SUBCOMMANDS[name]
         add_flags(sub.add_parser(name, help=help_text))
     return p

@@ -22,6 +22,7 @@ gradient walks do not use it.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import re
@@ -136,13 +137,28 @@ class _Lexer:
         return token
 
 
+# Distinct (source, variables) pairs whose trees parse keeps; a problem file
+# holds a few dozen sources.
+PARSE_MEMO = 1024
+
+
 def parse(source: str, variables: Sequence[str]) -> Expr:
     """Parse ``source`` over the declared variable names.
 
     Raises ParseError with a 1-based character offset on malformed input, on
     a character outside the ASCII grammar, or on any name that is neither a
     declared variable nor a known function.
+
+    Each source is parsed once per process under the same variables, in
+    their order, and every later call returns the same tree: nodes are
+    frozen, so sharing one is safe.  An error is raised on every call.
     """
+    if not isinstance(source, str):  # fails below as it always did, and is no memo key
+        return _parse(source, variables)
+    return _parse_once(source, tuple(variables))
+
+
+def _parse(source, variables):
     if not source.strip():
         raise ParseError("empty expression", 1)
     lex = _Lexer(source)
@@ -226,6 +242,9 @@ def parse(source: str, variables: Sequence[str]) -> Expr:
     if kind != "eof":
         raise ParseError(f"unexpected trailing input {text!r}", pos + 1)
     return node
+
+
+_parse_once = functools.lru_cache(maxsize=PARSE_MEMO)(_parse)
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +355,8 @@ def _walk(node, env, flags, wrt):
             v = env[node.name]
         except KeyError:
             raise DomainEvalError(node) from None
-        v = np.asarray(v, dtype=float) if not np.isscalar(v) else np.float64(v)
+        if type(v) is not np.ndarray or v.dtype != np.float64:  # a float64 array is used as is
+            v = np.asarray(v, dtype=float) if not np.isscalar(v) else np.float64(v)
         return v, (wrt.get(node.name, wrt[None]) if want_d else None)
 
     if isinstance(node, Unary):

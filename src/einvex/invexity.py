@@ -29,9 +29,9 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .problem import (EProblem, Hypothesis, Judgement, PairDraw, ProblemFunction, Region,
-                      SampleConfig, Verdict, all_vacuous, box_region, sample_pairs, sample_rows,
-                      sampled_verdicts)
+from .problem import (EVERY_SAMPLE, EProblem, Hypothesis, Judgement, PairDraw, ProblemFunction,
+                      Region, SampleConfig, Verdict, all_vacuous, box_region, sample_pairs,
+                      sample_rows, sampled_verdicts)
 from .rng import SampleStream, tau_grid
 
 PROBE_RADII = (1e-2, 1e-3, 1e-4, 1e-5)
@@ -505,8 +505,9 @@ def invex_masks(s: InvexSamples, kind: InvexKind, cfg: SampleConfig):
     quasi and pseudo kinds; and the monotone term, normalized by
     exp(max(A, B)), against 0.  The quasi and pseudo antecedents and, for a
     strict kind, x apart from x0 are the side condition: any other sample
-    holds vacuously.  ``kind`` is an InvexKind member, whose attributes
-    hold what this reads of it.
+    holds vacuously.  A kind without one has EVERY_SAMPLE as its nonvacuous
+    mask.  ``kind`` is an InvexKind member, whose attributes hold what this
+    reads of it.
     """
     tol = cfg.tol
     cond = _apart(s.X, s.X0, tol) if kind.strict else None
@@ -521,7 +522,7 @@ def invex_masks(s: InvexSamples, kind: InvexKind, cfg: SampleConfig):
         cond = ante if cond is None else ante & cond
     sat = left >= right + (cfg.strict_margin if kind.strict else -tol)
     if cond is None:
-        return sat, np.ones_like(sat)
+        return sat, EVERY_SAMPLE
     return ~cond | sat, cond
 
 
@@ -650,7 +651,7 @@ def _epigraph(fn, problem, cfg, region, vacuous) -> Hypothesis:
                         extra={"level_x": _exp_or_inf(level_a), "level_x0": _exp_or_inf(level_b),
                                "tight": variant == 0})
 
-        return Judgement(sat, witness, np.ones_like(sat))
+        return Judgement(sat, witness, EVERY_SAMPLE)
 
     return Hypothesis(judge, lambda m: preinvex_pairs(fn, problem, m))
 

@@ -627,13 +627,19 @@ def _point_list(row):
     return [float(v) for v in np.atleast_1d(row)]
 
 
+# A Judgement's nonvac when every sample exercised the inequality: a mask
+# that broadcasts to any sat, counted as the block's rows without one.
+EVERY_SAMPLE = np.True_
+
+
 class Judgement(NamedTuple):
     """What a checker's definition says about a block of samples free of
     failed evaluations."""
 
     sat: np.ndarray                      # (rows, ...) False at a violation; flat order is canonical
     witness: Callable[..., dict]         # (row, *instance) -> the kind's Witness fields at sat[row, *instance]
-    nonvac: Optional[np.ndarray] = None  # like sat: samples that exercised the inequality; None: not counted
+    nonvac: Optional[np.ndarray] = None  # like sat: samples that exercised the inequality, or
+                                         # EVERY_SAMPLE; None: not counted
 
 
 def all_vacuous(counts) -> Optional[str]:
@@ -755,7 +761,8 @@ def _decide(h: Hypothesis, s, t: _Tally) -> Optional[Verdict]:
         return Verdict.inconclusive(_failure(s, f, h.failed), t.checked + per_row * _through(s, f))
     t.checked += per_row * rows
     if j.nonvac is not None:
-        part = np.count_nonzero(j.nonvac, axis=0)
+        part = (np.full(j.sat.shape[1:], rows) if j.nonvac is EVERY_SAMPLE
+                else np.count_nonzero(j.nonvac, axis=0))
         t.counts = part if t.counts is None else t.counts + part
     if s.starved is not None:
         return Verdict.inconclusive(s.starved, t.checked)

@@ -485,45 +485,92 @@ def test_a_one_command_parser_prints_the_same_help(command):
     assert one[command].format_help() == _subparsers(build_parser())[command].format_help()
 
 
-@pytest.mark.parametrize("argv", [
-    [],
-    ["frobnicate", "{e1}"],
-    ["--version"],
-    ["--help"],
-    ["check", "--help"],
-    ["kkt"],
-    ["check", "{e1}", "--kind", "invex", "--function", "f1", "--bogus"],
-    ["check", "{e1}", "--kind", "nope", "--function", "f1"],
-    ["check", "{e1}", "--kind", "invex", "--function", "f1", "--version"],
-    ["check", "{e1}", "--kind", "invex", "--function", "f1", "--at", "-0.5,1"],
-], ids=["no-command", "unknown-command", "version", "help", "check-help", "kkt-no-problem",
-        "unknown-flag", "bad-kind", "check-version", "negative-at"])
+USAGE_ERRORS = {  # test id -> a command line that exits before any subcommand runs
+    "no-command": [],
+    "unknown-command": ["frobnicate", "{e1}"],
+    "version": ["--version"],
+    "help": ["--help"],
+    "check-help": ["check", "--help"],
+    "kkt-no-problem": ["kkt"],
+    "unknown-flag": ["check", "{e1}", "--kind", "invex", "--function", "f1", "--bogus"],
+    "bad-kind": ["check", "{e1}", "--kind", "nope", "--function", "f1"],
+    "check-version": ["check", "{e1}", "--kind", "invex", "--function", "f1", "--version"],
+    "negative-at": ["check", "{e1}", "--kind", "invex", "--function", "f1", "--at", "-0.5,1"],
+}
+
+
+def _outcome(argv, capsys):
+    """(exit code and text, or ("exit", code) where argparse exits; captured streams)."""
+    try:
+        result = run(argv)
+    except SystemExit as e:  # --help and --version print and exit
+        result = ("exit", e.code)
+    return result, capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", list(USAGE_ERRORS.values()), ids=list(USAGE_ERRORS))
 def test_a_one_command_parser_fails_as_the_full_one(e1, monkeypatch, capsys, argv):
     argv = [a.format(e1=e1) for a in argv]
-
-    def outcome():
-        try:
-            result = run(argv)
-        except SystemExit as e:  # --help and --version print and exit
-            result = ("exit", e.code)
-        return result, capsys.readouterr()
-
-    got = outcome()
+    got = _outcome(argv, capsys)
     full = cli.build_parser
     monkeypatch.setattr(cli, "build_parser", lambda command=None: full())
-    assert got == outcome()
+    assert got == _outcome(argv, capsys)
     assert got[0][0] in (3, "exit"), got
 
 
 def test_a_command_registers_only_its_own_subparser(vp1, monkeypatch):
+    # parsers are built once per process: start from none built
+    cli._built_parser.cache_clear()
     added = []
     add_parser = argparse._SubParsersAction.add_parser
     monkeypatch.setattr(argparse._SubParsersAction, "add_parser",
                         lambda self, name, **kw: added.append(name) or add_parser(self, name, **kw))
     assert run(["kkt", vp1, "--candidate", "ybar"])[0] == 0
     assert added == ["kkt"]
+    assert run(["kkt", vp1, "--candidate", "ybar"])[0] == 0
+    assert added == ["kkt"]
     build_parser()
     assert added == ["kkt", *SUBCOMMANDS]
+
+
+def test_a_reused_parser_behaves_as_a_fresh_one(e1, vp1, capsys):
+    """Every usage error, each followed by a valid oracle run, twice in one
+    process: the first round starts with no parser built, the second reuses
+    every parser the first built."""
+    valid = ["oracle", vp1, "--grid", "5x5", "--format", "json"]
+
+    def one_round():
+        seen = []
+        for argv in USAGE_ERRORS.values():
+            seen.append(_outcome([a.format(e1=e1) for a in argv], capsys))
+            (code, text), streams = _outcome(valid, capsys)
+            rep = json.loads(text)
+            rep.pop("wall_time_s")
+            seen.append((code, rep, streams))
+        return seen
+
+    cli._built_parser.cache_clear()
+    first = one_round()
+    assert all(result[0] in (3, "exit") for result, _ in first[::2])
+    assert all(code == 0 for code, _, _ in first[1::2])
+    assert one_round() == first
+
+
+def test_the_parser_cache_holds_one_parser_per_subcommand_at_most(e1, capsys):
+    cli._built_parser.cache_clear()
+    for first in ("frobnicate", "--help", e1, "-x", "", "oracle", "check", "oracle"):
+        try:
+            run([first, e1])
+        except SystemExit:  # --help
+            pass
+        build_parser(first)
+    capsys.readouterr()
+    assert cli._built_parser.cache_info().currsize == 3  # oracle, check and the full parser
+    assert build_parser("frobnicate") is build_parser("--help") is build_parser()
+    assert build_parser("oracle") is build_parser("oracle") is not build_parser()
+    for name in SUBCOMMANDS:
+        build_parser(name)
+    assert cli._built_parser.cache_info().currsize == len(SUBCOMMANDS) + 1
 
 
 def test_a_box_without_finite_bounds_is_refused(tmp_path):

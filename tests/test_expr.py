@@ -101,32 +101,68 @@ def test_parse_negative_exponent():
     assert evaluate(node, {"x1": 2.0}) == 0.125
 
 
-@pytest.mark.parametrize(
-    "source, offset, fragment",
-    [
-        ("exp(x1", 7, "expected ')'"),
-        ("exp(x1", 7, "end of input"),
-        ("", 1, "empty expression"),
-        ("   ", 1, "empty expression"),
-        ("x9", 1, "undeclared variable 'x9'"),
-        ("foo(x1)", 1, "unknown function 'foo'"),
-        ("exp x1", 1, "requires parentheses"),
-        ("2 @ 2", 3, "unexpected character '@'"),
-        ("1 + ", 5, "expected a value"),
-        ("x1 x1", 4, "trailing input"),
-        ("(x1))", 5, "trailing input"),
-        ("x1 + 1e999", 6, "number '1e999' overflows to inf"),
-        ("\u00e9 + x1", 1, "unexpected character '\u00e9'"),  # token classes are ASCII only
-        ("x1 + \u0663", 6, "unexpected character '\u0663'"),  # an Arabic-Indic 3, not 3
-        ("x1 + + @", 6, "expected a value"),  # an earlier syntax error wins
-    ],
-)
+PARSE_ERRORS = [
+    ("exp(x1", 7, "expected ')'"),
+    ("exp(x1", 7, "end of input"),
+    ("", 1, "empty expression"),
+    ("   ", 1, "empty expression"),
+    ("x9", 1, "undeclared variable 'x9'"),
+    ("foo(x1)", 1, "unknown function 'foo'"),
+    ("exp x1", 1, "requires parentheses"),
+    ("2 @ 2", 3, "unexpected character '@'"),
+    ("1 + ", 5, "expected a value"),
+    ("x1 x1", 4, "trailing input"),
+    ("(x1))", 5, "trailing input"),
+    ("x1 + 1e999", 6, "number '1e999' overflows to inf"),
+    ("\u00e9 + x1", 1, "unexpected character '\u00e9'"),  # token classes are ASCII only
+    ("x1 + \u0663", 6, "unexpected character '\u0663'"),  # an Arabic-Indic 3, not 3
+    ("x1 + + @", 6, "expected a value"),  # an earlier syntax error wins
+]
+
+
+@pytest.mark.parametrize("source, offset, fragment", PARSE_ERRORS)
 def test_parse_errors_carry_one_based_offsets(source, offset, fragment):
     with pytest.raises(ParseError) as exc:
         parse(source, X1)
     assert exc.value.offset == offset
     assert fragment in str(exc.value)
     assert f"offset {offset}" in str(exc.value)
+
+
+def test_a_failing_source_raises_on_every_call():
+    for source, offset, _ in PARSE_ERRORS:
+        messages = []
+        for _ in range(3):
+            with pytest.raises(ParseError) as exc:
+                parse(source, X1)
+            assert exc.value.offset == offset
+            messages.append(str(exc.value))
+        assert messages == messages[:1] * 3, source
+
+
+def test_a_source_is_parsed_once_per_variables():
+    tree = parse("x1*exp(x2) - 3", X12)
+    assert parse("x1*exp(x2) - 3", tuple(X12)) is tree
+    assert parse("x1*exp(x2) - 3", reversed(X12)) == tree
+    assert ex._parse_once.cache_info().maxsize == ex.PARSE_MEMO
+
+
+def test_a_source_is_judged_against_the_variables_of_each_call():
+    assert parse("x1", ["x1"]) == Var("x1")
+    with pytest.raises(ParseError, match="undeclared variable 'x1'"):
+        parse("x1", ["y1"])
+    assert parse("x1 + y1", ["x1", "y1"]) == Binary("+", Var("x1"), Var("y1"))
+    with pytest.raises(ParseError, match="undeclared variable 'y1'"):
+        parse("x1 + y1", ["x1"])
+
+
+@pytest.mark.parametrize("source, error", [(5, AttributeError), (None, AttributeError),
+                                           (1.5, AttributeError), (["x1"], AttributeError),
+                                           (b"x1", TypeError)])
+def test_a_non_string_source_fails_as_before(source, error):
+    for _ in range(2):
+        with pytest.raises(error):
+            parse(source, X1)
 
 
 def test_variables_collection():

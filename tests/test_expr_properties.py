@@ -1,9 +1,10 @@
 """Property tests of the evaluation core on random expression trees.
 
 Trees over x1, x2 use every operator and every function of the language.
-Settings are derandomized, so every run draws the same examples.  The last
-tests hold the interval enclosure, over boxes and over single points, to
-the float walk and to the 60-digit value.
+Settings are derandomized, so every run draws the same examples.  A printed
+tree parses back to itself and its 60-digit value.  The last tests hold
+the interval enclosure, over boxes and over single points, to the float
+walk and to the 60-digit value.
 """
 
 import mpmath
@@ -13,7 +14,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from einvex.expr import (UNARY_FUNCTIONS, UNDECIDED, Binary, Const, Unary, Var, enclose,
-                         eval_many, grad_many, parse)
+                         eval_many, grad_many, parse, to_source)
 from mpexpr import DPS, mp_eval
 
 X12 = ["x1", "x2"]
@@ -100,6 +101,18 @@ def test_gradients_match_central_differences(tree, rows):
                        & (np.abs(fd - fd_half) <= tol) & np.isfinite(gr.grads[j]))
         err = np.abs(gr.grads[j] - fd)
         assert np.all(err[trusted] <= tol[trusted]), (str(tree), X[trusted], j)
+
+
+@SETTINGS
+@given(tree=TREES, rows=POINTS)
+def test_a_printed_tree_parses_back_to_itself_and_its_60_digit_value(tree, rows):
+    source = to_source(tree)
+    again = parse(source, X12)
+    assert again == tree, source
+    assert parse(source, X12) is again, source  # parsed once
+    for x1, x2 in rows:
+        point = {"x1": x1, "x2": x2}
+        assert mp_eval(again, point) == mp_eval(tree, point), (source, point)
 
 
 # Box ends: domain edges, so that boxes touch 0 or straddle it under / and
