@@ -42,11 +42,19 @@ OVERRIDE_SAMPLES = 256
 OVERRIDE_TOL = 1e-9
 OVERRIDE_SEED = 42
 
+# The deepest tree an expression may have, counted in nodes from the root
+# to a leaf, and the most parentheses, calls, minus signs and ``^`` that may
+# be open at once in its source.  Every walk of a tree recurses once per
+# level and the parser up to five times per open parenthesis, so at this
+# bound all of them stay well under Python's default recursion limit (1000).
+MAX_DEPTH = 64
+
 
 class Expr:
     """Base class for immutable expression nodes."""
 
     __slots__ = ()
+    depth = 1  # nodes on the longest path down to a leaf: 1 for a number or a variable
 
     def variables(self) -> frozenset:
         out = set()
@@ -75,12 +83,18 @@ class Unary(Expr):
     op: str  # "neg" or one of UNARY_FUNCTIONS
     arg: Expr
 
+    def __post_init__(self):
+        object.__setattr__(self, "depth", self.arg.depth + 1)
+
 
 @dataclass(frozen=True, repr=False)
 class Binary(Expr):
     op: str  # one of + - * / ^
     lhs: Expr
     rhs: Expr
+
+    def __post_init__(self):
+        object.__setattr__(self, "depth", max(self.lhs.depth, self.rhs.depth) + 1)
 
 
 def _collect_vars(node, out):
@@ -146,8 +160,9 @@ def parse(source: str, variables: Sequence[str]) -> Expr:
     """Parse ``source`` over the declared variable names.
 
     Raises ParseError with a 1-based character offset on malformed input, on
-    a character outside the ASCII grammar, or on any name that is neither a
-    declared variable nor a known function.
+    a character outside the ASCII grammar, on any name that is neither a
+    declared variable nor a known function, or where the expression crosses
+    MAX_DEPTH.
 
     Each source is parsed once per process under the same variables, in
     their order, and every later call returns the same tree: nodes are
@@ -164,52 +179,60 @@ def _parse(source, variables):
     lex = _Lexer(source)
     declared = set(variables)
 
+    def within(node, pos):  # node, unless its tree crosses MAX_DEPTH at the token at pos
+        if node.depth > MAX_DEPTH:
+            raise ParseError(f"expression deeper than {MAX_DEPTH} levels", pos + 1)
+        return node
+
     def expect(kind):
         got, text, pos = lex.take()
         if got != kind:
             shown = text if text else "end of input"
             raise ParseError(f"expected {kind!r}, found {shown!r}", pos + 1)
 
-    def parse_expr():
-        node = parse_term()
+    # level: the parentheses, calls, minus signs and ^ open around the next token
+    def parse_expr(level):
+        node = parse_term(level)
         while True:
-            kind, _, _ = lex.peek()
+            kind, _, pos = lex.peek()
             if kind in ("+", "-"):
                 lex.take()
-                node = Binary(kind, node, parse_term())
+                node = within(Binary(kind, node, parse_term(level)), pos)
             else:
                 return node
 
-    def parse_term():
-        node = parse_power()
+    def parse_term(level):
+        node = parse_power(level)
         while True:
-            kind, _, _ = lex.peek()
+            kind, _, pos = lex.peek()
             if kind in ("*", "/"):
                 lex.take()
-                node = Binary(kind, node, parse_power())
+                node = within(Binary(kind, node, parse_power(level)), pos)
             else:
                 return node
 
-    def parse_power():
+    def parse_power(level):
         first, _, pos = lex.peek()
-        base = parse_signed()
-        kind, _, _ = lex.peek()
+        base = parse_signed(level)
+        kind, _, at = lex.peek()
         if kind == "^":
             if first == "-":
                 raise ParseError("unary minus on a '^' base is ambiguous; "
                                  "write -(a^b) or (-a)^b", pos + 1)
             lex.take()
-            return Binary("^", base, parse_power())
+            return within(Binary("^", base, parse_power(level + 1)), at)
         return base
 
-    def parse_signed():
-        kind, _, _ = lex.peek()
+    def parse_signed(level):  # every recursion of the parser passes here
+        kind, _, pos = lex.peek()
+        if level > MAX_DEPTH:
+            raise ParseError(f"expression nested deeper than {MAX_DEPTH} levels", pos + 1)
         if kind == "-":
             lex.take()
-            return Unary("neg", parse_signed())
-        return parse_atom()
+            return within(Unary("neg", parse_signed(level + 1)), pos)
+        return parse_atom(level)
 
-    def parse_atom():
+    def parse_atom(level):
         kind, text, pos = lex.take()
         if kind == "num":
             value = float(text)
@@ -222,22 +245,22 @@ def _parse(source, variables):
                 if text not in UNARY_FUNCTIONS:
                     raise ParseError(f"unknown function {text!r}", pos + 1)
                 lex.take()
-                inner = parse_expr()
+                inner = parse_expr(level + 1)
                 expect(")")
-                return Unary(text, inner)
+                return within(Unary(text, inner), pos)
             if text in UNARY_FUNCTIONS:
                 raise ParseError(f"function {text!r} requires parentheses", pos + 1)
             if text not in declared:
                 raise ParseError(f"undeclared variable {text!r}", pos + 1)
             return Var(text)
         if kind == "(":
-            inner = parse_expr()
+            inner = parse_expr(level + 1)
             expect(")")
             return inner
         shown = text if text else "end of input"
         raise ParseError(f"expected a value, found {shown!r}", pos + 1)
 
-    node = parse_expr()
+    node = parse_expr(0)
     kind, text, pos = lex.peek()
     if kind != "eof":
         raise ParseError(f"unexpected trailing input {text!r}", pos + 1)
@@ -683,13 +706,17 @@ def compose(f: Expr, inner: Sequence[Expr], inner_vars: Sequence[str],
     other.  A decided enclosure holds the float and the exact value, so an
     exact override of a badly conditioned substitution (cancellation inside
     E) is not rejected for float noise.  The first point not reconciled
-    raises ComposeMismatchError, naming it.
+    raises ComposeMismatchError, naming it, and so does a substitution
+    deeper than MAX_DEPTH, since it is walked.
     """
     mapping = {f"y{i + 1}": inner[i] for i in range(len(inner))}
     for name in f.variables():
         if name not in mapping:
             raise ComposeMismatchError(f"function over unknown variable {name!r}; expected y1..y{len(inner)}")
     substituted = substitute(f, mapping)
+    if substituted.depth > MAX_DEPTH:
+        raise ComposeMismatchError(f"the function composed with E is {substituted.depth} levels deep, "
+                                   f"more than {MAX_DEPTH}")
     if override is None:
         return substituted
     if points is None:

@@ -341,9 +341,8 @@ def invex_block(problem: EProblem, cfg: SampleConfig, pairs: PairDraw, lo: int, 
     of those pairs; a probed base point is a row of its own, as a center.
     The streams write their points straight into their rows of P, except
     in the block of the probes, whose pairs are copied around them.  E is
-    taken once per point, and so is each one-sided term of eta
-    (EProblem.eta_map): in pair mode both sides of a sample read one walk
-    of it over P; pinned, its v side is walked at the at row alone.  What
+    taken once per point, and eta once per sample, at the E-images of its
+    moving point and its base; pinned, the base is the at row alone.  What
     every block shares is made with the first (PairDraw.shared, _Shared).
     """
     pinned = pairs.at is not None
@@ -392,7 +391,7 @@ def invex_block(problem: EProblem, cfg: SampleConfig, pairs: PairDraw, lo: int, 
         if bad_e[-1]:  # E fails at the at row: so does every sample
             invalid[:] = True
     else:
-        H, bad_h = problem.eta_map(E, blk)
+        H, bad_h = problem.eta_map(E[:rows], blk.base(E))
         X0, invalid = blk.base(P), bad_e[:rows] | blk.base(bad_e) | bad_h
     blk.frame = InvexSamples(P[:rows], X0, H, invalid, index, unit, n_regular, starved)
     return blk

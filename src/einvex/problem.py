@@ -16,7 +16,6 @@ import io
 import json
 import math
 from dataclasses import dataclass, fields, is_dataclass, replace
-from functools import cached_property
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -214,74 +213,14 @@ class EProblem:
         """E(X) for rows of X; returns (values (N,n), invalid mask (N,))."""
         return eval_columns(self.e_ops, self.env_x(X))
 
-    @cached_property
-    def eta_terms(self):
-        """(components, terms, names): eta with its one-sided terms taken out.
-
-        A one-sided term is a maximal subtree of a component, other than a
-        bare variable, that reads u alone or v alone: a function of one
-        point.  It becomes the variable ``u:k`` or ``v:k`` of the component,
-        ``terms[k]`` being it over y1..yn, so a term in u and its twin in v
-        share k (vp1's cbrt(u1) and cbrt(v1) are both cbrt(y1)).  ``names``
-        lists what the components read as (name, side, is a term, its k or
-        column), u1..un first.
-        """
-        sides = {side: {f"{side}{j + 1}": ex.Var(f"y{j + 1}") for j in range(self.n)}
-                 for side in "uv"}
-        terms = {}
-
-        def split(node):
-            names = node.variables()
-            for side, to_y in sides.items():
-                if names and names <= to_y.keys() and not isinstance(node, ex.Var):
-                    return ex.Var(f"{side}:{terms.setdefault(ex.substitute(node, to_y), len(terms))}")
-            if isinstance(node, ex.Unary):
-                return ex.Unary(node.op, split(node.arg))
-            if isinstance(node, ex.Binary):
-                return ex.Binary(node.op, split(node.lhs), split(node.rhs))
-            return node
-
-        components = [split(c) for c in self.eta]
-        names = list(sides["u"])
-        names += sorted(set().union(*(c.variables() for c in components)) - set(names))
-        return components, list(terms), [(name, name[0], ":" in name,
-                                          int(name[2:]) if ":" in name else int(name[1:]) - 1)
-                                         for name in names]
-
-    def eta_map(self, U: np.ndarray, V):
-        """eta(U, V) rowwise for points already in the image space.
-
-        V holds the base points as rows (one row: every sample's), or is a
-        block that pairs the rows of U (an invexity.InvexBlock in pair
-        mode): its samples' moving points are the first ``V.rows`` rows of
-        U, and ``V.base(a)`` reads ``a``, given per row of U, at each
-        sample's base point.  Paired, every point is on both sides, so each
-        one-sided term (see eta_terms) is walked once over U and both sides
-        read it there; given as rows, eta is walked as written.
-        """
-        U = np.atleast_2d(U)
-        if not callable(getattr(V, "base", None)):
-            V = np.atleast_2d(V)
-            env = {f"u{j + 1}": U[:, j] for j in range(self.n)}
-            env.update({f"v{j + 1}": V[:, j] for j in range(self.n)})
-            return eval_columns(self.eta, env)
-        rows, base = V.rows, V.base
-        components, terms, names = self.eta_terms
-        env_y = self.env_y(U)
-        walked = [ex.eval_many(t, env_y) for t in terms]
-        env, bad = {}, []
-        for name, side, term, i in names:  # u1..un first: they give the batch shape
-            read = base if side == "v" else (lambda a: a[:rows])
-            if not term:
-                env[name] = read(U[:, i])
-                continue
-            env[name] = read(walked[i].values)
-            if walked[i].invalid_node is not None:  # set exactly when some row left the domain
-                bad.append(read(walked[i].invalid))
-        H, failed = eval_columns(components, env)
-        for b in bad:
-            failed |= b
-        return H, failed
+    def eta_map(self, U: np.ndarray, V: np.ndarray):
+        """eta(U, V) rowwise for points already in the image space: V holds
+        the base points as rows, or one row that every row of U shares.
+        Returns (values (N,n), invalid mask (N,))."""
+        U, V = np.atleast_2d(U), np.atleast_2d(V)
+        env = {f"u{j + 1}": U[:, j] for j in range(self.n)}
+        env.update({f"v{j + 1}": V[:, j] for j in range(self.n)})
+        return eval_columns(self.eta, env)
 
     def composed_values(self, fn: ProblemFunction, X: np.ndarray) -> ex.EvalResult:
         return ex.eval_many(fn.composed, self.env_x(X))

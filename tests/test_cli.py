@@ -248,6 +248,25 @@ def test_a_character_outside_the_grammar_is_a_parse_error(example1_path, tmp_pat
                                "unexpected character '\u00e9'")
 
 
+@pytest.mark.parametrize("raw, message", [
+    ("(" * 200 + "cbrt(y1)" + ")" * 200,
+     "objectives[0].raw: syntax error at offset 66: expression nested deeper than 64 levels"),
+    (" + ".join(["y1"] * 1000), "objectives[0].raw: syntax error at offset 319: expression deeper than 64 levels"),
+    (" + ".join(["y1"] * 64), "objectives[0].composed: the function composed with E is 65 levels deep, more than 64"),
+], ids=["200 parentheses", "a 1000-term sum", "a sum at the bound composed with x^3"])
+def test_a_deep_expression_is_a_located_load_error(vp1_path, tmp_path, raw, message):
+    # each used to end cli.run in a RecursionError, and the process in exit code 1
+    data = json.loads(vp1_path.read_text())
+    data["objectives"][0] = {"raw": raw}
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps(data))
+    for command in (["parse"], ["check", "--function", "f2", "--kind", "invex", "--pairs", "64"]):
+        assert run([command[0], str(path), *command[1:]]) == (3, f"error: {message}")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["parse", str(path)])
+    assert exc.value.code == 3
+
+
 @pytest.mark.parametrize("argv", [
     ["parse", "{e1}", "--format", "json"],
     ["kkt", "{vp1}", "--candidate", "ybar", "--format", "json"],

@@ -165,6 +165,45 @@ def test_a_non_string_source_fails_as_before(source, error):
             parse(source, X1)
 
 
+# Each shape of tree at MAX_DEPTH over y1, as (source, the same shape one
+# level deeper, the 1-based offset where that one crosses the bound).
+D = ex.MAX_DEPTH
+DEPTH_SHAPES = {
+    "parentheses": ("(" * D + "y1" + ")" * D, "(" * (D + 1) + "y1" + ")" * (D + 1), D + 2),
+    "calls": ("cbrt(" * (D - 1) + "y1" + ")" * (D - 1), "cbrt(" * D + "y1" + ")" * D, 1),
+    "minus signs": ("-" * (D - 1) + "y1", "-" * D + "y1", 1),
+    "a ^ chain": ("^".join(["y1"] * D), "^".join(["y1"] * (D + 1)), 3),
+    "a + chain": (" + ".join(["y1"] * D), " + ".join(["y1"] * (D + 1)), 5 * D - 1),
+    "a * chain": ("*".join(["y1"] * D), "*".join(["y1"] * (D + 1)), 3 * D),
+}
+
+
+@pytest.mark.parametrize("shape", DEPTH_SHAPES)
+def test_a_tree_at_the_depth_bound_parses_composes_evaluates_encloses_and_prints(shape):
+    tree = parse(DEPTH_SHAPES[shape][0], ["y1"])
+    assert tree.depth == (1 if shape == "parentheses" else D)
+    node = compose(tree, [parse("x1", X1)], X1)
+    assert node.depth == tree.depth
+    assert parse(to_source(node), X1) == node
+    assert np.isfinite(evaluate(node, {"x1": 1.0}))
+    assert np.isfinite(gradient(node, {"x1": 1.0}, X1)).all()
+    assert enclose(node, {"x1": (1.0, 1.0)}) != UNDECIDED
+
+
+@pytest.mark.parametrize("shape", DEPTH_SHAPES)
+def test_a_tree_past_the_depth_bound_is_a_parse_error_where_it_crosses(shape):
+    _, deeper, offset = DEPTH_SHAPES[shape]
+    with pytest.raises(ParseError, match=f"deeper than {D} levels") as exc:
+        parse(deeper, ["y1"])
+    assert exc.value.offset == offset
+
+
+def test_compose_refuses_a_tree_that_the_substitution_takes_past_the_bound():
+    f = parse(DEPTH_SHAPES["a + chain"][0], ["y1"])
+    with pytest.raises(ComposeMismatchError, match=f"{D + 1} levels deep, more than {D}"):
+        compose(f, [parse("x1^3", X1)], X1)
+
+
 def test_variables_collection():
     assert parse("x1*exp(x2) - 3", X12).variables() == frozenset({"x1", "x2"})
     assert parse("4.5", X1).variables() == frozenset()

@@ -1,5 +1,5 @@
-"""No module of the package imports a name it never uses, and no function
-or class of the package goes unread.
+"""No module of the package imports a name it never uses, and no function,
+class, method or property of the package goes unread.
 
 No linter ships with the package, so this walks the syntax tree: every name
 an import binds must be read somewhere in the module, in code or in a
@@ -82,15 +82,32 @@ def _reads(node):
 
 
 def unread_definitions(sources: dict) -> list:
-    """The module-level functions and classes of ``sources`` (file name ->
-    source) that nothing reads outside their own definition.  ``__init__``
-    is not searched: a re-export is not a use."""
+    """The definitions of ``sources`` (file name -> source) that nothing reads
+    outside their own definition: the module-level functions and classes,
+    and the methods and properties of those classes, but for names that
+    start with ``__``, which Python calls.  A class's own statements do not read its name, and
+    a member is read by any other statement, its class's included.
+    ``__init__`` is not searched: a re-export is not a use."""
     trees = {name: ast.parse(src) for name, src in sources.items()}
-    readers = [(node, set(_reads(node))) for name, tree in trees.items() if name != "__init__.py"
-               for node in tree.body]
-    return sorted(f"{name}: {node.name}" for name, tree in trees.items() for node in tree.body
-                  if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                  and not any(node.name in names for other, names in readers if other is not node))
+    readers = []  # (its top-level statement, a statement or class header part, the names it reads)
+    for name, tree in trees.items():
+        for node in tree.body if name != "__init__.py" else ():
+            parts = [node]
+            if isinstance(node, ast.ClassDef):
+                parts = [*node.body, *node.bases, *node.keywords, *node.decorator_list]
+            readers += [(node, part, set(_reads(part))) for part in parts]
+    unread = []
+    for name, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            if not any(node.name in names for top, _, names in readers if top is not node):
+                unread.append(f"{name}: {node.name}")
+            for member in node.body if isinstance(node, ast.ClassDef) else ():
+                if (isinstance(member, ast.FunctionDef) and not member.name.startswith("__")
+                        and not any(member.name in names for _, part, names in readers if part is not member)):
+                    unread.append(f"{name}: {node.name}.{member.name}")
+    return sorted(unread)
 
 
 def test_every_function_and_class_is_read_in_the_package():
@@ -114,7 +131,20 @@ def test_an_unread_definition_is_found():
             "    pass",
             "class Unused:",
             "    pass",
+            "class Point(Unused):",
+            "    def __init__(self):",
+            "        self.norm()",
+            "    def norm(self):",
+            "        return self.size",
+            "    @property",
+            "    def size(self):",
+            "        return 1",
+            "    def again(self):",
+            "        return self.again()",
+            "    def dead(self):",
+            "        pass",
         ]),
-        "b.py": "from .a import used\nused()",
+        "b.py": "from .a import used, Point\nused()\nPoint()",
     }
-    assert unread_definitions(sources) == ["a.py: Unused", "a.py: dead", "a.py: recursive"]
+    assert unread_definitions(sources) == ["a.py: Point.again", "a.py: Point.dead", "a.py: dead",
+                                          "a.py: recursive"]

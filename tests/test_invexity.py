@@ -242,20 +242,20 @@ def test_a_plan_shares_one_draw_and_keeps_each_verdict(repo_root):
 TOL, MARGIN = CFG.tol, CFG.strict_margin
 
 
-def _gradient_row(A, B, D, DX=0.0, apart=True):
-    """One gradient-family sample at n = 1: x0 = 0, and x = 1 or, not apart, x = 0."""
-    x = np.array([[1.0 if apart else 0.0]])
+def _gradient_row(A, B, D, DX=0.0, x=1.0):
+    """One gradient-family sample at n = 1: x0 = 0, and x."""
+    x = np.array([[x]])
     A, B, D, DX = (np.array([v], float) for v in (A, B, D, DX))
     no = np.zeros(1, bool)
     return InvexSamples(X=x, X0=np.zeros((1, 1)), H=x, invalid=no, index=np.zeros(1, int),
                         unit=np.zeros(1, int), n_regular=1, A=A, B=B, D=D, DX=DX, nondiff=no)
 
 
-def _mixture_row(A, B, C, tau=0.5, apart=True):
-    """One mixture-family triple at n = 1 with E the identity: x0 = E(x0) = 0,
-    and x = E(x) = 1 or, not apart, 0."""
-    x = np.array([[1.0 if apart else 0.0]])
-    return MixtureSamples(X=x, X0=np.zeros((1, 1)), T=np.array([[tau]]), U=x, V=np.zeros((1, 1)), H=x,
+def _mixture_row(A, B, C, tau=0.5, x=1.0, u=None):
+    """One mixture-family triple at n = 1: x0 = E(x0) = 0, and x with E(x)
+    = u, by default x."""
+    x, u = np.array([[x]]), np.array([[x if u is None else u]])
+    return MixtureSamples(X=x, X0=np.zeros((1, 1)), T=np.array([[tau]]), U=u, V=np.zeros((1, 1)), H=u,
                           bad=np.zeros(1, bool), invalid_comb=np.zeros((1, 1), bool),
                           A=np.array([A], float), B=np.array([B], float), C=np.array([[C]], float))
 
@@ -266,11 +266,13 @@ def _mixture_row(A, B, C, tau=0.5, apart=True):
 G, M = _gradient_row, _mixture_row
 BOUNDARY = [
     (InvexKind.EXP, G(0, 0, TOL / 2), True, True, "invex: D - tol is the threshold, not D"),
+    (InvexKind.EXP, G(0, 0, TOL), True, True, "invex: D = tol, on the threshold, holds"),
     (InvexKind.EXP, G(0, 0, 2 * TOL), False, True, "invex: D beyond tol fails"),
     (InvexKind.EXP, G(1, 0, 1.5), True, True, "invex: the left side is expm1(A - B)"),
     (InvexKind.STRICT, G(0, 0, 0), False, True, "strict-invex: a tie misses the margin"),
     (InvexKind.STRICT, G(0, 0, -2 * MARGIN), True, True, "strict-invex: clearing the margin holds"),
-    (InvexKind.STRICT, G(0, 0, 0, apart=False), True, False, "strict-invex: only apart pairs count"),
+    (InvexKind.STRICT, G(0, 0, 0, x=0.0), True, False, "strict-invex: only apart pairs count"),
+    (InvexKind.STRICT, G(0, 0, 0, x=TOL), True, False, "strict-invex: x = tol from x0 is not apart"),
     (InvexKind.QUASI, G(0, 0, 10 * TOL), False, True, "quasi-invex: D above tol fails"),
     (InvexKind.QUASI, G(TOL, 0, 1), False, True, "quasi-invex: A = B + tol is in the antecedent"),
     (InvexKind.QUASI, G(2 * TOL, 0, 1), True, False, "quasi-invex: A > B + tol is vacuous"),
@@ -281,14 +283,14 @@ BOUNDARY = [
     (InvexKind.STRICT_PSEUDO, G(0, 0, -2 * MARGIN), True, True, "strict-pseudo-invex: D <= -margin holds"),
     (InvexKind.STRICT_PSEUDO, G(TOL, 0, 0), False, True, "strict-pseudo-invex: A = B + tol is in the antecedent"),
     (InvexKind.STRICT_PSEUDO, G(2 * TOL, 0, 0), True, False, "strict-pseudo-invex: A > B + tol is vacuous"),
-    (InvexKind.STRICT_PSEUDO, G(0, 0, 0, apart=False), True, False, "strict-pseudo-invex: only apart pairs count"),
+    (InvexKind.STRICT_PSEUDO, G(0, 0, 0, x=0.0), True, False, "strict-pseudo-invex: only apart pairs count"),
     (InvexKind.MONOTONE, G(0, 0, 0, DX=-TOL / 2), True, True, "monotone-gradient: the term may dip by tol"),
     (InvexKind.MONOTONE, G(0, 0, 0, DX=-2 * TOL), False, True, "monotone-gradient: beyond tol fails"),
     (InvexKind.MONOTONE, G(0, 0, 1, DX=0.5), False, True, "monotone-gradient: the term is DX - D at A = B"),
     (InvexKind.MONOTONE, G(0, -1, 1, DX=0.5), True, True, "monotone-gradient: D is weighted by exp(B - A)"),
     (InvexKind.STRICT_MONOTONE, G(0, 0, 0), False, True, "strict-monotone-gradient: a zero term misses the margin"),
     (InvexKind.STRICT_MONOTONE, G(0, 0, 0, DX=2 * MARGIN), True, True, "strict-monotone-gradient: clearing it holds"),
-    (InvexKind.STRICT_MONOTONE, G(0, 0, 0, apart=False), True, False, "strict-monotone-gradient: only apart pairs count"),
+    (InvexKind.STRICT_MONOTONE, G(0, 0, 0, x=0.0), True, False, "strict-monotone-gradient: only apart pairs count"),
     (PreinvexKind.EXP, M(0, 0, TOL / 2), True, True, "preinvex: the level plus tol is the threshold"),
     (PreinvexKind.EXP, M(0, 0, 2 * TOL), False, True, "preinvex: beyond tol fails"),
     (PreinvexKind.EXP, M(0, -1, -0.1), False, True, "preinvex: the level is the tau-mixture, not the max"),
@@ -296,7 +298,9 @@ BOUNDARY = [
     (PreinvexKind.STRICT, M(0, 0, -2 * MARGIN), True, True, "strict-preinvex: clearing the margin holds"),
     (PreinvexKind.STRICT, M(0, -1, -0.1), False, True, "strict-preinvex: the level is the tau-mixture"),
     (PreinvexKind.STRICT, M(0, 0, 0, tau=TOL / 2), True, False, "strict-preinvex: only interior tau counts"),
-    (PreinvexKind.STRICT, M(0, 0, 0, apart=False), True, False, "strict-preinvex: only apart E-images count"),
+    (PreinvexKind.STRICT, M(0, 0, 0, x=0.0), True, False, "strict-preinvex: only apart E-images count"),
+    (PreinvexKind.STRICT, M(0, 0, 0, u=0.0), True, False,
+     "strict-preinvex: x apart with equal E-images is vacuous"),
     (PreinvexKind.QUASI, M(0, 0, TOL / 2), True, True, "quasi-preinvex: the level plus tol is the threshold"),
     (PreinvexKind.QUASI, M(0, 0, 2 * TOL), False, True, "quasi-preinvex: beyond tol fails"),
     (PreinvexKind.QUASI, M(0, -1, -0.1), True, True, "quasi-preinvex: the level is the max"),
@@ -304,8 +308,10 @@ BOUNDARY = [
     (PreinvexKind.STRICT_QUASI, M(0, -1, -0.1), True, True, "strict-quasi-preinvex: the level is the max"),
     (PreinvexKind.STRICT_QUASI, M(0, 0, 0, tau=1 - TOL / 2), True, False,
      "strict-quasi-preinvex: only interior tau counts"),
-    (PreinvexKind.STRICT_QUASI, M(0, 0, 0, apart=False), True, False,
+    (PreinvexKind.STRICT_QUASI, M(0, 0, 0, x=0.0), True, False,
      "strict-quasi-preinvex: only apart pairs count"),
+    (PreinvexKind.STRICT_QUASI, M(0, 0, 0, u=0.0), False, True,
+     "strict-quasi-preinvex: x apart with equal E-images counts"),
 ]
 
 
@@ -1006,36 +1012,6 @@ def test_a_certificate_takes_the_pinned_base_once_per_hypothesis(monkeypatch, vp
     assert math.ceil(100000 / problem_mod.BLOCK_PAIRS) == 13
     p = load_problem(vp1_path)
     assert sorted(one_row) == sorted(str(fn.composed) for fn in (*p.objectives, *p.ineq))
-
-
-def test_a_one_sided_eta_term_is_walked_once_per_point(monkeypatch, example1_path):
-    """example1's eta is cbrt(cbrt(u1+3)) - cbrt(cbrt(v1+3)).  In pair mode
-    both sides of a block read the one walk of that term over the block's
-    2N points, not a walk per side."""
-    walks, blocks = [], []
-    walk, block = expr._walk, invexity.invex_block
-
-    def counted_walk(node, env, flags, wrt):
-        v, d = walk(node, env, flags, wrt)
-        if (isinstance(node, expr.Unary) and node.op == "cbrt"
-                and isinstance(node.arg, expr.Unary) and node.arg.op == "cbrt"):
-            walks.append(np.size(v))
-        return v, d
-
-    def counted_block(*args):
-        blk = block(*args)
-        blocks.append(blk.rows)
-        return blk
-
-    monkeypatch.setattr(expr, "_walk", counted_walk)
-    monkeypatch.setattr(invexity, "invex_block", counted_block)
-    # invex fails in the first block; pseudo-invex holds and walks all three
-    for kind, code, pairs in (("invex", 1, [8192]), ("pseudo-invex", 0, [8192, 8192, 3616])):
-        walks.clear()
-        blocks.clear()
-        assert run(["check", str(example1_path), "--function", "f1", "--kind", kind,
-                    "--pairs", "20000", "--seed", "5", "--format", "json"])[0] == code
-        assert walks == blocks == [2 * b for b in pairs], kind
 
 
 def test_no_draw_concatenates_a_block(monkeypatch, vp1_path):
