@@ -43,11 +43,12 @@ OVERRIDE_TOL = 1e-9
 OVERRIDE_SEED = 42
 
 # The deepest tree an expression may have, counted in nodes from the root
-# to a leaf, and the most parentheses, calls, minus signs and ``^`` that may
-# be open at once in its source.  Every walk of a tree recurses once per
-# level and the parser up to five times per open parenthesis, so at this
-# bound all of them stay well under Python's default recursion limit (1000).
-MAX_DEPTH = 64
+# to a leaf.  A quarter of it bounds the parentheses, calls, minus signs and
+# ``^`` that may be open at once in its source.  Every walk of a tree
+# recurses about once per level and the parser up to five times per open
+# parenthesis, so at this bound all of them stay well under Python's default
+# recursion limit (1000).
+MAX_DEPTH = 256
 
 
 class Expr:
@@ -161,8 +162,8 @@ def parse(source: str, variables: Sequence[str]) -> Expr:
 
     Raises ParseError with a 1-based character offset on malformed input, on
     a character outside the ASCII grammar, on any name that is neither a
-    declared variable nor a known function, or where the expression crosses
-    MAX_DEPTH.
+    declared variable nor a known function, or where the expression's tree
+    crosses MAX_DEPTH or its nesting a quarter of it.
 
     Each source is parsed once per process under the same variables, in
     their order, and every later call returns the same tree: nodes are
@@ -225,8 +226,8 @@ def _parse(source, variables):
 
     def parse_signed(level):  # every recursion of the parser passes here
         kind, _, pos = lex.peek()
-        if level > MAX_DEPTH:
-            raise ParseError(f"expression nested deeper than {MAX_DEPTH} levels", pos + 1)
+        if level > MAX_DEPTH // 4:
+            raise ParseError(f"expression nested deeper than {MAX_DEPTH // 4} levels", pos + 1)
         if kind == "-":
             lex.take()
             return within(Unary("neg", parse_signed(level + 1)), pos)

@@ -251,8 +251,10 @@ def test_a_character_outside_the_grammar_is_a_parse_error(example1_path, tmp_pat
 @pytest.mark.parametrize("raw, message", [
     ("(" * 200 + "cbrt(y1)" + ")" * 200,
      "objectives[0].raw: syntax error at offset 66: expression nested deeper than 64 levels"),
-    (" + ".join(["y1"] * 1000), "objectives[0].raw: syntax error at offset 319: expression deeper than 64 levels"),
-    (" + ".join(["y1"] * 64), "objectives[0].composed: the function composed with E is 65 levels deep, more than 64"),
+    (" + ".join(["y1"] * 1000),
+     "objectives[0].raw: syntax error at offset 1279: expression deeper than 256 levels"),
+    (" + ".join(["y1"] * 256),
+     "objectives[0].composed: the function composed with E is 257 levels deep, more than 256"),
 ], ids=["200 parentheses", "a 1000-term sum", "a sum at the bound composed with x^3"])
 def test_a_deep_expression_is_a_located_load_error(vp1_path, tmp_path, raw, message):
     # each used to end cli.run in a RecursionError, and the process in exit code 1

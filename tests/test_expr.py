@@ -165,23 +165,29 @@ def test_a_non_string_source_fails_as_before(source, error):
             parse(source, X1)
 
 
-# Each shape of tree at MAX_DEPTH over y1, as (source, the same shape one
-# level deeper, the 1-based offset where that one crosses the bound).
+# Each shape of expression at a depth bound over y1, as (source, its tree's
+# depth, the same shape one level deeper, the 1-based offset where that one
+# crosses the bound).  Parentheses, calls, minus signs and ^ meet the bound on
+# nesting, N; + and * chains, and calls around a + chain, meet the tree's, D.
 D = ex.MAX_DEPTH
+N = D // 4
 DEPTH_SHAPES = {
-    "parentheses": ("(" * D + "y1" + ")" * D, "(" * (D + 1) + "y1" + ")" * (D + 1), D + 2),
-    "calls": ("cbrt(" * (D - 1) + "y1" + ")" * (D - 1), "cbrt(" * D + "y1" + ")" * D, 1),
-    "minus signs": ("-" * (D - 1) + "y1", "-" * D + "y1", 1),
-    "a ^ chain": ("^".join(["y1"] * D), "^".join(["y1"] * (D + 1)), 3),
-    "a + chain": (" + ".join(["y1"] * D), " + ".join(["y1"] * (D + 1)), 5 * D - 1),
-    "a * chain": ("*".join(["y1"] * D), "*".join(["y1"] * (D + 1)), 3 * D),
+    "parentheses": ("(" * N + "y1" + ")" * N, 1, "(" * (N + 1) + "y1" + ")" * (N + 1), N + 2),
+    "calls": ("cbrt(" * N + "y1" + ")" * N, N + 1, "cbrt(" * (N + 1) + "y1" + ")" * (N + 1), 5 * N + 6),
+    "minus signs": ("-" * N + "y1", N + 1, "-" * (N + 1) + "y1", N + 2),
+    "a ^ chain": ("^".join(["y1"] * (N + 1)), N + 1, "^".join(["y1"] * (N + 2)), 3 * N + 4),
+    "a + chain": (" + ".join(["y1"] * D), D, " + ".join(["y1"] * (D + 1)), 5 * D - 1),
+    "a * chain": ("*".join(["y1"] * D), D, "*".join(["y1"] * (D + 1)), 3 * D),
+    "calls around a + chain": ("cbrt(" * N + " + ".join(["y1"] * (D - N)) + ")" * N, D,
+                               "cbrt(" * N + " + ".join(["y1"] * (D - N + 1)) + ")" * N, 1),
 }
 
 
 @pytest.mark.parametrize("shape", DEPTH_SHAPES)
 def test_a_tree_at_the_depth_bound_parses_composes_evaluates_encloses_and_prints(shape):
-    tree = parse(DEPTH_SHAPES[shape][0], ["y1"])
-    assert tree.depth == (1 if shape == "parentheses" else D)
+    source, depth, _, _ = DEPTH_SHAPES[shape]
+    tree = parse(source, ["y1"])
+    assert tree.depth == depth
     node = compose(tree, [parse("x1", X1)], X1)
     assert node.depth == tree.depth
     assert parse(to_source(node), X1) == node
@@ -192,8 +198,9 @@ def test_a_tree_at_the_depth_bound_parses_composes_evaluates_encloses_and_prints
 
 @pytest.mark.parametrize("shape", DEPTH_SHAPES)
 def test_a_tree_past_the_depth_bound_is_a_parse_error_where_it_crosses(shape):
-    _, deeper, offset = DEPTH_SHAPES[shape]
-    with pytest.raises(ParseError, match=f"deeper than {D} levels") as exc:
+    _, depth, deeper, offset = DEPTH_SHAPES[shape]
+    bound = D if depth == D else N
+    with pytest.raises(ParseError, match=f"deeper than {bound} levels") as exc:
         parse(deeper, ["y1"])
     assert exc.value.offset == offset
 

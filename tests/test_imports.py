@@ -131,7 +131,12 @@ def test_an_unread_definition_is_found():
             "    pass",
             "class Unused:",
             "    pass",
-            "class Point(Unused):",
+            "class Lonely:",
+            "    def __init__(self):",
+            "        self.twin = Lonely",
+            "class Base:",
+            "    pass",
+            "class Point(Base):",
             "    def __init__(self):",
             "        self.norm()",
             "    def norm(self):",
@@ -146,5 +151,5 @@ def test_an_unread_definition_is_found():
         ]),
         "b.py": "from .a import used, Point\nused()\nPoint()",
     }
-    assert unread_definitions(sources) == ["a.py: Point.again", "a.py: Point.dead", "a.py: dead",
-                                          "a.py: recursive"]
+    assert unread_definitions(sources) == ["a.py: Lonely", "a.py: Point.again", "a.py: Point.dead",
+                                          "a.py: Unused", "a.py: dead", "a.py: recursive"]
