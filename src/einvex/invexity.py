@@ -30,12 +30,12 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .problem import (EVERY_SAMPLE, EProblem, Hypothesis, Judgement, PairDraw, ProblemFunction,
-                      Region, SampleConfig, Verdict, all_vacuous, box_region, sample_pairs,
-                      sample_rows, sampled_verdicts)
+                      Region, SampleConfig, Verdict, all_vacuous, block_bounds, box_region,
+                      sample_pairs, sample_rows, sampled_verdicts)
 from .rng import SampleStream, tau_grid
 
 PROBE_RADII = (1e-2, 1e-3, 1e-4, 1e-5)
-PROBE_CENTERS = 4        # basepoints probed in pair mode
+PROBE_CENTERS = 4        # basepoints probed in pair mode: a probed check's first block
 LEVEL_SPAN = 1.0         # headroom above exp(f) for sampled epigraph levels
 
 
@@ -277,21 +277,20 @@ class InvexSamples:
 class InvexBlock:
     """One block of gradient-family samples: its points and its frame.
 
-    P holds the moving point of every sample, in sample order, then the
-    points that serve only as a base: the ``at`` row in pinned mode, else
-    the probe centers when the block holds probes.  Its columns are
-    contiguous.  A sample's base is the ``at`` row when pinned, its center
-    for a probe, else its partner: pair k gives rows 2k (X[k] against X0[k])
-    and 2k + 1 (X0[k] against X[k]).  ``frame`` holds the samples before any
-    function is evaluated, shared by every hypothesis judged on the block;
-    invex_pairs fills in a copy.
+    P holds the moving point of every sample, in sample order (the pairs,
+    then any probes), and, pinned, the ``at`` row last; its columns are
+    contiguous.  A sample's base is the ``at`` row when pinned, else its
+    partner: pair k gives rows 2k (X[k] against X0[k]) and 2k + 1 (X0[k]
+    against X[k]), and a probe's base is its center, the x0 row of a pair.
+    ``frame`` holds the samples before any function is evaluated, shared by
+    every hypothesis judged on the block; invex_pairs fills in a copy.
     """
 
     P: np.ndarray       # the points of the block
     rows: int           # its samples: P[:rows] are their moving points
     pinned: bool        # every base is the at row, the last of P
-    probes: slice       # the probe samples
-    owner: np.ndarray   # the row of P of each probe's center
+    probes: slice       # the probe samples, the last rows
+    owner: np.ndarray   # pair mode: the row of P of each probe's center
     shared: "_Shared"   # what every block of its check shares
     frame: Optional[InvexSamples] = None
 
@@ -300,8 +299,8 @@ class InvexBlock:
         given per row of P along its first axis.  (Pinned, the base is the
         at row, read through the views of _Shared and _Pinned.)"""
         out = np.empty((self.rows,) + a.shape[1:], a.dtype, order="F")
-        for pair in (slice(0, self.probes.start), slice(self.probes.stop, self.rows)):
-            out[pair][0::2], out[pair][1::2] = a[pair][1::2], a[pair][0::2]
+        k = self.probes.start  # the rows of the pairs
+        out[:k:2], out[1:k:2] = a[1:k:2], a[:k:2]
         if self.owner.size:
             out[self.probes] = np.take(a, self.owner, axis=0)
         return out
@@ -309,20 +308,20 @@ class InvexBlock:
 
 class _Shared(NamedTuple):
     """What every gradient block of one check shares, made with its first
-    block, which no later one outgrows but by its probes.  All read-only."""
+    block and sized for the longest one.  All read-only."""
 
     index: np.ndarray          # the sample index of each row of a full block from pair 0
     unit: np.ndarray           # the pair of each of those rows
     X0: Optional[np.ndarray]   # pinned: the at row, a stride-0 view as long as any block
 
 
-def _shared(problem: EProblem, cfg: SampleConfig, pairs: PairDraw, full: int,
-            probes: bool) -> _Shared:
-    """The _Shared of a check whose first block holds ``full`` pairs."""
-    k = np.arange(full)
+def _shared(problem: EProblem, cfg: SampleConfig, pairs: PairDraw, first: int) -> _Shared:
+    """The _Shared of a check whose first block holds ``first`` pairs.  A
+    block after a head of probes is no longer than one of a check without."""
+    k = np.arange(max(first, *(hi - lo for lo, hi in block_bounds(cfg.n_pairs))))
     k.flags.writeable = False
-    if pairs.at is not None:  # the probe block adds at most every probe of the one center
-        longest = full + (len(PROBE_RADII) * 2 * (problem.n + 1) if probes else 0)
+    if pairs.at is not None:  # a head of probes adds at most every probe of the one center
+        longest = k.size + len(PROBE_RADII) * 2 * (problem.n + 1)
         return _Shared(k, k, np.broadcast_to(pairs.at[0], (longest, problem.n)))
     index, unit = np.column_stack([k, cfg.n_pairs + k]).ravel(), np.repeat(k, 2)
     index.flags.writeable = unit.flags.writeable = False
@@ -336,54 +335,37 @@ def invex_block(problem: EProblem, cfg: SampleConfig, pairs: PairDraw, lo: int, 
     With ``pairs.at`` fixed, x0 is constant and x is drawn from the region.
     In pair mode each drawn pair is used in both orientations, (x, x0)
     before (x0, x), so any verdict is automatically symmetric in the roles
-    of x and x0.  ``probes`` puts the probes of the first PROBE_CENTERS base
-    points (``pairs.centers``, kept as they are drawn) right after the last
-    of those pairs; a probed base point is a row of its own, as a center.
-    The streams write their points straight into their rows of P, except
-    in the block of the probes, whose pairs are copied around them.  E is
-    taken once per point, and eta once per sample, at the E-images of its
-    moving point and its base; pinned, the base is the at row alone.  What
-    every block shares is made with the first (PairDraw.shared, _Shared).
+    of x and x0.  ``probes`` gives a block from pair 0, drawn whole, the
+    probes of its first PROBE_CENTERS base points as its last rows; check
+    makes those pairs a block of their own (block_bounds), so the probes
+    follow them in sample order.  The streams write their points straight
+    into their rows of P.  E is taken once per point, and eta once per
+    sample, at the E-images of its moving point and its base; pinned, the
+    base is the at row alone.  What every block shares is made with the
+    first (PairDraw.shared, _Shared).
     """
     pinned = pairs.at is not None
-    w = 1 if pinned else 2               # samples per pair
-    shared = pairs.shared = pairs.shared or _shared(problem, cfg, pairs, hi - lo, probes)
-    if shared.unit.shape[0] < w * (hi - lo):
-        raise ValueError(f"pairs {lo}..{hi - 1} make a block longer than the first")
-    last = min(cfg.n_pairs, PROBE_CENTERS) - 1 - lo   # the last probed pair, in the block
-    around = probes and 0 <= last < hi - lo           # the probes may fall inside the block
-    dest = None, None                     # around the probes: drawn apart, then copied
-    if not around:
-        P = np.empty((w * (hi - lo) + pinned, problem.n), order="F")
-        dest = P[:w * (hi - lo):w], None if pinned else P[1:2 * (hi - lo):2]
-    X, X0, starved = sample_pairs(pairs, lo, hi, *dest)
+    w, m = 1 if pinned else 2, hi - lo   # samples per pair, pairs asked for
+    shared = pairs.shared = pairs.shared or _shared(problem, cfg, pairs, m)
+    if shared.unit.shape[0] < w * m:
+        raise ValueError(f"pairs {lo}..{hi - 1} make a block longer than any of the check")
+    head = probes and lo == 0
+    spare = len(PROBE_RADII) * 2 * (problem.n + 1) * PROBE_CENTERS if head else 0  # room for probes
+    P = np.empty((w * m + spare + pinned, problem.n), order="F")
+    X, X0, starved = sample_pairs(pairs, lo, hi, P[:w * m:w], None if pinned else P[1:2 * m:2])
     b = X.shape[0]
     index, unit = shared.index[:w * b] + lo, shared.unit[:w * b]
-    n_regular = w * cfg.n_pairs
-    cut = w * b
     Q, owner = np.empty((0, problem.n)), np.empty(0, dtype=int)
-    tail = X0 if pinned else Q            # the rows of P after the samples'
-    if probes and not pinned and lo < PROBE_CENTERS:
-        pairs.centers = np.vstack([pairs.centers, X0[:PROBE_CENTERS - lo]])
-    if probes and 0 <= last < b:
-        C = X0 if pinned else pairs.centers
-        Q, owner = _probe_points(C, problem, pairs.region, cfg.tol)
-        j, cut = np.arange(Q.shape[0]), w * (last + 1)
-        index = np.insert(index, cut, n_regular + j)
-        unit = np.insert(unit + Q.shape[0] * (unit > last), cut, last + 1 + j)
-        tail = C
-    q = Q.shape[0]
-    rows = w * b + q
-    if around:
-        P = np.empty((rows + tail.shape[0], problem.n), order="F")
-        for seg, drawn in ((P[:cut], slice(0, cut // w)), (P[cut + q:rows], slice(cut // w, b))):
-            seg[0::w] = X[drawn]         # pair mode: each pair's two rows, x first
-            if not pinned:
-                seg[1::2] = X0[drawn]
-    else:
-        P = P[:rows + tail.shape[0]]     # a starved draw leaves the last rows unfilled
-    P[cut:cut + q], P[rows:] = Q, tail
-    blk = InvexBlock(P, rows, pinned, slice(cut, cut + q), rows + owner, shared)
+    if head and b == m:  # drawn whole: its probes follow its pairs
+        Q, owner = _probe_points(X0[:PROBE_CENTERS], problem, pairs.region, cfg.tol)
+        j = np.arange(Q.shape[0])
+        index, unit = np.concatenate([index, w * cfg.n_pairs + j]), np.concatenate([unit, b + j])
+    rows = w * b + Q.shape[0]
+    P = P[:rows + pinned]                # the rows a starved draw or the probes left unfilled go
+    P[w * b:rows] = Q
+    if pinned:
+        P[rows:] = X0
+    blk = InvexBlock(P, rows, pinned, slice(w * b, rows), 2 * owner + 1, shared)
     E, bad_e = problem.e_map(P)
     if pinned:
         H, bad_h = problem.eta_map(E[:rows], E[rows:])
@@ -393,7 +375,7 @@ def invex_block(problem: EProblem, cfg: SampleConfig, pairs: PairDraw, lo: int, 
     else:
         H, bad_h = problem.eta_map(E[:rows], blk.base(E))
         X0, invalid = blk.base(P), bad_e[:rows] | blk.base(bad_e) | bad_h
-    blk.frame = InvexSamples(P[:rows], X0, H, invalid, index, unit, n_regular, starved)
+    blk.frame = InvexSamples(P[:rows], X0, H, invalid, index, unit, w * cfg.n_pairs, starved)
     return blk
 
 
@@ -612,9 +594,9 @@ def _gradient(kind: InvexKind, fn, problem, cfg, region, vacuous) -> Hypothesis:
         if blk.pinned and at is None:
             at = _pinned(fn, problem, blk)
         s = invex_pairs(fn, problem, blk, kind.monotone, at)
-        if kind.strict or blk.probes.start == blk.probes.stop:  # a block without probes
+        if kind.strict or blk.probes.start == blk.rows:  # a block without probes
             return s
-        return sample_rows(s, s.index < s.n_regular)
+        return sample_rows(s, slice(blk.probes.start))
 
     return Hypothesis(judge, samples, vacuous)
 
@@ -757,13 +739,13 @@ def check(problem: EProblem, plan, cfg: SampleConfig = SampleConfig(), at=None,
     pairs = PairDraw(problem, cfg, region, at)
     hypotheses = [k.build(fn, problem, cfg, region, vacuous, *args)
                   for k, (fn, _, *args) in zip(kinds, plan)]
-    if gradient:
+    if gradient:  # the probes follow the first PROBE_CENTERS pairs, a block of their own
         probes = any(kind in PROBED_KINDS for _, kind, *_ in plan)
-        return sampled_verdicts(cfg.n_pairs,
+        return sampled_verdicts(block_bounds(cfg.n_pairs, PROBE_CENTERS if probes else 0),
                                 lambda lo, hi: invex_block(problem, cfg, pairs, lo, hi, probes),
                                 hypotheses)
-    return sampled_verdicts(cfg.n_pairs, lambda lo, hi: mixture_samples(problem, cfg, pairs, lo, hi),
-                            hypotheses)
+    return sampled_verdicts(block_bounds(cfg.n_pairs),
+                            lambda lo, hi: mixture_samples(problem, cfg, pairs, lo, hi), hypotheses)
 
 
 # the names bench/spans.py traces as invexity.check; ROADMAP item 7 deletes them

@@ -535,8 +535,7 @@ class PairDraw:
                                                          region, cfg.n_pairs)
         self.at = None if at is None else np.asarray(at, dtype=float).reshape(1, problem.n)
         self.taken = 0  # pairs handed out
-        self.centers = np.empty((0, problem.n))  # the first base points, kept by invex_block
-        self.shared = None  # what every gradient block of the check shares, made by invex_block
+        self.shared = None  # what every gradient block shares, made with the first, as long as any
 
 
 def sample_pairs(pairs: PairDraw, lo: int, hi: int, X=None, X0=None):
@@ -619,12 +618,19 @@ class _Tally:
     verdict: Optional[Verdict] = None
 
 
-def sampled_verdicts(n_pairs: int, draw, hypotheses: Sequence[Hypothesis]) -> list:
+def block_bounds(n_pairs: int, head: int = 0) -> list:
+    """The (lo, hi) of each block of pairs 0..n_pairs-1, in draw order: the
+    first ``head`` pairs a block of their own, then blocks of BLOCK_PAIRS."""
+    starts = sorted({0, *range(head, n_pairs, BLOCK_PAIRS)})
+    return list(zip(starts, starts[1:] + [n_pairs]))
+
+
+def sampled_verdicts(bounds, draw, hypotheses: Sequence[Hypothesis]) -> list:
     """The one path from sampled pairs to Verdicts, one per hypothesis.
 
-    ``draw(lo, hi)`` returns the block of pairs lo..hi-1, at most
-    BLOCK_PAIRS of them at a time, and every hypothesis is judged on the
-    same blocks: ``samples(block)`` gives its samples, with rows in
+    ``draw(lo, hi)`` returns the block of pairs lo..hi-1 for each (lo, hi)
+    of ``bounds`` in turn (see block_bounds), and every hypothesis is judged
+    on the same blocks: ``samples(block)`` gives its samples, with rows in
     canonical order (the samples' ``index`` is the global index of each row
     and ``unit`` its pair, counted in the block; it may skip pairs), and
     ``judge(samples)`` their Judgement.  For each hypothesis the first
@@ -664,11 +670,11 @@ def sampled_verdicts(n_pairs: int, draw, hypotheses: Sequence[Hypothesis]) -> li
     the instances per row.
     """
     tallies = [_Tally() for _ in hypotheses]
-    for lo in range(0, n_pairs, BLOCK_PAIRS):
+    for lo, hi in bounds:
         live = [(h, t) for h, t in zip(hypotheses, tallies) if t.verdict is None]
         if not live:
             break
-        block = draw(lo, min(lo + BLOCK_PAIRS, n_pairs))
+        block = draw(lo, hi)
         for h, t in live:
             t.verdict = _decide(h, h.samples(block), t)
     for h, t in zip(hypotheses, tallies):

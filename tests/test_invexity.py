@@ -928,9 +928,10 @@ def _units(s, n_pairs):
 @pytest.mark.parametrize("power", [False, True])
 def test_a_block_frame_matches_a_per_sample_build(monkeypatch, block, n, mode, power):
     """Every field of invex_pairs, with and without the gradient at x, is the
-    per-sample build's to the bit, whatever the block size; pinned, the base
-    fields are read-only broadcast views, so writing into the shared frame
-    raises."""
+    per-sample build's to the bit, whatever the block size, over the blocks
+    of block_bounds (a probed check's first PROBE_CENTERS pairs a block of
+    their own); pinned, the base fields are read-only broadcast views, so
+    writing into the shared frame raises."""
     monkeypatch.setattr(problem_mod, "BLOCK_PAIRS", block)
     p = _frame_problem(n, power)
     fn = p.function("f1")
@@ -940,8 +941,8 @@ def test_a_block_frame_matches_a_per_sample_build(monkeypatch, block, n, mode, p
     want = _per_sample(fn, p, cfg, at, probes)
     pairs = PairDraw(p, cfg, box_region(p, cfg.tol), at)
     got = {False: [], True: []}
-    for lo in range(0, cfg.n_pairs, problem_mod.BLOCK_PAIRS):
-        blk = invex_block(p, cfg, pairs, lo, min(lo + problem_mod.BLOCK_PAIRS, cfg.n_pairs), probes)
+    for lo, hi in problem_mod.block_bounds(cfg.n_pairs, PROBE_CENTERS if probes else 0):
+        blk = invex_block(p, cfg, pairs, lo, hi, probes)
         for want_gx in (False, True):
             s = invex_pairs(fn, p, blk, want_gx)
             assert (s.n_regular, s.starved) == ((1 if at is not None else 2) * cfg.n_pairs, None)
@@ -1064,15 +1065,18 @@ def _calls(argv, counted):
 @pytest.mark.parametrize("argv, code", [
     (["certify", "vp1", "--candidate", "ybar", "--theorem", "t4"], 0),
     (["check", "vp1", "--function", "f1", "--kind", "invex"], 0),
+    (["check", "vp1", "--function", "f2", "--kind", "strict-pseudo-invex"], 0),
 ])
 def test_a_block_repeats_no_work_of_the_check(vp1_path, argv, code):
     """What every block of a check shares (the pinned base views, the block
     frame, the fields of the samples) is made once per check: 3 blocks and
-    13 make as many broadcasts, column stacks and dataclass replacements."""
+    13 (a probed check adds its head to each) make as many broadcasts,
+    column stacks and dataclass replacements, and one _Shared."""
     counted = {"np.broadcast_to": np.broadcast_to, "np.column_stack": np.column_stack,
-               "dataclasses.replace": dataclasses.replace}
+               "dataclasses.replace": dataclasses.replace, "_shared": invexity._shared}
     argv = [str(vp1_path) if a == "vp1" else a for a in argv]
     got = {pairs: _calls(argv + ["--pairs", str(pairs), "--format", "json"], counted)
            for pairs in (20000, 100000)}
     assert [math.ceil(p / problem_mod.BLOCK_PAIRS) for p in got] == [3, 13]
     assert got[20000] == got[100000] == (code, got[20000][1])
+    assert got[20000][1]["_shared"] == 1

@@ -22,9 +22,9 @@ from corpus import CFG, ENTRIES, by_name, problem
 from einvex.cli import run
 from einvex.invexity import PROBE_CENTERS, InvexKind, PreinvexKind, _probe_points, check
 from einvex.kkt import THEOREMS, certify, solve_multipliers
-from einvex.problem import (MAX_ROUNDS, Hypothesis, Region, RegionDraw, SampleConfig, _jsonable,
-                            box_region, feasible_region, load_problem, sample_region,
-                            sampled_verdicts)
+from einvex.problem import (MAX_ROUNDS, Hypothesis, PairDraw, Region, RegionDraw, SampleConfig,
+                            _jsonable, block_bounds, box_region, feasible_region, load_problem,
+                            sample_pairs, sample_region, sampled_verdicts)
 from einvex.rng import SampleStream
 from test_golden import COMMANDS, GOLDEN, KINDS, _report
 from test_kkt import EQUALITY
@@ -153,7 +153,7 @@ CASES = [
 def test_first_deciding_pair_decides_in_any_block_size(case, expected, block, monkeypatch):
     monkeypatch.setattr(problem_mod, "BLOCK_PAIRS", block)
     n, draw, judge = _synthetic(*case)
-    v = sampled_verdicts(n, draw, [Hypothesis(judge)])[0]
+    v = sampled_verdicts(block_bounds(n), draw, [Hypothesis(judge)])[0]
     w = v.witness
     assert (v.status, w and w.index, v.checked, w and w.extra["at"]) == expected
     assert w is None or w.x == w.x0 == [float(w.extra["at"][0] // case[1])]
@@ -187,8 +187,9 @@ def _judges_every_pair(name):
 @pytest.mark.parametrize("block, cap", [(97, 300), (3, 20)])
 def test_golden_reports_do_not_depend_on_the_block_size(block, cap, monkeypatch):
     """97 divides no pair count: every sampled golden decided before its last
-    pair reproduces its stored report.  3 is below PROBE_CENTERS, so the
-    probes fall in a later block than the first pairs.  The goldens that
+    pair reproduces its stored report.  3 is below PROBE_CENTERS, but the
+    first block of a probed check, its head, holds the first PROBE_CENTERS
+    pairs and their probes whatever BLOCK_PAIRS is.  The goldens that
     judge every pair (all of them under 3) run at --pairs <= cap instead,
     against a default-block run of the same command, to keep the suite fast."""
     stored = {n: (GOLDEN / f"{n}.json").read_text() for n in SAMPLED
@@ -273,6 +274,33 @@ def test_checked_follows_from_the_witness_index():
                 len(config.get("levels") or [None])), (name, kind)
             seen += 1
     assert seen >= 25
+
+
+# x1 + x2 on a sliver x1 < 4e-5 of the unit square: at seed 1 the proposal
+# budget yields three pairs, in pair mode and pinned, one short of the probes
+SLIVER = {"n": 2, "E": ["x1", "x2"], "eta": ["u1 - v1", "u2 - v2"], "objectives": ["y1 + y2"],
+          "box": {"lo": [0, 0], "hi": [1, 1]}}
+
+
+@pytest.mark.parametrize("at", [None, [0.0, 0.5]], ids=["pair", "pinned"])
+def test_a_starved_head_judges_no_probe(at, monkeypatch):
+    """A strict check whose region yields fewer than PROBE_CENTERS pairs
+    answers inconclusive with the samples drawn as checked: its probes need
+    every pair before them, so none is judged."""
+    p = load_problem(SLIVER)
+    region = Region("sliver", lambda P: np.atleast_2d(P)[:, 0] < 4e-5)
+    cfg = SampleConfig(seed=1, n_pairs=100)
+    drawn = sample_pairs(PairDraw(p, cfg, region, at), 0, cfg.n_pairs)[0].shape[0]
+    assert drawn == PROBE_CENTERS - 1
+    judged = []
+    masks = invexity.invex_masks
+    monkeypatch.setattr(invexity, "invex_masks",
+                        lambda s, kind, c: judged.append(s) or masks(s, kind, c))
+    v = check(p, [(p.function("f1"), InvexKind.STRICT)], cfg, at=at, region=region)[0]
+    assert v.status == "inconclusive"
+    assert v.reason.startswith("could not draw 100 points from region 'sliver'")
+    assert v.checked == (1 if at else 2) * drawn == sum(s.index.size for s in judged)
+    assert all((s.index < s.n_regular).all() for s in judged)
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +397,9 @@ def _judged(monkeypatch, block, p, plan, cfg, at):
 def test_a_probe_free_kind_judges_what_a_draw_without_probes_gives(block, n_pairs, pinned,
                                                                    monkeypatch):
     """Drawn with the probes of a strict kind, a kind that takes none judges
-    the arrays of its own probe-free draw, the block of the probes included."""
+    the arrays of its own probe-free draw, joined over the blocks: the
+    probed draw splits its first PROBE_CENTERS pairs off as a block of
+    their own, and its samples drop the probes of that block."""
     p = problem(by_name("bowl-2d"))
     fn, cfg = p.function("f1"), replace(CFG, n_pairs=n_pairs)
     at = (p.lo + p.hi) / 2 if pinned else None
@@ -377,15 +407,17 @@ def test_a_probe_free_kind_judges_what_a_draw_without_probes_gives(block, n_pair
     shared, verdicts = _judged(monkeypatch, block, p,
                                [(fn, InvexKind.STRICT)] + [(fn, k) for k in free], cfg, at)
     assert [v.status for v in verdicts[1:]] == ["holds"] * len(free)
-    assert any((s.index >= s.n_regular).any() for s in shared[InvexKind.STRICT])
+    assert (shared[InvexKind.STRICT][0].index >= shared[InvexKind.STRICT][0].n_regular).any()
     for kind in free:
         alone, _ = _judged(monkeypatch, block, p, [(fn, kind)], cfg, at)
-        assert len(shared[kind]) == len(alone[kind]) == math.ceil(n_pairs / block)
-        for s, t in zip(shared[kind], alone[kind]):
-            for name in JUDGED:
-                a, b = getattr(s, name), getattr(t, name)
-                assert (a is None) == (b is None), (kind, name)
-                assert a is None or (a.shape == b.shape and a.tobytes() == b.tobytes()), (kind, name)
+        assert len(alone[kind]) == math.ceil(n_pairs / block)
+        assert len(shared[kind]) == math.ceil((n_pairs - PROBE_CENTERS) / block) + 1
+        for name in JUDGED:
+            a, b = ([getattr(s, name) for s in judged[kind]] for judged in (shared, alone))
+            if all(v is None for v in a + b):
+                continue
+            a, b = np.concatenate(a), np.concatenate(b)
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), (kind, name)
 
 
 def test_certify_draws_each_block_once(vp1_path, monkeypatch):
