@@ -5,7 +5,7 @@ human-readable report or, with --format json, a machine-readable one whose
 bytes are identical across reruns with the same flags (except the wall-time
 field).  Exit codes: 0 holds/certified/pass, 1 fails/not-established,
 2 inconclusive, 3 bad input, such as an ignored flag or a point outside
-the box or, judged on the feasible set, infeasible.
+the box or, judged on the feasible set, infeasible, and 4 an internal error.
 """
 
 from __future__ import annotations
@@ -141,26 +141,18 @@ def _oracle_flags(sp):
     sp.add_argument("--at", help="point for --minimizer (candidate name or coordinates)")
 
 
-def build_parser(command=None) -> argparse.ArgumentParser:
-    """The parser of the command line.  When ``command`` names a subcommand,
-    only that one is registered, and a command line that starts with it
-    parses, and fails, as under the full parser.  Any other value (None, an
-    unknown name, an option such as --help) registers all of them.
+@functools.cache
+def build_parser() -> argparse.ArgumentParser:
+    """The parser of the command line, with every subcommand registered.
 
-    Each of these len(SUBCOMMANDS) + 1 parsers is built once per process and
-    shared by every caller, who must not modify it: no flag has a mutable
-    default or an append action, and parse_args leaves the parser as it was.
+    It is built once per process and shared by every caller, who must not
+    modify it: no flag has a mutable default or an append action, and
+    parse_args leaves the parser as it was.
     """
-    return _built_parser(command if command in SUBCOMMANDS else None)
-
-
-@functools.lru_cache(maxsize=None)  # keyed on a name of SUBCOMMANDS or None
-def _built_parser(command):
     p = _Parser(prog="einvex", description=__doc__.splitlines()[0] if __doc__ else "")
     p.add_argument("--version", action="version", version=f"einvex {__version__}")
     sub = p.add_subparsers(dest="command", required=True, parser_class=_Parser)
-    for name in (command,) if command else SUBCOMMANDS:
-        help_text, add_flags, _ = SUBCOMMANDS[name]
+    for name, (help_text, add_flags, _) in SUBCOMMANDS.items():
         add_flags(sub.add_parser(name, help=help_text))
     return p
 
@@ -534,7 +526,7 @@ def run(argv=None):
     """Execute one CLI invocation; returns (exit_code, rendered_report)."""
     argv = _join_negative_points(sys.argv[1:] if argv is None else argv)
     try:
-        ns = build_parser(argv[0] if argv else None).parse_args(argv)
+        ns = build_parser().parse_args(argv)
     except CliUsageError as e:
         return 3, f"error: {e}"
     started = time.perf_counter()
@@ -551,8 +543,17 @@ def run(argv=None):
 
 
 def main(argv=None):
-    code, text = run(argv)
-    stream = sys.stderr if code == 3 else sys.stdout
+    """Run one invocation as a process: print its report and exit with its code.
+
+    An exception that escapes run is a defect of the program, not a verdict:
+    it exits 4 with one line on stderr, never 1, the code of fails.
+    SystemExit (--help, --version) and KeyboardInterrupt pass through.
+    """
+    try:
+        code, text = run(argv)
+    except Exception as e:
+        code, text = 4, " ".join(f"error: internal error: {type(e).__name__}: {e}".split())
+    stream = sys.stderr if code >= 3 else sys.stdout
     try:
         print(text, file=stream)
         stream.flush()

@@ -138,7 +138,9 @@ class MixtureSamples:
 
     def combined(self) -> np.ndarray:
         """The (N, k, n) combined points."""
-        return self.V[:, None, :] + self.T[:, :, None] * self.H[:, None, :]
+        # a nan arises only from an inf in E(x0) or eta, whose pair is bad
+        with np.errstate(invalid="ignore"):
+            return self.V[:, None, :] + self.T[:, :, None] * self.H[:, None, :]
 
     @property
     def mix_log(self):
@@ -382,9 +384,12 @@ def invex_block(problem: EProblem, cfg: SampleConfig, pairs: PairDraw, lo: int, 
 def _dot_eta(G, H):
     """sum_j G[:, j] * H[:, j], the variables taken in order: the one
     definition of D and DX."""
-    out = G[:, 0] * H[:, 0]
-    for j in range(1, G.shape[1]):
-        out += G[:, j] * H[:, j]
+    # a nan arises only from an inf in G or H, whose sample is flagged:
+    # nondiff (grad_many) or invalid (eta_map)
+    with np.errstate(invalid="ignore"):
+        out = G[:, 0] * H[:, 0]
+        for j in range(1, G.shape[1]):
+            out += G[:, j] * H[:, j]
     return out
 
 

@@ -30,10 +30,8 @@ block.  Before a block is filled, the interval enclosures of its functions
 over the block's box (expr.enclose) may rule it out: the block is then
 skipped, unfilled and unevaluated.  Each skip test is the walk's own float
 comparison applied to an enclosure end, so no answer changes.  A query
-stops at the first block that holds a dominating point and judges its
-conditions one at a time, leaving a block at the first that no point of it
-passes; neither check holds more than one block of points and values at
-once.
+stops at the first block that holds a dominating point; neither check
+holds more than one block of points and values at once.
 """
 
 from __future__ import annotations
@@ -360,10 +358,8 @@ def is_weak_pareto(problem: EProblem, y, grid: Optional[GridSpec] = None, tol: f
     witness.  A block is skipped unfilled where an enclosure (ex.enclose)
     shows no point of its box can be a witness: some objective's lower end
     is not below f_k(y) - tol, or some constraint fails on the whole box.
-    Within a block the conditions are judged in order, each objective (it
-    evaluates, is finite and is below f_k(y) - tol) and then feasibility,
-    and the block is left at the first condition that no point passes; no
-    point or objective rows are copied.
+    A block that is filled is judged in one pass, every objective and
+    constraint at every point of it.
     """
     y = np.asarray(y, dtype=float).reshape(problem.n)
     point_slacks(problem, y, tol, "query point")
@@ -379,20 +375,12 @@ def is_weak_pareto(problem: EProblem, y, grid: Optional[GridSpec] = None, tol: f
                 or _surely_infeasible(problem, box, tol))
 
     for pts in _blocks(problem, counts, add, ruled_out):
-        env = problem.env_x(pts)
-        better, cols = True, []
-        for fn, b in zip(problem.objectives, bound):
-            r = ex.eval_many(fn.composed, env)
-            better = better & ~r.failed & (r.values < b)
-            if not better.any():
-                break
-            cols.append(r.values)
-        else:
-            better &= constraint_slacks(problem, pts)[2] <= tol
-            i = int(np.argmax(better))
-            if better[i]:
-                return False, {"x": pts[i].tolist(), "objectives": [c[i].item() for c in cols],
-                               "query_objectives": fy[0].tolist()}
+        F, bad = _objective_matrix(problem, pts)
+        better = ~bad & (F < bound).all(axis=1) & (constraint_slacks(problem, pts)[2] <= tol)
+        i = int(np.argmax(better))
+        if better[i]:
+            return False, {"x": pts[i].tolist(), "objectives": F[i].tolist(),
+                           "query_objectives": fy[0].tolist()}
     return True, None
 
 

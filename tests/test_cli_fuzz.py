@@ -5,14 +5,17 @@ Each example changes up to two JSON entries of example1.json or vp1.json
 and runs one command line on the result, at 64 pairs and 5-point grid axes.
 An entry is deleted, replaced by an odd value, or kept well formed but
 made odd: an expression wrapped in a function that leaves its domain,
-overflows or has a kink (its composed form then dropped), a number scaled.
-cli.run must return an exit code of 0-3 and raise nothing, warnings
-included.
+overflows or has a kink, a number scaled.  After an edit to a raw form, to
+E or to vars, every composed form is dropped, so the loader composes it
+from the edited file instead of refusing the stale one.  cli.run must
+return an exit code of 0-3 and raise nothing, warnings included, and at
+least REACHED of the examples must get past the loader into a command.
 """
 
 import json
 import tempfile
 import warnings
+from collections import Counter
 from pathlib import Path
 
 from hypothesis import HealthCheck, given, settings
@@ -29,8 +32,11 @@ ODD = [None, True, 0, -1, 3, 2.5, 1e308, -1e308, "", " ", "nan", "inf", "x1", "y
        "1/0", "log(-1)", "0^-1", "x1^x1", "exp(1e3)", [], {}, [0], ["x1"], {"raw": "y1"}]
 # well-formed changes: an expression keeps its variables, a number its type
 WRAPS = ["log({})", "sqrt({})", "cbrt({})", "exp(100*({}))", "({})^-1", "({})^0.5", "-({})",
-         "abs({})", "({})^({})", "0*({})"]
+         "({})^({})", "0*({})"]
 SCALES = [-1, 0, 0.5, 10, 1e6]
+COMPOSING = {"vars", "E"}  # the entries besides its raw form that a composed form follows
+EXAMPLES = 500
+REACHED = 140  # examples whose command body runs: exit code 0-2
 
 
 def _paths(node, path=()):
@@ -48,20 +54,26 @@ def _at(doc, path):
 
 
 def _mutated(doc, path, action, value, wrap, scale):
+    """doc with the entry at path deleted, replaced by value ("odd"), or
+    edited but kept well formed ("edit"): a string wrapped, a number scaled,
+    any other entry left as it is."""
     doc = json.loads(json.dumps(doc))
     *head, last = path
     parent = _at(doc, head)
     old = parent[last]
     if action == "delete":
         del parent[last]
-    elif action == "wrap" and isinstance(old, str):
-        parent[last] = wrap.format(old, old)
-        if last == "raw":  # composed from the wrapped raw form, not checked against the old one
-            parent.pop("composed", None)
-    elif action == "scale" and isinstance(old, (int, float)) and not isinstance(old, bool):
-        parent[last] = old * scale
-    else:
+    elif action == "odd":
         parent[last] = value
+    elif isinstance(old, str):
+        parent[last] = wrap.format(old, old)
+    elif isinstance(old, (int, float)) and not isinstance(old, bool):
+        parent[last] = old * scale
+    if path[0] in COMPOSING or last == "raw":  # compose from the edited file instead
+        for group in ("objectives", "ineq", "eq"):
+            for fn in doc.get(group) if isinstance(doc.get(group), list) else ():
+                if isinstance(fn, dict):
+                    fn.pop("composed", None)
     return doc
 
 
@@ -94,7 +106,7 @@ def _cases(draw):
         paths = [p for p in _paths(doc) if p]
         leaves = [p for p in paths if not isinstance(_at(doc, p), (dict, list))]
         path = draw(st.sampled_from(leaves) if draw(st.integers(0, 3)) else st.sampled_from(paths))
-        doc = _mutated(doc, path, draw(st.sampled_from(["delete", "odd", "wrap", "wrap", "scale"])),
+        doc = _mutated(doc, path, draw(st.sampled_from(["delete", "odd", "edit", "edit"])),
                        draw(st.sampled_from(ODD)), draw(st.sampled_from(WRAPS)),
                        draw(st.sampled_from(SCALES)))
     command = draw(st.sampled_from(sorted(SUBCOMMANDS)))
@@ -102,15 +114,24 @@ def _cases(draw):
     return name, doc, draw(st.sampled_from(shapes))
 
 
-@settings(max_examples=500, derandomize=True, deadline=None, database=None,
-          suppress_health_check=[HealthCheck.too_slow])
-@given(_cases())
-def test_no_mutated_problem_ends_a_command_in_a_traceback(case):
-    name, doc, which = case
-    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
-        warnings.simplefilter("error")
-        path = Path(tmp) / f"{name}.json"
-        path.write_text(json.dumps(doc))
-        argv = _commands(name, str(path))[which]
-        code, _ = run(argv)
-    assert code in (0, 1, 2, 3), argv
+def test_no_mutated_problem_ends_a_command_in_a_traceback():
+    codes = []
+
+    @settings(max_examples=EXAMPLES, derandomize=True, deadline=None, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(_cases())
+    def one(case):
+        name, doc, which = case
+        with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+            warnings.simplefilter("error")
+            path = Path(tmp) / f"{name}.json"
+            path.write_text(json.dumps(doc))
+            argv = _commands(name, str(path))[which]
+            code, _ = run(argv)
+        assert code in (0, 1, 2, 3), argv
+        codes.append(code)
+
+    one()
+    assert len(codes) == EXAMPLES
+    # a mutation the loader refuses (exit 3) fuzzes the loader, not the command
+    assert sum(code < 3 for code in codes) >= REACHED, Counter(codes)

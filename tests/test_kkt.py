@@ -68,6 +68,7 @@ def test_solver_finds_exact_multipliers(vp1):
     assert rep.passes
     assert rep.r_stationarity <= 1e-9
     assert rep.tau_sum == pytest.approx(1.0, abs=1e-12)
+    assert verify_kkt_point(vp1, pt, 0.0).passes  # every residual is exactly 0: a tie passes
 
 
 def test_solver_is_deterministic(vp1):

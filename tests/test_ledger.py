@@ -10,7 +10,7 @@ seed that passes.
 import pytest
 
 from einvex.invexity import check
-from einvex.kkt import certify, solve_multipliers
+from einvex.kkt import certify, solve_multipliers, verify_kkt_point
 from einvex.pareto import GridSpec, grid_oracle, is_weak_pareto
 from einvex.problem import SampleConfig, load_problem
 
@@ -25,14 +25,28 @@ def _check(kind, pairs=PAIRS):
     return "example1", claim, SEEDS
 
 
-def _certify(theorem):
+def _certify(theorem, verdicts=False):
     """The conclusion and failing hypothesis of ``theorem`` at vp1's ybar,
-    with the multipliers the solver finds there."""
+    with the multipliers the solver finds there; with ``verdicts``, also
+    each hypothesis's (status, nonvacuous), in the order they are printed."""
     def claim(p, seed):
         cert = certify(p, solve_multipliers(p, p.candidate("ybar").x), theorem,
                        SampleConfig(seed=seed, n_pairs=PAIRS))
+        if verdicts:
+            return (cert.conclusion, cert.failing,
+                    [(h.verdict.status, h.verdict.nonvacuous) for h in cert.hypotheses])
         return cert.conclusion, cert.failing
     return "vp1", claim, SEEDS
+
+
+def _kkt():
+    """Whether the multipliers the solver finds at vp1's ybar pass, and
+    their (tau, rho, xi).  No seed enters."""
+    def claim(p, seed):
+        point = solve_multipliers(p, p.candidate("ybar").x)
+        return (verify_kkt_point(p, point).passes, point.tau.tolist(), point.rho.tolist(),
+                point.xi.tolist())
+    return "vp1", claim, [None]
 
 
 def _pareto_set():
@@ -57,8 +71,13 @@ LEDGER = {  # row -> (problem, claim, its seeds, the answer at every seed)
     # acceptance criterion 3 (t4, t5, t6) and the remark, at vp1's Pareto point
     "vp1 ybar t4": (*_certify("t4"), ("certified", None)),
     "vp1 ybar t5": (*_certify("t5"), ("not-established", "f1:strict-invex")),
-    "vp1 ybar t6": (*_certify("t6"), ("certified", None)),
+    # and README Quick start: certify problems/vp1.json --candidate ybar --theorem t6
+    "vp1 ybar t6": (*_certify("t6", verdicts=True),
+                    ("certified", None, [("holds", 0), ("holds", 0),
+                                         ("holds", PAIRS), ("holds", PAIRS)])),
     "vp1 ybar remark": (*_certify("remark"), ("certified", None)),
+    # README Quick start: kkt problems/vp1.json --candidate ybar
+    "quick start kkt vp1 ybar": (*_kkt(), (True, [0.5, 0.5], [0.75, 0.75], [])),
     # acceptance criterion 4: the 41x41 oracle finds the unique optimum
     "criterion 4 vp1 oracle": (*_pareto_set(), ORIGIN),
     # README Quick start: vp1's "origin is the unique Pareto point"

@@ -1,6 +1,7 @@
 """Brute-force grid oracle: dominance, queries, minimizer check, CSV dump."""
 
 import csv
+import itertools
 import json
 import math
 import tracemalloc
@@ -591,10 +592,26 @@ def test_block_skips_are_exact_at_a_tie(rows, monkeypatch):
     for source in ["-0.0001*y1", "(y1 - 0.5)^2 - 1e-12*y1", "0"]:
         p = _line([source], lo=0.0, hi=1.0)
         fn = p.objectives[0]
-        for x in ([0.0], [0.5], [1.0]):
-            m = e_minimizer_check(fn, p, x, grid)
+        for x, tol in itertools.product(([0.0], [0.5], [1.0]), (1e-9, 0.0)):
+            m = e_minimizer_check(fn, p, x, grid, tol)
             got = (m.is_minimizer, m.value, m.witness)
-            assert repr(got) == repr(_reference_e_minimizer_check(fn, p, x, grid)), (source, x)
+            assert repr(got) == repr(_reference_e_minimizer_check(fn, p, x, grid, tol)), \
+                (source, x, tol)
+
+
+def test_a_block_whose_enclosure_ties_the_bound_is_skipped(monkeypatch):
+    # an enclosure whose lower end equals the bound leaves no point of its
+    # block strictly below it: the query and the minimizer skip that block
+    monkeypatch.setattr(pareto, "_QUERY_ROWS", 11)
+    grid = GridSpec((101,))
+    p = _line(["y1"], lo=0.0, hi=1.0)  # the first block's enclosure starts at f(0) = 0
+    slacks = _counted_slacks(monkeypatch)
+    assert is_weak_pareto(p, [0.0], grid, 0.0) == (True, None)
+    assert slacks == []
+    p = _line(["0"], lo=0.0, hi=1.0)  # every enclosure is [0, 0], the least value
+    seen = _counted_evaluations(monkeypatch, p.objectives[0].composed)
+    assert e_minimizer_check(p.objectives[0], p, [0.5], grid).is_minimizer
+    assert [len(X) for X in seen] == [1, 1]  # xbar itself, then the first block of one point
 
 
 @pytest.mark.parametrize("constraint", [{"ineq": ["0.45 - y1"]}, {"eq": ["y1 - 0.5"]}])
